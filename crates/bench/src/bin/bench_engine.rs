@@ -64,16 +64,7 @@
 //!   event-indexed `AppWorkload` schedules;
 //! * `sweep_grid_pool` — an 18-point ScenarioGrid (3 architectures × 6
 //!   loads) on the work-stealing pool; pool-shape invariance of the
-//!   combined fingerprint is asserted before recording it;
-//! * `fig3_sweep_batched` / `sweep_grid_pool_batched` — the replica-
-//!   batch A/B rows: for these two the blocks compare *steppers*, not
-//!   fast-forward — `before` runs the grid per-replica through
-//!   `run_pool` (the legacy `Experiment::run` reference loop), `after`
-//!   advances each stolen chunk as one `ReplicaBatch` in lockstep over
-//!   the engine's masked fast stepper (`run_pool_batched`), idle
-//!   fast-forward at its default on both sides.  The fingerprint
-//!   equality the harness asserts between blocks *is* the
-//!   batch-vs-sequential bit-identity oracle at paper scale.
+//!   combined fingerprint is asserted before recording it.
 //!
 //! Each traffic scenario records a *determinism fingerprint* (packets,
 //! flits, latency and energy with exact bit patterns); two engines are
@@ -86,7 +77,7 @@
 
 use std::time::Instant;
 
-use wimnet_core::sweeps::{run_pool, run_pool_batched, ScenarioGrid};
+use wimnet_core::sweeps::{run_pool, ScenarioGrid};
 use wimnet_core::{latency_curve, MacKind, MultichipSystem, SystemConfig, WirelessModel};
 use wimnet_noc::{Network, NocConfig};
 use wimnet_routing::{Routes, RoutingPolicy};
@@ -189,44 +180,6 @@ fn app_run(seed: u64, wireless: WirelessModel, no_ff: bool) -> (f64, u64, Finger
     let wall = start.elapsed().as_secs_f64() * 1e3;
     let cycles = config.warmup_cycles + config.measure_cycles;
     (wall, cycles, fingerprint_of(&sys, outcome.avg_latency_cycles))
-}
-
-/// A/B runner for the replica-batch rows.  `per_replica = true` (the
-/// `before` block) runs the grid's experiments one at a time on the
-/// work-stealing pool — the legacy `Experiment::run` reference stepper;
-/// `false` (the `after` block) advances each stolen chunk as one
-/// `chunk`-wide `ReplicaBatch` in lockstep over the engine's masked
-/// fast stepper (`run_pool_batched`).  Idle fast-forward stays at its
-/// default on **both** sides, so the row isolates exactly what replica
-/// batching buys; the harness's block-equality assertion doubles as the
-/// batch-vs-sequential bit-identity check at paper scale.
-fn pooled_grid_run(grid: &ScenarioGrid, chunk: usize, per_replica: bool) -> Measured {
-    let experiments = grid.experiments();
-    let threads = wimnet_core::sweeps::default_threads();
-    let start = Instant::now();
-    let outcomes = if per_replica {
-        run_pool(&experiments, threads, 1)
-    } else {
-        run_pool_batched(&experiments, threads, chunk)
-    }
-    .expect("grid runs");
-    let wall = start.elapsed().as_secs_f64() * 1e3;
-    let mut fp = Fingerprint::default();
-    for (e, o) in experiments.iter().zip(&outcomes) {
-        fp.fold(&Fingerprint {
-            packets: o.packets_delivered(),
-            // Uniform-random packets are all `packet_flits` long.
-            flits: o.packets_delivered() * u64::from(e.config().packet_flits),
-            latency_bits: o.avg_latency_cycles.unwrap_or(f64::NAN).to_bits(),
-            energy_pj_bits: o.total_energy_nj().to_bits(),
-            energy_pj: o.total_energy_nj() * 1e3,
-        });
-    }
-    let cycles = experiments
-        .iter()
-        .map(|e| e.config().warmup_cycles + e.config().measure_cycles)
-        .sum();
-    Measured { wall_ms: wall, cycles, fingerprint: Some(fp) }
 }
 
 fn mac_run(mac: MacKind, load: f64, no_ff: bool) -> (f64, u64, Fingerprint) {
@@ -529,25 +482,6 @@ fn main() {
                 .sum();
             Measured { wall_ms: wall, cycles, fingerprint: Some(fp) }
         })),
-        ("fig3_sweep_batched", Box::new(|per_replica| {
-            // The fig3 low-to-mid-load curve as a replica batch: all six
-            // wireless load points advanced in lockstep by one driver
-            // loop over the masked fast stepper, vs the same points run
-            // one at a time through the legacy stepper.
-            let grid = ScenarioGrid::new("fig3-batched")
-                .loads(&[0.001, 0.002, 0.004, 0.008, 0.016, 0.032]);
-            pooled_grid_run(&grid, 6, per_replica)
-        })),
-        ("sweep_grid_pool_batched", Box::new(|per_replica| {
-            // The 18-point grid (3 architectures × 6 loads) with whole
-            // replica batches scheduled per steal; chunk 6 aligns batch
-            // boundaries with the architecture axis (loads are the
-            // fastest axis), so every batch is single-architecture.
-            let grid = ScenarioGrid::new("bench-grid-batched")
-                .architectures(&Architecture::ALL)
-                .loads(&[0.001, 0.002, 0.004, 0.008, 0.016, 0.032]);
-            pooled_grid_run(&grid, 6, per_replica)
-        })),
     ];
 
     // Interleaved measurement: before (full stepping) and after
@@ -706,17 +640,6 @@ fn main() {
          zero-observer-effect contract (docs/observability.md) enforced at \
          measurement time; the speedup column is the overhead factor and \
          tests/bench_schema.rs bounds it near 1.0\",\n",
-    );
-    json.push_str(
-        "    \"replica_batch_rows\": \"fig3_sweep_batched and sweep_grid_pool_batched \
-         compare steppers, not fast-forward: before = per-replica run_pool over the \
-         legacy reference loop, after = run_pool_batched advancing each chunk as one \
-         ReplicaBatch in lockstep over the masked fast stepper (word bitsets of busy \
-         links/switches/sources; fused per-switch sweep+RC+VA and ST passes over \
-         128-bit busy-VC masks), idle fast-forward at its default in both blocks.  \
-         Lanes round-robin in cache-friendly slices (docs/engine.md); the asserted \
-         block fingerprint equality is the batch-vs-sequential bit-identity oracle \
-         at paper scale\",\n",
     );
     json.push_str(
         "    \"app_rows\": \"absolute app-row values differ from pre-PR4 files: the \

@@ -15,10 +15,9 @@ const FINGERPRINTLESS: &[&str] = &["idle", "fig3_sweep"];
 
 /// Rows that must exist in both blocks: the fast-forward tentpole's
 /// measured scenarios (the quiescence-capable MAC comparison and the
-/// event-driven app workload), the replica-batch tentpole's A/B rows
-/// (per-replica `run_pool` vs `run_pool_batched` over the masked fast
-/// stepper), the observability tentpole's zero-observer-effect A/B
-/// (`telemetry_overhead`), and the long-standing engine rows.
+/// event-driven app workload), the observability tentpole's
+/// zero-observer-effect A/B (`telemetry_overhead`), and the
+/// long-standing engine rows.
 const REQUIRED_ROWS: &[&str] = &[
     "idle",
     "fig3_anchor_load",
@@ -31,8 +30,6 @@ const REQUIRED_ROWS: &[&str] = &[
     "saturated",
     "telemetry_overhead",
     "sweep_grid_pool",
-    "fig3_sweep_batched",
-    "sweep_grid_pool_batched",
 ];
 
 /// Fields every fingerprint must provide.

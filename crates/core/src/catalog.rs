@@ -1,9 +1,9 @@
 //! The fingerprint-keyed on-disk result catalog.
 //!
 //! PRs 2 and 6 made every [`RunOutcome`] a bit-exact pure function of
-//! its scenario: injection is counter-based, the pool and the replica
-//! batcher are shape-invisible, and fast-forward is bit-identical to
-//! full stepping.  That purity is what makes outcomes *cacheable* — a
+//! its scenario: injection is counter-based, the pool is
+//! shape-invisible, and fast-forward is bit-identical to full
+//! stepping.  That purity is what makes outcomes *cacheable* — a
 //! grid point simulated once never needs simulating again — and sweeps
 //! *resumable by construction*: whatever subset of a grid survived a
 //! crash is exactly the subset that can be served from disk.
@@ -19,7 +19,7 @@
 //!   on read, with unserveable files quarantined (never fatal).
 //!
 //! [`crate::sweeps::ScenarioGrid::run_cached`] sits on top: hits are
-//! served at memcpy speed, only misses simulate (on the replica-batched
+//! served at memcpy speed, only misses simulate (on the work-stealing
 //! pool), and the `sweep` CLI in `wimnet-bench` fronts submit / status /
 //! fetch / shard.  See `docs/sweeps.md`, "The result catalog".
 //!

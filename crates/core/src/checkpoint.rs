@@ -5,7 +5,7 @@
 //! finished outcome never needs recomputing).  This module pushes the
 //! same idea inside a run: a [`Snapshot`] captures the complete mutable
 //! state of a [`MultichipSystem`] at an iteration boundary — VC slabs,
-//! ring lanes, credits and grant owners, active sets and their masks,
+//! ring lanes, credits and grant owners, the active-set bitsets,
 //! radio backlog, all three MAC media, the memory controllers' queues,
 //! bank state machines and in-flight completions, the workload cursors
 //! (per-stack stream ordinals, staged requests, the outstanding-read
@@ -361,7 +361,7 @@ pub fn run_with_checkpoints(
         if kill_at.is_some_and(|k| cycle >= k) {
             return Ok(None);
         }
-        cycle = system.run_iteration(workload, cycle, false)?;
+        cycle = system.run_iteration(workload, cycle)?;
         if cycle >= next_mark && cycle < total {
             store.store(fp, &system.snapshot())?;
             next_mark = (cycle / every + 1) * every;

@@ -154,7 +154,7 @@ impl Experiment {
             .unwrap_or_default()
     }
 
-    pub(crate) fn build_workload(&self) -> Box<dyn Workload + Send> {
+    fn build_workload(&self) -> Box<dyn Workload + Send> {
         let cores = self.config.multichip.total_cores();
         let stacks = self.config.multichip.num_stacks;
         let affine = |w: UniformRandom| -> UniformRandom {

@@ -15,18 +15,14 @@
 //! * [`experiments`] — one function per figure (`fig2` … `fig6`) plus
 //!   the [`Experiment`] runner they share.
 //! * [`sweeps`] — declarative [`ScenarioGrid`] cartesian products and
-//!   the work-stealing pool (`run_pool` / `run_pool_batched`) that
-//!   executes grids larger than the core count (see `docs/sweeps.md`).
+//!   the work-stealing pool ([`run_pool`]) that executes grids larger
+//!   than the core count (see `docs/sweeps.md`).
 //! * [`catalog`] — the fingerprint-keyed on-disk result cache behind
 //!   [`ScenarioGrid::run_cached`](sweeps::ScenarioGrid::run_cached):
 //!   deterministic outcomes memoized under
 //!   (scenario bytes, engine version) keys with atomic writes and
 //!   quarantine-on-corruption, making sweeps resumable and shardable
 //!   (front-ended by the `sweep` CLI in `wimnet-bench`).
-//! * [`replica`] — [`ReplicaBatch`]: N independent scenario points
-//!   advanced in lockstep by one driver loop over the engine's masked
-//!   fast stepper, bit-identical to N sequential runs (see
-//!   `docs/engine.md`, "Replica batching").
 //! * [`checkpoint`] — full-engine [`Snapshot`]s and the
 //!   [`CheckpointStore`]: snapshot → restore → run is bit-identical to
 //!   an uninterrupted run, so long sweeps survive kills mid-point and
@@ -55,7 +51,6 @@ pub mod driver;
 pub mod error;
 pub mod experiments;
 pub mod metrics;
-pub mod replica;
 pub mod report;
 pub mod sweeps;
 pub mod system;
@@ -66,7 +61,6 @@ pub use driver::{compare_on_shared_trace, find_saturation_load, latency_curve};
 pub use error::CoreError;
 pub use experiments::{Experiment, Scale, WorkloadSpec};
 pub use metrics::{percentage_gain, RunOutcome};
-pub use replica::ReplicaBatch;
 pub use sweeps::{run_pool, run_pool_batched, CachedSweep, ScenarioGrid, ScenarioPoint};
 pub use system::{MacKind, MultichipSystem, SystemConfig, SystemState, WirelessModel};
 pub use wimnet_telemetry::TelemetryConfig;

@@ -65,7 +65,7 @@ pub fn run_pool(
     threads: usize,
     chunk: usize,
 ) -> Result<Vec<RunOutcome>, CoreError> {
-    run_pool_with(experiments, threads, chunk, |slots, start, end| {
+    run_pool_generic(experiments.len(), threads, chunk, |slots, start, end| {
         for i in start..end {
             let filled = slots[i].set(experiments[i].run()).is_ok();
             debug_assert!(filled, "each index is stolen exactly once");
@@ -73,54 +73,25 @@ pub fn run_pool(
     })
 }
 
-/// Runs `experiments` like [`run_pool`], but each steal executes its
-/// whole chunk as **one [`crate::replica::ReplicaBatch`]**: the worker advances the
-/// chunk's simulations in lockstep through the engine's masked fast
-/// stepper instead of running them to completion one after another.
-///
-/// The contract is unchanged: per-lane results are exactly what each
-/// `experiments[i].run()` returns (bit-identical outcomes, per-lane
-/// errors), outcomes keep input order, and every `(threads, chunk)`
-/// shape — including `chunk > n`, which clamps to one worker with one
-/// batch — produces identical results (pinned by
-/// `tests/determinism.rs`).  `chunk` doubles as the batch width, so
-/// chunk boundaries decide batch membership; with a [`ScenarioGrid`],
-/// architecture is the outermost axis, which makes same-sized chunks
-/// along the fastest axes naturally same-architecture.
-///
-/// # Errors
-///
-/// Returns the error of the lowest-indexed failing experiment (also
-/// independent of the pool shape).
+/// One-line forwarder to [`run_pool`], kept only because
+/// `benchmark/src/api.rs` names it and only a benchmark-only PR may
+/// edit `benchmark/`.  No in-repo caller may use it; the PR that
+/// repoints `api.rs` deletes it (ROADMAP.md).
+#[doc(hidden)]
 pub fn run_pool_batched(
     experiments: &[Experiment],
     threads: usize,
     chunk: usize,
 ) -> Result<Vec<RunOutcome>, CoreError> {
-    run_pool_with(experiments, threads, chunk, |slots, start, end| {
-        let results = crate::replica::ReplicaBatch::build(&experiments[start..end]).run();
-        for (i, result) in results.into_iter().enumerate() {
-            let filled = slots[start + i].set(result).is_ok();
-            debug_assert!(filled, "each index is stolen exactly once");
-        }
-    })
+    run_pool(experiments, threads, chunk)
 }
 
-/// The shared pool skeleton: an atomic chunk queue drained by scoped
-/// workers, per-index result slots, input-order collection.  `run_chunk`
-/// fills `slots[start..end]` for one stolen chunk.
-fn run_pool_with(
-    experiments: &[Experiment],
-    threads: usize,
-    chunk: usize,
-    run_chunk: impl Fn(&[OnceLock<Result<RunOutcome, CoreError>>], usize, usize) + Sync,
-) -> Result<Vec<RunOutcome>, CoreError> {
-    run_pool_generic(experiments.len(), threads, chunk, run_chunk)
-}
-
-/// [`run_pool_with`] generalised over the per-index result type, for
-/// drivers whose work items can legitimately *not* produce an outcome
-/// (checkpointed runs killed mid-point yield `Option<RunOutcome>`).
+/// The pool skeleton: an atomic chunk queue drained by scoped workers,
+/// per-index result slots, input-order collection.  `run_chunk` fills
+/// `slots[start..end]` for one stolen chunk.  Generic over the
+/// per-index result type, for drivers whose work items can legitimately
+/// *not* produce an outcome (checkpointed runs killed mid-point yield
+/// `Option<RunOutcome>`).
 fn run_pool_generic<T: Send + Sync>(
     n: usize,
     threads: usize,
@@ -535,22 +506,6 @@ impl ScenarioGrid {
         run_pool(&self.experiments(), threads, chunk)
     }
 
-    /// Runs the grid on the replica-batched pool: each steal advances a
-    /// `chunk`-wide [`crate::replica::ReplicaBatch`] in lockstep over
-    /// the engine's fast stepper.  Outcomes are bit-identical to
-    /// [`ScenarioGrid::run_with`] at every pool shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed failing point's error.
-    pub fn run_batched(
-        &self,
-        threads: usize,
-        chunk: usize,
-    ) -> Result<Vec<RunOutcome>, CoreError> {
-        run_pool_batched(&self.experiments(), threads, chunk)
-    }
-
     /// Runs the grid and pairs each outcome with its point.
     ///
     /// # Errors
@@ -584,10 +539,10 @@ impl ScenarioGrid {
     }
 
     /// Runs the grid through the result `catalog`: cache hits are
-    /// served from disk at memcpy speed, only misses simulate (on the
-    /// replica-batched pool, [`run_pool_batched`]), and every fresh
-    /// outcome is memoized before the call returns.  Outcomes are
-    /// bit-identical to an uncached [`ScenarioGrid::run_batched`] —
+    /// served from disk at memcpy speed, only misses simulate (on
+    /// [`run_pool`]), and every fresh outcome is memoized before the
+    /// call returns.  Outcomes are bit-identical to an uncached
+    /// [`ScenarioGrid::run_with`] —
     /// simulations are deterministic and the JSON layer round-trips
     /// every finite f64 exactly — so a killed sweep resumed from its
     /// partial catalog converges on the same final vector.
@@ -666,7 +621,7 @@ impl ScenarioGrid {
 
         let experiments: Vec<Experiment> =
             to_run.iter().map(|&i| self.experiment(&shard_points[i])).collect();
-        let fresh = run_pool_batched(&experiments, threads, chunk)?;
+        let fresh = run_pool(&experiments, threads, chunk)?;
         for (&i, outcome) in to_run.iter().zip(fresh) {
             catalog.store(&fingerprints[i], &shard_points[i], &outcome)?;
             slots[i] = Some(outcome);
@@ -696,17 +651,13 @@ impl ScenarioGrid {
     /// snapshot at each cadence mark while it simulates.  A completed
     /// miss lands in the `catalog` and its spent checkpoint is removed;
     /// the outcome vector is bit-identical to an uncached
-    /// [`ScenarioGrid::run_batched`] (snapshot → restore → run equals
+    /// [`ScenarioGrid::run_with`] (snapshot → restore → run equals
     /// the uninterrupted run, bit for bit — `tests/checkpoint.rs`).
     ///
     /// `kill_at: Some(k)` is the CLI's simulated mid-point crash: each
     /// miss stops before its first iteration at cursor ≥ `k` and counts
     /// into [`CachedSweep::pending`], leaving its latest checkpoint on
     /// disk for a later call with `kill_at: None` to finish from.
-    ///
-    /// Misses run on the generic pool one point per work item (a
-    /// checkpointed run owns its own snapshot schedule, so points are
-    /// not replica-batched; warm resumes make up the difference).
     ///
     /// # Errors
     ///

@@ -263,7 +263,7 @@ impl PartialOrd for PendingReply {
 
 /// Complete mutable state of a [`MultichipSystem`] at an iteration
 /// boundary of the [`MultichipSystem::run`] loop: the engine
-/// ([`NetworkState`]: VC slabs, ring lanes, credits, active sets,
+/// ([`NetworkState`]: VC slabs, ring lanes, credits, active-set bitsets,
 /// media, meter, clock, statistics), every memory controller (queues,
 /// bank state machines, in-flight completions, counters), the workload
 /// cursors the system itself owns (per-stack stream ordinals, staged
@@ -496,21 +496,9 @@ impl MultichipSystem {
         true
     }
 
-    /// `true` when the engine's masked fast-stepping path
-    /// ([`Network::step_fast`]) covers this system's switches (every
-    /// switch fits the 128-bit VC masks).  All paper-scale
-    /// configurations qualify; [`crate::replica::ReplicaBatch`] falls
-    /// back to the reference stepper when this is `false`.
-    pub fn supports_fast_step(&self) -> bool {
-        self.net.supports_fast_step()
-    }
-
     /// One simulation cycle: inject due replies, step the engine, stage
     /// memory arrivals into the controllers, and step every controller.
-    /// `fast` selects [`Network::step_fast`] — decision-identical to
-    /// [`Network::step`] (pinned by the `fast_step` differential suite),
-    /// so the flag changes wall-clock only, never the outcome.
-    fn step_cycle(&mut self, fast: bool) {
+    fn step_cycle(&mut self) {
         let now = self.net.now();
         // Replies whose stack access completed become network packets.
         while let Some(&r) = self.pending_replies.peek() {
@@ -523,11 +511,7 @@ impl MultichipSystem {
                 .inject(PacketDesc::new(src, r.requester, r.flits, now));
             self.replies_injected += 1;
         }
-        if fast {
-            self.net.step_fast();
-        } else {
-            self.net.step();
-        }
+        self.net.step();
         let t = self.net.now();
         // Arrived read requests draw their address from the stack's
         // stream (pure function of the per-stack request ordinal, so
@@ -769,7 +753,7 @@ impl MultichipSystem {
     ) -> Result<u64, CoreError> {
         let stop = stop.min(self.run_total_cycles());
         while cycle < stop {
-            cycle = self.run_iteration(workload, cycle, false)?;
+            cycle = self.run_iteration(workload, cycle)?;
         }
         Ok(cycle)
     }
@@ -784,16 +768,12 @@ impl MultichipSystem {
     /// fast-forward jumped).  This is the *entire* per-cycle protocol —
     /// window opening, generation, stepping, stall watchdog, invariant
     /// sweeps and the fast-forward gate — factored out so
-    /// [`crate::replica::ReplicaBatch`] can interleave many independent
-    /// runs while each lane observes exactly the solo `run` schedule.
-    ///
-    /// `fast` forwards to [`Network::step_fast`]; see
-    /// [`MultichipSystem::supports_fast_step`].
+    /// [`crate::checkpoint::run_with_checkpoints`] can snapshot between
+    /// iterations of exactly the solo `run` schedule.
     pub(crate) fn run_iteration(
         &mut self,
         workload: &mut dyn Workload,
         mut cycle: u64,
-        fast: bool,
     ) -> Result<u64, CoreError> {
         let total = self.run_total_cycles();
         if cycle == self.config.warmup_cycles {
@@ -802,12 +782,12 @@ impl MultichipSystem {
         for e in workload.generate(cycle) {
             self.inject_event(&e);
         }
-        self.step_cycle(fast);
+        self.step_cycle();
         if self.net.is_stalled(self.config.stall_threshold) {
             return Err(CoreError::Stalled { cycle });
         }
         // Debug builds periodically sweep the switches' slab
-        // bookkeeping invariants (buffered counter and busy sets vs
+        // bookkeeping invariants (buffered counter and busy masks vs
         // slab occupancy) so a drifting counter fails the nearest
         // test instead of corrupting a long run silently.
         #[cfg(debug_assertions)]
@@ -951,7 +931,7 @@ impl MultichipSystem {
                     return;
                 }
             }
-            self.step_cycle(false);
+            self.step_cycle();
             left -= 1;
         }
     }
@@ -989,6 +969,23 @@ mod tests {
                 "{arch} delivered nothing"
             );
             assert!(outcome.avg_latency_cycles.is_some(), "{arch} has latency");
+        }
+    }
+
+    #[test]
+    fn too_wide_switches_are_a_build_error_not_a_run() {
+        // 4C4M mesh switches have up to 8 ports: 32 VCs each overflow
+        // the 128 input VCs a switch's busy mask addresses.
+        for arch in Architecture::ALL {
+            let cfg = SystemConfig { vcs: 32, ..quick(arch) };
+            assert!(
+                matches!(
+                    MultichipSystem::build(&cfg),
+                    Err(CoreError::Noc(wimnet_noc::NocError::InvalidConfig { .. }))
+                ),
+                "{arch}: ports × vcs > 128 must be rejected at construction"
+            );
+            assert!(crate::Experiment::uniform_random(&cfg, 0.002).run().is_err());
         }
     }
 

@@ -55,48 +55,24 @@ impl RoundRobin {
         None
     }
 
-    /// Like [`RoundRobin::grant`], but scans only `candidates` (sorted
-    /// ascending, each `< n`).  Equivalent to `grant` whenever
-    /// `requesting` would be `false` for every index outside
-    /// `candidates` — the switch pre-passes guarantee exactly that, so
-    /// arbitration cost drops from O(n) to O(candidates) without
-    /// changing a single grant decision.
-    pub fn grant_among(
-        &mut self,
-        candidates: &[usize],
-        mut requesting: impl FnMut(usize) -> bool,
-    ) -> Option<usize> {
-        let split = candidates.partition_point(|&c| c < self.next);
-        for &c in candidates[split..].iter().chain(&candidates[..split]) {
-            debug_assert!(c < self.n);
-            if requesting(c) {
-                self.next = (c + 1) % self.n;
-                return Some(c);
-            }
-        }
-        None
-    }
-
-    /// Like [`RoundRobin::grant_among`], but the candidate set is a bit
-    /// mask (bit `i` = requester `i` is a candidate) and `requesting` is
-    /// the residual predicate for candidates in the mask.  Equivalent to
-    /// `grant` whenever the predicate would be `false` for every index
-    /// outside the mask — same rotation, same winner, same pointer
-    /// updates, bit for bit; only the scan is bit-parallel.  The batch
-    /// engine's fused switch pre-passes build these masks (see
-    /// `docs/engine.md`, "Replica batching").
-    ///
-    /// Requires `n <= 128`.
+    /// Like [`RoundRobin::grant`], but scans only the candidates in
+    /// `mask` (bit `i` = requester `i` is a candidate; bits at or above
+    /// `n` must be clear, so `n <= 128`) and `requesting` is the
+    /// residual predicate for them.  Equivalent to `grant` whenever the
+    /// predicate would be `false` for every index outside the mask —
+    /// same rotation, same winner, same pointer updates, bit for bit —
+    /// so arbitration cost drops from O(n) to O(candidates) without
+    /// changing a single grant decision.  The switch pre-passes build
+    /// these masks (see `docs/engine.md`).
     pub fn grant_masked(
         &mut self,
         mask: u128,
         mut requesting: impl FnMut(usize) -> bool,
     ) -> Option<usize> {
-        debug_assert!(self.n <= 128, "masked arbitration needs n <= 128");
         // Candidates at or after the rotation pointer first (ascending),
-        // then the wrapped-around prefix — exactly `grant_among`'s
-        // partition-point split.
-        let hi = if self.next < 128 { mask & (!0u128 << self.next) } else { 0 };
+        // then the wrapped-around prefix.  `next < n <= 128`, so the
+        // shift is always in range.
+        let hi = mask & (!0u128 << self.next);
         let lo = mask & !hi;
         for mut part in [hi, lo] {
             while part != 0 {
@@ -188,10 +164,11 @@ mod tests {
     }
 
     #[test]
-    fn grant_masked_matches_grant_among_decision_for_decision() {
-        // Drive both arbiters through the same pseudo-random request
-        // sequences (candidate masks + a residual predicate) and demand
-        // identical winners and pointer evolution at every step.
+    fn grant_masked_matches_grant_decision_for_decision() {
+        // Drive the plain O(n) scan and the masked arbiter through the
+        // same pseudo-random request sequences (candidate masks + a
+        // residual predicate) and demand identical winners and pointer
+        // evolution at every step.
         let n = 11usize;
         let mut a = RoundRobin::new(n);
         let mut b = RoundRobin::new(n);
@@ -205,9 +182,7 @@ mod tests {
         for _ in 0..2000 {
             let mask_bits = rng() & ((1 << n) - 1);
             let pred_bits = rng() & ((1 << n) - 1);
-            let candidates: Vec<usize> =
-                (0..n).filter(|i| mask_bits >> i & 1 == 1).collect();
-            let wa = a.grant_among(&candidates, |i| pred_bits >> i & 1 == 1);
+            let wa = a.grant(|i| (mask_bits & pred_bits) >> i & 1 == 1);
             let wb = b.grant_masked(u128::from(mask_bits), |i| pred_bits >> i & 1 == 1);
             assert_eq!(wa, wb);
             assert_eq!(a, b, "pointer state diverged");

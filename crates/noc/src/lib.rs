@@ -51,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod active;
 pub mod arbiter;
 pub mod error;
 pub mod flit;

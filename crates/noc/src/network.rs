@@ -1,14 +1,10 @@
 //! The network: switches + links + radios stepped one cycle at a time.
 //!
-//! Two stepping paths advance the same state machine:
-//!
-//! * [`Network::step`] — the reference engine: active-set sweeps + sorts
-//!   per cycle, the switches' three-pass phases.
-//! * [`Network::step_fast`] — the batch engine's inner step: word-bitset
-//!   active sets (ascending bit iteration is sorted for free), fused
-//!   mask-driven switch phases, lazy link-bandwidth queries.  Decision-
-//!   identical to `step` — same grants, same moves, same meter order,
-//!   bit for bit (pinned by `tests/fast_step.rs`).
+//! [`Network::step`] visits only components that can make progress:
+//! word bitsets track the active links, switches and injectors
+//! (ascending bit iteration is the deterministic visit order), the
+//! switches run fused mask-driven phases, and link bandwidth is queried
+//! lazily.  `tests/golden_step.rs` pins the per-cycle behaviour.
 
 use serde::{Deserialize, Serialize, Value};
 use wimnet_energy::{ChargeBatch, Energy, EnergyCategory, EnergyMeter, EnergyModel, Power};
@@ -16,7 +12,6 @@ use wimnet_routing::Routes;
 use wimnet_telemetry::{MacCounters, NetworkTelemetry};
 use wimnet_topology::{EdgeKind, MultichipLayout};
 
-use crate::active::ActiveSet;
 use crate::arbiter::RoundRobin;
 use crate::error::NocError;
 use crate::flit::{Flit, FlitKind, PacketId};
@@ -45,6 +40,24 @@ fn clear_bit(words: &mut [u64], i: usize) {
 /// Words needed for an `n`-bit bitset.
 fn words_for(n: usize) -> usize {
     n.div_ceil(64)
+}
+
+/// Indices of the set bits of `word`, the `w`-th word of a bitset,
+/// ascending.  Takes the word by value, so the bitset may be modified
+/// while its (snapshotted) word is walked.
+fn word_bits(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let i = (w << 6) + word.trailing_zeros() as usize;
+            word &= word - 1;
+            i
+        })
+    })
+}
+
+/// Indices of the set bits of a word bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| word_bits(w, word))
 }
 
 /// How wireless edges of the topology are realised by the engine.
@@ -172,7 +185,7 @@ pub struct RadioTxState {
 pub struct NetworkState {
     /// Completed cycles.
     pub now: u64,
-    /// Per-switch buffers, credits, allocation cursors and busy sets.
+    /// Per-switch buffers, credits, allocation cursors and busy masks.
     pub switches: Vec<SwitchState>,
     /// Per-link fractional credit accumulators.
     pub link_credits: Vec<f64>,
@@ -214,19 +227,13 @@ pub struct NetworkState {
     pub ff_cycles: u64,
     /// Last cycle any flit moved.
     pub last_progress: u64,
-    /// Active-set membership, in insertion order (restoring by replayed
-    /// insertion reproduces the dense lists exactly).
-    pub active_links: Vec<usize>,
-    /// Active switches, in insertion order.
-    pub active_switches: Vec<usize>,
-    /// Active injectors, in insertion order.
-    pub active_injectors: Vec<usize>,
-    /// Word-bitset mirror of the link active set (conservative superset
-    /// under legacy stepping — captured verbatim).
+    /// Active-link bitset (captured verbatim, like the two below: a
+    /// set bit whose component has since quiesced is cleared at its
+    /// next visit).
     pub links_mask: Vec<u64>,
-    /// Word-bitset mirror of the switch active set.
+    /// Active-switch bitset.
     pub switch_mask: Vec<u64>,
-    /// Word-bitset mirror of the injector active set.
+    /// Active-injector bitset.
     pub inj_mask: Vec<u64>,
 }
 
@@ -302,17 +309,12 @@ pub struct Network {
     /// Cycles skipped by [`Network::fast_forward`] since construction.
     ff_cycles: u64,
     last_progress: u64,
-    // --- Active-set tracking: only components that can make progress
-    // are visited each cycle (see `active` module and docs/engine.md).
-    active_links: ActiveSet,
-    active_switches: ActiveSet,
-    active_injectors: ActiveSet,
-    // --- Word-bitset mirrors of the active sets, used by `step_fast`:
-    // ascending bit iteration replaces the per-cycle sweep + sort.
-    // Every insert site sets both representations; only the fast path
-    // clears bits (exact sweep at visit time), so under legacy stepping
-    // the bitsets remain conservative supersets — the invariant the
-    // fast sweep needs — and the paths can be mixed freely.
+    // --- Active sets as word bitsets: only components that can make
+    // progress are visited each cycle, in ascending bit order.  A bit
+    // is set at every site that gives its component work (a delivery,
+    // a send, an inject) and cleared only when a visit finds the
+    // component quiescent, so a set is always a superset of the
+    // components with work (docs/engine.md, "Active-set invariant").
     links_mask: Vec<u64>,
     switch_mask: Vec<u64>,
     inj_mask: Vec<u64>,
@@ -322,7 +324,6 @@ pub struct Network {
     scratch_arrivals: Vec<LinkDelivery>,
     scratch_grants: Vec<VaGrant>,
     scratch_moves: Vec<StMove>,
-    scratch_avail: Vec<u32>,
     scratch_credits: Vec<(usize, usize, usize)>,
     /// Reusable medium snapshot: refreshed in place each cycle a shared
     /// medium is attached, so MAC runs allocate nothing on the view
@@ -365,8 +366,9 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// [`NocError::InvalidConfig`] for bad configs or when `routes` does
-    /// not cover the layout's graph.
+    /// [`NocError::InvalidConfig`] for bad configs, when `routes` does
+    /// not cover the layout's graph, or when a switch would have more
+    /// input VCs (`ports × vcs`) than the 128-bit busy masks address.
     pub fn new(
         layout: &MultichipLayout,
         routes: Routes,
@@ -478,6 +480,11 @@ impl Network {
             let wired = wired_of(ni);
             let has_radio = radio_by_node[ni].is_some();
             let port_count = 1 + wired.len() + usize::from(has_radio);
+            if port_count * cfg.vcs > 128 {
+                return Err(NocError::InvalidConfig {
+                    what: "a switch needs ports × vcs <= 128",
+                });
+            }
 
             let mut specs = Vec::with_capacity(port_count);
             // Core ejection drains one flit per cycle; a memory logic
@@ -654,7 +661,6 @@ impl Network {
             Power::ZERO
         };
 
-        let max_ports = switches.iter().map(Switch::port_count).max().unwrap_or(0);
         // Ring-slab fill values: the payload types have no meaningful
         // default, so unoccupied slots hold an explicit zeroed flit.
         let fill_flit = Flit {
@@ -668,7 +674,8 @@ impl Network {
         let fill_delivery = LinkDelivery { flit: fill_flit, vc: 0, arrives_at: 0 };
         let flight_caps: Vec<usize> = links.iter().map(Link::flight_capacity).collect();
         // Links start active (bitset full) so their bandwidth credit
-        // warms up exactly as the full-scan engine did.
+        // warms up; they drop out once saturated.  Switches and
+        // injectors start empty.
         let mut links_mask = vec![0u64; words_for(links.len())];
         for li in 0..links.len() {
             set_bit(&mut links_mask, li);
@@ -680,12 +687,6 @@ impl Network {
             inj_rr: (0..n).map(|_| RoundRobin::new(cfg.vcs)).collect(),
             cfg,
             now: 0,
-            // Links start active so their bandwidth credit warms up
-            // exactly as the full-scan engine did; they drop out of the
-            // set once saturated.  Switches and injectors start empty.
-            active_links: ActiveSet::full(links.len()),
-            active_switches: ActiveSet::new(n),
-            active_injectors: ActiveSet::new(n),
             links_mask,
             switch_mask: vec![0u64; words_for(n)],
             inj_mask: vec![0u64; words_for(n)],
@@ -693,7 +694,6 @@ impl Network {
             scratch_arrivals: Vec::new(),
             scratch_grants: Vec::new(),
             scratch_moves: Vec::new(),
-            scratch_avail: Vec::with_capacity(max_ports),
             scratch_credits: Vec::new(),
             scratch_view: MediumView::default(),
             scratch_actions: MediumActions::new(),
@@ -861,7 +861,7 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics when any switch's `buffered` counter or busy set disagrees
+    /// Panics when any switch's `buffered` counter or busy mask disagrees
     /// with its flit-slab occupancy.
     pub fn assert_switch_invariants(&self) {
         for sw in &self.switches {
@@ -918,7 +918,6 @@ impl Network {
             self.inj_pending.push_back_growing(src, flit);
         }
         self.backlog_flits += u64::from(desc.flits);
-        self.active_injectors.insert(src);
         set_bit(&mut self.inj_mask, src);
         self.stats.on_inject(desc.flits);
         id
@@ -972,11 +971,8 @@ impl Network {
         self.flits_in_network == 0
             && self.backlog_flits == 0
             && self.radio_backlog_flits == 0
-            && self
-                .active_links
-                .members()
-                .iter()
-                .all(|&li| self.links[li].is_quiescent(self.flight.is_empty(li)))
+            && set_bits(&self.links_mask)
+                .all(|li| self.links[li].is_quiescent(self.flight.is_empty(li)))
             && self.media.iter().all(|m| m.is_quiescent())
     }
 
@@ -1077,109 +1073,106 @@ impl Network {
     /// *active* components: links carrying flits or unsaturated credit,
     /// switches with buffered flits, endpoints with source backlog.
     /// Quiescent components are skipped entirely — provably a no-op for
-    /// each (see the `active` module and docs/engine.md).
+    /// each (see docs/engine.md).
     pub fn step(&mut self) {
         let now = self.now;
-        let mut order = std::mem::take(&mut self.scratch_order);
 
-        // Phase 0: active links accrue bandwidth and deliver due flits.
-        // Sorted index order keeps the walk deterministic (per-link work
-        // is independent, but determinism costs one small sort).
-        {
-            let links = &self.links;
-            let flight = &self.flight;
-            self.active_links
-                .sweep(|li| !links[li].is_quiescent(flight.is_empty(li)));
-        }
-        order.clear();
-        order.extend_from_slice(self.active_links.members());
-        order.sort_unstable();
+        // Phase 0: active links accrue bandwidth and deliver due flits,
+        // in ascending bit order (per-link work is independent; the
+        // fixed order keeps the walk deterministic).  Links found
+        // quiescent drop out of the bitset here.
         let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
-        for &li in &order {
-            self.links[li].begin_cycle();
-            arrivals.clear();
-            Link::take_arrivals_into(&mut self.flight, li, now, &mut arrivals);
-            if !arrivals.is_empty() {
-                let (sw, port) = self.link_dst[li];
-                for d in &arrivals {
-                    self.switches[sw].deliver(port, d.vc, d.flit);
+        for w in 0..self.links_mask.len() {
+            for li in word_bits(w, self.links_mask[w]) {
+                if self.links[li].is_quiescent(self.flight.is_empty(li)) {
+                    clear_bit(&mut self.links_mask, li);
+                    continue;
                 }
-                self.active_switches.insert(sw);
-                set_bit(&mut self.switch_mask, sw);
-            }
-            // Observability: the link was active this cycle; a busy
-            // cycle that delivered nothing with the credit window
-            // exhausted is downstream backpressure.  Reads already-
-            // computed facts only (zero observer effect).
-            if let Some(t) = &mut self.telemetry {
-                let lc = &mut t.links[li];
-                lc.busy_cycles += 1;
-                if arrivals.is_empty() && self.links[li].available() == 0 {
-                    lc.credit_stalls += 1;
+                self.links[li].begin_cycle();
+                arrivals.clear();
+                Link::take_arrivals_into(&mut self.flight, li, now, &mut arrivals);
+                if !arrivals.is_empty() {
+                    let (sw, port) = self.link_dst[li];
+                    for d in &arrivals {
+                        self.switches[sw].deliver(port, d.vc, d.flit);
+                    }
+                    set_bit(&mut self.switch_mask, sw);
+                }
+                // Observability: the link was active this cycle; a busy
+                // cycle that delivered nothing with the credit window
+                // exhausted is downstream backpressure.  Reads already-
+                // computed facts only (zero observer effect).
+                if let Some(t) = &mut self.telemetry {
+                    let lc = &mut t.links[li];
+                    lc.busy_cycles += 1;
+                    if arrivals.is_empty() && self.links[li].available() == 0 {
+                        lc.credit_stalls += 1;
+                    }
                 }
             }
         }
         self.scratch_arrivals = arrivals;
 
         // Phase 1: injection (one flit per endpoint per cycle).
-        self.pump_injection(&mut order);
+        self.pump_injection();
 
-        // Phase 2/3: RC + VA on switches with buffered flits; resolve
-        // radio targets.  Ascending order mirrors the former full scan.
-        {
-            let switches = &self.switches;
-            self.active_switches.sweep(|si| !switches[si].is_quiescent());
-        }
+        // Phase 2/3: RC + VA on switches with buffered flits, ascending
+        // bit order; resolve radio targets.  Empty switches drop out of
+        // the bitset; the survivors are kept for phase 4.
+        let mut order = std::mem::take(&mut self.scratch_order);
         order.clear();
-        order.extend_from_slice(self.active_switches.members());
-        order.sort_unstable();
         let n_switches = self.switches.len();
         let mut grants = std::mem::take(&mut self.scratch_grants);
-        for &si in &order {
-            let lut_row = &self.lut[si * n_switches..(si + 1) * n_switches];
-            self.switches[si].alloc_phase(now, lut_row, &mut grants);
-            self.resolve_radio_targets(si, &grants);
-            if let Some(t) = &mut self.telemetry {
-                let sc = &mut t.switches[si];
-                sc.active_cycles += 1;
-                sc.occupancy_integral += self.switches[si].buffered_flits() as u64;
+        for w in 0..self.switch_mask.len() {
+            for si in word_bits(w, self.switch_mask[w]) {
+                if self.switches[si].is_quiescent() {
+                    clear_bit(&mut self.switch_mask, si);
+                    continue;
+                }
+                order.push(si);
+                let lut_row = &self.lut[si * n_switches..(si + 1) * n_switches];
+                self.switches[si].alloc_phase(now, lut_row, &mut grants);
+                self.resolve_radio_targets(si, &grants);
+                if let Some(t) = &mut self.telemetry {
+                    let sc = &mut t.switches[si];
+                    sc.active_cycles += 1;
+                    sc.occupancy_integral += self.switches[si].buffered_flits() as u64;
+                }
             }
         }
         self.scratch_grants = grants;
 
-        // Phase 4: SA/ST on active switches; route the winning flits.
-        // The shared wireless band has a global per-cycle flit budget in
-        // point-to-point mode; the rotated processing order keeps band
-        // allocation fair, and the active set is iterated in exactly
-        // that rotated order so band draws, meter adds and arrival
-        // ordering match the full-scan engine bit for bit.
+        // Phase 4: SA/ST on the surviving switches; route the winning
+        // flits.  The shared wireless band has a global per-cycle flit
+        // budget in point-to-point mode; rotating the processing order
+        // (the ascending list, rotated at the first index ≥ offset)
+        // keeps band allocation fair.  Link bandwidth is queried lazily
+        // inside the switch phase, only for ports with a candidate.
         let mut band_budget = match self.cfg.wireless_mode {
             WirelessMode::PointToPoint { max_concurrent, .. } => max_concurrent,
             WirelessMode::Medium => u32::MAX,
         };
         let offset = (now % n_switches as u64) as usize;
-        order.clear();
-        order.extend_from_slice(self.active_switches.members());
-        order.sort_unstable_by_key(|&si| (si + n_switches - offset) % n_switches);
+        let split = order.partition_point(|&si| si < offset);
+        order.rotate_left(split);
         let mut moves = std::mem::take(&mut self.scratch_moves);
         for &si in &order {
             let pb = self.port_base[si];
             let ports = self.port_base[si + 1] - pb;
-            self.scratch_avail.clear();
-            for gp in pb..pb + ports {
-                let a = match self.out_link[gp] {
-                    Some(li) => self.links[li].available(),
-                    None => u32::MAX, // local sink / radio: credits gate
-                };
-                self.scratch_avail.push(a);
+            {
+                let links = &self.links;
+                let out_link = &self.out_link;
+                self.switches[si].st_phase(
+                    now,
+                    |p| match out_link[pb + p] {
+                        Some(li) => links[li].available(),
+                        None => u32::MAX, // local sink / radio: credits gate
+                    },
+                    &self.band_port[pb..pb + ports],
+                    &mut band_budget,
+                    &mut moves,
+                );
             }
-            self.switches[si].st_phase(
-                now,
-                &self.scratch_avail,
-                &self.band_port[pb..pb + ports],
-                &mut band_budget,
-                &mut moves,
-            );
             for m in &moves {
                 self.apply_move(si, pb, m, now);
             }
@@ -1194,8 +1187,7 @@ impl Network {
     }
 
     /// Routes one winning ST movement: meter charges, upstream credit,
-    /// ejection/radio/link delivery.  Shared verbatim by [`Network::step`]
-    /// and [`Network::step_fast`] (`pb` = `port_base[si]`).
+    /// ejection/radio/link delivery (`pb` = `port_base[si]`).
     fn apply_move(&mut self, si: usize, pb: usize, m: &StMove, now: u64) {
         self.last_progress = now;
         // Per-flit-hop energy: log the port's precomputed charge
@@ -1240,7 +1232,6 @@ impl Network {
         } else {
             let li = self.out_link[pb + m.out_port].expect("wired port has a link");
             self.links[li].send(&mut self.flight, li, m.flit, m.out_vc, now);
-            self.active_links.insert(li);
             set_bit(&mut self.links_mask, li);
             if let Some(t) = &mut self.telemetry {
                 t.links[li].flits += 1;
@@ -1259,7 +1250,6 @@ impl Network {
 
     /// Resolves radio targets for this cycle's VA grants on switch `si`'s
     /// radio port (the destination WI the next wireless hop reaches).
-    /// Shared by both stepping paths.
     fn resolve_radio_targets(&mut self, si: usize, grants: &[VaGrant]) {
         let Some((rid, radio_port)) = self.radio_of_switch[si] else { return };
         let n = self.switches.len();
@@ -1338,159 +1328,13 @@ impl Network {
         self.now = now + 1;
     }
 
-    /// `true` when every switch fits the fast path's 128-bit VC masks
-    /// (ports × vcs ≤ 128) — the [`Network::step_fast`] precondition.
-    /// The paper configurations (8 VCs, ≤ 8 ports) all qualify; callers
-    /// fall back to [`Network::step`] otherwise.
-    pub fn supports_fast_step(&self) -> bool {
-        self.switches.iter().all(Switch::supports_mask)
-    }
-
-    /// Advances the network by one clock cycle on the fast path.
-    ///
-    /// Decision-identical to [`Network::step`] — same grants, moves,
-    /// arrival order, statistics, and bit-identical energy — but driven
-    /// by word bitsets instead of swept-and-sorted active lists, with the
-    /// switches' fused mask phases ([`Switch::alloc_phase_fast`],
-    /// [`Switch::st_phase_fast`]) and lazy link-bandwidth queries.  The
-    /// replica-batch engine steps every lane through this path; the
-    /// differential suite in `tests/fast_step.rs` pins the equivalence
-    /// cycle by cycle.
-    ///
-    /// Requires [`Network::supports_fast_step`] (debug-asserted).  The
-    /// two paths may be freely mixed on one network: shared insert sites
-    /// maintain the bitsets as conservative supersets, and only this
-    /// path clears them (exact sweep at visit time).
-    pub fn step_fast(&mut self) {
-        debug_assert!(self.supports_fast_step());
-        let now = self.now;
-
-        // Phase 0: links, ascending bit order (= the legacy sorted walk).
-        // Quiescent links drop out of the bitset exactly where the legacy
-        // sweep removed them from the active set.
-        let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
-        for w in 0..self.links_mask.len() {
-            let mut bits = self.links_mask[w];
-            while bits != 0 {
-                let li = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.links[li].is_quiescent(self.flight.is_empty(li)) {
-                    self.links_mask[w] &= !(1u64 << (li & 63));
-                    continue;
-                }
-                self.links[li].begin_cycle();
-                arrivals.clear();
-                Link::take_arrivals_into(&mut self.flight, li, now, &mut arrivals);
-                if !arrivals.is_empty() {
-                    let (sw, port) = self.link_dst[li];
-                    for d in &arrivals {
-                        self.switches[sw].deliver(port, d.vc, d.flit);
-                    }
-                    self.active_switches.insert(sw);
-                    set_bit(&mut self.switch_mask, sw);
-                }
-                // Observability hook, mirroring the legacy phase 0.
-                if let Some(t) = &mut self.telemetry {
-                    let lc = &mut t.links[li];
-                    lc.busy_cycles += 1;
-                    if arrivals.is_empty() && self.links[li].available() == 0 {
-                        lc.credit_stalls += 1;
-                    }
-                }
-            }
-        }
-        self.scratch_arrivals = arrivals;
-
-        // Phase 1: injection.
-        self.pump_injection_fast();
-
-        // Phase 2/3: RC + VA on switches with buffered flits, ascending
-        // bit order; empty switches drop out (the legacy sweep).
-        let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        for w in 0..self.switch_mask.len() {
-            let mut bits = self.switch_mask[w];
-            while bits != 0 {
-                let si = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                order.push(si);
-            }
-        }
-        let n_switches = self.switches.len();
-        let mut grants = std::mem::take(&mut self.scratch_grants);
-        for slot in &mut order {
-            let si = *slot;
-            if self.switches[si].is_quiescent() {
-                clear_bit(&mut self.switch_mask, si);
-                // Mark for exclusion from the phase 4 walk below.
-                *slot = usize::MAX;
-                continue;
-            }
-            let lut_row = &self.lut[si * n_switches..(si + 1) * n_switches];
-            self.switches[si].alloc_phase_fast(now, lut_row, &mut grants);
-            self.resolve_radio_targets(si, &grants);
-            if let Some(t) = &mut self.telemetry {
-                let sc = &mut t.switches[si];
-                sc.active_cycles += 1;
-                sc.occupancy_integral += self.switches[si].buffered_flits() as u64;
-            }
-        }
-        self.scratch_grants = grants;
-        order.retain(|&si| si != usize::MAX);
-
-        // Phase 4: SA/ST in the same rotated order as the legacy sort —
-        // the ascending survivor list rotated at the first index ≥
-        // offset.  Link bandwidth is queried lazily inside the switch
-        // phase, only for ports with an actual candidate.
-        let mut band_budget = match self.cfg.wireless_mode {
-            WirelessMode::PointToPoint { max_concurrent, .. } => max_concurrent,
-            WirelessMode::Medium => u32::MAX,
-        };
-        let offset = (now % n_switches as u64) as usize;
-        let split = order.partition_point(|&si| si < offset);
-        order.rotate_left(split);
-        let mut moves = std::mem::take(&mut self.scratch_moves);
-        for &si in &order {
-            let pb = self.port_base[si];
-            let ports = self.port_base[si + 1] - pb;
-            {
-                let links = &self.links;
-                let out_link = &self.out_link;
-                self.switches[si].st_phase_fast(
-                    now,
-                    |p| match out_link[pb + p] {
-                        Some(li) => links[li].available(),
-                        None => u32::MAX, // local sink / radio: credits gate
-                    },
-                    &self.band_port[pb..pb + ports],
-                    &mut band_budget,
-                    &mut moves,
-                );
-            }
-            for m in &moves {
-                self.apply_move(si, pb, m, now);
-            }
-        }
-        self.scratch_moves = moves;
-        self.scratch_order = order;
-
-        self.drain_charges();
-        self.run_media_phase(now);
-        self.land_credits();
-        self.finish_cycle(now);
-    }
-
-    /// Phase 1 of [`Network::step_fast`]: injection over the endpoint
-    /// bitset, ascending (= the legacy sorted walk); drained sources
-    /// drop out at visit time.
-    fn pump_injection_fast(&mut self) {
+    /// Phase 1 of [`Network::step`]: injection over the endpoint bitset,
+    /// ascending; drained sources drop out at visit time.
+    fn pump_injection(&mut self) {
         for w in 0..self.inj_mask.len() {
-            let mut bits = self.inj_mask[w];
-            while bits != 0 {
-                let ni = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for ni in word_bits(w, self.inj_mask[w]) {
                 if self.inj_pending.is_empty(ni) {
-                    self.inj_mask[w] &= !(1u64 << (ni & 63));
+                    clear_bit(&mut self.inj_mask, ni);
                     continue;
                 }
                 let front = self.inj_pending.front(ni).expect("checked non-empty");
@@ -1507,45 +1351,12 @@ impl Network {
                 let Some(vc) = vc else { continue };
                 let flit = self.inj_pending.pop_front(ni).expect("front exists");
                 self.switches[ni].deliver(0, vc, flit);
-                self.active_switches.insert(ni);
                 set_bit(&mut self.switch_mask, ni);
                 self.backlog_flits -= 1;
                 self.flits_in_network += 1;
                 self.last_progress = self.now;
                 self.inj_active_vc[ni] = if flit.kind.is_tail() { None } else { Some(vc) };
             }
-        }
-    }
-
-    fn pump_injection(&mut self, order: &mut Vec<usize>) {
-        {
-            let pending = &self.inj_pending;
-            self.active_injectors.sweep(|ni| !pending.is_empty(ni));
-        }
-        order.clear();
-        order.extend_from_slice(self.active_injectors.members());
-        order.sort_unstable();
-        for &ni in order.iter() {
-            let front = self.inj_pending.front(ni).expect("swept non-empty");
-            let is_head = front.kind.is_head();
-            let vc = if is_head {
-                let sw = &self.switches[ni];
-                self.inj_rr[ni].grant(|v| {
-                    sw.may_accept(0, v, front.packet, true) && sw.input_space(0, v) > 0
-                })
-            } else {
-                let v = self.inj_active_vc[ni].expect("body flit has an active VC");
-                (self.switches[ni].input_space(0, v) > 0).then_some(v)
-            };
-            let Some(vc) = vc else { continue };
-            let flit = self.inj_pending.pop_front(ni).expect("front exists");
-            self.switches[ni].deliver(0, vc, flit);
-            self.active_switches.insert(ni);
-            set_bit(&mut self.switch_mask, ni);
-            self.backlog_flits -= 1;
-            self.flits_in_network += 1;
-            self.last_progress = self.now;
-            self.inj_active_vc[ni] = if flit.kind.is_tail() { None } else { Some(vc) };
         }
     }
 
@@ -1645,7 +1456,6 @@ impl Network {
                         );
                     }
                     self.switches[ti].deliver(t_port, rx_vc, flit);
-                    self.active_switches.insert(ti);
                     set_bit(&mut self.switch_mask, ti);
                     self.last_progress = self.now;
                 }
@@ -1703,9 +1513,6 @@ impl Network {
             radio_backlog_flits: self.radio_backlog_flits,
             ff_cycles: self.ff_cycles,
             last_progress: self.last_progress,
-            active_links: self.active_links.members().to_vec(),
-            active_switches: self.active_switches.members().to_vec(),
-            active_injectors: self.active_injectors.members().to_vec(),
             links_mask: self.links_mask.clone(),
             switch_mask: self.switch_mask.clone(),
             inj_mask: self.inj_mask.clone(),
@@ -1777,9 +1584,6 @@ impl Network {
         self.radio_backlog_flits = s.radio_backlog_flits;
         self.ff_cycles = s.ff_cycles;
         self.last_progress = s.last_progress;
-        self.active_links = ActiveSet::restore(self.links.len(), &s.active_links);
-        self.active_switches = ActiveSet::restore(self.switches.len(), &s.active_switches);
-        self.active_injectors = ActiveSet::restore(self.inj_rr.len(), &s.active_injectors);
         self.links_mask.copy_from_slice(&s.links_mask);
         self.switch_mask.copy_from_slice(&s.switch_mask);
         self.inj_mask.copy_from_slice(&s.inj_mask);
@@ -1815,6 +1619,21 @@ mod tests {
         let mut c = NocConfig::paper();
         c.buf_depth = 0;
         assert!(c.validate().is_err());
+        // Valid on its own, but 32 VCs on the 4C4M mesh's switches
+        // overflow the 128-bit busy masks: a typed construction error.
+        let c = NocConfig { vcs: 32, ..NocConfig::paper() };
+        assert!(c.validate().is_ok());
+        let layout = MultichipLayout::build(&MultichipConfig::xcym(
+            4,
+            4,
+            Architecture::Substrate,
+        ))
+        .unwrap();
+        let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
+        assert_eq!(
+            Network::new(&layout, routes, c).err(),
+            Some(NocError::InvalidConfig { what: "a switch needs ports × vcs <= 128" })
+        );
     }
 
     #[test]

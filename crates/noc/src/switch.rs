@@ -25,7 +25,6 @@
 use serde::{Deserialize, Serialize};
 use wimnet_topology::NodeId;
 
-use crate::active::ActiveSet;
 use crate::arbiter::RoundRobin;
 use crate::flit::{Flit, PacketId};
 use crate::vc::{VcFabric, VcStage};
@@ -57,8 +56,6 @@ pub struct SwitchState {
     pub va_cursors: Vec<usize>,
     /// SA arbiter rotation pointers, one per output port.
     pub sa_cursors: Vec<usize>,
-    /// Busy-set member list in its exact (unsorted) stored order.
-    pub busy: Vec<usize>,
     /// High half of the 128-bit busy mask (the serde shim carries
     /// 64-bit integers, so the mask ships as two words).
     pub busy_mask_hi: u64,
@@ -139,33 +136,17 @@ pub struct Switch {
     /// Total flits across all input VCs, maintained incrementally so the
     /// engine's active-set check is O(1).
     buffered: usize,
-    /// Busy input VCs by flat index (`port * vcs + vc`): a VC is busy
-    /// while it holds flits or its pipeline stage is non-idle.  The RC,
-    /// VA and SA pre-passes iterate this set instead of scanning all
-    /// `ports × vcs` channels — on a wormhole path a switch typically
-    /// has one or two busy VCs out of ~50.  Entries are inserted on
-    /// delivery and dropped by the sweep at the top of `alloc_phase`;
-    /// iteration order is immaterial (pre-passes are commutative, and
-    /// grant priority is imposed by the round-robin arbiters).
-    busy: ActiveSet,
-    /// Bitmask mirror of `busy` for the batch engine's fused phases
-    /// (bit `flat` set ⇔ the VC *may* hold work): set on delivery, and
-    /// swept/cleared only by `alloc_phase_fast`/`st_phase_fast`.  Under
-    /// the legacy phases the mask is a conservative superset (never
-    /// missing a busy VC — deliveries always set it), which is exactly
-    /// the invariant the fast sweep needs, so the two stepping paths can
-    /// be mixed freely.  Only maintained while `ports × vcs <= 128`
-    /// ([`Switch::supports_mask`]).
+    /// Busy input VCs by flat index (`port * vcs + vc`; bit set ⇔ the
+    /// VC *may* hold work): a VC is busy while it holds flits or its
+    /// pipeline stage is non-idle.  The RC, VA and SA pre-passes walk
+    /// these bits instead of scanning all `ports × vcs` channels — on a
+    /// wormhole path a switch typically has one or two busy VCs out of
+    /// ~50.  Bits are set on delivery and cleared only when a phase
+    /// finds the VC empty and idle, so the mask never misses a busy VC.
     busy_mask: u128,
-    // Preallocated per-cycle scratch (allocation-free hot path).
-    /// VA pre-pass: pending requests per output port.
-    scratch_requests: Vec<u32>,
-    /// Per-output "anyone wants this port" flags for the SA pre-pass.
-    scratch_port_flags: Vec<bool>,
-    /// Per-input-VC "already granted/used this cycle" flags.
-    scratch_input_flags: Vec<bool>,
-    /// Fast-phase scratch: per-output candidate masks (VA requests /
-    /// SA actives), rebuilt by each fused pre-pass.
+    /// Preallocated per-cycle scratch (allocation-free hot path):
+    /// per-output candidate masks (VA requests / SA actives), rebuilt
+    /// by each phase's pre-pass.
     scratch_port_masks: Vec<u128>,
 }
 
@@ -175,10 +156,13 @@ impl Switch {
     ///
     /// # Panics
     ///
-    /// Panics if `vcs`, `buf_depth` or the port list is empty.
+    /// Panics if `vcs`, `buf_depth` or the port list is empty, or if
+    /// `ports × vcs` exceeds the 128 bits of the busy mask
+    /// ([`crate::Network::new`] rejects such layouts with an error).
     pub fn new(node: NodeId, vcs: usize, buf_depth: usize, ports: &[OutPortSpec]) -> Self {
         assert!(vcs > 0 && buf_depth > 0 && !ports.is_empty());
         let p = ports.len();
+        assert!(p * vcs <= 128, "busy mask holds at most 128 input VCs");
         let mut credits = Vec::with_capacity(p * vcs);
         for spec in ports {
             credits.extend(std::iter::repeat_n(spec.credit, vcs));
@@ -193,20 +177,9 @@ impl Switch {
             va_arb: (0..p).map(|_| RoundRobin::new(p * vcs)).collect(),
             sa_arb: (0..p).map(|_| RoundRobin::new(p * vcs)).collect(),
             buffered: 0,
-            busy: ActiveSet::new(p * vcs),
             busy_mask: 0,
-            scratch_requests: vec![0; p],
-            scratch_port_flags: vec![false; p],
-            scratch_input_flags: vec![false; p * vcs],
             scratch_port_masks: vec![0; p],
         }
-    }
-
-    /// `true` when this switch's input VCs fit the 128-bit busy mask the
-    /// fused fast phases need (`ports × vcs <= 128`; always true for the
-    /// paper's configurations — at 8 VCs that allows 16 ports).
-    pub fn supports_mask(&self) -> bool {
-        self.out_spec.len() * self.vcs <= 128
     }
 
     /// The switch's node id.
@@ -258,10 +231,7 @@ impl Switch {
         let flat = self.inputs.flat(port, vc);
         self.inputs.push(flat, flit);
         self.buffered += 1;
-        self.busy.insert(flat);
-        if flat < 128 {
-            self.busy_mask |= 1u128 << flat;
-        }
+        self.busy_mask |= 1u128 << flat;
     }
 
     /// Returns a credit to an output port VC (downstream freed a slot).
@@ -309,8 +279,8 @@ impl Switch {
     ///
     /// Panics when `buffered` disagrees with slab occupancy, or when a
     /// VC holding flits or a live pipeline stage is missing from the
-    /// busy set (the busy set may hold *extra* members — they are swept
-    /// lazily at the top of `alloc_phase`).
+    /// busy mask (the mask may hold *extra* bits — they are swept lazily
+    /// by `alloc_phase`).
     pub fn assert_invariants(&self) {
         let occupancy: usize = (0..self.inputs.vc_total())
             .map(|flat| self.inputs.len(flat))
@@ -325,15 +295,9 @@ impl Switch {
                 !self.inputs.is_empty(flat) || self.inputs.stage(flat) != VcStage::Idle;
             if needs_busy {
                 assert!(
-                    self.busy.contains(flat),
-                    "VC {flat} holds work but is not in the busy set"
+                    self.busy_mask >> flat & 1 == 1,
+                    "VC {flat} holds work but is missing from the busy mask"
                 );
-                if flat < 128 {
-                    assert!(
-                        self.busy_mask >> flat & 1 == 1,
-                        "VC {flat} holds work but is missing from the busy mask"
-                    );
-                }
             }
             // Owner sanity: entry ownership constrains the *newest*
             // (most recently pushed) flit — the owner's run is still
@@ -351,7 +315,6 @@ impl Switch {
                 );
             }
         }
-        self.busy.assert_consistent();
     }
 
     /// Captures the switch's complete dynamic state.
@@ -368,7 +331,6 @@ impl Switch {
             out_owner: self.out_owner.clone(),
             va_cursors: self.va_arb.iter().map(RoundRobin::cursor).collect(),
             sa_cursors: self.sa_arb.iter().map(RoundRobin::cursor).collect(),
-            busy: self.busy.members().to_vec(),
             busy_mask_hi: (self.busy_mask >> 64) as u64,
             busy_mask_lo: self.busy_mask as u64,
         }
@@ -401,7 +363,6 @@ impl Switch {
         for (arb, &c) in self.sa_arb.iter_mut().zip(&s.sa_cursors) {
             arb.set_cursor(c);
         }
-        self.busy = ActiveSet::restore(n, &s.busy);
         self.busy_mask = (u128::from(s.busy_mask_hi) << 64) | u128::from(s.busy_mask_lo);
     }
 
@@ -411,228 +372,13 @@ impl Switch {
     /// index.  VA grants are appended to `grants` (cleared first) so the
     /// network can resolve radio targets; the out-param keeps the
     /// per-cycle hot path allocation-free.
-    // Index loops here walk several parallel per-port arrays; iterator
-    // chains would obscure the hardware structure.
-    #[allow(clippy::needless_range_loop)]
+    ///
+    /// One pass over the busy-mask bits drops VCs that went
+    /// empty-and-idle, performs RC and collects the VA requests per
+    /// output port; VA arbitration then runs bit-parallel via
+    /// [`RoundRobin::grant_masked`].
     pub fn alloc_phase(&mut self, now: u64, lut: &[RouteEntry], grants: &mut Vec<VaGrant>) {
         grants.clear();
-        let ports = self.out_spec.len();
-        // Drop VCs that went empty-and-idle since the last cycle, then
-        // work only on the remaining busy ones.
-        {
-            let inputs = &self.inputs;
-            self.busy.sweep(|flat| {
-                !inputs.is_empty(flat) || inputs.stage(flat) != VcStage::Idle
-            });
-        }
-        self.busy.sort();
-        // --- RC: idle VCs with a head flit at the front compute a route.
-        for i in 0..self.busy.members().len() {
-            let flat = self.busy.members()[i];
-            if self.inputs.stage(flat) == VcStage::Idle && !self.inputs.is_empty(flat) {
-                assert!(
-                    self.inputs.front_kind(flat).is_head(),
-                    "non-head flit at the front of an idle VC"
-                );
-                let entry = lut[self.inputs.front_dest(flat).index()];
-                self.inputs.set_stage(
-                    flat,
-                    VcStage::Routed { out_port: entry.port, ready_at: now + 1 },
-                );
-            }
-        }
-        // --- VA: separable allocation, output side iterates free VCs.
-        // Pre-pass: count ready requests per output port so ports nobody
-        // wants cost nothing (the engine spends most cycles mostly idle).
-        let requests = &mut self.scratch_requests;
-        requests.fill(0);
-        let mut any_request = false;
-        for &flat in self.busy.members() {
-            if let VcStage::Routed { out_port, ready_at } = self.inputs.stage(flat) {
-                if ready_at <= now {
-                    requests[out_port] += 1;
-                    any_request = true;
-                }
-            }
-        }
-        if !any_request {
-            return;
-        }
-        let input_granted = &mut self.scratch_input_flags;
-        input_granted.fill(false);
-        for out_port in 0..ports {
-            if requests[out_port] == 0 {
-                continue;
-            }
-            for out_vc in 0..self.vcs {
-                if requests[out_port] == 0 {
-                    break;
-                }
-                if self.out_owner[out_port * self.vcs + out_vc].is_some() {
-                    continue;
-                }
-                let inputs = &self.inputs;
-                // Only busy VCs can be Routed, so arbitrating among the
-                // (sorted) busy list is decision-identical to a full
-                // scan — see `RoundRobin::grant_among`.
-                let won = self.va_arb[out_port].grant_among(self.busy.members(), |flat| {
-                    if input_granted[flat] {
-                        return false;
-                    }
-                    match inputs.stage(flat) {
-                        VcStage::Routed { out_port: op, ready_at } => {
-                            op == out_port && ready_at <= now
-                        }
-                        _ => false,
-                    }
-                });
-                if let Some(flat) = won {
-                    let (p, v) = (flat / self.vcs, flat % self.vcs);
-                    debug_assert!(!self.inputs.is_empty(flat), "routed VC has a front flit");
-                    let packet = self.inputs.front_packet(flat);
-                    let dest = self.inputs.front_dest(flat);
-                    self.inputs.set_stage(
-                        flat,
-                        VcStage::Active { out_port, out_vc, ready_at: now + 1 },
-                    );
-                    self.out_owner[out_port * self.vcs + out_vc] = Some(packet);
-                    input_granted[flat] = true;
-                    requests[out_port] -= 1;
-                    grants.push(VaGrant {
-                        in_port: p,
-                        in_vc: v,
-                        out_port,
-                        out_vc,
-                        packet,
-                        dest,
-                    });
-                }
-            }
-        }
-    }
-
-    /// SA + ST pipeline stage: arbitrates the crossbar and pops winners.
-    ///
-    /// `avail[p]` caps the flits output port `p` may emit this cycle
-    /// (link bandwidth credit); the per-port `max_grants` and per-input
-    /// one-flit-per-cycle limits also apply.  Ports flagged in
-    /// `shared_band` additionally draw from `band_budget`, the global
-    /// wireless-channel allowance for this cycle.  Winning movements are
-    /// appended to `moves` (cleared first).
-    pub fn st_phase(
-        &mut self,
-        now: u64,
-        avail: &[u32],
-        shared_band: &[bool],
-        band_budget: &mut u32,
-        moves: &mut Vec<StMove>,
-    ) {
-        moves.clear();
-        let ports = self.out_spec.len();
-        let vcs = self.vcs;
-        debug_assert_eq!(avail.len(), ports);
-        debug_assert_eq!(shared_band.len(), ports);
-        // Keep the busy list sorted even when st_phase runs without a
-        // preceding alloc_phase (unit tests drive the stages directly);
-        // grant_among requires ascending candidate order.
-        self.busy.sort();
-        // Pre-pass mirror of alloc_phase: only busy VCs can request, and
-        // ports nobody wants are skipped entirely.
-        let active = &mut self.scratch_port_flags;
-        active.fill(false);
-        let mut any_active = false;
-        for &flat in self.busy.members() {
-            if let VcStage::Active { out_port, ready_at, .. } = self.inputs.stage(flat) {
-                if ready_at <= now && !self.inputs.is_empty(flat) {
-                    active[out_port] = true;
-                    any_active = true;
-                }
-            }
-        }
-        if !any_active {
-            return;
-        }
-        let input_used = &mut self.scratch_input_flags;
-        input_used.fill(false);
-        for out_port in 0..ports {
-            if !active[out_port] {
-                continue;
-            }
-            let mut budget = self.out_spec[out_port]
-                .max_grants
-                .min(avail[out_port]);
-            if shared_band[out_port] {
-                budget = budget.min(*band_budget);
-            }
-            for _ in 0..budget {
-                let inputs = &self.inputs;
-                let credits = &self.credits;
-                let out_spec = &self.out_spec;
-                // Only busy VCs can be Active with flits; candidate-list
-                // arbitration is decision-identical to the full scan.
-                let won = self.sa_arb[out_port].grant_among(self.busy.members(), |flat| {
-                    if input_used[flat] {
-                        return false;
-                    }
-                    match inputs.stage(flat) {
-                        VcStage::Active { out_port: op, out_vc, ready_at } => {
-                            op == out_port
-                                && ready_at <= now
-                                && !inputs.is_empty(flat)
-                                && (out_spec[out_port].is_sink
-                                    || credits[out_port * vcs + out_vc] > 0)
-                        }
-                        _ => false,
-                    }
-                });
-                let Some(flat) = won else { break };
-                let (p, v) = (flat / self.vcs, flat % self.vcs);
-                let VcStage::Active { out_port: op, out_vc, .. } = self.inputs.stage(flat)
-                else {
-                    unreachable!("winner was Active");
-                };
-                debug_assert_eq!(op, out_port);
-                let flit = self.inputs.pop(flat).expect("winner has a flit");
-                self.buffered -= 1;
-                if !self.out_spec[out_port].is_sink {
-                    self.credits[out_port * self.vcs + out_vc] -= 1;
-                }
-                if shared_band[out_port] {
-                    *band_budget -= 1;
-                }
-                input_used[flat] = true;
-                let releases_input = flit.kind.is_tail();
-                if releases_input {
-                    self.inputs.set_stage(flat, VcStage::Idle);
-                    self.out_owner[out_port * self.vcs + out_vc] = None;
-                }
-                moves.push(StMove {
-                    in_port: p,
-                    in_vc: v,
-                    out_port,
-                    out_vc,
-                    flit,
-                    releases_input,
-                });
-            }
-        }
-    }
-
-    /// Fused, mask-driven [`Switch::alloc_phase`]: one pass over the
-    /// busy-mask bits performs the sweep, RC, and the VA pre-pass
-    /// simultaneously, and VA arbitration runs bit-parallel via
-    /// [`RoundRobin::grant_masked`].  Decision-identical to the legacy
-    /// phase — same stages, same grants, same grant order, same arbiter
-    /// pointer evolution — the replica-batch differential suite pins
-    /// this (`tests/fast_step.rs`; see `docs/engine.md`, "Replica
-    /// batching").
-    ///
-    /// Requires [`Switch::supports_mask`].  The legacy `busy` active set
-    /// is left un-swept (it remains a superset, which `alloc_phase`
-    /// tolerates).
-    pub fn alloc_phase_fast(&mut self, now: u64, lut: &[RouteEntry], grants: &mut Vec<VaGrant>) {
-        grants.clear();
-        debug_assert!(self.supports_mask());
         let vcs = self.vcs;
         let ports = self.out_spec.len();
         // Fused sweep + RC + VA pre-pass: walk the busy bits once.
@@ -672,9 +418,11 @@ impl Switch {
         if !any_request {
             return;
         }
-        // VA: the request mask fully encodes the legacy predicate
-        // (Routed at this port, ready, not yet granted — grants clear
-        // their bit), so arbitration needs no residual check.
+        // VA: separable allocation, output side iterates free VCs.  The
+        // request mask fully encodes the predicate (Routed at this
+        // port, ready, not yet granted — grants clear their bit), so
+        // arbitration needs no residual check, and ports nobody wants
+        // cost nothing.
         for out_port in 0..ports {
             let mut pending = self.scratch_port_masks[out_port];
             if pending == 0 {
@@ -711,16 +459,21 @@ impl Switch {
         }
     }
 
-    /// Fused, mask-driven [`Switch::st_phase`]: one pass over the busy
-    /// bits builds per-output candidate masks, SA arbitration runs via
-    /// [`RoundRobin::grant_masked`] (the downstream-credit check is the
-    /// only residual predicate), and link bandwidth is queried lazily —
-    /// `avail(port)` is called only for ports that actually have an
-    /// active candidate, so idle links cost nothing here.
-    /// Decision-identical to the legacy phase (same winners, same move
-    /// order, same band-budget draws).  Requires
-    /// [`Switch::supports_mask`].
-    pub fn st_phase_fast(
+    /// SA + ST pipeline stage: arbitrates the crossbar and pops winners.
+    ///
+    /// `avail(p)` caps the flits output port `p` may emit this cycle
+    /// (link bandwidth credit); it is queried lazily, only for ports
+    /// that actually have an active candidate, so idle links cost
+    /// nothing here.  The per-port `max_grants` and per-input
+    /// one-flit-per-cycle limits also apply.  Ports flagged in
+    /// `shared_band` additionally draw from `band_budget`, the global
+    /// wireless-channel allowance for this cycle.  Winning movements are
+    /// appended to `moves` (cleared first).
+    ///
+    /// One pass over the busy bits builds per-output candidate masks;
+    /// SA arbitration runs via [`RoundRobin::grant_masked`] with the
+    /// downstream-credit check as the only residual predicate.
+    pub fn st_phase(
         &mut self,
         now: u64,
         mut avail: impl FnMut(usize) -> u32,
@@ -729,7 +482,6 @@ impl Switch {
         moves: &mut Vec<StMove>,
     ) {
         moves.clear();
-        debug_assert!(self.supports_mask());
         let vcs = self.vcs;
         let ports = self.out_spec.len();
         debug_assert_eq!(shared_band.len(), ports);
@@ -868,7 +620,7 @@ mod tests {
         let band = vec![false; avail.len()];
         let mut budget = u32::MAX;
         let mut moves = Vec::new();
-        sw.st_phase(now, avail, &band, &mut budget, &mut moves);
+        sw.st_phase(now, |p| avail[p], &band, &mut budget, &mut moves);
         moves
     }
 
@@ -1042,16 +794,16 @@ mod tests {
         // Port 1 is on the shared band with a zero budget: nothing moves.
         let mut budget = 0u32;
         let mut moves = Vec::new();
-        sw.st_phase(2, &[9, 9], &[false, true], &mut budget, &mut moves);
+        sw.st_phase(2, |_| 9, &[false, true], &mut budget, &mut moves);
         assert!(moves.is_empty());
         // Budget of one: exactly one flit moves and the budget drains.
         let mut budget = 1u32;
-        sw.st_phase(3, &[9, 9], &[false, true], &mut budget, &mut moves);
+        sw.st_phase(3, |_| 9, &[false, true], &mut budget, &mut moves);
         assert_eq!(moves.len(), 1);
         assert_eq!(budget, 0);
         // Unflagged ports ignore the budget entirely.
         let mut budget = 0u32;
-        sw.st_phase(4, &[9, 9], &[false, false], &mut budget, &mut moves);
+        sw.st_phase(4, |_| 9, &[false, false], &mut budget, &mut moves);
         assert_eq!(moves.len(), 1);
         assert_eq!(budget, 0);
     }

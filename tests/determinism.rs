@@ -15,7 +15,7 @@ mod common;
 use common::{assert_ff_bit_identical, quick, run_fingerprint, NoFastForward};
 
 use wimnet::core::experiments::run_all;
-use wimnet::core::sweeps::{run_pool, run_pool_batched, ScenarioGrid};
+use wimnet::core::sweeps::{run_pool, ScenarioGrid};
 use wimnet::core::{Experiment, MultichipSystem, Scale, SystemConfig};
 use wimnet::topology::Architecture;
 use wimnet::traffic::{InjectionProcess, UniformRandom};
@@ -265,28 +265,29 @@ fn memory_read_fast_forward_is_bit_identical_to_full_stepping() {
 
 /// The work-stealing pool decides only *where* an experiment runs,
 /// never *what* it computes: every (threads, chunk) shape must produce
-/// bit-identical outcomes in the same order.
+/// bit-identical outcomes in the same order.  The shapes cover
+/// one-point steals, partial tail chunks, chunks spanning an
+/// architecture boundary and a single chunk holding the whole list.
 #[test]
 fn pool_shape_is_invisible_in_the_results() {
     let grid = ScenarioGrid::new("pool-shape")
         .scale(Scale::Quick)
         .architectures(&[Architecture::Wireless, Architecture::Interposer])
-        .loads(&[0.001, 0.004]);
+        .loads(&[0.001, 0.004, 0.016]);
     let exps = grid.experiments();
-    let key = |o: &wimnet::core::RunOutcome| {
-        (
-            o.packets_delivered(),
-            o.avg_latency_cycles.unwrap_or(f64::NAN).to_bits(),
-            o.total_energy_nj().to_bits(),
-        )
-    };
-    let reference: Vec<_> = run_pool(&exps, 1, 1).expect("serial").iter().map(key).collect();
-    for (threads, chunk) in [(2, 1), (4, 1), (4, 3), (8, 2), (16, 1)] {
-        let got: Vec<_> = run_pool(&exps, threads, chunk)
-            .expect("pooled")
-            .iter()
-            .map(key)
-            .collect();
+    let reference = run_pool(&exps, 1, 1).expect("serial");
+    for (threads, chunk) in [
+        (2, 1),
+        (4, 1),
+        (16, 1),
+        (1, 3),
+        (2, 2),
+        (8, 2),
+        (4, 3),
+        (8, 4),
+        (2, 6),
+    ] {
+        let got = run_pool(&exps, threads, chunk).expect("pooled");
         assert_eq!(
             got, reference,
             "pool shape ({threads} threads, chunk {chunk}) changed outcomes"
@@ -297,8 +298,7 @@ fn pool_shape_is_invisible_in_the_results() {
 /// Oversized chunks degrade gracefully: with `chunk > n` the worker
 /// count clamps to `n.div_ceil(chunk) == 1` and one thread drains the
 /// single steal — same outcomes, same order, no dead workers racing an
-/// empty queue.  Checked for both the per-replica and the
-/// replica-batched pool (where the whole list becomes one batch).
+/// empty queue.
 #[test]
 fn oversized_chunks_collapse_to_one_worker_without_changing_outcomes() {
     let grid = ScenarioGrid::new("clamp")
@@ -309,36 +309,6 @@ fn oversized_chunks_collapse_to_one_worker_without_changing_outcomes() {
     let reference = run_pool(&exps, 1, 1).expect("serial reference");
     let clamped = run_pool(&exps, 8, exps.len() + 5).expect("oversized chunk");
     assert_eq!(clamped, reference, "run_pool: chunk > n changed outcomes");
-    let clamped_batched =
-        run_pool_batched(&exps, 8, exps.len() + 5).expect("oversized batched chunk");
-    assert_eq!(
-        clamped_batched, reference,
-        "run_pool_batched: chunk > n changed outcomes"
-    );
-}
-
-/// The replica-batched pool's contract: scheduling whole `chunk`-wide
-/// [`wimnet::core::ReplicaBatch`]es per steal is invisible in the
-/// results — every (threads, chunk) shape produces outcomes
-/// bit-identical to the per-replica `run_pool` reference, in the same
-/// order.  Chunk boundaries decide batch membership, so the shapes
-/// below cover one-lane batches, partial tail batches, and batches
-/// spanning an architecture boundary.
-#[test]
-fn batched_pool_shape_is_invisible_in_the_results() {
-    let grid = ScenarioGrid::new("batched-pool-shape")
-        .scale(Scale::Quick)
-        .architectures(&[Architecture::Wireless, Architecture::Interposer])
-        .loads(&[0.001, 0.004, 0.016]);
-    let exps = grid.experiments();
-    let reference = run_pool(&exps, 1, 1).expect("per-replica reference");
-    for (threads, chunk) in [(1, 1), (1, 3), (2, 2), (4, 3), (8, 4), (2, 6)] {
-        let got = run_pool_batched(&exps, threads, chunk).expect("batched pool");
-        assert_eq!(
-            got, reference,
-            "batched pool shape ({threads} threads, chunk {chunk}) changed outcomes"
-        );
-    }
 }
 
 /// The acceptance criterion for O(1)-per-skipped-cycle accounting,

@@ -8,9 +8,9 @@ use proptest::prelude::*;
 
 use common::{arch_strategy, quick};
 
-use wimnet::core::{Experiment, ReplicaBatch, RunOutcome};
+use wimnet::core::Experiment;
 use wimnet::routing::{deadlock, Routes, RoutingPolicy};
-use wimnet::topology::{Architecture, MultichipConfig, MultichipLayout};
+use wimnet::topology::{MultichipConfig, MultichipLayout};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -94,58 +94,6 @@ proptest! {
         if let Some(lat) = outcome.avg_latency_cycles {
             prop_assert!(lat >= 64.0, "latency {lat} below serialization floor");
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 6, ..ProptestConfig::default()
-    })]
-
-    /// The replica-batch contract: a batch of N random grid points —
-    /// mixed architectures, loads, seeds, and idle fast-forward on or
-    /// off per lane — produces [`RunOutcome`]s **bit-identical** to N
-    /// independent `Experiment::run` calls.  `RunOutcome`'s `PartialEq`
-    /// covers the full fingerprint (packet/flit counts, latency floats,
-    /// every energy category) *and* the per-stack memory-controller
-    /// statistics, so any divergence between the batch's fast lockstep
-    /// path and the solo reference loop fails here.
-    #[test]
-    fn replica_batches_match_independent_runs(
-        lanes in prop::collection::vec(
-            (
-                (0usize..3, 0u64..1_000),
-                (0.0005f64..0.004, any::<bool>(), any::<bool>()),
-            ),
-            1..4,
-        ),
-    ) {
-        let experiments: Vec<Experiment> = lanes
-            .iter()
-            .map(|&((arch_idx, seed), (load, disable_ff, reads))| {
-                let arch = [
-                    Architecture::Substrate,
-                    Architecture::Interposer,
-                    Architecture::Wireless,
-                ][arch_idx];
-                let mut cfg = quick(arch);
-                cfg.seed = seed;
-                cfg.disable_fast_forward = disable_ff;
-                if reads {
-                    // Closed-loop read traffic so the batch also covers
-                    // the stack controllers and reply scheduling.
-                    Experiment::memory_reads(&cfg, load, 0.5)
-                } else {
-                    Experiment::uniform_random(&cfg, load)
-                }
-            })
-            .collect();
-        let sequential: Vec<RunOutcome> = experiments
-            .iter()
-            .map(|e| e.run().unwrap())
-            .collect();
-        let batched = ReplicaBatch::run_all(&experiments).unwrap();
-        prop_assert_eq!(batched, sequential);
     }
 }
 
