@@ -208,12 +208,61 @@ fn bench_step_hot_loop(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_inject(c: &mut Criterion) {
+    // `Network::inject` alone, no stepping: the cost a workload pays
+    // per offered packet.  Divide the reported time by the packet count
+    // for ns/packet.
+    let mut g = c.benchmark_group("inject");
+    let setup = || {
+        let layout = build_layout(Architecture::Wireless);
+        let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
+        let net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
+        (net, layout)
+    };
+    // The closed-loop read regime: stacks answer faster than their one
+    // port drains, so replies pile up past any source-queue cap — four
+    // memory endpoints, 2 000 64-flit packets each (8 000 packets).
+    g.bench_function("reply_burst", |b| {
+        b.iter_batched(
+            &setup,
+            |(mut net, layout)| {
+                let cores = layout.core_nodes();
+                for k in 0..2_000usize {
+                    for &stack in layout.memory_nodes() {
+                        net.inject(PacketDesc::new(stack, cores[k % cores.len()], 64, 0));
+                    }
+                }
+                net
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // The warm-up regime: the first packet at every endpoint of a fresh
+    // network (68 packets), where queue storage is first touched.
+    g.bench_function("first_touch", |b| {
+        b.iter_batched(
+            &setup,
+            |(mut net, layout)| {
+                let cores = layout.core_nodes();
+                for (i, &src) in cores.iter().chain(layout.memory_nodes()).enumerate() {
+                    let dst = cores[(i + 17) % cores.len()];
+                    net.inject(PacketDesc::new(src, dst, 64, 0));
+                }
+                net
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_topology_build,
     bench_route_computation,
     bench_network_step,
     bench_idle_step,
-    bench_step_hot_loop
+    bench_step_hot_loop,
+    bench_inject
 );
 criterion_main!(benches);

@@ -44,9 +44,9 @@
 //!
 //! Snapshots embed [`ENGINE_VERSION`] and are never served across a
 //! bump: engine semantics changes invalidate mid-run state exactly as
-//! they invalidate finished outcomes.  This PR proves bit-identity
-//! (checkpointing changes wall-clock and disk traffic only), so the
-//! version holds at v8.  See `docs/checkpoint.md`.
+//! they invalidate finished outcomes.  Checkpointing itself changes
+//! wall-clock and disk traffic only, never an outcome, so it never
+//! moves the version.  See `docs/checkpoint.md`.
 
 use std::fs;
 use std::path::{Path, PathBuf};

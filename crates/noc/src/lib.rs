@@ -67,7 +67,7 @@ pub use error::NocError;
 pub use flit::{Flit, FlitKind, PacketId};
 pub use link::{Link, LinkDelivery};
 pub use network::{Network, NetworkState, NocConfig, RadioTxState, WirelessMode};
-pub use packet::{ArrivedPacket, PacketDesc, Reassembler};
+pub use packet::{ArrivedPacket, PacketDesc, QueuedPacket, Reassembler};
 pub use radio::{MediumActions, MediumView, RadioId, SharedMedium};
 pub use ring::RingSlab;
 pub use stats::NetworkStats;

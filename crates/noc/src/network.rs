@@ -6,6 +6,8 @@
 //! switches run fused mask-driven phases, and link bandwidth is queried
 //! lazily.  `tests/golden_step.rs` pins the per-cycle behaviour.
 
+use std::collections::VecDeque;
+
 use serde::{Deserialize, Serialize, Value};
 use wimnet_energy::{ChargeBatch, Energy, EnergyCategory, EnergyMeter, EnergyModel, Power};
 use wimnet_routing::Routes;
@@ -16,7 +18,7 @@ use crate::arbiter::RoundRobin;
 use crate::error::NocError;
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::link::{Link, LinkDelivery};
-use crate::packet::{ArrivedPacket, PacketDesc, Reassembler};
+use crate::packet::{ArrivedPacket, PacketDesc, QueuedPacket, Reassembler};
 use crate::radio::{
     MediumAction, MediumActions, MediumView, RadioId, RadioTx, RadioView, RxVcView,
     SharedMedium, TxVcView,
@@ -199,10 +201,9 @@ pub struct NetworkState {
     /// encodes and decodes its own representation via
     /// [`SharedMedium::state_value`]).
     pub media: Vec<Value>,
-    /// Source queues, one lane per endpoint.
-    pub inj_lanes: Vec<Vec<Flit>>,
-    /// Source-queue lane capacities (these grow on demand).
-    pub inj_caps: Vec<usize>,
+    /// Source queues, one lane of whole packets per endpoint, front to
+    /// back; only a lane's front entry may be partially injected.
+    pub inj_lanes: Vec<VecDeque<QueuedPacket>>,
     /// Per-endpoint in-progress injection VC (wormhole stickiness).
     pub inj_active_vc: Vec<Option<usize>>,
     /// Per-endpoint injection round-robin cursors.
@@ -282,10 +283,14 @@ pub struct Network {
     /// Flits on the wire, slabbed: lane `li` is link `li`'s in-flight
     /// pipeline (the links themselves keep only credit state).
     flight: RingSlab<LinkDelivery>,
-    /// Source queues, slabbed: lane `ni` holds endpoint `ni`'s generated
-    /// flits awaiting injection (grows on demand — source queues are
-    /// workload-bounded, not credit-bounded).
-    inj_pending: RingSlab<Flit>,
+    /// Source queues: lane `ni` holds endpoint `ni`'s packets awaiting
+    /// injection, whole (source queues are workload-bounded, not
+    /// credit-bounded, so they grow on demand).  Phase 1 materialises
+    /// the front entry's next flit when port 0 can take it.
+    inj_pending: Vec<VecDeque<QueuedPacket>>,
+    /// Flits waiting per endpoint: Σ [`QueuedPacket::remaining`] over
+    /// the lane, kept so [`Network::source_backlog_at`] is O(1).
+    inj_backlog: Vec<u64>,
     inj_active_vc: Vec<Option<usize>>,
     inj_rr: Vec<RoundRobin>,
     next_packet: u64,
@@ -298,7 +303,7 @@ pub struct Network {
     wireless_idle_static: Power,
     flits_in_network: u64,
     /// Flits generated but still queued at their sources (the O(1)
-    /// mirror of summing `inj_pending` lengths).
+    /// mirror of summing `inj_backlog`).
     backlog_flits: u64,
     /// Flits buffered in radio TX FIFOs (the O(1) mirror of summing
     /// the per-VC FIFO lengths; a subset of `flits_in_network`).
@@ -681,7 +686,8 @@ impl Network {
             set_bit(&mut links_mask, li);
         }
         Ok(Network {
-            inj_pending: RingSlab::uniform(n, 16, fill_flit),
+            inj_pending: vec![VecDeque::new(); n],
+            inj_backlog: vec![0; n],
             flight: RingSlab::with_capacities(&flight_caps, fill_delivery),
             inj_active_vc: vec![None; n],
             inj_rr: (0..n).map(|_| RoundRobin::new(cfg.vcs)).collect(),
@@ -883,9 +889,7 @@ impl Network {
     pub fn source_backlog(&self) -> u64 {
         debug_assert_eq!(
             self.backlog_flits,
-            (0..self.inj_pending.lanes())
-                .map(|ni| self.inj_pending.len(ni) as u64)
-                .sum::<u64>(),
+            self.inj_backlog.iter().sum::<u64>(),
             "source backlog counter out of sync"
         );
         self.backlog_flits
@@ -893,7 +897,7 @@ impl Network {
 
     /// Flits waiting in one endpoint's source queue.
     pub fn source_backlog_at(&self, node: wimnet_topology::NodeId) -> u64 {
-        self.inj_pending.len(node.index()) as u64
+        self.inj_backlog[node.index()]
     }
 
     /// `true` if flits are in flight but nothing has moved for
@@ -907,16 +911,18 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if the source or destination is out of range.
+    /// Panics if the source or destination is out of range, or if the
+    /// packet has no flits (a descriptor built around
+    /// [`PacketDesc::new`]'s check).
     pub fn inject(&mut self, desc: PacketDesc) -> PacketId {
         assert!(desc.src.index() < self.switches.len(), "bad source");
         assert!(desc.dest.index() < self.switches.len(), "bad destination");
+        assert!(desc.flits > 0, "a packet needs at least one flit");
         let id = PacketId(self.next_packet);
         self.next_packet += 1;
         let src = desc.src.index();
-        for flit in desc.flits_for(id) {
-            self.inj_pending.push_back_growing(src, flit);
-        }
+        self.inj_pending[src].push_back(QueuedPacket { id, desc, next_seq: 0 });
+        self.inj_backlog[src] += u64::from(desc.flits);
         self.backlog_flits += u64::from(desc.flits);
         set_bit(&mut self.inj_mask, src);
         self.stats.on_inject(desc.flits);
@@ -1333,31 +1339,49 @@ impl Network {
     fn pump_injection(&mut self) {
         for w in 0..self.inj_mask.len() {
             for ni in word_bits(w, self.inj_mask[w]) {
-                if self.inj_pending.is_empty(ni) {
+                let Some(flit) = self.source_front(ni) else {
                     clear_bit(&mut self.inj_mask, ni);
                     continue;
-                }
-                let front = self.inj_pending.front(ni).expect("checked non-empty");
-                let is_head = front.kind.is_head();
-                let vc = if is_head {
+                };
+                let vc = if flit.kind.is_head() {
                     let sw = &self.switches[ni];
                     self.inj_rr[ni].grant(|v| {
-                        sw.may_accept(0, v, front.packet, true) && sw.input_space(0, v) > 0
+                        sw.may_accept(0, v, flit.packet, true) && sw.input_space(0, v) > 0
                     })
                 } else {
                     let v = self.inj_active_vc[ni].expect("body flit has an active VC");
                     (self.switches[ni].input_space(0, v) > 0).then_some(v)
                 };
                 let Some(vc) = vc else { continue };
-                let flit = self.inj_pending.pop_front(ni).expect("front exists");
+                self.pop_source_flit(ni);
                 self.switches[ni].deliver(0, vc, flit);
                 set_bit(&mut self.switch_mask, ni);
-                self.backlog_flits -= 1;
                 self.flits_in_network += 1;
                 self.last_progress = self.now;
                 self.inj_active_vc[ni] = if flit.kind.is_tail() { None } else { Some(vc) };
             }
         }
+    }
+
+    /// The flit endpoint `ni` offers its injection port next: the front
+    /// packet's flit at the injection cursor, materialised on demand.
+    #[inline]
+    fn source_front(&self, ni: usize) -> Option<Flit> {
+        self.inj_pending[ni].front().map(QueuedPacket::front_flit)
+    }
+
+    /// Consumes the flit [`Network::source_front`] offered: advances
+    /// the front packet's cursor and retires the packet after its tail.
+    #[inline]
+    fn pop_source_flit(&mut self, ni: usize) {
+        let lane = &mut self.inj_pending[ni];
+        let entry = lane.front_mut().expect("a flit was offered");
+        entry.next_seq += 1;
+        if entry.next_seq == entry.desc.flits {
+            lane.pop_front();
+        }
+        self.inj_backlog[ni] -= 1;
+        self.backlog_flits -= 1;
     }
 
     /// Refreshes `view` in place to the current radio TX/RX state.  The
@@ -1479,7 +1503,6 @@ impl Network {
             "network snapshot taken mid-cycle (pending meter charges)"
         );
         let (flight_lanes, flight_caps) = self.flight.state();
-        let (inj_lanes, inj_caps) = self.inj_pending.state();
         NetworkState {
             now: self.now,
             switches: self.switches.iter().map(Switch::state).collect(),
@@ -1499,8 +1522,7 @@ impl Network {
                 })
                 .collect(),
             media: self.media.iter().map(|m| m.state_value()).collect(),
-            inj_lanes,
-            inj_caps,
+            inj_lanes: self.inj_pending.clone(),
             inj_active_vc: self.inj_active_vc.clone(),
             inj_cursors: self.inj_rr.iter().map(RoundRobin::cursor).collect(),
             next_packet: self.next_packet,
@@ -1529,9 +1551,14 @@ impl Network {
     /// [`serde::Error`] when the snapshot's shape disagrees with this
     /// network's topology (counts of switches, links, radios, media or
     /// endpoints — e.g. a snapshot from a different scale or wireless
-    /// model), or when an attached medium rejects its state value (MAC
-    /// model mismatch).  Shape rejection happens before any mutation,
-    /// so a failed restore leaves the network untouched.
+    /// model), when its source queues are malformed (an entry with no
+    /// flits, a cursor at or past its packet's end, a foreign source or
+    /// out-of-range destination; a partially injected entry behind a
+    /// lane's front; an active VC that disagrees with the front entry's
+    /// cursor; a flit total other than `backlog_flits`), or when an
+    /// attached medium rejects its state value (MAC model mismatch).
+    /// Shape rejection happens before any mutation, so a failed restore
+    /// leaves the network untouched.
     pub fn restore_state(&mut self, s: &NetworkState) -> Result<(), serde::Error> {
         let shape = |ours: usize, theirs: usize, what: &str| {
             if ours == theirs {
@@ -1551,6 +1578,8 @@ impl Network {
         shape(self.links_mask.len(), s.links_mask.len(), "link bitset width")?;
         shape(self.switch_mask.len(), s.switch_mask.len(), "switch bitset width")?;
         shape(self.inj_mask.len(), s.inj_mask.len(), "injector bitset width")?;
+        shape(self.inj_pending.len(), s.inj_lanes.len(), "source queue count")?;
+        let inj_backlog = self.checked_source_backlog(s)?;
         // Media first: a MAC-model mismatch must fail before any part of
         // the network is mutated, so a failed restore leaves the freshly
         // built network untouched.
@@ -1569,7 +1598,8 @@ impl Network {
             r.fifo.restore(&rs.lanes, &rs.capacities);
             r.target_by_vc.clone_from(&rs.target_by_vc);
         }
-        self.inj_pending.restore(&s.inj_lanes, &s.inj_caps);
+        self.inj_pending.clone_from(&s.inj_lanes);
+        self.inj_backlog = inj_backlog;
         self.inj_active_vc.clone_from(&s.inj_active_vc);
         for (rr, &c) in self.inj_rr.iter_mut().zip(&s.inj_cursors) {
             rr.set_cursor(c);
@@ -1589,6 +1619,55 @@ impl Network {
         self.inj_mask.copy_from_slice(&s.inj_mask);
         self.charge_log.clear();
         Ok(())
+    }
+
+    /// Validates a snapshot's source queues against this network and
+    /// returns the per-endpoint flit counts they imply.  Snapshot bytes
+    /// come from disk, and phase 1 trusts every condition checked here:
+    /// a zero-flit or overrun entry never reaches its tail (the queue
+    /// wedges), a foreign `src` or out-of-range `dest` indexes past the
+    /// tables, a mid-packet front without its VC panics, and a
+    /// mismatched flit total breaks the idle/drain accounting.
+    fn checked_source_backlog(&self, s: &NetworkState) -> Result<Vec<u64>, serde::Error> {
+        let bad = |ni: usize, what: &str| {
+            Err(serde::Error::msg(format!(
+                "snapshot source queue {ni} malformed: {what}"
+            )))
+        };
+        let mut per_lane = Vec::with_capacity(s.inj_lanes.len());
+        for (ni, lane) in s.inj_lanes.iter().enumerate() {
+            let mut flits = 0u64;
+            for (k, e) in lane.iter().enumerate() {
+                if e.desc.flits == 0 || e.next_seq >= e.desc.flits {
+                    return bad(ni, "entry cursor outside its packet");
+                }
+                if e.desc.src.index() != ni {
+                    return bad(ni, "entry queued at a foreign source");
+                }
+                if e.desc.dest.index() >= self.switches.len() {
+                    return bad(ni, "entry destination out of range");
+                }
+                if k > 0 && e.next_seq > 0 {
+                    return bad(ni, "partially injected entry behind the front");
+                }
+                flits += u64::from(e.remaining());
+            }
+            let mid_packet = lane.front().is_some_and(|e| e.next_seq > 0);
+            let vc = s.inj_active_vc[ni];
+            if vc.is_some_and(|v| v >= self.cfg.vcs) {
+                return bad(ni, "active VC out of range");
+            }
+            if vc.is_some() != mid_packet {
+                return bad(ni, "active VC disagrees with the front entry's cursor");
+            }
+            per_lane.push(flits);
+        }
+        if per_lane.iter().sum::<u64>() != s.backlog_flits {
+            return Err(serde::Error::msg(
+                "snapshot source queues disagree with backlog_flits",
+            ));
+        }
+        Ok(per_lane)
     }
 }
 
@@ -1829,6 +1908,117 @@ mod tests {
         assert_eq!(net.source_backlog(), 31);
         net.step();
         assert_eq!(net.source_backlog(), 30);
+        // The per-endpoint figure counts flits, not queue entries, and
+        // follows the cursor through the partially injected front
+        // packet and across its tail.
+        assert_eq!(net.source_backlog_at(src), 30);
+        assert_eq!(net.source_backlog_at(dst), 0);
+        assert_eq!(net.inj_pending[src.index()].len(), 4);
+        for _ in 0..7 {
+            net.step();
+        }
+        assert_eq!(net.source_backlog_at(src), 23);
+        assert_eq!(net.inj_pending[src.index()].len(), 3);
+        assert_eq!(net.inj_pending[src.index()][0].next_seq, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one flit")]
+    fn zero_flit_packet_is_rejected_at_inject() {
+        let (layout, mut net) = build(Architecture::Substrate);
+        // The fields are public, so the constructor's check can be
+        // walked around; the queue would never see this packet's tail.
+        net.inject(PacketDesc {
+            src: layout.core_nodes()[0],
+            dest: layout.core_nodes()[1],
+            flits: 0,
+            created_at: 0,
+        });
+    }
+
+    #[test]
+    fn source_queue_materialises_the_eager_flit_sequence() {
+        let (layout, mut net) = build(Architecture::Substrate);
+        let src = layout.core_nodes()[2];
+        let mut expected = Vec::new();
+        for (k, len) in [1u32, 2, 3, 64].into_iter().enumerate() {
+            let dst = layout.core_nodes()[9 + k];
+            let desc = PacketDesc::new(src, dst, len, 40 + k as u64);
+            let id = net.inject(desc);
+            expected.extend(desc.flits_for(id));
+        }
+        let mut offered = Vec::new();
+        while let Some(flit) = net.source_front(src.index()) {
+            offered.push(flit);
+            net.pop_source_flit(src.index());
+        }
+        assert_eq!(offered, expected);
+        assert_eq!(net.source_backlog(), 0);
+        assert!(net.inj_pending[src.index()].is_empty());
+    }
+
+    /// A network a few cycles into injecting the first of two packets
+    /// at one source, and its snapshot.
+    fn mid_packet_snapshot() -> (Network, NetworkState, usize) {
+        let (layout, mut net) = build(Architecture::Substrate);
+        let src = layout.core_nodes()[0];
+        for _ in 0..2 {
+            net.inject(PacketDesc::new(src, layout.core_nodes()[3], 8, 0));
+        }
+        net.run_for(3);
+        let state = net.state();
+        assert_eq!(state.inj_lanes[src.index()][0].next_seq, 3);
+        assert!(state.inj_active_vc[src.index()].is_some());
+        (net, state, src.index())
+    }
+
+    #[test]
+    fn restore_round_trips_a_partially_injected_front_packet() {
+        let (mut net, state, src) = mid_packet_snapshot();
+        let (_, mut fresh) = build(Architecture::Substrate);
+        fresh.restore_state(&state).unwrap();
+        assert_eq!(fresh.inj_backlog[src], 13);
+        assert_eq!(fresh.source_backlog(), 13);
+        net.run_for(500);
+        fresh.run_for(500);
+        assert_eq!(fresh.drain_arrivals(), net.drain_arrivals());
+        assert_eq!(fresh.stats().packets_delivered(), 2);
+    }
+
+    #[test]
+    fn restore_rejects_malformed_source_queues_before_mutating() {
+        let (_, good, src) = mid_packet_snapshot();
+        let other = (src + 1) % good.inj_lanes.len();
+        // Each doctored snapshot with the reason its rejection must give.
+        type Doctor = fn(&mut NetworkState, usize, usize);
+        let cases: [(&str, Doctor); 9] = [
+            ("source queue count", |s, _, _| {
+                s.inj_lanes.pop();
+            }),
+            ("cursor outside its packet", |s, src, _| s.inj_lanes[src][1].desc.flits = 0),
+            ("cursor outside its packet", |s, src, _| s.inj_lanes[src][0].next_seq = 8),
+            ("foreign source", |s, src, other| {
+                let e = s.inj_lanes[src].pop_back().unwrap();
+                s.inj_lanes[other].push_back(e);
+            }),
+            ("destination out of range", |s, src, _| {
+                s.inj_lanes[src][1].desc.dest = wimnet_topology::NodeId(s.switches.len());
+            }),
+            ("behind the front", |s, src, _| s.inj_lanes[src][1].next_seq = 1),
+            ("active VC disagrees", |s, src, _| s.inj_active_vc[src] = None),
+            ("active VC out of range", |s, src, _| s.inj_active_vc[src] = Some(8)),
+            ("disagree with backlog_flits", |s, _, _| s.backlog_flits += 1),
+        ];
+        let pristine = format!("{:?}", build(Architecture::Substrate).1.state());
+        for (reason, doctor) in cases {
+            let mut bad = good.clone();
+            doctor(&mut bad, src, other);
+            let (_, mut net) = build(Architecture::Substrate);
+            let err = net.restore_state(&bad).expect_err(reason);
+            assert!(err.0.contains(reason), "expected `{reason}`, got `{err}`");
+            assert_eq!(format!("{:?}", net.state()), pristine, "{reason}: state mutated");
+            assert_eq!(net.inj_backlog.iter().sum::<u64>(), 0, "{reason}: counters moved");
+        }
     }
 
     #[test]

@@ -31,18 +31,54 @@ impl PacketDesc {
         PacketDesc { src, dest, flits, created_at }
     }
 
+    /// Flit `seq` of this packet under identifier `id` — the one
+    /// definition both [`PacketDesc::flits_for`] and the source queues
+    /// ([`QueuedPacket::front_flit`]) materialise flits from.
+    #[inline]
+    pub fn flit(&self, id: PacketId, seq: u32) -> Flit {
+        debug_assert!(seq < self.flits, "flit {seq} of a {}-flit packet", self.flits);
+        Flit {
+            packet: id,
+            kind: Flit::kind_for(seq, self.flits),
+            seq,
+            src: self.src,
+            dest: self.dest,
+            created_at: self.created_at,
+        }
+    }
+
     /// Materialises the flit sequence for this packet.
     pub fn flits_for(&self, id: PacketId) -> impl Iterator<Item = Flit> + '_ {
-        let len = self.flits;
-        let desc = *self;
-        (0..len).map(move |seq| Flit {
-            packet: id,
-            kind: Flit::kind_for(seq, len),
-            seq,
-            src: desc.src,
-            dest: desc.dest,
-            created_at: desc.created_at,
-        })
+        (0..self.flits).map(move |seq| self.flit(id, seq))
+    }
+}
+
+/// One source-queue entry: a whole packet waiting at its source, with
+/// the injection cursor into it.  Flits are materialised one at a time
+/// as the injection port accepts them, so queueing a packet costs one
+/// entry whatever its length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct QueuedPacket {
+    /// The identifier [`crate::Network::inject`] assigned.
+    pub id: PacketId,
+    /// The packet as offered.
+    pub desc: PacketDesc,
+    /// Sequence number of the next flit to inject; non-zero only for
+    /// the front entry of a queue (a packet injects contiguously).
+    pub next_seq: u32,
+}
+
+impl QueuedPacket {
+    /// The flit the injection port is offered next.
+    #[inline]
+    pub fn front_flit(&self) -> Flit {
+        self.desc.flit(self.id, self.next_seq)
+    }
+
+    /// Flits of this packet still waiting at the source.
+    #[inline]
+    pub fn remaining(&self) -> u32 {
+        self.desc.flits - self.next_seq
     }
 }
 

@@ -4,12 +4,14 @@
 //! contiguous slot array with CSR-style lane bounds — the same
 //! flatten-the-nested-containers idiom the switch fabric applies to its
 //! input VCs ([`crate::vc::VcFabric`]) and `docs/engine.md` documents
-//! under "Switch memory layout".  The engine uses it for the last three
-//! per-component `VecDeque` nests on the hot path:
+//! under "Switch memory layout".  The engine uses it for the two
+//! per-component flit FIFOs on the hot path:
 //!
 //! * `Link` in-flight pipelines — one network-owned slab, lane per link;
-//! * radio transmit FIFOs — one slab per radio, lane per TX VC;
-//! * injection source queues — one network-owned slab, lane per endpoint.
+//! * radio transmit FIFOs — one slab per radio, lane per TX VC.
+//!
+//! (Source queues are not a user: they hold whole packets, not flits,
+//! in one `VecDeque` per endpoint — see `Network::inject`.)
 //!
 //! Semantics are exactly those of a `VecDeque<T>` per lane (same fronts,
 //! same pops, same iteration order — pinned by the model proptest in
@@ -96,11 +98,14 @@ impl<T: Copy> RingSlab<T> {
         self.capacity(lane) - self.len(lane)
     }
 
-    /// Slot index of element `i` (0 = front) of `lane`.
+    /// Slot index of element `i` (0 = front, `i <= len`) of `lane`.
+    /// `head < cap` and `i <= len <= cap`, so `head + i < 2 * cap`: one
+    /// compare-and-subtract wraps it, no division on the per-flit path.
     #[inline]
     fn slot(&self, lane: usize, i: usize) -> usize {
         let cap = (self.base[lane + 1] - self.base[lane]) as usize;
-        self.base[lane] as usize + (self.head[lane] as usize + i) % cap
+        let at = self.head[lane] as usize + i;
+        self.base[lane] as usize + if at >= cap { at - cap } else { at }
     }
 
     /// The front element of a lane, if any.
@@ -148,8 +153,8 @@ impl<T: Copy> RingSlab<T> {
         }
         let slot = self.slot(lane, 0);
         let value = self.slots[slot];
-        let cap = self.capacity(lane) as u32;
-        self.head[lane] = (self.head[lane] + 1) % cap;
+        let next = self.head[lane] + 1;
+        self.head[lane] = if next as usize == self.capacity(lane) { 0 } else { next };
         self.len[lane] -= 1;
         Some(value)
     }

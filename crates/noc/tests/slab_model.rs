@@ -192,7 +192,7 @@ proptest! {
 
     /// Random push/pop sequences over a multi-lane [`RingSlab`] behave
     /// exactly like a `VecDeque` per lane (the structure the slab
-    /// replaced for link pipelines, radio TX FIFOs and source queues):
+    /// replaced for link pipelines and radio TX FIFOs):
     /// same fronts, same pops, same iteration order, same lengths —
     /// including across capacity growth — and lanes never interfere.
     #[test]

@@ -247,6 +247,88 @@ fn snapshots_inside_a_control_turn_resume_exactly() {
     }
 }
 
+/// Source lanes of `snap` whose front packet is partially injected —
+/// `0 < next_seq < flits`, with the wormhole VC it holds recorded —
+/// read off the serialized form, the way a resumed process sees it.
+fn mid_packet_lanes(snap: &wimnet::core::Snapshot) -> usize {
+    use serde::{Serialize, Value};
+    let root = snap.to_value();
+    let net = root.get("state").and_then(|s| s.get("net")).expect("network state");
+    let seq = |key: &str| match net.get(key) {
+        Some(Value::Seq(items)) => items.as_slice(),
+        other => panic!("`{key}` must be a sequence, got {other:?}"),
+    };
+    let uint = |v: &Value| match *v {
+        Value::UInt(u) => u,
+        ref other => panic!("expected an unsigned integer, got {other:?}"),
+    };
+    seq("inj_lanes")
+        .iter()
+        .zip(seq("inj_active_vc"))
+        .filter(|(lane, vc)| {
+            let Value::Seq(entries) = lane else { panic!("a lane is a sequence") };
+            entries.first().is_some_and(|front| {
+                let next = uint(front.get("next_seq").expect("packet-form entry"));
+                let flits = uint(front.get("desc").and_then(|d| d.get("flits")).unwrap());
+                0 < next && next < flits && **vc != Value::Null
+            })
+        })
+        .count()
+}
+
+/// Edge case: snapshots *inside a packet's injection*.  A source queue
+/// holds whole packets and materialises flits at the port, so a
+/// snapshot can catch a front entry part-way through its flits; the
+/// cursor and the held VC must both survive the round trip, on a wired
+/// fabric and under a serialized MAC.
+#[test]
+fn snapshots_inside_a_packet_injection_resume_exactly() {
+    let wired = quick(Architecture::Substrate);
+    let mut shared = quick(Architecture::Wireless);
+    shared.wireless = WirelessModel::SharedChannel { mac: MacKind::ControlPacket };
+    for (what, cfg) in [("wired", wired), ("shared-channel", shared)] {
+        let stop = cfg.warmup_cycles + 150;
+        let mut probe = MultichipSystem::build(&cfg).unwrap();
+        probe.run_until(&mut reads(&cfg, 0.004, 0.5), 0, stop).unwrap();
+        assert!(
+            mid_packet_lanes(&probe.snapshot()) > 0,
+            "{what}: no source is mid-packet at cycle {stop} — the case went untested"
+        );
+        assert_resume_equivalent(
+            &format!("mid-packet/{what}"),
+            &cfg,
+            &|| Box::new(reads(&cfg, 0.004, 0.5)),
+            stop,
+        );
+    }
+}
+
+/// Snapshots are O(queued packets), not O(queued flits): a stack whose
+/// replies outrun its port keeps thousands of packets at the source,
+/// and every checkpoint mark serializes them.
+#[test]
+fn a_backlogged_source_serializes_per_packet_not_per_flit() {
+    use wimnet::noc::{Network, NocConfig, PacketDesc};
+    use wimnet::routing::{Routes, RoutingPolicy};
+    use wimnet::topology::{MultichipConfig, MultichipLayout};
+
+    let multichip = MultichipConfig::xcym(4, 4, Architecture::Substrate);
+    let layout = MultichipLayout::build(&multichip).unwrap();
+    let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
+    let mut net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
+    let empty = serde_json::to_string(&net.state()).unwrap().len();
+    let stack = layout.memory_nodes()[0];
+    for k in 0..1_000 {
+        net.inject(PacketDesc::new(stack, layout.core_nodes()[k % 64], 64, 0));
+    }
+    assert_eq!(net.source_backlog_at(stack), 64_000);
+    let queued = serde_json::to_string(&net.state()).unwrap().len() - empty;
+    assert!(
+        queued < 200_000,
+        "1 000 queued packets added {queued} bytes to the snapshot"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
@@ -375,6 +457,64 @@ fn corrupt_checkpoints_are_quarantined_never_served() {
     assert_eq!(store.lookup(&fp).unwrap().cycle, snap.cycle);
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A `.ckpt.json` written before source queues held packets (its
+/// `inj_lanes` are flit lists, one lane caught with 45 flits of a
+/// packet queued) sits in the store under the right fingerprint and the
+/// current engine version.  It must be quarantined, never served and
+/// never a panic, and the point must recompute from cycle 0 to the
+/// answer an uncached run gives.
+#[test]
+fn a_flit_form_checkpoint_is_quarantined_and_the_point_cold_starts() {
+    // The grid the fixture was written for (by the parent commit's
+    // `run_cached_resumable`, killed at cycle 150).
+    let g = wimnet::core::ScenarioGrid::new("pre-pr13-fixture")
+        .scale(wimnet::core::Scale::Quick)
+        .architectures(&[Architecture::Substrate])
+        .chips(&[1])
+        .stacks(&[2])
+        .loads(&[0.0005])
+        .seeds(&[11])
+        .checkpoint_every(100);
+    let fp = g.point_fingerprint(&g.points()[0]);
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/pre_pr13_flit_queue.ckpt.json"
+    );
+    let text = fs::read_to_string(fixture).unwrap();
+    // Only the queue format stands between this file and a resume.
+    let envelope = serde_json::parse_value(&text).unwrap();
+    assert_eq!(
+        envelope.get("engine_version"),
+        Some(&serde::Value::Str(ENGINE_VERSION.to_string()))
+    );
+    assert_eq!(envelope.get("fingerprint"), Some(&serde::Value::Str(fp.hex())));
+
+    let ckpt_dir = temp_store("flit-form-checkpoints");
+    let checkpoints = CheckpointStore::open(&ckpt_dir).unwrap();
+    fs::write(ckpt_dir.join(format!("{}.ckpt.json", fp.hex())), &text).unwrap();
+    assert!(checkpoints.contains(&fp));
+
+    let cat_dir = temp_store("flit-form-catalog");
+    let resumed = g
+        .run_cached_resumable(&Catalog::open(&cat_dir).unwrap(), &checkpoints, 1, 1, None)
+        .unwrap();
+    assert_eq!(checkpoints.quarantined(), 1, "the flit-form file must be set aside");
+    assert!(checkpoints.is_empty());
+    assert!(resumed.is_complete());
+
+    let ref_dir = temp_store("flit-form-reference");
+    let reference = g.run_cached(&Catalog::open(&ref_dir).unwrap(), 1, 1).unwrap();
+    assert_eq!(
+        vector_bytes(&resumed.outcomes),
+        vector_bytes(&reference.outcomes),
+        "a cold start must land the uncached outcome"
+    );
+
+    for d in [&ckpt_dir, &cat_dir, &ref_dir] {
+        let _ = fs::remove_dir_all(d);
+    }
 }
 
 /// A store littered with abandoned temp files (crashed writers) sweeps
