@@ -5,9 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use wimnet_noc::{Network, NocConfig, PacketDesc};
+use wimnet_noc::switch::{OutPortSpec, RouteEntry, Switch};
+use wimnet_noc::{Flit, FlitKind, Network, NocConfig, PacketDesc, PacketId};
 use wimnet_routing::{Routes, RoutingPolicy};
-use wimnet_topology::{Architecture, MultichipConfig, MultichipLayout};
+use wimnet_topology::{Architecture, MultichipConfig, MultichipLayout, NodeId};
 
 fn build_layout(arch: Architecture) -> MultichipLayout {
     MultichipLayout::build(&MultichipConfig::xcym(4, 4, arch)).expect("layout")
@@ -256,6 +257,118 @@ fn bench_inject(c: &mut Criterion) {
     g.finish();
 }
 
+/// A 5-port × 8-VC switch (the mesh switch shape) whose port-0 input
+/// VCs `0..active` each hold the first `flits` flits of an endless
+/// packet, Active toward port 1 with `credit` credits per output VC,
+/// and the cycle the next visit happens at.  Port 0 is the sink.
+fn visited_switch(active: usize, flits: u32, credit: u32) -> (Switch, Vec<RouteEntry>, u64) {
+    let wired = OutPortSpec { credit, is_sink: false, max_grants: 1 };
+    let mut ports = [wired; 5];
+    ports[0] = OutPortSpec { credit: 16, is_sink: true, max_grants: 1 };
+    let mut sw = Switch::new(NodeId(0), 8, 16, &ports);
+    let lut = vec![RouteEntry { port: 1, next: NodeId(1) }; 2];
+    for vc in 0..active {
+        for seq in 0..flits {
+            sw.deliver(0, vc, stream_flit(vc, seq));
+        }
+    }
+    // RC at cycle 0, VA at cycle 1: every VC is Active from cycle 2 on.
+    let mut grants = Vec::new();
+    sw.alloc_phase(0, &lut, &mut grants);
+    sw.alloc_phase(1, &lut, &mut grants);
+    assert_eq!(grants.len(), active);
+    (sw, lut, 2)
+}
+
+/// Flit `seq` of VC `vc`'s endless packet (the tail never comes).
+fn stream_flit(vc: usize, seq: u32) -> Flit {
+    Flit {
+        packet: PacketId(vc as u64 + 1),
+        kind: if seq == 0 { FlitKind::Head } else { FlitKind::Body },
+        seq,
+        src: NodeId(0),
+        dest: NodeId(1),
+        created_at: 0,
+    }
+}
+
+fn bench_switch_visit(c: &mut Criterion) {
+    // One switch visit (`alloc_phase` + `st_phase`) in the three shapes
+    // the loaded trace is made of.  Every routine is 1 000 visits, so
+    // the reported microseconds read as ns per visit.
+    const VISITS: u64 = 1_000;
+    let mut g = c.benchmark_group("switch_visit");
+    g.sample_size(30);
+    let band = [false; 5];
+    // Eight Active VCs, every output VC out of credit: the visit moves
+    // nothing (85 % of substrate visits, 28-43 % at saturation).
+    g.bench_function("blocked_8_vcs", |b| {
+        b.iter_batched(
+            || {
+                let (mut sw, lut, mut now) = visited_switch(8, 4, 1);
+                let (mut budget, mut moves) = (u32::MAX, Vec::new());
+                // One flit per VC uses up its output VC's only credit.
+                for _ in 0..8 {
+                    sw.st_phase(now, |_| 1, &band, &mut budget, &mut moves);
+                    assert_eq!(moves.len(), 1);
+                    now += 1;
+                }
+                (sw, lut, now)
+            },
+            |(mut sw, lut, start)| {
+                let (mut grants, mut moves, mut budget) = (Vec::new(), Vec::new(), u32::MAX);
+                for now in start..start + VISITS {
+                    sw.alloc_phase(now, &lut, &mut grants);
+                    sw.st_phase(now, |_| 1, &band, &mut budget, &mut moves);
+                    assert!(moves.is_empty());
+                }
+                sw
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // One VC streaming a long packet: a flit arrives, a flit leaves, its
+    // credit comes back.
+    g.bench_function("streaming_1_vc", |b| {
+        b.iter_batched(
+            || visited_switch(1, 1, 16),
+            |(mut sw, lut, start)| {
+                let (mut grants, mut moves, mut budget) = (Vec::new(), Vec::new(), u32::MAX);
+                for now in start..start + VISITS {
+                    sw.deliver(0, 0, stream_flit(0, (now - start) as u32 + 1));
+                    sw.alloc_phase(now, &lut, &mut grants);
+                    sw.st_phase(now, |_| 1, &band, &mut budget, &mut moves);
+                    assert_eq!(moves.len(), 1);
+                    sw.return_credit(1, moves[0].out_vc);
+                }
+                sw
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // Eight Active VCs with flits and credit, one grant per cycle on the
+    // port they share: SA picks one, the rest wait.
+    g.bench_function("contended_8_vcs", |b| {
+        b.iter_batched(
+            || visited_switch(8, 2, 16),
+            |(mut sw, lut, start)| {
+                let (mut grants, mut moves, mut budget) = (Vec::new(), Vec::new(), u32::MAX);
+                for now in start..start + VISITS {
+                    sw.alloc_phase(now, &lut, &mut grants);
+                    sw.st_phase(now, |_| 1, &band, &mut budget, &mut moves);
+                    assert_eq!(moves.len(), 1);
+                    let m = moves[0];
+                    sw.deliver(0, m.in_vc, stream_flit(m.in_vc, m.flit.seq + 2));
+                    sw.return_credit(1, m.out_vc);
+                }
+                sw
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_topology_build,
@@ -263,6 +376,7 @@ criterion_group!(
     bench_network_step,
     bench_idle_step,
     bench_step_hot_loop,
+    bench_switch_visit,
     bench_inject
 );
 criterion_main!(benches);

@@ -787,7 +787,7 @@ impl MultichipSystem {
             return Err(CoreError::Stalled { cycle });
         }
         // Debug builds periodically sweep the switches' slab
-        // bookkeeping invariants (buffered counter and busy masks vs
+        // bookkeeping invariants (buffered counter and ready masks vs
         // slab occupancy) so a drifting counter fails the nearest
         // test instead of corrupting a long run silently.
         #[cfg(debug_assertions)]
@@ -975,7 +975,7 @@ mod tests {
     #[test]
     fn too_wide_switches_are_a_build_error_not_a_run() {
         // 4C4M mesh switches have up to 8 ports: 32 VCs each overflow
-        // the 128 input VCs a switch's busy mask addresses.
+        // the 128 input VCs a switch's ready masks address.
         for arch in Architecture::ALL {
             let cfg = SystemConfig { vcs: 32, ..quick(arch) };
             assert!(

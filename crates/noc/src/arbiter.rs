@@ -44,47 +44,40 @@ impl RoundRobin {
     /// Grants to the first requester at or after the rotation pointer for
     /// which `requesting` returns `true`, advancing the pointer past the
     /// winner.  Returns `None` when nobody requests.
-    pub fn grant(&mut self, mut requesting: impl FnMut(usize) -> bool) -> Option<usize> {
-        for off in 0..self.n {
-            let i = (self.next + off) % self.n;
-            if requesting(i) {
-                self.next = (i + 1) % self.n;
-                return Some(i);
-            }
-        }
-        None
+    pub fn grant(&mut self, requesting: impl FnMut(usize) -> bool) -> Option<usize> {
+        let winner = self.peek(requesting)?;
+        self.next = self.after(winner);
+        Some(winner)
     }
 
-    /// Like [`RoundRobin::grant`], but scans only the candidates in
-    /// `mask` (bit `i` = requester `i` is a candidate; bits at or above
-    /// `n` must be clear, so `n <= 128`) and `requesting` is the
-    /// residual predicate for them.  Equivalent to `grant` whenever the
-    /// predicate would be `false` for every index outside the mask —
-    /// same rotation, same winner, same pointer updates, bit for bit —
-    /// so arbitration cost drops from O(n) to O(candidates) without
-    /// changing a single grant decision.  The switch pre-passes build
-    /// these masks (see `docs/engine.md`).
-    pub fn grant_masked(
-        &mut self,
-        mask: u128,
-        mut requesting: impl FnMut(usize) -> bool,
-    ) -> Option<usize> {
-        // Candidates at or after the rotation pointer first (ascending),
-        // then the wrapped-around prefix.  `next < n <= 128`, so the
-        // shift is always in range.
-        let hi = mask & (!0u128 << self.next);
-        let lo = mask & !hi;
-        for mut part in [hi, lo] {
-            while part != 0 {
-                let c = part.trailing_zeros() as usize;
-                part &= part - 1;
-                if requesting(c) {
-                    self.next = (c + 1) % self.n;
-                    return Some(c);
-                }
-            }
+    /// Like [`RoundRobin::grant`] with the requesters given as a mask
+    /// (bit `i` = requester `i` requests; bits at or above `n` must be
+    /// clear, so `n <= 128`): same rotation, same winner, same pointer
+    /// update, bit for bit, in two word operations instead of an O(n)
+    /// scan.  The switch keeps its request sets in this form (see
+    /// `docs/engine.md`, "Switch ready masks").
+    pub fn grant_masked(&mut self, mask: u128) -> Option<usize> {
+        if mask == 0 {
+            return None;
         }
-        None
+        // The first requester at or after the rotation pointer, else
+        // the first of the wrapped-around prefix.  `next < n <= 128`,
+        // so the shift is always in range.
+        let at_or_after = mask & (!0u128 << self.next);
+        let winner = if at_or_after != 0 { at_or_after } else { mask }.trailing_zeros() as usize;
+        self.next = self.after(winner);
+        Some(winner)
+    }
+
+    /// The rotation position after `i`, wrapped by compare (no division
+    /// on the per-flit path).
+    #[inline]
+    fn after(&self, i: usize) -> usize {
+        if i + 1 == self.n {
+            0
+        } else {
+            i + 1
+        }
     }
 
     /// The rotation pointer, for checkpointing.
@@ -105,13 +98,7 @@ impl RoundRobin {
 
     /// Peeks the winner without advancing the pointer.
     pub fn peek(&self, mut requesting: impl FnMut(usize) -> bool) -> Option<usize> {
-        for off in 0..self.n {
-            let i = (self.next + off) % self.n;
-            if requesting(i) {
-                return Some(i);
-            }
-        }
-        None
+        (self.next..self.n).chain(0..self.next).find(|&i| requesting(i))
     }
 }
 
@@ -166,9 +153,8 @@ mod tests {
     #[test]
     fn grant_masked_matches_grant_decision_for_decision() {
         // Drive the plain O(n) scan and the masked arbiter through the
-        // same pseudo-random request sequences (candidate masks + a
-        // residual predicate) and demand identical winners and pointer
-        // evolution at every step.
+        // same pseudo-random request sets (empty ones included) and
+        // demand identical winners and pointer evolution at every step.
         let n = 11usize;
         let mut a = RoundRobin::new(n);
         let mut b = RoundRobin::new(n);
@@ -180,10 +166,9 @@ mod tests {
             state
         };
         for _ in 0..2000 {
-            let mask_bits = rng() & ((1 << n) - 1);
-            let pred_bits = rng() & ((1 << n) - 1);
-            let wa = a.grant(|i| (mask_bits & pred_bits) >> i & 1 == 1);
-            let wb = b.grant_masked(u128::from(mask_bits), |i| pred_bits >> i & 1 == 1);
+            let requests = rng() & rng() & ((1 << n) - 1);
+            let wa = a.grant(|i| requests >> i & 1 == 1);
+            let wb = b.grant_masked(u128::from(requests));
             assert_eq!(wa, wb);
             assert_eq!(a, b, "pointer state diverged");
         }
@@ -192,10 +177,14 @@ mod tests {
     #[test]
     fn grant_masked_failed_arbitration_leaves_pointer() {
         let mut a = RoundRobin::new(8);
-        assert_eq!(a.grant_masked(0b1010, |_| false), None);
-        assert_eq!(a.grant_masked(0b1010, |_| true), Some(1));
-        // Pointer now 2: wrap-around picks 3 before 1.
-        assert_eq!(a.grant_masked(0b1010, |i| i == 1), Some(1));
+        assert_eq!(a.grant_masked(0), None);
+        assert_eq!(a.grant_masked(0b1010), Some(1));
+        // Pointer now 2: 3 wins before the wrap-around reaches 1.
+        assert_eq!(a.grant_masked(0b1010), Some(3));
+        assert_eq!(a.grant_masked(0b0010), Some(1));
+        // The last requester wraps the pointer to zero.
+        assert_eq!(a.grant_masked(0b1000_0000), Some(7));
+        assert_eq!(a.cursor(), 0);
     }
 
     #[test]

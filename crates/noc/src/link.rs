@@ -199,24 +199,24 @@ impl Link {
         );
     }
 
-    /// Removes all flits of `lane` that have arrived by `now`, appending
-    /// them to `out` in admission order (which preserves per-packet flit
-    /// order — same path, same link).  The caller owns `out` so the
-    /// per-cycle hot path never allocates.
+    /// Pops every flit of `lane` that has arrived by `now` and hands it
+    /// to `deliver`, in admission order (which preserves per-packet flit
+    /// order — same path, same link); returns how many were delivered.
+    /// Deliveries go straight from the ring lane to the caller's sink,
+    /// so the per-cycle hot path neither allocates nor stages them.
     #[inline]
     pub fn take_arrivals_into(
         flight: &mut RingSlab<LinkDelivery>,
         lane: usize,
         now: u64,
-        out: &mut Vec<LinkDelivery>,
-    ) {
-        while let Some(d) = flight.front(lane) {
-            if d.arrives_at <= now {
-                out.push(flight.pop_front(lane).expect("front exists"));
-            } else {
-                break;
-            }
+        mut deliver: impl FnMut(LinkDelivery),
+    ) -> usize {
+        let mut delivered = 0;
+        while flight.front(lane).is_some_and(|d| d.arrives_at <= now) {
+            deliver(flight.pop_front(lane).expect("front exists"));
+            delivered += 1;
         }
+        delivered
     }
 
     /// Removes and returns all flits of `lane` that have arrived by
@@ -228,7 +228,7 @@ impl Link {
         now: u64,
     ) -> Vec<LinkDelivery> {
         let mut out = Vec::new();
-        Self::take_arrivals_into(flight, lane, now, &mut out);
+        Self::take_arrivals_into(flight, lane, now, |d| out.push(d));
         out
     }
 }

@@ -187,7 +187,7 @@ pub struct RadioTxState {
 pub struct NetworkState {
     /// Completed cycles.
     pub now: u64,
-    /// Per-switch buffers, credits, allocation cursors and busy masks.
+    /// Per-switch buffers, credits and allocation cursors.
     pub switches: Vec<SwitchState>,
     /// Per-link fractional credit accumulators.
     pub link_credits: Vec<f64>,
@@ -326,7 +326,6 @@ pub struct Network {
     // --- Preallocated per-cycle scratch: the steady-state step() makes
     // no heap allocations.
     scratch_order: Vec<usize>,
-    scratch_arrivals: Vec<LinkDelivery>,
     scratch_grants: Vec<VaGrant>,
     scratch_moves: Vec<StMove>,
     scratch_credits: Vec<(usize, usize, usize)>,
@@ -373,7 +372,7 @@ impl Network {
     ///
     /// [`NocError::InvalidConfig`] for bad configs, when `routes` does
     /// not cover the layout's graph, or when a switch would have more
-    /// input VCs (`ports × vcs`) than the 128-bit busy masks address.
+    /// input VCs (`ports × vcs`) than the 128-bit ready masks address.
     pub fn new(
         layout: &MultichipLayout,
         routes: Routes,
@@ -697,7 +696,6 @@ impl Network {
             switch_mask: vec![0u64; words_for(n)],
             inj_mask: vec![0u64; words_for(n)],
             scratch_order: Vec::with_capacity(n.max(links.len())),
-            scratch_arrivals: Vec::new(),
             scratch_grants: Vec::new(),
             scratch_moves: Vec::new(),
             scratch_credits: Vec::new(),
@@ -867,8 +865,8 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics when any switch's `buffered` counter or busy mask disagrees
-    /// with its flit-slab occupancy.
+    /// Panics when any switch's `buffered` counter or ready masks
+    /// disagree with its per-VC tables.
     pub fn assert_switch_invariants(&self) {
         for sw in &self.switches {
             sw.assert_invariants();
@@ -1087,7 +1085,6 @@ impl Network {
         // in ascending bit order (per-link work is independent; the
         // fixed order keeps the walk deterministic).  Links found
         // quiescent drop out of the bitset here.
-        let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
         for w in 0..self.links_mask.len() {
             for li in word_bits(w, self.links_mask[w]) {
                 if self.links[li].is_quiescent(self.flight.is_empty(li)) {
@@ -1095,13 +1092,12 @@ impl Network {
                     continue;
                 }
                 self.links[li].begin_cycle();
-                arrivals.clear();
-                Link::take_arrivals_into(&mut self.flight, li, now, &mut arrivals);
-                if !arrivals.is_empty() {
-                    let (sw, port) = self.link_dst[li];
-                    for d in &arrivals {
-                        self.switches[sw].deliver(port, d.vc, d.flit);
-                    }
+                let (sw, port) = self.link_dst[li];
+                let switch = &mut self.switches[sw];
+                let delivered = Link::take_arrivals_into(&mut self.flight, li, now, |d| {
+                    switch.deliver(port, d.vc, d.flit);
+                });
+                if delivered > 0 {
                     set_bit(&mut self.switch_mask, sw);
                 }
                 // Observability: the link was active this cycle; a busy
@@ -1111,13 +1107,12 @@ impl Network {
                 if let Some(t) = &mut self.telemetry {
                     let lc = &mut t.links[li];
                     lc.busy_cycles += 1;
-                    if arrivals.is_empty() && self.links[li].available() == 0 {
+                    if delivered == 0 && self.links[li].available() == 0 {
                         lc.credit_stalls += 1;
                     }
                 }
             }
         }
-        self.scratch_arrivals = arrivals;
 
         // Phase 1: injection (one flit per endpoint per cycle).
         self.pump_injection();
@@ -1555,7 +1550,8 @@ impl Network {
     /// flits, a cursor at or past its packet's end, a foreign source or
     /// out-of-range destination; a partially injected entry behind a
     /// lane's front; an active VC that disagrees with the front entry's
-    /// cursor; a flit total other than `backlog_flits`), or when an
+    /// cursor; a flit total other than `backlog_flits`), when a switch
+    /// rejects its tables ([`Switch::check_state`]), or when an
     /// attached medium rejects its state value (MAC model mismatch).
     /// Shape rejection happens before any mutation, so a failed restore
     /// leaves the network untouched.
@@ -1580,6 +1576,9 @@ impl Network {
         shape(self.inj_mask.len(), s.inj_mask.len(), "injector bitset width")?;
         shape(self.inj_pending.len(), s.inj_lanes.len(), "source queue count")?;
         let inj_backlog = self.checked_source_backlog(s)?;
+        for (sw, st) in self.switches.iter().zip(&s.switches) {
+            sw.check_state(st)?;
+        }
         // Media first: a MAC-model mismatch must fail before any part of
         // the network is mutated, so a failed restore leaves the freshly
         // built network untouched.
@@ -1674,6 +1673,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vc::VcStage;
     use wimnet_routing::RoutingPolicy;
     use wimnet_topology::{Architecture, MultichipConfig, MultichipLayout};
 
@@ -1699,7 +1699,7 @@ mod tests {
         c.buf_depth = 0;
         assert!(c.validate().is_err());
         // Valid on its own, but 32 VCs on the 4C4M mesh's switches
-        // overflow the 128-bit busy masks: a typed construction error.
+        // overflow the 128-bit ready masks: a typed construction error.
         let c = NocConfig { vcs: 32, ..NocConfig::paper() };
         assert!(c.validate().is_ok());
         let layout = MultichipLayout::build(&MultichipConfig::xcym(
@@ -2018,6 +2018,70 @@ mod tests {
             assert!(err.0.contains(reason), "expected `{reason}`, got `{err}`");
             assert_eq!(format!("{:?}", net.state()), pristine, "{reason}: state mutated");
             assert_eq!(net.inj_backlog.iter().sum::<u64>(), 0, "{reason}: counters moved");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_malformed_switch_tables_before_mutating() {
+        let (_, good, src) = mid_packet_snapshot();
+        // Three cycles in, the source switch has granted the packet an
+        // output VC: find that Active input VC and what it holds.
+        let (flat, out_flat) = good.switches[src]
+            .vcs
+            .iter()
+            .enumerate()
+            .find_map(|(flat, vc)| match vc.stage {
+                VcStage::Active { out_port, out_vc, .. } => Some((flat, out_port * 8 + out_vc)),
+                _ => None,
+            })
+            .expect("the source switch holds an Active VC");
+        let n = good.switches[src].vcs.len();
+        let spare = (flat + 1) % n;
+        assert_eq!(good.switches[src].vcs[spare].stage, VcStage::Idle);
+        // Each doctored snapshot with the reason its rejection must give.
+        type Doctor = fn(&mut SwitchState, usize, usize, usize);
+        let cases: [(&str, Doctor); 14] = [
+            ("input VC count", |s, _, _, _| {
+                s.vcs.pop();
+            }),
+            ("credit table length", |s, _, _, _| {
+                s.credits.pop();
+            }),
+            ("output owner table length", |s, _, _, _| s.out_owner.push(None)),
+            ("VA cursor count", |s, _, _, _| {
+                s.va_cursors.pop();
+            }),
+            ("SA cursor count", |s, _, _, _| s.sa_cursors.push(0)),
+            ("arbiter cursor out of range", |s, _, _, _| s.va_cursors[0] = s.vcs.len()),
+            ("arbiter cursor out of range", |s, _, _, _| s.sa_cursors[1] = s.vcs.len()),
+            ("more flits than its buffer", |s, flat, _, _| {
+                let body = *s.vcs[flat].flits.last().unwrap();
+                s.vcs[flat].flits.resize(17, body);
+            }),
+            ("routed to an output port out of range", |s, flat, _, _| {
+                s.vcs[flat].stage = VcStage::Routed { out_port: s.va_cursors.len(), ready_at: 0 };
+            }),
+            ("active on an output VC out of range", |s, flat, _, _| {
+                s.vcs[flat].stage = VcStage::Active { out_port: 1, out_vc: 8, ready_at: 0 };
+            }),
+            ("active on an unowned output VC", |s, _, out_flat, _| s.out_owner[out_flat] = None),
+            ("held by two input VCs", |s, flat, _, spare| s.vcs[spare].stage = s.vcs[flat].stage),
+            ("routed VC", |s, _, _, spare| {
+                s.vcs[spare].stage = VcStage::Routed { out_port: 1, ready_at: 0 };
+            }),
+            ("idle VC", |s, flat, _, spare| {
+                s.vcs[spare].flits = vec![*s.vcs[flat].flits.last().unwrap()];
+            }),
+        ];
+        let pristine = format!("{:?}", build(Architecture::Substrate).1.state());
+        for (reason, doctor) in cases {
+            let mut bad = good.clone();
+            doctor(&mut bad.switches[src], flat, out_flat, spare);
+            let (_, mut net) = build(Architecture::Substrate);
+            let err = net.restore_state(&bad).expect_err(reason);
+            assert!(err.0.contains(reason), "expected `{reason}`, got `{err}`");
+            assert_eq!(format!("{:?}", net.state()), pristine, "{reason}: state mutated");
+            net.assert_switch_invariants();
         }
     }
 

@@ -19,8 +19,11 @@
 //!
 //! Storage is slab-based ([`VcFabric`]): all input VCs live in one
 //! contiguous struct-of-arrays flit slab, and the credit / output-owner
-//! tables are flat `port * vcs + vc` arrays — the RC/VA/SA pre-passes
-//! walk dense memory (see `docs/engine.md`, "Switch memory layout").
+//! tables are flat `port * vcs + vc` arrays.  On top of the tables the
+//! switch keeps *ready masks* — one bit per flat VC id for every
+//! pipeline fact an allocator asks about — updated where a fact changes,
+//! so a visit costs what it moves, not what it buffers (see
+//! `docs/engine.md`, "Switch ready masks").
 
 use serde::{Deserialize, Serialize};
 use wimnet_topology::NodeId;
@@ -42,8 +45,8 @@ pub struct VcState {
 
 /// Complete dynamic state of one [`Switch`], for checkpointing
 /// (`docs/checkpoint.md`).  Static configuration (port specs, VC
-/// counts, buffer depths) is rebuilt from the scenario config; scratch
-/// arrays are rebuilt every cycle and carry no state between cycles.
+/// counts, buffer depths) is rebuilt from the scenario config, and the
+/// ready masks are recomputed from these tables on restore.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SwitchState {
     /// Per input VC in flat (`port * vcs + vc`) order.
@@ -56,11 +59,6 @@ pub struct SwitchState {
     pub va_cursors: Vec<usize>,
     /// SA arbiter rotation pointers, one per output port.
     pub sa_cursors: Vec<usize>,
-    /// High half of the 128-bit busy mask (the serde shim carries
-    /// 64-bit integers, so the mask ships as two words).
-    pub busy_mask_hi: u64,
-    /// Low half of the 128-bit busy mask.
-    pub busy_mask_lo: u64,
 }
 
 /// One row of a switch's forwarding lookup table.
@@ -119,6 +117,61 @@ pub struct OutPortSpec {
     pub max_grants: u32,
 }
 
+/// The ready masks: every per-VC pipeline fact the allocators ask
+/// about, one bit per flat VC id (`port * vcs + vc`).  Each mask is a
+/// pure function of the per-VC tables — [`Switch::derive_masks`] is the
+/// definition, the transition sites keep the stored copy equal to it,
+/// and [`Switch::assert_invariants`] demands that equality.
+#[derive(Debug, Clone, PartialEq)]
+struct Masks {
+    /// Input VCs holding at least one flit.
+    nonempty: u128,
+    /// Input VCs in [`VcStage::Routed`].
+    routed: u128,
+    /// Input VCs in [`VcStage::Active`].
+    active: u128,
+    /// Active input VCs whose output VC has no downstream credit.
+    blocked: u128,
+    /// Active input VCs granted in the cycle `fresh_until - 1`
+    /// (`ready_at == fresh_until`): VA takes a pipeline stage, so they
+    /// sit out that cycle's SA.
+    fresh: u128,
+    /// Output VCs no packet owns.
+    free_out: u128,
+    /// Per output port: the Routed and Active input VCs bound to it.
+    to_port: Vec<u128>,
+    /// Per output VC: the Active input VC holding it.
+    out_holder: Vec<Option<u8>>,
+}
+
+impl Masks {
+    /// The masks of a switch of `ports` ports and `n` flat VCs with
+    /// every input VC empty and idle and every output VC free.
+    fn idle(ports: usize, n: usize) -> Masks {
+        Masks {
+            nonempty: 0,
+            routed: 0,
+            active: 0,
+            blocked: 0,
+            fresh: 0,
+            free_out: !0u128 >> (128 - n),
+            to_port: vec![0; ports],
+            out_holder: vec![None; n],
+        }
+    }
+}
+
+/// The set bits of `mask`, ascending.
+fn bits(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
 /// An input-buffered virtual-channel switch.
 #[derive(Debug, Clone)]
 pub struct Switch {
@@ -136,18 +189,12 @@ pub struct Switch {
     /// Total flits across all input VCs, maintained incrementally so the
     /// engine's active-set check is O(1).
     buffered: usize,
-    /// Busy input VCs by flat index (`port * vcs + vc`; bit set ⇔ the
-    /// VC *may* hold work): a VC is busy while it holds flits or its
-    /// pipeline stage is non-idle.  The RC, VA and SA pre-passes walk
-    /// these bits instead of scanning all `ports × vcs` channels — on a
-    /// wormhole path a switch typically has one or two busy VCs out of
-    /// ~50.  Bits are set on delivery and cleared only when a phase
-    /// finds the VC empty and idle, so the mask never misses a busy VC.
-    busy_mask: u128,
-    /// Preallocated per-cycle scratch (allocation-free hot path):
-    /// per-output candidate masks (VA requests / SA actives), rebuilt
-    /// by each phase's pre-pass.
-    scratch_port_masks: Vec<u128>,
+    /// Flat VC id → `(port, vc)` (input and output VCs share the
+    /// layout), so the per-flit path never divides.
+    port_vc: Vec<(u8, u8)>,
+    masks: Masks,
+    /// The `ready_at` of the VCs in `masks.fresh`.
+    fresh_until: u64,
 }
 
 impl Switch {
@@ -157,16 +204,19 @@ impl Switch {
     /// # Panics
     ///
     /// Panics if `vcs`, `buf_depth` or the port list is empty, or if
-    /// `ports × vcs` exceeds the 128 bits of the busy mask
+    /// `ports × vcs` exceeds the 128 bits of a ready mask
     /// ([`crate::Network::new`] rejects such layouts with an error).
     pub fn new(node: NodeId, vcs: usize, buf_depth: usize, ports: &[OutPortSpec]) -> Self {
         assert!(vcs > 0 && buf_depth > 0 && !ports.is_empty());
         let p = ports.len();
-        assert!(p * vcs <= 128, "busy mask holds at most 128 input VCs");
+        assert!(p * vcs <= 128, "a ready mask holds at most 128 input VCs");
         let mut credits = Vec::with_capacity(p * vcs);
         for spec in ports {
             credits.extend(std::iter::repeat_n(spec.credit, vcs));
         }
+        let port_vc = (0..p)
+            .flat_map(|port| (0..vcs).map(move |vc| (port as u8, vc as u8)))
+            .collect();
         Switch {
             node,
             vcs,
@@ -177,8 +227,9 @@ impl Switch {
             va_arb: (0..p).map(|_| RoundRobin::new(p * vcs)).collect(),
             sa_arb: (0..p).map(|_| RoundRobin::new(p * vcs)).collect(),
             buffered: 0,
-            busy_mask: 0,
-            scratch_port_masks: vec![0; p],
+            port_vc,
+            masks: Masks::idle(p, p * vcs),
+            fresh_until: 0,
         }
     }
 
@@ -231,13 +282,20 @@ impl Switch {
         let flat = self.inputs.flat(port, vc);
         self.inputs.push(flat, flit);
         self.buffered += 1;
-        self.busy_mask |= 1u128 << flat;
+        self.masks.nonempty |= 1u128 << flat;
     }
 
     /// Returns a credit to an output port VC (downstream freed a slot).
     pub fn return_credit(&mut self, port: usize, vc: usize) {
-        if !self.out_spec[port].is_sink {
-            self.credits[port * self.vcs + vc] += 1;
+        if self.out_spec[port].is_sink {
+            return;
+        }
+        let out_flat = port * self.vcs + vc;
+        self.credits[out_flat] += 1;
+        if self.credits[out_flat] == 1 {
+            if let Some(holder) = self.masks.out_holder[out_flat] {
+                self.masks.blocked &= !(1u128 << holder);
+            }
         }
     }
 
@@ -272,15 +330,59 @@ impl Switch {
         self.inputs.free_space(self.inputs.flat(port, vc))
     }
 
-    /// Exhaustively checks the slab bookkeeping invariants; test support
+    /// `true` when output VC `out_flat` of `out_port` cannot take a flit:
+    /// a wired port out of downstream credit (sinks drain continuously).
+    #[inline]
+    fn out_blocked(&self, out_port: usize, out_flat: usize) -> bool {
+        !self.out_spec[out_port].is_sink && self.credits[out_flat] == 0
+    }
+
+    /// The ready masks as the per-VC tables define them (O(ports × vcs):
+    /// construction, restore and test support, never the per-cycle
+    /// path).
+    fn derive_masks(&self) -> Masks {
+        let n = self.inputs.vc_total();
+        let mut m = Masks::idle(self.out_spec.len(), n);
+        for flat in 0..n {
+            let bit = 1u128 << flat;
+            if self.out_owner[flat].is_some() {
+                m.free_out &= !bit;
+            }
+            if !self.inputs.is_empty(flat) {
+                m.nonempty |= bit;
+            }
+            match self.inputs.stage(flat) {
+                VcStage::Idle => {}
+                VcStage::Routed { out_port, .. } => {
+                    m.routed |= bit;
+                    m.to_port[out_port] |= bit;
+                }
+                VcStage::Active { out_port, out_vc, ready_at } => {
+                    let out_flat = out_port * self.vcs + out_vc;
+                    m.active |= bit;
+                    m.to_port[out_port] |= bit;
+                    m.out_holder[out_flat] = Some(flat as u8);
+                    if self.out_blocked(out_port, out_flat) {
+                        m.blocked |= bit;
+                    }
+                    if ready_at == self.fresh_until {
+                        m.fresh |= bit;
+                    }
+                }
+            }
+        }
+        m
+    }
+
+    /// Exhaustively checks the bookkeeping invariants; test support
     /// (O(ports × vcs), not for the per-cycle path).
     ///
     /// # Panics
     ///
-    /// Panics when `buffered` disagrees with slab occupancy, or when a
-    /// VC holding flits or a live pipeline stage is missing from the
-    /// busy mask (the mask may hold *extra* bits — they are swept lazily
-    /// by `alloc_phase`).
+    /// Panics when `buffered` disagrees with slab occupancy, when any
+    /// ready mask or the output-VC holder table differs from what the
+    /// per-VC tables define, or when an entry owner does not match its
+    /// VC's newest flit.
     pub fn assert_invariants(&self) {
         let occupancy: usize = (0..self.inputs.vc_total())
             .map(|flat| self.inputs.len(flat))
@@ -290,15 +392,12 @@ impl Switch {
             "buffered counter {} != slab occupancy {occupancy}",
             self.buffered
         );
+        assert_eq!(
+            self.masks,
+            self.derive_masks(),
+            "ready masks out of sync with the per-VC tables"
+        );
         for flat in 0..self.inputs.vc_total() {
-            let needs_busy =
-                !self.inputs.is_empty(flat) || self.inputs.stage(flat) != VcStage::Idle;
-            if needs_busy {
-                assert!(
-                    self.busy_mask >> flat & 1 == 1,
-                    "VC {flat} holds work but is missing from the busy mask"
-                );
-            }
             // Owner sanity: entry ownership constrains the *newest*
             // (most recently pushed) flit — the owner's run is still
             // open at the back of the ring.  The front may belong to an
@@ -331,29 +430,102 @@ impl Switch {
             out_owner: self.out_owner.clone(),
             va_cursors: self.va_arb.iter().map(RoundRobin::cursor).collect(),
             sa_cursors: self.sa_arb.iter().map(RoundRobin::cursor).collect(),
-            busy_mask_hi: (self.busy_mask >> 64) as u64,
-            busy_mask_lo: self.busy_mask as u64,
         }
     }
 
+    /// Validates a snapshot against this switch's configuration.
+    /// Snapshot bytes come from disk, and [`Switch::restore_state`] and
+    /// the phases trust every condition checked here: table lengths and
+    /// arbiter cursors index the flat arrays, a stage's `out_port` /
+    /// `out_vc` index the masks and the holder table, RC and VA read
+    /// the head flit a waiting VC must have at its front, and an output
+    /// VC held twice or unowned breaks the one-bit `blocked` updates.
+    ///
+    /// # Errors
+    ///
+    /// [`serde::Error`] naming the first violated condition.
+    pub fn check_state(&self, s: &SwitchState) -> Result<(), serde::Error> {
+        let bad = |what: String| {
+            Err(serde::Error::msg(format!(
+                "snapshot of switch {} malformed: {what}",
+                self.node
+            )))
+        };
+        let n = self.inputs.vc_total();
+        let ports = self.out_spec.len();
+        for (what, theirs, ours) in [
+            ("input VC count", s.vcs.len(), n),
+            ("credit table length", s.credits.len(), n),
+            ("output owner table length", s.out_owner.len(), n),
+            ("VA cursor count", s.va_cursors.len(), ports),
+            ("SA cursor count", s.sa_cursors.len(), ports),
+        ] {
+            if theirs != ours {
+                return bad(format!("{what} ({theirs} in snapshot, {ours} here)"));
+            }
+        }
+        if s.va_cursors.iter().chain(&s.sa_cursors).any(|&c| c >= n) {
+            return bad("arbiter cursor out of range".into());
+        }
+        let mut held: u128 = 0;
+        for (flat, vc) in s.vcs.iter().enumerate() {
+            if vc.flits.len() > self.inputs.capacity() {
+                return bad(format!("VC {flat} holds more flits than its buffer"));
+            }
+            let front_is_head = vc.flits.first().map(|f| f.kind.is_head());
+            match vc.stage {
+                VcStage::Idle => {
+                    if front_is_head == Some(false) {
+                        return bad(format!("idle VC {flat} has no head flit at its front"));
+                    }
+                }
+                VcStage::Routed { out_port, .. } => {
+                    if out_port >= ports {
+                        return bad(format!("VC {flat} routed to an output port out of range"));
+                    }
+                    if front_is_head != Some(true) {
+                        return bad(format!("routed VC {flat} has no head flit at its front"));
+                    }
+                }
+                VcStage::Active { out_port, out_vc, .. } => {
+                    if out_port >= ports || out_vc >= self.vcs {
+                        return bad(format!("VC {flat} active on an output VC out of range"));
+                    }
+                    let out_flat = out_port * self.vcs + out_vc;
+                    if s.out_owner[out_flat].is_none() {
+                        return bad(format!("VC {flat} active on an unowned output VC"));
+                    }
+                    if held >> out_flat & 1 == 1 {
+                        return bad(format!("output VC {out_flat} held by two input VCs"));
+                    }
+                    held |= 1u128 << out_flat;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Restores the switch from a [`Switch::state`] snapshot taken on a
-    /// switch of identical configuration.
+    /// switch of identical configuration, recomputing the ready masks
+    /// from the restored tables.
     ///
     /// # Panics
     ///
-    /// Panics when the snapshot's dimensions disagree with this
-    /// switch's configuration.
+    /// Panics when the snapshot fails [`Switch::check_state`].
     pub fn restore_state(&mut self, s: &SwitchState) {
-        let n = self.inputs.vc_total();
-        assert_eq!(s.vcs.len(), n, "switch VC count changed");
-        assert_eq!(s.credits.len(), self.credits.len(), "output VC count changed");
-        assert_eq!(s.out_owner.len(), self.out_owner.len(), "output VC count changed");
-        assert_eq!(s.va_cursors.len(), self.va_arb.len(), "port count changed");
-        assert_eq!(s.sa_cursors.len(), self.sa_arb.len(), "port count changed");
+        if let Err(e) = self.check_state(s) {
+            panic!("{e}");
+        }
         self.buffered = 0;
+        self.fresh_until = 0;
         for (flat, vc) in s.vcs.iter().enumerate() {
             self.inputs.restore_vc(flat, &vc.flits, vc.stage, vc.owner);
             self.buffered += vc.flits.len();
+            // The newest grants are the only ones a same-cycle SA could
+            // still have to sit out.
+            if let VcStage::Active { ready_at, .. } = vc.stage {
+                self.fresh_until = self.fresh_until.max(ready_at);
+            }
         }
         self.credits.copy_from_slice(&s.credits);
         self.out_owner.copy_from_slice(&s.out_owner);
@@ -363,7 +535,7 @@ impl Switch {
         for (arb, &c) in self.sa_arb.iter_mut().zip(&s.sa_cursors) {
             arb.set_cursor(c);
         }
-        self.busy_mask = (u128::from(s.busy_mask_hi) << 64) | u128::from(s.busy_mask_lo);
+        self.masks = self.derive_masks();
     }
 
     /// RC + VA pipeline stages for this cycle.
@@ -373,88 +545,84 @@ impl Switch {
     /// network can resolve radio targets; the out-param keeps the
     /// per-cycle hot path allocation-free.
     ///
-    /// One pass over the busy-mask bits drops VCs that went
-    /// empty-and-idle, performs RC and collects the VA requests per
-    /// output port; VA arbitration then runs bit-parallel via
-    /// [`RoundRobin::grant_masked`].
+    /// VA runs first, over the Routed VCs of each output port against
+    /// that port's free output VCs; RC then routes the VCs with a head
+    /// flit and no stage.  A VC routed this cycle is therefore first
+    /// arbitrated next cycle — RC takes a pipeline stage.
     pub fn alloc_phase(&mut self, now: u64, lut: &[RouteEntry], grants: &mut Vec<VaGrant>) {
         grants.clear();
+        if self.masks.routed != 0 {
+            self.va(now, grants);
+        }
+        for flat in bits(self.masks.nonempty & !(self.masks.routed | self.masks.active)) {
+            assert!(
+                self.inputs.front_kind(flat).is_head(),
+                "non-head flit at the front of an idle VC"
+            );
+            let entry = lut[self.inputs.front_dest(flat).index()];
+            self.inputs.set_stage(
+                flat,
+                VcStage::Routed { out_port: entry.port, ready_at: now + 1 },
+            );
+            self.masks.routed |= 1u128 << flat;
+            self.masks.to_port[entry.port] |= 1u128 << flat;
+        }
+    }
+
+    /// VA: separable allocation, the output side iterating its free VCs
+    /// in ascending order.  `routed & to_port[p]` *is* the request set
+    /// (a grant clears its bit), so arbitration needs no predicate and
+    /// ports nobody wants cost one word test.
+    fn va(&mut self, now: u64, grants: &mut Vec<VaGrant>) {
+        debug_assert!(
+            bits(self.masks.routed).all(|flat| matches!(
+                self.inputs.stage(flat),
+                VcStage::Routed { ready_at, .. } if ready_at <= now
+            )),
+            "a Routed VC is not ready for VA"
+        );
+        if self.fresh_until != now + 1 {
+            self.masks.fresh = 0;
+            self.fresh_until = now + 1;
+        }
         let vcs = self.vcs;
-        let ports = self.out_spec.len();
-        // Fused sweep + RC + VA pre-pass: walk the busy bits once.
-        let mut live: u128 = 0;
-        let mut any_request = false;
-        self.scratch_port_masks.fill(0);
-        let mut m = self.busy_mask;
-        while m != 0 {
-            let flat = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let stage = self.inputs.stage(flat);
-            if self.inputs.is_empty(flat) {
-                if stage == VcStage::Idle {
-                    continue; // swept: neither flits nor a live stage
-                }
-            } else if stage == VcStage::Idle {
-                // RC: idle VC with a head flit at the front.
-                assert!(
-                    self.inputs.front_kind(flat).is_head(),
-                    "non-head flit at the front of an idle VC"
-                );
-                let entry = lut[self.inputs.front_dest(flat).index()];
+        let port_span = !0u128 >> (128 - vcs);
+        for out_port in 0..self.out_spec.len() {
+            let mut pending = self.masks.routed & self.masks.to_port[out_port];
+            let mut free = self.masks.free_out & (port_span << (out_port * vcs));
+            while pending != 0 && free != 0 {
+                let out_flat = free.trailing_zeros() as usize;
+                free &= free - 1;
+                let flat = self.va_arb[out_port]
+                    .grant_masked(pending)
+                    .expect("a pending request wins");
+                let bit = 1u128 << flat;
+                pending &= !bit;
+                let out_vc = out_flat - out_port * vcs;
+                let packet = self.inputs.front_packet(flat);
+                let dest = self.inputs.front_dest(flat);
                 self.inputs.set_stage(
                     flat,
-                    VcStage::Routed { out_port: entry.port, ready_at: now + 1 },
+                    VcStage::Active { out_port, out_vc, ready_at: now + 1 },
                 );
-            }
-            live |= 1u128 << flat;
-            if let VcStage::Routed { out_port, ready_at } = stage {
-                if ready_at <= now {
-                    self.scratch_port_masks[out_port] |= 1u128 << flat;
-                    any_request = true;
+                self.out_owner[out_flat] = Some(packet);
+                self.masks.routed &= !bit;
+                self.masks.active |= bit;
+                self.masks.fresh |= bit;
+                self.masks.free_out &= !(1u128 << out_flat);
+                self.masks.out_holder[out_flat] = Some(flat as u8);
+                if self.out_blocked(out_port, out_flat) {
+                    self.masks.blocked |= bit;
                 }
-            }
-        }
-        self.busy_mask = live;
-        if !any_request {
-            return;
-        }
-        // VA: separable allocation, output side iterates free VCs.  The
-        // request mask fully encodes the predicate (Routed at this
-        // port, ready, not yet granted — grants clear their bit), so
-        // arbitration needs no residual check, and ports nobody wants
-        // cost nothing.
-        for out_port in 0..ports {
-            let mut pending = self.scratch_port_masks[out_port];
-            if pending == 0 {
-                continue;
-            }
-            for out_vc in 0..vcs {
-                if pending == 0 {
-                    break;
-                }
-                if self.out_owner[out_port * vcs + out_vc].is_some() {
-                    continue;
-                }
-                if let Some(flat) = self.va_arb[out_port].grant_masked(pending, |_| true) {
-                    pending &= !(1u128 << flat);
-                    let (p, v) = (flat / vcs, flat % vcs);
-                    debug_assert!(!self.inputs.is_empty(flat), "routed VC has a front flit");
-                    let packet = self.inputs.front_packet(flat);
-                    let dest = self.inputs.front_dest(flat);
-                    self.inputs.set_stage(
-                        flat,
-                        VcStage::Active { out_port, out_vc, ready_at: now + 1 },
-                    );
-                    self.out_owner[out_port * vcs + out_vc] = Some(packet);
-                    grants.push(VaGrant {
-                        in_port: p,
-                        in_vc: v,
-                        out_port,
-                        out_vc,
-                        packet,
-                        dest,
-                    });
-                }
+                let (in_port, in_vc) = self.port_vc[flat];
+                grants.push(VaGrant {
+                    in_port: usize::from(in_port),
+                    in_vc: usize::from(in_vc),
+                    out_port,
+                    out_vc,
+                    packet,
+                    dest,
+                });
             }
         }
     }
@@ -463,16 +631,17 @@ impl Switch {
     ///
     /// `avail(p)` caps the flits output port `p` may emit this cycle
     /// (link bandwidth credit); it is queried lazily, only for ports
-    /// that actually have an active candidate, so idle links cost
-    /// nothing here.  The per-port `max_grants` and per-input
+    /// that actually have a ready candidate, so idle links cost nothing
+    /// here.  The per-port `max_grants` and per-input
     /// one-flit-per-cycle limits also apply.  Ports flagged in
     /// `shared_band` additionally draw from `band_budget`, the global
     /// wireless-channel allowance for this cycle.  Winning movements are
     /// appended to `moves` (cleared first).
     ///
-    /// One pass over the busy bits builds per-output candidate masks;
-    /// SA arbitration runs via [`RoundRobin::grant_masked`] with the
-    /// downstream-credit check as the only residual predicate.
+    /// The candidates of port `p` are `active & nonempty & !blocked &
+    /// !fresh & to_port[p]`; a winner clears its bit, which is also the
+    /// per-input limit (a VC is Active toward exactly one port, so a pop
+    /// here cannot change another port's candidates).
     pub fn st_phase(
         &mut self,
         now: u64,
@@ -483,79 +652,67 @@ impl Switch {
     ) {
         moves.clear();
         let vcs = self.vcs;
-        let ports = self.out_spec.len();
-        debug_assert_eq!(shared_band.len(), ports);
-        // Fused pre-pass: per-output candidate masks in one bit walk.
-        self.scratch_port_masks.fill(0);
-        let mut any_active = false;
-        let mut m = self.busy_mask;
-        while m != 0 {
-            let flat = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if let VcStage::Active { out_port, ready_at, .. } = self.inputs.stage(flat) {
-                if ready_at <= now && !self.inputs.is_empty(flat) {
-                    self.scratch_port_masks[out_port] |= 1u128 << flat;
-                    any_active = true;
-                }
-            }
-        }
-        if !any_active {
+        debug_assert_eq!(shared_band.len(), self.out_spec.len());
+        let fresh = if now < self.fresh_until { self.masks.fresh } else { 0 };
+        debug_assert!(
+            bits(self.masks.active).all(|flat| matches!(
+                self.inputs.stage(flat),
+                VcStage::Active { ready_at, .. } if (ready_at <= now) == (fresh >> flat & 1 == 0)
+            )),
+            "an Active VC's SA eligibility disagrees with its ready_at"
+        );
+        let ready = self.masks.active & self.masks.nonempty & !self.masks.blocked & !fresh;
+        if ready == 0 {
             return;
         }
-        for out_port in 0..ports {
-            let mut cands = self.scratch_port_masks[out_port];
+        for (out_port, &on_band) in shared_band.iter().enumerate() {
+            let mut cands = ready & self.masks.to_port[out_port];
             if cands == 0 {
                 continue;
             }
+            let is_sink = self.out_spec[out_port].is_sink;
             let mut budget = self.out_spec[out_port].max_grants.min(avail(out_port));
-            if shared_band[out_port] {
+            if on_band {
                 budget = budget.min(*band_budget);
             }
             for _ in 0..budget {
-                let inputs = &self.inputs;
-                let credits = &self.credits;
-                let out_spec = &self.out_spec;
-                // The candidate mask encodes "Active at this port, ready,
-                // non-empty, not yet used" (winners clear their bit; a VC
-                // is Active toward exactly one port, so a pop here cannot
-                // empty a candidate of another port).  Only the
-                // per-output-VC credit check remains data-dependent.
-                let won = self.sa_arb[out_port].grant_masked(cands, |flat| {
-                    match inputs.stage(flat) {
-                        VcStage::Active { out_vc, .. } => {
-                            out_spec[out_port].is_sink
-                                || credits[out_port * vcs + out_vc] > 0
-                        }
-                        _ => unreachable!("candidate mask holds only active VCs"),
-                    }
-                });
-                let Some(flat) = won else { break };
-                cands &= !(1u128 << flat);
-                let (p, v) = (flat / vcs, flat % vcs);
+                let Some(flat) = self.sa_arb[out_port].grant_masked(cands) else { break };
+                let bit = 1u128 << flat;
+                cands &= !bit;
                 let VcStage::Active { out_port: op, out_vc, .. } = self.inputs.stage(flat)
                 else {
-                    unreachable!("winner was Active");
+                    unreachable!("candidate masks hold only Active VCs");
                 };
                 debug_assert_eq!(op, out_port);
+                let out_flat = out_port * vcs + out_vc;
                 let flit = self.inputs.pop(flat).expect("winner has a flit");
                 self.buffered -= 1;
-                if !self.out_spec[out_port].is_sink {
-                    self.credits[out_port * vcs + out_vc] -= 1;
+                if self.inputs.is_empty(flat) {
+                    self.masks.nonempty &= !bit;
                 }
-                if shared_band[out_port] {
+                if on_band {
                     *band_budget -= 1;
                 }
                 let releases_input = flit.kind.is_tail();
                 if releases_input {
                     self.inputs.set_stage(flat, VcStage::Idle);
-                    self.out_owner[out_port * vcs + out_vc] = None;
-                    if self.inputs.is_empty(flat) {
-                        self.busy_mask &= !(1u128 << flat);
+                    self.out_owner[out_flat] = None;
+                    self.masks.active &= !bit;
+                    self.masks.fresh &= !bit;
+                    self.masks.to_port[out_port] &= !bit;
+                    self.masks.free_out |= 1u128 << out_flat;
+                    self.masks.out_holder[out_flat] = None;
+                }
+                if !is_sink {
+                    self.credits[out_flat] -= 1;
+                    if self.credits[out_flat] == 0 && !releases_input {
+                        self.masks.blocked |= bit;
                     }
                 }
+                let (in_port, in_vc) = self.port_vc[flat];
                 moves.push(StMove {
-                    in_port: p,
-                    in_vc: v,
+                    in_port: usize::from(in_port),
+                    in_vc: usize::from(in_vc),
                     out_port,
                     out_vc,
                     flit,

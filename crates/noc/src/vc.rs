@@ -5,14 +5,14 @@
 //! `packet` / `kind` / `seq` / `src` / `dest` / `created_at` arrays
 //! keyed by slab index, and the per-VC book-keeping (ring head, length,
 //! pipeline stage, wormhole owner) lives in flat `port * vcs + vc`
-//! indexed arrays.  The RC/VA/SA pre-passes and the busy-VC sweep walk
-//! dense memory instead of chasing `Vec<Vec<VecDeque>>` pointers; the
-//! fields a pass actually reads (stage, front kind/dest) come from
-//! their own cache lines instead of dragging whole `Flit` structs in.
+//! indexed arrays.  The switch allocators read dense memory instead of
+//! chasing `Vec<Vec<VecDeque>>` pointers; the fields a stage actually
+//! reads (stage, front kind/dest) come from their own cache lines
+//! instead of dragging whole `Flit` structs in.
 //!
 //! Slot addressing: VC `flat` owns slots `flat * capacity ..
 //! (flat + 1) * capacity`; its `i`-th buffered flit (0 = front) lives at
-//! `flat * capacity + (head[flat] + i) % capacity`.  FIFO semantics are
+//! `flat * capacity + (head[flat] + i) mod capacity`.  FIFO semantics are
 //! identical to the former per-VC `VecDeque<Flit>` — the proptest model
 //! in `tests/slab_model.rs` checks push/pop/owner/stage sequences
 //! against exactly that reference.
@@ -156,10 +156,14 @@ impl VcFabric {
         self.owner[flat]
     }
 
-    /// Slab slot of the `i`-th buffered flit of VC `flat`.
+    /// Slab slot of the `i`-th buffered flit of VC `flat` (`i <= len`).
+    /// `head < capacity` and `i <= len <= capacity`, so one
+    /// compare-and-subtract wraps the ring: no division on the per-flit
+    /// path.
     #[inline]
     fn slot(&self, flat: usize, i: usize) -> usize {
-        flat * self.capacity + (self.head[flat] as usize + i) % self.capacity
+        let at = self.head[flat] as usize + i;
+        flat * self.capacity + if at >= self.capacity { at - self.capacity } else { at }
     }
 
     /// Kind of the front flit.  Cheaper than [`VcFabric::front`] on the
@@ -328,7 +332,8 @@ impl VcFabric {
             return None;
         }
         let flit = self.read(flat * self.capacity + self.head[flat] as usize);
-        self.head[flat] = (self.head[flat] + 1) % self.capacity as u32;
+        let next = self.head[flat] + 1;
+        self.head[flat] = if next as usize == self.capacity { 0 } else { next };
         self.len[flat] -= 1;
         Some(flit)
     }

@@ -1,18 +1,22 @@
 //! Golden per-cycle hash chains for [`Network::step`].
 //!
-//! Six fixed-seed scenarios — the three architectures, both wireless
-//! realisations, a second substrate seed and the fast-forward
-//! composition case — each fold the complete observable state after
-//! every cycle (clock, in-flight/source/radio backlogs, statistics,
-//! meter category bits, drained arrivals, `is_idle`) into one 64-bit
-//! chain, asserted against a checked-in constant.
+//! Eight fixed-seed scenarios — the three architectures, both wireless
+//! realisations, a second substrate seed, the fast-forward composition
+//! case, and the two regimes where most switch visits move nothing
+//! (substrate at saturation, a wide-I/O memory hot-spot) — each fold
+//! the complete observable state after every cycle (clock,
+//! in-flight/source/radio backlogs, statistics, meter category bits,
+//! drained arrivals, `is_idle`) into one 64-bit chain, asserted against
+//! a checked-in constant.
 //!
-//! The constants were recorded from the swept-and-sorted reference
-//! stepper this engine replaced, at the last commit where both steppers
-//! existed (the masked stepper produced the same six values there).  A
-//! chain that moves means a grant, a move, an arrival order or a meter
-//! bit changed on some cycle: that is an engine behaviour change (and
-//! an `ENGINE_VERSION` bump), never a constant to refresh casually.
+//! The first six constants were recorded from the swept-and-sorted
+//! reference stepper this engine replaced, at the last commit where
+//! both steppers existed (the masked stepper produced the same six
+//! values there); the last two from the busy-VC pre-pass stepper, at
+//! the commit before the ready masks replaced it.  A chain that moves
+//! means a grant, a move, an arrival order or a meter bit changed on
+//! some cycle: that is an engine behaviour change (and an
+//! `ENGINE_VERSION` bump), never a constant to refresh casually.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -148,13 +152,7 @@ fn loaded_chain(arch: Architecture, cfg: NocConfig, medium: bool, seed: u64) -> 
         net.attach_medium(Box::new(OneFlitMac));
     }
     inject_random(&layout, &mut net, seed, 40);
-    let mut chain = Chain(seed);
-    for _ in 0..600u64 {
-        net.step();
-        net.assert_switch_invariants();
-        chain.observe(&mut net);
-    }
-    chain.0
+    run_chain(&mut net, seed, 600)
 }
 
 #[test]
@@ -221,9 +219,58 @@ fn golden_chain_fast_forward_composition() {
     assert_eq!(chain.0, FAST_FORWARD_COMPOSITION, "{:#018x}", chain.0);
 }
 
+/// Folds `cycles` stepped cycles (invariants checked after each).
+fn run_chain(net: &mut Network, seed: u64, cycles: u64) -> u64 {
+    let mut chain = Chain(seed);
+    for _ in 0..cycles {
+        net.step();
+        net.assert_switch_invariants();
+        chain.observe(net);
+    }
+    chain.0
+}
+
+/// Substrate at saturation: every core queues three 64-flit packets for
+/// the same mesh position two chips over, so the 0.1875-rate serial
+/// links stay credit-starved and most switch visits find every Active
+/// VC blocked.
+#[test]
+fn golden_chain_substrate_saturated() {
+    let (layout, mut net) = build(Architecture::Substrate, NocConfig::paper());
+    let cores = layout.core_nodes();
+    for k in 0..3u64 {
+        for (i, &src) in cores.iter().enumerate() {
+            let dst = cores[(i + 32 + 5 * k as usize) % cores.len()];
+            net.inject(PacketDesc::new(src, dst, 64, k));
+        }
+    }
+    let got = run_chain(&mut net, 0x5A7, 1500);
+    assert_eq!(got, SUBSTRATE_SATURATED, "{got:#018x}");
+}
+
+/// Wide-I/O memory hot-spot: every core of the chip adjacent to stack 0
+/// streams short and long packets at that one stack, so many input VCs
+/// contend in VA for the few output VCs of the `max_grants = 2` port.
+#[test]
+fn golden_chain_memory_hot_spot() {
+    let (layout, mut net) = build(Architecture::Substrate, NocConfig::paper());
+    let stack = layout.memory_nodes()[0];
+    let base = layout.adjacent_chip_of_stack(0).unwrap() * 16;
+    for k in 0..12u64 {
+        for c in 0..16usize {
+            let len = [1u32, 3, 16, 64][(c + k as usize) % 4];
+            net.inject(PacketDesc::new(layout.core_nodes()[base + c], stack, len, k * 20));
+        }
+    }
+    let got = run_chain(&mut net, 0x407, 1200);
+    assert_eq!(got, MEMORY_HOT_SPOT, "{got:#018x}");
+}
+
 const SUBSTRATE: u64 = 0x87e8_642b_92bc_457f;
 const SUBSTRATE_SECOND_SEED: u64 = 0x235c_92e7_64d3_2524;
 const INTERPOSER: u64 = 0x8119_f9b9_da3a_442e;
 const WIRELESS_POINT_TO_POINT: u64 = 0x591b_59f3_417e_2ae3;
 const WIRELESS_MEDIUM: u64 = 0xc362_55dd_f7c7_8c0c;
 const FAST_FORWARD_COMPOSITION: u64 = 0xd12e_a5da_5c1b_0def;
+const SUBSTRATE_SATURATED: u64 = 0x5692_fce6_7e0b_5f4b;
+const MEMORY_HOT_SPOT: u64 = 0xdf55_f522_378e_813e;

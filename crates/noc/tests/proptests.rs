@@ -61,7 +61,7 @@ proptest! {
         let mut sent = 0u64;
         for now in 0..cycles {
             link.begin_cycle();
-            Link::take_arrivals_into(&mut flight, 0, now, &mut Vec::new());
+            Link::take_arrivals_into(&mut flight, 0, now, |_| {});
             while link.can_accept() {
                 link.send(&mut flight, 0, flit, 0, now);
                 sent += 1;

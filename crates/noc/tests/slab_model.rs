@@ -1,7 +1,7 @@
 //! Model-based tests of the slab VC fabric: random push/pop/stage/owner
 //! sequences checked against a reference `VecDeque<Flit>` model (the
 //! exact structure the fabric replaced), plus whole-switch invariant
-//! sweeps (`buffered` counter and busy mask vs slab occupancy) under
+//! sweeps (`buffered` counter and ready masks vs the per-VC tables) under
 //! random end-to-end traffic.
 
 use std::collections::VecDeque;
@@ -250,8 +250,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// Under random end-to-end traffic, every switch's `buffered`
-    /// counter and busy mask stay consistent with slab occupancy at
-    /// every cycle (the engine's O(1) active-set checks depend on it).
+    /// counter and ready masks stay consistent with the per-VC tables
+    /// at every cycle (the engine's O(1) active-set checks and the
+    /// allocators' candidate sets depend on it).
     /// The wireless case runs with a medium attached so radio-port
     /// deliveries (`apply_medium_actions`) hit the sweep too.
     #[test]

@@ -1,0 +1,146 @@
+//! Ready-mask bookkeeping of one [`Switch`] under random operation
+//! sequences.
+//!
+//! The golden hash chains (`golden_step.rs`) pin *what* the switch
+//! decides; this pins the bookkeeping behind it: after every single
+//! `deliver` / `alloc_phase` / `st_phase` / `return_credit` /
+//! `state`→`restore_state`, [`Switch::assert_invariants`] recomputes
+//! every ready mask and the output-VC holder table from the per-VC
+//! tables and demands equality with the incrementally kept copy.  The
+//! phases' own debug assertions check mask eligibility against
+//! `ready_at` on the way.
+
+use proptest::prelude::*;
+
+use wimnet_noc::switch::{OutPortSpec, RouteEntry, Switch};
+use wimnet_noc::{Flit, PacketId};
+use wimnet_topology::NodeId;
+
+const PORTS: usize = 4;
+const VCS: usize = 4;
+const DEPTH: usize = 3;
+
+/// Port 0 ejects; the wired ports have little credit, so Active VCs
+/// block often, and port 3 is wide (`max_grants = 2`).
+fn specs() -> [OutPortSpec; PORTS] {
+    [
+        OutPortSpec { credit: 4, is_sink: true, max_grants: 1 },
+        OutPortSpec { credit: 1, is_sink: false, max_grants: 1 },
+        OutPortSpec { credit: 2, is_sink: false, max_grants: 1 },
+        OutPortSpec { credit: 2, is_sink: false, max_grants: 2 },
+    ]
+}
+
+fn fresh_switch() -> Switch {
+    Switch::new(NodeId(0), VCS, DEPTH, &specs())
+}
+
+/// Destination `d` leaves through port `d`.
+fn lut() -> Vec<RouteEntry> {
+    (0..PORTS).map(|d| RouteEntry { port: d, next: NodeId(d) }).collect()
+}
+
+/// The packet an input VC is in the middle of receiving.
+#[derive(Clone, Copy)]
+struct Incoming {
+    packet: u64,
+    next_seq: u32,
+    len: u32,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn masks_track_the_tables_through_random_operations(
+        ops in prop::collection::vec((0u8..8, 0usize..16, 1u32..5), 1..300),
+    ) {
+        let lut = lut();
+        let band = [false; PORTS];
+        let mut sw = fresh_switch();
+        let mut incoming: [Option<Incoming>; PORTS * VCS] = [None; PORTS * VCS];
+        // Credits the downstream side owes back, per output VC.
+        let mut owed = [0u32; PORTS * VCS];
+        let mut next_packet = 1u64;
+        let mut now = 0u64;
+        let mut grants = Vec::new();
+        let mut moves = Vec::new();
+
+        for (op, target, len) in ops {
+            let (port, vc) = (target / VCS, target % VCS);
+            match op {
+                // Deliver the next legal flit of the VC's packet (a new
+                // head once the previous tail is in).
+                0..=2 => {
+                    let inc = incoming[target].unwrap_or(Incoming {
+                        packet: next_packet,
+                        next_seq: 0,
+                        len,
+                    });
+                    let is_head = inc.next_seq == 0;
+                    if sw.input_space(port, vc) == 0
+                        || !sw.may_accept(port, vc, PacketId(inc.packet), is_head)
+                    {
+                        continue;
+                    }
+                    if is_head {
+                        next_packet += 1;
+                    }
+                    sw.deliver(port, vc, Flit {
+                        packet: PacketId(inc.packet),
+                        kind: Flit::kind_for(inc.next_seq, inc.len),
+                        seq: inc.next_seq,
+                        src: NodeId(0),
+                        dest: NodeId(inc.packet as usize % PORTS),
+                        created_at: now,
+                    });
+                    let next_seq = inc.next_seq + 1;
+                    incoming[target] = (next_seq < inc.len).then_some(Incoming { next_seq, ..inc });
+                }
+                // One cycle: RC/VA (skipped by op 4, as the unit tests
+                // do), a snapshot round trip between the phases (op 5,
+                // where this cycle's grants must still sit out SA), then
+                // SA/ST under a random link allowance.
+                3..=5 => {
+                    if op != 4 {
+                        sw.alloc_phase(now, &lut, &mut grants);
+                        sw.assert_invariants();
+                    }
+                    if op == 5 {
+                        let snapshot = sw.state();
+                        let mut restored = fresh_switch();
+                        restored.restore_state(&snapshot);
+                        restored.assert_invariants();
+                        prop_assert_eq!(restored.state(), snapshot);
+                        sw = restored;
+                    }
+                    let avail = len - 1;
+                    let mut budget = u32::MAX;
+                    sw.st_phase(now, |_| avail, &band, &mut budget, &mut moves);
+                    for m in &moves {
+                        if m.out_port != 0 {
+                            owed[m.out_port * VCS + m.out_vc] += 1;
+                        }
+                    }
+                    now += 1;
+                }
+                // Downstream frees a slot.
+                6 => {
+                    if owed[target] == 0 {
+                        continue;
+                    }
+                    owed[target] -= 1;
+                    sw.return_credit(port, vc);
+                }
+                // Snapshot round trip between cycles.
+                _ => {
+                    let snapshot = sw.state();
+                    prop_assert!(sw.check_state(&snapshot).is_ok());
+                    sw.restore_state(&snapshot);
+                    prop_assert_eq!(sw.state(), snapshot);
+                }
+            }
+            sw.assert_invariants();
+        }
+    }
+}
