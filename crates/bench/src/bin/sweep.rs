@@ -16,7 +16,8 @@
 //! sweep status ... --shard 0/4 --json                      # machine-readable, per shard
 //! sweep fetch  ... > outcomes.json                         # full JSON result vector
 //! sweep checkpoint ... --every 200 --kill-at 500           # run, snapshot, die mid-point
-//! sweep resume ...                                         # finish from the snapshots
+//! sweep resume ... --shard 0/4                             # finish one quarter
+//! sweep resume ...                                         # finish the rest
 //! sweep trace  ... --out run.trace.json                    # Perfetto trace of point 0
 //! ```
 //!
@@ -37,10 +38,14 @@
 //! producing the bit-identical outcome vector of an uninterrupted
 //! submit (the CI checkpoint smoke diffs the two fetches).
 //!
+//! `submit`, `checkpoint` and `resume` are one function over
+//! `ScenarioGrid::run_cached_with`; they differ only in whether the
+//! snapshot store is opened and whether `--kill-at` applies, so
+//! `--shard` and `--abort-after-misses` mean the same on all three.
+//!
 //! Exit codes: `0` success, `1` usage error, `2` fetch on an
-//! incomplete catalog, `3` submit aborted by `--abort-after-misses`
-//! or checkpoint killed by `--kill-at` (the CI smokes' simulated
-//! kills).
+//! incomplete catalog, `3` a run verb stopped by `--abort-after-misses`
+//! or `--kill-at` (the CI smokes' simulated kills).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -49,7 +54,7 @@ use serde::{Serialize, Value};
 use wimnet_bench::results_dir;
 use wimnet_core::catalog::Catalog;
 use wimnet_core::checkpoint::CheckpointStore;
-use wimnet_core::sweeps::default_threads;
+use wimnet_core::sweeps::SweepOptions;
 use wimnet_core::{Scale, ScenarioGrid, TelemetryConfig, WirelessModel, ENGINE_VERSION};
 use wimnet_core::system::MacKind;
 use wimnet_telemetry::validate_chrome_trace;
@@ -78,8 +83,8 @@ fn usage() -> String {
      catalog / run options:\n\
        --catalog DIR          catalog directory (default: results/catalog)\n\
        --threads N            pool threads (default: all cores)\n\
-       --chunk N              steal/batch width (default: 4)\n\
-       --shard I/N            submit only shard I of N (default 0/1)\n\
+       --chunk N              points per pool steal (default: 4)\n\
+       --shard I/N            run only shard I of N (default 0/1)\n\
        --abort-after-misses K simulate a crash after K fresh points (exit 3)\n\
        --json                 status: machine-readable per-shard counts\n\
        --out FILE             fetch/trace: write JSON here instead of stdout\n\
@@ -97,11 +102,9 @@ struct Cli {
     grid: ScenarioGrid,
     catalog_dir: PathBuf,
     checkpoints_dir: PathBuf,
-    threads: usize,
-    chunk: usize,
-    shard: (usize, usize),
-    abort_after_misses: Option<usize>,
-    kill_at: Option<u64>,
+    /// Pool shape, shard and simulated crashes, as parsed; the run
+    /// verbs add the snapshot store.
+    options: SweepOptions<'static>,
     json: bool,
     out: Option<PathBuf>,
 }
@@ -247,11 +250,7 @@ fn parse_cli() -> Result<Cli, String> {
     let mut catalog_dir: Option<PathBuf> = None;
     let mut checkpoints_dir: Option<PathBuf> = None;
     let mut every = 500u64;
-    let mut kill_at: Option<u64> = None;
-    let mut threads = default_threads();
-    let mut chunk = 4usize;
-    let mut shard = (0usize, 1usize);
-    let mut abort_after_misses: Option<usize> = None;
+    let mut options = SweepOptions { chunk: 4, ..SweepOptions::default() };
     let mut json = false;
     let mut out: Option<PathBuf> = None;
 
@@ -315,24 +314,24 @@ fn parse_cli() -> Result<Cli, String> {
                 every = value("--every")?.parse().map_err(|e| format!("--every: {e}"))?
             }
             "--kill-at" => {
-                kill_at = Some(
+                options.kill_at = Some(
                     value("--kill-at")?
                         .parse()
                         .map_err(|e| format!("--kill-at: {e}"))?,
                 )
             }
             "--threads" => {
-                threads = value("--threads")?
+                options.threads = value("--threads")?
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
             }
             "--chunk" => {
-                chunk =
+                options.chunk =
                     value("--chunk")?.parse().map_err(|e| format!("--chunk: {e}"))?
             }
-            "--shard" => shard = parse_shard(&value("--shard")?)?,
+            "--shard" => options.shard = parse_shard(&value("--shard")?)?,
             "--abort-after-misses" => {
-                abort_after_misses = Some(
+                options.miss_budget = Some(
                     value("--abort-after-misses")?
                         .parse()
                         .map_err(|e| format!("--abort-after-misses: {e}"))?,
@@ -397,61 +396,10 @@ fn parse_cli() -> Result<Cli, String> {
         catalog_dir: catalog_dir.unwrap_or_else(|| results_dir().join("catalog")),
         checkpoints_dir: checkpoints_dir
             .unwrap_or_else(|| results_dir().join("checkpoints")),
-        threads,
-        chunk,
-        shard,
-        abort_after_misses,
-        kill_at,
+        options,
         json,
         out,
     })
-}
-
-fn submit(cli: &Cli, catalog: &Catalog) -> Result<ExitCode, String> {
-    let (shard, shards) = cli.shard;
-    let range = cli.grid.shard_range(shard, shards);
-    println!(
-        "submit: grid {:?}, {} points, shard {shard}/{shards} -> indices {}..{}",
-        cli.grid.name(),
-        cli.grid.len(),
-        range.start,
-        range.end
-    );
-    let swept = catalog.sweep_temps();
-    if swept > 0 {
-        println!("cleared {swept} abandoned temp file(s) from a crashed writer");
-    }
-    let report = cli
-        .grid
-        .run_cached_shard_with_budget(
-            catalog,
-            shard,
-            shards,
-            cli.threads,
-            cli.chunk,
-            cli.abort_after_misses,
-        )
-        .map_err(|e| format!("{e}"))?;
-    println!(
-        "hits {} / simulated {} / pending {}  (catalog {} holds {} entries)",
-        report.hits,
-        report.misses,
-        report.pending,
-        catalog.dir().display(),
-        catalog.len()
-    );
-    if catalog.quarantined() > 0 {
-        println!("quarantined {} unserveable entr(ies)", catalog.quarantined());
-    }
-    if !report.is_complete() {
-        println!(
-            "aborted by --abort-after-misses with {} point(s) unsimulated; \
-             resubmit to resume",
-            report.pending
-        );
-        return Ok(ExitCode::from(3));
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn status(cli: &Cli, catalog: &Catalog) -> Result<ExitCode, String> {
@@ -495,7 +443,7 @@ fn status(cli: &Cli, catalog: &Catalog) -> Result<ExitCode, String> {
 /// submit would still have to simulate (`misses + quarantined`).
 fn status_json(cli: &Cli, catalog: &Catalog) -> Result<ExitCode, String> {
     let points = cli.grid.points();
-    let (_, shards) = cli.shard;
+    let (_, shards) = cli.options.shard;
     let mut shard_rows = Vec::with_capacity(shards);
     let (mut hits, mut misses, mut quarantined) = (0u64, 0u64, 0u64);
     for shard in 0..shards {
@@ -618,48 +566,65 @@ fn fetch(cli: &Cli, catalog: &Catalog) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `checkpoint` and `resume`: a catalog run whose misses snapshot
-/// their engine state every `--every` cycles.  `checkpoint` may carry
-/// `--kill-at` to die mid-point (exit 3, snapshots left behind);
-/// `resume` never kills — it warm-starts every unfinished point from
-/// its latest snapshot and completes the grid.
-fn checkpointed(cli: &Cli, catalog: &Catalog, kill_at: Option<u64>) -> Result<ExitCode, String> {
-    let store =
-        CheckpointStore::open(&cli.checkpoints_dir).map_err(|e| format!("{e}"))?;
+/// `submit`, `checkpoint` and `resume`: one catalog run of this
+/// process's shard.  `checkpoint` and `resume` also open the snapshot
+/// store, so misses warm-start from their latest snapshot and persist a
+/// new one every `--every` cycles.  Two simulated crashes end the run
+/// with exit 3: `--abort-after-misses` (between points, any verb) and
+/// `--kill-at` (mid-point, `checkpoint` only — `resume` never kills).
+fn run(cli: &Cli, catalog: &Catalog) -> Result<ExitCode, String> {
+    let store = if cli.command == "submit" {
+        None
+    } else {
+        Some(CheckpointStore::open(&cli.checkpoints_dir).map_err(|e| format!("{e}"))?)
+    };
+    let (shard, shards) = cli.options.shard;
+    let range = cli.grid.shard_range(shard, shards);
     println!(
-        "{}: grid {:?}, {} points, checkpoints in {}",
+        "{}: grid {:?}, {} points, shard {shard}/{shards} -> indices {}..{}",
         cli.command,
         cli.grid.name(),
         cli.grid.len(),
-        store.dir().display()
+        range.start,
+        range.end
     );
-    let swept = catalog.sweep_temps() + store.sweep_temps();
+    let swept =
+        catalog.sweep_temps() + store.as_ref().map_or(0, CheckpointStore::sweep_temps);
     if swept > 0 {
         println!("cleared {swept} abandoned temp file(s) from crashed writer(s)");
     }
-    let report = cli
-        .grid
-        .run_cached_resumable(catalog, &store, cli.threads, cli.chunk, kill_at)
-        .map_err(|e| format!("{e}"))?;
+    let options = SweepOptions {
+        checkpoints: store.as_ref(),
+        kill_at: cli.options.kill_at.filter(|_| cli.command == "checkpoint"),
+        ..cli.options
+    };
+    let report = cli.grid.run_cached_with(catalog, &options).map_err(|e| format!("{e}"))?;
     println!(
-        "hits {} / simulated {} / killed {}  (catalog {} entries, {} checkpoint(s) on disk)",
+        "hits {} / simulated {} / pending {}  (catalog {} holds {} entries)",
         report.hits,
         report.misses,
         report.pending,
-        catalog.len(),
-        store.len()
+        catalog.dir().display(),
+        catalog.len()
     );
-    if store.quarantined() > 0 {
-        println!(
-            "quarantined {} unserveable checkpoint(s); those points restarted cold",
-            store.quarantined()
-        );
+    if catalog.quarantined() > 0 {
+        println!("quarantined {} unserveable entr(ies)", catalog.quarantined());
+    }
+    if let Some(store) = &store {
+        println!("{} checkpoint(s) on disk in {}", store.len(), store.dir().display());
+        if store.quarantined() > 0 {
+            println!(
+                "quarantined {} unserveable checkpoint(s); those points restarted cold",
+                store.quarantined()
+            );
+        }
     }
     if !report.is_complete() {
         println!(
-            "killed by --kill-at with {} point(s) mid-flight; \
-             `sweep resume` finishes from the snapshots",
-            report.pending
+            "stopped by --abort-after-misses / --kill-at with {} point(s) unfinished; \
+             run `sweep {}` to finish them",
+            report.pending,
+            if store.is_some() { "resume" } else { "submit" }
         );
         return Ok(ExitCode::from(3));
     }
@@ -675,29 +640,21 @@ fn main() -> ExitCode {
         }
     };
     // `trace` never touches the catalog — don't create its directory.
-    if cli.command == "trace" {
-        return match trace(&cli) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::from(2)
+    let result = if cli.command == "trace" {
+        trace(&cli)
+    } else {
+        let catalog = match Catalog::open(&cli.catalog_dir) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::from(1);
             }
         };
-    }
-    let catalog = match Catalog::open(&cli.catalog_dir) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(1);
+        match cli.command.as_str() {
+            "status" => status(&cli, &catalog),
+            "fetch" => fetch(&cli, &catalog),
+            _ => run(&cli, &catalog),
         }
-    };
-    let result = match cli.command.as_str() {
-        "submit" => submit(&cli, &catalog),
-        "status" => status(&cli, &catalog),
-        "fetch" => fetch(&cli, &catalog),
-        "checkpoint" => checkpointed(&cli, &catalog, cli.kill_at),
-        "resume" => checkpointed(&cli, &catalog, None),
-        _ => unreachable!("parse_cli validates the command"),
     };
     match result {
         Ok(code) => code,

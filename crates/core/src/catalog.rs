@@ -16,9 +16,12 @@
 //!   semantics can never be served;
 //! * [`Catalog`] — a directory of one-JSON-file-per-outcome entries
 //!   written with write-to-temp + atomic-rename discipline, validated
-//!   on read, with unserveable files quarantined (never fatal).
+//!   on read, with unserveable files quarantined (never fatal).  The
+//!   file handling is the crate's one envelope store (`store.rs`),
+//!   shared with [`crate::CheckpointStore`]; this module supplies the
+//!   envelope and what "serveable" means.
 //!
-//! [`crate::sweeps::ScenarioGrid::run_cached`] sits on top: hits are
+//! [`crate::sweeps::ScenarioGrid::run_cached_with`] sits on top: hits are
 //! served at memcpy speed, only misses simulate (on the work-stealing
 //! pool), and the `sweep` CLI in `wimnet-bench` fronts submit / status /
 //! fetch / shard.  See `docs/sweeps.md`, "The result catalog".
@@ -55,9 +58,7 @@
 //! or foreign file) is quarantined and recomputed.
 
 use std::fmt;
-use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -68,6 +69,7 @@ use wimnet_traffic::{AddressStreamSpec, InjectionProcess};
 use crate::error::CoreError;
 use crate::experiments::Scale;
 use crate::metrics::RunOutcome;
+use crate::store::EnvelopeStore;
 use crate::sweeps::ScenarioPoint;
 use crate::system::WirelessModel;
 
@@ -192,22 +194,20 @@ pub struct CatalogEntry {
     pub outcome: RunOutcome,
 }
 
-/// A directory of memoized outcomes, one JSON file per fingerprint.
+/// A directory of memoized outcomes, one JSON file per fingerprint
+/// (`{hex}.json`).
 ///
 /// All methods take `&self` and are safe to drive from many threads
-/// and many *processes* against one directory: writes go to a unique
-/// temp file and atomically rename into place (a reader sees either
-/// the old complete entry or the new complete entry, never a torn
-/// one), and concurrent writers of the same key write byte-identical
-/// content (outcomes are deterministic, serialization is canonical),
-/// so the race is a benign overwrite.
+/// and many *processes* against one directory: the file discipline
+/// (unique temp + atomic rename on write, validate-or-quarantine on
+/// read) is the crate's one envelope store, shared with
+/// [`crate::CheckpointStore`] — see `docs/sweeps.md`, "Entries,
+/// atomicity, and quarantine".  Concurrent writers of the same key write
+/// byte-identical content (outcomes are deterministic, serialization is
+/// canonical), so that race is a benign overwrite.
 #[derive(Debug)]
 pub struct Catalog {
-    dir: PathBuf,
-    /// Unique-suffix source for temp and quarantine names.
-    nonce: AtomicUsize,
-    /// Files this handle moved to quarantine (session counter).
-    quarantined: AtomicUsize,
+    files: EnvelopeStore,
 }
 
 impl Catalog {
@@ -217,24 +217,14 @@ impl Catalog {
     ///
     /// Fails when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CoreError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| CoreError::Catalog {
-            what: format!("create {}: {e}", dir.display()),
-        })?;
-        Ok(Catalog { dir, nonce: AtomicUsize::new(0), quarantined: AtomicUsize::new(0) })
+        let files =
+            EnvelopeStore::open(dir.into(), ".json", |what| CoreError::Catalog { what })?;
+        Ok(Catalog { files })
     }
 
     /// The catalog directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn entry_path(&self, fp: &Fingerprint) -> PathBuf {
-        self.dir.join(format!("{}.json", fp.hex()))
-    }
-
-    fn unique_suffix(&self) -> String {
-        format!("{}-{}", std::process::id(), self.nonce.fetch_add(1, Ordering::Relaxed))
+        self.files.dir()
     }
 
     /// Fast presence probe: does an entry file exist for `fp`?
@@ -244,54 +234,26 @@ impl Catalog {
     /// [`Catalog::lookup`]).  `status`-style reporting wants this;
     /// serving wants `lookup`.
     pub fn contains(&self, fp: &Fingerprint) -> bool {
-        self.entry_path(fp).exists()
+        self.files.contains(fp)
     }
 
     /// Serves the memoized outcome for `fp`, or `None` on a miss.
     ///
     /// A file that exists but cannot be served — unparseable JSON, an
     /// envelope naming a different engine version, or a fingerprint
-    /// mismatch — is **quarantined** (moved aside into `quarantine/`)
-    /// and reported as a miss, so corruption costs a recompute, never
-    /// a wrong answer and never an abort.
+    /// mismatch — is **quarantined** (moved aside into the catalog's
+    /// quarantine subdirectory) and reported as a miss, so corruption
+    /// costs a recompute, never a wrong answer and never an abort.
     pub fn lookup(&self, fp: &Fingerprint) -> Option<RunOutcome> {
-        let path = self.entry_path(fp);
-        let text = fs::read_to_string(&path).ok()?;
-        match serde_json::from_str::<CatalogEntry>(&text) {
-            Ok(entry)
-                if entry.engine_version == ENGINE_VERSION
-                    && entry.fingerprint == fp.hex() =>
-            {
-                Some(entry.outcome)
-            }
-            _ => {
-                self.quarantine(&path);
-                None
-            }
-        }
-    }
-
-    /// Moves an unserveable file into `quarantine/` (best-effort: a
-    /// concurrent quarantine of the same file is fine, and quarantine
-    /// failure still leaves the entry unserved).
-    fn quarantine(&self, path: &Path) {
-        let qdir = self.dir.join("quarantine");
-        if fs::create_dir_all(&qdir).is_err() {
-            return;
-        }
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "entry".to_string());
-        let dest = qdir.join(format!("{name}.{}", self.unique_suffix()));
-        if fs::rename(path, dest).is_ok() {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-        }
+        self.files.read(fp, |entry: CatalogEntry| {
+            (entry.engine_version == ENGINE_VERSION && entry.fingerprint == fp.hex())
+                .then_some(entry.outcome)
+        })
     }
 
     /// Files this handle has quarantined.
     pub fn quarantined(&self) -> usize {
-        self.quarantined.load(Ordering::Relaxed)
+        self.files.quarantined()
     }
 
     /// Memoizes `outcome` under `fp` with write-to-temp +
@@ -314,33 +276,13 @@ impl Catalog {
             point: point.clone(),
             outcome: outcome.clone(),
         };
-        let json = serde_json::to_string_pretty(&entry)
-            .map_err(|e| CoreError::Catalog { what: format!("serialize entry: {e}") })?;
-        let final_path = self.entry_path(fp);
-        let tmp = self
-            .dir
-            .join(format!("{}.json.tmp-{}", fp.hex(), self.unique_suffix()));
-        fs::write(&tmp, json).map_err(|e| CoreError::Catalog {
-            what: format!("write {}: {e}", tmp.display()),
-        })?;
-        fs::rename(&tmp, &final_path).map_err(|e| CoreError::Catalog {
-            what: format!("rename into {}: {e}", final_path.display()),
-        })
+        self.files.write(fp, &entry)
     }
 
-    /// Number of entry files currently in the catalog (quarantined and
-    /// temp files excluded).
+    /// Number of entry files currently in the catalog (quarantined
+    /// files, temp files and any other store's files excluded).
     pub fn len(&self) -> usize {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        entries
-            .flatten()
-            .filter(|e| {
-                e.file_name().to_string_lossy().ends_with(".json")
-                    && e.file_type().is_ok_and(|t| t.is_file())
-            })
-            .count()
+        self.files.len()
     }
 
     /// `true` when the catalog holds no entries.
@@ -348,23 +290,13 @@ impl Catalog {
         self.len() == 0
     }
 
-    /// Removes abandoned `*.tmp-*` files (crashed writers).  Safe to
-    /// call while other shards run: live writers use fresh unique
-    /// names, and an unlinked live temp would only fail that writer's
-    /// rename, which reports an error rather than corrupting anything.
-    /// Returns how many were removed.
+    /// Removes the catalog's abandoned `*.tmp-*` files (crashed
+    /// writers).  Safe to call while other shards run: live writers use
+    /// fresh unique names, and an unlinked live temp would only fail
+    /// that writer's rename, which reports an error rather than
+    /// corrupting anything.  Returns how many were removed.
     pub fn sweep_temps(&self) -> usize {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let mut removed = 0;
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.contains(".json.tmp-") && fs::remove_file(entry.path()).is_ok() {
-                removed += 1;
-            }
-        }
-        removed
+        self.files.sweep_temps()
     }
 }
 
@@ -372,6 +304,7 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::sweeps::ScenarioGrid;
+    use std::fs;
     use wimnet_energy::EnergyBreakdown;
 
     fn test_dir(name: &str) -> PathBuf {

@@ -30,15 +30,16 @@
 //!
 //! # The on-disk store
 //!
-//! [`CheckpointStore`] mirrors the result catalog's discipline
-//! (`docs/sweeps.md`): one file per scenario fingerprint
-//! (`{hex}.ckpt.json`), written to a unique temp name and atomically
-//! renamed into place, validated on every read — engine version,
-//! claimed fingerprint, **and** a 128-bit content hash of the
-//! snapshot's canonical JSON (re-derived from the parsed bytes, so a
-//! flipped bit anywhere in the state is caught) — with unserveable
-//! files quarantined and reported as a miss, never served and never
-//! fatal.  A corrupt checkpoint costs a cold start, not a wrong resume.
+//! [`CheckpointStore`] runs on the result catalog's file discipline
+//! (`docs/sweeps.md`) — the same code, not a copy: one file per
+//! scenario fingerprint (`{hex}.ckpt.json`), written to a unique temp
+//! name and atomically renamed into place, validated on every read —
+//! engine version, claimed fingerprint, **and** a 128-bit content hash
+//! of the snapshot's canonical JSON (re-derived from the parsed bytes,
+//! so a flipped bit anywhere in the state is caught) — with
+//! unserveable files quarantined and reported as a miss, never served
+//! and never fatal.  A corrupt checkpoint costs a cold start, not a
+//! wrong resume.
 //!
 //! # Versioning rule
 //!
@@ -48,9 +49,7 @@
 //! wall-clock and disk traffic only, never an outcome, so it never
 //! moves the version.  See `docs/checkpoint.md`.
 
-use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -59,6 +58,7 @@ use wimnet_traffic::Workload;
 use crate::catalog::{lane, Fingerprint, ENGINE_VERSION};
 use crate::error::CoreError;
 use crate::metrics::RunOutcome;
+use crate::store::EnvelopeStore;
 use crate::system::{MultichipSystem, SystemState};
 
 /// A complete engine snapshot: the run-loop cursor plus the full
@@ -102,11 +102,12 @@ fn content_hex(bytes: &[u8]) -> String {
 }
 
 /// A directory of mid-run snapshots, one file per scenario
-/// fingerprint, with the catalog's crash-safety discipline: atomic
-/// rename on write, validate-or-quarantine on read, `*.tmp-*` debris
-/// swept explicitly.  A store holds at most one checkpoint per
-/// scenario — each cadence crossing atomically replaces the previous
-/// snapshot, so the file is always the *latest* resume point.
+/// fingerprint (`{hex}.ckpt.json`), on the same file discipline as
+/// [`crate::Catalog`] — the same code: atomic rename on write,
+/// validate-or-quarantine on read, `*.tmp-*` debris swept explicitly.
+/// A store holds at most one checkpoint per scenario — each cadence
+/// crossing atomically replaces the previous snapshot, so the file is
+/// always the *latest* resume point.
 ///
 /// All methods take `&self` and tolerate concurrent use from many
 /// threads and processes against one directory, for the same reasons
@@ -115,11 +116,7 @@ fn content_hex(bytes: &[u8]) -> String {
 /// the same cycle.
 #[derive(Debug)]
 pub struct CheckpointStore {
-    dir: PathBuf,
-    /// Unique-suffix source for temp and quarantine names.
-    nonce: AtomicUsize,
-    /// Files this handle moved to quarantine (session counter).
-    quarantined: AtomicUsize,
+    files: EnvelopeStore,
 }
 
 impl CheckpointStore {
@@ -129,34 +126,21 @@ impl CheckpointStore {
     ///
     /// Fails when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CoreError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| CoreError::Checkpoint {
-            what: format!("create {}: {e}", dir.display()),
+        let files = EnvelopeStore::open(dir.into(), ".ckpt.json", |what| {
+            CoreError::Checkpoint { what }
         })?;
-        Ok(CheckpointStore {
-            dir,
-            nonce: AtomicUsize::new(0),
-            quarantined: AtomicUsize::new(0),
-        })
+        Ok(CheckpointStore { files })
     }
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn entry_path(&self, fp: &Fingerprint) -> PathBuf {
-        self.dir.join(format!("{}.ckpt.json", fp.hex()))
-    }
-
-    fn unique_suffix(&self) -> String {
-        format!("{}-{}", std::process::id(), self.nonce.fetch_add(1, Ordering::Relaxed))
+        self.files.dir()
     }
 
     /// Fast presence probe: does a checkpoint file exist for `fp`?
     /// Existence only — validation happens in [`CheckpointStore::lookup`].
     pub fn contains(&self, fp: &Fingerprint) -> bool {
-        self.entry_path(fp).exists()
+        self.files.contains(fp)
     }
 
     /// Serves the latest snapshot for `fp`, or `None` on a miss.
@@ -164,45 +148,22 @@ impl CheckpointStore {
     /// A file that exists but cannot be served — unparseable JSON, a
     /// foreign engine version, a fingerprint mismatch, or a content
     /// hash that does not match the re-encoded snapshot — is
-    /// **quarantined** (moved aside into `quarantine/`) and reported as
-    /// a miss, so corruption costs a cold start, never a wrong resume
-    /// and never an abort.
+    /// **quarantined** (moved aside into the store's quarantine
+    /// subdirectory) and reported as a miss, so corruption costs a cold
+    /// start, never a wrong resume and never an abort.
     pub fn lookup(&self, fp: &Fingerprint) -> Option<Snapshot> {
-        let path = self.entry_path(fp);
-        let text = fs::read_to_string(&path).ok()?;
-        if let Ok(entry) = serde_json::from_str::<CheckpointEntry>(&text) {
-            if entry.engine_version == ENGINE_VERSION
+        self.files.read(fp, |entry: CheckpointEntry| {
+            (entry.engine_version == ENGINE_VERSION
                 && entry.fingerprint == fp.hex()
                 && serde_json::to_string(&entry.snapshot)
-                    .is_ok_and(|body| content_hex(body.as_bytes()) == entry.content)
-            {
-                return Some(entry.snapshot);
-            }
-        }
-        self.quarantine(&path);
-        None
-    }
-
-    /// Moves an unserveable file into `quarantine/` (best-effort, like
-    /// the catalog's).
-    fn quarantine(&self, path: &Path) {
-        let qdir = self.dir.join("quarantine");
-        if fs::create_dir_all(&qdir).is_err() {
-            return;
-        }
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "entry".to_string());
-        let dest = qdir.join(format!("{name}.{}", self.unique_suffix()));
-        if fs::rename(path, dest).is_ok() {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-        }
+                    .is_ok_and(|body| content_hex(body.as_bytes()) == entry.content))
+            .then_some(entry.snapshot)
+        })
     }
 
     /// Files this handle has quarantined.
     pub fn quarantined(&self) -> usize {
-        self.quarantined.load(Ordering::Relaxed)
+        self.files.quarantined()
     }
 
     /// Persists `snapshot` as the latest checkpoint for `fp`, with
@@ -225,41 +186,20 @@ impl CheckpointStore {
             cycle: snapshot.cycle,
             snapshot: snapshot.clone(),
         };
-        let json = serde_json::to_string_pretty(&entry).map_err(|e| {
-            CoreError::Checkpoint { what: format!("serialize entry: {e}") }
-        })?;
-        let final_path = self.entry_path(fp);
-        let tmp = self
-            .dir
-            .join(format!("{}.ckpt.json.tmp-{}", fp.hex(), self.unique_suffix()));
-        fs::write(&tmp, json).map_err(|e| CoreError::Checkpoint {
-            what: format!("write {}: {e}", tmp.display()),
-        })?;
-        fs::rename(&tmp, &final_path).map_err(|e| CoreError::Checkpoint {
-            what: format!("rename into {}: {e}", final_path.display()),
-        })
+        self.files.write(fp, &entry)
     }
 
     /// Deletes the checkpoint for `fp`, if any; returns whether a file
     /// was removed.  Called once a scenario's final outcome reaches the
     /// result catalog — the resume point is then dead weight.
     pub fn remove(&self, fp: &Fingerprint) -> bool {
-        fs::remove_file(self.entry_path(fp)).is_ok()
+        self.files.remove(fp)
     }
 
     /// Number of checkpoint files currently in the store (quarantined
-    /// and temp files excluded).
+    /// files, temp files and any other store's files excluded).
     pub fn len(&self) -> usize {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        entries
-            .flatten()
-            .filter(|e| {
-                e.file_name().to_string_lossy().ends_with(".ckpt.json")
-                    && e.file_type().is_ok_and(|t| t.is_file())
-            })
-            .count()
+        self.files.len()
     }
 
     /// `true` when the store holds no checkpoints.
@@ -267,20 +207,10 @@ impl CheckpointStore {
         self.len() == 0
     }
 
-    /// Removes abandoned `*.tmp-*` files (crashed writers), exactly
-    /// like the catalog's sweep.  Returns how many were removed.
+    /// Removes the store's abandoned `*.tmp-*` files (crashed
+    /// writers).  Returns how many were removed.
     pub fn sweep_temps(&self) -> usize {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let mut removed = 0;
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.contains(".ckpt.json.tmp-") && fs::remove_file(entry.path()).is_ok() {
-                removed += 1;
-            }
-        }
-        removed
+        self.files.sweep_temps()
     }
 }
 
@@ -334,7 +264,7 @@ impl MultichipSystem {
 ///   outcome — bit-identical to a run that was never killed.
 ///
 /// The final outcome is **not** written here; callers
-/// ([`crate::sweeps::ScenarioGrid::run_cached_resumable`]) store it in
+/// ([`crate::sweeps::ScenarioGrid::run_cached_with`]) store it in
 /// the result catalog and then [`CheckpointStore::remove`] the spent
 /// checkpoint.
 ///
@@ -374,6 +304,7 @@ pub fn run_with_checkpoints(
 mod tests {
     use super::*;
     use crate::system::SystemConfig;
+    use std::fs;
     use wimnet_topology::Architecture;
     use wimnet_traffic::{InjectionProcess, UniformRandom};
 

@@ -14,19 +14,22 @@
 //!   percentage-gain arithmetic behind Figs 4–6.
 //! * [`experiments`] — one function per figure (`fig2` … `fig6`) plus
 //!   the [`Experiment`] runner they share.
-//! * [`sweeps`] — declarative [`ScenarioGrid`] cartesian products and
-//!   the work-stealing pool ([`run_pool`]) that executes grids larger
-//!   than the core count (see `docs/sweeps.md`).
+//! * [`sweeps`] — declarative [`ScenarioGrid`] cartesian products, the
+//!   work-stealing pool ([`run_pool`]) that executes grids larger than
+//!   the core count, and the three ways to run a grid: `run` (uncached),
+//!   [`ScenarioGrid::run_cached_with`](sweeps::ScenarioGrid::run_cached_with)
+//!   (through the catalog, shaped by [`SweepOptions`]) and its
+//!   whole-grid shorthand `run_cached` (see `docs/sweeps.md`).
 //! * [`catalog`] — the fingerprint-keyed on-disk result cache behind
-//!   [`ScenarioGrid::run_cached`](sweeps::ScenarioGrid::run_cached):
-//!   deterministic outcomes memoized under
-//!   (scenario bytes, engine version) keys with atomic writes and
-//!   quarantine-on-corruption, making sweeps resumable and shardable
-//!   (front-ended by the `sweep` CLI in `wimnet-bench`).
+//!   `run_cached_with`: deterministic outcomes memoized under
+//!   (scenario bytes, engine version) keys, making sweeps resumable and
+//!   shardable (front-ended by the `sweep` CLI in `wimnet-bench`).
 //! * [`checkpoint`] — full-engine [`Snapshot`]s and the
 //!   [`CheckpointStore`]: snapshot → restore → run is bit-identical to
 //!   an uninterrupted run, so long sweeps survive kills mid-point and
 //!   resume from the latest cadence mark (see `docs/checkpoint.md`).
+//!   Both stores are one crate-private file discipline (atomic writes,
+//!   validate-or-quarantine reads) plus an envelope type each.
 //! * [`report`] — plain-text tables and CSV output for the harness.
 //!
 //! # Quickstart
@@ -52,6 +55,7 @@ pub mod error;
 pub mod experiments;
 pub mod metrics;
 pub mod report;
+mod store;
 pub mod sweeps;
 pub mod system;
 
@@ -61,6 +65,8 @@ pub use driver::{compare_on_shared_trace, find_saturation_load, latency_curve};
 pub use error::CoreError;
 pub use experiments::{Experiment, Scale, WorkloadSpec};
 pub use metrics::{percentage_gain, RunOutcome};
-pub use sweeps::{run_pool, run_pool_batched, CachedSweep, ScenarioGrid, ScenarioPoint};
+pub use sweeps::{
+    run_pool, run_pool_batched, CachedSweep, ScenarioGrid, ScenarioPoint, SweepOptions,
+};
 pub use system::{MacKind, MultichipSystem, SystemConfig, SystemState, WirelessModel};
 pub use wimnet_telemetry::TelemetryConfig;

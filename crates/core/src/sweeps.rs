@@ -65,12 +65,7 @@ pub fn run_pool(
     threads: usize,
     chunk: usize,
 ) -> Result<Vec<RunOutcome>, CoreError> {
-    run_pool_generic(experiments.len(), threads, chunk, |slots, start, end| {
-        for i in start..end {
-            let filled = slots[i].set(experiments[i].run()).is_ok();
-            debug_assert!(filled, "each index is stolen exactly once");
-        }
-    })
+    run_pool_generic(experiments.len(), threads, chunk, |i| experiments[i].run())
 }
 
 /// One-line forwarder to [`run_pool`], kept only because
@@ -87,16 +82,17 @@ pub fn run_pool_batched(
 }
 
 /// The pool skeleton: an atomic chunk queue drained by scoped workers,
-/// per-index result slots, input-order collection.  `run_chunk` fills
-/// `slots[start..end]` for one stolen chunk.  Generic over the
-/// per-index result type, for drivers whose work items can legitimately
-/// *not* produce an outcome (checkpointed runs killed mid-point yield
-/// `Option<RunOutcome>`).
+/// per-index result slots, input-order collection.  `run_one(i)`
+/// produces the result for index `i` on whichever worker stole it.
+/// Generic over the per-index result type, for drivers whose work items
+/// can legitimately *not* produce an outcome (checkpointed runs killed
+/// mid-point yield `Option<RunOutcome>`).  Every index runs even when
+/// an earlier one failed; the error returned is the lowest-indexed one.
 fn run_pool_generic<T: Send + Sync>(
     n: usize,
     threads: usize,
     chunk: usize,
-    run_chunk: impl Fn(&[OnceLock<Result<T, CoreError>>], usize, usize) + Sync,
+    run_one: impl Fn(usize) -> Result<T, CoreError> + Sync,
 ) -> Result<Vec<T>, CoreError> {
     if n == 0 {
         return Ok(Vec::new());
@@ -113,7 +109,10 @@ fn run_pool_generic<T: Send + Sync>(
                 if start >= n {
                     break;
                 }
-                run_chunk(&slots, start, (start + chunk).min(n));
+                for (i, slot) in slots.iter().enumerate().skip(start).take(chunk) {
+                    let filled = slot.set(run_one(i)).is_ok();
+                    debug_assert!(filled, "each index is stolen exactly once");
+                }
             });
         }
     });
@@ -317,8 +316,8 @@ impl ScenarioGrid {
         self
     }
 
-    /// Sets the snapshot cadence for
-    /// [`ScenarioGrid::run_cached_resumable`]: every miss persists a
+    /// Sets the snapshot cadence for runs given a checkpoint store
+    /// ([`SweepOptions::checkpoints`]): every miss persists a
     /// checkpoint at each `every`-cycle mark while it simulates, so a
     /// killed sweep resumes mid-point instead of from cycle 0.  `0`
     /// (the default) disables checkpointing.  Not part of the point
@@ -482,37 +481,17 @@ impl ScenarioGrid {
         self.points().iter().map(|p| self.experiment(p)).collect()
     }
 
-    /// Runs the grid on the default pool (all cores, chunk 1).
+    /// Runs the grid uncached on the default pool (all cores, chunk 1).
+    /// Outcomes are in point order — pair them with
+    /// [`ScenarioGrid::points`] by `zip` — and independent of the pool
+    /// shape; [`run_pool`] over [`ScenarioGrid::experiments`] is the
+    /// same run with an explicit shape.
     ///
     /// # Errors
     ///
     /// Returns the lowest-indexed failing point's error.
     pub fn run(&self) -> Result<Vec<RunOutcome>, CoreError> {
-        self.run_with(default_threads(), DEFAULT_CHUNK)
-    }
-
-    /// Runs the grid on a pool of `threads` threads with `chunk`-sized
-    /// steals.  Outcomes are in point order and independent of the pool
-    /// shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed failing point's error.
-    pub fn run_with(
-        &self,
-        threads: usize,
-        chunk: usize,
-    ) -> Result<Vec<RunOutcome>, CoreError> {
-        run_pool(&self.experiments(), threads, chunk)
-    }
-
-    /// Runs the grid and pairs each outcome with its point.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed failing point's error.
-    pub fn run_annotated(&self) -> Result<Vec<(ScenarioPoint, RunOutcome)>, CoreError> {
-        Ok(self.points().into_iter().zip(self.run()?).collect())
+        run_pool(&self.experiments(), default_threads(), DEFAULT_CHUNK)
     }
 
     /// The canonical catalog fingerprint of one of this grid's points:
@@ -538,193 +517,148 @@ impl ScenarioGrid {
         (shard * n / shards)..((shard + 1) * n / shards)
     }
 
-    /// Runs the grid through the result `catalog`: cache hits are
-    /// served from disk at memcpy speed, only misses simulate (on
-    /// [`run_pool`]), and every fresh outcome is memoized before the
-    /// call returns.  Outcomes are bit-identical to an uncached
-    /// [`ScenarioGrid::run_with`] —
-    /// simulations are deterministic and the JSON layer round-trips
-    /// every finite f64 exactly — so a killed sweep resumed from its
-    /// partial catalog converges on the same final vector.
+    /// Runs the whole grid through the result `catalog` on a pool of
+    /// `threads` threads with `chunk`-sized steals: shorthand for
+    /// [`ScenarioGrid::run_cached_with`] with every other
+    /// [`SweepOptions`] field at its default.
     ///
     /// # Errors
     ///
-    /// Returns the lowest-indexed failing point's error, or a
-    /// [`CoreError::Catalog`] when the catalog cannot be written.
+    /// As [`ScenarioGrid::run_cached_with`].
     pub fn run_cached(
         &self,
         catalog: &Catalog,
         threads: usize,
         chunk: usize,
     ) -> Result<CachedSweep, CoreError> {
-        self.run_cached_shard(catalog, 0, 1, threads, chunk)
+        let opts = SweepOptions { threads, chunk, ..SweepOptions::default() };
+        self.run_cached_with(catalog, &opts)
     }
 
-    /// [`ScenarioGrid::run_cached`] restricted to the points of shard
-    /// `shard` of `shards` (see [`ScenarioGrid::shard_range`]).
+    /// Runs the points of shard `opts.shard` through the result
+    /// `catalog`: cache hits are served from disk at memcpy speed, only
+    /// misses simulate (on the [`run_pool`] skeleton), and **each fresh
+    /// outcome is memoized by the worker that produced it, the moment
+    /// it exists** — a sibling point's error or a killed process loses
+    /// nothing that had finished.  Outcomes are bit-identical to an
+    /// uncached [`ScenarioGrid::run`] — simulations are deterministic
+    /// and the JSON layer round-trips every finite f64 exactly — so a
+    /// killed sweep resumed from its partial catalog converges on the
+    /// same final vector.
+    ///
     /// Disjoint shards may run concurrently — in threads or separate
     /// processes — against one catalog directory; overlapping shards
     /// are safe too and dedupe to byte-identical entries (atomic
     /// rename of deterministic content).
     ///
-    /// # Errors
+    /// With `opts.checkpoints`, every miss runs through
+    /// [`crate::checkpoint::run_with_checkpoints`]: it resumes from the
+    /// scenario's latest serveable snapshot, persists a new one at each
+    /// [`ScenarioGrid::checkpoint_every`] mark while it simulates, and
+    /// has its spent checkpoint removed once the outcome is in the
+    /// catalog (snapshot → restore → run equals the uninterrupted run,
+    /// bit for bit — `tests/checkpoint.rs`).
     ///
-    /// Returns the lowest-indexed failing point's error, or a
-    /// [`CoreError::Catalog`] when the catalog cannot be written.
-    pub fn run_cached_shard(
-        &self,
-        catalog: &Catalog,
-        shard: usize,
-        shards: usize,
-        threads: usize,
-        chunk: usize,
-    ) -> Result<CachedSweep, CoreError> {
-        self.run_cached_shard_with_budget(catalog, shard, shards, threads, chunk, None)
-    }
-
-    /// [`ScenarioGrid::run_cached_shard`] with an optional **miss
-    /// budget**: simulate at most `budget` cache misses (in point
-    /// order), memoize them, and stop.  A truncated run reports the
-    /// remaining misses in [`CachedSweep::pending`] and carries no
-    /// outcome vector — it is the `sweep` CLI's simulated crash, and
-    /// the building block for incremental fill-ins.
+    /// The two simulated crashes leave [`CachedSweep::pending`] > 0 and
+    /// no outcome vector: `opts.miss_budget` simulates only the first
+    /// `k` misses in point order; `opts.kill_at` stops each miss before
+    /// its first iteration at cursor ≥ `k`, its latest checkpoint left
+    /// on disk for a later call to finish from.
     ///
     /// # Errors
     ///
-    /// Returns the lowest-indexed failing point's error, or a
-    /// [`CoreError::Catalog`] when the catalog cannot be written.
-    pub fn run_cached_shard_with_budget(
+    /// [`CoreError::InvalidParameter`] for a shard outside
+    /// `0 <= i < n`; otherwise the lowest-indexed failing point's error
+    /// — a simulation failure, or a [`CoreError::Catalog`] /
+    /// [`CoreError::Checkpoint`] when either store cannot be written.
+    pub fn run_cached_with(
         &self,
         catalog: &Catalog,
-        shard: usize,
-        shards: usize,
-        threads: usize,
-        chunk: usize,
-        budget: Option<usize>,
+        opts: &SweepOptions,
     ) -> Result<CachedSweep, CoreError> {
-        let range = self.shard_range(shard, shards);
-        let points = self.points();
-        let shard_points = &points[range.clone()];
-        let fingerprints: Vec<Fingerprint> =
-            shard_points.iter().map(|p| self.point_fingerprint(p)).collect();
-        let mut slots: Vec<Option<RunOutcome>> =
-            fingerprints.iter().map(|fp| catalog.lookup(fp)).collect();
-        let miss_indices: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.is_none().then_some(i))
-            .collect();
-        let hits = shard_points.len() - miss_indices.len();
-        let budgeted = budget.unwrap_or(miss_indices.len()).min(miss_indices.len());
-        let pending = miss_indices.len() - budgeted;
-        let to_run = &miss_indices[..budgeted];
-
-        let experiments: Vec<Experiment> =
-            to_run.iter().map(|&i| self.experiment(&shard_points[i])).collect();
-        let fresh = run_pool(&experiments, threads, chunk)?;
-        for (&i, outcome) in to_run.iter().zip(fresh) {
-            catalog.store(&fingerprints[i], &shard_points[i], &outcome)?;
-            slots[i] = Some(outcome);
+        let (shard, shards) = opts.shard;
+        if shard >= shards {
+            return Err(CoreError::InvalidParameter {
+                what: format!("shard {shard}/{shards}: need 0 <= I < N"),
+            });
         }
-        let outcomes = if pending == 0 {
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every shard slot is a hit or was simulated"))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Ok(CachedSweep {
-            indices: range,
-            outcomes,
-            hits,
-            misses: budgeted,
-            pending,
-        })
-    }
-
-    /// [`ScenarioGrid::run_cached`] with **mid-point warm starts**:
-    /// every miss runs through
-    /// [`crate::checkpoint::run_with_checkpoints`] — resuming from the
-    /// scenario's latest serveable snapshot in `checkpoints`, and (with
-    /// a positive [`ScenarioGrid::checkpoint_every`]) persisting a new
-    /// snapshot at each cadence mark while it simulates.  A completed
-    /// miss lands in the `catalog` and its spent checkpoint is removed;
-    /// the outcome vector is bit-identical to an uncached
-    /// [`ScenarioGrid::run_with`] (snapshot → restore → run equals
-    /// the uninterrupted run, bit for bit — `tests/checkpoint.rs`).
-    ///
-    /// `kill_at: Some(k)` is the CLI's simulated mid-point crash: each
-    /// miss stops before its first iteration at cursor ≥ `k` and counts
-    /// into [`CachedSweep::pending`], leaving its latest checkpoint on
-    /// disk for a later call with `kill_at: None` to finish from.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed failing point's error, or a
-    /// [`CoreError::Catalog`] / [`CoreError::Checkpoint`] when either
-    /// store cannot be written.
-    pub fn run_cached_resumable(
-        &self,
-        catalog: &Catalog,
-        checkpoints: &CheckpointStore,
-        threads: usize,
-        chunk: usize,
-        kill_at: Option<u64>,
-    ) -> Result<CachedSweep, CoreError> {
+        let indices = self.shard_range(shard, shards);
         let points = self.points();
+        let points = &points[indices.clone()];
         let fingerprints: Vec<Fingerprint> =
             points.iter().map(|p| self.point_fingerprint(p)).collect();
         let mut slots: Vec<Option<RunOutcome>> =
             fingerprints.iter().map(|fp| catalog.lookup(fp)).collect();
-        let miss_indices: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.is_none().then_some(i))
-            .collect();
-        let hits = points.len() - miss_indices.len();
+        let mut to_run: Vec<usize> =
+            (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
+        let hits = points.len() - to_run.len();
+        to_run.truncate(opts.miss_budget.unwrap_or(usize::MAX));
 
-        let experiments: Vec<Experiment> =
-            miss_indices.iter().map(|&i| self.experiment(&points[i])).collect();
-        let miss_fps: Vec<Fingerprint> =
-            miss_indices.iter().map(|&i| fingerprints[i]).collect();
-        let fresh = run_pool_generic(
-            experiments.len(),
-            threads,
-            chunk,
-            |pool_slots, start, end| {
-                for i in start..end {
-                    let result =
-                        experiments[i].run_checkpointed(checkpoints, &miss_fps[i], kill_at);
-                    let filled = pool_slots[i].set(result).is_ok();
-                    debug_assert!(filled, "each index is stolen exactly once");
+        let fresh = run_pool_generic(to_run.len(), opts.threads, opts.chunk, |k| {
+            let i = to_run[k];
+            let experiment = self.experiment(&points[i]);
+            let outcome = match opts.checkpoints {
+                Some(store) => {
+                    experiment.run_checkpointed(store, &fingerprints[i], opts.kill_at)?
                 }
-            },
-        )?;
-
-        let mut pending = 0;
-        let mut misses = 0;
-        for (k, outcome) in fresh.into_iter().enumerate() {
-            let i = miss_indices[k];
-            match outcome {
-                Some(outcome) => {
-                    catalog.store(&fingerprints[i], &points[i], &outcome)?;
-                    checkpoints.remove(&fingerprints[i]);
-                    slots[i] = Some(outcome);
-                    misses += 1;
+                None => Some(experiment.run()?),
+            };
+            if let Some(outcome) = &outcome {
+                catalog.store(&fingerprints[i], &points[i], outcome)?;
+                if let Some(store) = opts.checkpoints {
+                    store.remove(&fingerprints[i]);
                 }
-                None => pending += 1,
             }
+            Ok(outcome)
+        })?;
+
+        let mut misses = 0;
+        for (&i, outcome) in to_run.iter().zip(fresh) {
+            misses += usize::from(outcome.is_some());
+            slots[i] = outcome;
         }
-        let outcomes = if pending == 0 {
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every slot is a hit or was simulated"))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Ok(CachedSweep { indices: 0..points.len(), outcomes, hits, misses, pending })
+        let pending = points.len() - hits - misses;
+        let outcomes =
+            if pending == 0 { slots.into_iter().flatten().collect() } else { Vec::new() };
+        Ok(CachedSweep { indices, outcomes, hits, misses, pending })
+    }
+}
+
+/// How [`ScenarioGrid::run_cached_with`] runs a grid: pool shape,
+/// shard, the optional checkpoint store, and the two simulated crashes.
+/// None of it reaches a fingerprint or an outcome bit.
+#[derive(Debug, Clone, Copy)]
+pub struct SweepOptions<'a> {
+    /// Pool worker threads (clamped to the number of steals).
+    pub threads: usize,
+    /// Points per steal.
+    pub chunk: usize,
+    /// `(i, n)`: run only the points of shard `i` of `n`
+    /// ([`ScenarioGrid::shard_range`]).
+    pub shard: (usize, usize),
+    /// Simulate at most this many misses (in point order) and leave the
+    /// rest pending — the `sweep` CLI's simulated between-points crash.
+    pub miss_budget: Option<usize>,
+    /// Warm-start misses from, and snapshot them into, this store.
+    pub checkpoints: Option<&'a CheckpointStore>,
+    /// Stop every miss before its first iteration at cursor ≥ this —
+    /// the simulated mid-point crash.  Read only with `checkpoints`
+    /// set: a kill is defined by the snapshots it leaves behind.
+    pub kill_at: Option<u64>,
+}
+
+impl Default for SweepOptions<'_> {
+    /// The whole grid on every core with one-point steals: no shard, no
+    /// checkpoints, no simulated crash.
+    fn default() -> Self {
+        SweepOptions {
+            threads: default_threads(),
+            chunk: DEFAULT_CHUNK,
+            shard: (0, 1),
+            miss_budget: None,
+            checkpoints: None,
+            kill_at: None,
+        }
     }
 }
 
@@ -738,15 +672,15 @@ pub struct CachedSweep {
     /// the whole grid for [`ScenarioGrid::run_cached`]).
     pub indices: Range<usize>,
     /// Outcomes for `indices`, in point order — `outcomes[k]` belongs
-    /// to point `indices.start + k`.  Empty when the run was
-    /// truncated by a miss budget (`pending > 0`).
+    /// to point `indices.start + k`.  Empty when a simulated crash
+    /// left the shard incomplete (`pending > 0`).
     pub outcomes: Vec<RunOutcome>,
     /// Points served from the catalog without simulating.
     pub hits: usize,
     /// Points simulated (and memoized) by this run.
     pub misses: usize,
-    /// Cache misses left unsimulated by a miss budget; zero means the
-    /// shard is complete.
+    /// Cache misses left unfinished — beyond the miss budget, or
+    /// killed mid-point by `kill_at`; zero means the shard is complete.
     pub pending: usize,
 }
 
@@ -877,7 +811,8 @@ mod tests {
             .scale(Scale::Quick)
             .architectures(&[Architecture::Wireless, Architecture::Substrate])
             .loads(&[0.002]);
-        let annotated = grid.run_annotated().unwrap();
+        let annotated: Vec<(ScenarioPoint, RunOutcome)> =
+            grid.points().into_iter().zip(grid.run().unwrap()).collect();
         assert_eq!(annotated.len(), 2);
         for (point, outcome) in &annotated {
             assert!(
@@ -953,15 +888,52 @@ mod tests {
         // Budgeted runs stop mid-shard and report the remainder.
         let _ = std::fs::remove_dir_all(&dir);
         let catalog = Catalog::open(&dir).unwrap();
-        let truncated = grid
-            .run_cached_shard_with_budget(&catalog, 0, 1, 2, 1, Some(1))
-            .unwrap();
+        let budgeted =
+            SweepOptions { threads: 2, miss_budget: Some(1), ..SweepOptions::default() };
+        let truncated = grid.run_cached_with(&catalog, &budgeted).unwrap();
         assert_eq!((truncated.hits, truncated.misses, truncated.pending), (0, 1, 1));
         assert!(!truncated.is_complete());
         assert!(truncated.outcomes.is_empty());
         let resumed = grid.run_cached(&catalog, 2, 1).unwrap();
         assert_eq!((resumed.hits, resumed.misses), (1, 1));
         assert_eq!(resumed.outcomes, first.outcomes, "resume converges on the same vector");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failing_sibling_does_not_lose_finished_points() {
+        let dir = std::env::temp_dir()
+            .join(format!("wimnet-sweeps-sibling-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let catalog = Catalog::open(&dir).unwrap();
+        // Point 0 (4 chips) simulates; point 1 (0 chips) cannot build.
+        let grid = |chips: &[usize]| {
+            ScenarioGrid::new("sibling").scale(Scale::Quick).chips(chips).loads(&[0.002])
+        };
+        let err = grid(&[4, 0]).run_cached(&catalog, 2, 1).unwrap_err();
+        assert!(matches!(err, CoreError::Topology(_)), "{err}");
+        assert_eq!(catalog.len(), 1, "the finished point must already be memoized");
+        let rerun = grid(&[4]).run_cached(&catalog, 2, 1).unwrap();
+        assert_eq!((rerun.hits, rerun.misses), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_range_shards_are_errors_not_panics() {
+        let dir = std::env::temp_dir()
+            .join(format!("wimnet-sweeps-options-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let catalog = Catalog::open(&dir).unwrap();
+        let grid = ScenarioGrid::new("options").scale(Scale::Quick);
+        for bad in [
+            SweepOptions { shard: (0, 0), ..SweepOptions::default() },
+            SweepOptions { shard: (2, 2), ..SweepOptions::default() },
+            SweepOptions { shard: (3, 2), ..SweepOptions::default() },
+        ] {
+            let err = grid.run_cached_with(&catalog, &bad).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidParameter { .. }), "{err}");
+        }
+        assert!(catalog.is_empty(), "a rejected call simulates nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,7 +16,11 @@ use std::path::PathBuf;
 
 use common::{splitmix, temp_dir, vector_bytes};
 
-use wimnet::core::{Catalog, CatalogEntry, ScenarioGrid, ENGINE_VERSION};
+use wimnet::core::{
+    Catalog, CatalogEntry, CheckpointStore, Scale, ScenarioGrid, SweepOptions,
+    ENGINE_VERSION,
+};
+use wimnet::topology::Architecture;
 
 /// A fresh per-test catalog directory under the system temp dir.
 fn temp_catalog(tag: &str) -> PathBuf {
@@ -26,6 +30,11 @@ fn temp_catalog(tag: &str) -> PathBuf {
 /// The shared 8-point quick grid (2 architectures x 2 loads x 2 seeds).
 fn grid() -> ScenarioGrid {
     common::small_grid("catalog-harness")
+}
+
+/// The pool shape the harness runs on: 2 threads, 2-point steals.
+fn pool_2x2() -> SweepOptions<'static> {
+    SweepOptions { threads: 2, chunk: 2, ..SweepOptions::default() }
 }
 
 /// Kill a sweep mid-flight (miss budget), damage the partial catalog —
@@ -48,9 +57,8 @@ fn crash_damaged_catalog_resumes_to_the_uncached_result() {
     // The "crashed" sweep: budget kills it after 5 of 8 points.
     let dir = temp_catalog("crash-victim");
     let catalog = Catalog::open(&dir).unwrap();
-    let killed = g
-        .run_cached_shard_with_budget(&catalog, 0, 1, 2, 2, Some(5))
-        .unwrap();
+    let budget = SweepOptions { miss_budget: Some(5), ..pool_2x2() };
+    let killed = g.run_cached_with(&catalog, &budget).unwrap();
     assert!(!killed.is_complete());
     assert_eq!(killed.pending, 3);
     assert!(killed.outcomes.is_empty(), "a truncated run carries no vector");
@@ -194,9 +202,10 @@ fn concurrent_shards_share_a_catalog_without_torn_entries() {
     // Disjoint halves, one directory, two threads.
     let dir = temp_catalog("shards-disjoint");
     let catalog = Catalog::open(&dir).unwrap();
+    let half = |i| SweepOptions { shard: (i, 2), ..pool_2x2() };
     let (left, right) = std::thread::scope(|s| {
-        let a = s.spawn(|| g.run_cached_shard(&catalog, 0, 2, 2, 2).unwrap());
-        let b = s.spawn(|| g.run_cached_shard(&catalog, 1, 2, 2, 2).unwrap());
+        let a = s.spawn(|| g.run_cached_with(&catalog, &half(0)).unwrap());
+        let b = s.spawn(|| g.run_cached_with(&catalog, &half(1)).unwrap());
         (a.join().unwrap(), b.join().unwrap())
     });
     assert_eq!(left.indices, g.shard_range(0, 2));
@@ -338,6 +347,74 @@ fn pre_bump_v8_entries_are_never_served_and_resume_recomputes() {
     assert_eq!((warm.hits, warm.misses), (n, 0));
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The on-disk formats, pinned on both sides.  The two fixtures were
+/// written by the `sweep` binary of the commit before the stores were
+/// merged onto one implementation (PR 14), for the one-point grid
+/// below: `checkpoint --every 100 --kill-at 250` left the snapshot
+/// taken at cycle 200, `resume` the catalog entry.  Each must be served
+/// by `lookup`, and `store` of the served payload into a fresh
+/// directory must reproduce the file byte for byte — field order,
+/// pretty-printing, the content hash.
+#[test]
+fn parent_written_fixtures_are_served_and_restored_byte_for_byte() {
+    // sweep --name format-fixture --quick --archs substrate --chips 1
+    //       --stacks 2 --mem-fractions 0.5 --loads 0.001 --seeds 11
+    //       --read-share 0.5
+    let g = ScenarioGrid::new("format-fixture")
+        .scale(Scale::Quick)
+        .architectures(&[Architecture::Substrate])
+        .chips(&[1])
+        .stacks(&[2])
+        .memory_fractions(&[0.5])
+        .loads(&[0.001])
+        .seeds(&[11])
+        .read_share(0.5);
+    let point = &g.points()[0];
+    let fp = g.point_fingerprint(point);
+    let fixture = |name: &str| {
+        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        fs::read_to_string(path).unwrap()
+    };
+    let entry = fixture("v9_catalog_entry.json");
+    let checkpoint = fixture("v9_checkpoint.ckpt.json");
+
+    // Stores quarantine what they cannot serve, so they only ever see
+    // copies of the checked-in files.
+    let served_dir = temp_catalog("fixtures-served");
+    let catalog = Catalog::open(&served_dir).unwrap();
+    let checkpoints = CheckpointStore::open(&served_dir).unwrap();
+    let entry_name = format!("{}.json", fp.hex());
+    let checkpoint_name = format!("{}.ckpt.json", fp.hex());
+    fs::write(served_dir.join(&entry_name), &entry).unwrap();
+    fs::write(served_dir.join(&checkpoint_name), &checkpoint).unwrap();
+    let outcome = catalog.lookup(&fp).expect("the v9 catalog entry must be served");
+    let snapshot = checkpoints.lookup(&fp).expect("the v9 checkpoint must be served");
+    assert_eq!(snapshot.cycle, 200);
+    assert_eq!(catalog.quarantined() + checkpoints.quarantined(), 0);
+
+    let stored_dir = temp_catalog("fixtures-stored");
+    Catalog::open(&stored_dir).unwrap().store(&fp, point, &outcome).unwrap();
+    CheckpointStore::open(&stored_dir).unwrap().store(&fp, &snapshot).unwrap();
+    let stored = |name: &str| fs::read_to_string(stored_dir.join(name)).unwrap();
+    assert!(stored(&entry_name) == entry, "catalog entry bytes moved");
+    assert!(stored(&checkpoint_name) == checkpoint, "checkpoint bytes moved");
+
+    // And the snapshot is live state, not just bytes: the point
+    // resumes from it to the outcome the entry records.
+    let resumed = g
+        .checkpoint_every(100)
+        .run_cached_with(
+            &Catalog::open(stored_dir.join("resumed")).unwrap(),
+            &SweepOptions { checkpoints: Some(&checkpoints), ..Default::default() },
+        )
+        .unwrap();
+    assert_eq!(resumed.outcomes, [outcome]);
+    assert_eq!(checkpoints.quarantined(), 0, "a warm start, not a cold one");
+
+    let _ = fs::remove_dir_all(&served_dir);
+    let _ = fs::remove_dir_all(&stored_dir);
 }
 
 /// The headline acceptance check: a second `run_cached` of the same

@@ -21,8 +21,8 @@ use proptest::prelude::*;
 use common::{quick, system_fingerprint, temp_dir, vector_bytes};
 
 use wimnet::core::{
-    Catalog, CheckpointEntry, CheckpointStore, MacKind, MultichipSystem, SystemConfig,
-    WirelessModel, ENGINE_VERSION,
+    Catalog, CheckpointEntry, CheckpointStore, MacKind, MultichipSystem, SweepOptions,
+    SystemConfig, WirelessModel, ENGINE_VERSION,
 };
 use wimnet::topology::Architecture;
 use wimnet::traffic::{InjectionProcess, UniformRandom, Workload};
@@ -30,6 +30,12 @@ use wimnet::traffic::{InjectionProcess, UniformRandom, Workload};
 /// A fresh per-test checkpoint directory under the system temp dir.
 fn temp_store(tag: &str) -> PathBuf {
     temp_dir("wimnet-checkpoint-harness", tag)
+}
+
+/// Whole-grid sweep options on a `threads` x `chunk` pool with
+/// `checkpoints` as the snapshot store.
+fn pool(threads: usize, chunk: usize, checkpoints: &CheckpointStore) -> SweepOptions<'_> {
+    SweepOptions { threads, chunk, checkpoints: Some(checkpoints), ..Default::default() }
 }
 
 /// The canonical closed-loop workload: uniform-random writes plus a
@@ -467,8 +473,8 @@ fn corrupt_checkpoints_are_quarantined_never_served() {
 /// answer an uncached run gives.
 #[test]
 fn a_flit_form_checkpoint_is_quarantined_and_the_point_cold_starts() {
-    // The grid the fixture was written for (by the parent commit's
-    // `run_cached_resumable`, killed at cycle 150).
+    // The grid the fixture was written for (by the sweep entry point
+    // of the commit before PR 13, killed at cycle 150).
     let g = wimnet::core::ScenarioGrid::new("pre-pr13-fixture")
         .scale(wimnet::core::Scale::Quick)
         .architectures(&[Architecture::Substrate])
@@ -498,7 +504,7 @@ fn a_flit_form_checkpoint_is_quarantined_and_the_point_cold_starts() {
 
     let cat_dir = temp_store("flit-form-catalog");
     let resumed = g
-        .run_cached_resumable(&Catalog::open(&cat_dir).unwrap(), &checkpoints, 1, 1, None)
+        .run_cached_with(&Catalog::open(&cat_dir).unwrap(), &pool(1, 1, &checkpoints))
         .unwrap();
     assert_eq!(checkpoints.quarantined(), 1, "the flit-form file must be set aside");
     assert!(checkpoints.is_empty());
@@ -531,7 +537,8 @@ fn abandoned_temps_are_swept_and_live_entries_survive() {
         "{\"engine_version\": \"wim",
     )
     .unwrap();
-    fs::write(dir.join("feedfacefeedface.ckpt.json.tmp-999-1"), "").unwrap();
+    let stranger = format!("{}.ckpt.json.tmp-999-1", "feedface".repeat(4));
+    fs::write(dir.join(stranger), "").unwrap();
 
     assert_eq!(store.len(), 1, "temp debris is not a checkpoint");
     assert_eq!(store.sweep_temps(), 2);
@@ -567,17 +574,14 @@ fn killed_sweep_resumes_from_checkpoints_to_the_uncached_vector() {
     let ckpt_dir = temp_store("sweep-checkpoints");
     let catalog = Catalog::open(&cat_dir).unwrap();
     let checkpoints = CheckpointStore::open(&ckpt_dir).unwrap();
-    let killed = g
-        .run_cached_resumable(&catalog, &checkpoints, 2, 2, Some(600))
-        .unwrap();
+    let killing = SweepOptions { kill_at: Some(600), ..pool(2, 2, &checkpoints) };
+    let killed = g.run_cached_with(&catalog, &killing).unwrap();
     assert_eq!(killed.pending, n, "every point was killed");
     assert!(killed.outcomes.is_empty(), "a killed sweep carries no vector");
     assert_eq!(checkpoints.len(), n, "each killed point left its latest snapshot");
 
     // Resume: warm-start every point from its snapshot.
-    let resumed = g
-        .run_cached_resumable(&catalog, &checkpoints, 2, 2, None)
-        .unwrap();
+    let resumed = g.run_cached_with(&catalog, &pool(2, 2, &checkpoints)).unwrap();
     assert!(resumed.is_complete());
     assert_eq!(resumed.misses, n, "nothing was in the catalog yet");
     assert_eq!(
@@ -592,13 +596,106 @@ fn killed_sweep_resumes_from_checkpoints_to_the_uncached_vector() {
 
     // The catalog is now warm; a third call simulates nothing, and
     // the checkpoint path is a no-op.
-    let warm = g
-        .run_cached_resumable(&catalog, &checkpoints, 2, 2, None)
-        .unwrap();
+    let warm = g.run_cached_with(&catalog, &pool(2, 2, &checkpoints)).unwrap();
     assert_eq!((warm.hits, warm.misses, warm.pending), (n, 0, 0));
     assert_eq!(vector_bytes(&warm.outcomes), vector_bytes(&reference.outcomes));
 
     for d in [&ref_dir, &cat_dir, &ckpt_dir] {
+        let _ = fs::remove_dir_all(d);
+    }
+}
+
+/// `--catalog D --checkpoints D`: both stores opened on one directory.
+/// An entry is exactly `{32 hex}{suffix}` and a temp exactly that plus
+/// `.tmp-*`, so neither store counts, serves or sweeps the other's
+/// files — although `*.ckpt.json` also ends in `.json`.
+#[test]
+fn a_catalog_and_a_checkpoint_store_can_share_a_directory() {
+    let g = wimnet::core::ScenarioGrid::new("shared-dir")
+        .scale(wimnet::core::Scale::Quick)
+        .chips(&[2])
+        .stacks(&[2])
+        .loads(&[0.002])
+        .seeds(&[11, 12])
+        .checkpoint_every(200);
+    let dir = temp_store("shared-dir");
+    let catalog = Catalog::open(&dir).unwrap();
+    let checkpoints = CheckpointStore::open(&dir).unwrap();
+
+    let killing = SweepOptions { kill_at: Some(600), ..pool(2, 1, &checkpoints) };
+    let killed = g.run_cached_with(&catalog, &killing).unwrap();
+    assert_eq!(killed.pending, 2);
+    assert_eq!(checkpoints.len(), 2, "each killed point left a snapshot");
+    assert_eq!(catalog.len(), 0, "a snapshot is not a catalog entry");
+
+    // One crashed writer of each kind.
+    let fp = g.point_fingerprint(&g.points()[0]);
+    let entry_temp = dir.join(format!("{}.json.tmp-1-0", fp.hex()));
+    let snapshot_temp = dir.join(format!("{}.ckpt.json.tmp-1-0", fp.hex()));
+    fs::write(&entry_temp, "{").unwrap();
+    fs::write(&snapshot_temp, "{").unwrap();
+    assert_eq!(catalog.sweep_temps(), 1);
+    assert!(!entry_temp.exists(), "the catalog sweeps its own temp");
+    assert!(snapshot_temp.exists(), "and leaves the checkpoint store's alone");
+    assert_eq!(checkpoints.sweep_temps(), 1);
+    assert!(!snapshot_temp.exists());
+    assert_eq!((catalog.len(), checkpoints.len()), (0, 2), "sweeps touch no entry");
+
+    let resumed = g.run_cached_with(&catalog, &pool(2, 1, &checkpoints)).unwrap();
+    assert!(resumed.is_complete());
+    assert_eq!((catalog.len(), checkpoints.len()), (2, 0));
+    assert_eq!(catalog.quarantined() + checkpoints.quarantined(), 0);
+    let reference = g.run().unwrap();
+    assert_eq!(vector_bytes(&resumed.outcomes), vector_bytes(&reference));
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `sweep checkpoint --shard I/N`: a checkpointed run covers its own
+/// shard only.  Two disjoint halves, each killed mid-point, leave
+/// snapshots for exactly their own points; resumed, their union is the
+/// uncached vector.
+#[test]
+fn sharded_checkpointed_sweeps_touch_only_their_own_points() {
+    let g = common::small_grid("ckpt-shards").checkpoint_every(200);
+    let n = g.len();
+    let points = g.points();
+    let cat_dir = temp_store("shards-catalog");
+    let catalog = Catalog::open(&cat_dir).unwrap();
+    let reference = g.run().unwrap();
+
+    let mut stitched = Vec::new();
+    let mut snapshot_dirs = Vec::new();
+    for shard in 0..2 {
+        let dir = temp_store(&format!("shards-checkpoints-{shard}"));
+        let checkpoints = CheckpointStore::open(&dir).unwrap();
+        let half = SweepOptions { shard: (shard, 2), ..pool(2, 2, &checkpoints) };
+        let range = g.shard_range(shard, 2);
+
+        let killing = SweepOptions { kill_at: Some(600), ..half };
+        let killed = g.run_cached_with(&catalog, &killing).unwrap();
+        assert_eq!(killed.indices, range);
+        assert_eq!((killed.hits, killed.misses, killed.pending), (0, 0, n / 2));
+        assert_eq!(checkpoints.len(), n / 2, "snapshots for this half only");
+        for point in &points {
+            assert_eq!(
+                checkpoints.contains(&g.point_fingerprint(point)),
+                range.contains(&point.index),
+                "shard {shard}/2, point {}",
+                point.index
+            );
+        }
+
+        let resumed = g.run_cached_with(&catalog, &half).unwrap();
+        assert_eq!((resumed.hits, resumed.misses, resumed.pending), (0, n / 2, 0));
+        assert!(checkpoints.is_empty(), "spent checkpoints are retired");
+        stitched.extend(resumed.outcomes);
+        snapshot_dirs.push(dir);
+    }
+    assert_eq!(catalog.len(), n);
+    assert_eq!(vector_bytes(&stitched), vector_bytes(&reference));
+
+    for d in snapshot_dirs.iter().chain([&cat_dir]) {
         let _ = fs::remove_dir_all(d);
     }
 }
