@@ -257,6 +257,26 @@ fn bench_inject(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_meter_readout(c: &mut Criterion) {
+    // One `Network::meter()` on a loaded 4C4M: every port has carried
+    // flits and the counters hold 500 cycles.  The read-out is O(ports)
+    // whatever the counts, and this is its price for per-cycle callers
+    // (the `golden_step` observer folds it into every cycle's hash).
+    let layout = build_layout(Architecture::Interposer);
+    let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
+    let mut net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
+    let cores = layout.core_nodes();
+    for (i, &src) in cores.iter().enumerate() {
+        net.inject(PacketDesc::new(src, cores[(i + 17) % 64], 64, 0));
+    }
+    for _ in 0..500 {
+        net.step();
+    }
+    let mut g = c.benchmark_group("meter_readout");
+    g.bench_function("interposer_loaded", |b| b.iter(|| std::hint::black_box(&net).meter()));
+    g.finish();
+}
+
 /// A 5-port × 8-VC switch (the mesh switch shape) whose port-0 input
 /// VCs `0..active` each hold the first `flits` flits of an endless
 /// packet, Active toward port 1 with `credit` credits per output VC,
@@ -377,6 +397,7 @@ criterion_group!(
     bench_idle_step,
     bench_step_hot_loop,
     bench_switch_visit,
-    bench_inject
+    bench_inject,
+    bench_meter_readout
 );
 criterion_main!(benches);

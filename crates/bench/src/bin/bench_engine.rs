@@ -49,7 +49,7 @@
 //!   whole story — under per-cycle f64 replay the after block's wall
 //!   clock still scaled with the window; with the exact-sum meter's
 //!   repeated charges each jump costs O(1) adds (`docs/engine.md`
-//!   §"Batched energy metering");
+//!   §"Energy is read out, not charged");
 //! * `memory_bound_ff` — read-heavy closed-loop traffic into the
 //!   stacks (90% memory share, all reads, sparse load): the network
 //!   drains while requests sit in the cycle-accurate memory

@@ -55,11 +55,14 @@ pub struct RunOutcome {
     /// [`SystemConfig::disable_fast_forward`] set.  Surfaces how much
     /// of a run was provably idle; see `docs/fast_forward.md`.
     pub fast_forwarded_cycles: u64,
-    /// Exact-sum meter operations performed over the window (each
-    /// `add`/`add_repeated` call counts once).  With
-    /// [`RunOutcome::meter_charges`] this surfaces the O(1)-accounting
-    /// win: `meter_charges − meter_ops` is the number of per-cycle
-    /// float adds the repeated-charge closed forms avoided.
+    /// Exact-sum meter operations performed while the window advanced
+    /// (each `add`/`add_repeated` call counts once: MAC, memory and
+    /// driver charges; flit hops and leakage are counted and priced at
+    /// read-out, which is not an operation).  Host-work telemetry, the
+    /// only field here that describes the simulator rather than the
+    /// simulated system.  With [`RunOutcome::meter_charges`] it
+    /// surfaces the accounting win: `meter_charges − meter_ops` is the
+    /// number of per-charge adds the counters and closed forms avoided.
     #[serde(default)]
     pub meter_ops: u64,
     /// Per-cycle charge quanta those operations accounted (an
@@ -99,8 +102,9 @@ impl RunOutcome {
             * f64::from(config.flit_bits)
             * config.energy.clock.gigahertz();
         let window_packets = stats.window_packets_delivered();
+        let meter = net.meter();
         let avg_packet_energy_nj = (window_packets > 0)
-            .then(|| net.meter().total().nanojoules() / window_packets as f64);
+            .then(|| meter.total().nanojoules() / window_packets as f64);
         RunOutcome {
             label: config.label(),
             workload: workload.to_string(),
@@ -116,17 +120,17 @@ impl RunOutcome {
             p99_latency_cycles: stats.latency_percentile(0.99),
             p999_latency_cycles: stats.latency_percentile(0.999),
             fast_forwarded_cycles: net.fast_forwarded_cycles(),
-            meter_ops: net.meter().ops(),
-            meter_charges: net.meter().charges(),
-            energy: net.meter().breakdown(),
+            meter_ops: meter.ops(),
+            meter_charges: meter.charges(),
+            energy: meter.breakdown(),
             memory,
             telemetry,
         }
     }
 
-    /// Per-cycle float adds the repeated-charge closed forms avoided:
-    /// the quanta accounted minus the meter operations that landed
-    /// them.  Zero on fully stepped runs (every charge is its own op).
+    /// Per-charge adds the hop/cycle counters and the repeated-charge
+    /// closed forms avoided: the quanta accounted minus the meter
+    /// operations performed while the run advanced.
     pub fn meter_adds_saved(&self) -> u64 {
         self.meter_charges.saturating_sub(self.meter_ops)
     }

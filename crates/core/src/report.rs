@@ -136,8 +136,9 @@ pub fn format_memory_table(stats: &[wimnet_memory::MemoryStackStats]) -> String 
 /// as an aligned table: every nonzero category with its share of the
 /// total, then the total itself.  Each figure is one correctly-rounded
 /// read-out of the meter's exact accumulator (`docs/engine.md`
-/// §"Batched energy metering"), so the categories sum to the total up
-/// to one rounding per line — there is no accumulation drift to hide.
+/// §"Energy is read out, not charged"), so the categories sum to the
+/// total up to one rounding per line — there is no accumulation drift
+/// to hide.
 pub fn format_energy_table(energy: &wimnet_energy::EnergyBreakdown) -> String {
     let total = energy.total.nanojoules();
     let mut rows: Vec<Vec<String>> = energy

@@ -625,7 +625,7 @@ impl MultichipSystem {
 
     /// Captures the complete mutable state at an iteration boundary of
     /// the run loop (between `run_iteration` calls, where the per-cycle
-    /// scratch is empty and the engine's charge log is drained).
+    /// scratch is empty).
     /// Prefer [`MultichipSystem::snapshot`], which pairs the state with
     /// its cycle cursor.
     pub fn state(&self) -> SystemState {

@@ -286,10 +286,13 @@ impl ExactSum {
 /// value of the per-category accumulators' exact sum).
 ///
 /// The meter also counts its own work: [`EnergyMeter::ops`] is the
-/// number of add *operations* performed, [`EnergyMeter::charges`] the
-/// number of logical charges they represented.  A fast-forwarded idle
-/// stretch performs O(1) ops for O(k) charges; `ops` is what the
-/// O(1)-accounting tests assert on.
+/// number of add *operations* performed while the simulation advanced,
+/// [`EnergyMeter::charges`] the number of logical charges accounted.
+/// A fast-forwarded idle stretch performs O(1) ops for O(k) charges;
+/// `ops` is what the O(1)-accounting tests assert on.  Charges priced
+/// only when the meter is read ([`EnergyMeter::add_counted`]) count as
+/// `charges` but not as `ops`, so `ops` does not depend on how often a
+/// run was read out or snapshotted.
 ///
 /// # Example
 ///
@@ -347,14 +350,28 @@ impl EnergyMeter {
     /// Panics in debug builds if `energy` is negative or non-finite.
     #[inline]
     pub fn add_repeated(&mut self, category: EnergyCategory, energy: Energy, count: u64) {
+        self.ops += u64::from(count > 0);
+        self.add_counted(category, energy, count);
+    }
+
+    /// Lands `count` charges of `energy` that a caller *counted* while
+    /// the simulation advanced and prices only now, at read-out — one
+    /// exact multiply-add, the same bits as `count` individual
+    /// [`EnergyMeter::add`] calls.  The charges enter
+    /// [`EnergyMeter::charges`]; the multiply-add is not an
+    /// [`EnergyMeter::ops`] operation, because how many read-outs a run
+    /// saw (one more per checkpoint) is the host's business, not the
+    /// simulated system's.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `energy` is negative or non-finite.
+    #[inline]
+    pub fn add_counted(&mut self, category: EnergyCategory, energy: Energy, count: u64) {
         debug_assert!(
             energy.is_finite() && energy >= Energy::ZERO,
             "energy must be finite and non-negative, got {energy:?}"
         );
-        if count == 0 {
-            return;
-        }
-        self.ops += 1;
         self.charges += count;
         self.by_category[category.index()].add_f64_repeated(energy.joules(), count);
     }
@@ -393,7 +410,8 @@ impl EnergyMeter {
     }
 
     /// Add operations performed so far (each [`EnergyMeter::add`] or
-    /// [`EnergyMeter::add_repeated`] call counts once).
+    /// [`EnergyMeter::add_repeated`] call counts once; read-out
+    /// [`EnergyMeter::add_counted`] calls do not).
     pub fn ops(&self) -> u64 {
         self.ops
     }
@@ -453,15 +471,14 @@ impl AddAssign<&EnergyMeter> for EnergyMeter {
 
 /// A run-length-encoded log of pending meter charges.
 ///
-/// Hot paths that charge the same few constants thousands of times per
-/// cycle (the per-flit-hop switch-traversal and link-crossing energies)
-/// push into a `ChargeBatch` instead of calling [`EnergyMeter::add`]
-/// per flit, then drain the batch once per cycle with
-/// [`EnergyMeter::apply_batch`]; idle closed forms log whole stretches
-/// at once with [`ChargeBatch::push_repeated`].  Consecutive identical
-/// charges collapse into one `(category, energy, count)` run, and
-/// draining costs one [`EnergyMeter::add_repeated`] per *run* — O(1)
-/// per run however many charges it represents.
+/// A component that owes the meter the same few constants many times
+/// over (the memory controllers' background power across a skipped
+/// stretch) logs them into a `ChargeBatch` — whole stretches at once
+/// with [`ChargeBatch::push_repeated`] — and its driver lands the batch
+/// with [`EnergyMeter::apply_batch`].  Consecutive identical charges
+/// collapse into one `(category, energy, count)` run, and draining
+/// costs one [`EnergyMeter::add_repeated`] per *run* — O(1) per run
+/// however many charges it represents.
 ///
 /// **Exactness contract:** the meter's accumulator is an exact integer
 /// sum, so applying a batch is bit-identical to the unbatched add
@@ -698,6 +715,13 @@ mod tests {
         assert_eq!(batched.ops(), 1);
         assert_eq!(batched.charges(), k);
         assert_eq!(looped.ops(), k);
+        // The read-out form lands the same limbs and charges, but is
+        // not an operation of the simulated run.
+        let mut counted = EnergyMeter::new();
+        counted.add_counted(EnergyCategory::WirelessIdle, e, k);
+        assert_eq!(counted, batched);
+        assert_eq!(counted.charges(), k);
+        assert_eq!(counted.ops(), 0);
     }
 
     #[test]
@@ -774,8 +798,8 @@ mod tests {
 
     #[test]
     fn charge_batch_is_bit_identical_to_unbatched_adds() {
-        // An interleaved per-flit charge pattern (the phase-4 shape:
-        // switch traversal, then a link crossing, repeated).
+        // An interleaved charge pattern (switch traversal, then a link
+        // crossing, repeated).
         let charges = [
             (EnergyCategory::SwitchDynamic, Energy::from_pj(20.16)),
             (EnergyCategory::Wire, Energy::from_pj(3.7)),

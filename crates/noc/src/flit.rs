@@ -21,9 +21,9 @@ impl std::fmt::Display for PacketId {
 
 /// Position of a flit within its packet.
 ///
-/// `repr(u8)` + a [`Default`] keep the kind lane of the switches' SoA
-/// flit slab (`wimnet_noc::vc::VcFabric`) one dense byte array; the
-/// default ([`FlitKind::Body`]) is what unoccupied slab slots hold — it
+/// `repr(u8)` keeps the kind the one trailing byte of the switches'
+/// packed 32-byte flit slot (`wimnet_noc::vc::VcFabric`); the default
+/// ([`FlitKind::Body`]) is what unoccupied slab slots hold — it
 /// carries no head/tail semantics, so a stale slot can never fabricate
 /// a wormhole open or release.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]

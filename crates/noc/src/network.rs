@@ -179,10 +179,10 @@ pub struct RadioTxState {
 /// tables (`Network::new` rebuilds those from the layout + routes; a
 /// snapshot only carries what a run mutates).
 ///
-/// Captured between cycles — per-cycle scratch and the charge batch are
-/// empty at that point and deliberately excluded.  Restoring into a
-/// freshly built network for the same layout/routes/config resumes the
-/// run bit-for-bit (see `wimnet_core::checkpoint`).
+/// Captured between cycles — per-cycle scratch is empty at that point
+/// and deliberately excluded.  Restoring into a freshly built network
+/// for the same layout/routes/config resumes the run bit-for-bit (see
+/// `wimnet_core::checkpoint`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkState {
     /// Completed cycles.
@@ -216,7 +216,8 @@ pub struct NetworkState {
     pub arrivals: Vec<ArrivedPacket>,
     /// Statistics (lifetime + measurement window).
     pub stats: NetworkStats,
-    /// Energy meter (exact integer limbs — restores bit-for-bit).
+    /// Energy meter as [`Network::meter`] read it out at capture time
+    /// (exact integer limbs — restores bit-for-bit).
     pub meter: EnergyMeter,
     /// Flits accepted and not yet delivered.
     pub flits_in_network: u64,
@@ -269,13 +270,15 @@ pub struct Network {
     /// Where credits for a freed input-VC slot must be returned, per
     /// global port.
     upstream: Vec<Upstream>,
-    /// Per-flit-hop meter charges, precomputed per global port at
-    /// construction (switch traversal first, then the port's link
-    /// crossing, in exactly the order the unbatched meter calls used).
+    /// What one flit hop out of each global port costs, precomputed at
+    /// construction (switch traversal, then the port's link crossing).
     /// Global port `gp` owns `flit_charges[start .. start + len]` with
     /// `(start, len) = charge_span[gp]`.
     flit_charges: Vec<(EnergyCategory, Energy)>,
     charge_span: Vec<(u32, u32)>,
+    /// Flit hops out of each global port since the last reset: all
+    /// phase 4 does for energy; [`Network::meter`] prices them.
+    port_flits: Vec<u64>,
     radios: Vec<RadioTx>,
     radio_of_switch: Vec<Option<(RadioId, usize)>>,
     radio_by_node: Vec<Option<RadioId>>,
@@ -297,10 +300,14 @@ pub struct Network {
     reassembler: Reassembler,
     arrivals: Vec<ArrivedPacket>,
     stats: NetworkStats,
-    meter: EnergyMeter,
-    switch_static: Power,
-    serial_static: Power,
-    wireless_idle_static: Power,
+    /// Eagerly charged energy (MAC actions, [`Network::charge`] and
+    /// friends); hops and leakage are counted and join it at read-out.
+    charged: EnergyMeter,
+    /// One cycle's leakage per always-on category.
+    leakage: Vec<(EnergyCategory, Energy)>,
+    /// Cycles (stepped or skipped) since the last reset; each owes one
+    /// quantum of every `leakage` entry.
+    metered_cycles: u64,
     flits_in_network: u64,
     /// Flits generated but still queued at their sources (the O(1)
     /// mirror of summing `inj_backlog`).
@@ -335,11 +342,6 @@ pub struct Network {
     scratch_view: MediumView,
     /// Reusable MAC action list (cleared per medium per cycle).
     scratch_actions: MediumActions,
-    /// Per-cycle batched meter charges: phase 4 logs per-flit-hop
-    /// energies here (run-length encoded) and drains them into the
-    /// meter once per cycle, replaying the exact unbatched add order so
-    /// totals stay bit-identical (see [`ChargeBatch`]).
-    charge_log: ChargeBatch,
     /// Optional observability sink (`docs/observability.md`).  The
     /// disabled path is a branch on `None` at every hook; the enabled
     /// path only reads decision state the engine computed anyway and
@@ -546,10 +548,8 @@ impl Network {
                 // The reverse link fills the upstream entry of this
                 // port (fixed up to the true source below).
                 upstream.push(Upstream::Wired { switch: dst_sw, port: dst_port });
-                // Per-flit meter charges of this port, in the order the
-                // unbatched hot path issued them: traversal, then the
-                // link-kind crossing (receiver decode before transmit
-                // for point-to-point wireless).
+                // Per-flit charges of this port: traversal, then the
+                // link-kind crossing.
                 let link_charge: &[(EnergyCategory, Energy)] = match e.kind {
                     EdgeKind::Mesh => {
                         &[(EnergyCategory::Wire, cfg.energy.wire(bits, e.length_mm))]
@@ -664,6 +664,16 @@ impl Network {
         } else {
             Power::ZERO
         };
+        let per_cycle = |p: Power| p.energy_over_cycles(1, cfg.energy.clock);
+        let mut leakage = vec![(EnergyCategory::SwitchStatic, per_cycle(switch_static))];
+        for (category, power) in [
+            (EnergyCategory::SerialIoStatic, serial_static),
+            (EnergyCategory::WirelessIdle, wireless_idle_static),
+        ] {
+            if power > Power::ZERO {
+                leakage.push((category, per_cycle(power)));
+            }
+        }
 
         // Ring-slab fill values: the payload types have no meaningful
         // default, so unoccupied slots hold an explicit zeroed flit.
@@ -709,9 +719,9 @@ impl Network {
             out_link,
             band_port,
             upstream,
+            port_flits: vec![0; charge_span.len()],
             flit_charges,
             charge_span,
-            charge_log: ChargeBatch::new(),
             radios,
             radio_of_switch,
             radio_by_node,
@@ -720,10 +730,9 @@ impl Network {
             reassembler: Reassembler::new(),
             arrivals: Vec::new(),
             stats: NetworkStats::new(),
-            meter: EnergyMeter::new(),
-            switch_static,
-            serial_static,
-            wireless_idle_static,
+            charged: EnergyMeter::new(),
+            leakage,
+            metered_cycles: 0,
             flits_in_network: 0,
             backlog_flits: 0,
             radio_backlog_flits: 0,
@@ -816,15 +825,37 @@ impl Network {
         &self.stats
     }
 
-    /// Energy meter.
-    pub fn meter(&self) -> &EnergyMeter {
-        &self.meter
+    /// Reads the energy meter out: the eagerly charged energy, plus each
+    /// global port's flit hops × that port's per-hop charges, plus the
+    /// metered cycles × each leakage quantum.  Every product is one
+    /// exact multiply-add, so the limbs are those of charging each hop
+    /// and cycle as it happened.  O(ports) and owned: a per-cycle caller
+    /// pays that per call.
+    pub fn meter(&self) -> EnergyMeter {
+        let mut meter = self.charged.clone();
+        for (&flits, &(start, len)) in self.port_flits.iter().zip(&self.charge_span) {
+            for &(category, energy) in
+                &self.flit_charges[start as usize..(start + len) as usize]
+            {
+                meter.add_counted(category, energy, flits);
+            }
+        }
+        for &(category, energy) in &self.leakage {
+            meter.add_counted(category, energy, self.metered_cycles);
+        }
+        meter
+    }
+
+    /// Zeroes the work counters [`Network::meter`] prices.
+    fn clear_energy_counters(&mut self) {
+        self.port_flits.fill(0);
+        self.metered_cycles = 0;
     }
 
     /// Charges energy from a component outside the engine (memory stack
     /// service, for example) so the meter stays the single total.
     pub fn charge(&mut self, category: EnergyCategory, energy: wimnet_energy::Energy) {
-        self.meter.add(category, energy);
+        self.charged.add(category, energy);
     }
 
     /// Charges `count` identical quanta in one exact multiply-add — the
@@ -836,21 +867,22 @@ impl Network {
         energy: wimnet_energy::Energy,
         count: u64,
     ) {
-        self.meter.add_repeated(category, energy, count);
+        self.charged.add_repeated(category, energy, count);
     }
 
     /// Drains an externally assembled [`ChargeBatch`] into the meter —
     /// one exact multiply-add per run (the memory controllers'
     /// fast-forward closed form lands its background energy here).
     pub fn apply_charges(&mut self, batch: &ChargeBatch) {
-        self.meter.apply_batch(batch);
+        self.charged.apply_batch(batch);
     }
 
     /// Opens the measurement window now: resets window statistics and the
     /// energy meter (warmup energy is discarded, as in the paper).
     pub fn begin_measurement(&mut self) {
         self.stats.begin_measurement(self.now);
-        self.meter.clear();
+        self.charged.clear();
+        self.clear_energy_counters();
     }
 
     /// Flits accepted into the network and not yet delivered (excludes
@@ -1004,11 +1036,11 @@ impl Network {
     /// idle charges, leakage energy and window-cycle statistics.  The
     /// meter's exact accumulator makes per-category sums order- and
     /// batching-independent, so each medium collapses the span into O(1)
-    /// repeated charges via [`SharedMedium::idle_advance`] and the
-    /// leakage loop becomes one [`EnergyMeter::add_repeated`] per
-    /// category — energy totals stay bit-identical to stepping while
-    /// meter work stays O(1) in the skipped-cycle count.  Returns the
-    /// number of cycles actually skipped — zero when the network is not
+    /// repeated charges via [`SharedMedium::idle_advance`], and leakage
+    /// is the cycle counter stepping shares, bumped by `cycles` — energy
+    /// totals stay bit-identical to stepping while meter work stays O(1)
+    /// in the skipped-cycle count.  Returns the number of cycles
+    /// actually skipped — zero when the network is not
     /// [`Network::is_idle`].
     pub fn fast_forward(&mut self, cycles: u64) -> u64 {
         if cycles == 0 || !self.is_idle() {
@@ -1023,10 +1055,10 @@ impl Network {
             for action in actions.actions() {
                 match *action {
                     MediumAction::Energy { category, energy } => {
-                        self.meter.add(category, energy);
+                        self.charged.add(category, energy);
                     }
                     MediumAction::EnergyRepeated { category, energy, count } => {
-                        self.meter.add_repeated(category, energy, count);
+                        self.charged.add_repeated(category, energy, count);
                     }
                     MediumAction::Transmit { .. } => {
                         unreachable!("quiescent medium must not transmit")
@@ -1034,28 +1066,8 @@ impl Network {
                 }
             }
         }
-        // …then the phase 7 leakage, one exact multiply-add per
-        // category instead of `cycles` float adds.
-        self.meter.add_repeated(
-            EnergyCategory::SwitchStatic,
-            self.switch_static.energy_over_cycles(1, self.cfg.energy.clock),
-            cycles,
-        );
-        if self.serial_static > Power::ZERO {
-            self.meter.add_repeated(
-                EnergyCategory::SerialIoStatic,
-                self.serial_static.energy_over_cycles(1, self.cfg.energy.clock),
-                cycles,
-            );
-        }
-        if self.wireless_idle_static > Power::ZERO {
-            self.meter.add_repeated(
-                EnergyCategory::WirelessIdle,
-                self.wireless_idle_static
-                    .energy_over_cycles(1, self.cfg.energy.clock),
-                cycles,
-            );
-        }
+        // …then the phase 7 leakage: `cycles` more metered cycles.
+        self.metered_cycles += cycles;
         self.media = media;
         self.scratch_actions = actions;
         self.stats.on_cycles(cycles);
@@ -1181,23 +1193,17 @@ impl Network {
         self.scratch_moves = moves;
         self.scratch_order = order;
 
-        self.drain_charges();
         self.run_media_phase(now);
         self.land_credits();
         self.finish_cycle(now);
     }
 
-    /// Routes one winning ST movement: meter charges, upstream credit,
+    /// Routes one winning ST movement: hop count, upstream credit,
     /// ejection/radio/link delivery (`pb` = `port_base[si]`).
     fn apply_move(&mut self, si: usize, pb: usize, m: &StMove, now: u64) {
         self.last_progress = now;
-        // Per-flit-hop energy: log the port's precomputed charge
-        // sequence (traversal + link crossing); the batch drains
-        // into the meter once per cycle, in this exact order.
-        let (start, len) = self.charge_span[pb + m.out_port];
-        for &(cat, energy) in &self.flit_charges[start as usize..(start + len) as usize] {
-            self.charge_log.push(cat, energy);
-        }
+        // Per-flit-hop energy is priced at read-out (`Network::meter`).
+        self.port_flits[pb + m.out_port] += 1;
         // Credit back upstream for the freed input slot.
         if let Upstream::Wired { switch, port } = self.upstream[pb + m.in_port] {
             self.scratch_credits.push((switch, port, m.in_vc));
@@ -1264,16 +1270,6 @@ impl Network {
         }
     }
 
-    /// Drains the batched per-flit charges before phase 5 so the meter's
-    /// accumulation order matches the former per-move adds exactly (media
-    /// charges always followed phase 4's).
-    fn drain_charges(&mut self) {
-        if !self.charge_log.is_empty() {
-            self.meter.apply_batch(&self.charge_log);
-            self.charge_log.clear();
-        }
-    }
-
     /// Phase 5: shared media (wireless channel + MAC).  View and action
     /// list are per-run scratch, refreshed/cleared in place.
     fn run_media_phase(&mut self, now: u64) {
@@ -1303,25 +1299,9 @@ impl Network {
         self.scratch_credits.clear();
     }
 
-    /// Phase 7: leakage + end-of-cycle bookkeeping.
+    /// Phase 7: leakage (a metered cycle) + end-of-cycle bookkeeping.
     fn finish_cycle(&mut self, now: u64) {
-        self.meter.add(
-            EnergyCategory::SwitchStatic,
-            self.switch_static.energy_over_cycles(1, self.cfg.energy.clock),
-        );
-        if self.serial_static > Power::ZERO {
-            self.meter.add(
-                EnergyCategory::SerialIoStatic,
-                self.serial_static.energy_over_cycles(1, self.cfg.energy.clock),
-            );
-        }
-        if self.wireless_idle_static > Power::ZERO {
-            self.meter.add(
-                EnergyCategory::WirelessIdle,
-                self.wireless_idle_static
-                    .energy_over_cycles(1, self.cfg.energy.clock),
-            );
-        }
+        self.metered_cycles += 1;
         self.stats.on_cycle();
         if let Some(t) = &mut self.telemetry {
             t.series.on_cycle(now, self.flits_in_network);
@@ -1443,10 +1423,10 @@ impl Network {
         for action in actions.actions() {
             match *action {
                 MediumAction::Energy { category, energy } => {
-                    self.meter.add(category, energy);
+                    self.charged.add(category, energy);
                 }
                 MediumAction::EnergyRepeated { category, energy, count } => {
-                    self.meter.add_repeated(category, energy, count);
+                    self.charged.add_repeated(category, energy, count);
                 }
                 MediumAction::Transmit { from, tx_vc, rx_vc } => {
                     let radio = &mut self.radios[from.index()];
@@ -1485,18 +1465,11 @@ impl Network {
     /// Captures the network's complete dynamic state for checkpointing.
     ///
     /// Must be called between cycles (never from inside a step), where
-    /// the per-cycle scratch buffers and the charge batch are empty —
-    /// the snapshot deliberately omits them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-cycle charge batch is non-empty (a snapshot
-    /// taken mid-step would silently drop pending meter charges).
+    /// the per-cycle scratch buffers are empty — the snapshot
+    /// deliberately omits them.  The meter it carries is the
+    /// [`Network::meter`] read-out, so the hop and cycle counters are
+    /// not part of the state: a restored network starts them at zero.
     pub fn state(&self) -> NetworkState {
-        assert!(
-            self.charge_log.is_empty(),
-            "network snapshot taken mid-cycle (pending meter charges)"
-        );
         let (flight_lanes, flight_caps) = self.flight.state();
         NetworkState {
             now: self.now,
@@ -1524,7 +1497,7 @@ impl Network {
             reassembler: self.reassembler.clone(),
             arrivals: self.arrivals.clone(),
             stats: self.stats.clone(),
-            meter: self.meter.clone(),
+            meter: self.meter(),
             flits_in_network: self.flits_in_network,
             backlog_flits: self.backlog_flits,
             radio_backlog_flits: self.radio_backlog_flits,
@@ -1550,8 +1523,9 @@ impl Network {
     /// flits, a cursor at or past its packet's end, a foreign source or
     /// out-of-range destination; a partially injected entry behind a
     /// lane's front; an active VC that disagrees with the front entry's
-    /// cursor; a flit total other than `backlog_flits`), when a switch
-    /// rejects its tables ([`Switch::check_state`]), or when an
+    /// cursor; a flit total other than `backlog_flits`), when a flit it
+    /// carries names an endpoint this network does not have, when a
+    /// switch rejects its tables ([`Switch::check_state`]), or when an
     /// attached medium rejects its state value (MAC model mismatch).
     /// Shape rejection happens before any mutation, so a failed restore
     /// leaves the network untouched.
@@ -1576,6 +1550,7 @@ impl Network {
         shape(self.inj_mask.len(), s.inj_mask.len(), "injector bitset width")?;
         shape(self.inj_pending.len(), s.inj_lanes.len(), "source queue count")?;
         let inj_backlog = self.checked_source_backlog(s)?;
+        self.check_flit_endpoints(s)?;
         for (sw, st) in self.switches.iter().zip(&s.switches) {
             sw.check_state(st)?;
         }
@@ -1607,7 +1582,8 @@ impl Network {
         self.reassembler = s.reassembler.clone();
         self.arrivals = s.arrivals.clone();
         self.stats = s.stats.clone();
-        self.meter = s.meter.clone();
+        self.charged = s.meter.clone();
+        self.clear_energy_counters();
         self.flits_in_network = s.flits_in_network;
         self.backlog_flits = s.backlog_flits;
         self.radio_backlog_flits = s.radio_backlog_flits;
@@ -1616,7 +1592,21 @@ impl Network {
         self.links_mask.copy_from_slice(&s.links_mask);
         self.switch_mask.copy_from_slice(&s.switch_mask);
         self.inj_mask.copy_from_slice(&s.inj_mask);
-        self.charge_log.clear();
+        Ok(())
+    }
+
+    /// Every flit a snapshot carries (buffered, on a wire, in a radio
+    /// FIFO) must name endpoints of this network: RC indexes the LUT by
+    /// `dest`, and the flit slab narrows both indices to `u32`.
+    fn check_flit_endpoints(&self, s: &NetworkState) -> Result<(), serde::Error> {
+        let n = self.switches.len();
+        let buffered = s.switches.iter().flat_map(|sw| &sw.vcs).flat_map(|vc| &vc.flits);
+        let wired = s.flight_lanes.iter().flatten().map(|d| &d.flit);
+        let radio = s.radios.iter().flat_map(|r| &r.lanes).flatten().map(|(f, _)| f);
+        let known = |f: &Flit| f.src.index() < n && f.dest.index() < n;
+        if !buffered.chain(wired).chain(radio).all(known) {
+            return Err(serde::Error::msg("snapshot flit endpoint out of range"));
+        }
         Ok(())
     }
 
@@ -2040,7 +2030,13 @@ mod tests {
         assert_eq!(good.switches[src].vcs[spare].stage, VcStage::Idle);
         // Each doctored snapshot with the reason its rejection must give.
         type Doctor = fn(&mut SwitchState, usize, usize, usize);
-        let cases: [(&str, Doctor); 14] = [
+        let cases: [(&str, Doctor); 16] = [
+            ("flit endpoint out of range", |s, flat, _, _| {
+                s.vcs[flat].flits[0].dest = wimnet_topology::NodeId(68);
+            }),
+            ("flit endpoint out of range", |s, flat, _, _| {
+                s.vcs[flat].flits[0].src = wimnet_topology::NodeId(usize::MAX);
+            }),
             ("input VC count", |s, _, _, _| {
                 s.vcs.pop();
             }),

@@ -1,14 +1,13 @@
 //! Virtual channels: one contiguous slab of flit storage per switch.
 //!
 //! The fabric holds every input VC of a switch in a single allocation
-//! group, in struct-of-arrays form: ring-buffer slots are parallel
-//! `packet` / `kind` / `seq` / `src` / `dest` / `created_at` arrays
-//! keyed by slab index, and the per-VC book-keeping (ring head, length,
-//! pipeline stage, wormhole owner) lives in flat `port * vcs + vc`
-//! indexed arrays.  The switch allocators read dense memory instead of
-//! chasing `Vec<Vec<VecDeque>>` pointers; the fields a stage actually
-//! reads (stage, front kind/dest) come from their own cache lines
-//! instead of dragging whole `Flit` structs in.
+//! group: ring-buffer slots are one array of packed 32-byte flits keyed
+//! by slab index (two slots per cache line — what the engine does with
+//! a buffered flit is push it whole, pop it whole, or read one field of
+//! the front), and the per-VC book-keeping (ring head, length, pipeline
+//! stage, wormhole owner) lives in flat `port * vcs + vc` indexed
+//! arrays.  The switch allocators read dense memory instead of chasing
+//! `Vec<Vec<VecDeque>>` pointers.
 //!
 //! Slot addressing: VC `flat` owns slots `flat * capacity ..
 //! (flat + 1) * capacity`; its `i`-th buffered flit (0 = front) lives at
@@ -48,7 +47,54 @@ pub enum VcStage {
     },
 }
 
-/// All input VCs of one switch, flattened into contiguous SoA storage.
+/// One slab slot: a [`Flit`] packed to 32 bytes (node indices narrowed
+/// to `u32`, the kind byte last so the padding is the tail).
+#[derive(Debug, Clone, Copy)]
+#[repr(C)]
+struct Slot {
+    packet: u64,
+    created: u64,
+    src: u32,
+    dest: u32,
+    seq: u32,
+    kind: FlitKind,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
+impl Slot {
+    /// What unoccupied slots hold: a body flit carries no head/tail
+    /// semantics, so a stale slot can never open or release a wormhole.
+    const EMPTY: Slot =
+        Slot { packet: 0, created: 0, src: 0, dest: 0, seq: 0, kind: FlitKind::Body };
+
+    #[inline]
+    fn pack(f: Flit) -> Slot {
+        let narrow = |n: NodeId| u32::try_from(n.index()).expect("node index fits u32");
+        Slot {
+            packet: f.packet.0,
+            created: f.created_at,
+            src: narrow(f.src),
+            dest: narrow(f.dest),
+            seq: f.seq,
+            kind: f.kind,
+        }
+    }
+
+    #[inline]
+    fn unpack(self) -> Flit {
+        Flit {
+            packet: PacketId(self.packet),
+            kind: self.kind,
+            seq: self.seq,
+            src: NodeId(self.src as usize),
+            dest: NodeId(self.dest as usize),
+            created_at: self.created,
+        }
+    }
+}
+
+/// All input VCs of one switch, flattened into contiguous storage.
 ///
 /// Indexing is by *flat VC id* (`port * vcs + vc`, see
 /// [`VcFabric::flat`]); every accessor is O(1) slab arithmetic.
@@ -66,13 +112,8 @@ pub struct VcFabric {
     /// by its head flit entering the FIFO, cleared when its tail is
     /// pushed).
     owner: Vec<Option<PacketId>>,
-    // --- Flit slab, struct-of-arrays (slot = flat * capacity + ring).
-    slot_packet: Vec<PacketId>,
-    slot_kind: Vec<FlitKind>,
-    slot_seq: Vec<u32>,
-    slot_src: Vec<NodeId>,
-    slot_dest: Vec<NodeId>,
-    slot_created: Vec<u64>,
+    /// Flit slab (slot = flat * capacity + ring position).
+    slots: Vec<Slot>,
 }
 
 impl VcFabric {
@@ -85,7 +126,6 @@ impl VcFabric {
     pub fn new(ports: usize, vcs: usize, capacity: usize) -> Self {
         assert!(ports > 0 && vcs > 0 && capacity > 0, "VC buffers need capacity");
         let n = ports * vcs;
-        let slots = n * capacity;
         VcFabric {
             vcs,
             capacity,
@@ -93,12 +133,7 @@ impl VcFabric {
             len: vec![0; n],
             stage: vec![VcStage::Idle; n],
             owner: vec![None; n],
-            slot_packet: vec![PacketId(0); slots],
-            slot_kind: vec![FlitKind::Body; slots],
-            slot_seq: vec![0; slots],
-            slot_src: vec![NodeId(0); slots],
-            slot_dest: vec![NodeId(0); slots],
-            slot_created: vec![0; slots],
+            slots: vec![Slot::EMPTY; n * capacity],
         }
     }
 
@@ -175,7 +210,7 @@ impl VcFabric {
     #[inline]
     pub fn front_kind(&self, flat: usize) -> FlitKind {
         assert!(self.len[flat] > 0, "front of an empty VC");
-        self.slot_kind[self.slot(flat, 0)]
+        self.slots[self.slot(flat, 0)].kind
     }
 
     /// Destination of the front flit (the RC lookup key).
@@ -186,7 +221,7 @@ impl VcFabric {
     #[inline]
     pub fn front_dest(&self, flat: usize) -> NodeId {
         assert!(self.len[flat] > 0, "front of an empty VC");
-        self.slot_dest[self.slot(flat, 0)]
+        NodeId(self.slots[self.slot(flat, 0)].dest as usize)
     }
 
     /// Packet id of the front flit (the VA grant key).
@@ -197,15 +232,15 @@ impl VcFabric {
     #[inline]
     pub fn front_packet(&self, flat: usize) -> PacketId {
         assert!(self.len[flat] > 0, "front of an empty VC");
-        self.slot_packet[self.slot(flat, 0)]
+        PacketId(self.slots[self.slot(flat, 0)].packet)
     }
 
-    /// The flit at the FIFO front, if any, assembled from the slab.
+    /// The flit at the FIFO front, if any.
     pub fn front(&self, flat: usize) -> Option<Flit> {
         if self.len[flat] == 0 {
             return None;
         }
-        Some(self.read(self.slot(flat, 0)))
+        Some(self.slots[self.slot(flat, 0)].unpack())
     }
 
     /// The `i`-th buffered flit of VC `flat` (0 = front), if present.
@@ -214,19 +249,7 @@ impl VcFabric {
         if i >= self.len[flat] as usize {
             return None;
         }
-        Some(self.read(self.slot(flat, i)))
-    }
-
-    #[inline]
-    fn read(&self, slot: usize) -> Flit {
-        Flit {
-            packet: self.slot_packet[slot],
-            kind: self.slot_kind[slot],
-            seq: self.slot_seq[slot],
-            src: self.slot_src[slot],
-            dest: self.slot_dest[slot],
-            created_at: self.slot_created[slot],
-        }
+        Some(self.slots[self.slot(flat, i)].unpack())
     }
 
     /// Enqueues a flit into VC `flat`.
@@ -262,12 +285,7 @@ impl VcFabric {
             self.owner[flat] = None;
         }
         let slot = self.slot(flat, self.len[flat] as usize);
-        self.slot_packet[slot] = flit.packet;
-        self.slot_kind[slot] = flit.kind;
-        self.slot_seq[slot] = flit.seq;
-        self.slot_src[slot] = flit.src;
-        self.slot_dest[slot] = flit.dest;
-        self.slot_created[slot] = flit.created_at;
+        self.slots[slot] = Slot::pack(flit);
         self.len[flat] += 1;
     }
 
@@ -286,13 +304,14 @@ impl VcFabric {
     /// One VC's complete dynamic state for checkpointing: buffered
     /// flits front-to-back, pipeline stage, and wormhole owner.
     pub fn vc_state(&self, flat: usize) -> (Vec<Flit>, VcStage, Option<PacketId>) {
-        let flits = (0..self.len(flat)).map(|i| self.read(self.slot(flat, i))).collect();
+        let flits =
+            (0..self.len(flat)).map(|i| self.slots[self.slot(flat, i)].unpack()).collect();
         (flits, self.stage[flat], self.owner[flat])
     }
 
     /// Restores one VC from a [`VcFabric::vc_state`] snapshot.
     ///
-    /// Writes the slab arrays directly rather than replaying
+    /// Writes the slab directly rather than replaying
     /// [`VcFabric::push`]: a snapshot taken mid-packet legitimately
     /// holds body flits whose head already departed, which `push`'s
     /// wormhole asserts would reject.  The ring head normalises to
@@ -315,14 +334,9 @@ impl VcFabric {
         self.len[flat] = flits.len() as u32;
         self.stage[flat] = stage;
         self.owner[flat] = owner;
-        for (i, f) in flits.iter().enumerate() {
-            let slot = flat * self.capacity + i;
-            self.slot_packet[slot] = f.packet;
-            self.slot_kind[slot] = f.kind;
-            self.slot_seq[slot] = f.seq;
-            self.slot_src[slot] = f.src;
-            self.slot_dest[slot] = f.dest;
-            self.slot_created[slot] = f.created_at;
+        let base = flat * self.capacity;
+        for (slot, &f) in self.slots[base..base + flits.len()].iter_mut().zip(flits) {
+            *slot = Slot::pack(f);
         }
     }
 
@@ -331,7 +345,7 @@ impl VcFabric {
         if self.len[flat] == 0 {
             return None;
         }
-        let flit = self.read(flat * self.capacity + self.head[flat] as usize);
+        let flit = self.slots[flat * self.capacity + self.head[flat] as usize].unpack();
         let next = self.head[flat] + 1;
         self.head[flat] = if next as usize == self.capacity { 0 } else { next };
         self.len[flat] -= 1;

@@ -24,6 +24,7 @@ use wimnet::core::{
     Catalog, CheckpointEntry, CheckpointStore, MacKind, MultichipSystem, SweepOptions,
     SystemConfig, WirelessModel, ENGINE_VERSION,
 };
+use wimnet::energy::{EnergyCategory, EnergyMeter};
 use wimnet::topology::Architecture;
 use wimnet::traffic::{InjectionProcess, UniformRandom, Workload};
 
@@ -57,10 +58,13 @@ fn reads(cfg: &SystemConfig, rate: f64, read_share: f64) -> UniformRandom {
 ///
 /// 1. run `cfg` + `make_workload()` uninterrupted (the reference);
 /// 2. run a *fresh* pair to `stop`, snapshot, throw the system away;
-/// 3. build another fresh system, restore the snapshot, resume with a
-///    *fresh* workload (generation is a pure function of the cycle, so
-///    the workload is rebuilt, not snapshotted);
-/// 4. assert outcome equality (full `PartialEq` *and* canonical JSON
+/// 3. build another fresh system, restore the snapshot — its meter
+///    must read out to the source's, limb for limb, although the hop
+///    and cycle counters behind the source's read-out did not travel —
+///    and resume with a *fresh* workload (generation is a pure function
+///    of the cycle, so the workload is rebuilt, not snapshotted);
+/// 4. assert outcome equality (full `PartialEq`, `meter_ops` and
+///    `meter_charges` included, *and* canonical JSON
 ///    bytes), bit-level engine fingerprints, and per-stack memory
 ///    statistics.
 ///
@@ -76,13 +80,13 @@ fn assert_resume_equivalent(
     let mut w = make_workload();
     let ref_outcome = reference.run(w.as_mut()).expect("uninterrupted run");
 
-    let snapshot = {
+    let (snapshot, source_meter) = {
         let mut first = MultichipSystem::build(cfg).expect("system builds");
         let mut w = make_workload();
         let reached = first.run_until(w.as_mut(), 0, stop).expect("partial run");
         let snap = first.snapshot();
         assert_eq!(snap.cycle, reached, "{what}: snapshot cursor != cursor reached");
-        snap
+        (snap, first.network().meter())
     };
     assert!(
         snapshot.cycle < reference.run_total_cycles_public(),
@@ -91,6 +95,7 @@ fn assert_resume_equivalent(
 
     let mut resumed = MultichipSystem::build(cfg).expect("system builds");
     resumed.restore(&snapshot).expect("restore succeeds");
+    assert_same_meter(what, &resumed.network().meter(), &source_meter);
     let mut w = make_workload();
     let res_outcome = resumed
         .run_from(w.as_mut(), snapshot.cycle)
@@ -120,6 +125,17 @@ fn assert_resume_equivalent(
         "{what}: sanity — the scenario carried traffic"
     );
     reference
+}
+
+/// Two meter read-outs agree limb for limb (`EnergyMeter`'s equality is
+/// the exact accumulators) and in both work counters.
+fn assert_same_meter(what: &str, got: &EnergyMeter, want: &EnergyMeter) {
+    assert_eq!(got, want, "{what}: meter limbs diverged");
+    assert_eq!(
+        (got.ops(), got.charges()),
+        (want.ops(), want.charges()),
+        "{what}: meter work counters diverged"
+    );
 }
 
 /// `run_total_cycles` is crate-private; the public config carries the
@@ -175,6 +191,42 @@ fn resume_equals_uninterrupted_for_both_serialized_macs() {
             "{mac:?}: fast-forward never engaged on the drained shared channel"
         );
     }
+}
+
+/// The hop and cycle counters behind `Network::meter` across the
+/// snapshot boundary.  The source is cut mid-window with flits moving,
+/// so its counters are non-zero (leakage and switch traversals are only
+/// ever counted, never charged); the target is not a fresh system but
+/// one that already ran to a *different* cycle, so the restore must
+/// discard the counts it had pending rather than add the snapshot's
+/// meter on top of them.  Both then run to the end: the full
+/// `RunOutcome`, `meter_ops` and `meter_charges` included, must match.
+#[test]
+fn restore_discards_pending_energy_counts_and_resumes_exactly() {
+    let cfg = quick(Architecture::Interposer);
+    let make = || reads(&cfg, 0.004, 0.5);
+    let stop = cfg.warmup_cycles + cfg.measure_cycles / 2;
+
+    let mut source = MultichipSystem::build(&cfg).unwrap();
+    let mut source_w = make();
+    let reached = source.run_until(&mut source_w, 0, stop).unwrap();
+    let snapshot = source.snapshot();
+    let source_meter = source.network().meter();
+    for counted in [EnergyCategory::SwitchStatic, EnergyCategory::SwitchDynamic] {
+        assert!(source_meter.category(counted).joules() > 0.0, "{counted} was counted");
+    }
+    assert!(source_meter.charges() > source_meter.ops(), "counted charges are not ops");
+
+    let mut target = MultichipSystem::build(&cfg).unwrap();
+    target.run_until(&mut make(), 0, cfg.warmup_cycles + 7).unwrap();
+    assert!(target.network().meter().charges() > 0, "the target has counts pending");
+    target.restore(&snapshot).unwrap();
+    assert_same_meter("dirty target", &target.network().meter(), &source_meter);
+
+    let uninterrupted = source.run_from(&mut source_w, reached).unwrap();
+    let resumed = target.run_from(&mut make(), snapshot.cycle).unwrap();
+    assert_eq!(resumed, uninterrupted);
+    assert!(uninterrupted.meter_charges > uninterrupted.meter_ops);
 }
 
 /// Edge case: snapshots at and around the warmup/measurement boundary.
