@@ -5,10 +5,14 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
+use wimnet_memory::{
+    AccessKind, AddressMap, ControllerConfig, MemRequest, MemoryController, StackConfig,
+};
 use wimnet_noc::switch::{OutPortSpec, RouteEntry, Switch};
 use wimnet_noc::{Flit, FlitKind, Network, NocConfig, PacketDesc, PacketId};
 use wimnet_routing::{Routes, RoutingPolicy};
 use wimnet_topology::{Architecture, MultichipConfig, MultichipLayout, NodeId};
+use wimnet_wireless::{ChannelConfig, TokenMac};
 
 fn build_layout(arch: Architecture) -> MultichipLayout {
     MultichipLayout::build(&MultichipConfig::xcym(4, 4, arch)).expect("layout")
@@ -277,6 +281,60 @@ fn bench_meter_readout(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_controller_step_drained(c: &mut Criterion) {
+    // One `MemoryController::step` on a stack that served a read and
+    // drained — what every stack costs on every stepped cycle of a
+    // workload that issues few or no reads.  The full body walks 4
+    // channels x 8 banks; the drained fast path is one compare and one
+    // counter bump.
+    let map = AddressMap::paper(1);
+    let mut mc = MemoryController::new(0, StackConfig::paper(), ControllerConfig::paper());
+    mc.enqueue(MemRequest { addr: 0, bytes: 64, kind: AccessKind::Read, tag: 0 }, &map)
+        .expect("an empty queue has room");
+    let mut out = Vec::new();
+    let mut now = 0u64;
+    while out.is_empty() {
+        mc.step(now, &mut out);
+        now += 1;
+    }
+    let mut g = c.benchmark_group("controller_step_drained");
+    // 1 000 steps per sample: µs per sample reads as ns per step.
+    g.bench_function("paper_stack_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                now += 1;
+                mc.step(std::hint::black_box(now), &mut out);
+            }
+        })
+    });
+    g.finish();
+}
+
+fn bench_media_phase_unchanged(c: &mut Criterion) {
+    // One `Network::step` of an empty wireless 4C4M with the token MAC
+    // attached: links saturated, no switch or injector active, so the
+    // step is the media phase — bring the view up to date (no radio
+    // changed) and run a MAC cycle that passes the token.  This is the
+    // stepped cycle a low-duty-cycle run pays between packets.
+    let layout = build_layout(Architecture::Wireless);
+    let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
+    let mut net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
+    net.attach_medium(Box::new(TokenMac::new(ChannelConfig::paper(net.radio_count()))));
+    for _ in 0..100 {
+        net.step();
+    }
+    let mut g = c.benchmark_group("media_phase_unchanged");
+    // 1 000 steps per sample: µs per sample reads as ns per step.
+    g.bench_function("token_mac_4c4m_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                net.step();
+            }
+        })
+    });
+    g.finish();
+}
+
 /// A 5-port × 8-VC switch (the mesh switch shape) whose port-0 input
 /// VCs `0..active` each hold the first `flits` flits of an endless
 /// packet, Active toward port 1 with `credit` credits per output VC,
@@ -398,6 +456,8 @@ criterion_group!(
     bench_step_hot_loop,
     bench_switch_visit,
     bench_inject,
-    bench_meter_readout
+    bench_meter_readout,
+    bench_controller_step_drained,
+    bench_media_phase_unchanged
 );
 criterion_main!(benches);

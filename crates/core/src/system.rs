@@ -658,14 +658,10 @@ impl MultichipSystem {
     /// # Errors
     ///
     /// [`CoreError::Checkpoint`] when the state's shape does not match
-    /// this system (different scale, architecture or wireless medium).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts deeper shape invariants (per-switch VC counts,
-    /// per-channel bank counts) that only a hand-doctored state can
-    /// violate; on-disk corruption is quarantined by
-    /// [`crate::checkpoint::CheckpointStore`] long before this runs.
+    /// this system (different scale, architecture or wireless medium),
+    /// or when the network or a memory controller rejects its tables
+    /// (`Network::restore_state`, `MemoryController::check_state`); the
+    /// system is untouched then.
     pub fn restore_state(&mut self, s: &SystemState) -> Result<(), CoreError> {
         let shape = |what: &str| CoreError::Checkpoint { what: what.to_string() };
         if s.controllers.len() != self.controllers.len() {
@@ -677,13 +673,18 @@ impl MultichipSystem {
         if s.staged.len() != self.staged.len() {
             return Err(shape("snapshot staged-queue count differs from system"));
         }
-        // The network restores its media first, so a MAC-model mismatch
-        // fails here and leaves this system untouched.
+        // Controllers are validated before anything is restored, and the
+        // network restores its media first, so a doctored controller or
+        // a MAC-model mismatch fails here and leaves this system
+        // untouched.
+        for (c, cs) in self.controllers.iter().zip(&s.controllers) {
+            c.check_state(cs).map_err(|e| shape(&format!("controller restore: {e}")))?;
+        }
         self.net.restore_state(&s.net).map_err(|e| CoreError::Checkpoint {
             what: format!("network restore: {e}"),
         })?;
         for (c, cs) in self.controllers.iter_mut().zip(&s.controllers) {
-            c.restore_state(cs);
+            c.restore_state(cs).expect("checked above");
         }
         self.stream_ordinals.clone_from(&s.stream_ordinals);
         self.staged.clone_from(&s.staged);
@@ -788,11 +789,13 @@ impl MultichipSystem {
         }
         // Debug builds periodically sweep the switches' slab
         // bookkeeping invariants (buffered counter and ready masks vs
-        // slab occupancy) so a drifting counter fails the nearest
+        // slab occupancy) and the media's incremental view, so a
+        // drifting counter or a missed dirty mark fails the nearest
         // test instead of corrupting a long run silently.
         #[cfg(debug_assertions)]
         if cycle.is_multiple_of(1024) {
             self.net.assert_switch_invariants();
+            self.net.assert_medium_view_invariant();
         }
         cycle += 1;
         // Idle fast-forward: when the workload promises no events

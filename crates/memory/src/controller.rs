@@ -305,6 +305,14 @@ pub struct MemoryController {
     /// fast-forwarded path batches it in
     /// [`MemoryController::idle_advance`].
     background_energy: Energy,
+    /// Requests queued or in service: +1 at admission, −n where `step`
+    /// drains completions.  Derived (recounted on restore, never
+    /// serialised); with `busy_until` it lets a drained step return in
+    /// O(1).
+    pending: usize,
+    /// The largest bank `ready_at` ever set — monotone, raised at issue.
+    /// No bank is busy at any cycle `>= busy_until`.
+    busy_until: u64,
 }
 
 impl MemoryController {
@@ -331,6 +339,8 @@ impl MemoryController {
             next_seq: 0,
             counters: Counters::default(),
             background_energy: Energy::ZERO,
+            pending: 0,
+            busy_until: 0,
         }
     }
 
@@ -385,6 +395,7 @@ impl MemoryController {
         let seq = self.next_seq;
         self.next_seq += 1;
         ch.queue.push_back(Queued { req, loc, seq });
+        self.pending += 1;
         self.counters.max_queue_depth = self.counters.max_queue_depth.max(ch.queue.len());
         Ok(())
     }
@@ -413,6 +424,15 @@ impl MemoryController {
     /// across gaps sanctioned by [`MemoryController::next_event_at`]
     /// and replayed with [`MemoryController::idle_advance`].
     pub fn step(&mut self, now: u64, out: &mut Vec<Completion>) {
+        // Drained fast path: with nothing queued or in service and every
+        // bank timer run out, the body below completes nothing, picks
+        // from empty queues and counts zero queued requests and zero
+        // busy banks — it would add 1 to `stepped_cycles` and nothing
+        // else.
+        if self.pending == 0 && now >= self.busy_until {
+            self.counters.stepped_cycles += 1;
+            return;
+        }
         let mut busy_banks = 0u64;
         let mut queued = 0u64;
         for ch in &mut self.channels {
@@ -439,6 +459,7 @@ impl MemoryController {
                     }
                 });
                 out[start..].sort_by_key(|c| c.at);
+                self.pending -= out.len() - start;
             }
             // Issue at most one request.
             if let Some(idx) = pick(&ch.queue, &ch.banks, self.ctrl.scheduler, now) {
@@ -459,6 +480,7 @@ impl MemoryController {
                 ch.bus_free_at = data_done;
                 bank.open_row = Some(q.loc.row);
                 bank.ready_at = complete_at;
+                self.busy_until = self.busy_until.max(complete_at);
                 bank.precharge_until = precharge_until;
                 bank.activate_until = row_ready;
                 let bits = u64::from(q.req.bytes) * 8;
@@ -498,9 +520,7 @@ impl MemoryController {
     /// affect only the occupancy integrals, which
     /// [`MemoryController::idle_advance`] replays exactly.
     pub fn is_quiescent(&self) -> bool {
-        self.channels
-            .iter()
-            .all(|ch| ch.queue.is_empty() && ch.inflight.is_empty())
+        self.pending == 0
     }
 
     /// The earliest cycle strictly after `now` (the last stepped cycle)
@@ -609,22 +629,78 @@ impl MemoryController {
         }
     }
 
-    /// Restores a [`MemoryControllerState`] into this controller.  The
-    /// controller must have been built with the same configurations the
-    /// snapshot was taken from.
+    /// Validates a snapshot against this controller's configuration.
+    /// Snapshot bytes come from disk, and [`MemoryController::step`]
+    /// trusts every condition checked here: the scheduler indexes
+    /// `banks[loc.bank]` for each queued request, admission compares
+    /// queue lengths with the configured capacity, and completions
+    /// report `loc` as where the access landed.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the snapshot's channel/bank shape disagrees with
-    /// this controller's configuration.
-    pub fn restore_state(&mut self, s: &MemoryControllerState) {
-        assert_eq!(s.channels.len(), self.channels.len(), "channel count changed");
-        for (ch, cs) in self.channels.iter().zip(&s.channels) {
-            assert_eq!(cs.banks.len(), ch.banks.len(), "bank count changed");
+    /// [`serde::Error`] naming the first violated condition.
+    pub fn check_state(&self, s: &MemoryControllerState) -> Result<(), serde::Error> {
+        let bad = |what: String| {
+            Err(serde::Error::msg(format!(
+                "snapshot of memory controller {} malformed: {what}",
+                self.stack_index
+            )))
+        };
+        if s.channels.len() != self.cfg.channels {
+            return bad(format!(
+                "channel count ({} in snapshot, {} here)",
+                s.channels.len(),
+                self.cfg.channels
+            ));
         }
-        self.channels = s.channels.clone();
+        for (ci, ch) in s.channels.iter().enumerate() {
+            if ch.banks.len() != self.cfg.banks {
+                return bad(format!(
+                    "channel {ci} bank count ({} in snapshot, {} here)",
+                    ch.banks.len(),
+                    self.cfg.banks
+                ));
+            }
+            if ch.queue.len() > self.ctrl.queue_capacity {
+                return bad(format!("channel {ci} queue longer than its capacity"));
+            }
+            let locations =
+                ch.queue.iter().map(|q| &q.loc).chain(ch.inflight.iter().map(|f| &f.loc));
+            for loc in locations {
+                if loc.stack != self.stack_index
+                    || loc.channel != ci
+                    || loc.bank >= self.cfg.banks
+                {
+                    return bad(format!("channel {ci} holds a request located at {loc:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Restores a [`MemoryControllerState`] into this controller, which
+    /// must have been built with the same configurations the snapshot
+    /// was taken from.  The derived `pending` / `busy_until` pair is
+    /// recomputed from the restored queues and banks.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`MemoryController::check_state`] rejects; the
+    /// controller is untouched then.
+    pub fn restore_state(&mut self, s: &MemoryControllerState) -> Result<(), serde::Error> {
+        self.check_state(s)?;
+        self.channels.clone_from(&s.channels);
         self.next_seq = s.next_seq;
         self.counters = s.counters;
+        self.pending = self.queued_requests() + self.inflight_requests();
+        self.busy_until = self
+            .channels
+            .iter()
+            .flat_map(|ch| &ch.banks)
+            .map(|b| b.ready_at)
+            .max()
+            .unwrap_or(0);
+        Ok(())
     }
 
     /// Exact queued-requests-over-cycles integral (the numerator of

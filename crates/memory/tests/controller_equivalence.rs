@@ -11,13 +11,20 @@
 //!    the state `k` individual `step`s would, with no completions in
 //!    between, and the resumed walk stays bit-identical — the
 //!    `idle_step(k) ≡ k×step` obligation of `docs/fast_forward.md`.
+//!
+//! Both cross `step`'s drained fast path (a controller with nothing
+//! pending and every bank timer run out returns after one counter
+//! bump).  Two further cases aim at it: the cycles around the moment it
+//! first applies, against hand-computed statistics, and a recount of
+//! the occupancy statistics from outside the controller, which never
+//! runs the early-out.
 
 use proptest::prelude::*;
 
 use wimnet_energy::{ChargeBatch, Energy, EnergyCategory, EnergyMeter};
 use wimnet_memory::{
-    AccessKind, AddressMap, ControllerConfig, MemRequest, MemoryController, MemoryStack,
-    SchedulerPolicy, StackConfig,
+    AccessKind, AddressMap, BankState, ControllerConfig, MemRequest, MemoryController,
+    MemoryStack, PageOutcome, SchedulerPolicy, StackConfig,
 };
 
 fn kind_of(bit: bool) -> AccessKind {
@@ -36,8 +43,113 @@ fn policy_of(bit: bool) -> SchedulerPolicy {
     }
 }
 
+/// The edge of the drained fast path after a single cold read issued at
+/// cycle 0: its bank is busy through `done − 1`, the completion pops at
+/// `done` (the last full step), and from `done + 1` on the controller
+/// is drained.  An early-out taken one cycle too soon would drop a
+/// busy-bank cycle (or the completion); one that is never taken changes
+/// nothing here, which the statistics cannot tell — the layer bench
+/// does.
+#[test]
+fn statistics_are_exact_around_the_first_drained_step() {
+    let cfg = StackConfig::paper();
+    let done = cfg.service_cycles(AccessKind::Read, PageOutcome::Empty);
+    let map = AddressMap::paper(1);
+    let mut mc = MemoryController::new(0, cfg, ControllerConfig::paper());
+    mc.enqueue(MemRequest { addr: 0, bytes: 64, kind: AccessKind::Read, tag: 9 }, &map)
+        .unwrap();
+    let mut out = Vec::new();
+    for now in 0..done - 1 {
+        mc.step(now, &mut out);
+    }
+    assert!(out.is_empty());
+    // Cycles 0 ..= done − 2 stepped, one bank busy in each.
+    let busy = |mc: &MemoryController| {
+        let s = mc.stats();
+        (s.avg_bank_parallelism, s.busy_fraction)
+    };
+    assert_eq!(busy(&mc), (1.0, 1.0));
+
+    mc.step(done - 1, &mut out); // the bank's last busy cycle
+    assert!(out.is_empty());
+    assert_eq!(busy(&mc), (1.0, 1.0));
+    assert!(!mc.is_quiescent());
+
+    mc.step(done, &mut out); // completes; no bank busy any more
+    assert_eq!(out.len(), 1);
+    assert_eq!((out[0].tag, out[0].at), (9, done));
+    assert_eq!(busy(&mc), (1.0, done as f64 / (done + 1) as f64));
+    assert!(mc.is_quiescent());
+
+    mc.step(done + 1, &mut out); // drained
+    assert_eq!(out.len(), 1, "a drained step completes nothing");
+    assert_eq!(busy(&mc), (1.0, done as f64 / (done + 2) as f64));
+    assert_eq!(mc.stats().avg_queue_depth, 0.0);
+    assert_eq!(mc.stats().accesses, 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The occupancy statistics, recounted from outside: after every
+    /// step the test samples `queued_requests()` and
+    /// `inflight_requests()` — a bank is occupied exactly while its
+    /// access is in service, so the in-flight count *is* the busy-bank
+    /// count — and at the end `stats()` must equal the sums.  Banks
+    /// that `bank_state` shows mid-row-transition are a lower bound on
+    /// the busy count every cycle.  Bursts, gaps and a long drained
+    /// tail make the walk enter and leave the fast path repeatedly; the
+    /// recount never takes it.
+    #[test]
+    fn occupancy_statistics_match_an_outside_recount(
+        ops in prop::collection::vec((0u64..512, any::<bool>(), 0u64..80), 1..30),
+        policy_bit in any::<bool>(),
+    ) {
+        let cfg = StackConfig::paper();
+        let map = AddressMap::paper(1);
+        let ctrl = ControllerConfig { queue_capacity: 4, scheduler: policy_of(policy_bit) };
+        let mut mc = MemoryController::new(0, cfg.clone(), ctrl);
+        let (mut steps, mut queued_sum, mut busy_sum, mut active) = (0u64, 0u64, 0u64, 0u64);
+        let mut out = Vec::new();
+        let mut now = 0u64;
+        let gaps = ops.iter().map(|&(block, write_bit, gap)| (Some((block, write_bit)), gap));
+        for (request, gap) in gaps.chain([(None, 200)]) {
+            if let Some((block, write_bit)) = request {
+                // A bounce off a full queue is part of the walk.
+                let _ = mc.enqueue(
+                    MemRequest { addr: block * 64, bytes: 64, kind: kind_of(write_bit), tag: now },
+                    &map,
+                );
+            }
+            for _ in 0..=gap {
+                mc.step(now, &mut out);
+                let inflight = mc.inflight_requests() as u64;
+                let transitioning = (0..cfg.channels)
+                    .flat_map(|ch| (0..cfg.banks).map(move |b| (ch, b)))
+                    .filter(|&(ch, b)| {
+                        matches!(
+                            mc.bank_state(ch, b, now),
+                            BankState::Precharging | BankState::Activating
+                        )
+                    })
+                    .count() as u64;
+                prop_assert!(transitioning <= inflight, "a bank mid-transition is in service");
+                steps += 1;
+                queued_sum += mc.queued_requests() as u64;
+                busy_sum += inflight;
+                active += u64::from(inflight > 0);
+                now += 1;
+            }
+        }
+        prop_assert!(mc.is_quiescent(), "200 drained cycles outlast any service chain");
+        let frac = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
+        let stats = mc.stats();
+        prop_assert_eq!(mc.queued_cycle_sum(), queued_sum);
+        prop_assert_eq!(stats.avg_queue_depth, frac(queued_sum, steps));
+        prop_assert_eq!(stats.avg_bank_parallelism, frac(busy_sum, active));
+        prop_assert_eq!(stats.busy_fraction, frac(active, steps));
+        prop_assert_eq!(stats.accesses, out.len() as u64);
+    }
 
     /// Contention-free single-outstanding-request equivalence: issue →
     /// drain → gap → issue, comparing every completion against the

@@ -39,9 +39,24 @@ fn clear_bit(words: &mut [u64], i: usize) {
     words[i >> 6] &= !(1u64 << (i & 63));
 }
 
+/// Reads bit `i` of a word bitset.
+#[inline]
+fn get_bit(words: &[u64], i: usize) -> bool {
+    words[i >> 6] >> (i & 63) & 1 == 1
+}
+
 /// Words needed for an `n`-bit bitset.
 fn words_for(n: usize) -> usize {
     n.div_ceil(64)
+}
+
+/// An `n`-bit bitset with every bit set.
+fn all_set(n: usize) -> Vec<u64> {
+    let mut words = vec![0u64; words_for(n)];
+    for i in 0..n {
+        set_bit(&mut words, i);
+    }
+    words
 }
 
 /// Indices of the set bits of `word`, the `w`-th word of a bitset,
@@ -336,10 +351,15 @@ pub struct Network {
     scratch_grants: Vec<VaGrant>,
     scratch_moves: Vec<StMove>,
     scratch_credits: Vec<(usize, usize, usize)>,
-    /// Reusable medium snapshot: refreshed in place each cycle a shared
-    /// medium is attached, so MAC runs allocate nothing on the view
-    /// path after the first cycle.
-    scratch_view: MediumView,
+    /// What the shared media see of every radio, kept for the whole run
+    /// and refreshed only where it changed: `view_dirty` has a bit per
+    /// radio, set at the three sites that touch a radio's TX FIFOs or
+    /// RX VCs (the radio push and the radio-port pop in `apply_move`,
+    /// `MediumAction::Transmit`) and on restore, cleared by
+    /// `refresh_view`.  A radio whose bit is clear views exactly as a
+    /// rebuild would (`Network::assert_medium_view_invariant`).
+    view: MediumView,
+    view_dirty: Vec<u64>,
     /// Reusable MAC action list (cleared per medium per cycle).
     scratch_actions: MediumActions,
     /// Optional observability sink (`docs/observability.md`).  The
@@ -690,10 +710,24 @@ impl Network {
         // Links start active (bitset full) so their bandwidth credit
         // warms up; they drop out once saturated.  Switches and
         // injectors start empty.
-        let mut links_mask = vec![0u64; words_for(links.len())];
-        for li in 0..links.len() {
-            set_bit(&mut links_mask, li);
-        }
+        let links_mask = all_set(links.len());
+        // The media's view starts as empty per-radio entries, all marked
+        // dirty: the first refresh fills them.
+        let view = MediumView::new(
+            radios
+                .iter()
+                .enumerate()
+                .map(|(i, radio)| RadioView {
+                    id: RadioId(i),
+                    node: radio.node,
+                    tx: Vec::with_capacity(radio.fifo.lanes()),
+                    rx: Vec::with_capacity(cfg.vcs),
+                })
+                .collect(),
+        );
+        // An endpoint's ejection port holds at most one packet per
+        // output VC between its head and its tail.
+        let reassembler = Reassembler::with_capacity(n * cfg.vcs);
         Ok(Network {
             inj_pending: vec![VecDeque::new(); n],
             inj_backlog: vec![0; n],
@@ -709,7 +743,8 @@ impl Network {
             scratch_grants: Vec::new(),
             scratch_moves: Vec::new(),
             scratch_credits: Vec::new(),
-            scratch_view: MediumView::default(),
+            view,
+            view_dirty: all_set(radios.len()),
             scratch_actions: MediumActions::new(),
             switches,
             lut: lut.into_boxed_slice(),
@@ -727,7 +762,7 @@ impl Network {
             radio_by_node,
             media: Vec::new(),
             next_packet: 0,
-            reassembler: Reassembler::new(),
+            reassembler,
             arrivals: Vec::new(),
             stats: NetworkStats::new(),
             charged: EnergyMeter::new(),
@@ -1205,8 +1240,17 @@ impl Network {
         // Per-flit-hop energy is priced at read-out (`Network::meter`).
         self.port_flits[pb + m.out_port] += 1;
         // Credit back upstream for the freed input slot.
-        if let Upstream::Wired { switch, port } = self.upstream[pb + m.in_port] {
-            self.scratch_credits.push((switch, port, m.in_vc));
+        match self.upstream[pb + m.in_port] {
+            Upstream::Wired { switch, port } => {
+                self.scratch_credits.push((switch, port, m.in_vc));
+            }
+            // A pop from the radio's receive port: the medium reads that
+            // VC's occupancy and owner from the view.
+            Upstream::Radio => {
+                let (rid, _) = self.radio_of_switch[si].expect("radio port");
+                set_bit(&mut self.view_dirty, rid.index());
+            }
+            Upstream::Local => {}
         }
         if m.out_port == 0 {
             // Ejection: the flit reaches the attached endpoint
@@ -1235,6 +1279,7 @@ impl Network {
                 "radio TX overflow: credit protocol violated"
             );
             radio.fifo.push_back(m.out_vc, (m.flit, target));
+            set_bit(&mut self.view_dirty, rid.index());
             self.radio_backlog_flits += 1;
         } else {
             let li = self.out_link[pb + m.out_port].expect("wired port has a link");
@@ -1270,13 +1315,14 @@ impl Network {
         }
     }
 
-    /// Phase 5: shared media (wireless channel + MAC).  View and action
-    /// list are per-run scratch, refreshed/cleared in place.
+    /// Phase 5: shared media (wireless channel + MAC).  The view is
+    /// brought up to date where it changed since the last cycle; the
+    /// action list is per-run scratch, cleared in place.
     fn run_media_phase(&mut self, now: u64) {
         if self.media.is_empty() {
             return;
         }
-        let mut view = std::mem::take(&mut self.scratch_view);
+        let mut view = std::mem::take(&mut self.view);
         self.refresh_view(&mut view);
         let mut media = std::mem::take(&mut self.media);
         let mut actions = std::mem::take(&mut self.scratch_actions);
@@ -1287,7 +1333,7 @@ impl Network {
         }
         self.media = media;
         self.scratch_actions = actions;
-        self.scratch_view = view;
+        self.view = view;
     }
 
     /// Phase 6: credits land (one-cycle credit loop).
@@ -1359,63 +1405,86 @@ impl Network {
         self.backlog_flits -= 1;
     }
 
-    /// Refreshes `view` in place to the current radio TX/RX state.  The
-    /// per-radio snapshot vectors are cleared and refilled with `Copy`
-    /// entries, so after the first cycle this allocates nothing.
-    fn refresh_view(&self, view: &mut MediumView) {
-        let radios_out = view.radios_mut();
-        if radios_out.len() != self.radios.len() {
-            radios_out.clear();
-            radios_out.extend(self.radios.iter().enumerate().map(|(i, radio)| {
-                RadioView {
-                    id: RadioId(i),
-                    node: radio.node,
-                    tx: Vec::with_capacity(radio.fifo.lanes()),
-                    rx: Vec::with_capacity(self.cfg.vcs),
-                }
-            }));
-        }
-        for (radio, out) in self.radios.iter().zip(radios_out.iter_mut()) {
-            out.node = radio.node;
-            out.tx.clear();
-            for v in 0..radio.fifo.lanes() {
-                let front = radio.fifo.front(v);
-                let (run, has_tail) = match front {
-                    Some((f, _)) => {
-                        let mut run = 0usize;
-                        let mut has_tail = false;
-                        for (g, _) in radio.fifo.iter(v) {
-                            if g.packet != f.packet {
-                                break;
-                            }
-                            run += 1;
-                            if g.kind.is_tail() {
-                                has_tail = true;
-                                break;
-                            }
-                        }
-                        (run, has_tail)
+    /// Radio `ri` as the media must see it: its TX VCs and its RX VCs,
+    /// each read from the FIFO slab and the hosting switch's radio input
+    /// port.  The one definition of a view entry — `refresh_view` fills
+    /// dirty radios from it, the invariant compares clean ones with it.
+    fn radio_view_entries(
+        &self,
+        ri: usize,
+    ) -> (impl Iterator<Item = TxVcView> + '_, impl Iterator<Item = RxVcView> + '_) {
+        let radio = &self.radios[ri];
+        let tx = (0..radio.fifo.lanes()).map(move |v| {
+            let front = radio.fifo.front(v);
+            let mut run = 0usize;
+            let mut has_tail = false;
+            if let Some((f, _)) = front {
+                for (g, _) in radio.fifo.iter(v) {
+                    if g.packet != f.packet {
+                        break;
                     }
-                    None => (0, false),
-                };
-                out.tx.push(TxVcView {
-                    front,
-                    len: radio.fifo.len(v),
-                    front_run_len: run,
-                    front_run_has_tail: has_tail,
-                });
+                    run += 1;
+                    if g.kind.is_tail() {
+                        has_tail = true;
+                        break;
+                    }
+                }
             }
-            let si = radio.node.index();
-            let (_, radio_port) = self.radio_of_switch[si].expect("radio switch");
-            let sw = &self.switches[si];
-            out.rx.clear();
-            for v in 0..self.cfg.vcs {
-                out.rx.push(RxVcView {
-                    owner: sw.vc_owner(radio_port, v),
-                    len: sw.vc_len(radio_port, v),
-                    capacity: sw.vc_capacity(),
-                });
+            TxVcView {
+                front,
+                len: radio.fifo.len(v),
+                front_run_len: run,
+                front_run_has_tail: has_tail,
             }
+        });
+        let si = radio.node.index();
+        let (_, radio_port) = self.radio_of_switch[si].expect("radio switch");
+        let sw = &self.switches[si];
+        let rx = (0..self.cfg.vcs).map(move |v| RxVcView {
+            owner: sw.vc_owner(radio_port, v),
+            len: sw.vc_len(radio_port, v),
+            capacity: sw.vc_capacity(),
+        });
+        (tx, rx)
+    }
+
+    /// Brings `view` (taken out of `self.view`) up to date: rebuilds the
+    /// radios marked dirty since the last refresh, in place — the entry
+    /// vectors are cleared and refilled with `Copy` snapshots, so this
+    /// allocates nothing after the first fill — and clears their marks.
+    fn refresh_view(&mut self, view: &mut MediumView) {
+        for w in 0..self.view_dirty.len() {
+            let word = std::mem::take(&mut self.view_dirty[w]);
+            for ri in word_bits(w, word) {
+                let (tx, rx) = self.radio_view_entries(ri);
+                let out = &mut view.radios_mut()[ri];
+                out.tx.clear();
+                out.tx.extend(tx);
+                out.rx.clear();
+                out.rx.extend(rx);
+            }
+        }
+        debug_assert_eq!(self.stale_radio_view(view), None, "medium view out of date");
+    }
+
+    /// The first radio not marked dirty whose entry in `view` differs
+    /// from what [`Network::radio_view_entries`] reads now.
+    fn stale_radio_view(&self, view: &MediumView) -> Option<usize> {
+        (0..self.radios.len()).filter(|&ri| !get_bit(&self.view_dirty, ri)).find(|&ri| {
+            let (tx, rx) = self.radio_view_entries(ri);
+            let seen = &view.radios()[ri];
+            !(seen.tx.iter().copied().eq(tx) && seen.rx.iter().copied().eq(rx))
+        })
+    }
+
+    /// Panics unless every radio not marked dirty views exactly as a
+    /// from-scratch rebuild would — the medium-view counterpart of
+    /// [`Network::assert_switch_invariants`], O(radios × VCs).  Test
+    /// support: `crates/noc/tests/medium_view.rs` calls it after every
+    /// cycle, debug runs of `MultichipSystem` every 1 024.
+    pub fn assert_medium_view_invariant(&self) {
+        if let Some(ri) = self.stale_radio_view(&self.view) {
+            panic!("medium view out of date at radio {ri}: {:?}", self.view.radios()[ri]);
         }
     }
 
@@ -1434,6 +1503,8 @@ impl Network {
                         .fifo
                         .pop_front(tx_vc)
                         .expect("MAC transmitted from an empty TX VC");
+                    set_bit(&mut self.view_dirty, from.index());
+                    set_bit(&mut self.view_dirty, target.index());
                     self.radio_backlog_flits -= 1;
                     // Free TX slot: credit back to the hosting switch's
                     // radio output port.
@@ -1579,7 +1650,7 @@ impl Network {
             rr.set_cursor(c);
         }
         self.next_packet = s.next_packet;
-        self.reassembler = s.reassembler.clone();
+        self.reassembler.restore_from(&s.reassembler);
         self.arrivals = s.arrivals.clone();
         self.stats = s.stats.clone();
         self.charged = s.meter.clone();
@@ -1592,6 +1663,7 @@ impl Network {
         self.links_mask.copy_from_slice(&s.links_mask);
         self.switch_mask.copy_from_slice(&s.switch_mask);
         self.inj_mask.copy_from_slice(&s.inj_mask);
+        self.view_dirty = all_set(self.radios.len());
         Ok(())
     }
 

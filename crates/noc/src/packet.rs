@@ -126,6 +126,21 @@ impl Reassembler {
         Reassembler::default()
     }
 
+    /// Creates an empty reassembler with room for `packets` partially
+    /// delivered packets, so that [`Reassembler::push`] never grows the
+    /// map below that count.
+    pub fn with_capacity(packets: usize) -> Self {
+        Reassembler {
+            pending: FxHashMap::with_capacity_and_hasher(packets, Default::default()),
+        }
+    }
+
+    /// Takes over `other`'s pending packets, keeping this map's storage.
+    pub(crate) fn restore_from(&mut self, other: &Reassembler) {
+        self.pending.clear();
+        self.pending.extend(other.pending.iter().map(|(&id, &entry)| (id, entry)));
+    }
+
     /// Accepts one ejected flit; returns the completed packet when `flit`
     /// was its tail.
     ///

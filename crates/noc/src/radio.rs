@@ -148,10 +148,11 @@ pub struct RadioView {
 /// Per-cycle snapshot of every radio, offered to the [`SharedMedium`].
 ///
 /// The engine keeps **one** `MediumView` alive for the whole run and
-/// refreshes it in place each cycle (`Network` owns it as scratch):
-/// the per-radio `tx`/`rx` vectors are cleared and refilled with
-/// `Copy` snapshots, so after the first cycle a shared-channel MAC run
-/// allocates nothing on the view path.
+/// refreshes only the radios whose TX FIFOs or RX VCs changed since the
+/// last cycle (`Network` keeps a dirty bit per radio): their `tx`/`rx`
+/// vectors are cleared and refilled with `Copy` snapshots, so an
+/// unchanged radio costs nothing to view and after the first cycle a
+/// shared-channel MAC run allocates nothing on the view path.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MediumView {
     radios: Vec<RadioView>,
@@ -166,7 +167,7 @@ impl MediumView {
     }
 
     /// Mutable access for in-place refresh (engine internal).
-    pub(crate) fn radios_mut(&mut self) -> &mut Vec<RadioView> {
+    pub(crate) fn radios_mut(&mut self) -> &mut [RadioView] {
         &mut self.radios
     }
 

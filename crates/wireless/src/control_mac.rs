@@ -44,9 +44,9 @@ use serde::{Deserialize, Serialize, Value};
 
 use wimnet_energy::EnergyCategory;
 use wimnet_noc::radio::{MediumActions, MediumView, RadioId, SharedMedium};
-use wimnet_noc::PacketId;
 
 use crate::config::ChannelConfig;
+use crate::shadow::RxShadow;
 use crate::MacStats;
 
 /// One scheduled data-flit transmission.
@@ -58,14 +58,6 @@ struct PendingFlit {
     to: RadioId,
     /// Receive VC reserved at control time (§III.D's PktID → VC map).
     rx_vc: usize,
-}
-
-/// Shadow of one receive VC used while building a schedule.
-#[derive(Debug, Clone, Copy)]
-struct ShadowVc {
-    owner: Option<PacketId>,
-    len: usize,
-    capacity: usize,
 }
 
 /// Checkpointed dynamic state of a [`ControlPacketMac`] (the
@@ -109,6 +101,11 @@ pub struct ControlPacketMac {
     /// state).  Spans are the *scheduled* data windows; retransmissions
     /// extend the real turn but not the record.
     turn_log: Option<Vec<wimnet_telemetry::TurnRecord>>,
+    /// Per-turn scratch (not state): the receive-side reservations and
+    /// the `(tx_vc, flits, destination, reserved rx VC)` tuples of the
+    /// schedule being built (empty between turns).
+    shadow: RxShadow,
+    tuples: Vec<(usize, u32, RadioId, usize)>,
 }
 
 impl ControlPacketMac {
@@ -125,6 +122,8 @@ impl ControlPacketMac {
             participants: vec![false; radios],
             stats: MacStats::default(),
             turn_log: None,
+            shadow: RxShadow::new(radios),
+            tuples: Vec::new(),
         }
     }
 
@@ -279,40 +278,18 @@ impl ControlPacketMac {
     fn start_turn(&mut self, now: u64, holder: usize, view: &MediumView, actions: &mut MediumActions) -> bool {
         let cpf = self.cfg.cycles_per_flit();
         let n = self.cfg.radios;
-        // Shadow of every radio's receive side.
-        let mut shadow: Vec<Vec<ShadowVc>> = view
-            .radios()
-            .iter()
-            .map(|r| {
-                r.rx
-                    .iter()
-                    .map(|vc| ShadowVc {
-                        owner: vc.owner,
-                        len: vc.len,
-                        capacity: vc.capacity,
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Tuples: (tx_vc, flits, destination, reserved rx VC).
-        let mut tuples: Vec<(usize, u32, RadioId, usize)> = Vec::new();
+        self.shadow.begin_round(view);
         for (tx_vc, tv) in view.radio(RadioId(holder)).tx.iter().enumerate() {
             let Some((front, target)) = tv.front else { continue };
             if tv.front_run_len == 0 {
                 continue;
             }
-            let rx = &mut shadow[target.index()];
             let is_head = front.kind.is_head();
-            let slot = if is_head {
-                rx.iter()
-                    .position(|vc| vc.owner.is_none() && vc.len < vc.capacity)
-            } else {
-                rx.iter()
-                    .position(|vc| vc.owner == Some(front.packet) && vc.len < vc.capacity)
+            let Some((slot, rx_vc)) = self.shadow.admit(view, target, front.packet, is_head)
+            else {
+                continue;
             };
-            let Some(slot) = slot else { continue };
-            let space = rx[slot].capacity - rx[slot].len;
+            let space = rx_vc.capacity - rx_vc.len;
             let count = tv.front_run_len.min(space) as u32;
             if count == 0 {
                 continue;
@@ -321,13 +298,13 @@ impl ControlPacketMac {
             // PktID until the tail arrives (§III.D).
             let delivers_tail =
                 tv.front_run_has_tail && count as usize == tv.front_run_len;
-            rx[slot].len += count as usize;
-            rx[slot].owner = if delivers_tail { None } else { Some(front.packet) };
-            tuples.push((tx_vc, count, target, slot));
+            rx_vc.len += count as usize;
+            rx_vc.owner = if delivers_tail { None } else { Some(front.packet) };
+            self.tuples.push((tx_vc, count, target, slot));
         }
 
         // Control broadcast: header + one flit per tuple, heard by all.
-        let control_flits = self.cfg.control_flits(tuples.len() as u32);
+        let control_flits = self.cfg.control_flits(self.tuples.len() as u32);
         let control_bits =
             u64::from(control_flits) * u64::from(self.cfg.flit_bits);
         actions.energy(
@@ -343,13 +320,13 @@ impl ControlPacketMac {
         self.participants.iter_mut().for_each(|p| *p = false);
         self.participants[holder] = true;
 
-        if tuples.is_empty() {
+        if self.tuples.is_empty() {
             self.stats.passes += 1;
             self.turn_end = data_start;
             return false;
         }
         let mut t = data_start;
-        for &(tx_vc, count, to, rx_vc) in &tuples {
+        for (tx_vc, count, to, rx_vc) in self.tuples.drain(..) {
             self.participants[to.index()] = true;
             for _ in 0..count {
                 t += cpf;
@@ -516,7 +493,7 @@ impl SharedMedium for ControlPacketMac {
 mod tests {
     use super::*;
     use wimnet_noc::radio::{MediumAction, RadioView, RxVcView, TxVcView};
-    use wimnet_noc::{Flit, FlitKind};
+    use wimnet_noc::{Flit, FlitKind, PacketId};
     use wimnet_topology::NodeId;
 
     fn flit(packet: u64, kind: FlitKind) -> Flit {

@@ -62,6 +62,7 @@ pub mod config;
 pub mod control_mac;
 pub mod parallel_mac;
 pub mod phy;
+mod shadow;
 pub mod token_mac;
 pub mod transceiver;
 

@@ -32,18 +32,10 @@ use serde::{Deserialize, Serialize, Value};
 
 use wimnet_energy::EnergyCategory;
 use wimnet_noc::radio::{MediumActions, MediumView, RadioId, SharedMedium};
-use wimnet_noc::PacketId;
 
 use crate::config::ChannelConfig;
+use crate::shadow::RxShadow;
 use crate::MacStats;
-
-/// Shadow of one receive VC while scheduling a cycle.
-#[derive(Debug, Clone, Copy)]
-struct ShadowVc {
-    owner: Option<PacketId>,
-    len: usize,
-    capacity: usize,
-}
 
 /// Checkpointed dynamic state of a [`ParallelMac`] (configuration and
 /// the per-WI rate are rebuilt by the constructor and deliberately
@@ -71,6 +63,11 @@ pub struct ParallelMac {
     tx_vc_rr: Vec<usize>,
     wi_rr: usize,
     stats: MacStats,
+    /// Per-cycle scratch (not state): this cycle's receive-side
+    /// reservations and which WIs moved a flit (all `false` between
+    /// cycles).
+    shadow: RxShadow,
+    active: Vec<bool>,
 }
 
 impl ParallelMac {
@@ -99,6 +96,8 @@ impl ParallelMac {
             wi_rr: 0,
             cfg,
             stats: MacStats::default(),
+            shadow: RxShadow::new(radios),
+            active: vec![false; radios],
         }
     }
 
@@ -136,23 +135,8 @@ impl SharedMedium for ParallelMac {
             self.rx_credit[i] = (self.rx_credit[i] + self.flits_per_cycle).min(cap);
         }
 
-        // Shadow receive state for this cycle's admissions.
-        let mut shadow: Vec<Vec<ShadowVc>> = view
-            .radios()
-            .iter()
-            .map(|r| {
-                r.rx
-                    .iter()
-                    .map(|vc| ShadowVc {
-                        owner: vc.owner,
-                        len: vc.len,
-                        capacity: vc.capacity,
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut active = vec![false; n];
+        // This cycle's admissions start from the view's receive state.
+        self.shadow.begin_round(view);
         let flit_err = self.cfg.flit_error_probability();
 
         // Round-robin over WIs; each WI drains its TX VCs round-robin
@@ -181,17 +165,12 @@ impl SharedMedium for ParallelMac {
                 if self.rx_credit[target.index()] < 1.0 {
                     continue;
                 }
-                let rx = &mut shadow[target.index()];
                 let is_head = front.kind.is_head();
-                let slot = if is_head {
-                    rx.iter()
-                        .position(|vc| vc.owner.is_none() && vc.len < vc.capacity)
-                } else {
-                    rx.iter().position(|vc| {
-                        vc.owner == Some(front.packet) && vc.len < vc.capacity
-                    })
+                let Some((slot, rx_vc)) =
+                    self.shadow.admit(view, target, front.packet, is_head)
+                else {
+                    continue;
                 };
-                let Some(slot) = slot else { continue };
 
                 // Charge the per-packet control broadcast when a head
                 // flit opens a transfer: header + one tuple, decoded by
@@ -220,12 +199,12 @@ impl SharedMedium for ParallelMac {
                     );
                     self.stats.retransmissions += 1;
                     self.tx_credit[wi] -= 1.0;
-                    active[wi] = true;
+                    self.active[wi] = true;
                     break;
                 }
 
-                rx[slot].len += 1;
-                rx[slot].owner = if front.kind.is_tail() {
+                rx_vc.len += 1;
+                rx_vc.owner = if front.kind.is_tail() {
                     None
                 } else {
                     Some(front.packet)
@@ -242,8 +221,8 @@ impl SharedMedium for ParallelMac {
                 self.stats.data_flits += 1;
                 self.tx_credit[wi] -= 1.0;
                 self.rx_credit[target.index()] -= 1.0;
-                active[wi] = true;
-                active[target.index()] = true;
+                self.active[wi] = true;
+                self.active[target.index()] = true;
                 self.tx_vc_rr[wi] = (tx_vc + 1) % vcs;
                 // One flit per TX VC per cycle; try other VCs if budget
                 // remains.
@@ -254,10 +233,11 @@ impl SharedMedium for ParallelMac {
         // Per-cycle transceiver power: busy WIs listen/drive, the rest
         // sleep when sleepy receivers are enabled.
         let awake = if self.cfg.sleepy_receivers {
-            active.iter().filter(|&&a| a).count()
+            self.active.iter().filter(|&&a| a).count()
         } else {
             n
         };
+        self.active.fill(false);
         let asleep = n - awake;
         if awake > 0 {
             actions.energy(
@@ -377,7 +357,7 @@ impl SharedMedium for ParallelMac {
 mod tests {
     use super::*;
     use wimnet_noc::radio::{MediumAction, RadioView, RxVcView, TxVcView};
-    use wimnet_noc::{Flit, FlitKind};
+    use wimnet_noc::{Flit, FlitKind, PacketId};
     use wimnet_topology::NodeId;
 
     fn flit(packet: u64, kind: FlitKind) -> Flit {

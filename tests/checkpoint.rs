@@ -776,3 +776,76 @@ fn restore_rejects_cross_scenario_snapshots_cleanly() {
     let mut target = MultichipSystem::build(&big).unwrap();
     assert!(target.restore(&snap).is_err(), "cross-scale restore must fail");
 }
+
+/// The value at `path` inside `root`: map keys, or decimal indices
+/// into sequences.
+fn value_at<'a>(root: &'a mut serde::Value, path: &[&str]) -> &'a mut serde::Value {
+    path.iter().fold(root, |v, step| match v {
+        serde::Value::Map(entries) => entries
+            .iter_mut()
+            .find(|(k, _)| k == step)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("no key `{step}`")),
+        serde::Value::Seq(items) => &mut items[step.parse::<usize>().expect("an index")],
+        other => panic!("cannot step `{step}` into {other:?}"),
+    })
+}
+
+/// Doctored controller bytes are a checkpoint error, not a release-build
+/// index panic: a request located at a bank the stack does not have, and
+/// a queue longer than the configured capacity, are both rejected before
+/// the network (or anything else) is restored.
+#[test]
+fn restore_rejects_malformed_controller_state_before_mutating() {
+    use serde::{Deserialize, Serialize, Value};
+    let cfg = quick(Architecture::Wireless);
+    // A boundary with a read waiting in some channel queue of stack 0
+    // (its bank still busy with an earlier one).
+    let mut sys = MultichipSystem::build(&cfg).unwrap();
+    let mut w = reads(&cfg, 0.02, 1.0);
+    let channels = ["state", "controllers", "0", "channels"];
+    let (mut cycle, mut root, mut channel) = (200, Value::Null, None);
+    while channel.is_none() {
+        assert!(cycle < 4_000, "no boundary caught a queued request at stack 0");
+        cycle = sys.run_until(&mut w, cycle, cycle + 1).unwrap();
+        root = sys.snapshot().to_value();
+        let Value::Seq(chs) = value_at(&mut root, &channels) else { panic!("a sequence") };
+        channel = chs
+            .iter()
+            .position(|ch| matches!(ch.get("queue"), Some(Value::Seq(q)) if !q.is_empty()));
+    }
+    let channel = channel.unwrap().to_string();
+    let queue = ["state", "controllers", "0", "channels", &channel, "queue"];
+
+    let fresh = MultichipSystem::build(&cfg).unwrap();
+    let untouched = format!("{:?}", fresh.state());
+    let rejected = |doctored: &Value, why: &str| {
+        let snap = wimnet::core::Snapshot::from_value(doctored).expect("still parses");
+        let mut target = MultichipSystem::build(&cfg).unwrap();
+        let err = target.restore(&snap).expect_err(why);
+        assert!(
+            matches!(&err, wimnet::core::CoreError::Checkpoint { what }
+                if what.contains("memory controller 0")),
+            "{why}: {err:?}"
+        );
+        assert_eq!(format!("{:?}", target.state()), untouched, "{why}: target mutated");
+    };
+
+    // Case 1: the request's bank index points past the channel's banks
+    // (`pick` would index `banks[loc.bank]` at the next step).
+    let mut doctored = root.clone();
+    *value_at(&mut doctored, &[&queue[..], &["0", "loc", "bank"]].concat()) = Value::UInt(1 << 20);
+    rejected(&doctored, "an out-of-range bank index must be rejected");
+
+    // Case 2: a queue stuffed past `queue_capacity` (admission checks
+    // the length once, at `enqueue`, and trusts the bound afterwards).
+    let mut doctored = root.clone();
+    let Value::Seq(entries) = value_at(&mut doctored, &queue) else { panic!("a sequence") };
+    let capacity = wimnet::memory::ControllerConfig::paper().queue_capacity;
+    entries.resize(capacity + 1, entries[0].clone());
+    rejected(&doctored, "an over-long queue must be rejected");
+
+    // The undoctored snapshot still restores.
+    let snap = wimnet::core::Snapshot::from_value(&root).unwrap();
+    MultichipSystem::build(&cfg).unwrap().restore(&snap).unwrap();
+}
