@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
+use wimnet_core::{CheckpointStore, MultichipSystem, Scale, ScenarioGrid};
 use wimnet_memory::{
     AccessKind, AddressMap, ControllerConfig, MemRequest, MemoryController, StackConfig,
 };
@@ -12,6 +13,7 @@ use wimnet_noc::switch::{OutPortSpec, RouteEntry, Switch};
 use wimnet_noc::{Flit, FlitKind, Network, NocConfig, PacketDesc, PacketId};
 use wimnet_routing::{Routes, RoutingPolicy};
 use wimnet_topology::{Architecture, MultichipConfig, MultichipLayout, NodeId};
+use wimnet_traffic::{InjectionProcess, UniformRandom};
 use wimnet_wireless::{ChannelConfig, TokenMac};
 
 fn build_layout(arch: Architecture) -> MultichipLayout {
@@ -335,6 +337,41 @@ fn bench_media_phase_unchanged(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_checkpoint_store_lookup(c: &mut Criterion) {
+    // One snapshot's trip to disk and back: a substrate 4C4M at the
+    // benchmark's `persist` load, cut at cycle 900 with a few thousand
+    // flits buffered.  `store` is `to_value` + render + hash + write,
+    // `lookup` is read + parse + re-render + hash + `from_value`; the
+    // bare `to_string` is the JSON layer's share of a store.
+    let grid = ScenarioGrid::new("bench-checkpoint")
+        .scale(Scale::Quick)
+        .architectures(&[Architecture::Substrate])
+        .loads(&[0.004])
+        .seeds(&[1]);
+    let point = &grid.points()[0];
+    let fp = grid.point_fingerprint(point);
+    let cfg = grid.experiment(point).config().clone();
+    let mut workload = UniformRandom::new(
+        cfg.multichip.total_cores(),
+        cfg.multichip.num_stacks,
+        0.2,
+        InjectionProcess::Bernoulli { rate: 0.004 },
+        cfg.packet_flits,
+        cfg.seed,
+    );
+    let mut system = MultichipSystem::build(&cfg).unwrap();
+    system.run_until(&mut workload, 0, 900).unwrap();
+    let snapshot = system.snapshot();
+    let dir = std::env::temp_dir().join(format!("wimnet-bench-checkpoint-{}", std::process::id()));
+    let store = CheckpointStore::open(&dir).unwrap();
+    let mut g = c.benchmark_group("checkpoint_store_lookup");
+    g.bench_function("store", |b| b.iter(|| store.store(&fp, &snapshot).unwrap()));
+    g.bench_function("lookup", |b| b.iter(|| store.lookup(&fp).expect("served")));
+    g.bench_function("to_string", |b| b.iter(|| serde_json::to_string(&snapshot).unwrap()));
+    g.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A 5-port × 8-VC switch (the mesh switch shape) whose port-0 input
 /// VCs `0..active` each hold the first `flits` flits of an endless
 /// packet, Active toward port 1 with `credit` credits per output VC,
@@ -458,6 +495,7 @@ criterion_group!(
     bench_inject,
     bench_meter_readout,
     bench_controller_step_drained,
-    bench_media_phase_unchanged
+    bench_media_phase_unchanged,
+    bench_checkpoint_store_lookup
 );
 criterion_main!(benches);

@@ -484,7 +484,7 @@ fn status_json(cli: &Cli, catalog: &Catalog) -> Result<ExitCode, String> {
         ("complete".to_string(), Value::Bool(misses + quarantined == 0)),
         ("shards".to_string(), Value::Seq(shard_rows)),
     ]);
-    let json = serde_json::to_string_pretty(&doc).map_err(|e| format!("{e}"))?;
+    let json = serde_json::value_to_string_pretty(&doc);
     match &cli.out {
         Some(path) => std::fs::write(path, json)
             .map_err(|e| format!("write {}: {e}", path.display()))?,
@@ -555,7 +555,7 @@ fn fetch(cli: &Cli, catalog: &Catalog) -> Result<ExitCode, String> {
             catalog.quarantined()
         ));
     }
-    let json = serde_json::to_string_pretty(&Value::Seq(rows)).map_err(|e| format!("{e}"))?;
+    let json = serde_json::value_to_string_pretty(&Value::Seq(rows));
     match &cli.out {
         Some(path) => {
             std::fs::write(path, json).map_err(|e| format!("write {}: {e}", path.display()))?;

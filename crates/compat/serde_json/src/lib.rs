@@ -4,6 +4,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::fmt::Write as _;
+
 pub use serde::Error;
 use serde::{Deserialize, Serialize, Value};
 
@@ -13,9 +15,7 @@ use serde::{Deserialize, Serialize, Value};
 ///
 /// Never fails in this shim (kept for API compatibility).
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    Ok(value_to_string(&value.to_value()))
 }
 
 /// Serializes `value` to human-readable JSON.
@@ -24,9 +24,24 @@ pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
 ///
 /// Never fails in this shim (kept for API compatibility).
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
+    Ok(value_to_string_pretty(&value.to_value()))
+}
+
+/// Renders a [`Value`] tree as compact JSON.  What [`to_string`] does
+/// after `to_value` — for a caller that already holds the tree, whose
+/// `to_value` would be a deep copy of it.
+pub fn value_to_string(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    write_value(&mut out, value, None, 0);
+    out
+}
+
+/// Renders a [`Value`] tree as human-readable JSON (see
+/// [`value_to_string`]).
+pub fn value_to_string_pretty(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value, Some(2), 0);
+    out
 }
 
 /// Parses JSON text into a `T`.
@@ -45,7 +60,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 ///
 /// Malformed JSON.
 pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { text: s, bytes: s.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -63,15 +78,21 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Int(i) => {
+            if *i < 0 {
+                out.push('-');
+            }
+            write_u64(out, i.unsigned_abs());
+        }
+        Value::UInt(u) => write_u64(out, *u),
         Value::Float(f) => {
             if f.is_finite() {
-                // Rust's shortest round-trip float formatting; add `.0`
-                // so integral floats stay floats through a round trip.
-                let s = f.to_string();
-                out.push_str(&s);
-                if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+                // Rust's shortest round-trip float formatting, straight
+                // into the buffer; add `.0` so integral floats stay
+                // floats through a round trip.
+                let start = out.len();
+                let _ = write!(out, "{f}");
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             } else {
@@ -129,21 +150,47 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Decimal digits of `u`, most significant first, without a temporary
+/// `String`.
+fn write_u64(out: &mut String, mut u: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// `true` for the bytes a JSON string must escape.  All are ASCII, so
+/// cutting a `&str` at one is always on a character boundary.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    // Unescaped stretches are copied whole.
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(needs_escape) {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
+            }
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -152,6 +199,8 @@ fn write_string(out: &mut String, s: &str) {
 // --------------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The document, and the same bytes for indexing.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -206,12 +255,14 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Value, Error> {
         self.expect(b'{')?;
-        let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Map(entries));
+            return Ok(Value::Map(Vec::new()));
         }
+        // Most objects are structs of a handful of fields: start past
+        // the first two regrowths.
+        let mut entries = Vec::with_capacity(8);
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -235,12 +286,12 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<Value, Error> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Seq(items));
+            return Ok(Value::Seq(Vec::new()));
         }
+        let mut items = Vec::with_capacity(4);
         loop {
             items.push(self.value()?);
             self.skip_ws();
@@ -259,7 +310,16 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // An escape-free string (every key, nearly every value) is one
+        // scan for the closing quote and one copy.  `"` and `\` are
+        // ASCII, so both cuts fall on character boundaries.
+        let start = self.pos;
+        let stop = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| Error::msg("unterminated string"))?;
+        self.pos = start + stop;
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             let Some(c) = self.peek() else {
                 return Err(Error::msg("unterminated string"));
@@ -325,8 +385,19 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        // Accumulated alongside the scan: a plain non-negative integer
+        // that fits is done when its last digit is.
+        let mut plain = Some(0u64);
+        while let Some(c) = self.peek().filter(u8::is_ascii_digit) {
+            plain = plain
+                .and_then(|u| u.checked_mul(10))
+                .and_then(|u| u.checked_add(u64::from(c - b'0')));
             self.pos += 1;
+        }
+        if let (Some(u), false) = (plain, matches!(self.peek(), Some(b'.' | b'e' | b'E'))) {
+            if self.bytes[start] != b'-' {
+                return Ok(Value::UInt(u));
+            }
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
@@ -385,25 +456,14 @@ mod tests {
             ("neg".to_string(), Value::Int(-3)),
             ("t".to_string(), Value::Bool(true)),
         ]);
-        let compact = {
-            let mut s = String::new();
-            write_value(&mut s, &v, None, 0);
-            s
-        };
-        assert_eq!(parse_value(&compact).unwrap(), v);
-        let pretty = {
-            let mut s = String::new();
-            write_value(&mut s, &v, Some(2), 0);
-            s
-        };
-        assert_eq!(parse_value(&pretty).unwrap(), v);
+        assert_eq!(parse_value(&value_to_string(&v)).unwrap(), v);
+        assert_eq!(parse_value(&value_to_string_pretty(&v)).unwrap(), v);
     }
 
     #[test]
     fn floats_round_trip_exactly() {
         for f in [0.0, 1.0, 0.1875, 1e-15, 123456.789, -2.5e17] {
-            let mut s = String::new();
-            write_value(&mut s, &Value::Float(f), None, 0);
+            let s = value_to_string(&Value::Float(f));
             match parse_value(&s).unwrap() {
                 Value::Float(g) => assert_eq!(f, g, "{s}"),
                 Value::Int(i) => assert_eq!(f, i as f64),

@@ -245,7 +245,8 @@ impl Catalog {
     /// quarantine subdirectory) and reported as a miss, so corruption
     /// costs a recompute, never a wrong answer and never an abort.
     pub fn lookup(&self, fp: &Fingerprint) -> Option<RunOutcome> {
-        self.files.read(fp, |entry: CatalogEntry| {
+        self.files.read(fp, |envelope| {
+            let entry = CatalogEntry::from_value(envelope).ok()?;
             (entry.engine_version == ENGINE_VERSION && entry.fingerprint == fp.hex())
                 .then_some(entry.outcome)
         })
@@ -276,7 +277,10 @@ impl Catalog {
             point: point.clone(),
             outcome: outcome.clone(),
         };
-        self.files.write(fp, &entry)
+        let json = serde_json::to_string_pretty(&entry).map_err(|e| CoreError::Catalog {
+            what: format!("serialize entry: {e}"),
+        })?;
+        self.files.write(fp, &json)
     }
 
     /// Number of entry files currently in the catalog (quarantined

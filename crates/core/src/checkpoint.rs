@@ -35,11 +35,17 @@
 //! scenario fingerprint (`{hex}.ckpt.json`), written to a unique temp
 //! name and atomically renamed into place, validated on every read —
 //! engine version, claimed fingerprint, **and** a 128-bit content hash
-//! of the snapshot's canonical JSON (re-derived from the parsed bytes,
-//! so a flipped bit anywhere in the state is caught) — with
+//! of the snapshot's canonical compact JSON (re-derived from the parsed
+//! tree, so a flipped bit anywhere in the state is caught) — with
 //! unserveable files quarantined and reported as a miss, never served
 //! and never fatal.  A corrupt checkpoint costs a cold start, not a
 //! wrong resume.
+//!
+//! A checkpoint costs what is in flight: the snapshot's switch tables
+//! are sparse and its buffered flits are runs (`wimnet_noc::SwitchState`),
+//! so its JSON grows with the packets in the network, and `store`
+//! serialises it exactly once — the bytes the content hash covers are
+//! the bytes the compact, machine-only envelope embeds.
 //!
 //! # Versioning rule
 //!
@@ -51,7 +57,7 @@
 
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use wimnet_traffic::Workload;
 
@@ -71,15 +77,18 @@ pub struct Snapshot {
     state: SystemState,
 }
 
-/// One store file: a self-validating envelope around a snapshot.
+/// One store file: a self-validating envelope around a snapshot,
+/// written as compact JSON with the fields in this order.
 ///
 /// `engine_version` and `fingerprint` are checked against the lookup
 /// key on every read; `content` is the 128-bit hash of the snapshot's
-/// canonical compact JSON, recomputed from the parsed snapshot at
-/// lookup (canonical serialization makes re-encoding byte-identical,
-/// which `tests/serde_roundtrip.rs` pins), so state corruption that
-/// still parses is quarantined too.  `cycle` duplicates the snapshot
-/// cursor for cheap `status`-style display.
+/// canonical compact JSON — the very bytes `snapshot` holds in the file
+/// as [`CheckpointStore::store`] writes it — recomputed at lookup by
+/// rendering the parsed `snapshot` subtree again (canonical
+/// serialization makes that byte-identical, which
+/// `tests/serde_roundtrip.rs` pins), so state corruption that still
+/// parses is quarantined too.  `cycle` duplicates the snapshot cursor
+/// for cheap `status`-style display.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CheckpointEntry {
     /// The [`ENGINE_VERSION`] the snapshot was taken under.
@@ -99,6 +108,19 @@ pub struct CheckpointEntry {
 /// and 4; the scenario fingerprint uses 1 and 2).
 fn content_hex(bytes: &[u8]) -> String {
     format!("{:016x}{:016x}", lane(bytes, 3), lane(bytes, 4))
+}
+
+/// The compact [`CheckpointEntry`] JSON around `body`, a snapshot's
+/// already rendered compact JSON: what `serde_json::to_string` of the
+/// entry gives, without rendering (or building) the snapshot again.
+/// Neither [`ENGINE_VERSION`] nor a hex string needs escaping.
+fn envelope_json(fp: &Fingerprint, cycle: u64, body: &str) -> String {
+    format!(
+        "{{\"engine_version\":\"{ENGINE_VERSION}\",\"fingerprint\":\"{}\",\
+         \"content\":\"{}\",\"cycle\":{cycle},\"snapshot\":{body}}}",
+        fp.hex(),
+        content_hex(body.as_bytes()),
+    )
 }
 
 /// A directory of mid-run snapshots, one file per scenario
@@ -146,18 +168,25 @@ impl CheckpointStore {
     /// Serves the latest snapshot for `fp`, or `None` on a miss.
     ///
     /// A file that exists but cannot be served — unparseable JSON, a
-    /// foreign engine version, a fingerprint mismatch, or a content
-    /// hash that does not match the re-encoded snapshot — is
-    /// **quarantined** (moved aside into the store's quarantine
-    /// subdirectory) and reported as a miss, so corruption costs a cold
-    /// start, never a wrong resume and never an abort.
+    /// foreign engine version, a fingerprint mismatch, a content hash
+    /// that does not match the snapshot the file holds, or a snapshot
+    /// of another shape than this engine's — is **quarantined** (moved
+    /// aside into the store's quarantine subdirectory) and reported as
+    /// a miss, so corruption costs a cold start, never a wrong resume
+    /// and never an abort.
     pub fn lookup(&self, fp: &Fingerprint) -> Option<Snapshot> {
-        self.files.read(fp, |entry: CheckpointEntry| {
-            (entry.engine_version == ENGINE_VERSION
-                && entry.fingerprint == fp.hex()
-                && serde_json::to_string(&entry.snapshot)
-                    .is_ok_and(|body| content_hex(body.as_bytes()) == entry.content))
-            .then_some(entry.snapshot)
+        self.files.read(fp, |envelope| {
+            let field = |key| match envelope.get(key) {
+                Some(Value::Str(s)) => Some(s.as_str()),
+                _ => None,
+            };
+            let body = envelope.get("snapshot")?;
+            let content = || content_hex(serde_json::value_to_string(body).as_bytes());
+            (field("engine_version") == Some(ENGINE_VERSION)
+                && field("fingerprint") == Some(fp.hex().as_str())
+                && field("content") == Some(content().as_str()))
+            .then(|| Snapshot::from_value(body).ok())
+            .flatten()
         })
     }
 
@@ -179,14 +208,7 @@ impl CheckpointStore {
         let body = serde_json::to_string(snapshot).map_err(|e| CoreError::Checkpoint {
             what: format!("serialize snapshot: {e}"),
         })?;
-        let entry = CheckpointEntry {
-            engine_version: ENGINE_VERSION.to_string(),
-            fingerprint: fp.hex(),
-            content: content_hex(body.as_bytes()),
-            cycle: snapshot.cycle,
-            snapshot: snapshot.clone(),
-        };
-        self.files.write(fp, &entry)
+        self.files.write(fp, &envelope_json(fp, snapshot.cycle, &body))
     }
 
     /// Deletes the checkpoint for `fp`, if any; returns whether a file
@@ -413,10 +435,57 @@ mod tests {
         assert!(store.lookup(&fp).is_none());
         assert_eq!(store.quarantined(), 3);
 
+        // One flipped digit anywhere inside the snapshot body: the file
+        // still parses, and the hash of what it now holds no longer
+        // matches the recorded one.
+        let fp = sample_fp(7);
+        store.store(&fp, &snap).unwrap();
+        let path = store.dir().join(format!("{}.ckpt.json", fp.hex()));
+        let text = fs::read_to_string(&path).unwrap();
+        let body = text.find("\"snapshot\":").unwrap();
+        let digits: Vec<usize> = text
+            .bytes()
+            .enumerate()
+            .skip(body)
+            .filter_map(|(at, b)| b.is_ascii_digit().then_some(at))
+            .collect();
+        let victims = [digits[0], digits[digits.len() / 2], digits[digits.len() - 1]];
+        for (k, at) in victims.into_iter().enumerate() {
+            let mut doctored = text.clone().into_bytes();
+            doctored[at] = if doctored[at] == b'0' { b'1' } else { b'0' };
+            fs::write(&path, doctored).unwrap();
+            assert!(store.lookup(&fp).is_none(), "digit at byte {at} flipped");
+            assert_eq!(store.quarantined(), 4 + k);
+        }
+
         // Every quarantined file is preserved for forensics.
         let qdir = store.dir().join("quarantine");
-        assert_eq!(fs::read_dir(&qdir).unwrap().count(), 3);
+        assert_eq!(fs::read_dir(&qdir).unwrap().count(), 6);
         assert!(store.is_empty());
+    }
+
+    #[test]
+    fn the_envelope_is_the_entry_rendered_compact_around_the_hashed_body() {
+        let cfg = quick();
+        let mut sys = MultichipSystem::build(&cfg).unwrap();
+        sys.run_until(&mut uniform(&cfg, 0.01), 0, 150).unwrap();
+        let snapshot = sys.snapshot();
+        let fp = sample_fp(8);
+        let body = serde_json::to_string(&snapshot).unwrap();
+        let entry = CheckpointEntry {
+            engine_version: ENGINE_VERSION.to_string(),
+            fingerprint: fp.hex(),
+            content: content_hex(body.as_bytes()),
+            cycle: snapshot.cycle,
+            snapshot,
+        };
+        let json = envelope_json(&fp, entry.cycle, &body);
+        assert_eq!(json, serde_json::to_string(&entry).unwrap());
+        // And it is what `store` writes.
+        let store = CheckpointStore::open(test_dir("envelope")).unwrap();
+        store.store(&fp, &entry.snapshot).unwrap();
+        let path = store.dir().join(format!("{}.ckpt.json", fp.hex()));
+        assert_eq!(fs::read_to_string(path).unwrap(), json);
     }
 
     #[test]

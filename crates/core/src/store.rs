@@ -3,8 +3,8 @@
 //!
 //! Both stores are flat directories of self-validating JSON envelopes,
 //! one per scenario [`Fingerprint`], and differ only in the envelope
-//! type, the file suffix and what "serveable" means.  Everything else
-//! lives here, once:
+//! type, how it is rendered, the file suffix and what "serveable" means.
+//! Everything else lives here, once:
 //!
 //! * an entry is the file `{32 hex digits}{suffix}` and nothing else —
 //!   two stores with different suffixes can share a directory without
@@ -27,7 +27,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serde::{Deserialize, Serialize};
+use serde::Value;
 
 use crate::catalog::Fingerprint;
 use crate::error::CoreError;
@@ -96,18 +96,18 @@ impl EnvelopeStore {
         self.dir.join(self.entry_name(fp)).exists()
     }
 
-    /// Parses the envelope for `fp` and hands it to `serve`, which
-    /// returns the payload or `None` when the envelope must not be
-    /// served.  An absent file is a plain miss; a file that does not
-    /// parse or that `serve` refuses is quarantined first.
-    pub(crate) fn read<E: Deserialize, T>(
+    /// Parses the entry for `fp` into a [`Value`] tree and hands it to
+    /// `serve`, which returns the payload or `None` when the envelope
+    /// must not be served.  An absent file is a plain miss; a file that
+    /// is not JSON or that `serve` refuses is quarantined first.
+    pub(crate) fn read<T>(
         &self,
         fp: &Fingerprint,
-        serve: impl FnOnce(E) -> Option<T>,
+        serve: impl FnOnce(&Value) -> Option<T>,
     ) -> Option<T> {
         let name = self.entry_name(fp);
         let text = fs::read_to_string(self.dir.join(&name)).ok()?;
-        let served = serde_json::from_str::<E>(&text).ok().and_then(serve);
+        let served = serde_json::parse_value(&text).ok().and_then(|envelope| serve(&envelope));
         if served.is_none() {
             self.quarantine(&name);
         }
@@ -130,15 +130,10 @@ impl EnvelopeStore {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Writes `envelope` (pretty JSON) as the entry for `fp`:
-    /// write-to-temp, then atomic rename over any previous entry.
-    pub(crate) fn write<E: Serialize>(
-        &self,
-        fp: &Fingerprint,
-        envelope: &E,
-    ) -> Result<(), CoreError> {
-        let json = serde_json::to_string_pretty(envelope)
-            .map_err(|e| (self.error)(format!("serialize entry: {e}")))?;
+    /// Writes `json`, the owning store's rendering of its envelope, as
+    /// the entry for `fp`: write-to-temp, then atomic rename over any
+    /// previous entry.
+    pub(crate) fn write(&self, fp: &Fingerprint, json: &str) -> Result<(), CoreError> {
         let name = self.entry_name(fp);
         let final_path = self.dir.join(&name);
         let tmp = self.dir.join(format!("{name}.tmp-{}", self.unique_suffix()));

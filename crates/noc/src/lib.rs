@@ -64,7 +64,7 @@ pub mod switch;
 pub mod vc;
 
 pub use error::NocError;
-pub use flit::{Flit, FlitKind, PacketId};
+pub use flit::{Flit, FlitKind, FlitRun, PacketId};
 pub use link::{Link, LinkDelivery};
 pub use network::{Network, NetworkState, NocConfig, RadioTxState, WirelessMode};
 pub use packet::{ArrivedPacket, PacketDesc, QueuedPacket, Reassembler};

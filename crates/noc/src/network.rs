@@ -1633,7 +1633,7 @@ impl Network {
         }
         self.now = s.now;
         for (sw, st) in self.switches.iter_mut().zip(&s.switches) {
-            sw.restore_state(st);
+            sw.apply_state(st);
         }
         for (link, &c) in self.links.iter_mut().zip(&s.link_credits) {
             link.set_credit(c);
@@ -1672,7 +1672,13 @@ impl Network {
     /// `dest`, and the flit slab narrows both indices to `u32`.
     fn check_flit_endpoints(&self, s: &NetworkState) -> Result<(), serde::Error> {
         let n = self.switches.len();
-        let buffered = s.switches.iter().flat_map(|sw| &sw.vcs).flat_map(|vc| &vc.flits);
+        // A run's flits all carry its first flit's endpoints.
+        let buffered = s
+            .switches
+            .iter()
+            .flat_map(|sw| &sw.vcs)
+            .flat_map(|(_, vc)| &vc.runs)
+            .map(|run| &run.first);
         let wired = s.flight_lanes.iter().flatten().map(|d| &d.flit);
         let radio = s.radios.iter().flat_map(|r| &r.lanes).flatten().map(|(f, _)| f);
         let known = |f: &Flit| f.src.index() < n && f.dest.index() < n;
@@ -2085,72 +2091,127 @@ mod tests {
 
     #[test]
     fn restore_rejects_malformed_switch_tables_before_mutating() {
+        use crate::switch::VcState;
         let (_, good, src) = mid_packet_snapshot();
         // Three cycles in, the source switch has granted the packet an
-        // output VC: find that Active input VC and what it holds.
-        let (flat, out_flat) = good.switches[src]
+        // output VC: find that Active input VC's row in the sparse table
+        // and where the output VC it holds sits in the owner table.
+        let sw = &good.switches[src];
+        let (row, flat, out_flat) = sw
             .vcs
             .iter()
             .enumerate()
-            .find_map(|(flat, vc)| match vc.stage {
-                VcStage::Active { out_port, out_vc, .. } => Some((flat, out_port * 8 + out_vc)),
+            .find_map(|(row, (flat, vc))| match vc.stage {
+                VcStage::Active { out_port, out_vc, .. } => {
+                    Some((row, *flat, out_port * 8 + out_vc))
+                }
                 _ => None,
             })
             .expect("the source switch holds an Active VC");
-        let n = good.switches[src].vcs.len();
-        let spare = (flat + 1) % n;
-        assert_eq!(good.switches[src].vcs[spare].stage, VcStage::Idle);
+        assert_eq!(sw.vcs.len(), 1, "every other input VC is as built and unlisted");
+        assert_eq!(sw.out_owner.len(), 1);
+        assert_eq!(sw.out_owner[0].0, out_flat);
+        assert_eq!(sw.vcs[row].1.runs.len(), 1, "the flits of one packet are one run");
+        // An input VC nothing uses, past the listed one so that a row
+        // for it keeps the table ascending.
+        let spare = flat + 1;
+        fn spare_row(s: &mut SwitchState, spare: usize, vc: VcState) {
+            s.vcs.push((spare, vc));
+        }
         // Each doctored snapshot with the reason its rejection must give.
-        type Doctor = fn(&mut SwitchState, usize, usize, usize);
-        let cases: [(&str, Doctor); 16] = [
-            ("flit endpoint out of range", |s, flat, _, _| {
-                s.vcs[flat].flits[0].dest = wimnet_topology::NodeId(68);
+        type Doctor = fn(&mut SwitchState, usize, usize);
+        let cases: [(&str, Doctor); 25] = [
+            ("flit endpoint out of range", |s, _, _| {
+                s.vcs[0].1.runs[0].first.dest = wimnet_topology::NodeId(68);
             }),
-            ("flit endpoint out of range", |s, flat, _, _| {
-                s.vcs[flat].flits[0].src = wimnet_topology::NodeId(usize::MAX);
+            ("flit endpoint out of range", |s, _, _| {
+                s.vcs[0].1.runs[0].first.src = wimnet_topology::NodeId(usize::MAX);
             }),
-            ("input VC count", |s, _, _, _| {
-                s.vcs.pop();
-            }),
-            ("credit table length", |s, _, _, _| {
-                s.credits.pop();
-            }),
-            ("output owner table length", |s, _, _, _| s.out_owner.push(None)),
-            ("VA cursor count", |s, _, _, _| {
+            ("VA cursor count", |s, _, _| {
                 s.va_cursors.pop();
             }),
-            ("SA cursor count", |s, _, _, _| s.sa_cursors.push(0)),
-            ("arbiter cursor out of range", |s, _, _, _| s.va_cursors[0] = s.vcs.len()),
-            ("arbiter cursor out of range", |s, _, _, _| s.sa_cursors[1] = s.vcs.len()),
-            ("more flits than its buffer", |s, flat, _, _| {
-                let body = *s.vcs[flat].flits.last().unwrap();
-                s.vcs[flat].flits.resize(17, body);
+            ("SA cursor count", |s, _, _| s.sa_cursors.push(0)),
+            ("arbiter cursor out of range", |s, _, _| s.va_cursors[0] = 5 * 8),
+            ("arbiter cursor out of range", |s, _, _| s.sa_cursors[1] = 5 * 8),
+            // The index conditions of the sparse tables: a duplicate, a
+            // descending pair, an index past `ports × vcs`.
+            ("input VC indices not strictly ascending", |s, _, _| {
+                let row = s.vcs[0].clone();
+                s.vcs.push(row);
             }),
-            ("routed to an output port out of range", |s, flat, _, _| {
-                s.vcs[flat].stage = VcStage::Routed { out_port: s.va_cursors.len(), ready_at: 0 };
+            ("input VC indices not strictly ascending", |s, spare, _| {
+                let idle = VcState { runs: vec![], stage: VcStage::Idle, owner: None };
+                s.vcs.insert(0, (spare, idle));
             }),
-            ("active on an output VC out of range", |s, flat, _, _| {
-                s.vcs[flat].stage = VcStage::Active { out_port: 1, out_vc: 8, ready_at: 0 };
+            ("input VC indices out of range", |s, _, _| s.vcs[0].0 = 5 * 8),
+            ("credit indices not strictly ascending", |s, _, _| {
+                s.credits = vec![(9, 3), (8, 3)];
             }),
-            ("active on an unowned output VC", |s, _, out_flat, _| s.out_owner[out_flat] = None),
-            ("held by two input VCs", |s, flat, _, spare| s.vcs[spare].stage = s.vcs[flat].stage),
-            ("routed VC", |s, _, _, spare| {
-                s.vcs[spare].stage = VcStage::Routed { out_port: 1, ready_at: 0 };
+            ("credit indices out of range", |s, _, _| s.credits = vec![(usize::MAX, 3)]),
+            ("output owner indices not strictly ascending", |s, _, _| {
+                let twice = s.out_owner[0];
+                s.out_owner.push(twice);
             }),
-            ("idle VC", |s, flat, _, spare| {
-                s.vcs[spare].flits = vec![*s.vcs[flat].flits.last().unwrap()];
+            ("output owner indices out of range", |s, _, _| s.out_owner[0].0 = 5 * 8),
+            ("not below the one it was built with", |s, _, out_flat| {
+                s.credits = vec![(out_flat, 17)];
+            }),
+            // The run conditions.
+            ("a run of length 0", |s, _, _| s.vcs[0].1.runs[0].count = 0),
+            ("more flits than its buffer", |s, _, _| {
+                let run = s.vcs[0].1.runs[0];
+                s.vcs[0].1.runs = vec![run; 9];
+            }),
+            ("more flits than its buffer", |s, _, _| s.vcs[0].1.runs[0].count = u32::MAX),
+            ("flit numbers overflow", |s, _, _| s.vcs[0].1.runs[0].first.seq = u32::MAX),
+            ("flagged as ending in a tail", |s, _, _| {
+                s.vcs[0].1.runs[0].count = 1;
+                s.vcs[0].1.runs[0].tail = true;
+            }),
+            // The stage conditions, as before the tables were sparse.
+            ("routed to an output port out of range", |s, _, _| {
+                s.vcs[0].1.stage = VcStage::Routed { out_port: s.va_cursors.len(), ready_at: 0 };
+            }),
+            ("active on an output VC out of range", |s, _, _| {
+                s.vcs[0].1.stage = VcStage::Active { out_port: 1, out_vc: 8, ready_at: 0 };
+            }),
+            ("active on an unowned output VC", |s, _, _| s.out_owner.clear()),
+            ("held by two input VCs", |s, spare, _| {
+                let stage = s.vcs[0].1.stage;
+                spare_row(s, spare, VcState { runs: vec![], stage, owner: None });
+            }),
+            ("routed VC", |s, spare, _| {
+                let stage = VcStage::Routed { out_port: 1, ready_at: 0 };
+                spare_row(s, spare, VcState { runs: vec![], stage, owner: None });
+            }),
+            ("idle VC", |s, spare, _| {
+                let mut body = s.vcs[0].1.runs[0];
+                body.first.kind = crate::FlitKind::Body;
+                let headless = VcState { runs: vec![body], stage: VcStage::Idle, owner: None };
+                spare_row(s, spare, headless);
             }),
         ];
         let pristine = format!("{:?}", build(Architecture::Substrate).1.state());
         for (reason, doctor) in cases {
             let mut bad = good.clone();
-            doctor(&mut bad.switches[src], flat, out_flat, spare);
+            doctor(&mut bad.switches[src], spare, out_flat);
             let (_, mut net) = build(Architecture::Substrate);
             let err = net.restore_state(&bad).expect_err(reason);
             assert!(err.0.contains(reason), "expected `{reason}`, got `{err}`");
             assert_eq!(format!("{:?}", net.state()), pristine, "{reason}: state mutated");
             net.assert_switch_invariants();
         }
+    }
+
+    /// `restore_state` starts from the built state: whatever the target
+    /// held that the snapshot does not list is gone afterwards.
+    #[test]
+    fn restore_into_a_loaded_network_leaves_nothing_of_its_old_state() {
+        let (mut loaded, _, _) = mid_packet_snapshot();
+        let (_, fresh) = build(Architecture::Substrate);
+        loaded.restore_state(&fresh.state()).unwrap();
+        assert_eq!(format!("{:?}", loaded.state()), format!("{:?}", fresh.state()));
+        loaded.assert_switch_invariants();
     }
 
     #[test]

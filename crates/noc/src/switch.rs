@@ -29,14 +29,14 @@ use serde::{Deserialize, Serialize};
 use wimnet_topology::NodeId;
 
 use crate::arbiter::RoundRobin;
-use crate::flit::{Flit, PacketId};
+use crate::flit::{Flit, FlitRun, PacketId};
 use crate::vc::{VcFabric, VcStage};
 
 /// Dynamic state of one input virtual channel (checkpoint form).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VcState {
-    /// Buffered flits, front to back.
-    pub flits: Vec<Flit>,
+    /// Buffered flits, front to back, as runs of one packet each.
+    pub runs: Vec<FlitRun>,
     /// Pipeline stage.
     pub stage: VcStage,
     /// Wormhole entry owner.
@@ -47,14 +47,21 @@ pub struct VcState {
 /// (`docs/checkpoint.md`).  Static configuration (port specs, VC
 /// counts, buffer depths) is rebuilt from the scenario config, and the
 /// ready masks are recomputed from these tables on restore.
+///
+/// The three VC tables are sparse: each lists, by ascending flat index
+/// (`port * vcs + vc`), only the entries that differ from a freshly
+/// built switch, so a snapshot grows with the packets a switch holds,
+/// not with its `ports × vcs`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SwitchState {
-    /// Per input VC in flat (`port * vcs + vc`) order.
-    pub vcs: Vec<VcState>,
-    /// Remaining downstream credit per output VC (flat order).
-    pub credits: Vec<u32>,
-    /// Packet owning each output VC (flat order).
-    pub out_owner: Vec<Option<PacketId>>,
+    /// Input VCs that buffer a flit, have left [`VcStage::Idle`] or are
+    /// owned.
+    pub vcs: Vec<(usize, VcState)>,
+    /// Output VCs whose remaining downstream credit is below their
+    /// port's construction value, with that credit.
+    pub credits: Vec<(usize, u32)>,
+    /// Output VCs a packet owns, with the packet.
+    pub out_owner: Vec<(usize, PacketId)>,
     /// VA arbiter rotation pointers, one per output port.
     pub va_cursors: Vec<usize>,
     /// SA arbiter rotation pointers, one per output port.
@@ -170,6 +177,22 @@ fn bits(mut mask: u128) -> impl Iterator<Item = usize> {
             bit
         })
     })
+}
+
+/// What is wrong with a sparse table's flat indices, if anything: they
+/// must be strictly ascending (so none repeats) and below `n`.
+fn check_indices(indices: impl Iterator<Item = usize>, n: usize) -> Result<(), &'static str> {
+    let mut floor = 0;
+    for flat in indices {
+        if flat < floor {
+            return Err("not strictly ascending");
+        }
+        if flat >= n {
+            return Err("out of range");
+        }
+        floor = flat + 1;
+    }
+    Ok(())
 }
 
 /// An input-buffered virtual-channel switch.
@@ -418,28 +441,46 @@ impl Switch {
 
     /// Captures the switch's complete dynamic state.
     pub fn state(&self) -> SwitchState {
-        let vcs = (0..self.inputs.vc_total())
-            .map(|flat| {
-                let (flits, stage, owner) = self.inputs.vc_state(flat);
-                VcState { flits, stage, owner }
+        let n = self.inputs.vc_total();
+        let vcs = (0..n)
+            .filter_map(|flat| {
+                let (runs, stage, owner) = self.inputs.vc_state(flat);
+                (!runs.is_empty() || stage != VcStage::Idle || owner.is_some())
+                    .then_some((flat, VcState { runs, stage, owner }))
             })
+            .collect();
+        let credits = (0..n)
+            .filter(|&flat| self.credits[flat] < self.built_credit(flat))
+            .map(|flat| (flat, self.credits[flat]))
+            .collect();
+        let out_owner = (0..n)
+            .filter_map(|flat| self.out_owner[flat].map(|packet| (flat, packet)))
             .collect();
         SwitchState {
             vcs,
-            credits: self.credits.clone(),
-            out_owner: self.out_owner.clone(),
+            credits,
+            out_owner,
             va_cursors: self.va_arb.iter().map(RoundRobin::cursor).collect(),
             sa_cursors: self.sa_arb.iter().map(RoundRobin::cursor).collect(),
         }
     }
 
+    /// The credit output VC `out_flat` is built with.
+    fn built_credit(&self, out_flat: usize) -> u32 {
+        self.out_spec[usize::from(self.port_vc[out_flat].0)].credit
+    }
+
     /// Validates a snapshot against this switch's configuration.
     /// Snapshot bytes come from disk, and [`Switch::restore_state`] and
-    /// the phases trust every condition checked here: table lengths and
-    /// arbiter cursors index the flat arrays, a stage's `out_port` /
-    /// `out_vc` index the masks and the holder table, RC and VA read
-    /// the head flit a waiting VC must have at its front, and an output
-    /// VC held twice or unowned breaks the one-bit `blocked` updates.
+    /// the phases trust every condition checked here: the sparse
+    /// tables' indices are strictly ascending and index the flat
+    /// arrays, as the arbiter cursors do; a listed credit is below the
+    /// one its port was built with (`return_credit` counts up from it);
+    /// flit runs expand ([`FlitRun::check`]) to no more than a buffer
+    /// holds; a stage's `out_port` / `out_vc` index the masks and the
+    /// holder table; RC and VA read the head flit a waiting VC must
+    /// have at its front; and an output VC held twice or unowned breaks
+    /// the one-bit `blocked` updates.
     ///
     /// # Errors
     ///
@@ -454,9 +495,6 @@ impl Switch {
         let n = self.inputs.vc_total();
         let ports = self.out_spec.len();
         for (what, theirs, ours) in [
-            ("input VC count", s.vcs.len(), n),
-            ("credit table length", s.credits.len(), n),
-            ("output owner table length", s.out_owner.len(), n),
             ("VA cursor count", s.va_cursors.len(), ports),
             ("SA cursor count", s.sa_cursors.len(), ports),
         ] {
@@ -467,12 +505,39 @@ impl Switch {
         if s.va_cursors.iter().chain(&s.sa_cursors).any(|&c| c >= n) {
             return bad("arbiter cursor out of range".into());
         }
+        let vc_indices = s.vcs.iter().map(|&(flat, _)| flat);
+        let credit_indices = s.credits.iter().map(|&(flat, _)| flat);
+        let owner_indices = s.out_owner.iter().map(|&(flat, _)| flat);
+        for (what, verdict) in [
+            ("input VC", check_indices(vc_indices, n)),
+            ("credit", check_indices(credit_indices, n)),
+            ("output owner", check_indices(owner_indices, n)),
+        ] {
+            if let Err(why) = verdict {
+                return bad(format!("{what} indices {why}"));
+            }
+        }
+        for &(out_flat, credit) in &s.credits {
+            if credit >= self.built_credit(out_flat) {
+                return bad(format!(
+                    "credit of output VC {out_flat} not below the one it was built with"
+                ));
+            }
+        }
+        let owned = s.out_owner.iter().fold(0u128, |m, &(out_flat, _)| m | 1u128 << out_flat);
         let mut held: u128 = 0;
-        for (flat, vc) in s.vcs.iter().enumerate() {
-            if vc.flits.len() > self.inputs.capacity() {
+        for (flat, vc) in &s.vcs {
+            let mut flits = 0u64;
+            for run in &vc.runs {
+                if let Err(why) = run.check() {
+                    return bad(format!("VC {flat} holds {why}"));
+                }
+                flits += u64::from(run.count);
+            }
+            if flits > self.inputs.capacity() as u64 {
                 return bad(format!("VC {flat} holds more flits than its buffer"));
             }
-            let front_is_head = vc.flits.first().map(|f| f.kind.is_head());
+            let front_is_head = vc.runs.first().map(|r| r.first.kind.is_head());
             match vc.stage {
                 VcStage::Idle => {
                     if front_is_head == Some(false) {
@@ -492,7 +557,7 @@ impl Switch {
                         return bad(format!("VC {flat} active on an output VC out of range"));
                     }
                     let out_flat = out_port * self.vcs + out_vc;
-                    if s.out_owner[out_flat].is_none() {
+                    if owned >> out_flat & 1 == 0 {
                         return bad(format!("VC {flat} active on an unowned output VC"));
                     }
                     if held >> out_flat & 1 == 1 {
@@ -506,29 +571,46 @@ impl Switch {
     }
 
     /// Restores the switch from a [`Switch::state`] snapshot taken on a
-    /// switch of identical configuration, recomputing the ready masks
-    /// from the restored tables.
+    /// switch of identical configuration: back to the state it was
+    /// built in, then the snapshot's sparse tables applied, then the
+    /// ready masks recomputed from the restored tables.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the snapshot fails [`Switch::check_state`].
-    pub fn restore_state(&mut self, s: &SwitchState) {
-        if let Err(e) = self.check_state(s) {
-            panic!("{e}");
+    /// The [`Switch::check_state`] verdict, with the switch untouched.
+    pub fn restore_state(&mut self, s: &SwitchState) -> Result<(), serde::Error> {
+        self.check_state(s)?;
+        self.apply_state(s);
+        Ok(())
+    }
+
+    /// [`Switch::restore_state`] for a snapshot that already passed
+    /// [`Switch::check_state`] — the network checks every switch before
+    /// it changes any.
+    pub(crate) fn apply_state(&mut self, s: &SwitchState) {
+        let n = self.inputs.vc_total();
+        for flat in 0..n {
+            self.inputs.restore_vc(flat, &[], VcStage::Idle, None);
+            self.credits[flat] = self.built_credit(flat);
         }
+        self.out_owner.fill(None);
         self.buffered = 0;
         self.fresh_until = 0;
-        for (flat, vc) in s.vcs.iter().enumerate() {
-            self.inputs.restore_vc(flat, &vc.flits, vc.stage, vc.owner);
-            self.buffered += vc.flits.len();
+        for (flat, vc) in &s.vcs {
+            self.inputs.restore_vc(*flat, &vc.runs, vc.stage, vc.owner);
+            self.buffered += self.inputs.len(*flat);
             // The newest grants are the only ones a same-cycle SA could
             // still have to sit out.
             if let VcStage::Active { ready_at, .. } = vc.stage {
                 self.fresh_until = self.fresh_until.max(ready_at);
             }
         }
-        self.credits.copy_from_slice(&s.credits);
-        self.out_owner.copy_from_slice(&s.out_owner);
+        for &(out_flat, credit) in &s.credits {
+            self.credits[out_flat] = credit;
+        }
+        for &(out_flat, packet) in &s.out_owner {
+            self.out_owner[out_flat] = Some(packet);
+        }
         for (arb, &c) in self.va_arb.iter_mut().zip(&s.va_cursors) {
             arb.set_cursor(c);
         }

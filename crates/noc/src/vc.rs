@@ -19,7 +19,7 @@
 use serde::{Deserialize, Serialize};
 use wimnet_topology::NodeId;
 
-use crate::flit::{Flit, FlitKind, PacketId};
+use crate::flit::{Flit, FlitKind, FlitRun, PacketId};
 
 /// Wormhole pipeline state of one input virtual channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -302,11 +302,11 @@ impl VcFabric {
     }
 
     /// One VC's complete dynamic state for checkpointing: buffered
-    /// flits front-to-back, pipeline stage, and wormhole owner.
-    pub fn vc_state(&self, flat: usize) -> (Vec<Flit>, VcStage, Option<PacketId>) {
-        let flits =
-            (0..self.len(flat)).map(|i| self.slots[self.slot(flat, i)].unpack()).collect();
-        (flits, self.stage[flat], self.owner[flat])
+    /// flits front-to-back as [`FlitRun`]s, pipeline stage, and
+    /// wormhole owner.
+    pub fn vc_state(&self, flat: usize) -> (Vec<FlitRun>, VcStage, Option<PacketId>) {
+        let flits = (0..self.len(flat)).map(|i| self.slots[self.slot(flat, i)].unpack());
+        (FlitRun::encode(flits), self.stage[flat], self.owner[flat])
     }
 
     /// Restores one VC from a [`VcFabric::vc_state`] snapshot.
@@ -321,23 +321,26 @@ impl VcFabric {
     /// # Panics
     ///
     /// Panics when the snapshot holds more flits than the VC's
-    /// capacity.
+    /// capacity ([`crate::switch::Switch::check_state`] rejects such
+    /// snapshots first, along with runs [`FlitRun::check`] refuses).
     pub fn restore_vc(
         &mut self,
         flat: usize,
-        flits: &[Flit],
+        runs: &[FlitRun],
         stage: VcStage,
         owner: Option<PacketId>,
     ) {
-        assert!(flits.len() <= self.capacity, "VC snapshot exceeds buffer capacity");
+        let base = flat * self.capacity;
+        let mut len = 0;
+        for f in FlitRun::expand(runs) {
+            assert!(len < self.capacity, "VC snapshot exceeds buffer capacity");
+            self.slots[base + len] = Slot::pack(f);
+            len += 1;
+        }
         self.head[flat] = 0;
-        self.len[flat] = flits.len() as u32;
+        self.len[flat] = len as u32;
         self.stage[flat] = stage;
         self.owner[flat] = owner;
-        let base = flat * self.capacity;
-        for (slot, &f) in self.slots[base..base + flits.len()].iter_mut().zip(flits) {
-            *slot = Slot::pack(f);
-        }
     }
 
     /// Dequeues the head flit of VC `flat`.

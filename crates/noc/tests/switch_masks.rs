@@ -109,7 +109,7 @@ proptest! {
                     if op == 5 {
                         let snapshot = sw.state();
                         let mut restored = fresh_switch();
-                        restored.restore_state(&snapshot);
+                        restored.restore_state(&snapshot).unwrap();
                         restored.assert_invariants();
                         prop_assert_eq!(restored.state(), snapshot);
                         sw = restored;
@@ -135,8 +135,7 @@ proptest! {
                 // Snapshot round trip between cycles.
                 _ => {
                     let snapshot = sw.state();
-                    prop_assert!(sw.check_state(&snapshot).is_ok());
-                    sw.restore_state(&snapshot);
+                    prop_assert!(sw.restore_state(&snapshot).is_ok());
                     prop_assert_eq!(sw.state(), snapshot);
                 }
             }

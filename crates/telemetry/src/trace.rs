@@ -145,7 +145,7 @@ impl ChromeTrace {
                 )]),
             ),
         ]);
-        serde_json::to_string_pretty(&root).expect("trace values always render")
+        serde_json::value_to_string_pretty(&root)
     }
 }
 

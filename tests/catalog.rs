@@ -349,14 +349,19 @@ fn pre_bump_v8_entries_are_never_served_and_resume_recomputes() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The on-disk formats, pinned on both sides.  The two fixtures were
-/// written by the `sweep` binary of the commit before the stores were
-/// merged onto one implementation (PR 14), for the one-point grid
-/// below: `checkpoint --every 100 --kill-at 250` left the snapshot
-/// taken at cycle 200, `resume` the catalog entry.  Each must be served
-/// by `lookup`, and `store` of the served payload into a fresh
-/// directory must reproduce the file byte for byte — field order,
-/// pretty-printing, the content hash.
+/// The on-disk formats, pinned on both sides, for the one-point grid
+/// below.  `v9_catalog_entry.json` was written by the `sweep` binary of
+/// the commit before the stores were merged onto one implementation
+/// (PR 14): `checkpoint --every 100 --kill-at 250`, then `resume`.
+/// `v9_sparse_checkpoint.ckpt.json` is the snapshot at cycle 200 that the
+/// same `checkpoint --every 100 --kill-at 250` leaves since snapshots
+/// went sparse and the envelope compact (PR 18; the engine version did
+/// not move).  Each must be served by `lookup`, and `store` of the
+/// served payload into a fresh directory must reproduce the file byte
+/// for byte — field order, layout, the content hash.  The dense-form
+/// checkpoint PR 14 wrote (`v9_checkpoint.ckpt.json`) stays in the tree
+/// as a file that must now be quarantined:
+/// `tests/checkpoint.rs::a_dense_form_checkpoint_is_quarantined_and_the_point_cold_starts`.
 ///
 /// The resumed outcome is compared with `meter_ops` normalised: it is
 /// the only `RunOutcome` field that counts the simulator's work rather
@@ -386,7 +391,7 @@ fn parent_written_fixtures_are_served_and_restored_byte_for_byte() {
         fs::read_to_string(path).unwrap()
     };
     let entry = fixture("v9_catalog_entry.json");
-    let checkpoint = fixture("v9_checkpoint.ckpt.json");
+    let checkpoint = fixture("v9_sparse_checkpoint.ckpt.json");
 
     // Stores quarantine what they cannot serve, so they only ever see
     // copies of the checked-in files.
@@ -398,7 +403,7 @@ fn parent_written_fixtures_are_served_and_restored_byte_for_byte() {
     fs::write(served_dir.join(&entry_name), &entry).unwrap();
     fs::write(served_dir.join(&checkpoint_name), &checkpoint).unwrap();
     let outcome = catalog.lookup(&fp).expect("the v9 catalog entry must be served");
-    let snapshot = checkpoints.lookup(&fp).expect("the v9 checkpoint must be served");
+    let snapshot = checkpoints.lookup(&fp).expect("the sparse v9 checkpoint must be served");
     assert_eq!(snapshot.cycle, 200);
     assert_eq!(catalog.quarantined() + checkpoints.quarantined(), 0);
 

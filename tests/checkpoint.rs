@@ -387,6 +387,56 @@ fn a_backlogged_source_serializes_per_packet_not_per_flit() {
     );
 }
 
+/// A snapshot costs what is in flight.  Drained, a 4C4M network is
+/// under 40 KB of JSON (it was ≈ 125 KB when every switch listed all of
+/// its idle input VCs plus a dense credit and owner table); loaded, it
+/// grows by what the packets in the fabric need — a run per VC a packet
+/// is spread over, the credits it holds down, the flits on wires — and
+/// not by their flits: twice the packets cost twice the bytes, about
+/// 0.9 KB per 64-flit packet where its flits written out one by one
+/// would be 4.7 KB.
+///
+/// Seeded mutation this was seen to catch: `FlitRun::continued_by`
+/// returning `false` (every buffered flit its own run) — a packet then
+/// costs 5.3 KB and the per-packet and per-flit bounds fail.
+#[test]
+fn a_snapshot_grows_with_buffered_packets_not_with_switches_or_flits() {
+    use wimnet::noc::{Network, NocConfig, PacketDesc};
+    use wimnet::routing::{Routes, RoutingPolicy};
+    use wimnet::topology::{MultichipConfig, MultichipLayout};
+
+    let multichip = MultichipConfig::xcym(4, 4, Architecture::Substrate);
+    let layout = MultichipLayout::build(&multichip).unwrap();
+    // `packets` 64-flit packets from as many cores to one hot spot, 150
+    // cycles in: backed up through the fabric, none delivered yet.
+    let loaded = |packets: usize| {
+        let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
+        let mut net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
+        let cores = layout.core_nodes();
+        for k in 0..packets {
+            net.inject(PacketDesc::new(cores[k + 1], cores[0], 64, 0));
+        }
+        net.run_for(150);
+        assert_eq!(net.stats().packets_delivered(), 0, "everything is still in flight");
+        (serde_json::to_string(&net.state()).unwrap().len(), net.flits_in_flight())
+    };
+
+    let (drained, _) = loaded(0);
+    assert!(drained <= 40_000, "a drained 4C4M snapshot is {drained} bytes");
+    let (few, few_flits) = loaded(16);
+    let (many, many_flits) = loaded(32);
+    for (packets, size, flits) in [(16, few, few_flits), (32, many, many_flits)] {
+        assert!(flits >= packets * 40, "{packets} packets buffer only {flits} flits");
+        let (per_packet, per_flit) = ((size - drained) as u64 / packets, (size - drained) as u64 / flits);
+        assert!(
+            per_packet <= 1_200 && per_flit <= 25,
+            "{packets} packets: {per_packet} bytes per packet, {per_flit} per buffered flit"
+        );
+    }
+    let growth = (many - drained) as f64 / (few - drained) as f64;
+    assert!((1.6..2.4).contains(&growth), "16 -> 32 packets grew the snapshot {growth:.2}x");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
@@ -517,31 +567,16 @@ fn corrupt_checkpoints_are_quarantined_never_served() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A `.ckpt.json` written before source queues held packets (its
-/// `inj_lanes` are flit lists, one lane caught with 45 flits of a
-/// packet queued) sits in the store under the right fingerprint and the
-/// current engine version.  It must be quarantined, never served and
-/// never a panic, and the point must recompute from cycle 0 to the
-/// answer an uncached run gives.
-#[test]
-fn a_flit_form_checkpoint_is_quarantined_and_the_point_cold_starts() {
-    // The grid the fixture was written for (by the sweep entry point
-    // of the commit before PR 13, killed at cycle 150).
-    let g = wimnet::core::ScenarioGrid::new("pre-pr13-fixture")
-        .scale(wimnet::core::Scale::Quick)
-        .architectures(&[Architecture::Substrate])
-        .chips(&[1])
-        .stacks(&[2])
-        .loads(&[0.0005])
-        .seeds(&[11])
-        .checkpoint_every(100);
+/// `fixture` sits in the store under the fingerprint of `g`'s one point
+/// and the current engine version, in a snapshot format this engine no
+/// longer reads.  It must be quarantined, never served and never a
+/// panic, and the point must recompute from cycle 0 to the answer an
+/// uncached run gives.
+fn assert_quarantined_and_cold_started(g: &wimnet::core::ScenarioGrid, fixture: &str, tag: &str) {
     let fp = g.point_fingerprint(&g.points()[0]);
-    let fixture = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/pre_pr13_flit_queue.ckpt.json"
-    );
-    let text = fs::read_to_string(fixture).unwrap();
-    // Only the queue format stands between this file and a resume.
+    let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(path).unwrap();
+    // Only the snapshot format stands between this file and a resume.
     let envelope = serde_json::parse_value(&text).unwrap();
     assert_eq!(
         envelope.get("engine_version"),
@@ -549,20 +584,20 @@ fn a_flit_form_checkpoint_is_quarantined_and_the_point_cold_starts() {
     );
     assert_eq!(envelope.get("fingerprint"), Some(&serde::Value::Str(fp.hex())));
 
-    let ckpt_dir = temp_store("flit-form-checkpoints");
+    let ckpt_dir = temp_store(&format!("{tag}-checkpoints"));
     let checkpoints = CheckpointStore::open(&ckpt_dir).unwrap();
     fs::write(ckpt_dir.join(format!("{}.ckpt.json", fp.hex())), &text).unwrap();
     assert!(checkpoints.contains(&fp));
 
-    let cat_dir = temp_store("flit-form-catalog");
+    let cat_dir = temp_store(&format!("{tag}-catalog"));
     let resumed = g
         .run_cached_with(&Catalog::open(&cat_dir).unwrap(), &pool(1, 1, &checkpoints))
         .unwrap();
-    assert_eq!(checkpoints.quarantined(), 1, "the flit-form file must be set aside");
+    assert_eq!(checkpoints.quarantined(), 1, "{fixture} must be set aside");
     assert!(checkpoints.is_empty());
     assert!(resumed.is_complete());
 
-    let ref_dir = temp_store("flit-form-reference");
+    let ref_dir = temp_store(&format!("{tag}-reference"));
     let reference = g.run_cached(&Catalog::open(&ref_dir).unwrap(), 1, 1).unwrap();
     assert_eq!(
         vector_bytes(&resumed.outcomes),
@@ -573,6 +608,44 @@ fn a_flit_form_checkpoint_is_quarantined_and_the_point_cold_starts() {
     for d in [&ckpt_dir, &cat_dir, &ref_dir] {
         let _ = fs::remove_dir_all(d);
     }
+}
+
+/// A `.ckpt.json` written before source queues held packets (its
+/// `inj_lanes` are flit lists, one lane caught with 45 flits of a
+/// packet queued), by the sweep entry point of the commit before PR 13,
+/// killed at cycle 150.
+#[test]
+fn a_flit_form_checkpoint_is_quarantined_and_the_point_cold_starts() {
+    let g = wimnet::core::ScenarioGrid::new("pre-pr13-fixture")
+        .scale(wimnet::core::Scale::Quick)
+        .architectures(&[Architecture::Substrate])
+        .chips(&[1])
+        .stacks(&[2])
+        .loads(&[0.0005])
+        .seeds(&[11])
+        .checkpoint_every(100);
+    assert_quarantined_and_cold_started(&g, "pre_pr13_flit_queue.ckpt.json", "flit-form");
+}
+
+/// The checkpoint `tests/catalog.rs` pinned byte for byte until
+/// snapshots went sparse: every switch lists all its input VCs, idle or
+/// not, and a dense credit and owner table (456 KB, pretty-printed).
+/// Its content hash still matches what it holds — nothing is corrupt —
+/// but the switch tables are no longer this engine's, and there is no
+/// decoder for the old form.
+#[test]
+fn a_dense_form_checkpoint_is_quarantined_and_the_point_cold_starts() {
+    let g = wimnet::core::ScenarioGrid::new("format-fixture")
+        .scale(wimnet::core::Scale::Quick)
+        .architectures(&[Architecture::Substrate])
+        .chips(&[1])
+        .stacks(&[2])
+        .memory_fractions(&[0.5])
+        .loads(&[0.001])
+        .seeds(&[11])
+        .read_share(0.5)
+        .checkpoint_every(100);
+    assert_quarantined_and_cold_started(&g, "v9_checkpoint.ckpt.json", "dense-form");
 }
 
 /// A store littered with abandoned temp files (crashed writers) sweeps
@@ -844,6 +917,93 @@ fn restore_rejects_malformed_controller_state_before_mutating() {
     let capacity = wimnet::memory::ControllerConfig::paper().queue_capacity;
     entries.resize(capacity + 1, entries[0].clone());
     rejected(&doctored, "an over-long queue must be rejected");
+
+    // The undoctored snapshot still restores.
+    let snap = wimnet::core::Snapshot::from_value(&root).unwrap();
+    MultichipSystem::build(&cfg).unwrap().restore(&snap).unwrap();
+}
+
+/// The sparse switch tables are attack surface the dense ones were not:
+/// doctored through the serialized tree — the way a damaged file
+/// arrives — a duplicate, descending or out-of-range flat index, a run
+/// of length 0, runs summing past the buffer depth, a run whose flit
+/// numbers overflow, a credit above the one its port was built with and
+/// an output VC owned twice are each a `CoreError::Checkpoint` naming
+/// the switch, on an untouched system — never a panic, in debug or
+/// `--release`.
+#[test]
+fn restore_rejects_malformed_switch_tables_before_mutating() {
+    use serde::{Deserialize, Serialize, Value};
+    let cfg = quick(Architecture::Substrate);
+    let mut sys = MultichipSystem::build(&cfg).unwrap();
+    sys.run_until(&mut reads(&cfg, 0.006, 0.5), 0, 700).unwrap();
+    let root = sys.snapshot().to_value();
+    let len = |v: Option<&Value>| match v {
+        Some(Value::Seq(items)) => items.len(),
+        other => panic!("expected a sequence, got {other:?}"),
+    };
+    // A switch with two input VCs listed, a depleted credit and an
+    // owned output VC: every table has something to doctor.
+    let switches = root.get("state").and_then(|s| s.get("net")).and_then(|n| n.get("switches"));
+    let Some(Value::Seq(switches)) = switches else { panic!("the switches are a sequence") };
+    let at = switches
+        .iter()
+        .position(|sw| {
+            let busy = |key: &str, min: usize| len(sw.get(key)) >= min;
+            busy("vcs", 2) && busy("credits", 1) && busy("out_owner", 1)
+        })
+        .expect("a loaded fabric has a switch with two busy input VCs")
+        .to_string();
+    let sw = ["state", "net", "switches", &at];
+    let path = |tail: &[&'static str]| [&sw[..], tail].concat();
+
+    let fresh = MultichipSystem::build(&cfg).unwrap();
+    let untouched = format!("{:?}", fresh.state());
+    let rejected = |why: &str, doctor: &dyn Fn(&mut Value)| {
+        let mut doctored = root.clone();
+        doctor(&mut doctored);
+        let snap = wimnet::core::Snapshot::from_value(&doctored).expect("still parses");
+        let mut target = MultichipSystem::build(&cfg).unwrap();
+        let err = target.restore(&snap).expect_err(why);
+        assert!(
+            matches!(&err, wimnet::core::CoreError::Checkpoint { what }
+                if what.contains("snapshot of switch") && what.contains(why)),
+            "{why}: {err:?}"
+        );
+        assert_eq!(format!("{:?}", target.state()), untouched, "{why}: target mutated");
+    };
+    let put = |root: &mut Value, tail: &[&'static str], v: u64| {
+        *value_at(root, &path(tail)) = Value::UInt(v);
+    };
+    let rows = |root: &mut Value, tail: &[&'static str], edit: &dyn Fn(&mut Vec<Value>)| {
+        let Value::Seq(rows) = value_at(root, &path(tail)) else { panic!("a sequence") };
+        edit(rows);
+    };
+
+    // Table rows are `[flat, entry]` pairs: row 0's index is `…/0/0`.
+    rejected("input VC indices not strictly ascending", &|root| {
+        rows(root, &["vcs"], &|vcs| vcs[1] = vcs[0].clone());
+    });
+    rejected("input VC indices not strictly ascending", &|root| put(root, &["vcs", "1", "0"], 0));
+    rejected("input VC indices out of range", &|root| put(root, &["vcs", "1", "0"], 5 * 8));
+    let run = ["vcs", "0", "1", "runs", "0"];
+    rejected("a run of length 0", &|root| put(root, &[&run[..], &["count"]].concat(), 0));
+    rejected("more flits than its buffer", &|root| {
+        rows(root, &run[..4], &|runs| {
+            // Sixteen more flits than the VC already holds.
+            let mut extra = runs[0].clone();
+            *value_at(&mut extra, &["count"]) = Value::UInt(16);
+            runs.push(extra);
+        });
+    });
+    rejected("flit numbers overflow", &|root| {
+        put(root, &[&run[..], &["first", "seq"]].concat(), u64::from(u32::MAX));
+        put(root, &[&run[..], &["count"]].concat(), 2);
+    });
+    rejected("not below the one it was built with", &|root| put(root, &["credits", "0", "1"], 17));
+    rejected("output owner indices not strictly ascending", &|root| {
+        rows(root, &["out_owner"], &|owners| owners.push(owners[0].clone()));
+    });
 
     // The undoctored snapshot still restores.
     let snap = wimnet::core::Snapshot::from_value(&root).unwrap();

@@ -392,3 +392,150 @@ proptest! {
         prop_assert_eq!(fresh.network().now(), snap.cycle);
     }
 }
+
+/// The sparse snapshot form under load, for each fabric and each MAC: a
+/// 4C4M cut 600 cycles into a heavy closed-loop run, with thousands of
+/// flits buffered, goes `snapshot()` → JSON → `restore` into a freshly
+/// built system whose own `snapshot()` is the same bytes — every switch
+/// table, run and credit the restore rebuilt from the sparse form is
+/// what the source held — and the two systems then run on in lockstep,
+/// compared byte for byte every 50 cycles and in their final outcome.
+///
+/// Seeded mutation this was seen to catch: `Switch::restore_state` not
+/// applying the snapshot's `credits` rows (every output VC back at its
+/// built credit) — the restored system's first snapshot already differs.
+#[test]
+fn loaded_snapshots_restore_to_equal_state_and_step_on_bit_for_bit() {
+    use wimnet::traffic::{InjectionProcess, UniformRandom};
+
+    let shared = |mac| WirelessModel::SharedChannel { mac };
+    let cases = [
+        (Architecture::Substrate, WirelessModel::default()),
+        (Architecture::Interposer, WirelessModel::default()),
+        (Architecture::Wireless, WirelessModel::default()),
+        (Architecture::Wireless, WirelessModel::ParallelLinks { flits_per_cycle: 0.2 }),
+        (Architecture::Wireless, shared(MacKind::Token)),
+        (Architecture::Wireless, shared(MacKind::ControlPacket)),
+    ];
+    for (arch, wireless) in cases {
+        let what = format!("{arch}/{wireless:?}");
+        let mut cfg = SystemConfig::xcym(4, 4, arch).quick_test_profile();
+        cfg.wireless = wireless;
+        let workload = || {
+            UniformRandom::new(
+                cfg.multichip.total_cores(),
+                cfg.multichip.num_stacks,
+                0.5,
+                InjectionProcess::Bernoulli { rate: 0.008 },
+                cfg.packet_flits,
+                cfg.seed,
+            )
+            .with_memory_reads(0.5, 8)
+        };
+        let mut source = MultichipSystem::build(&cfg).unwrap();
+        let mut source_w = workload();
+        let mut cursor = source.run_until(&mut source_w, 0, 600).unwrap();
+        assert!(
+            source.network().flits_in_flight() > 1_000,
+            "{what}: only {} flits in flight",
+            source.network().flits_in_flight()
+        );
+
+        let json = serde_json::to_string(&source.snapshot()).unwrap();
+        let parsed: Snapshot = serde_json::from_str(&json).unwrap();
+        let mut restored = MultichipSystem::build(&cfg).unwrap();
+        restored.restore(&parsed).unwrap();
+        assert!(serde_json::to_string(&restored.snapshot()).unwrap() == json, "{what}: restored");
+
+        let mut restored_w = workload();
+        for _ in 0..8 {
+            let stop = cursor + 50;
+            let reached = source.run_until(&mut source_w, cursor, stop).unwrap();
+            assert_eq!(restored.run_until(&mut restored_w, cursor, stop).unwrap(), reached);
+            cursor = reached;
+            assert!(
+                serde_json::to_string(&restored.snapshot()).unwrap()
+                    == serde_json::to_string(&source.snapshot()).unwrap(),
+                "{what}: diverged by cycle {cursor}"
+            );
+        }
+        let outcome = source.run_from(&mut source_w, cursor).unwrap();
+        assert_eq!(restored.run_from(&mut restored_w, cursor).unwrap(), outcome, "{what}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The JSON shim itself: writer and parser against each other on trees
+// no derive produces, and the writer against bytes its predecessor
+// wrote.
+// ---------------------------------------------------------------------------
+
+/// A random [`serde::Value`] tree that text can carry exactly: finite
+/// floats, `Int` only below zero (`Int(5)` renders as `5`, which parses
+/// as `UInt(5)`), strings and keys over an alphabet of the hard cases —
+/// quotes, backslashes, control characters, multi-byte and astral
+/// characters, the empty string.
+fn random_value(rng: &mut u64, depth: u32) -> serde::Value {
+    use serde::Value;
+    fn draw(rng: &mut u64, n: u64) -> u64 {
+        common::splitmix(rng) % n
+    }
+    fn text(rng: &mut u64) -> String {
+        const ALPHABET: [&str; 12] =
+            ["a", "Z", "0", " ", "\"", "\\", "\n", "\t", "\u{1}", "\u{1f}", "é", "\u{1F980}"];
+        (0..draw(rng, 9)).map(|_| ALPHABET[draw(rng, 12) as usize]).collect()
+    }
+    // Containers only while there is depth left.
+    match draw(rng, if depth == 0 { 7 } else { 9 }) {
+        0 => Value::Null,
+        1 => Value::Bool(draw(rng, 2) == 0),
+        2 => Value::UInt([0, 7, 10, u64::MAX, draw(rng, u64::MAX)][draw(rng, 5) as usize]),
+        3 => Value::Int([-1, i64::MIN, -(draw(rng, 1 << 40) as i64) - 1][draw(rng, 3) as usize]),
+        4 => Value::Float(gnarly_f64(draw(rng, u64::MAX))),
+        5 => Value::Float([0.0, -0.0, 1.0, -3.0, 1e300, 5e-324, 1e21][draw(rng, 7) as usize]),
+        6 => Value::Str(text(rng)),
+        7 => Value::Seq((0..draw(rng, 5)).map(|_| random_value(rng, depth - 1)).collect()),
+        _ => Value::Map(
+            (0..draw(rng, 5)).map(|_| (text(rng), random_value(rng, depth - 1))).collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Random value trees survive both renderings: compact and pretty
+    /// text parse back to the tree, and a parsed tree renders to the
+    /// text it came from (what makes a content hash over re-rendered
+    /// bytes sound).
+    #[test]
+    fn random_value_trees_round_trip_through_compact_and_pretty_text(seed in any::<u64>()) {
+        let mut rng = seed;
+        let tree = random_value(&mut rng, 4);
+        let compact = serde_json::value_to_string(&tree);
+        let pretty = serde_json::value_to_string_pretty(&tree);
+        let from_compact = serde_json::parse_value(&compact).unwrap();
+        let from_pretty = serde_json::parse_value(&pretty).unwrap();
+        prop_assert_eq!(&from_compact, &tree, "compact: {}", compact);
+        prop_assert_eq!(&from_pretty, &tree, "pretty: {}", pretty);
+        prop_assert_eq!(serde_json::value_to_string(&from_pretty), compact);
+        prop_assert_eq!(serde_json::value_to_string_pretty(&from_compact), pretty);
+        // The typed entry points render a tree the same way.
+        prop_assert_eq!(serde_json::to_string(&tree).unwrap(), serde_json::value_to_string(&tree));
+    }
+}
+
+/// The writer formats numbers and strings straight into its buffer; the
+/// one before it went through a temporary `String` per number and a
+/// `char` at a time.  The two checked-in files the old writer rendered
+/// pretty — 460 KB of nested tables, integers, floats and strings
+/// between them — must come back out of the new one byte for byte.
+#[test]
+fn the_writer_reproduces_files_its_predecessor_wrote() {
+    for name in ["v9_checkpoint.ckpt.json", "v9_catalog_entry.json"] {
+        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).unwrap();
+        let tree = serde_json::parse_value(&text).unwrap();
+        assert!(serde_json::value_to_string_pretty(&tree) == text, "{name} re-rendered differently");
+    }
+}
