@@ -1,20 +1,21 @@
-//! Criterion benchmarks of the figure experiments at quick scale — one
-//! per table/figure of the paper, so `cargo bench` exercises the entire
-//! reproduction pipeline end to end.
+//! Criterion benchmarks of the figure table at quick scale — every row
+//! of `wimnet_bench::FIGURES`, so `cargo bench` exercises the entire
+//! reproduction pipeline end to end and a new figure is benchmarked
+//! without an edit here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use wimnet_core::experiments::{fig2, fig3, fig4, fig5, fig6};
+use wimnet_bench::FIGURES;
 use wimnet_core::Scale;
 
 fn bench_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);
-    g.bench_function("fig2_quick", |b| b.iter(|| fig2(Scale::Quick).unwrap()));
-    g.bench_function("fig3_quick", |b| b.iter(|| fig3(Scale::Quick).unwrap()));
-    g.bench_function("fig4_quick", |b| b.iter(|| fig4(Scale::Quick).unwrap()));
-    g.bench_function("fig5_quick", |b| b.iter(|| fig5(Scale::Quick).unwrap()));
-    g.bench_function("fig6_quick", |b| b.iter(|| fig6(Scale::Quick).unwrap()));
+    for figure in &FIGURES {
+        g.bench_function(format!("{}_quick", figure.name), |b| {
+            b.iter(|| (figure.rows)(Scale::Quick).unwrap())
+        });
+    }
     g.finish();
 }
 

@@ -1,8 +1,10 @@
 //! The paper's evaluation: one function per figure.
 //!
 //! Each `figN` function reproduces the corresponding figure of §IV with
-//! the same workloads, sweeps and comparisons, returning structured rows
-//! ready for the `wimnet-bench` harness to print.  [`Scale::Quick`]
+//! the same workloads, sweeps and comparisons — one [`ScenarioGrid`] (or,
+//! for Fig 6's application profiles, one explicit list) through the pool
+//! in a single run — returning structured rows ready for the
+//! `wimnet-bench` figure table to print.  [`Scale::Quick`]
 //! shrinks windows and sweep density for tests; [`Scale::Paper`] runs
 //! the full 1 000 + 9 000-cycle windows.
 
@@ -16,6 +18,7 @@ use crate::catalog::Fingerprint;
 use crate::checkpoint::{run_with_checkpoints, CheckpointStore};
 use crate::error::CoreError;
 use crate::metrics::{percentage_gain, percentage_reduction, RunOutcome};
+use crate::sweeps::ScenarioGrid;
 use crate::system::{MultichipSystem, SystemConfig};
 
 /// How much simulation to spend.
@@ -234,7 +237,7 @@ impl Experiment {
 
     /// Like [`Experiment::run`], but also exports the Chrome-trace JSON
     /// when `config.telemetry.trace` is set (`None` otherwise) — the
-    /// plumbing behind the experiment binaries' `--trace FILE` flag and
+    /// plumbing behind the `figures` binary's `--trace FILE` flag and
     /// the `sweep trace` verb.  The outcome is bit-identical to an
     /// untraced run (`tests/determinism.rs`); only the side channel
     /// differs.
@@ -311,14 +314,8 @@ pub struct Fig2Row {
 ///
 /// Propagates experiment failures.
 pub fn fig2(scale: Scale) -> Result<Vec<Fig2Row>, CoreError> {
-    let experiments: Vec<Experiment> = Architecture::ALL
-        .iter()
-        .map(|&arch| {
-            let cfg = scale.apply(SystemConfig::xcym(4, 4, arch));
-            Experiment::saturation(&cfg, 0.20)
-        })
-        .collect();
-    let outcomes = run_all(&experiments)?;
+    let outcomes =
+        ScenarioGrid::new("fig2").scale(scale).architectures(&Architecture::ALL).run()?;
     Ok(Architecture::ALL
         .iter()
         .zip(outcomes)
@@ -362,25 +359,25 @@ pub fn fig3_loads(scale: Scale) -> Vec<f64> {
 /// Propagates experiment failures.
 pub fn fig3(scale: Scale) -> Result<Vec<Fig3Series>, CoreError> {
     let loads = fig3_loads(scale);
-    let mut series = Vec::new();
-    for &arch in &Architecture::ALL {
-        let cfg = scale.apply(SystemConfig::xcym(4, 4, arch));
-        let experiments: Vec<Experiment> = loads
-            .iter()
-            .map(|&load| Experiment::uniform_random(&cfg, load))
-            .collect();
-        let outcomes = run_all(&experiments)?;
-        series.push(Fig3Series {
-            architecture: arch,
-            label: cfg.label(),
+    let outcomes = ScenarioGrid::new("fig3")
+        .scale(scale)
+        .architectures(&Architecture::ALL)
+        .loads(&loads)
+        .run()?;
+    // Architecture is the slow axis: one `loads.len()` chunk per curve.
+    Ok(Architecture::ALL
+        .iter()
+        .zip(outcomes.chunks(loads.len()))
+        .map(|(&architecture, curve)| Fig3Series {
+            architecture,
+            label: curve[0].label.clone(),
             points: loads
                 .iter()
-                .zip(outcomes)
+                .zip(curve)
                 .map(|(&l, o)| (l, o.avg_latency_cycles))
                 .collect(),
-        });
-    }
-    Ok(series)
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -411,38 +408,53 @@ fn off_chip_share(chips: usize) -> f64 {
     0.20 + 0.80 * (other / (cores - 1.0))
 }
 
+/// The two fabrics Figs 4–6 compare, wireless first.
+const WIRELESS_VS_INTERPOSER: [Architecture; 2] =
+    [Architecture::Wireless, Architecture::Interposer];
+
+/// Runs `grid` — one swept axis — on both fabrics in one pooled run and
+/// returns, per axis value, the `(bandwidth gain, packet-energy
+/// reduction)` of wireless over interposer in percent: the two bars of
+/// Figs 4 and 5.
+fn gains_over(grid: ScenarioGrid) -> Result<Vec<(f64, f64)>, CoreError> {
+    let outcomes = grid.architectures(&WIRELESS_VS_INTERPOSER).run()?;
+    // Architecture is the grid's slowest axis: every wireless point,
+    // then every interposer one.
+    let (wireless, interposer) = outcomes.split_at(outcomes.len() / 2);
+    Ok(wireless
+        .iter()
+        .zip(interposer)
+        .map(|(w, i)| {
+            (
+                percentage_gain(i.bandwidth_gbps_per_core, w.bandwidth_gbps_per_core),
+                percentage_reduction(i.packet_energy_nj(), w.packet_energy_nj()),
+            )
+        })
+        .collect())
+}
+
 /// Reproduces Fig 4.
 ///
 /// # Errors
 ///
 /// Propagates experiment failures.
 pub fn fig4(scale: Scale) -> Result<Vec<Fig4Row>, CoreError> {
-    let mut rows = Vec::new();
-    for &chips in &[1usize, 4, 8] {
-        let wireless = scale.apply(SystemConfig::xcym(chips, 4, Architecture::Wireless));
-        let interposer =
-            scale.apply(SystemConfig::xcym(chips, 4, Architecture::Interposer));
-        let outcomes = run_all(&[
-            Experiment::saturation(&wireless, 0.20),
-            Experiment::saturation(&interposer, 0.20),
-        ])?;
-        let (w, i) = (&outcomes[0], &outcomes[1]);
-        let off = off_chip_share(chips) * 100.0;
-        rows.push(Fig4Row {
-            chips,
-            label: format!("{:.0}% ({}C4M)", off.round(), chips),
-            off_chip_traffic_pct: off,
-            bandwidth_gain_pct: percentage_gain(
-                i.bandwidth_gbps_per_core,
-                w.bandwidth_gbps_per_core,
-            ),
-            energy_gain_pct: percentage_reduction(
-                i.packet_energy_nj(),
-                w.packet_energy_nj(),
-            ),
-        });
-    }
-    Ok(rows)
+    let chips = [1usize, 4, 8];
+    let gains = gains_over(ScenarioGrid::new("fig4").scale(scale).chips(&chips))?;
+    Ok(chips
+        .iter()
+        .zip(gains)
+        .map(|(&chips, (bandwidth_gain_pct, energy_gain_pct))| {
+            let off = off_chip_share(chips) * 100.0;
+            Fig4Row {
+                chips,
+                label: format!("{:.0}% ({}C4M)", off.round(), chips),
+                off_chip_traffic_pct: off,
+                bandwidth_gain_pct,
+                energy_gain_pct,
+            }
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -471,28 +483,17 @@ pub fn fig5(scale: Scale) -> Result<Vec<Fig5Row>, CoreError> {
         Scale::Paper => vec![0.20, 0.40, 0.60, 0.80],
         Scale::Quick => vec![0.20, 0.80],
     };
-    let mut rows = Vec::new();
-    for &mem in &fractions {
-        let wireless = scale.apply(SystemConfig::xcym(4, 4, Architecture::Wireless));
-        let interposer = scale.apply(SystemConfig::xcym(4, 4, Architecture::Interposer));
-        let outcomes = run_all(&[
-            Experiment::saturation(&wireless, mem),
-            Experiment::saturation(&interposer, mem),
-        ])?;
-        let (w, i) = (&outcomes[0], &outcomes[1]);
-        rows.push(Fig5Row {
+    let gains =
+        gains_over(ScenarioGrid::new("fig5").scale(scale).memory_fractions(&fractions))?;
+    Ok(fractions
+        .iter()
+        .zip(gains)
+        .map(|(&mem, (bandwidth_gain_pct, energy_gain_pct))| Fig5Row {
             memory_access_pct: mem * 100.0,
-            bandwidth_gain_pct: percentage_gain(
-                i.bandwidth_gbps_per_core,
-                w.bandwidth_gbps_per_core,
-            ),
-            energy_gain_pct: percentage_reduction(
-                i.packet_energy_nj(),
-                w.packet_energy_nj(),
-            ),
-        });
-    }
-    Ok(rows)
+            bandwidth_gain_pct,
+            energy_gain_pct,
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -531,26 +532,34 @@ pub fn fig6_apps(scale: Scale) -> Vec<AppProfile> {
 ///
 /// Propagates experiment failures.
 pub fn fig6(scale: Scale) -> Result<Vec<Fig6Row>, CoreError> {
-    let mut rows = Vec::new();
-    for profile in fig6_apps(scale) {
-        let wireless = scale.apply(SystemConfig::xcym(4, 4, Architecture::Wireless));
-        let interposer = scale.apply(SystemConfig::xcym(4, 4, Architecture::Interposer));
-        let outcomes = run_all(&[
-            Experiment::app(&wireless, profile.clone()),
-            Experiment::app(&interposer, profile.clone()),
-        ])?;
-        let (w, i) = (&outcomes[0], &outcomes[1]);
-        rows.push(Fig6Row {
-            app: profile.name.to_string(),
-            suite: profile.suite.to_string(),
-            latency_gain_pct: percentage_reduction(i.latency_cycles(), w.latency_cycles()),
-            energy_gain_pct: percentage_reduction(
-                i.packet_energy_nj(),
-                w.packet_energy_nj(),
-            ),
-        });
-    }
-    Ok(rows)
+    // Application profiles are not a grid axis: the list is explicit,
+    // one (wireless, interposer) pair per application.
+    let apps = fig6_apps(scale);
+    let experiments: Vec<Experiment> = apps
+        .iter()
+        .flat_map(|profile| {
+            WIRELESS_VS_INTERPOSER.map(|arch| {
+                Experiment::app(&scale.apply(SystemConfig::xcym(4, 4, arch)), profile.clone())
+            })
+        })
+        .collect();
+    let outcomes = run_all(&experiments)?;
+    Ok(apps
+        .iter()
+        .zip(outcomes.chunks(2))
+        .map(|(profile, pair)| {
+            let (w, i) = (&pair[0], &pair[1]);
+            Fig6Row {
+                app: profile.name.to_string(),
+                suite: profile.suite.to_string(),
+                latency_gain_pct: percentage_reduction(i.latency_cycles(), w.latency_cycles()),
+                energy_gain_pct: percentage_reduction(
+                    i.packet_energy_nj(),
+                    w.packet_energy_nj(),
+                ),
+            }
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -630,7 +639,7 @@ mod tests {
         // The paper's robust claim: wireless wins bandwidth and energy
         // at every disintegration level.  (The paper additionally shows
         // *decreasing* gains with chip count; our mechanism-faithful
-        // rebuild inverts parts of that trend — see EXPERIMENTS.md for
+        // rebuild inverts parts of that trend — see docs/experiments.md for
         // the analysis of why the paper's trend is inconsistent with
         // its own per-bit energy constants.)
         for r in &rows {
@@ -670,7 +679,7 @@ mod tests {
         }
         // The energy trend direction diverges from the paper (rising,
         // not falling, with memory share) — documented in
-        // EXPERIMENTS.md: the paper's own constants make wireless
+        // docs/experiments.md: the paper's own constants make wireless
         // memory paths ~3x cheaper per bit than the 6.5 pJ/bit wide
         // I/O, so memory-heavy traffic must favour wireless more.
         assert!(

@@ -66,7 +66,7 @@ pub use error::CoreError;
 pub use experiments::{Experiment, Scale, WorkloadSpec};
 pub use metrics::{percentage_gain, RunOutcome};
 pub use sweeps::{
-    run_pool, run_pool_batched, CachedSweep, ScenarioGrid, ScenarioPoint, SweepOptions,
+    run_pool, run_pool_batched, run_pool_each, CachedSweep, ScenarioGrid, ScenarioPoint, SweepOptions,
 };
 pub use system::{MacKind, MultichipSystem, SystemConfig, SystemState, WirelessModel};
 pub use wimnet_telemetry::TelemetryConfig;

@@ -1,7 +1,7 @@
 //! Declarative scenario grids and the work-stealing experiment pool.
 //!
-//! The paper's figures are small hand-rolled sweeps (a handful of loads
-//! × three architectures).  Scaling the reproduction to the scenario
+//! The paper's figures are small sweeps (a handful of loads × three
+//! architectures).  Scaling the reproduction to the scenario
 //! counts of the related mm-wave studies — hundreds of load × topology
 //! × MAC × seed combinations — needs two things this module provides:
 //!
@@ -65,6 +65,18 @@ pub fn run_pool(
     threads: usize,
     chunk: usize,
 ) -> Result<Vec<RunOutcome>, CoreError> {
+    run_pool_each(experiments, threads, chunk).into_iter().collect()
+}
+
+/// [`run_pool`] without the fold into one `Result`: every experiment's
+/// own result, in input order, so a caller can report a failed point
+/// next to its finished siblings (the `figures` tables print such a
+/// point as a cell).  Same pool, same shape-independence.
+pub fn run_pool_each(
+    experiments: &[Experiment],
+    threads: usize,
+    chunk: usize,
+) -> Vec<Result<RunOutcome, CoreError>> {
     run_pool_generic(experiments.len(), threads, chunk, |i| experiments[i].run())
 }
 
@@ -86,22 +98,22 @@ pub fn run_pool_batched(
 /// produces the result for index `i` on whichever worker stole it.
 /// Generic over the per-index result type, for drivers whose work items
 /// can legitimately *not* produce an outcome (checkpointed runs killed
-/// mid-point yield `Option<RunOutcome>`).  Every index runs even when
-/// an earlier one failed; the error returned is the lowest-indexed one.
+/// mid-point yield `Option<RunOutcome>`).  Every index runs whatever
+/// its siblings returned; a caller that wants one `Result` collects,
+/// which keeps the lowest-indexed error.
 fn run_pool_generic<T: Send + Sync>(
     n: usize,
     threads: usize,
     chunk: usize,
-    run_one: impl Fn(usize) -> Result<T, CoreError> + Sync,
-) -> Result<Vec<T>, CoreError> {
+    run_one: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
     if n == 0 {
-        return Ok(Vec::new());
+        return Vec::new();
     }
     let chunk = chunk.max(1);
     let threads = threads.clamp(1, n.div_ceil(chunk));
     let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<Result<T, CoreError>>> =
-        (0..n).map(|_| OnceLock::new()).collect();
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -610,7 +622,9 @@ impl ScenarioGrid {
                 }
             }
             Ok(outcome)
-        })?;
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, CoreError>>()?;
 
         let mut misses = 0;
         for (&i, outcome) in to_run.iter().zip(fresh) {
@@ -951,5 +965,23 @@ mod tests {
         ];
         let err = run_pool(&exps, 4, 1).unwrap_err();
         assert!(matches!(err, CoreError::InvalidParameter { .. }));
+    }
+
+    #[test]
+    fn per_index_pool_keeps_a_failure_between_its_finished_siblings() {
+        let good = SystemConfig::xcym(4, 4, Architecture::Wireless).quick_test_profile();
+        let mut bad = good.clone();
+        bad.measure_cycles = 0;
+        let exps = vec![
+            Experiment::uniform_random(&good, 0.001),
+            Experiment::uniform_random(&bad, 0.001),
+            Experiment::uniform_random(&good, 0.002),
+        ];
+        let solo = run_pool_each(&exps, 1, 1);
+        assert!(matches!(solo[1], Err(CoreError::InvalidParameter { .. })));
+        assert_eq!(solo[0], exps[0].run());
+        assert_eq!(solo[2], exps[2].run());
+        assert_ne!(solo[0], solo[2], "each slot holds its own experiment's outcome");
+        assert_eq!(run_pool_each(&exps, 4, 2), solo, "whatever the pool shape");
     }
 }

@@ -35,7 +35,8 @@ pub enum MacKind {
 }
 
 /// How the wireless medium is modelled — three tiers of fidelity to the
-/// paper's *protocol* versus its *evaluation* (see DESIGN.md §3):
+/// paper's *protocol* versus its *evaluation* (see `docs/experiments.md`
+/// §3.1):
 ///
 /// 1. [`WirelessModel::PointToPoint`] — every WI pair is an independent
 ///    single-hop link (default; reproduces the paper's §IV magnitudes).
@@ -104,7 +105,7 @@ pub struct SystemConfig {
     /// stack rather than a uniformly random one.  The paper's text is
     /// silent on placement; without affinity, distant-stack accesses
     /// make the interposer's memory paths artificially expensive and
-    /// invert the Fig 5 trend (see EXPERIMENTS.md).
+    /// invert the Fig 5 trend (see `docs/experiments.md`, fig5).
     pub memory_affinity_bias: f64,
     /// Per-source queue capacity in packets; generation pauses when a
     /// source's backlog is full (finite-source open-loop model).

@@ -13,7 +13,8 @@
 //! millimetre, leakage) are not printed in the paper — the authors obtained
 //! them from Synopsys synthesis and Cadence extraction.  We substitute
 //! representative 65 nm NoC literature values (their refs \[6\]\[18\]) and
-//! document them here; see `DESIGN.md` §3 for the substitution rationale.
+//! document them here; see `docs/experiments.md` §3.3 for the substitution
+//! rationale.
 
 use serde::{Deserialize, Serialize};
 

@@ -86,8 +86,8 @@ pub enum WirelessMode {
     /// Each wireless edge becomes an ordinary point-to-point link of the
     /// given rate/latency, with per-flit energy charged at the
     /// transceiver's pJ/bit.  This is the model the paper's *evaluation*
-    /// magnitudes imply (see `wimnet-wireless` and DESIGN.md §3); MAC
-    /// overhead is not modelled here.
+    /// magnitudes imply (see `wimnet-wireless` and `docs/experiments.md`
+    /// §3.1); MAC overhead is not modelled here.
     PointToPoint {
         /// Link bandwidth in flits per cycle.
         rate: f64,
@@ -565,8 +565,9 @@ impl Network {
                 link_dst.push((dst_sw, dst_port));
                 out_link.push(Some(li));
                 band_port.push(e.kind == EdgeKind::Wireless);
-                // The reverse link fills the upstream entry of this
-                // port (fixed up to the true source below).
+                // A wired edge carries one link each way between the
+                // same two ports, so the peer port this link delivers to
+                // is also where this port's incoming flits come from.
                 upstream.push(Upstream::Wired { switch: dst_sw, port: dst_port });
                 // Per-flit charges of this port: traversal, then the
                 // link-kind crossing.
@@ -611,28 +612,6 @@ impl Network {
             port_base.push(out_link.len());
         }
         debug_assert_eq!(charge_span.len(), out_link.len());
-
-        // Upstream entries above point at the *destination* of our
-        // outgoing link; what we need is the *source* of the incoming
-        // link per port.  For wired edges both directions exist and the
-        // port numbering is symmetric per endpoint, so incoming on port p
-        // of node x comes from the peer's port that carries the same
-        // edge.  Recompute cleanly:
-        for node in graph.node_ids() {
-            let ni = node.index();
-            for (k, &eid) in wired_of(ni).iter().enumerate() {
-                let port = 1 + k;
-                let e = graph.edge(wimnet_topology::EdgeId(eid)).expect("edge exists");
-                let (pa, pb) = port_of_edge[eid].expect("numbered");
-                let (src_sw, src_port) = if node == e.a {
-                    (e.b.index(), pb)
-                } else {
-                    (e.a.index(), pa)
-                };
-                upstream[port_base[ni] + port] =
-                    Upstream::Wired { switch: src_sw, port: src_port };
-            }
-        }
 
         // Forwarding LUT, flattened: entry (switch, dest) at
         // `switch * n + dest`, translated row-by-row from the routing

@@ -15,8 +15,8 @@
 //!   files are not redistributable, so [`app`] provides the documented
 //!   substitute: two-level Markov-modulated generators whose phase
 //!   structure, memory intensity and burstiness are parameterised per
-//!   application in [`profiles`] (see DESIGN.md §3 for the substitution
-//!   argument).
+//!   application in [`profiles`] (see `docs/experiments.md` §3.2 for the
+//!   substitution argument).
 //!
 //! All generators are deterministic given a seed and produce
 //! [`TrafficEvent`]s that the `wimnet-core` driver maps onto network

@@ -20,8 +20,8 @@
 //!   may transmit only *whole* packets, which inflates WI buffer
 //!   requirements and hence static power.
 //! * [`parallel_mac`] — concurrent per-WI links: the channel model the
-//!   paper's *evaluation* magnitudes imply (see DESIGN.md §3 on the
-//!   §III.D ↔ §IV contradiction).
+//!   paper's *evaluation* magnitudes imply (see `docs/experiments.md`
+//!   §3.1 on the §III.D ↔ §IV contradiction).
 //!
 //! All media implement [`wimnet_noc::SharedMedium`] and plug into the
 //! engine with [`wimnet_noc::Network::attach_medium`].

@@ -13,8 +13,8 @@
 //!
 //! Use [`crate::ControlPacketMac`] / [`crate::TokenMac`] for the
 //! faithful serialized §III.D channel (the MAC ablation); use this
-//! medium to regenerate the paper's figures.  See `DESIGN.md` §3 and
-//! `EXPERIMENTS.md` for the full discrepancy discussion.
+//! medium to regenerate the paper's figures.  See `docs/experiments.md`
+//! (§3.1, and Figs 4–5 in §2) for the full discrepancy discussion.
 //!
 //! # Quiescence and idle fast-forward
 //!
