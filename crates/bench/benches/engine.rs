@@ -1,11 +1,24 @@
-//! Criterion micro-benchmarks of the simulation engine itself:
-//! cycle-stepping throughput, route precomputation and topology
-//! construction — the costs that bound every experiment in the paper
-//! harness.
+//! Criterion micro-benchmarks of the engine's ns-scale operations: one
+//! switch visit, one meter read-out, one drained memory-controller step,
+//! one media phase with nothing to do.  Each is too short for the
+//! benchmark package (`benchmark/`, see `BENCHMARK.json`) to time in
+//! isolation, so they are timed here in loops of 1 000.
+//!
+//! Everything longer is the benchmark's, which reports it per layer with
+//! a run-to-run spread; the groups that used to time the same quantities
+//! here are gone, and their numbers are now:
+//!
+//! | former group | benchmark metric |
+//! |---|---|
+//! | `topology_build` | `topology.build_us` |
+//! | `routes_build` | `routing.build_us` |
+//! | `network_step`, `step_hot_loop` | `noc.step_ns_per_call`, `noc.ns_per_flit_hop`, `noc.fast_forward_ns_per_jump` (`loaded_oneway`, `idle_ff`) |
+//! | `inject` | `noc.inject_ns_per_packet` (`memory_reads`) |
+//! | `checkpoint_store_lookup` | `core.checkpoint.store_ms_per_op`, `core.checkpoint.lookup_ms_per_op`, `serde_json.serialize_mb_per_s` (`persist`) |
+//! | `figures` (its own bench file) | `wall_s` and `core.sweeps.points_per_s` of `sweep_batched` |
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use wimnet_core::{CheckpointStore, MultichipSystem, Scale, ScenarioGrid};
 use wimnet_memory::{
     AccessKind, AddressMap, ControllerConfig, MemRequest, MemoryController, StackConfig,
 };
@@ -13,254 +26,10 @@ use wimnet_noc::switch::{OutPortSpec, RouteEntry, Switch};
 use wimnet_noc::{Flit, FlitKind, Network, NocConfig, PacketDesc, PacketId};
 use wimnet_routing::{Routes, RoutingPolicy};
 use wimnet_topology::{Architecture, MultichipConfig, MultichipLayout, NodeId};
-use wimnet_traffic::{InjectionProcess, UniformRandom};
 use wimnet_wireless::{ChannelConfig, TokenMac};
 
 fn build_layout(arch: Architecture) -> MultichipLayout {
     MultichipLayout::build(&MultichipConfig::xcym(4, 4, arch)).expect("layout")
-}
-
-fn bench_topology_build(c: &mut Criterion) {
-    let mut g = c.benchmark_group("topology_build");
-    for arch in Architecture::ALL {
-        g.bench_function(arch.label(), |b| {
-            b.iter(|| build_layout(std::hint::black_box(arch)))
-        });
-    }
-    g.finish();
-}
-
-fn bench_route_computation(c: &mut Criterion) {
-    let mut g = c.benchmark_group("routes_build");
-    let layout = build_layout(Architecture::Wireless);
-    for (name, policy) in [
-        ("tree", RoutingPolicy::tree()),
-        ("updown", RoutingPolicy::up_down()),
-        ("shortest", RoutingPolicy::shortest_path()),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| Routes::build(layout.graph(), std::hint::black_box(policy)).unwrap())
-        });
-    }
-    g.finish();
-}
-
-fn bench_network_step(c: &mut Criterion) {
-    let mut g = c.benchmark_group("network_step");
-    g.sample_size(20);
-    for arch in [Architecture::Interposer, Architecture::Wireless] {
-        // 1000 cycles with moderate load already injected.
-        g.bench_function(format!("{}_1000_cycles_loaded", arch.label()), |b| {
-            b.iter_batched(
-                || {
-                    let layout = build_layout(arch);
-                    let routes =
-                        Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
-                    let mut net =
-                        Network::new(&layout, routes, NocConfig::paper()).unwrap();
-                    let cores = layout.core_nodes().to_vec();
-                    for (i, &src) in cores.iter().enumerate() {
-                        net.inject(PacketDesc::new(src, cores[(i + 17) % 64], 64, 0));
-                    }
-                    net
-                },
-                |mut net| {
-                    for _ in 0..1000 {
-                        net.step();
-                    }
-                    net
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-fn bench_idle_step(c: &mut Criterion) {
-    // The idle cost matters because long measurement windows are mostly
-    // idle at low loads.
-    c.bench_function("network_step/idle_1000_cycles", |b| {
-        b.iter_batched(
-            || {
-                let layout = build_layout(Architecture::Interposer);
-                let routes =
-                    Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
-                Network::new(&layout, routes, NocConfig::paper()).unwrap()
-            },
-            |mut net| {
-                for _ in 0..1000 {
-                    net.step();
-                }
-                net
-            },
-            BatchSize::LargeInput,
-        )
-    });
-}
-
-fn bench_step_hot_loop(c: &mut Criterion) {
-    // The engine's three load regimes: idle (active sets empty and the
-    // idle fast-forward short-circuits run_for), low-load (a handful of
-    // packets in flight, most components skipped), and saturated (every
-    // component active — the active-set overhead ceiling).
-    let mut g = c.benchmark_group("step_hot_loop");
-    g.sample_size(15);
-    let setup = || {
-        let layout = build_layout(Architecture::Interposer);
-        let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
-        let cores = layout.core_nodes().to_vec();
-        let net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
-        (net, cores)
-    };
-    g.bench_function("idle_10k_cycles", |b| {
-        b.iter_batched(
-            || setup().0,
-            |mut net| {
-                net.run_for(10_000);
-                net
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("low_load_10k_cycles", |b| {
-        b.iter_batched(
-            &setup,
-            |(mut net, cores)| {
-                // A trickle: one 64-flit packet every 500 cycles from a
-                // rotating source — the fig3 low-load regime.
-                for burst in 0..20u64 {
-                    let src = cores[(burst as usize * 7) % cores.len()];
-                    let dst = cores[(burst as usize * 7 + 29) % cores.len()];
-                    net.inject(PacketDesc::new(src, dst, 64, burst * 500));
-                    net.run_for(500);
-                }
-                net
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    // Wired-only saturated traffic (no radios anywhere): isolates the
-    // switch datapath — slab FIFO walks, arbitration, credit/meter
-    // bookkeeping — from every wireless code path.
-    g.bench_function("wired_2k_cycles", |b| {
-        b.iter_batched(
-            || {
-                let layout = build_layout(Architecture::Substrate);
-                let routes =
-                    Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
-                let cores = layout.core_nodes().to_vec();
-                let mut net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
-                for (i, &src) in cores.iter().enumerate() {
-                    for k in 0..4 {
-                        let dst = cores[(i + 17 + k * 13) % cores.len()];
-                        net.inject(PacketDesc::new(src, dst, 64, 0));
-                    }
-                }
-                net
-            },
-            |mut net| {
-                net.run_for(2_000);
-                net
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("saturated_2k_cycles", |b| {
-        b.iter_batched(
-            &setup,
-            |(mut net, cores)| {
-                for (i, &src) in cores.iter().enumerate() {
-                    for k in 0..4 {
-                        let dst = cores[(i + 17 + k * 13) % cores.len()];
-                        net.inject(PacketDesc::new(src, dst, 64, 0));
-                    }
-                }
-                net.run_for(2_000);
-                net
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    // Shared-channel MAC attached: exercises the per-cycle MediumView
-    // refresh (reused buffers — the view path must not allocate after
-    // the first cycle) alongside the control-packet MAC's phase machine.
-    g.bench_function("shared_channel_2k_cycles", |b| {
-        b.iter_batched(
-            || {
-                let layout = build_layout(Architecture::Wireless);
-                let routes =
-                    Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
-                let mut net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
-                let channel =
-                    wimnet_wireless::ChannelConfig::paper(net.radio_count());
-                net.attach_medium(Box::new(wimnet_wireless::ControlPacketMac::new(
-                    channel,
-                )));
-                let cores = layout.core_nodes().to_vec();
-                // Cross-chip pairs so traffic actually rides the medium.
-                for (i, &src) in cores.iter().enumerate().take(16) {
-                    let dst = cores[(i + 19) % cores.len()];
-                    net.inject(PacketDesc::new(src, dst, 64, 0));
-                }
-                net
-            },
-            |mut net| {
-                net.run_for(2_000);
-                net
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.finish();
-}
-
-fn bench_inject(c: &mut Criterion) {
-    // `Network::inject` alone, no stepping: the cost a workload pays
-    // per offered packet.  Divide the reported time by the packet count
-    // for ns/packet.
-    let mut g = c.benchmark_group("inject");
-    let setup = || {
-        let layout = build_layout(Architecture::Wireless);
-        let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
-        let net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
-        (net, layout)
-    };
-    // The closed-loop read regime: stacks answer faster than their one
-    // port drains, so replies pile up past any source-queue cap — four
-    // memory endpoints, 2 000 64-flit packets each (8 000 packets).
-    g.bench_function("reply_burst", |b| {
-        b.iter_batched(
-            &setup,
-            |(mut net, layout)| {
-                let cores = layout.core_nodes();
-                for k in 0..2_000usize {
-                    for &stack in layout.memory_nodes() {
-                        net.inject(PacketDesc::new(stack, cores[k % cores.len()], 64, 0));
-                    }
-                }
-                net
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    // The warm-up regime: the first packet at every endpoint of a fresh
-    // network (68 packets), where queue storage is first touched.
-    g.bench_function("first_touch", |b| {
-        b.iter_batched(
-            &setup,
-            |(mut net, layout)| {
-                let cores = layout.core_nodes();
-                for (i, &src) in cores.iter().chain(layout.memory_nodes()).enumerate() {
-                    let dst = cores[(i + 17) % cores.len()];
-                    net.inject(PacketDesc::new(src, dst, 64, 0));
-                }
-                net
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.finish();
 }
 
 fn bench_meter_readout(c: &mut Criterion) {
@@ -335,41 +104,6 @@ fn bench_media_phase_unchanged(c: &mut Criterion) {
         })
     });
     g.finish();
-}
-
-fn bench_checkpoint_store_lookup(c: &mut Criterion) {
-    // One snapshot's trip to disk and back: a substrate 4C4M at the
-    // benchmark's `persist` load, cut at cycle 900 with a few thousand
-    // flits buffered.  `store` is `to_value` + render + hash + write,
-    // `lookup` is read + parse + re-render + hash + `from_value`; the
-    // bare `to_string` is the JSON layer's share of a store.
-    let grid = ScenarioGrid::new("bench-checkpoint")
-        .scale(Scale::Quick)
-        .architectures(&[Architecture::Substrate])
-        .loads(&[0.004])
-        .seeds(&[1]);
-    let point = &grid.points()[0];
-    let fp = grid.point_fingerprint(point);
-    let cfg = grid.experiment(point).config().clone();
-    let mut workload = UniformRandom::new(
-        cfg.multichip.total_cores(),
-        cfg.multichip.num_stacks,
-        0.2,
-        InjectionProcess::Bernoulli { rate: 0.004 },
-        cfg.packet_flits,
-        cfg.seed,
-    );
-    let mut system = MultichipSystem::build(&cfg).unwrap();
-    system.run_until(&mut workload, 0, 900).unwrap();
-    let snapshot = system.snapshot();
-    let dir = std::env::temp_dir().join(format!("wimnet-bench-checkpoint-{}", std::process::id()));
-    let store = CheckpointStore::open(&dir).unwrap();
-    let mut g = c.benchmark_group("checkpoint_store_lookup");
-    g.bench_function("store", |b| b.iter(|| store.store(&fp, &snapshot).unwrap()));
-    g.bench_function("lookup", |b| b.iter(|| store.lookup(&fp).expect("served")));
-    g.bench_function("to_string", |b| b.iter(|| serde_json::to_string(&snapshot).unwrap()));
-    g.finish();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A 5-port × 8-VC switch (the mesh switch shape) whose port-0 input
@@ -486,16 +220,9 @@ fn bench_switch_visit(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_topology_build,
-    bench_route_computation,
-    bench_network_step,
-    bench_idle_step,
-    bench_step_hot_loop,
     bench_switch_visit,
-    bench_inject,
     bench_meter_readout,
     bench_controller_step_drained,
-    bench_media_phase_unchanged,
-    bench_checkpoint_store_lookup
+    bench_media_phase_unchanged
 );
 criterion_main!(benches);

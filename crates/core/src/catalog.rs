@@ -95,7 +95,7 @@ impl Fingerprint {
     }
 
     /// Parses the [`Fingerprint::hex`] rendering back.
-    pub fn from_hex(s: &str) -> Option<Self> {
+    pub(crate) fn from_hex(s: &str) -> Option<Self> {
         if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }

@@ -294,7 +294,7 @@ impl MultichipSystem {
 ///
 /// Propagates run errors ([`CoreError::Stalled`]), restore shape
 /// mismatches and store I/O failures.
-pub fn run_with_checkpoints(
+pub(crate) fn run_with_checkpoints(
     system: &mut MultichipSystem,
     workload: &mut dyn Workload,
     store: &CheckpointStore,

@@ -1,13 +1,9 @@
 //! Higher-level measurement drivers built on [`Experiment`]:
-//! latency curves, saturation-point search and identical-trace A/B
-//! comparisons.
-
-use wimnet_traffic::{InjectionProcess, Trace, UniformRandom};
+//! latency curves and saturation-point search.
 
 use crate::error::CoreError;
 use crate::experiments::{run_all, Experiment};
-use crate::metrics::RunOutcome;
-use crate::system::{MultichipSystem, SystemConfig};
+use crate::system::SystemConfig;
 
 /// Measures the latency-vs-load curve for one configuration (one point
 /// per load, all runs in parallel).
@@ -81,52 +77,6 @@ pub fn find_saturation_load(
     Ok(hi)
 }
 
-/// Records one uniform-random trace and replays it on every
-/// configuration — identical packet sequences, so A/B differences come
-/// from the architecture alone (generator noise is eliminated).
-///
-/// All configurations must share the same system shape.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidParameter`] when shapes differ; otherwise
-/// propagates run failures.
-pub fn compare_on_shared_trace(
-    configs: &[SystemConfig],
-    load: f64,
-    memory_fraction: f64,
-) -> Result<Vec<RunOutcome>, CoreError> {
-    let Some(first) = configs.first() else {
-        return Ok(Vec::new());
-    };
-    let shape = (first.multichip.total_cores(), first.multichip.num_stacks);
-    for c in configs {
-        if (c.multichip.total_cores(), c.multichip.num_stacks) != shape {
-            return Err(CoreError::InvalidParameter {
-                what: "trace comparison needs identical system shapes".into(),
-            });
-        }
-    }
-    let mut generator = UniformRandom::new(
-        shape.0,
-        shape.1,
-        memory_fraction,
-        InjectionProcess::Bernoulli { rate: load },
-        first.packet_flits,
-        first.seed,
-    );
-    let cycles = first.warmup_cycles + first.measure_cycles;
-    let trace = Trace::record(&mut generator, cycles);
-
-    let mut outcomes = Vec::with_capacity(configs.len());
-    for config in configs {
-        let mut system = MultichipSystem::build(config)?;
-        let mut replay = trace.replay();
-        outcomes.push(system.run(&mut replay)?);
-    }
-    Ok(outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,39 +126,5 @@ mod tests {
     fn saturation_rejects_bad_parameters() {
         assert!(find_saturation_load(&quick(Architecture::Wireless), 0.5, 0.01).is_err());
         assert!(find_saturation_load(&quick(Architecture::Wireless), 3.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn shared_trace_comparison_is_apples_to_apples() {
-        let configs = vec![
-            quick(Architecture::Interposer),
-            quick(Architecture::Wireless),
-        ];
-        let outcomes = compare_on_shared_trace(&configs, 0.002, 0.2).unwrap();
-        assert_eq!(outcomes.len(), 2);
-        // Identical offered traffic: injected packet counts match.
-        assert!(outcomes[0].packets_delivered() > 0);
-        assert!(outcomes[1].packets_delivered() > 0);
-        // The wireless system still wins energy on the identical trace.
-        assert!(outcomes[1].packet_energy_nj() < outcomes[0].packet_energy_nj());
-    }
-
-    #[test]
-    fn shared_trace_rejects_mismatched_shapes() {
-        let configs = vec![
-            quick(Architecture::Interposer),
-            // Two stacks instead of four: a genuinely different shape
-            // (8C4M would still be 64 cores x 4 stacks).
-            SystemConfig::xcym(4, 2, Architecture::Wireless).quick_test_profile(),
-        ];
-        assert!(matches!(
-            compare_on_shared_trace(&configs, 0.002, 0.2),
-            Err(CoreError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
-    fn empty_config_list_is_fine() {
-        assert!(compare_on_shared_trace(&[], 0.1, 0.2).unwrap().is_empty());
     }
 }

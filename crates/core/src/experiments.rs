@@ -44,7 +44,7 @@ impl Scale {
 /// What traffic an [`Experiment`] drives.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
-pub enum WorkloadSpec {
+pub(crate) enum WorkloadSpec {
     /// Uniform random with a Bernoulli injection rate (Fig 3 points).
     UniformRandom {
         /// Packets per core per cycle.
@@ -89,7 +89,7 @@ pub struct Experiment {
 
 impl Experiment {
     /// Creates an experiment.
-    pub fn new(config: SystemConfig, spec: WorkloadSpec) -> Self {
+    pub(crate) fn new(config: SystemConfig, spec: WorkloadSpec) -> Self {
         Experiment { config, spec }
     }
 
@@ -257,7 +257,7 @@ impl Experiment {
     /// `fp`: resumes from the latest serveable snapshot, persists one at
     /// every `config.checkpoint_every` mark, and — `kill_at` aside —
     /// produces the bit-identical [`RunOutcome`] of [`Experiment::run`].
-    /// See [`crate::checkpoint::run_with_checkpoints`] for the `kill_at`
+    /// See `crate::checkpoint::run_with_checkpoints` for the `kill_at`
     /// crash-simulation contract (`Ok(None)` when killed).
     ///
     /// # Errors
@@ -514,7 +514,7 @@ pub struct Fig6Row {
 }
 
 /// The applications evaluated at each scale.
-pub fn fig6_apps(scale: Scale) -> Vec<AppProfile> {
+pub(crate) fn fig6_apps(scale: Scale) -> Vec<AppProfile> {
     match scale {
         Scale::Paper => profiles::all(),
         Scale::Quick => vec![

@@ -60,11 +60,11 @@ pub mod sweeps;
 pub mod system;
 
 pub use catalog::{Catalog, CatalogEntry, Fingerprint, ENGINE_VERSION};
-pub use checkpoint::{run_with_checkpoints, CheckpointEntry, CheckpointStore, Snapshot};
-pub use driver::{compare_on_shared_trace, find_saturation_load, latency_curve};
+pub use checkpoint::{CheckpointEntry, CheckpointStore, Snapshot};
+pub use driver::{find_saturation_load, latency_curve};
 pub use error::CoreError;
-pub use experiments::{Experiment, Scale, WorkloadSpec};
-pub use metrics::{percentage_gain, RunOutcome};
+pub use experiments::{Experiment, Scale};
+pub use metrics::RunOutcome;
 pub use sweeps::{
     run_pool, run_pool_batched, run_pool_each, CachedSweep, ScenarioGrid, ScenarioPoint, SweepOptions,
 };

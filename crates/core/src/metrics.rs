@@ -173,7 +173,7 @@ impl RunOutcome {
 /// # Panics
 ///
 /// Panics if `baseline` is not a positive finite number.
-pub fn percentage_gain(baseline: f64, candidate: f64) -> f64 {
+pub(crate) fn percentage_gain(baseline: f64, candidate: f64) -> f64 {
     assert!(
         baseline > 0.0 && baseline.is_finite(),
         "baseline must be positive, got {baseline}"
@@ -188,7 +188,7 @@ pub fn percentage_gain(baseline: f64, candidate: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `baseline` is not a positive finite number.
-pub fn percentage_reduction(baseline: f64, candidate: f64) -> f64 {
+pub(crate) fn percentage_reduction(baseline: f64, candidate: f64) -> f64 {
     assert!(
         baseline > 0.0 && baseline.is_finite(),
         "baseline must be positive, got {baseline}"

@@ -564,7 +564,7 @@ impl ScenarioGrid {
     /// rename of deterministic content).
     ///
     /// With `opts.checkpoints`, every miss runs through
-    /// [`crate::checkpoint::run_with_checkpoints`]: it resumes from the
+    /// `crate::checkpoint::run_with_checkpoints`: it resumes from the
     /// scenario's latest serveable snapshot, persists a new one at each
     /// [`ScenarioGrid::checkpoint_every`] mark while it simulates, and
     /// has its spent checkpoint removed once the outcome is in the

@@ -121,7 +121,7 @@ pub struct SystemConfig {
     pub disable_fast_forward: bool,
     /// Snapshot cadence in cycles for checkpointed runs: `0` (the
     /// default) disables checkpointing; `n > 0` makes
-    /// [`crate::checkpoint::run_with_checkpoints`] persist a snapshot at
+    /// `crate::checkpoint::run_with_checkpoints` persist a snapshot at
     /// each crossing of an `n`-cycle mark.  Excluded from serialization
     /// (and therefore from catalog fingerprints) for the same reason as
     /// `disable_fast_forward`: the cadence changes wall-clock and disk
@@ -198,7 +198,8 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] on zero windows or packet sizes.
+    /// [`CoreError::InvalidParameter`] on zero windows or packet sizes,
+    /// and on a wireless link rate that is not finite and positive.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.packet_flits == 0 {
             return Err(CoreError::InvalidParameter {
@@ -225,16 +226,26 @@ impl SystemConfig {
                 what: format!("address_stream: {e}"),
             });
         }
+        if let WirelessModel::PointToPoint { flits_per_cycle, .. }
+        | WirelessModel::ParallelLinks { flits_per_cycle } = self.wireless
+        {
+            if !(flits_per_cycle.is_finite() && flits_per_cycle > 0.0) {
+                return Err(CoreError::InvalidParameter {
+                    what: format!(
+                        "wireless flits_per_cycle must be finite and positive, got {flits_per_cycle}"
+                    ),
+                });
+            }
+        }
         Ok(())
     }
 }
 
 /// A pending memory reply: a stack access that has completed inside the
-/// controller and is waiting for its data packet to be injected.  Public
-/// only because it appears (heap-drained into a sorted `Vec`) inside
-/// [`SystemState`] snapshots.
+/// controller and is waiting for its data packet to be injected.
+/// [`SystemState`] snapshots carry the heap drained into a sorted `Vec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PendingReply {
+pub(crate) struct PendingReply {
     /// Cycle at which the reply packet becomes injectable.
     pub ready_at: u64,
     /// Stack that serviced the access.
@@ -457,13 +468,8 @@ impl MultichipSystem {
         &self.net
     }
 
-    /// Memory replies injected so far (request/reply workloads only).
-    pub fn replies_injected(&self) -> u64 {
-        self.replies_injected
-    }
-
     /// Maps a workload endpoint to its switch.
-    pub fn node_of(&self, endpoint: Endpoint) -> NodeId {
+    fn node_of(&self, endpoint: Endpoint) -> NodeId {
         match endpoint {
             Endpoint::Core(c) => self.layout.core_nodes()[c],
             Endpoint::Memory(m) => self.layout.memory_nodes()[m],
@@ -863,7 +869,7 @@ impl MultichipSystem {
     /// bucket and drains MAC turn spans into the trace buffer first,
     /// so calling this (or the outcome-collection path that wraps it)
     /// more than once is safe and idempotent.
-    pub fn collect_telemetry(&mut self) -> Option<TelemetrySummary> {
+    pub(crate) fn collect_telemetry(&mut self) -> Option<TelemetrySummary> {
         self.net.finish_telemetry()?;
         let cycles = self.net.now();
         let kinds = self.net.link_kinds();
@@ -917,7 +923,7 @@ impl MultichipSystem {
     /// with [`wimnet_telemetry::TelemetryConfig::tracing`].  Load the
     /// result in `chrome://tracing` or <https://ui.perfetto.dev>; the
     /// schema is documented in `docs/observability.md`.
-    pub fn export_chrome_trace(&mut self) -> Option<String> {
+    pub(crate) fn export_chrome_trace(&mut self) -> Option<String> {
         let t = self.net.finish_telemetry()?;
         let tb = t.trace.as_ref()?;
         Some(wimnet_telemetry::ChromeTrace::from_buffer(tb).render())
@@ -1013,6 +1019,24 @@ mod tests {
     }
 
     #[test]
+    fn wireless_rates_must_be_finite_and_positive() {
+        for rate in [0.0, -0.2, f64::NAN, f64::INFINITY] {
+            for wireless in [
+                WirelessModel::PointToPoint { flits_per_cycle: rate, max_concurrent: 16 },
+                WirelessModel::ParallelLinks { flits_per_cycle: rate },
+            ] {
+                let mut cfg = quick(Architecture::Wireless);
+                cfg.wireless = wireless;
+                assert!(
+                    matches!(cfg.validate(), Err(CoreError::InvalidParameter { .. })),
+                    "{wireless:?} must be rejected"
+                );
+                assert!(MultichipSystem::build(&cfg).is_err(), "{wireless:?} must not build");
+            }
+        }
+    }
+
+    #[test]
     fn token_mac_gets_deep_tx_buffers() {
         let mut cfg = quick(Architecture::Wireless);
         cfg.wireless = WirelessModel::SharedChannel { mac: MacKind::Token };
@@ -1054,14 +1078,14 @@ mod tests {
         let cfg = quick(Architecture::Substrate);
         let mut sys = MultichipSystem::build(&cfg).unwrap();
         let outcome = sys.run(&mut Reads(1000)).unwrap();
-        assert!(sys.replies_injected() > 0, "reads must produce replies");
+        assert!(sys.replies_injected > 0, "reads must produce replies");
         // Replies are full data packets flowing back to core 0.
-        assert!(outcome.packets_delivered() > sys.replies_injected() / 2);
+        assert!(outcome.packets_delivered() > sys.replies_injected / 2);
         // The controller serviced every reply-producing request and its
         // statistics surface in the outcome.
         let mem = &outcome.memory;
         assert_eq!(mem.len(), cfg.multichip.num_stacks);
-        assert_eq!(mem[0].accesses, sys.replies_injected());
+        assert_eq!(mem[0].accesses, sys.replies_injected);
         assert_eq!(mem[0].reads, mem[0].accesses);
         assert_eq!(
             mem[0].page_hits + mem[0].page_empties + mem[0].page_misses,
@@ -1093,13 +1117,13 @@ mod tests {
         )
         .with_memory_reads(1.0, 8);
         let outcome = sys.run(&mut w).unwrap();
-        assert!(sys.replies_injected() > 0, "reads must flow");
+        assert!(sys.replies_injected > 0, "reads must flow");
         assert!(
             outcome.fast_forwarded_cycles > 0,
             "memory-bound idle gaps must fast-forward"
         );
         let accesses: u64 = outcome.memory.iter().map(|m| m.accesses).sum();
-        assert_eq!(accesses, sys.replies_injected());
+        assert_eq!(accesses, sys.replies_injected);
     }
 
     #[test]

@@ -39,6 +39,6 @@ pub mod meter;
 pub mod model;
 pub mod units;
 
-pub use meter::{ChargeBatch, EnergyBreakdown, EnergyCategory, EnergyMeter, ExactSum};
+pub use meter::{ChargeBatch, EnergyBreakdown, EnergyCategory, EnergyMeter};
 pub use model::EnergyModel;
 pub use units::{Energy, Frequency, Power};

@@ -145,7 +145,7 @@ const LIMBS: usize = 34;
 /// so the sum is independent of both the order charges arrive in and
 /// how they are batched.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExactSum {
+pub(crate) struct ExactSum {
     limbs: [u64; LIMBS],
 }
 
@@ -279,7 +279,7 @@ impl ExactSum {
 
 /// Accumulates energy per [`EnergyCategory`] — exactly.
 ///
-/// Each category is an [`ExactSum`] fixed-point superaccumulator, so
+/// Each category is an `ExactSum` fixed-point superaccumulator, so
 /// accumulation is associative and order-independent, per-cycle replay
 /// and batched accounting produce identical sums by construction, and
 /// [`EnergyMeter::total`] conserves energy exactly (it is the rounded

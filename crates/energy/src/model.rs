@@ -176,11 +176,6 @@ impl EnergyModel {
         Energy::from_pj(self.tsv_pj_per_bit * bits as f64 * layers as f64)
     }
 
-    /// DRAM array access energy for `bits` bits.
-    pub fn dram_access(&self, bits: u64) -> Energy {
-        Energy::from_pj(self.dram_access_pj_per_bit * bits as f64)
-    }
-
     /// Idle (listening) receiver energy over `cycles` clock cycles.
     pub fn wireless_idle_over(&self, cycles: u64) -> Energy {
         self.wireless_idle.energy_over_cycles(cycles, self.clock)
@@ -267,7 +262,7 @@ mod tests {
         let four = m.tsv(32, 4);
         assert!((four.picojoules() - 4.0 * one.picojoules()).abs() < 1e-9);
         // The paper ignores DRAM array energy — default must be zero.
-        assert_eq!(m.dram_access(1024), Energy::ZERO);
+        assert_eq!(m.dram_access_pj_per_bit, 0.0);
     }
 
     #[test]

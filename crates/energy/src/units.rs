@@ -194,18 +194,13 @@ impl Power {
     /// Zero power.
     pub const ZERO: Power = Power(0.0);
 
-    /// Creates a power from watts.
-    pub fn from_watts(w: f64) -> Self {
-        Power(w)
-    }
-
     /// Creates a power from milliwatts.
     pub fn from_mw(mw: f64) -> Self {
         Power(mw * 1e-3)
     }
 
     /// Creates a power from microwatts.
-    pub fn from_uw(uw: f64) -> Self {
+    pub(crate) fn from_uw(uw: f64) -> Self {
         Power(uw * 1e-6)
     }
 
@@ -214,19 +209,9 @@ impl Power {
         self.0
     }
 
-    /// This power in milliwatts.
-    pub fn milliwatts(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Energy dissipated by this power over `cycles` periods of `clock`.
     pub fn energy_over_cycles(self, cycles: u64, clock: Frequency) -> Energy {
         Energy::from_joules(self.0 * cycles as f64 / clock.hertz())
-    }
-
-    /// Energy dissipated by this power over `seconds`.
-    pub fn energy_over_seconds(self, seconds: f64) -> Energy {
-        Energy::from_joules(self.0 * seconds)
     }
 }
 
@@ -281,16 +266,6 @@ impl fmt::Display for Power {
 pub struct Frequency(f64);
 
 impl Frequency {
-    /// Creates a frequency from hertz.
-    pub fn from_hz(hz: f64) -> Self {
-        Frequency(hz)
-    }
-
-    /// Creates a frequency from megahertz.
-    pub fn from_mhz(mhz: f64) -> Self {
-        Frequency(mhz * 1e6)
-    }
-
     /// Creates a frequency from gigahertz.
     pub fn from_ghz(ghz: f64) -> Self {
         Frequency(ghz * 1e9)
@@ -304,16 +279,6 @@ impl Frequency {
     /// This frequency in gigahertz.
     pub fn gigahertz(self) -> f64 {
         self.0 * 1e-9
-    }
-
-    /// Duration of one period, in seconds.
-    pub fn period_seconds(self) -> f64 {
-        1.0 / self.0
-    }
-
-    /// Converts a cycle count at this frequency to seconds.
-    pub fn cycles_to_seconds(self, cycles: u64) -> f64 {
-        cycles as f64 / self.0
     }
 }
 
@@ -397,7 +362,7 @@ mod tests {
     #[test]
     fn power_to_energy_over_cycles() {
         // 1 W for 2.5e9 cycles at 2.5 GHz is exactly one second: 1 J.
-        let p = Power::from_watts(1.0);
+        let p = Power::from_mw(1000.0);
         let clk = Frequency::from_ghz(2.5);
         let e = p.energy_over_cycles(2_500_000_000, clk);
         assert!((e.joules() - 1.0).abs() < 1e-9);
@@ -406,19 +371,18 @@ mod tests {
     #[test]
     fn power_display_and_arithmetic() {
         let p = Power::from_mw(1.5) + Power::from_mw(0.5);
-        assert!((p.milliwatts() - 2.0).abs() < 1e-12);
+        assert!((p.watts() - 2.0e-3).abs() < 1e-15);
         assert_eq!(format!("{}", Power::from_mw(2.0)), "2.0000 mW");
         assert_eq!(format!("{}", Power::from_uw(17.0)), "17.0000 uW");
         let total: Power = (0..4).map(|_| Power::from_mw(1.0)).sum();
-        assert!((total.milliwatts() - 4.0).abs() < 1e-9);
+        assert!((total.watts() - 4.0e-3).abs() < 1e-12);
     }
 
     #[test]
     fn frequency_defaults_to_paper_clock() {
         let f = Frequency::default();
         assert!((f.gigahertz() - 2.5).abs() < 1e-12);
-        assert!((f.period_seconds() - 0.4e-9).abs() < 1e-21);
-        assert!((f.cycles_to_seconds(10_000) - 4e-6).abs() < 1e-15);
+        assert_eq!(f.hertz(), 2.5e9);
         assert_eq!(format!("{f}"), "2.500 GHz");
     }
 }

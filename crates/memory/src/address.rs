@@ -89,12 +89,12 @@ impl AddressMap {
     }
 
     /// Blocks per DRAM row.
-    pub fn blocks_per_row(&self) -> u64 {
+    pub(crate) fn blocks_per_row(&self) -> u64 {
         self.row_bytes / self.block_bytes
     }
 
     /// Decodes a physical byte address.
-    pub fn decode(&self, addr: u64) -> Location {
+    pub(crate) fn decode(&self, addr: u64) -> Location {
         let block = addr / self.block_bytes;
         let stack = (block % self.stacks as u64) as usize;
         let block = block / self.stacks as u64;

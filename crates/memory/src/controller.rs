@@ -267,17 +267,6 @@ pub struct MemoryStackStats {
     pub busy_fraction: f64,
 }
 
-impl MemoryStackStats {
-    /// Fraction of accesses that hit the open row.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.page_hits as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// Checkpointed dynamic state of a [`MemoryController`]: queues, bank
 /// state machines, in-flight completions and statistic accumulators.
 /// The configurations and the background-energy quantum are rebuilt by
@@ -358,19 +347,9 @@ impl MemoryController {
         self.background_energy
     }
 
-    /// The stack's index in the package.
-    pub fn stack_index(&self) -> usize {
-        self.stack_index
-    }
-
     /// The timing configuration.
     pub fn config(&self) -> &StackConfig {
         &self.cfg
-    }
-
-    /// The controller configuration.
-    pub fn controller_config(&self) -> &ControllerConfig {
-        &self.ctrl
     }
 
     /// Offers `req` to its channel's queue.  Returns the request back
@@ -398,23 +377,6 @@ impl MemoryController {
         self.pending += 1;
         self.counters.max_queue_depth = self.counters.max_queue_depth.max(ch.queue.len());
         Ok(())
-    }
-
-    /// `true` when `req`'s channel queue has room.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` decodes the address to a different stack (the
-    /// same routing contract as [`MemoryController::enqueue`] — the
-    /// check must not silently answer for the wrong controller).
-    pub fn has_room(&self, req: &MemRequest, map: &AddressMap) -> bool {
-        let loc = map.decode(req.addr);
-        assert_eq!(
-            loc.stack, self.stack_index,
-            "request for stack {} routed to controller {}",
-            loc.stack, self.stack_index
-        );
-        self.channels[loc.channel].queue.len() < self.ctrl.queue_capacity
     }
 
     /// One controller cycle at time `now`: pop due completions (into
@@ -816,7 +778,6 @@ mod tests {
             mc.enqueue(req(i * 4, AccessKind::Read, i), &map).unwrap();
         }
         let r = req(16, AccessKind::Read, 99);
-        assert!(!mc.has_room(&r, &map));
         assert_eq!(mc.enqueue(r, &map), Err(r));
         assert_eq!(mc.stats().admit_stall_cycles, 1);
         assert_eq!(mc.stats().max_queue_depth, 4);

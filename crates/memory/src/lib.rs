@@ -44,5 +44,4 @@ pub use controller::{
     MemoryControllerState, MemoryStackStats, SchedulerPolicy,
 };
 pub use stack::{AccessKind, AccessResult, MemoryStack, PageOutcome, StackConfig};
-pub use tsv::TsvBundle;
 pub use wideio::WideIoSpec;

@@ -10,8 +10,8 @@
 //! * **miss** — a *different* row is open: precharge + activate + CAS.
 //!
 //! Reads and writes carry distinct CAS latencies and per-bit array
-//! energies ([`StackConfig::cas_cycles`] /
-//! [`StackConfig::array_pj_per_bit`]).  The base logic die arbitrates
+//! energies (`StackConfig::cas_cycles` /
+//! `StackConfig::array_pj_per_bit`).  The base logic die arbitrates
 //! and drives the TSV bundles to the DRAM layers.
 //!
 //! [`MemoryStack`] is the *closed-form* service model: one access per
@@ -100,7 +100,7 @@ pub struct StackConfig {
     #[serde(default)]
     pub background_power: Power,
     /// TSV bundle between layers.
-    pub tsv: TsvBundle,
+    pub(crate) tsv: TsvBundle,
 }
 
 impl StackConfig {
@@ -124,7 +124,7 @@ impl StackConfig {
     }
 
     /// CAS latency of `kind` in cycles.
-    pub fn cas_cycles(&self, kind: AccessKind) -> u64 {
+    pub(crate) fn cas_cycles(&self, kind: AccessKind) -> u64 {
         match kind {
             AccessKind::Read => self.read_cas_cycles,
             AccessKind::Write => self.write_cas_cycles,
@@ -132,7 +132,7 @@ impl StackConfig {
     }
 
     /// DRAM array energy per bit of `kind`, in pJ.
-    pub fn array_pj_per_bit(&self, kind: AccessKind) -> f64 {
+    pub(crate) fn array_pj_per_bit(&self, kind: AccessKind) -> f64 {
         match kind {
             AccessKind::Read => self.array_read_pj_per_bit,
             AccessKind::Write => self.array_write_pj_per_bit,
@@ -142,7 +142,7 @@ impl StackConfig {
     /// Cycles spent getting the row into the row buffer for `outcome`
     /// (before CAS can start): 0 on a hit, activate on an empty bank,
     /// precharge + activate on a miss.
-    pub fn opening_cycles(&self, outcome: PageOutcome) -> u64 {
+    pub(crate) fn opening_cycles(&self, outcome: PageOutcome) -> u64 {
         match outcome {
             PageOutcome::Hit => 0,
             PageOutcome::Empty => self.activate_cycles,
@@ -158,7 +158,7 @@ impl StackConfig {
 
     /// Energy spent inside the stack for `bits` bits of `kind` landing
     /// on `layer`: array access + TSV layer crossings.
-    pub fn access_energy(&self, bits: u64, kind: AccessKind, layer: u32) -> Energy {
+    pub(crate) fn access_energy(&self, bits: u64, kind: AccessKind, layer: u32) -> Energy {
         Energy::from_pj(self.array_pj_per_bit(kind) * bits as f64)
             + self.tsv.energy(bits, layer)
     }
@@ -232,11 +232,6 @@ impl MemoryStack {
             accesses: 0,
             row_hits: 0,
         }
-    }
-
-    /// The stack's index in the package.
-    pub fn stack_index(&self) -> usize {
-        self.stack_index
     }
 
     /// The configuration.

@@ -11,7 +11,7 @@ use wimnet_energy::Energy;
 
 /// A vertical TSV bundle between adjacent dies of a stack.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TsvBundle {
+pub(crate) struct TsvBundle {
     /// Data width of the bundle in bits (per channel).
     pub width_bits: u32,
     /// Energy per bit per layer crossing, in pJ.
@@ -24,7 +24,7 @@ pub struct TsvBundle {
 impl TsvBundle {
     /// The paper-era TSV bundle: 128-bit channel TSVs, 0.05 pJ/bit per
     /// crossing, same-cycle traversal.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         TsvBundle {
             width_bits: 128,
             pj_per_bit_per_layer: 0.05,
@@ -33,19 +33,13 @@ impl TsvBundle {
     }
 
     /// Energy for `bits` bits to climb `layers` layer crossings.
-    pub fn energy(&self, bits: u64, layers: u32) -> Energy {
+    pub(crate) fn energy(&self, bits: u64, layers: u32) -> Energy {
         Energy::from_pj(self.pj_per_bit_per_layer * bits as f64 * f64::from(layers))
     }
 
     /// Extra latency in cycles for `layers` layer crossings.
-    pub fn latency(&self, layers: u32) -> u64 {
+    pub(crate) fn latency(&self, layers: u32) -> u64 {
         self.cycles_per_layer * u64::from(layers)
-    }
-
-    /// Cycles to serialise `bits` across the bundle at one transfer per
-    /// cycle of the bundle width.
-    pub fn serialization_cycles(&self, bits: u64) -> u64 {
-        bits.div_ceil(u64::from(self.width_bits))
     }
 }
 
@@ -79,9 +73,11 @@ mod tests {
 
     #[test]
     fn serialization_rounds_up() {
-        let t = TsvBundle::paper();
-        assert_eq!(t.serialization_cycles(128), 1);
-        assert_eq!(t.serialization_cycles(129), 2);
-        assert_eq!(t.serialization_cycles(512), 4);
+        // One transfer per cycle of the bundle width: a wide-I/O beat is
+        // one cycle, a bit more is two, a 64-byte block is four.
+        let beats = |bits: u64| bits.div_ceil(u64::from(TsvBundle::paper().width_bits));
+        assert_eq!(beats(128), 1);
+        assert_eq!(beats(129), 2);
+        assert_eq!(beats(512), 4);
     }
 }

@@ -49,19 +49,6 @@ impl WideIoSpec {
         Energy::from_pj(self.pj_per_bit * bits as f64)
     }
 
-    /// How many signal bumps fit on the die edge — a feasibility check
-    /// for the configured width (data plus roughly equal overhead for
-    /// power/ground and control).
-    pub fn bumps_available(&self) -> u32 {
-        (self.die_edge_mm * 1000.0 / self.ubump_pitch_um) as u32
-    }
-
-    /// `true` when the data width (with 100% power/control overhead)
-    /// fits the available bump count.
-    pub fn width_is_feasible(&self) -> bool {
-        self.width_bits * 2 <= self.bumps_available()
-    }
-
     /// Transfer rate in flits of `flit_bits` per cycle of `system_clock`
     /// — what the NoC link model needs.
     pub fn flits_per_cycle(&self, flit_bits: u32, system_clock: Frequency) -> f64 {
@@ -87,14 +74,18 @@ mod tests {
 
     #[test]
     fn paper_width_fits_the_die_edge() {
+        // Signal bumps on the die edge, against the data width plus
+        // roughly equal overhead for power/ground and control.
+        let bumps = |w: &WideIoSpec| (w.die_edge_mm * 1000.0 / w.ubump_pitch_um) as u32;
+        let fits = |w: &WideIoSpec| w.width_bits * 2 <= bumps(w);
         let w = WideIoSpec::paper();
         // 10 mm / 50 µm = 200 bumps ≥ 2 × 128 bits? No — the paper's
         // sizing assumes bumps on multiple rows; one row alone carries
         // 200. With two rows the 256 needed signals fit.
-        assert_eq!(w.bumps_available(), 200);
-        assert!(!w.width_is_feasible(), "single-row bump budget is tight");
+        assert_eq!(bumps(&w), 200);
+        assert!(!fits(&w), "single-row bump budget is tight");
         let two_rows = WideIoSpec { ubump_pitch_um: 25.0, ..WideIoSpec::paper() };
-        assert!(two_rows.width_is_feasible());
+        assert!(fits(&two_rows));
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl RoundRobin {
     /// update, bit for bit, in two word operations instead of an O(n)
     /// scan.  The switch keeps its request sets in this form (see
     /// `docs/engine.md`, "Switch ready masks").
-    pub fn grant_masked(&mut self, mask: u128) -> Option<usize> {
+    pub(crate) fn grant_masked(&mut self, mask: u128) -> Option<usize> {
         if mask == 0 {
             return None;
         }
@@ -91,7 +91,7 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics when `cursor` is out of range for a non-empty arbiter.
-    pub fn set_cursor(&mut self, cursor: usize) {
+    pub(crate) fn set_cursor(&mut self, cursor: usize) {
         assert!(cursor < self.n.max(1), "round-robin cursor {cursor} out of range");
         self.next = cursor;
     }

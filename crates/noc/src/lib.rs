@@ -66,10 +66,10 @@ pub mod vc;
 pub use error::NocError;
 pub use flit::{Flit, FlitKind, FlitRun, PacketId};
 pub use link::{Link, LinkDelivery};
-pub use network::{Network, NetworkState, NocConfig, RadioTxState, WirelessMode};
-pub use packet::{ArrivedPacket, PacketDesc, QueuedPacket, Reassembler};
+pub use network::{Network, NetworkState, NocConfig, WirelessMode};
+pub use packet::{ArrivedPacket, PacketDesc};
 pub use radio::{MediumActions, MediumView, RadioId, SharedMedium};
 pub use ring::RingSlab;
 pub use stats::NetworkStats;
-pub use switch::{SwitchState, VcState};
+pub use switch::SwitchState;
 pub use vc::{VcFabric, VcStage};

@@ -66,7 +66,7 @@ impl Link {
     /// interposer hops pay one extra cycle for the µbump crossing; serial
     /// and wide I/O rates follow the cited bandwidths with short
     /// propagation pipelines.
-    pub fn paper_rate_latency(kind: EdgeKind) -> (f64, u64) {
+    pub(crate) fn paper_rate_latency(kind: EdgeKind) -> (f64, u64) {
         match kind {
             EdgeKind::Mesh => (1.0, 1),
             // Interposer traces are several millimetres of fine-pitch
@@ -93,7 +93,7 @@ impl Link {
     }
 
     /// Short kind name for telemetry/report tables.
-    pub fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         match self.kind {
             EdgeKind::Mesh => "mesh",
             EdgeKind::SerialIo => "serial",
@@ -154,13 +154,13 @@ impl Link {
 
     /// The accrued bandwidth credit — the link's only dynamic state
     /// (in-flight flits live in the network-owned slab).  Checkpoint
-    /// accessor; pairs with [`Link::set_credit`].
+    /// accessor; pairs with `Link::set_credit`.
     pub fn credit(&self) -> f64 {
         self.credit
     }
 
     /// Restores the bandwidth credit from a [`Link::credit`] snapshot.
-    pub fn set_credit(&mut self, credit: f64) {
+    pub(crate) fn set_credit(&mut self, credit: f64) {
         self.credit = credit;
     }
 
@@ -172,7 +172,7 @@ impl Link {
 
     /// Whole flits the link can still accept this cycle.
     #[inline]
-    pub fn available(&self) -> u32 {
+    pub(crate) fn available(&self) -> u32 {
         self.credit.max(0.0) as u32
     }
 
@@ -218,19 +218,6 @@ impl Link {
         }
         delivered
     }
-
-    /// Removes and returns all flits of `lane` that have arrived by
-    /// `now`.  Allocating convenience wrapper over
-    /// [`Link::take_arrivals_into`].
-    pub fn take_arrivals(
-        flight: &mut RingSlab<LinkDelivery>,
-        lane: usize,
-        now: u64,
-    ) -> Vec<LinkDelivery> {
-        let mut out = Vec::new();
-        Self::take_arrivals_into(flight, lane, now, |d| out.push(d));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -263,6 +250,17 @@ mod tests {
         arrives_at: 0,
     };
 
+    /// Every flit of `lane` that has arrived by `now`, removed.
+    fn take_arrivals(
+        flight: &mut RingSlab<LinkDelivery>,
+        lane: usize,
+        now: u64,
+    ) -> Vec<LinkDelivery> {
+        let mut out = Vec::new();
+        Link::take_arrivals_into(flight, lane, now, |d| out.push(d));
+        out
+    }
+
     fn mesh_link() -> (Link, RingSlab<LinkDelivery>) {
         let l = Link::new(EdgeId(0), EdgeKind::Mesh, 2.5, 1.0, 1);
         let ring = RingSlab::uniform(1, l.flight_capacity(), FILL);
@@ -277,7 +275,7 @@ mod tests {
             assert!(l.can_accept());
             l.send(&mut ring, 0, flit(now as u32), 0, now);
             assert!(!l.can_accept(), "only one flit per cycle at rate 1");
-            let arrivals = Link::take_arrivals(&mut ring, 0, now + 1);
+            let arrivals = take_arrivals(&mut ring, 0, now + 1);
             assert_eq!(arrivals.len(), 1);
             assert_eq!(arrivals[0].arrives_at, now + 1);
         }
@@ -291,7 +289,7 @@ mod tests {
         let mut sent = 0u32;
         for now in 0..80u64 {
             l.begin_cycle();
-            Link::take_arrivals(&mut ring, 0, now); // drain so the lane stays small
+            take_arrivals(&mut ring, 0, now); // drain so the lane stays small
             if l.can_accept() {
                 l.send(&mut ring, 0, flit(sent), 0, now);
                 sent += 1;
@@ -308,7 +306,7 @@ mod tests {
         let mut sent = 0u32;
         for now in 0..10u64 {
             l.begin_cycle();
-            Link::take_arrivals(&mut ring, 0, now);
+            take_arrivals(&mut ring, 0, now);
             while l.can_accept() {
                 l.send(&mut ring, 0, flit(sent), 0, now);
                 sent += 1;
@@ -324,8 +322,8 @@ mod tests {
         let mut ring = RingSlab::uniform(1, l.flight_capacity(), FILL);
         l.begin_cycle();
         l.send(&mut ring, 0, flit(0), 2, 10);
-        assert!(Link::take_arrivals(&mut ring, 0, 12).is_empty());
-        let a = Link::take_arrivals(&mut ring, 0, 13);
+        assert!(take_arrivals(&mut ring, 0, 12).is_empty());
+        let a = take_arrivals(&mut ring, 0, 13);
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].vc, 2);
         assert!(ring.is_empty(0));

@@ -180,7 +180,7 @@ enum Upstream {
 /// Checkpointed dynamic state of one wireless interface's transmit side
 /// (see [`NetworkState`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RadioTxState {
+pub(crate) struct RadioTxState {
     /// Per-VC FIFO contents, front to back.
     pub lanes: Vec<Vec<(Flit, RadioId)>>,
     /// Per-VC FIFO capacities (fixed at construction, stored for the
@@ -201,57 +201,57 @@ pub struct RadioTxState {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkState {
     /// Completed cycles.
-    pub now: u64,
+    pub(crate) now: u64,
     /// Per-switch buffers, credits and allocation cursors.
-    pub switches: Vec<SwitchState>,
+    pub(crate) switches: Vec<SwitchState>,
     /// Per-link fractional credit accumulators.
-    pub link_credits: Vec<f64>,
+    pub(crate) link_credits: Vec<f64>,
     /// In-flight wire pipelines, one lane per link.
-    pub flight_lanes: Vec<Vec<LinkDelivery>>,
+    pub(crate) flight_lanes: Vec<Vec<LinkDelivery>>,
     /// In-flight lane capacities.
-    pub flight_caps: Vec<usize>,
+    pub(crate) flight_caps: Vec<usize>,
     /// Radio TX FIFOs and wormhole targets, in [`RadioId`] order.
-    pub radios: Vec<RadioTxState>,
+    pub(crate) radios: Vec<RadioTxState>,
     /// Per-medium MAC state as a schema-free serde value (each MAC
     /// encodes and decodes its own representation via
     /// [`SharedMedium::state_value`]).
-    pub media: Vec<Value>,
+    pub(crate) media: Vec<Value>,
     /// Source queues, one lane of whole packets per endpoint, front to
     /// back; only a lane's front entry may be partially injected.
-    pub inj_lanes: Vec<VecDeque<QueuedPacket>>,
+    pub(crate) inj_lanes: Vec<VecDeque<QueuedPacket>>,
     /// Per-endpoint in-progress injection VC (wormhole stickiness).
-    pub inj_active_vc: Vec<Option<usize>>,
+    pub(crate) inj_active_vc: Vec<Option<usize>>,
     /// Per-endpoint injection round-robin cursors.
-    pub inj_cursors: Vec<usize>,
+    pub(crate) inj_cursors: Vec<usize>,
     /// Next packet id to assign.
-    pub next_packet: u64,
+    pub(crate) next_packet: u64,
     /// Partially delivered packets.
-    pub reassembler: Reassembler,
+    pub(crate) reassembler: Reassembler,
     /// Delivered packets not yet drained by the caller.
-    pub arrivals: Vec<ArrivedPacket>,
+    pub(crate) arrivals: Vec<ArrivedPacket>,
     /// Statistics (lifetime + measurement window).
-    pub stats: NetworkStats,
+    pub(crate) stats: NetworkStats,
     /// Energy meter as [`Network::meter`] read it out at capture time
     /// (exact integer limbs — restores bit-for-bit).
-    pub meter: EnergyMeter,
+    pub(crate) meter: EnergyMeter,
     /// Flits accepted and not yet delivered.
-    pub flits_in_network: u64,
+    pub(crate) flits_in_network: u64,
     /// Flits queued at sources.
-    pub backlog_flits: u64,
+    pub(crate) backlog_flits: u64,
     /// Flits buffered in radio TX FIFOs.
-    pub radio_backlog_flits: u64,
+    pub(crate) radio_backlog_flits: u64,
     /// Cycles skipped by fast-forward.
-    pub ff_cycles: u64,
+    pub(crate) ff_cycles: u64,
     /// Last cycle any flit moved.
-    pub last_progress: u64,
+    pub(crate) last_progress: u64,
     /// Active-link bitset (captured verbatim, like the two below: a
     /// set bit whose component has since quiesced is cleared at its
     /// next visit).
-    pub links_mask: Vec<u64>,
+    pub(crate) links_mask: Vec<u64>,
     /// Active-switch bitset.
-    pub switch_mask: Vec<u64>,
+    pub(crate) switch_mask: Vec<u64>,
     /// Active-injector bitset.
-    pub inj_mask: Vec<u64>,
+    pub(crate) inj_mask: Vec<u64>,
 }
 
 /// The assembled multichip network.
@@ -824,11 +824,6 @@ impl Network {
         self.now
     }
 
-    /// Number of switches.
-    pub fn switch_count(&self) -> usize {
-        self.switches.len()
-    }
-
     /// Number of radios.
     pub fn radio_count(&self) -> usize {
         self.radios.len()
@@ -870,18 +865,6 @@ impl Network {
     /// service, for example) so the meter stays the single total.
     pub fn charge(&mut self, category: EnergyCategory, energy: wimnet_energy::Energy) {
         self.charged.add(category, energy);
-    }
-
-    /// Charges `count` identical quanta in one exact multiply-add — the
-    /// O(1) entry point external closed forms (memory background power,
-    /// driver-side batches) use during fast-forwarded stretches.
-    pub fn charge_repeated(
-        &mut self,
-        category: EnergyCategory,
-        energy: wimnet_energy::Energy,
-        count: u64,
-    ) {
-        self.charged.add_repeated(category, energy, count);
     }
 
     /// Drains an externally assembled [`ChargeBatch`] into the meter —

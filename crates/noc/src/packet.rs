@@ -32,8 +32,7 @@ impl PacketDesc {
     }
 
     /// Flit `seq` of this packet under identifier `id` — the one
-    /// definition both [`PacketDesc::flits_for`] and the source queues
-    /// ([`QueuedPacket::front_flit`]) materialise flits from.
+    /// definition the source queues materialise flits from.
     #[inline]
     pub fn flit(&self, id: PacketId, seq: u32) -> Flit {
         debug_assert!(seq < self.flits, "flit {seq} of a {}-flit packet", self.flits);
@@ -48,7 +47,8 @@ impl PacketDesc {
     }
 
     /// Materialises the flit sequence for this packet.
-    pub fn flits_for(&self, id: PacketId) -> impl Iterator<Item = Flit> + '_ {
+    #[cfg(test)]
+    pub(crate) fn flits_for(&self, id: PacketId) -> impl Iterator<Item = Flit> + '_ {
         (0..self.flits).map(move |seq| self.flit(id, seq))
     }
 }
@@ -58,7 +58,7 @@ impl PacketDesc {
 /// as the injection port accepts them, so queueing a packet costs one
 /// entry whatever its length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QueuedPacket {
+pub(crate) struct QueuedPacket {
     /// The identifier [`crate::Network::inject`] assigned.
     pub id: PacketId,
     /// The packet as offered.
@@ -71,13 +71,13 @@ pub struct QueuedPacket {
 impl QueuedPacket {
     /// The flit the injection port is offered next.
     #[inline]
-    pub fn front_flit(&self) -> Flit {
+    pub(crate) fn front_flit(&self) -> Flit {
         self.desc.flit(self.id, self.next_seq)
     }
 
     /// Flits of this packet still waiting at the source.
     #[inline]
-    pub fn remaining(&self) -> u32 {
+    pub(crate) fn remaining(&self) -> u32 {
         self.desc.flits - self.next_seq
     }
 }
@@ -113,7 +113,7 @@ impl ArrivedPacket {
 /// — iteration order is never behaviorally observed, so a rebuilt map
 /// is equivalent.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Reassembler {
+pub(crate) struct Reassembler {
     /// Keyed by packet id; iteration order is never observed (only
     /// entry/remove), so the Fx hash map's O(1) lookups are safe on
     /// this per-ejected-flit hot path.
@@ -121,15 +121,10 @@ pub struct Reassembler {
 }
 
 impl Reassembler {
-    /// Creates an empty reassembler.
-    pub fn new() -> Self {
-        Reassembler::default()
-    }
-
     /// Creates an empty reassembler with room for `packets` partially
     /// delivered packets, so that [`Reassembler::push`] never grows the
     /// map below that count.
-    pub fn with_capacity(packets: usize) -> Self {
+    pub(crate) fn with_capacity(packets: usize) -> Self {
         Reassembler {
             pending: FxHashMap::with_capacity_and_hasher(packets, Default::default()),
         }
@@ -149,7 +144,7 @@ impl Reassembler {
     /// Panics if flits of a packet arrive out of order or duplicated —
     /// that would be a wormhole-integrity bug in the engine, not a
     /// recoverable condition.
-    pub fn push(&mut self, flit: Flit, now: u64) -> Option<ArrivedPacket> {
+    pub(crate) fn push(&mut self, flit: Flit, now: u64) -> Option<ArrivedPacket> {
         let entry = self
             .pending
             .entry(flit.packet)
@@ -173,11 +168,6 @@ impl Reassembler {
         } else {
             None
         }
-    }
-
-    /// Number of packets with some but not all flits delivered.
-    pub fn incomplete(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -220,7 +210,7 @@ mod tests {
     #[test]
     fn reassembly_completes_on_tail_and_reports_latency() {
         let d = desc();
-        let mut r = Reassembler::new();
+        let mut r = Reassembler::default();
         let mut done = None;
         for f in d.flits_for(PacketId(3)) {
             assert!(done.is_none());
@@ -229,7 +219,7 @@ mod tests {
         let p = done.expect("tail completes packet");
         assert_eq!(p.flits, 4);
         assert_eq!(p.latency(), 150);
-        assert_eq!(r.incomplete(), 0);
+        assert_eq!(r.pending.len(), 0);
     }
 
     #[test]
@@ -238,13 +228,13 @@ mod tests {
         let b = PacketDesc::new(NodeId(1), NodeId(9), 2, 5);
         let fa: Vec<_> = a.flits_for(PacketId(1)).collect();
         let fb: Vec<_> = b.flits_for(PacketId(2)).collect();
-        let mut r = Reassembler::new();
+        let mut r = Reassembler::default();
         assert!(r.push(fa[0], 10).is_none());
         assert!(r.push(fb[0], 11).is_none());
-        assert_eq!(r.incomplete(), 2);
+        assert_eq!(r.pending.len(), 2);
         assert!(r.push(fb[1], 12).is_some());
         assert!(r.push(fa[1], 13).is_some());
-        assert_eq!(r.incomplete(), 0);
+        assert_eq!(r.pending.len(), 0);
     }
 
     #[test]
@@ -252,7 +242,7 @@ mod tests {
     fn out_of_order_flit_panics() {
         let d = desc();
         let flits: Vec<_> = d.flits_for(PacketId(3)).collect();
-        let mut r = Reassembler::new();
+        let mut r = Reassembler::default();
         r.push(flits[0], 0);
         r.push(flits[2], 1); // skipped seq 1
     }

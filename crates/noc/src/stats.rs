@@ -92,14 +92,14 @@ impl NetworkStats {
     /// Batched form of [`NetworkStats::on_cycle`] for idle fast-forward:
     /// integer addition, so skipping `n` cycles at once is bit-identical
     /// to `n` single calls.
-    pub fn on_cycles(&mut self, n: u64) {
+    pub(crate) fn on_cycles(&mut self, n: u64) {
         if self.window_start.is_some() {
             self.window_cycles += n;
         }
     }
 
     /// Records a packet injection of `flits` flits.
-    pub fn on_inject(&mut self, flits: u32) {
+    pub(crate) fn on_inject(&mut self, flits: u32) {
         self.injected_packets += 1;
         self.injected_flits += u64::from(flits);
         if self.window_start.is_some() {

@@ -34,7 +34,7 @@ use crate::vc::{VcFabric, VcStage};
 
 /// Dynamic state of one input virtual channel (checkpoint form).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VcState {
+pub(crate) struct VcState {
     /// Buffered flits, front to back, as runs of one packet each.
     pub runs: Vec<FlitRun>,
     /// Pipeline stage.
@@ -56,16 +56,16 @@ pub struct VcState {
 pub struct SwitchState {
     /// Input VCs that buffer a flit, have left [`VcStage::Idle`] or are
     /// owned.
-    pub vcs: Vec<(usize, VcState)>,
+    pub(crate) vcs: Vec<(usize, VcState)>,
     /// Output VCs whose remaining downstream credit is below their
     /// port's construction value, with that credit.
-    pub credits: Vec<(usize, u32)>,
+    pub(crate) credits: Vec<(usize, u32)>,
     /// Output VCs a packet owns, with the packet.
-    pub out_owner: Vec<(usize, PacketId)>,
+    pub(crate) out_owner: Vec<(usize, PacketId)>,
     /// VA arbiter rotation pointers, one per output port.
-    pub va_cursors: Vec<usize>,
+    pub(crate) va_cursors: Vec<usize>,
     /// SA arbiter rotation pointers, one per output port.
-    pub sa_cursors: Vec<usize>,
+    pub(crate) sa_cursors: Vec<usize>,
 }
 
 /// One row of a switch's forwarding lookup table.
@@ -262,13 +262,8 @@ impl Switch {
     }
 
     /// Number of ports.
-    pub fn port_count(&self) -> usize {
+    pub(crate) fn port_count(&self) -> usize {
         self.out_spec.len()
-    }
-
-    /// Virtual channels per port.
-    pub fn vc_count(&self) -> usize {
-        self.vcs
     }
 
     /// The slab fabric holding every input VC (read-only inspection).
@@ -277,17 +272,17 @@ impl Switch {
     }
 
     /// Buffered flits in one input VC.
-    pub fn vc_len(&self, port: usize, vc: usize) -> usize {
+    pub(crate) fn vc_len(&self, port: usize, vc: usize) -> usize {
         self.inputs.len(self.inputs.flat(port, vc))
     }
 
     /// Input VC buffer capacity (uniform across the switch).
-    pub fn vc_capacity(&self) -> usize {
+    pub(crate) fn vc_capacity(&self) -> usize {
         self.inputs.capacity()
     }
 
     /// Packet owning one input VC's wormhole reservation, if any.
-    pub fn vc_owner(&self, port: usize, vc: usize) -> Option<PacketId> {
+    pub(crate) fn vc_owner(&self, port: usize, vc: usize) -> Option<PacketId> {
         self.inputs.owner(self.inputs.flat(port, vc))
     }
 
@@ -329,7 +324,7 @@ impl Switch {
 
     /// Total buffered flits across all input VCs (O(1): maintained on
     /// every deliver/pop).
-    pub fn buffered_flits(&self) -> usize {
+    pub(crate) fn buffered_flits(&self) -> usize {
         debug_assert_eq!(
             self.buffered,
             (0..self.inputs.vc_total())

@@ -145,7 +145,7 @@ impl VcFabric {
     }
 
     /// Number of virtual channels (across all ports).
-    pub fn vc_total(&self) -> usize {
+    pub(crate) fn vc_total(&self) -> usize {
         self.len.len()
     }
 
@@ -304,7 +304,7 @@ impl VcFabric {
     /// One VC's complete dynamic state for checkpointing: buffered
     /// flits front-to-back as [`FlitRun`]s, pipeline stage, and
     /// wormhole owner.
-    pub fn vc_state(&self, flat: usize) -> (Vec<FlitRun>, VcStage, Option<PacketId>) {
+    pub(crate) fn vc_state(&self, flat: usize) -> (Vec<FlitRun>, VcStage, Option<PacketId>) {
         let flits = (0..self.len(flat)).map(|i| self.slots[self.slot(flat, i)].unpack());
         (FlitRun::encode(flits), self.stage[flat], self.owner[flat])
     }
@@ -323,7 +323,7 @@ impl VcFabric {
     /// Panics when the snapshot holds more flits than the VC's
     /// capacity ([`crate::switch::Switch::check_state`] rejects such
     /// snapshots first, along with runs [`FlitRun::check`] refuses).
-    pub fn restore_vc(
+    pub(crate) fn restore_vc(
         &mut self,
         flat: usize,
         runs: &[FlitRun],

@@ -36,27 +36,6 @@ impl ShortestPaths {
     pub fn parent(&self, node: NodeId) -> Option<(NodeId, EdgeId)> {
         self.parent[node.index()]
     }
-
-    /// `true` if `node` is reachable from the source.
-    pub fn is_reachable(&self, node: NodeId) -> bool {
-        self.dist[node.index()].is_finite()
-    }
-
-    /// The node sequence of the shortest path from the source to `to`
-    /// (inclusive of both endpoints), or `None` when unreachable.
-    pub fn path_to(&self, to: NodeId) -> Option<Vec<NodeId>> {
-        if !self.is_reachable(to) {
-            return None;
-        }
-        let mut path = vec![to];
-        let mut cur = to;
-        while let Some((prev, _)) = self.parent[cur.index()] {
-            path.push(prev);
-            cur = prev;
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 /// Max-heap entry ordered so the binary heap pops the *smallest*
@@ -143,16 +122,29 @@ pub fn shortest_paths(
     ShortestPaths { source, dist, parent }
 }
 
-/// Shortest paths using each edge kind's default routing weight
-/// ([`wimnet_topology::EdgeKind::routing_weight`]).
-pub fn shortest_paths_default(graph: &Graph, source: NodeId) -> ShortestPaths {
-    shortest_paths(graph, source, &|_, e| e.kind.routing_weight())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wimnet_topology::{EdgeKind, Node, NodeKind, Point};
+
+    /// Shortest paths under each edge kind's default routing weight.
+    fn shortest_paths_default(graph: &Graph, source: NodeId) -> ShortestPaths {
+        shortest_paths(graph, source, &|_, e| e.kind.routing_weight())
+    }
+
+    /// The node sequence from the source to `to`, both inclusive, or
+    /// `None` when unreachable: the `parent` chain walked back.
+    fn path_to(sp: &ShortestPaths, to: NodeId) -> Option<Vec<NodeId>> {
+        if sp.distance(to).is_infinite() {
+            return None;
+        }
+        let mut path = vec![to];
+        while let Some((prev, _)) = sp.parent(path[path.len() - 1]) {
+            path.push(prev);
+        }
+        path.reverse();
+        Some(path)
+    }
 
     fn grid(rows: usize, cols: usize) -> (Graph, Vec<NodeId>) {
         let mut g = Graph::new();
@@ -193,7 +185,7 @@ mod tests {
     fn path_reconstruction_is_consistent() {
         let (g, ids) = grid(3, 3);
         let sp = shortest_paths(&g, ids[0], &|_, _| 1.0);
-        let path = sp.path_to(ids[8]).unwrap();
+        let path = path_to(&sp, ids[8]).unwrap();
         assert_eq!(path.first(), Some(&ids[0]));
         assert_eq!(path.last(), Some(&ids[8]));
         // Path length equals distance for unit weights.
@@ -211,7 +203,7 @@ mod tests {
         assert_eq!(sp.distance(ids[0]), 0.0);
         assert_eq!(sp.parent(ids[0]), None);
         assert_eq!(sp.source(), ids[0]);
-        assert_eq!(sp.path_to(ids[0]).unwrap(), vec![ids[0]]);
+        assert_eq!(path_to(&sp, ids[0]).unwrap(), vec![ids[0]]);
     }
 
     #[test]
@@ -226,8 +218,8 @@ mod tests {
             position: Point::new(5.0, 0.0),
         });
         let sp = shortest_paths_default(&g, a);
-        assert!(!sp.is_reachable(b));
-        assert_eq!(sp.path_to(b), None);
+        assert!(sp.distance(b).is_infinite());
+        assert_eq!(path_to(&sp, b), None);
     }
 
     #[test]
@@ -247,7 +239,7 @@ mod tests {
         g.add_edge(a, c, EdgeKind::Mesh).unwrap();
         g.add_edge(c, b, EdgeKind::Mesh).unwrap();
         let sp = shortest_paths(&g, a, &|id, _| if id == ab { 10.0 } else { 1.0 });
-        assert_eq!(sp.path_to(b).unwrap(), vec![a, c, b]);
+        assert_eq!(path_to(&sp, b).unwrap(), vec![a, c, b]);
         assert_eq!(sp.distance(b), 2.0);
     }
 

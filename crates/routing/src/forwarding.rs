@@ -111,7 +111,7 @@ pub struct Routes {
 
 /// The minimum-eccentricity node (ties toward the lower id): a central
 /// root makes tree-based policies both shorter and less congested.
-pub fn auto_root(graph: &Graph) -> Option<NodeId> {
+pub(crate) fn auto_root(graph: &Graph) -> Option<NodeId> {
     let mut best: Option<(usize, NodeId)> = None;
     for id in graph.node_ids() {
         let ecc = graph
@@ -145,7 +145,7 @@ impl Routes {
     ///
     /// [`RoutingError::EmptyGraph`] or [`RoutingError::Unreachable`] when
     /// no complete table exists.
-    pub fn build_with_weights(
+    pub(crate) fn build_with_weights(
         graph: &Graph,
         policy: RoutingPolicy,
         weight: &dyn Fn(EdgeId, &Edge) -> f64,
@@ -383,7 +383,7 @@ impl Routes {
     /// # Panics
     ///
     /// Panics if either id is out of range.
-    pub fn next_hop(&self, at: NodeId, dest: NodeId) -> Option<(NodeId, EdgeId)> {
+    pub(crate) fn next_hop(&self, at: NodeId, dest: NodeId) -> Option<(NodeId, EdgeId)> {
         self.next_hop[at.index() * self.n + dest.index()]
     }
 

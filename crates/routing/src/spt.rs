@@ -108,7 +108,7 @@ impl ShortestPathTree {
     }
 
     /// Children of `node` in ascending id order.
-    pub fn children(&self, node: NodeId) -> &[NodeId] {
+    pub(crate) fn children(&self, node: NodeId) -> &[NodeId] {
         &self.children[node.index()]
     }
 
@@ -118,7 +118,7 @@ impl ShortestPathTree {
     }
 
     /// `true` if `ancestor` is `node` or an ancestor of `node`.
-    pub fn is_ancestor(&self, ancestor: NodeId, node: NodeId) -> bool {
+    pub(crate) fn is_ancestor(&self, ancestor: NodeId, node: NodeId) -> bool {
         self.tin[ancestor.index()] <= self.tin[node.index()]
             && self.tout[node.index()] <= self.tout[ancestor.index()]
     }
@@ -126,37 +126,6 @@ impl ShortestPathTree {
     /// `true` if `edge` belongs to the tree.
     pub fn is_tree_edge(&self, edge: EdgeId) -> bool {
         self.tree_edges[edge.index()]
-    }
-
-    /// The tree path from `from` to `to`: climbs to the lowest common
-    /// ancestor, then descends.
-    pub fn tree_path(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
-        let mut up = vec![from];
-        let mut a = from;
-        while !self.is_ancestor(a, to) {
-            let (p, _) = self.parent(a).expect("non-ancestor has a parent");
-            up.push(p);
-            a = p;
-        }
-        // `a` is now the LCA; collect the downward side.
-        let mut down = Vec::new();
-        let mut b = to;
-        while b != a {
-            down.push(b);
-            let (p, _) = self.parent(b).expect("node below LCA has a parent");
-            b = p;
-        }
-        up.extend(down.into_iter().rev());
-        up
-    }
-
-    /// Lowest common ancestor of two nodes.
-    pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let mut x = a;
-        while !self.is_ancestor(x, b) {
-            x = self.parent(x).expect("non-ancestor has a parent").0;
-        }
-        x
     }
 }
 
@@ -223,34 +192,32 @@ mod tests {
         assert!(t.is_ancestor(ids[0], ids[8]));
         assert!(t.is_ancestor(ids[4], ids[4]));
         assert!(!t.is_ancestor(ids[8], ids[0]));
-        assert_eq!(t.lca(ids[0], ids[5]), ids[0]);
-        // Siblings' LCA is their shared parent side; at least it is a
-        // proper ancestor of both.
-        let l = t.lca(ids[2], ids[6]);
-        assert!(t.is_ancestor(l, ids[2]) && t.is_ancestor(l, ids[6]));
+        // The root is an ancestor of everything; siblings of neither.
+        assert!(g.node_ids().all(|id| t.is_ancestor(ids[0], id)));
+        assert!(!t.is_ancestor(ids[2], ids[6]) && !t.is_ancestor(ids[6], ids[2]));
     }
 
     #[test]
     fn tree_path_endpoints_and_adjacency() {
+        // The tree path of a node is its parent chain: it starts at the
+        // node, ends at the root, climbs one level per step over graph
+        // edges that are tree edges, and so never repeats a node.
         let (g, ids) = grid(4, 4);
         let t = ShortestPathTree::build_default(&g, ids[5]).unwrap();
-        for &from in &[ids[0], ids[3], ids[15]] {
-            for &to in &[ids[0], ids[12], ids[10]] {
-                let p = t.tree_path(from, to);
-                assert_eq!(p.first(), Some(&from));
-                assert_eq!(p.last(), Some(&to));
-                for w in p.windows(2) {
-                    assert!(
-                        g.neighbors(w[0]).iter().any(|&(m, _)| m == w[1]),
-                        "tree path steps must be graph edges"
-                    );
-                }
-                // No repeated nodes: tree paths are simple.
-                let mut sorted = p.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(sorted.len(), p.len());
+        for &from in &[ids[0], ids[3], ids[5], ids[12], ids[15]] {
+            let mut path = vec![from];
+            while let Some((up, edge)) = t.parent(path[path.len() - 1]) {
+                let at = path[path.len() - 1];
+                assert!(t.is_tree_edge(edge));
+                assert!(
+                    g.neighbors(at).iter().any(|&(m, e)| m == up && e == edge),
+                    "tree path steps must be graph edges"
+                );
+                assert_eq!(t.level(up) + 1, t.level(at));
+                path.push(up);
             }
+            assert_eq!(path.last(), Some(&t.root()));
+            assert_eq!(path.len(), t.level(from) + 1);
         }
     }
 

@@ -73,7 +73,7 @@ pub struct StackCounters {
 /// A head flit crossing one switch — the raw material of the
 /// Chrome-trace per-hop spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HopRecord {
+pub(crate) struct HopRecord {
     /// Packet id.
     pub packet: u64,
     /// Switch the head flit won ST at.
@@ -102,9 +102,9 @@ pub struct TurnRecord {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceBuffer {
     /// Head-flit ST waypoints in grant order.
-    pub hops: Vec<HopRecord>,
+    pub(crate) hops: Vec<HopRecord>,
     /// Completed packets as `(packet, src, dest, created_at, arrived_at)`.
-    pub packets: Vec<(u64, u64, u64, u64, u64)>,
+    pub(crate) packets: Vec<(u64, u64, u64, u64, u64)>,
     /// MAC turn intervals drained from the media.
     pub turns: Vec<TurnRecord>,
 }

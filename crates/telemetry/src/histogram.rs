@@ -72,7 +72,7 @@ impl LogHistogram {
 
     /// Records `n` identical samples in O(1) — the closed form batched
     /// paths use when a whole idle span contributes one repeated value.
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }

@@ -40,8 +40,8 @@ mod summary;
 pub mod trace;
 
 pub use counters::{
-    HopRecord, LinkCounters, MacCounters, NetworkTelemetry, StackCounters, SwitchCounters,
-    TraceBuffer, TurnRecord,
+    LinkCounters, MacCounters, NetworkTelemetry, StackCounters, SwitchCounters, TraceBuffer,
+    TurnRecord,
 };
 pub use histogram::LogHistogram;
 pub use series::{SamplePoint, TimeSeries};

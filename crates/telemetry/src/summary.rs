@@ -56,21 +56,6 @@ pub struct TelemetrySummary {
     pub latency: LogHistogram,
 }
 
-impl TelemetrySummary {
-    /// Total flits carried by all links.
-    pub fn total_link_flits(&self) -> u64 {
-        self.links.iter().map(|l| l.flits).sum()
-    }
-
-    /// The busiest link as `(index, &entry)`, by utilization.
-    pub fn hottest_link(&self) -> Option<(usize, &LinkTelemetry)> {
-        self.links
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.utilization.total_cmp(&b.utilization))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,15 +99,5 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: TelemetrySummary = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn hottest_link_picks_the_max_utilization() {
-        let mut s = TelemetrySummary::default();
-        assert!(s.hottest_link().is_none());
-        for u in [0.1, 0.9, 0.4] {
-            s.links.push(LinkTelemetry { utilization: u, ..Default::default() });
-        }
-        assert_eq!(s.hottest_link().unwrap().0, 1);
     }
 }

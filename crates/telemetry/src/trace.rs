@@ -83,7 +83,7 @@ impl ChromeTrace {
     /// Adds every completed packet's umbrella + per-hop spans.  Hops
     /// are matched to packets by id; a hop's span runs from its ST
     /// grant to the next waypoint (or delivery).
-    pub fn push_packet_spans(&mut self, buf: &TraceBuffer) {
+    pub(crate) fn push_packet_spans(&mut self, buf: &TraceBuffer) {
         for &(packet, src, dest, created, arrived) in &buf.packets {
             let pid = PACKET_PID_BASE + src;
             self.events.push(TraceEvent {
@@ -121,7 +121,7 @@ impl ChromeTrace {
     }
 
     /// Adds one MAC turn interval under medium `medium`.
-    pub fn push_turn(&mut self, medium: u64, turn: &TurnRecord) {
+    pub(crate) fn push_turn(&mut self, medium: u64, turn: &TurnRecord) {
         self.events.push(TraceEvent {
             name: format!("turn radio{} ({} flits)", turn.radio, turn.flits),
             pid: medium,

@@ -16,7 +16,7 @@ use crate::geometry::Point;
 
 /// The tile pitch used throughout the paper's floorplans: a 16-core chip is
 /// 10 mm × 10 mm with a 4 × 4 mesh, i.e. 2.5 mm between adjacent switches.
-pub const DEFAULT_TILE_PITCH_MM: f64 = 2.5;
+pub(crate) const DEFAULT_TILE_PITCH_MM: f64 = 2.5;
 
 /// Dimensions of one processing chip's core mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,7 +79,7 @@ impl ChipSpec {
     }
 
     /// Die height in millimetres.
-    pub fn die_height_mm(&self) -> f64 {
+    pub(crate) fn die_height_mm(&self) -> f64 {
         self.rows as f64 * self.tile_pitch_mm
     }
 
@@ -89,7 +89,7 @@ impl ChipSpec {
     /// # Panics
     ///
     /// Panics if `(x, y)` is outside the mesh.
-    pub fn switch_offset(&self, x: usize, y: usize) -> Point {
+    pub(crate) fn switch_offset(&self, x: usize, y: usize) -> Point {
         assert!(x < self.cols && y < self.rows, "switch ({x},{y}) outside mesh");
         Point::new(
             (x as f64 + 0.5) * self.tile_pitch_mm,
@@ -99,7 +99,7 @@ impl ChipSpec {
 
     /// The switch on the centre of the `side` boundary, used as the
     /// attachment point for substrate serial I/O and wide memory I/O.
-    pub fn boundary_center(&self, side: Side) -> (usize, usize) {
+    pub(crate) fn boundary_center(&self, side: Side) -> (usize, usize) {
         match side {
             Side::West => (0, self.rows / 2),
             Side::East => (self.cols - 1, self.rows / 2),
@@ -110,7 +110,7 @@ impl ChipSpec {
 
     /// All switches on the `side` boundary, in increasing coordinate
     /// order; these are the interposer mesh-extension attachment points.
-    pub fn boundary_switches(&self, side: Side) -> Vec<(usize, usize)> {
+    pub(crate) fn boundary_switches(&self, side: Side) -> Vec<(usize, usize)> {
         match side {
             Side::West => (0..self.rows).map(|y| (0, y)).collect(),
             Side::East => (0..self.rows).map(|y| (self.cols - 1, y)).collect(),
@@ -122,7 +122,7 @@ impl ChipSpec {
 
 /// One side of a rectangular die.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Side {
+pub(crate) enum Side {
     /// Negative-x boundary.
     West,
     /// Positive-x boundary.
@@ -142,17 +142,6 @@ pub struct Cluster {
     pub members: Vec<(usize, usize)>,
     /// Mesh coordinate of the WI-equipped switch (MAD-optimal member).
     pub wi: (usize, usize),
-}
-
-/// Where a wireless interface ended up on a chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct WiPlacement {
-    /// Cluster the WI serves.
-    pub cluster: usize,
-    /// Mesh column of the WI switch.
-    pub x: usize,
-    /// Mesh row of the WI switch.
-    pub y: usize,
 }
 
 /// Partitions a chip's mesh into `clusters` equal rectangular clusters and

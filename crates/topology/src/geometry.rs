@@ -32,14 +32,14 @@ impl Point {
 
     /// Manhattan distance to `other`, in millimetres. Wireline routes
     /// follow rectilinear channels, so wire lengths use this metric.
-    pub fn manhattan(self, other: Point) -> f64 {
+    pub(crate) fn manhattan(self, other: Point) -> f64 {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 }
 
 /// Physical floorplan parameters shared by all architectures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PackageGeometry {
+pub(crate) struct PackageGeometry {
     /// Gap between adjacent chips (and between chips and memory stacks).
     pub chip_gap_mm: f64,
     /// Footprint width of one memory stack.
@@ -51,7 +51,7 @@ pub struct PackageGeometry {
 impl PackageGeometry {
     /// The floorplan used throughout the paper's evaluation: 2 mm
     /// inter-component gap, HBM-like 7 mm × 10 mm stack footprints.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         PackageGeometry {
             chip_gap_mm: 2.0,
             stack_width_mm: 7.0,

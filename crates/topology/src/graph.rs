@@ -69,11 +69,6 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
-    /// `true` for core switches.
-    pub fn is_core(self) -> bool {
-        matches!(self, NodeKind::Core { .. })
-    }
-
     /// `true` for memory logic die switches.
     pub fn is_memory(self) -> bool {
         matches!(self, NodeKind::MemoryLogicDie { .. })
@@ -112,7 +107,7 @@ impl EdgeKind {
     ];
 
     /// `true` if this edge is a wire (anything but wireless).
-    pub fn is_wired(self) -> bool {
+    pub(crate) fn is_wired(self) -> bool {
         !matches!(self, EdgeKind::Wireless)
     }
 
@@ -296,11 +291,6 @@ impl Graph {
         &self.adjacency[node.index()]
     }
 
-    /// Degree of `node`.
-    pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency[node.index()].len()
-    }
-
     /// Edges of `kind`.
     pub fn edges_of_kind(&self, kind: EdgeKind) -> impl Iterator<Item = (EdgeId, &Edge)> {
         self.edges
@@ -369,7 +359,6 @@ mod tests {
         let e = g.add_edge(a, b, EdgeKind::Mesh).unwrap();
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.degree(a), 1);
         assert_eq!(g.neighbors(a), &[(b, e)]);
         assert_eq!(g.edge(e).unwrap().other(a), b);
         assert_eq!(g.edge(e).unwrap().other(b), a);

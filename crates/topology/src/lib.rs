@@ -38,9 +38,9 @@ pub mod graph;
 pub mod multichip;
 pub mod render;
 
-pub use chip::{ChipSpec, Cluster, WiPlacement};
+pub use chip::{ChipSpec, Cluster};
 pub use error::TopologyError;
-pub use geometry::{PackageGeometry, Point};
+pub use geometry::Point;
 pub use graph::{Edge, EdgeId, EdgeKind, Graph, Node, NodeId, NodeKind};
 pub use render::ascii_map;
 pub use multichip::{

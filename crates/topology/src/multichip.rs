@@ -83,7 +83,7 @@ impl std::fmt::Display for WiId {
 
 /// What hosts a wireless interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum WiHost {
+pub(crate) enum WiHost {
     /// A cluster-central switch on a processing chip.
     Chip {
         /// Chip index.
@@ -106,7 +106,7 @@ pub struct WirelessInterface {
     /// The switch carrying the radio port.
     pub node: NodeId,
     /// Where the WI is.
-    pub host: WiHost,
+    pub(crate) host: WiHost,
 }
 
 /// Stacked-DRAM parameters (structure only; timing lives in
@@ -154,7 +154,7 @@ pub struct MultichipConfig {
     /// pair), `Some(k)` places `k` evenly spaced links.
     pub interposer_links_per_boundary: Option<usize>,
     /// Package floorplan parameters.
-    pub geometry: PackageGeometry,
+    pub(crate) geometry: PackageGeometry,
     /// Memory stack structure.
     pub memory: MemorySpec,
 }
@@ -550,11 +550,6 @@ impl MultichipLayout {
         &self.chip_spec
     }
 
-    /// The chip grid `(rows, cols)` on the package.
-    pub fn chip_grid(&self) -> (usize, usize) {
-        self.chip_grid
-    }
-
     /// The interconnection graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
@@ -577,16 +572,8 @@ impl MultichipLayout {
     }
 
     /// The WI at `node`, if any.
-    pub fn wi_at(&self, node: NodeId) -> Option<WiId> {
+    pub(crate) fn wi_at(&self, node: NodeId) -> Option<WiId> {
         self.wi_by_node.get(&node).copied()
-    }
-
-    /// The chip that owns `node`, or `None` for memory logic dies.
-    pub fn chip_of(&self, node: NodeId) -> Option<usize> {
-        match self.graph.node(node)?.kind {
-            NodeKind::Core { chip, .. } => Some(chip),
-            NodeKind::MemoryLogicDie { .. } => None,
-        }
     }
 
     /// The chip a stack is wired (or nearest) to.
@@ -720,7 +707,7 @@ mod tests {
         let l = build(1, 4, Architecture::Wireless);
         assert_eq!(l.total_cores(), 64);
         assert_eq!(l.wireless_interfaces().len(), 8);
-        assert_eq!(l.chip_grid(), (1, 1));
+        assert_eq!(l.chip_grid, (1, 1));
         assert!(l.graph().is_connected());
     }
 
@@ -805,9 +792,10 @@ mod tests {
     #[test]
     fn chip_of_distinguishes_cores_from_memory() {
         let l = build(4, 4, Architecture::Substrate);
-        assert_eq!(l.chip_of(l.core_nodes()[0]), Some(0));
-        assert_eq!(l.chip_of(*l.core_nodes().last().unwrap()), Some(3));
-        assert_eq!(l.chip_of(l.memory_nodes()[0]), None);
+        let kind = |node: NodeId| l.graph().node(node).unwrap().kind;
+        assert!(matches!(kind(l.core_nodes()[0]), NodeKind::Core { chip: 0, .. }));
+        assert!(matches!(kind(*l.core_nodes().last().unwrap()), NodeKind::Core { chip: 3, .. }));
+        assert!(kind(l.memory_nodes()[0]).is_memory());
     }
 
     #[test]

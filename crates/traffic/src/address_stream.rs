@@ -41,7 +41,7 @@ use serde::{Deserialize, Serialize};
 /// package-interleave mapping (`(block × stacks + stack) × 64`) safely
 /// inside `u64` for any plausible stack count; [`AddressStreamSpec::check`]
 /// rejects regions beyond it and the walking generators wrap into it.
-pub const MAX_REGION_BLOCKS: u64 = 1 << 46;
+pub(crate) const MAX_REGION_BLOCKS: u64 = 1 << 46;
 
 /// Which address generator a memory workload drives.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -94,7 +94,7 @@ impl AddressStreamSpec {
     /// # Errors
     ///
     /// A zero stride/region/hot set, a hot set larger than its region,
-    /// a stride or region beyond the [`MAX_REGION_BLOCKS`] block
+    /// a stride or region beyond the `MAX_REGION_BLOCKS` block
     /// space, or a hot fraction outside `[0, 1]`.
     pub fn check(&self) -> Result<(), String> {
         let bounded = |what: &str, blocks: u64| {
@@ -171,7 +171,7 @@ impl AddressStream {
 
     /// The stack-local block index of request `ordinal` — a pure
     /// function of `(seed, stream, ordinal)`, always inside the
-    /// [`MAX_REGION_BLOCKS`] block space (the walking generators wrap
+    /// `MAX_REGION_BLOCKS` block space (the walking generators wrap
     /// into it; no real run approaches the boundary).
     pub fn block(&self, ordinal: u64) -> u64 {
         match self.spec {

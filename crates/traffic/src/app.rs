@@ -29,7 +29,7 @@
 //!   calls happened.
 //! * **Fire schedule.**  Within a segment, "some core injects" is a
 //!   Bernoulli(`1 − (1 − rate)^cores`) coin per cycle; its first-passage
-//!   times come from a per-segment [`GeometricGaps`] iterator — one
+//!   times come from a per-segment `GeometricGaps` iterator — one
 //!   mixer draw and one `ln` per *event*, whatever the gap length.
 //! * **Fire content.**  A fire cycle draws its core set from the
 //!   Binomial count law conditioned on `k ≥ 1`
@@ -71,7 +71,7 @@ const DWELL_NEVER: f64 = 9.2e18; // ~2^63
 
 /// One execution phase of an application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AppPhase {
+pub(crate) struct AppPhase {
     /// Phase label (e.g. `"compute"`, `"barrier"`).
     pub name: &'static str,
     /// Packets per core per cycle offered in this phase.
@@ -98,7 +98,7 @@ pub struct AppProfile {
     /// Benchmark suite, for reports.
     pub suite: &'static str,
     /// Execution phases.
-    pub phases: Vec<AppPhase>,
+    pub(crate) phases: Vec<AppPhase>,
     /// Row-stochastic phase transition matrix (row = current phase).
     pub transitions: Vec<Vec<f64>>,
 }
@@ -140,7 +140,8 @@ impl AppProfile {
 
     /// Time-weighted mean memory fraction — the knob Fig 6's per-app
     /// variation hinges on.
-    pub fn mean_memory_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_memory_fraction(&self) -> f64 {
         let total_dwell: f64 = self.phases.iter().map(|p| p.mean_dwell_cycles).sum();
         self.phases
             .iter()
@@ -151,7 +152,7 @@ impl AppProfile {
 
 /// Packet sizes used by the application workloads, in flits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AppPacketSizes {
+pub(crate) struct AppPacketSizes {
     /// Cache-line data packet (paper: 64 flits).
     pub data_flits: u32,
     /// Short coherence / request control packet.

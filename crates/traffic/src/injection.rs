@@ -3,7 +3,7 @@
 //! Injection draws are **counter-based**: which cores fire at a cycle
 //! is a pure function of `(seed, cycle)` (a stateless hash,
 //! [`rand::counter`]), not a walk of sequential RNG state.  That is
-//! what makes [`InjectionSampler::next_fire_at`] sound — the next
+//! what makes `InjectionSampler::next_fire_at` sound — the next
 //! firing cycle can be computed without drawing (or skipping)
 //! anything, so the simulation driver may fast-forward over quiet
 //! stretches of a Bernoulli workload and still produce the
@@ -55,7 +55,7 @@ pub enum InjectionProcess {
 
 impl InjectionProcess {
     /// The offered load in packets/core/cycle.
-    pub fn offered_load(&self) -> f64 {
+    pub(crate) fn offered_load(&self) -> f64 {
         match *self {
             InjectionProcess::Bernoulli { rate } => rate,
             InjectionProcess::Saturation => 1.0,
@@ -140,7 +140,7 @@ impl InjectionSampler {
     /// below 2⁻¹⁰⁷⁴, unobservable in any run, and "may fire" is the
     /// sound direction for the fast-forward contract.
     #[inline]
-    pub fn any_fire_at(&self, cycle: u64) -> bool {
+    pub(crate) fn any_fire_at(&self, cycle: u64) -> bool {
         match self.process {
             InjectionProcess::Saturation => true,
             InjectionProcess::Bernoulli { rate } => {
@@ -215,7 +215,7 @@ impl InjectionSampler {
     /// the scan horizon was reached (callers re-query from there).
     /// `u64::MAX` means "never" (zero rate).  One mixer draw per
     /// scanned cycle.
-    pub fn next_fire_at(&self, from: u64) -> u64 {
+    pub(crate) fn next_fire_at(&self, from: u64) -> u64 {
         match self.process {
             InjectionProcess::Saturation => from,
             InjectionProcess::Bernoulli { rate } => {
@@ -369,12 +369,11 @@ const GAP_NEVER: f64 = 9.2e18; // ~2^63
 /// counter RNG, so the whole event stream is reproducible and
 /// independent of how it is consumed.
 ///
-/// [`GeometricGaps::next_fire`] produces each event with **one** mixer
-/// draw and one `ln`, whatever the gap length; a cycle-stepping driver
-/// can consume the identical stream through [`GeometricGapStepper`]
-/// (one bool per cycle).  `tests` prove the two walks bit-identical —
-/// the same jump-equals-step contract the engine's idle fast-forward
-/// keeps.
+/// `GeometricGaps::next_fire` produces each event with **one** mixer
+/// draw and one `ln`, whatever the gap length.  `tests` walk the
+/// identical stream one bool per cycle and prove the two walks
+/// bit-identical — the same jump-equals-step contract the engine's idle
+/// fast-forward keeps.
 ///
 /// **Relation to [`InjectionSampler`]:** the cycle-major sampler keys
 /// its coin at cycle `t` by a *hash of `t`*, which gives O(1) random
@@ -387,7 +386,7 @@ const GAP_NEVER: f64 = 9.2e18; // ~2^63
 /// realisations differ, `GeometricGaps` is additive API — the default
 /// workloads keep the cycle-major sampler and their fingerprints.
 #[derive(Debug, Clone)]
-pub struct GeometricGaps {
+pub(crate) struct GeometricGaps {
     key: StreamKey,
     /// Per-cycle quiet probability `1 − p`.
     p_quiet: f64,
@@ -406,7 +405,7 @@ impl GeometricGaps {
     /// # Panics
     ///
     /// Panics if `p_fire` lies outside `[0, 1]`.
-    pub fn new(seed: u64, p_fire: f64, start: u64) -> Self {
+    pub(crate) fn new(seed: u64, p_fire: f64, start: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&p_fire),
             "fire probability {p_fire} outside [0, 1]"
@@ -419,13 +418,6 @@ impl GeometricGaps {
             event: 0,
             cursor: start,
         }
-    }
-
-    /// The process whose events occur (in law) whenever *any* core of
-    /// `sampler` fires — per-cycle fire probability
-    /// `1 − (1 − rate)^cores`.
-    pub fn any_fire_of(sampler: &InjectionSampler, seed: u64, start: u64) -> Self {
-        GeometricGaps::new(seed, 1.0 - sampler.p_none, start)
     }
 
     /// The gap (≥ 1 cycle) encoded by event ordinal `k`: the geometric
@@ -457,7 +449,7 @@ impl GeometricGaps {
 
     /// The next fire cycle, or `u64::MAX` when the process never fires
     /// again within any representable horizon.  O(1) per call.
-    pub fn next_fire(&mut self) -> u64 {
+    pub(crate) fn next_fire(&mut self) -> u64 {
         let gap = self.gap(self.event);
         if gap == u64::MAX || self.cursor.checked_add(gap - 1).is_none() {
             // Park the cursor; every later call keeps answering "never"
@@ -468,47 +460,6 @@ impl GeometricGaps {
         let fire = self.cursor + (gap - 1);
         self.cursor = fire + 1;
         fire
-    }
-
-    /// A cycle-stepping walker over the identical event stream,
-    /// starting from this process's current position.
-    pub fn stepper(&self) -> GeometricGapStepper {
-        GeometricGapStepper { gaps: self.clone(), countdown: 0, exhausted: false }
-    }
-}
-
-/// Cycle-by-cycle consumer of a [`GeometricGaps`] stream: `step()` is
-/// called once per cycle and answers "does the process fire now?".
-///
-/// This is the reference "scan" implementation the O(1) iterator is
-/// tested against: stepping N cycles visits the exact fire cycles
-/// [`GeometricGaps::next_fire`] jumps to.
-#[derive(Debug, Clone)]
-pub struct GeometricGapStepper {
-    gaps: GeometricGaps,
-    /// Cycles left until the pending fire (0 = no gap drawn yet).
-    countdown: u64,
-    /// `true` once a gap came back "never".
-    exhausted: bool,
-}
-
-impl GeometricGapStepper {
-    /// Advances one cycle; `true` when the process fires on it.
-    pub fn step(&mut self) -> bool {
-        if self.exhausted {
-            return false;
-        }
-        if self.countdown == 0 {
-            let gap = self.gaps.gap(self.gaps.event);
-            if gap == u64::MAX {
-                self.exhausted = true;
-                return false;
-            }
-            self.gaps.event += 1;
-            self.countdown = gap;
-        }
-        self.countdown -= 1;
-        self.countdown == 0
     }
 }
 
@@ -674,6 +625,42 @@ mod tests {
 
     // --- geometric-gap event iterator -------------------------------
 
+    /// Cycle-by-cycle consumer of a [`GeometricGaps`] stream, from the
+    /// process's current position: `step()` is called once per cycle and
+    /// answers "does the process fire now?".  The reference scan the
+    /// O(1) [`GeometricGaps::next_fire`] is tested against.
+    struct GeometricGapStepper {
+        gaps: GeometricGaps,
+        /// Cycles left until the pending fire (0 = no gap drawn yet).
+        countdown: u64,
+        /// `true` once a gap came back "never".
+        exhausted: bool,
+    }
+
+    impl GeometricGapStepper {
+        fn over(gaps: &GeometricGaps) -> Self {
+            GeometricGapStepper { gaps: gaps.clone(), countdown: 0, exhausted: false }
+        }
+
+        /// Advances one cycle; `true` when the process fires on it.
+        fn step(&mut self) -> bool {
+            if self.exhausted {
+                return false;
+            }
+            if self.countdown == 0 {
+                let gap = self.gaps.gap(self.gaps.event);
+                if gap == u64::MAX {
+                    self.exhausted = true;
+                    return false;
+                }
+                self.gaps.event += 1;
+                self.countdown = gap;
+            }
+            self.countdown -= 1;
+            self.countdown == 0
+        }
+    }
+
     /// The satellite contract: the O(1)-per-event jump walk and the
     /// one-bool-per-cycle scan walk visit bit-identical fire cycles.
     #[test]
@@ -685,7 +672,7 @@ mod tests {
             (u64::MAX, 0.003, 17),
         ] {
             let mut jump = GeometricGaps::new(seed, p, start);
-            let mut step = jump.stepper();
+            let mut step = GeometricGapStepper::over(&jump);
             let horizon = 200_000u64;
             let scanned: Vec<u64> = (start..start + horizon)
                 .filter(|_| step.step())
@@ -737,7 +724,7 @@ mod tests {
         let mut g = GeometricGaps::new(3, 0.0, 0);
         assert_eq!(g.next_fire(), u64::MAX);
         assert_eq!(g.next_fire(), u64::MAX);
-        let mut s = g.stepper();
+        let mut s = GeometricGapStepper::over(&g);
         assert!((0..100).all(|_| !s.step()));
     }
 
@@ -760,7 +747,7 @@ mod tests {
         let cycles = 50_000u64;
         let sampler_fires =
             (0..cycles).filter(|&t| s.any_fire_at(t)).count() as f64 / cycles as f64;
-        let mut g = GeometricGaps::any_fire_of(&s, 7, 0);
+        let mut g = GeometricGaps::new(7, 1.0 - s.p_none, 0);
         let mut geo_fires = 0usize;
         loop {
             let f = g.next_fire();

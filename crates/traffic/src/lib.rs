@@ -38,8 +38,8 @@ pub mod trace;
 pub mod uniform;
 
 pub use address_stream::{AddressStream, AddressStreamSpec};
-pub use app::{AppPhase, AppProfile, AppWorkload};
-pub use injection::{GeometricGapStepper, GeometricGaps, InjectionProcess, InjectionSampler};
+pub use app::{AppProfile, AppWorkload};
+pub use injection::{InjectionProcess, InjectionSampler};
 pub use patterns::TrafficPattern;
 pub use trace::{Trace, TraceEvent};
 pub use uniform::UniformRandom;

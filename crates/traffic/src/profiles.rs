@@ -65,7 +65,7 @@ pub fn blackscholes() -> AppProfile {
 
 /// bodytrack — computer vision pipeline: moderate sharing, bursty
 /// frame-boundary communication.
-pub fn bodytrack() -> AppProfile {
+pub(crate) fn bodytrack() -> AppProfile {
     two_phase(
         "bodytrack",
         "PARSEC",
@@ -103,7 +103,7 @@ pub fn dedup() -> AppProfile {
 
 /// ferret — content-similarity search pipeline: moderate memory,
 /// significant cross-stage data movement.
-pub fn ferret() -> AppProfile {
+pub(crate) fn ferret() -> AppProfile {
     two_phase(
         "ferret",
         "PARSEC",
@@ -115,7 +115,7 @@ pub fn ferret() -> AppProfile {
 
 /// fluidanimate — SPH fluid simulation: nearest-neighbour sharing,
 /// regular barrier structure.
-pub fn fluidanimate() -> AppProfile {
+pub(crate) fn fluidanimate() -> AppProfile {
     two_phase(
         "fluidanimate",
         "PARSEC",
@@ -126,7 +126,7 @@ pub fn fluidanimate() -> AppProfile {
 }
 
 /// swaptions — Monte-Carlo pricing: compute-bound, minimal traffic.
-pub fn swaptions() -> AppProfile {
+pub(crate) fn swaptions() -> AppProfile {
     two_phase(
         "swaptions",
         "PARSEC",
@@ -137,7 +137,7 @@ pub fn swaptions() -> AppProfile {
 }
 
 /// vips — image processing pipeline: streaming memory traffic.
-pub fn vips() -> AppProfile {
+pub(crate) fn vips() -> AppProfile {
     two_phase(
         "vips",
         "PARSEC",
@@ -148,7 +148,7 @@ pub fn vips() -> AppProfile {
 }
 
 /// barnes — SPLASH-2 N-body: irregular tree walks, moderate sharing.
-pub fn barnes() -> AppProfile {
+pub(crate) fn barnes() -> AppProfile {
     two_phase(
         "barnes",
         "SPLASH-2",
@@ -174,7 +174,7 @@ pub fn fft() -> AppProfile {
 
 /// lu — SPLASH-2 blocked LU: regular block broadcasts along rows and
 /// columns.
-pub fn lu() -> AppProfile {
+pub(crate) fn lu() -> AppProfile {
     two_phase(
         "lu",
         "SPLASH-2",
@@ -200,7 +200,7 @@ pub fn radix() -> AppProfile {
 
 /// water — SPLASH-2 molecular dynamics: small working set, neighbour
 /// exchanges, light memory load.
-pub fn water() -> AppProfile {
+pub(crate) fn water() -> AppProfile {
     two_phase(
         "water",
         "SPLASH-2",

@@ -431,13 +431,7 @@ impl SharedMedium for ControlPacketMac {
     }
 
     fn mac_counters(&self) -> wimnet_telemetry::MacCounters {
-        wimnet_telemetry::MacCounters {
-            turns: self.stats.turns,
-            passes: self.stats.passes,
-            control_flits: self.stats.control_flits,
-            data_flits: self.stats.data_flits,
-            collisions: self.stats.retransmissions,
-        }
+        self.stats.into()
     }
 
     fn set_trace_enabled(&mut self, on: bool) {

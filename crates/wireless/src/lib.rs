@@ -70,7 +70,7 @@ pub use antenna::ZigzagAntenna;
 pub use config::ChannelConfig;
 pub use control_mac::ControlPacketMac;
 pub use parallel_mac::ParallelMac;
-pub use phy::{flit_error_probability, ook_ber, snr_for_ber};
+pub use phy::flit_error_probability;
 pub use token_mac::TokenMac;
 pub use transceiver::TransceiverSpec;
 
@@ -91,4 +91,18 @@ pub struct MacStats {
     pub data_flits: u64,
     /// Flits corrupted by channel errors and retransmitted.
     pub retransmissions: u64,
+}
+
+/// The telemetry view of a MAC's bookkeeping: the same counts, with
+/// retransmissions reported as the medium's collisions.
+impl From<MacStats> for wimnet_telemetry::MacCounters {
+    fn from(stats: MacStats) -> Self {
+        wimnet_telemetry::MacCounters {
+            turns: stats.turns,
+            passes: stats.passes,
+            control_flits: stats.control_flits,
+            data_flits: stats.data_flits,
+            collisions: stats.retransmissions,
+        }
+    }
 }

@@ -305,13 +305,7 @@ impl SharedMedium for ParallelMac {
     fn mac_counters(&self) -> wimnet_telemetry::MacCounters {
         // No turn structure here: every WI owns a dedicated channel, so
         // `turns`/`passes` stay zero and only the flit counters carry.
-        wimnet_telemetry::MacCounters {
-            turns: self.stats.turns,
-            passes: self.stats.passes,
-            control_flits: self.stats.control_flits,
-            data_flits: self.stats.data_flits,
-            collisions: self.stats.retransmissions,
-        }
+        self.stats.into()
     }
 
     fn state_value(&self) -> Value {

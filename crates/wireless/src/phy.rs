@@ -17,28 +17,13 @@
 /// # Panics
 ///
 /// Panics if `snr` is negative or non-finite.
-pub fn ook_ber(snr: f64) -> f64 {
+pub(crate) fn ook_ber(snr: f64) -> f64 {
     assert!(snr >= 0.0 && snr.is_finite(), "SNR must be a non-negative ratio");
     0.5 * (-snr / 2.0).exp()
 }
 
-/// The linear SNR required for a target OOK bit error rate.
-///
-/// # Panics
-///
-/// Panics unless `0 < ber <= 0.5`.
-pub fn snr_for_ber(ber: f64) -> f64 {
-    assert!(ber > 0.0 && ber <= 0.5, "BER must be in (0, 0.5]");
-    -2.0 * (2.0 * ber).ln()
-}
-
-/// Converts a linear power ratio to decibels.
-pub fn to_db(ratio: f64) -> f64 {
-    10.0 * ratio.log10()
-}
-
 /// Converts decibels to a linear power ratio.
-pub fn from_db(db: f64) -> f64 {
+pub(crate) fn from_db(db: f64) -> f64 {
     10f64.powf(db / 10.0)
 }
 
@@ -58,6 +43,18 @@ pub fn flit_error_probability(ber: f64, bits: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The linear SNR a target OOK bit error rate needs: [`ook_ber`]
+    /// inverted.
+    fn snr_for_ber(ber: f64) -> f64 {
+        assert!(ber > 0.0 && ber <= 0.5, "BER must be in (0, 0.5]");
+        -2.0 * (2.0 * ber).ln()
+    }
+
+    /// Converts a linear power ratio to decibels.
+    fn to_db(ratio: f64) -> f64 {
+        10.0 * ratio.log10()
+    }
 
     #[test]
     fn ber_falls_exponentially_with_snr() {

@@ -9,17 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use wimnet_energy::{Energy, EnergyModel, Power};
-
-/// Wake state of a wireless transceiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TransceiverState {
-    /// Front end on, decoding or listening.
-    Awake,
-    /// Power-gated (sleepy transceiver, paper ref \[17\]).
-    Asleep,
-}
-
 /// Datasheet-style description of the paper's wireless transceiver.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransceiverSpec {
@@ -44,36 +33,10 @@ impl TransceiverSpec {
         }
     }
 
-    /// Energy to move `bits` across the link (TX + RX), per the spec.
-    pub fn link_energy(&self, bits: u64) -> Energy {
-        Energy::from_pj(self.energy_pj_per_bit * bits as f64)
-    }
-
-    /// Transmission time for `bits`, in seconds.
-    pub fn serialization_seconds(&self, bits: u64) -> f64 {
-        bits as f64 / (self.data_rate_gbps * 1e9)
-    }
-
     /// Total active area for `count` deployed transceivers, in mm² —
     /// the paper's "negligible overhead of 0.3 mm² per transceiver".
     pub fn total_area_mm2(&self, count: usize) -> f64 {
         self.area_mm2 * count as f64
-    }
-
-    /// `true` when an [`EnergyModel`]'s wireless constants agree with
-    /// this spec (guards against config drift between the crates).
-    pub fn matches_energy_model(&self, model: &EnergyModel) -> bool {
-        let total = model.wireless_tx_pj_per_bit + model.wireless_rx_pj_per_bit;
-        (total - self.energy_pj_per_bit).abs() < 1e-9
-    }
-
-    /// The power drawn in `state`, from the energy model's idle/sleep
-    /// constants.
-    pub fn state_power(&self, state: TransceiverState, model: &EnergyModel) -> Power {
-        match state {
-            TransceiverState::Awake => model.wireless_idle,
-            TransceiverState::Asleep => model.wireless_sleep,
-        }
     }
 }
 
@@ -86,6 +49,8 @@ impl Default for TransceiverSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChannelConfig;
+    use wimnet_energy::EnergyModel;
 
     #[test]
     fn paper_numbers() {
@@ -98,17 +63,24 @@ mod tests {
 
     #[test]
     fn link_energy_scales_with_bits() {
+        // What the engine charges for a link crossing (TX + RX) is the
+        // spec's per-bit energy times the bits: a full 64-flit, 32-bit
+        // packet is 2048 bits × 2.3 pJ ≈ 4.7 nJ.
         let t = TransceiverSpec::paper();
-        assert!((t.link_energy(1).picojoules() - 2.3).abs() < 1e-12);
-        // A full 64-flit, 32-bit packet: 2048 bits × 2.3 pJ ≈ 4.7 nJ.
-        assert!((t.link_energy(2048).nanojoules() - 4.7104).abs() < 1e-9);
+        let m = EnergyModel::paper_65nm();
+        let link = m.wireless_tx(2048) + m.wireless_rx(2048);
+        assert!((link.picojoules() - t.energy_pj_per_bit * 2048.0).abs() < 1e-9);
+        assert!((link.nanojoules() - 4.7104).abs() < 1e-9);
     }
 
     #[test]
     fn serialization_time_matches_rate() {
+        // The channel the MACs serialise on runs at the spec's rate: one
+        // 32-bit flit at 16 Gbps = 2 ns = 5 cycles of the 2.5 GHz clock.
         let t = TransceiverSpec::paper();
-        // One 32-bit flit at 16 Gbps = 2 ns.
-        assert!((t.serialization_seconds(32) - 2e-9).abs() < 1e-18);
+        let c = ChannelConfig::paper(8);
+        assert_eq!(c.data_rate_gbps, t.data_rate_gbps);
+        assert_eq!(c.cycles_per_flit(), 5);
     }
 
     #[test]
@@ -120,20 +92,19 @@ mod tests {
 
     #[test]
     fn spec_agrees_with_energy_model() {
+        // Guards against drift between the two crates' constants.
         let t = TransceiverSpec::paper();
-        assert!(t.matches_energy_model(&EnergyModel::paper_65nm()));
-        let mut m = EnergyModel::paper_65nm();
-        m.wireless_tx_pj_per_bit = 9.0;
-        assert!(!t.matches_energy_model(&m));
+        let m = EnergyModel::paper_65nm();
+        let total = m.wireless_tx_pj_per_bit + m.wireless_rx_pj_per_bit;
+        assert!((total - t.energy_pj_per_bit).abs() < 1e-9);
+        assert_eq!(ChannelConfig::paper(8).ber, t.ber);
     }
 
     #[test]
     fn sleep_draws_less_than_awake() {
-        let t = TransceiverSpec::paper();
+        // The sleepy transceiver of ref [17]: a power-gated receiver
+        // draws the model's sleep power, a listening one its idle power.
         let m = EnergyModel::paper_65nm();
-        assert!(
-            t.state_power(TransceiverState::Asleep, &m)
-                < t.state_power(TransceiverState::Awake, &m)
-        );
+        assert!(m.wireless_sleep < m.wireless_idle);
     }
 }

@@ -45,6 +45,9 @@ fn transceiver_and_antenna_match_section_iii() {
     assert_eq!(a.frequency_ghz, 60.0, "60 GHz band");
     assert_eq!(a.bandwidth_ghz, 16.0, "16 GHz antenna bandwidth");
     assert_eq!(a.gain_dbi, 0.0, "non-directional");
+    // The link budget behind that BER: a +5 dBm OOK transmitter against a
+    // -82 dBm noise floor holds it across a 4C4M package (< 100 mm).
+    assert!(a.link_ber(5.0, 100.0, -82.0) < t.ber, "package-scale links meet the BER");
 }
 
 #[test]
