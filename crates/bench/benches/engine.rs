@@ -17,6 +17,9 @@
 //! | `checkpoint_store_lookup` | `core.checkpoint.store_ms_per_op`, `core.checkpoint.lookup_ms_per_op`, `serde_json.serialize_mb_per_s` (`persist`) |
 //! | `figures` (its own bench file) | `wall_s` and `core.sweeps.points_per_s` of `sweep_batched` |
 
+use std::cell::RefCell;
+use std::ops::Range;
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use wimnet_memory::{
@@ -143,7 +146,7 @@ fn stream_flit(vc: usize, seq: u32) -> Flit {
 
 fn bench_switch_visit(c: &mut Criterion) {
     // One switch visit (`alloc_phase` + `st_phase`) in the three shapes
-    // the loaded trace is made of.  Every routine is 1 000 visits, so
+    // the loaded trace is made of, and one of them out of L1.  Every routine is 1 000 visits, so
     // the reported microseconds read as ns per visit.
     const VISITS: u64 = 1_000;
     let mut g = c.benchmark_group("switch_visit");
@@ -178,19 +181,51 @@ fn bench_switch_visit(c: &mut Criterion) {
     });
     // One VC streaming a long packet: a flit arrives, a flit leaves, its
     // credit comes back.
+    let scratch = RefCell::new((Vec::new(), Vec::new()));
+    let stream = |sw: &mut Switch, lut: &[RouteEntry], seq: u32, now: u64| {
+        let (grants, moves) = &mut *scratch.borrow_mut();
+        sw.deliver(0, 0, stream_flit(0, seq));
+        sw.alloc_phase(now, lut, grants);
+        let mut budget = u32::MAX;
+        sw.st_phase(now, |_| 1, &band, &mut budget, moves);
+        assert_eq!(moves.len(), 1);
+        sw.return_credit(1, moves[0].out_vc);
+    };
     g.bench_function("streaming_1_vc", |b| {
         b.iter_batched(
             || visited_switch(1, 1, 16),
             |(mut sw, lut, start)| {
-                let (mut grants, mut moves, mut budget) = (Vec::new(), Vec::new(), u32::MAX);
                 for now in start..start + VISITS {
-                    sw.deliver(0, 0, stream_flit(0, (now - start) as u32 + 1));
-                    sw.alloc_phase(now, &lut, &mut grants);
-                    sw.st_phase(now, |_| 1, &band, &mut budget, &mut moves);
-                    assert_eq!(moves.len(), 1);
-                    sw.return_credit(1, moves[0].out_vc);
+                    stream(&mut sw, &lut, (now - start) as u32 + 1, now);
                 }
                 sw
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The same visit with 83 other switches' visits between one and the
+    // next, as `Network::step` makes it: what the records cost once they
+    // no longer all sit in L1.  One lap of the 16-slot ring before the
+    // clock starts, so every line comes from L2, not from wherever the
+    // allocator left it.
+    const WARM_ROUNDS: u64 = 16;
+    let rounds = |switches: &mut [(Switch, Vec<RouteEntry>, u64)], visits: Range<u64>| {
+        for visit in visits {
+            let (sw, lut, start) = &mut switches[(visit % 84) as usize];
+            let round = visit / 84;
+            stream(sw, lut, round as u32 + 1, *start + round);
+        }
+    };
+    g.bench_function("round_robin_84", |b| {
+        b.iter_batched(
+            || {
+                let mut switches: Vec<_> = (0..84).map(|_| visited_switch(1, 1, 16)).collect();
+                rounds(&mut switches, 0..WARM_ROUNDS * 84);
+                switches
+            },
+            |mut switches| {
+                rounds(&mut switches, WARM_ROUNDS * 84..WARM_ROUNDS * 84 + VISITS);
+                switches
             },
             BatchSize::SmallInput,
         )

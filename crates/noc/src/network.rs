@@ -25,7 +25,9 @@ use crate::radio::{
 };
 use crate::ring::RingSlab;
 use crate::stats::NetworkStats;
-use crate::switch::{OutPortSpec, RouteEntry, StMove, Switch, SwitchState, VaGrant};
+use crate::switch::{
+    Crossbar, OutPortSpec, RouteEntry, StMove, Switch, SwitchState, VaGrant,
+};
 
 /// Sets bit `i` of a word bitset.
 #[inline]
@@ -70,6 +72,17 @@ fn word_bits(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
             i
         })
     })
+}
+
+/// The words of a `words`-word bitset in the order that walks its bits
+/// from `offset` upward and wraps to finish below `offset`, each with
+/// the mask of its bits that belong to that leg: the word holding
+/// `offset` comes first (its high part) and last (its low part).
+fn rotated_words(words: usize, offset: usize) -> impl Iterator<Item = (usize, u64)> {
+    let (first, low) = (offset >> 6, (1u64 << (offset & 63)) - 1);
+    std::iter::once((first, !low))
+        .chain((first + 1..words).chain(0..first).map(|w| (w, !0)))
+        .chain(std::iter::once((first, low)))
 }
 
 /// Indices of the set bits of a word bitset, ascending.
@@ -140,13 +153,18 @@ impl NocConfig {
     ///
     /// # Errors
     ///
-    /// [`NocError::InvalidConfig`] when a field is zero.
+    /// [`NocError::InvalidConfig`] when a field is zero, or when
+    /// `buf_depth` exceeds the 65 535 flits a VC's packed ring cursors
+    /// address.
     pub fn validate(&self) -> Result<(), NocError> {
         if self.vcs == 0 {
             return Err(NocError::InvalidConfig { what: "vcs must be positive" });
         }
         if self.buf_depth == 0 {
             return Err(NocError::InvalidConfig { what: "buf_depth must be positive" });
+        }
+        if self.buf_depth > crate::vc::MAX_CAPACITY {
+            return Err(NocError::InvalidConfig { what: "buf_depth must be at most 65535" });
         }
         if self.flit_bits == 0 {
             return Err(NocError::InvalidConfig { what: "flit_bits must be positive" });
@@ -172,10 +190,36 @@ enum Upstream {
     /// Local injection port: the injector checks space directly.
     Local,
     /// A wired link from another switch's output port.
-    Wired { switch: usize, port: usize },
-    /// The wireless medium: the MAC reads occupancy from the view.
-    Radio,
+    Wired { switch: u32, port: u32 },
+    /// The wireless medium: the MAC reads occupancy from this radio's
+    /// view.
+    Radio { radio: u32 },
 }
+
+/// Where a flit leaving through a port goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Downstream {
+    /// Port 0: the attached endpoint, through the reassembler.
+    Eject,
+    /// A wired link; `band` when it transmits on the shared wireless
+    /// band (point-to-point mode only).
+    Wired { link: u32, band: bool },
+    /// This radio's transmit FIFOs.
+    Radio { radio: u32 },
+}
+
+/// Everything the engine keeps per global port, in one record: what a
+/// winning flit's input port and output port each need looked up.
+#[derive(Debug, Clone, Copy)]
+struct Port {
+    /// Flit hops out of this port since the last reset: all a switch
+    /// visit does for energy; [`Network::meter`] prices them.
+    flits: u64,
+    upstream: Upstream,
+    downstream: Downstream,
+}
+
+const _: () = assert!(std::mem::size_of::<Port>() == 32);
 
 /// Checkpointed dynamic state of one wireless interface's transmit side
 /// (see [`NetworkState`]).
@@ -271,29 +315,19 @@ pub struct Network {
     links: Vec<Link>,
     link_dst: Vec<(usize, usize)>,
     /// Per-switch global-port offsets: switch `si`'s ports occupy global
-    /// ids `port_base[si] .. port_base[si + 1]`.  The flat port tables
-    /// below are all indexed by global port id, so the run-time layout
-    /// matches the switches' own flat `port * vcs + vc` slabs (one
-    /// contiguous array per concern instead of `Vec<Vec<…>>`).
+    /// ids `port_base[si] .. port_base[si + 1]`.  The port tables below
+    /// are indexed by global port id, so the run-time layout matches
+    /// the switches' own flat `port * vcs + vc` records.
     port_base: Vec<usize>,
-    /// Outgoing link per global port (`None` for the local sink and the
-    /// radio port).
-    out_link: Vec<Option<usize>>,
-    /// Per global port: does this port transmit on the shared wireless
-    /// band (point-to-point mode only)?
-    band_port: Vec<bool>,
-    /// Where credits for a freed input-VC slot must be returned, per
-    /// global port.
-    upstream: Vec<Upstream>,
+    /// One record per global port: hop counter, where its input side's
+    /// credits return and where its output side delivers.
+    ports: Vec<Port>,
     /// What one flit hop out of each global port costs, precomputed at
     /// construction (switch traversal, then the port's link crossing).
     /// Global port `gp` owns `flit_charges[start .. start + len]` with
     /// `(start, len) = charge_span[gp]`.
     flit_charges: Vec<(EnergyCategory, Energy)>,
     charge_span: Vec<(u32, u32)>,
-    /// Flit hops out of each global port since the last reset: all
-    /// phase 4 does for energy; [`Network::meter`] prices them.
-    port_flits: Vec<u64>,
     radios: Vec<RadioTx>,
     radio_of_switch: Vec<Option<(RadioId, usize)>>,
     radio_by_node: Vec<Option<RadioId>>,
@@ -347,15 +381,14 @@ pub struct Network {
     inj_mask: Vec<u64>,
     // --- Preallocated per-cycle scratch: the steady-state step() makes
     // no heap allocations.
-    scratch_order: Vec<usize>,
     scratch_grants: Vec<VaGrant>,
-    scratch_moves: Vec<StMove>,
     scratch_credits: Vec<(usize, usize, usize)>,
     /// What the shared media see of every radio, kept for the whole run
     /// and refreshed only where it changed: `view_dirty` has a bit per
     /// radio, set at the three sites that touch a radio's TX FIFOs or
-    /// RX VCs (the radio push and the radio-port pop in `apply_move`,
-    /// `MediumAction::Transmit`) and on restore, cleared by
+    /// RX VCs (the radio push and the radio-port pop in
+    /// `SwitchVisit::traverse`, `MediumAction::Transmit`) and on
+    /// restore, cleared by
     /// `refresh_view`.  A radio whose bit is clear views exactly as a
     /// rebuild would (`Network::assert_medium_view_invariant`).
     view: MediumView,
@@ -371,6 +404,115 @@ pub struct Network {
     /// `tests/determinism.rs`).  Deliberately absent from
     /// [`NetworkState`]: telemetry is observational, not engine state.
     telemetry: Option<Box<NetworkTelemetry>>,
+}
+
+/// The network as one switch visit sees it: every field phases 2–4
+/// touch except the switches themselves (a split borrow of
+/// [`Network`]), plus which switch is being visited.  It is ST's
+/// [`Crossbar`]: link bandwidth comes from here, and a winner is
+/// routed here the moment it leaves its input VC.
+struct SwitchVisit<'a> {
+    now: u64,
+    /// The switch being visited and its first global port.
+    si: usize,
+    pb: usize,
+    ports: &'a mut [Port],
+    links: &'a mut [Link],
+    flight: &'a mut RingSlab<LinkDelivery>,
+    links_mask: &'a mut [u64],
+    radios: &'a mut [RadioTx],
+    view_dirty: &'a mut [u64],
+    credits: &'a mut Vec<(usize, usize, usize)>,
+    reassembler: &'a mut Reassembler,
+    stats: &'a mut NetworkStats,
+    arrivals: &'a mut Vec<ArrivedPacket>,
+    telemetry: Option<&'a mut NetworkTelemetry>,
+    /// Flits moved, ejected and queued at a radio so far this cycle;
+    /// the network's counters take them once the walk is over.
+    moved: u64,
+    ejected: u64,
+    radio_queued: u64,
+}
+
+impl Crossbar for SwitchVisit<'_> {
+    #[inline]
+    fn allowance(&mut self, out_port: usize) -> (u32, bool) {
+        match self.ports[self.pb + out_port].downstream {
+            Downstream::Wired { link, band } => (self.links[link as usize].available(), band),
+            // Local sink / radio: credits gate.
+            Downstream::Eject | Downstream::Radio { .. } => (u32::MAX, false),
+        }
+    }
+
+    /// Routes one winning ST movement: hop count, upstream credit,
+    /// ejection / radio / link delivery.
+    #[inline]
+    fn traverse(&mut self, m: StMove) {
+        let now = self.now;
+        self.moved += 1;
+        // Credit back upstream for the freed input slot.
+        match self.ports[self.pb + m.in_port].upstream {
+            Upstream::Wired { switch, port } => {
+                self.credits.push((switch as usize, port as usize, m.in_vc));
+            }
+            // A pop from the radio's receive port: the medium reads that
+            // VC's occupancy and owner from the view.
+            Upstream::Radio { radio } => set_bit(self.view_dirty, radio as usize),
+            Upstream::Local => {}
+        }
+        let out = &mut self.ports[self.pb + m.out_port];
+        // Per-flit-hop energy is priced at read-out (`Network::meter`).
+        out.flits += 1;
+        match out.downstream {
+            // Ejection: the flit reaches the attached endpoint after
+            // the one-cycle switch traversal.
+            Downstream::Eject => {
+                if let Some(p) = self.reassembler.push(m.flit, now + 1) {
+                    self.stats.on_deliver(&p);
+                    if let Some(t) = &mut self.telemetry {
+                        t.series.on_deliver(now, p.flits);
+                        t.record_packet(
+                            p.id.0,
+                            p.src.index() as u64,
+                            p.dest.index() as u64,
+                            p.created_at,
+                            p.arrived_at,
+                        );
+                    }
+                    self.arrivals.push(p);
+                }
+                self.ejected += 1;
+            }
+            Downstream::Radio { radio } => {
+                let tx = &mut self.radios[radio as usize];
+                let target = tx.target_by_vc[m.out_vc].expect("VA set a target before ST");
+                assert!(
+                    tx.free_space(m.out_vc) > 0,
+                    "radio TX overflow: credit protocol violated"
+                );
+                tx.fifo.push_back(m.out_vc, (m.flit, target));
+                set_bit(self.view_dirty, radio as usize);
+                self.radio_queued += 1;
+            }
+            Downstream::Wired { link, .. } => {
+                let li = link as usize;
+                self.links[li].send(self.flight, li, m.flit, m.out_vc, now);
+                set_bit(self.links_mask, li);
+                if let Some(t) = &mut self.telemetry {
+                    t.links[li].flits += 1;
+                }
+            }
+        }
+        // Observability: one ST grant consumed; head flits leave a
+        // per-hop waypoint for the Chrome-trace exporter.  Counter
+        // writes only — the move above was already decided.
+        if let Some(t) = &mut self.telemetry {
+            t.switches[self.si].grants += 1;
+            if m.flit.kind.is_head() {
+                t.record_hop(m.flit.packet.0, self.si as u64, now);
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for Network {
@@ -482,15 +624,14 @@ impl Network {
             }
         }
 
-        // Second pass: build switches, links and the flat global-port
-        // tables (out-link, band flag, upstream, per-flit meter charges).
+        // Second pass: build switches, links and the global-port tables
+        // (port records, per-flit meter charges).
         let bits = u64::from(cfg.flit_bits);
         let traversal = cfg.energy.switch_traversal(bits);
         let mut port_base = Vec::with_capacity(n + 1);
         port_base.push(0usize);
-        let mut out_link: Vec<Option<usize>> = Vec::new();
-        let mut band_port: Vec<bool> = Vec::new();
-        let mut upstream: Vec<Upstream> = Vec::new();
+        let mut ports: Vec<Port> = Vec::new();
+        let narrow = |i: usize| u32::try_from(i).expect("switch, port, link and radio ids fit u32");
         let mut flit_charges: Vec<(EnergyCategory, Energy)> = Vec::new();
         let mut charge_span: Vec<(u32, u32)> = Vec::new();
         let push_charges = |flit_charges: &mut Vec<(EnergyCategory, Energy)>,
@@ -528,9 +669,11 @@ impl Network {
             });
             // Port 0: local ejection — no link, no band, local credits,
             // and a flit hop charges only the switch traversal.
-            out_link.push(None);
-            band_port.push(false);
-            upstream.push(Upstream::Local);
+            ports.push(Port {
+                flits: 0,
+                upstream: Upstream::Local,
+                downstream: Downstream::Eject,
+            });
             push_charges(&mut flit_charges, &mut charge_span, &[]);
 
             for &eid in wired {
@@ -563,12 +706,17 @@ impl Network {
                     latency,
                 ));
                 link_dst.push((dst_sw, dst_port));
-                out_link.push(Some(li));
-                band_port.push(e.kind == EdgeKind::Wireless);
                 // A wired edge carries one link each way between the
                 // same two ports, so the peer port this link delivers to
                 // is also where this port's incoming flits come from.
-                upstream.push(Upstream::Wired { switch: dst_sw, port: dst_port });
+                ports.push(Port {
+                    flits: 0,
+                    upstream: Upstream::Wired { switch: narrow(dst_sw), port: narrow(dst_port) },
+                    downstream: Downstream::Wired {
+                        link: narrow(li),
+                        band: e.kind == EdgeKind::Wireless,
+                    },
+                });
                 // Per-flit charges of this port: traversal, then the
                 // link-kind crossing.
                 let link_charge: &[(EnergyCategory, Energy)] = match e.kind {
@@ -600,18 +748,21 @@ impl Network {
                     is_sink: false,
                     max_grants: 1,
                 });
-                out_link.push(None);
-                band_port.push(false);
-                upstream.push(Upstream::Radio);
+                let radio = narrow(rid.index());
+                ports.push(Port {
+                    flits: 0,
+                    upstream: Upstream::Radio { radio },
+                    downstream: Downstream::Radio { radio },
+                });
                 // Radio-port hops charge traversal only; the medium
                 // meters its own TX/RX energy.
                 push_charges(&mut flit_charges, &mut charge_span, &[]);
                 radio_of_switch[ni] = Some((rid, port));
             }
             switches.push(Switch::new(node, cfg.vcs, cfg.buf_depth, &specs));
-            port_base.push(out_link.len());
+            port_base.push(ports.len());
         }
-        debug_assert_eq!(charge_span.len(), out_link.len());
+        debug_assert_eq!(charge_span.len(), ports.len());
 
         // Forwarding LUT, flattened: entry (switch, dest) at
         // `switch * n + dest`, translated row-by-row from the routing
@@ -718,9 +869,7 @@ impl Network {
             links_mask,
             switch_mask: vec![0u64; words_for(n)],
             inj_mask: vec![0u64; words_for(n)],
-            scratch_order: Vec::with_capacity(n.max(links.len())),
             scratch_grants: Vec::new(),
-            scratch_moves: Vec::new(),
             scratch_credits: Vec::new(),
             view,
             view_dirty: all_set(radios.len()),
@@ -730,10 +879,7 @@ impl Network {
             links,
             link_dst,
             port_base,
-            out_link,
-            band_port,
-            upstream,
-            port_flits: vec![0; charge_span.len()],
+            ports,
             flit_charges,
             charge_span,
             radios,
@@ -842,11 +988,11 @@ impl Network {
     /// pays that per call.
     pub fn meter(&self) -> EnergyMeter {
         let mut meter = self.charged.clone();
-        for (&flits, &(start, len)) in self.port_flits.iter().zip(&self.charge_span) {
+        for (port, &(start, len)) in self.ports.iter().zip(&self.charge_span) {
             for &(category, energy) in
                 &self.flit_charges[start as usize..(start + len) as usize]
             {
-                meter.add_counted(category, energy, flits);
+                meter.add_counted(category, energy, port.flits);
             }
         }
         for &(category, energy) in &self.leakage {
@@ -857,7 +1003,9 @@ impl Network {
 
     /// Zeroes the work counters [`Network::meter`] prices.
     fn clear_energy_counters(&mut self) {
-        self.port_flits.fill(0);
+        for port in &mut self.ports {
+            port.flits = 0;
+        }
         self.metered_cycles = 0;
     }
 
@@ -1126,155 +1274,88 @@ impl Network {
         // Phase 1: injection (one flit per endpoint per cycle).
         self.pump_injection();
 
-        // Phase 2/3: RC + VA on switches with buffered flits, ascending
-        // bit order; resolve radio targets.  Empty switches drop out of
-        // the bitset; the survivors are kept for phase 4.
-        let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        let n_switches = self.switches.len();
-        let mut grants = std::mem::take(&mut self.scratch_grants);
-        for w in 0..self.switch_mask.len() {
-            for si in word_bits(w, self.switch_mask[w]) {
-                if self.switches[si].is_quiescent() {
-                    clear_bit(&mut self.switch_mask, si);
-                    continue;
-                }
-                order.push(si);
-                let lut_row = &self.lut[si * n_switches..(si + 1) * n_switches];
-                self.switches[si].alloc_phase(now, lut_row, &mut grants);
-                self.resolve_radio_targets(si, &grants);
-                if let Some(t) = &mut self.telemetry {
-                    let sc = &mut t.switches[si];
-                    sc.active_cycles += 1;
-                    sc.occupancy_integral += self.switches[si].buffered_flits() as u64;
-                }
-            }
-        }
-        self.scratch_grants = grants;
-
-        // Phase 4: SA/ST on the surviving switches; route the winning
-        // flits.  The shared wireless band has a global per-cycle flit
-        // budget in point-to-point mode; rotating the processing order
-        // (the ascending list, rotated at the first index ≥ offset)
-        // keeps band allocation fair.  Link bandwidth is queried lazily
-        // inside the switch phase, only for ports with a candidate.
-        let mut band_budget = match self.cfg.wireless_mode {
-            WirelessMode::PointToPoint { max_concurrent, .. } => max_concurrent,
-            WirelessMode::Medium => u32::MAX,
-        };
-        let offset = (now % n_switches as u64) as usize;
-        let split = order.partition_point(|&si| si < offset);
-        order.rotate_left(split);
-        let mut moves = std::mem::take(&mut self.scratch_moves);
-        for &si in &order {
-            let pb = self.port_base[si];
-            let ports = self.port_base[si + 1] - pb;
-            {
-                let links = &self.links;
-                let out_link = &self.out_link;
-                self.switches[si].st_phase(
-                    now,
-                    |p| match out_link[pb + p] {
-                        Some(li) => links[li].available(),
-                        None => u32::MAX, // local sink / radio: credits gate
-                    },
-                    &self.band_port[pb..pb + ports],
-                    &mut band_budget,
-                    &mut moves,
-                );
-            }
-            for m in &moves {
-                self.apply_move(si, pb, m, now);
-            }
-        }
-        self.scratch_moves = moves;
-        self.scratch_order = order;
-
+        self.visit_switches(now);
         self.run_media_phase(now);
         self.land_credits();
         self.finish_cycle(now);
     }
 
-    /// Routes one winning ST movement: hop count, upstream credit,
-    /// ejection/radio/link delivery (`pb` = `port_base[si]`).
-    fn apply_move(&mut self, si: usize, pb: usize, m: &StMove, now: u64) {
-        self.last_progress = now;
-        // Per-flit-hop energy is priced at read-out (`Network::meter`).
-        self.port_flits[pb + m.out_port] += 1;
-        // Credit back upstream for the freed input slot.
-        match self.upstream[pb + m.in_port] {
-            Upstream::Wired { switch, port } => {
-                self.scratch_credits.push((switch, port, m.in_vc));
-            }
-            // A pop from the radio's receive port: the medium reads that
-            // VC's occupancy and owner from the view.
-            Upstream::Radio => {
-                let (rid, _) = self.radio_of_switch[si].expect("radio port");
-                set_bit(&mut self.view_dirty, rid.index());
-            }
-            Upstream::Local => {}
-        }
-        if m.out_port == 0 {
-            // Ejection: the flit reaches the attached endpoint
-            // after the one-cycle switch traversal.
-            if let Some(p) = self.reassembler.push(m.flit, now + 1) {
-                self.stats.on_deliver(&p);
-                if let Some(t) = &mut self.telemetry {
-                    t.series.on_deliver(now, p.flits);
-                    t.record_packet(
-                        p.id.0,
-                        p.src.index() as u64,
-                        p.dest.index() as u64,
-                        p.created_at,
-                        p.arrived_at,
-                    );
+    /// Phases 2–4, one visit per switch with buffered flits: RC + VA,
+    /// radio targets for the grants, then SA + ST with every winner
+    /// routed as it leaves.  Empty switches drop out of the bitset.
+    ///
+    /// The shared wireless band has a global per-cycle flit budget in
+    /// point-to-point mode; walking the bitset from `now % n` upward
+    /// and wrapping keeps band allocation fair, and is the order every
+    /// arrival list and trace was always written in.  RC/VA ride along
+    /// in that order because they commute with every other switch's
+    /// visit: a switch's RC/VA reads and writes only its own records
+    /// and its own radio's targets, and another switch's ST reaches it
+    /// only through a link ring (delivered next cycle at the earliest),
+    /// the credit queue (landed in phase 6) and the band budget (spent
+    /// in ST order, which is unchanged).  `SwitchVisit` holds every
+    /// field a visit touches except the switches, so the borrow checker
+    /// holds the sink to that.
+    fn visit_switches(&mut self, now: u64) {
+        let n_switches = self.switches.len();
+        let mut band_budget = match self.cfg.wireless_mode {
+            WirelessMode::PointToPoint { max_concurrent, .. } => max_concurrent,
+            WirelessMode::Medium => u32::MAX,
+        };
+        let mut visit = SwitchVisit {
+            now,
+            si: 0,
+            pb: 0,
+            ports: &mut self.ports,
+            links: &mut self.links,
+            flight: &mut self.flight,
+            links_mask: &mut self.links_mask,
+            radios: &mut self.radios,
+            view_dirty: &mut self.view_dirty,
+            credits: &mut self.scratch_credits,
+            reassembler: &mut self.reassembler,
+            stats: &mut self.stats,
+            arrivals: &mut self.arrivals,
+            telemetry: self.telemetry.as_deref_mut(),
+            moved: 0,
+            ejected: 0,
+            radio_queued: 0,
+        };
+        let grants = &mut self.scratch_grants;
+        let offset = (now % n_switches as u64) as usize;
+        for (w, leg) in rotated_words(self.switch_mask.len(), offset) {
+            for si in word_bits(w, self.switch_mask[w] & leg) {
+                let sw = &mut self.switches[si];
+                if sw.is_quiescent() {
+                    clear_bit(&mut self.switch_mask, si);
+                    continue;
                 }
-                self.arrivals.push(p);
-            }
-            self.flits_in_network -= 1;
-        } else if Some(m.out_port) == self.radio_of_switch[si].map(|(_, port)| port) {
-            let (rid, _) = self.radio_of_switch[si].expect("radio port");
-            let radio = &mut self.radios[rid.index()];
-            let target = radio.target_by_vc[m.out_vc].expect("VA set a target before ST");
-            assert!(
-                radio.free_space(m.out_vc) > 0,
-                "radio TX overflow: credit protocol violated"
-            );
-            radio.fifo.push_back(m.out_vc, (m.flit, target));
-            set_bit(&mut self.view_dirty, rid.index());
-            self.radio_backlog_flits += 1;
-        } else {
-            let li = self.out_link[pb + m.out_port].expect("wired port has a link");
-            self.links[li].send(&mut self.flight, li, m.flit, m.out_vc, now);
-            set_bit(&mut self.links_mask, li);
-            if let Some(t) = &mut self.telemetry {
-                t.links[li].flits += 1;
+                let lut_row = &self.lut[si * n_switches..(si + 1) * n_switches];
+                sw.alloc_phase(now, lut_row, grants);
+                if let Some((rid, radio_port)) = self.radio_of_switch[si] {
+                    // The destination WI the next wireless hop reaches.
+                    for g in grants.iter().filter(|g| g.out_port == radio_port) {
+                        let next = lut_row[g.dest.index()].next;
+                        let target = self.radio_by_node[next.index()]
+                            .expect("wireless next hop hosts a radio");
+                        visit.radios[rid.index()].target_by_vc[g.out_vc] = Some(target);
+                    }
+                }
+                if let Some(t) = &mut visit.telemetry {
+                    let sc = &mut t.switches[si];
+                    sc.active_cycles += 1;
+                    sc.occupancy_integral += sw.buffered_flits() as u64;
+                }
+                (visit.si, visit.pb) = (si, self.port_base[si]);
+                sw.st_visit(now, &mut band_budget, &mut visit);
             }
         }
-        // Observability: one ST grant consumed; head flits leave a
-        // per-hop waypoint for the Chrome-trace exporter.  Counter
-        // writes only — the move above was already decided.
-        if let Some(t) = &mut self.telemetry {
-            t.switches[si].grants += 1;
-            if m.flit.kind.is_head() {
-                t.record_hop(m.flit.packet.0, si as u64, now);
-            }
+        let SwitchVisit { moved, ejected, radio_queued, .. } = visit;
+        if moved > 0 {
+            self.last_progress = now;
         }
-    }
-
-    /// Resolves radio targets for this cycle's VA grants on switch `si`'s
-    /// radio port (the destination WI the next wireless hop reaches).
-    fn resolve_radio_targets(&mut self, si: usize, grants: &[VaGrant]) {
-        let Some((rid, radio_port)) = self.radio_of_switch[si] else { return };
-        let n = self.switches.len();
-        for g in grants {
-            if g.out_port == radio_port {
-                let next = self.lut[si * n + g.dest.index()].next;
-                let target = self.radio_by_node[next.index()]
-                    .expect("wireless next hop hosts a radio");
-                self.radios[rid.index()].target_by_vc[g.out_vc] = Some(target);
-            }
-        }
+        self.flits_in_network -= ejected;
+        self.radio_backlog_flits += radio_queued;
     }
 
     /// Phase 5: shared media (wireless channel + MAC).  The view is
@@ -1728,6 +1809,16 @@ mod tests {
         let mut c = NocConfig::paper();
         c.buf_depth = 0;
         assert!(c.validate().is_err());
+        // A VC's ring cursors are 16 bits wide: the deepest buffer that
+        // fits validates, one flit more is a typed error, not a
+        // truncation.
+        c.buf_depth = 65_535;
+        assert!(c.validate().is_ok());
+        c.buf_depth = 65_536;
+        assert_eq!(
+            c.validate(),
+            Err(NocError::InvalidConfig { what: "buf_depth must be at most 65535" })
+        );
         // Valid on its own, but 32 VCs on the 4C4M mesh's switches
         // overflow the 128-bit ready masks: a typed construction error.
         let c = NocConfig { vcs: 32, ..NocConfig::paper() };
@@ -1743,6 +1834,27 @@ mod tests {
             Network::new(&layout, routes, c).err(),
             Some(NocError::InvalidConfig { what: "a switch needs ports × vcs <= 128" })
         );
+    }
+
+    /// The rotated walk is the order phase 4 always used: the ascending
+    /// list of set bits, rotated at the first index at or past the
+    /// offset — spelled here the way the two-pass stepper built it.
+    #[test]
+    fn rotated_words_walk_the_set_bits_from_the_offset_and_wrap() {
+        let n = 150;
+        let mut words = vec![0u64; words_for(n)];
+        for i in (0..n).filter(|i| i % 3 != 1 && i / 7 != 9) {
+            set_bit(&mut words, i);
+        }
+        let ascending: Vec<usize> = set_bits(&words).collect();
+        for offset in 0..n {
+            let walked: Vec<usize> = rotated_words(words.len(), offset)
+                .flat_map(|(w, leg)| word_bits(w, words[w] & leg))
+                .collect();
+            let mut rotated = ascending.clone();
+            rotated.rotate_left(ascending.partition_point(|&i| i < offset));
+            assert_eq!(walked, rotated, "offset {offset}");
+        }
     }
 
     #[test]
@@ -2082,7 +2194,7 @@ mod tests {
         }
         // Each doctored snapshot with the reason its rejection must give.
         type Doctor = fn(&mut SwitchState, usize, usize);
-        let cases: [(&str, Doctor); 25] = [
+        let cases: [(&str, Doctor); 27] = [
             ("flit endpoint out of range", |s, _, _| {
                 s.vcs[0].1.runs[0].first.dest = wimnet_topology::NodeId(68);
             }),
@@ -2136,6 +2248,18 @@ mod tests {
             }),
             ("active on an output VC out of range", |s, _, _| {
                 s.vcs[0].1.stage = VcStage::Active { out_port: 1, out_vc: 8, ready_at: 0 };
+            }),
+            // 256 past a valid index narrows back to it in the byte the
+            // switch packs a stage into: checked at full width, first.
+            ("routed to an output port out of range", |s, _, _| {
+                s.vcs[0].1.stage = VcStage::Routed { out_port: 256 + 1, ready_at: 0 };
+            }),
+            ("active on an output VC out of range", |s, _, _| {
+                let VcStage::Active { out_port, out_vc, ready_at } = s.vcs[0].1.stage else {
+                    unreachable!("row 0 is the Active VC");
+                };
+                let out_vc = out_vc + 256;
+                s.vcs[0].1.stage = VcStage::Active { out_port, out_vc, ready_at };
             }),
             ("active on an unowned output VC", |s, _, _| s.out_owner.clear()),
             ("held by two input VCs", |s, spare, _| {
@@ -2252,5 +2376,116 @@ mod tests {
             net.step();
         }
         assert_eq!(net.stats().packets_delivered(), 1);
+    }
+
+    /// The fused visit runs a switch's RC/VA in ST's rotated order, so
+    /// on some cycles a downstream switch B is visited before the
+    /// upstream switch A that streams to it and on others after.  B's
+    /// visit must not notice: what A's ST does reaches B only through
+    /// the link ring (a later cycle) and what B's ST does reaches A
+    /// only through the credit queue (phase 6).
+    ///
+    /// Two copies of one run, the second started a cycle late so its
+    /// rotation is a step ahead on every cycle, must therefore agree on
+    /// every switch's buffered flits and telemetry row and on A's and
+    /// B's credits, cycle for cycle, through a long packet that crosses
+    /// the slow serial link out of B (B's input VC fills, A runs out of
+    /// credit and sends exactly when B frees a slot).  Directly: the
+    /// flit A sends in cycle `t` is in B's buffer after cycle
+    /// `t + latency` and not before, and a slot B frees in cycle `t`
+    /// lets a blocked A send in cycle `t + 1`, never in `t`, whichever
+    /// of the two was visited first.
+    ///
+    /// Seeded mutation this catches: landing the credit inside the
+    /// walk instead of in phase 6 (the sink itself cannot reach a
+    /// switch — the borrow is split — so the seed drains the credit
+    /// queue into `return_credit` right after each `st_visit`): on the
+    /// cycles that visit B first, A then sends a cycle early, and the
+    /// two runs part at the first such cycle.
+    #[test]
+    fn a_switch_visit_commutes_with_its_neighbours() {
+        let (layout, mut first) = build(Architecture::Substrate);
+        let (_, mut second) = build(Architecture::Substrate);
+        let n = first.switches.len();
+        let (src, dst) = (layout.core_nodes()[0], layout.core_nodes()[16]);
+        // B is the switch whose next hop toward `dst` is the serial
+        // link; A is the hop before it.
+        let hop = |net: &Network, si: usize| {
+            let entry = net.lut[si * n + dst.index()];
+            let Downstream::Wired { link, .. } =
+                net.ports[net.port_base[si] + entry.port].downstream
+            else {
+                unreachable!("a hop short of the destination leaves through a link");
+            };
+            (entry.port, entry.next.index(), link as usize)
+        };
+        let (mut a, mut b) = (src.index(), hop(&first, src.index()).1);
+        while first.links[hop(&first, b).2].kind() != EdgeKind::SerialIo {
+            (a, b) = (b, hop(&first, b).1);
+        }
+        let (a_port, _, a_link) = hop(&first, a);
+        let latency = first.links[a_link].latency();
+        let b_first = |now: u64| {
+            let offset = (now % n as u64) as usize;
+            let rank = |si: usize| (si + n - offset) % n;
+            rank(b) < rank(a)
+        };
+
+        // Link credit saturates in both; the second run starts late.
+        first.run_for(16);
+        second.run_for(17);
+        for net in [&mut first, &mut second] {
+            net.enable_telemetry(1 << 20, false);
+            net.inject(PacketDesc::new(src, dst, 4_000, 0));
+        }
+        let row = |net: &Network, si: usize| net.telemetry().unwrap().switches[si];
+        let credits = |net: &Network, si: usize| -> Vec<u32> {
+            let sw = &net.switches[si];
+            (0..sw.port_count()).flat_map(|p| (0..8).map(move |v| sw.credit(p, v))).collect()
+        };
+        let a_credit = |net: &Network| (0..8).map(|v| net.switches[a].credit(a_port, v)).min();
+
+        let (mut arrived_at, mut blocked_frees) = (None, [0u32; 2]);
+        for _ in 0..1_500 {
+            let now = first.now();
+            let before = (row(&first, a), row(&first, b), a_credit(&first));
+            first.step();
+            second.step();
+            for si in 0..n {
+                let buffered = |net: &Network| net.switches[si].buffered_flits();
+                assert_eq!(buffered(&first), buffered(&second), "switch {si}, cycle {now}");
+                assert_eq!(row(&first, si), row(&second, si), "switch {si}, cycle {now}");
+            }
+            for si in [a, b] {
+                assert_eq!(credits(&first, si), credits(&second, si), "switch {si}, cycle {now}");
+            }
+            let a_sent = row(&first, a).grants - before.0.grants;
+            let b_sent = row(&first, b).grants - before.1.grants;
+            // The first flit out of A: on the wire for `latency` cycles.
+            if before.0.grants == 0 && a_sent == 1 {
+                arrived_at = Some(now + latency);
+            }
+            if let Some(due) = arrived_at {
+                let held = first.switches[b].buffered_flits() + row(&first, b).grants as usize;
+                assert_eq!(held > 0, now >= due, "cycle {now}: A's first flit is due at {due}");
+            }
+            // A out of credit: it sends nothing in the cycle B frees a
+            // slot, and one flit in the next.
+            if before.2 == Some(0) {
+                assert_eq!(a_sent, 0, "cycle {now}: A sent without credit");
+                if b_sent == 1 {
+                    blocked_frees[usize::from(b_first(now))] += 1;
+                    let granted = row(&first, a).grants;
+                    assert_eq!(a_credit(&first), Some(1), "cycle {now}: the credit lands");
+                    first.step();
+                    second.step();
+                    assert_eq!(row(&first, a).grants, granted + 1, "cycle {}", now + 1);
+                    assert_eq!(row(&first, a), row(&second, a));
+                }
+            }
+        }
+        assert!(arrived_at.is_some(), "A never sent");
+        let [a_then_b, b_then_a] = blocked_frees;
+        assert!(a_then_b > 0 && b_then_a > 0, "both visit orders: {blocked_frees:?}");
     }
 }

@@ -17,13 +17,14 @@
 //! 1.6-flit/cycle wide memory I/O), a standard input-speedup
 //! simplification applied uniformly to all architectures.
 //!
-//! Storage is slab-based ([`VcFabric`]): all input VCs live in one
-//! contiguous struct-of-arrays flit slab, and the credit / output-owner
-//! tables are flat `port * vcs + vc` arrays.  On top of the tables the
-//! switch keeps *ready masks* — one bit per flat VC id for every
+//! Storage is packed records: every input VC is one book-keeping record
+//! and one flit ring in the slab ([`VcFabric`]), every output VC one
+//! credit / owner / holder record and every output port one cache line
+//! of bound-VC word, configuration and arbiters.  On top of the records
+//! the switch keeps *ready masks* — one bit per flat VC id for every
 //! pipeline fact an allocator asks about — updated where a fact changes,
 //! so a visit costs what it moves, not what it buffers (see
-//! `docs/engine.md`, "Switch ready masks").
+//! `docs/engine.md`, "Switch ready masks" and "Switch memory layout").
 
 use serde::{Deserialize, Serialize};
 use wimnet_topology::NodeId;
@@ -124,11 +125,13 @@ pub struct OutPortSpec {
     pub max_grants: u32,
 }
 
-/// The ready masks: every per-VC pipeline fact the allocators ask
-/// about, one bit per flat VC id (`port * vcs + vc`).  Each mask is a
-/// pure function of the per-VC tables — [`Switch::derive_masks`] is the
-/// definition, the transition sites keep the stored copy equal to it,
-/// and [`Switch::assert_invariants`] demands that equality.
+/// The switch-wide ready masks: every per-VC pipeline fact the
+/// allocators ask about, one bit per flat VC id (`port * vcs + vc`).
+/// Together with each port's `to_port` word and each output VC's
+/// `holder` they are a pure function of the per-VC records —
+/// [`Switch::derive`] is the definition, the transition sites keep the
+/// stored copy equal to it, and [`Switch::assert_invariants`] demands
+/// that equality.
 #[derive(Debug, Clone, PartialEq)]
 struct Masks {
     /// Input VCs holding at least one flit.
@@ -145,16 +148,12 @@ struct Masks {
     fresh: u128,
     /// Output VCs no packet owns.
     free_out: u128,
-    /// Per output port: the Routed and Active input VCs bound to it.
-    to_port: Vec<u128>,
-    /// Per output VC: the Active input VC holding it.
-    out_holder: Vec<Option<u8>>,
 }
 
 impl Masks {
-    /// The masks of a switch of `ports` ports and `n` flat VCs with
-    /// every input VC empty and idle and every output VC free.
-    fn idle(ports: usize, n: usize) -> Masks {
+    /// The masks of a switch of `n` flat VCs with every input VC empty
+    /// and idle and every output VC free.
+    fn idle(n: usize) -> Masks {
         Masks {
             nonempty: 0,
             routed: 0,
@@ -162,10 +161,70 @@ impl Masks {
             blocked: 0,
             fresh: 0,
             free_out: !0u128 >> (128 - n),
-            to_port: vec![0; ports],
-            out_holder: vec![None; n],
         }
     }
+}
+
+/// Everything derived from the per-VC records, in one comparable value.
+#[derive(Debug, PartialEq)]
+struct Derived {
+    masks: Masks,
+    /// Per output port: the Routed and Active input VCs bound to it.
+    to_port: Vec<u128>,
+    /// Per output VC: the Active input VC holding it.
+    holder: Vec<Option<u8>>,
+}
+
+/// One output VC's record: downstream credit, the packet owning it and
+/// the Active input VC holding it.
+#[derive(Debug, Clone, Copy)]
+#[repr(C)]
+struct OutVc {
+    /// The owning packet's id while `owned`.
+    owner: u64,
+    /// Remaining downstream credit.
+    credit: u32,
+    holder: Option<u8>,
+    owned: bool,
+    /// The port's [`OutPortSpec::is_sink`], repeated here so a credit
+    /// return or a blocked test reads this record alone.
+    sink: bool,
+}
+
+impl OutVc {
+    /// `true` when the output VC cannot take a flit: a wired port out of
+    /// downstream credit (sinks drain continuously).
+    #[inline]
+    fn blocked(&self) -> bool {
+        !self.sink && self.credit == 0
+    }
+}
+
+/// One output port's record, a cache line: the input VCs bound to it,
+/// its configuration and both of its arbiters.
+#[derive(Debug, Clone)]
+#[repr(align(64))]
+struct OutPort {
+    /// The Routed and Active input VCs bound to this port.
+    to_port: u128,
+    va: RoundRobin,
+    sa: RoundRobin,
+    spec: OutPortSpec,
+}
+
+const _: () = assert!(std::mem::size_of::<OutVc>() == 16);
+const _: () = assert!(std::mem::size_of::<OutPort>() == 64);
+
+/// What ST needs from outside the switch, and where its winners go.
+pub(crate) trait Crossbar {
+    /// Flits output port `out_port` may still emit this cycle (link
+    /// bandwidth credit) and whether it draws on the shared band.
+    /// Asked once per port per visit, only for a port with a ready
+    /// candidate.
+    fn allowance(&mut self, out_port: usize) -> (u32, bool);
+
+    /// Takes a winner that has left its input VC.
+    fn traverse(&mut self, m: StMove);
 }
 
 /// The set bits of `mask`, ascending.
@@ -196,29 +255,30 @@ fn check_indices(indices: impl Iterator<Item = usize>, n: usize) -> Result<(), &
 }
 
 /// An input-buffered virtual-channel switch.
+///
+/// The header is laid out by hand: everything a visit reads — the
+/// masks, the two counters and the four array references — fills the
+/// first three cache lines exactly, and a switch starts on a line.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 pub struct Switch {
-    node: NodeId,
-    vcs: usize,
-    /// All input VCs, flattened into one contiguous flit slab.
-    inputs: VcFabric,
-    /// Remaining downstream credit per output VC (`port * vcs + vc`).
-    credits: Vec<u32>,
-    /// Packet owning each output VC (`port * vcs + vc`).
-    out_owner: Vec<Option<PacketId>>,
-    out_spec: Vec<OutPortSpec>,
-    va_arb: Vec<RoundRobin>,
-    sa_arb: Vec<RoundRobin>,
-    /// Total flits across all input VCs, maintained incrementally so the
-    /// engine's active-set check is O(1).
-    buffered: usize,
-    /// Flat VC id → `(port, vc)` (input and output VCs share the
-    /// layout), so the per-flit path never divides.
-    port_vc: Vec<(u8, u8)>,
     masks: Masks,
     /// The `ready_at` of the VCs in `masks.fresh`.
     fresh_until: u64,
+    /// Total flits across all input VCs, maintained incrementally so the
+    /// engine's active-set check is O(1).
+    buffered: usize,
+    /// One record per output VC (`port * vcs + vc`; input and output
+    /// VCs share the layout).
+    out_vcs: Box<[OutVc]>,
+    /// All input VCs: one record and one flit ring per flat VC id.
+    inputs: VcFabric,
+    /// One record per output port.
+    ports: Box<[OutPort]>,
+    node: NodeId,
 }
+
+const _: () = assert!(std::mem::offset_of!(Switch, node) == 192);
 
 impl Switch {
     /// Builds a switch with `ports.len()` ports of `vcs` virtual channels
@@ -226,33 +286,46 @@ impl Switch {
     ///
     /// # Panics
     ///
-    /// Panics if `vcs`, `buf_depth` or the port list is empty, or if
-    /// `ports × vcs` exceeds the 128 bits of a ready mask
-    /// ([`crate::Network::new`] rejects such layouts with an error).
+    /// Panics if `vcs`, `buf_depth` or the port list is empty, if
+    /// `ports × vcs` exceeds the 128 bits of a ready mask or if
+    /// `buf_depth` exceeds the packed ring cursors
+    /// ([`crate::Network::new`] rejects such configurations with an
+    /// error).
     pub fn new(node: NodeId, vcs: usize, buf_depth: usize, ports: &[OutPortSpec]) -> Self {
         assert!(vcs > 0 && buf_depth > 0 && !ports.is_empty());
         let p = ports.len();
-        assert!(p * vcs <= 128, "a ready mask holds at most 128 input VCs");
-        let mut credits = Vec::with_capacity(p * vcs);
-        for spec in ports {
-            credits.extend(std::iter::repeat_n(spec.credit, vcs));
-        }
-        let port_vc = (0..p)
-            .flat_map(|port| (0..vcs).map(move |vc| (port as u8, vc as u8)))
+        let n = p * vcs;
+        assert!(n <= 128, "a ready mask holds at most 128 input VCs");
+        let out_vcs = ports
+            .iter()
+            .flat_map(|spec| {
+                let fresh = OutVc {
+                    owner: 0,
+                    credit: spec.credit,
+                    holder: None,
+                    owned: false,
+                    sink: spec.is_sink,
+                };
+                std::iter::repeat_n(fresh, vcs)
+            })
+            .collect();
+        let ports = ports
+            .iter()
+            .map(|&spec| OutPort {
+                to_port: 0,
+                va: RoundRobin::new(n),
+                sa: RoundRobin::new(n),
+                spec,
+            })
             .collect();
         Switch {
-            node,
-            vcs,
-            inputs: VcFabric::new(p, vcs, buf_depth),
-            credits,
-            out_owner: vec![None; p * vcs],
-            out_spec: ports.to_vec(),
-            va_arb: (0..p).map(|_| RoundRobin::new(p * vcs)).collect(),
-            sa_arb: (0..p).map(|_| RoundRobin::new(p * vcs)).collect(),
-            buffered: 0,
-            port_vc,
-            masks: Masks::idle(p, p * vcs),
+            masks: Masks::idle(n),
             fresh_until: 0,
+            buffered: 0,
+            out_vcs,
+            inputs: VcFabric::new(p, vcs, buf_depth),
+            ports,
+            node,
         }
     }
 
@@ -263,7 +336,7 @@ impl Switch {
 
     /// Number of ports.
     pub(crate) fn port_count(&self) -> usize {
-        self.out_spec.len()
+        self.ports.len()
     }
 
     /// The slab fabric holding every input VC (read-only inspection).
@@ -305,13 +378,13 @@ impl Switch {
 
     /// Returns a credit to an output port VC (downstream freed a slot).
     pub fn return_credit(&mut self, port: usize, vc: usize) {
-        if self.out_spec[port].is_sink {
+        let out = &mut self.out_vcs[port * self.inputs.vcs() + vc];
+        if out.sink {
             return;
         }
-        let out_flat = port * self.vcs + vc;
-        self.credits[out_flat] += 1;
-        if self.credits[out_flat] == 1 {
-            if let Some(holder) = self.masks.out_holder[out_flat] {
+        out.credit += 1;
+        if out.credit == 1 {
+            if let Some(holder) = out.holder {
                 self.masks.blocked &= !(1u128 << holder);
             }
         }
@@ -319,7 +392,7 @@ impl Switch {
 
     /// Remaining credit of an output VC.
     pub fn credit(&self, port: usize, vc: usize) -> u32 {
-        self.credits[port * self.vcs + vc]
+        self.out_vcs[port * self.inputs.vcs() + vc].credit
     }
 
     /// Total buffered flits across all input VCs (O(1): maintained on
@@ -348,22 +421,26 @@ impl Switch {
         self.inputs.free_space(self.inputs.flat(port, vc))
     }
 
-    /// `true` when output VC `out_flat` of `out_port` cannot take a flit:
-    /// a wired port out of downstream credit (sinks drain continuously).
-    #[inline]
-    fn out_blocked(&self, out_port: usize, out_flat: usize) -> bool {
-        !self.out_spec[out_port].is_sink && self.credits[out_flat] == 0
+    /// The packet owning output VC `out_flat`, if any.
+    fn out_owner(&self, out_flat: usize) -> Option<PacketId> {
+        let out = &self.out_vcs[out_flat];
+        out.owned.then_some(PacketId(out.owner))
     }
 
-    /// The ready masks as the per-VC tables define them (O(ports × vcs):
-    /// construction, restore and test support, never the per-cycle
-    /// path).
-    fn derive_masks(&self) -> Masks {
+    /// The ready masks, port words and holders as the per-VC records
+    /// define them (O(ports × vcs): restore and test support, never the
+    /// per-cycle path).
+    fn derive(&self) -> Derived {
         let n = self.inputs.vc_total();
-        let mut m = Masks::idle(self.out_spec.len(), n);
+        let mut d = Derived {
+            masks: Masks::idle(n),
+            to_port: vec![0; self.ports.len()],
+            holder: vec![None; n],
+        };
+        let m = &mut d.masks;
         for flat in 0..n {
             let bit = 1u128 << flat;
-            if self.out_owner[flat].is_some() {
+            if self.out_vcs[flat].owned {
                 m.free_out &= !bit;
             }
             if !self.inputs.is_empty(flat) {
@@ -373,14 +450,14 @@ impl Switch {
                 VcStage::Idle => {}
                 VcStage::Routed { out_port, .. } => {
                     m.routed |= bit;
-                    m.to_port[out_port] |= bit;
+                    d.to_port[out_port] |= bit;
                 }
                 VcStage::Active { out_port, out_vc, ready_at } => {
-                    let out_flat = out_port * self.vcs + out_vc;
+                    let out_flat = out_port * self.inputs.vcs() + out_vc;
                     m.active |= bit;
-                    m.to_port[out_port] |= bit;
-                    m.out_holder[out_flat] = Some(flat as u8);
-                    if self.out_blocked(out_port, out_flat) {
+                    d.to_port[out_port] |= bit;
+                    d.holder[out_flat] = Some(flat as u8);
+                    if self.out_vcs[out_flat].blocked() {
                         m.blocked |= bit;
                     }
                     if ready_at == self.fresh_until {
@@ -389,7 +466,16 @@ impl Switch {
                 }
             }
         }
-        m
+        d
+    }
+
+    /// The stored copy of what [`Switch::derive`] computes.
+    fn stored(&self) -> Derived {
+        Derived {
+            masks: self.masks.clone(),
+            to_port: self.ports.iter().map(|p| p.to_port).collect(),
+            holder: self.out_vcs.iter().map(|o| o.holder).collect(),
+        }
     }
 
     /// Exhaustively checks the bookkeeping invariants; test support
@@ -398,8 +484,8 @@ impl Switch {
     /// # Panics
     ///
     /// Panics when `buffered` disagrees with slab occupancy, when any
-    /// ready mask or the output-VC holder table differs from what the
-    /// per-VC tables define, or when an entry owner does not match its
+    /// ready mask, port word or output-VC holder differs from what the
+    /// per-VC records define, or when an entry owner does not match its
     /// VC's newest flit.
     pub fn assert_invariants(&self) {
         let occupancy: usize = (0..self.inputs.vc_total())
@@ -411,9 +497,9 @@ impl Switch {
             self.buffered
         );
         assert_eq!(
-            self.masks,
-            self.derive_masks(),
-            "ready masks out of sync with the per-VC tables"
+            self.stored(),
+            self.derive(),
+            "ready masks out of sync with the per-VC records"
         );
         for flat in 0..self.inputs.vc_total() {
             // Owner sanity: entry ownership constrains the *newest*
@@ -445,24 +531,24 @@ impl Switch {
             })
             .collect();
         let credits = (0..n)
-            .filter(|&flat| self.credits[flat] < self.built_credit(flat))
-            .map(|flat| (flat, self.credits[flat]))
+            .filter(|&flat| self.out_vcs[flat].credit < self.built_credit(flat))
+            .map(|flat| (flat, self.out_vcs[flat].credit))
             .collect();
         let out_owner = (0..n)
-            .filter_map(|flat| self.out_owner[flat].map(|packet| (flat, packet)))
+            .filter_map(|flat| self.out_owner(flat).map(|packet| (flat, packet)))
             .collect();
         SwitchState {
             vcs,
             credits,
             out_owner,
-            va_cursors: self.va_arb.iter().map(RoundRobin::cursor).collect(),
-            sa_cursors: self.sa_arb.iter().map(RoundRobin::cursor).collect(),
+            va_cursors: self.ports.iter().map(|p| p.va.cursor()).collect(),
+            sa_cursors: self.ports.iter().map(|p| p.sa.cursor()).collect(),
         }
     }
 
     /// The credit output VC `out_flat` is built with.
     fn built_credit(&self, out_flat: usize) -> u32 {
-        self.out_spec[usize::from(self.port_vc[out_flat].0)].credit
+        self.ports[out_flat / self.inputs.vcs()].spec.credit
     }
 
     /// Validates a snapshot against this switch's configuration.
@@ -472,10 +558,12 @@ impl Switch {
     /// arrays, as the arbiter cursors do; a listed credit is below the
     /// one its port was built with (`return_credit` counts up from it);
     /// flit runs expand ([`FlitRun::check`]) to no more than a buffer
-    /// holds; a stage's `out_port` / `out_vc` index the masks and the
-    /// holder table; RC and VA read the head flit a waiting VC must
-    /// have at its front; and an output VC held twice or unowned breaks
-    /// the one-bit `blocked` updates.
+    /// holds; a stage's `out_port` / `out_vc` index the port and
+    /// output-VC records — compared at full width, so a value that only
+    /// looks in range once narrowed to the record's byte is refused
+    /// before anything packs it; RC and VA read the head flit a waiting
+    /// VC must have at its front; and an output VC held twice or
+    /// unowned breaks the one-bit `blocked` updates.
     ///
     /// # Errors
     ///
@@ -488,7 +576,7 @@ impl Switch {
             )))
         };
         let n = self.inputs.vc_total();
-        let ports = self.out_spec.len();
+        let ports = self.ports.len();
         for (what, theirs, ours) in [
             ("VA cursor count", s.va_cursors.len(), ports),
             ("SA cursor count", s.sa_cursors.len(), ports),
@@ -548,10 +636,10 @@ impl Switch {
                     }
                 }
                 VcStage::Active { out_port, out_vc, .. } => {
-                    if out_port >= ports || out_vc >= self.vcs {
+                    if out_port >= ports || out_vc >= self.inputs.vcs() {
                         return bad(format!("VC {flat} active on an output VC out of range"));
                     }
-                    let out_flat = out_port * self.vcs + out_vc;
+                    let out_flat = out_port * self.inputs.vcs() + out_vc;
                     if owned >> out_flat & 1 == 0 {
                         return bad(format!("VC {flat} active on an unowned output VC"));
                     }
@@ -568,7 +656,7 @@ impl Switch {
     /// Restores the switch from a [`Switch::state`] snapshot taken on a
     /// switch of identical configuration: back to the state it was
     /// built in, then the snapshot's sparse tables applied, then the
-    /// ready masks recomputed from the restored tables.
+    /// ready masks recomputed from the restored records.
     ///
     /// # Errors
     ///
@@ -586,9 +674,10 @@ impl Switch {
         let n = self.inputs.vc_total();
         for flat in 0..n {
             self.inputs.restore_vc(flat, &[], VcStage::Idle, None);
-            self.credits[flat] = self.built_credit(flat);
+            let credit = self.built_credit(flat);
+            let out = &mut self.out_vcs[flat];
+            (out.credit, out.owned, out.owner) = (credit, false, 0);
         }
-        self.out_owner.fill(None);
         self.buffered = 0;
         self.fresh_until = 0;
         for (flat, vc) in &s.vcs {
@@ -601,18 +690,25 @@ impl Switch {
             }
         }
         for &(out_flat, credit) in &s.credits {
-            self.credits[out_flat] = credit;
+            self.out_vcs[out_flat].credit = credit;
         }
         for &(out_flat, packet) in &s.out_owner {
-            self.out_owner[out_flat] = Some(packet);
+            let out = &mut self.out_vcs[out_flat];
+            (out.owned, out.owner) = (true, packet.0);
         }
-        for (arb, &c) in self.va_arb.iter_mut().zip(&s.va_cursors) {
-            arb.set_cursor(c);
+        for (port, (&va, &sa)) in self.ports.iter_mut().zip(s.va_cursors.iter().zip(&s.sa_cursors))
+        {
+            port.va.set_cursor(va);
+            port.sa.set_cursor(sa);
         }
-        for (arb, &c) in self.sa_arb.iter_mut().zip(&s.sa_cursors) {
-            arb.set_cursor(c);
+        let d = self.derive();
+        self.masks = d.masks;
+        for (port, to_port) in self.ports.iter_mut().zip(d.to_port) {
+            port.to_port = to_port;
         }
-        self.masks = self.derive_masks();
+        for (out, holder) in self.out_vcs.iter_mut().zip(d.holder) {
+            out.holder = holder;
+        }
     }
 
     /// RC + VA pipeline stages for this cycle.
@@ -636,18 +732,15 @@ impl Switch {
                 self.inputs.front_kind(flat).is_head(),
                 "non-head flit at the front of an idle VC"
             );
-            let entry = lut[self.inputs.front_dest(flat).index()];
-            self.inputs.set_stage(
-                flat,
-                VcStage::Routed { out_port: entry.port, ready_at: now + 1 },
-            );
+            let out_port = lut[self.inputs.front_dest(flat).index()].port;
+            self.ports[out_port].to_port |= 1u128 << flat;
+            self.inputs.set_stage(flat, VcStage::Routed { out_port, ready_at: now + 1 });
             self.masks.routed |= 1u128 << flat;
-            self.masks.to_port[entry.port] |= 1u128 << flat;
         }
     }
 
     /// VA: separable allocation, the output side iterating its free VCs
-    /// in ascending order.  `routed & to_port[p]` *is* the request set
+    /// in ascending order.  `routed & to_port` *is* a port's request set
     /// (a grant clears its bit), so arbitration needs no predicate and
     /// ports nobody wants cost one word test.
     fn va(&mut self, now: u64, grants: &mut Vec<VaGrant>) {
@@ -662,17 +755,15 @@ impl Switch {
             self.masks.fresh = 0;
             self.fresh_until = now + 1;
         }
-        let vcs = self.vcs;
+        let vcs = self.inputs.vcs();
         let port_span = !0u128 >> (128 - vcs);
-        for out_port in 0..self.out_spec.len() {
-            let mut pending = self.masks.routed & self.masks.to_port[out_port];
+        for (out_port, port) in self.ports.iter_mut().enumerate() {
+            let mut pending = self.masks.routed & port.to_port;
             let mut free = self.masks.free_out & (port_span << (out_port * vcs));
             while pending != 0 && free != 0 {
                 let out_flat = free.trailing_zeros() as usize;
                 free &= free - 1;
-                let flat = self.va_arb[out_port]
-                    .grant_masked(pending)
-                    .expect("a pending request wins");
+                let flat = port.va.grant_masked(pending).expect("a pending request wins");
                 let bit = 1u128 << flat;
                 pending &= !bit;
                 let out_vc = out_flat - out_port * vcs;
@@ -682,19 +773,19 @@ impl Switch {
                     flat,
                     VcStage::Active { out_port, out_vc, ready_at: now + 1 },
                 );
-                self.out_owner[out_flat] = Some(packet);
+                let route = self.inputs.route(flat);
+                let out = &mut self.out_vcs[out_flat];
+                (out.owned, out.owner, out.holder) = (true, packet.0, Some(flat as u8));
                 self.masks.routed &= !bit;
                 self.masks.active |= bit;
                 self.masks.fresh |= bit;
                 self.masks.free_out &= !(1u128 << out_flat);
-                self.masks.out_holder[out_flat] = Some(flat as u8);
-                if self.out_blocked(out_port, out_flat) {
+                if out.blocked() {
                     self.masks.blocked |= bit;
                 }
-                let (in_port, in_vc) = self.port_vc[flat];
                 grants.push(VaGrant {
-                    in_port: usize::from(in_port),
-                    in_vc: usize::from(in_vc),
+                    in_port: usize::from(route.in_port),
+                    in_vc: usize::from(route.in_vc),
                     out_port,
                     out_vc,
                     packet,
@@ -715,21 +806,39 @@ impl Switch {
     /// wireless-channel allowance for this cycle.  Winning movements are
     /// appended to `moves` (cleared first).
     ///
-    /// The candidates of port `p` are `active & nonempty & !blocked &
-    /// !fresh & to_port[p]`; a winner clears its bit, which is also the
-    /// per-input limit (a VC is Active toward exactly one port, so a pop
-    /// here cannot change another port's candidates).
+    /// This is `Switch::st_visit` collecting its winners; the network
+    /// hands them straight to routing instead.
     pub fn st_phase(
         &mut self,
         now: u64,
-        mut avail: impl FnMut(usize) -> u32,
+        avail: impl FnMut(usize) -> u32,
         shared_band: &[bool],
         band_budget: &mut u32,
         moves: &mut Vec<StMove>,
     ) {
+        struct Collect<'a, A>(A, &'a [bool], &'a mut Vec<StMove>);
+        impl<A: FnMut(usize) -> u32> Crossbar for Collect<'_, A> {
+            fn allowance(&mut self, out_port: usize) -> (u32, bool) {
+                ((self.0)(out_port), self.1[out_port])
+            }
+            fn traverse(&mut self, m: StMove) {
+                self.2.push(m);
+            }
+        }
+        debug_assert_eq!(shared_band.len(), self.ports.len());
         moves.clear();
-        let vcs = self.vcs;
-        debug_assert_eq!(shared_band.len(), self.out_spec.len());
+        self.st_visit(now, band_budget, &mut Collect(avail, shared_band, moves));
+    }
+
+    /// SA + ST over the ports that hold a candidate, each winner handed
+    /// to `xbar` as it leaves its input VC.
+    ///
+    /// The candidates of port `p` are `active & nonempty & !blocked &
+    /// !fresh & to_port[p]`; a winner clears its bit, which is also the
+    /// per-input limit (a VC is Active toward exactly one port, so a pop
+    /// here cannot change another port's candidates).  The ports worth
+    /// a look are those the ready VCs are bound to, taken ascending.
+    pub(crate) fn st_visit(&mut self, now: u64, band_budget: &mut u32, xbar: &mut impl Crossbar) {
         let fresh = if now < self.fresh_until { self.masks.fresh } else { 0 };
         debug_assert!(
             bits(self.masks.active).all(|flat| matches!(
@@ -742,27 +851,34 @@ impl Switch {
         if ready == 0 {
             return;
         }
-        for (out_port, &on_band) in shared_band.iter().enumerate() {
-            let mut cands = ready & self.masks.to_port[out_port];
-            if cands == 0 {
-                continue;
-            }
-            let is_sink = self.out_spec[out_port].is_sink;
-            let mut budget = self.out_spec[out_port].max_grants.min(avail(out_port));
+        // One bit per port (a switch has at most 128): the port of the
+        // lowest ready VC, then of the lowest one bound elsewhere, …
+        let (mut candidate_ports, mut unplaced) = (0u128, ready);
+        while unplaced != 0 {
+            let out_port =
+                usize::from(self.inputs.route(unplaced.trailing_zeros() as usize).out_port);
+            candidate_ports |= 1u128 << out_port;
+            unplaced &= !self.ports[out_port].to_port;
+        }
+        let vcs = self.inputs.vcs();
+        for out_port in bits(candidate_ports) {
+            let port = &mut self.ports[out_port];
+            let mut cands = ready & port.to_port;
+            debug_assert_ne!(cands, 0);
+            let (avail, on_band) = xbar.allowance(out_port);
+            let mut budget = port.spec.max_grants.min(avail);
             if on_band {
                 budget = budget.min(*band_budget);
             }
             for _ in 0..budget {
-                let Some(flat) = self.sa_arb[out_port].grant_masked(cands) else { break };
+                let Some(flat) = port.sa.grant_masked(cands) else { break };
                 let bit = 1u128 << flat;
                 cands &= !bit;
-                let VcStage::Active { out_port: op, out_vc, .. } = self.inputs.stage(flat)
-                else {
-                    unreachable!("candidate masks hold only Active VCs");
-                };
-                debug_assert_eq!(op, out_port);
+                let (flit, route) = self.inputs.pop_front(flat);
+                debug_assert_eq!(usize::from(route.out_port), out_port);
+                let out_vc = usize::from(route.out_vc);
                 let out_flat = out_port * vcs + out_vc;
-                let flit = self.inputs.pop(flat).expect("winner has a flit");
+                let out = &mut self.out_vcs[out_flat];
                 self.buffered -= 1;
                 if self.inputs.is_empty(flat) {
                     self.masks.nonempty &= !bit;
@@ -772,24 +888,21 @@ impl Switch {
                 }
                 let releases_input = flit.kind.is_tail();
                 if releases_input {
-                    self.inputs.set_stage(flat, VcStage::Idle);
-                    self.out_owner[out_flat] = None;
+                    (out.owned, out.holder) = (false, None);
                     self.masks.active &= !bit;
                     self.masks.fresh &= !bit;
-                    self.masks.to_port[out_port] &= !bit;
+                    port.to_port &= !bit;
                     self.masks.free_out |= 1u128 << out_flat;
-                    self.masks.out_holder[out_flat] = None;
                 }
-                if !is_sink {
-                    self.credits[out_flat] -= 1;
-                    if self.credits[out_flat] == 0 && !releases_input {
+                if !out.sink {
+                    out.credit -= 1;
+                    if out.credit == 0 && !releases_input {
                         self.masks.blocked |= bit;
                     }
                 }
-                let (in_port, in_vc) = self.port_vc[flat];
-                moves.push(StMove {
-                    in_port: usize::from(in_port),
-                    in_vc: usize::from(in_vc),
+                xbar.traverse(StMove {
+                    in_port: usize::from(route.in_port),
+                    in_vc: usize::from(route.in_vc),
                     out_port,
                     out_vc,
                     flit,

@@ -1,17 +1,16 @@
 //! Virtual channels: one contiguous slab of flit storage per switch.
 //!
-//! The fabric holds every input VC of a switch in a single allocation
-//! group: ring-buffer slots are one array of packed 32-byte flits keyed
-//! by slab index (two slots per cache line — what the engine does with
-//! a buffered flit is push it whole, pop it whole, or read one field of
-//! the front), and the per-VC book-keeping (ring head, length, pipeline
-//! stage, wormhole owner) lives in flat `port * vcs + vc` indexed
-//! arrays.  The switch allocators read dense memory instead of chasing
-//! `Vec<Vec<VecDeque>>` pointers.
+//! The fabric holds every input VC of a switch in two arrays keyed by
+//! flat VC id (`port * vcs + vc`): ring-buffer slots are packed 32-byte
+//! flits (two per cache line — what the engine does with a buffered
+//! flit is push it whole, pop it whole, or read one field of the
+//! front), and the per-VC book-keeping (ring head, length, pipeline
+//! stage, wormhole owner) is one packed 32-byte `VcMeta` record, so a
+//! push or a pop touches one meta line and one slot line.
 //!
 //! Slot addressing: VC `flat` owns slots `flat * capacity ..
 //! (flat + 1) * capacity`; its `i`-th buffered flit (0 = front) lives at
-//! `flat * capacity + (head[flat] + i) mod capacity`.  FIFO semantics are
+//! `flat * capacity + (head + i) mod capacity`.  FIFO semantics are
 //! identical to the former per-VC `VecDeque<Flit>` — the proptest model
 //! in `tests/slab_model.rs` checks push/pop/owner/stage sequences
 //! against exactly that reference.
@@ -94,26 +93,87 @@ impl Slot {
     }
 }
 
+/// Largest per-VC buffer depth the packed ring cursors address.
+pub(crate) const MAX_CAPACITY: usize = u16::MAX as usize;
+
+/// [`VcStage`]'s discriminant as [`VcMeta`] stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum StageTag {
+    Idle,
+    Routed,
+    Active,
+}
+
+/// The byte-wide indices of one input VC's record: where it sits and,
+/// once routed, where it leads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VcRoute {
+    pub in_port: u8,
+    pub in_vc: u8,
+    pub out_port: u8,
+    pub out_vc: u8,
+}
+
+/// One input VC's book-keeping, packed to half a cache line: ring
+/// cursors, pipeline stage (tag + byte-wide port / VC + `ready_at`;
+/// [`VcStage`] is the public and wire form) and wormhole entry owner.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
+struct VcMeta {
+    /// `ready_at` of a Routed / Active stage.
+    ready_at: u64,
+    /// The entry owner's packet id while `owned`.
+    owner: u64,
+    /// Ring position of the front flit (`< capacity`).
+    head: u16,
+    /// Buffered flits (`<= capacity`).
+    len: u16,
+    tag: StageTag,
+    owned: bool,
+    route: VcRoute,
+}
+
+const _: () = assert!(std::mem::size_of::<VcMeta>() == 32);
+
+impl VcMeta {
+    #[inline]
+    fn owner(&self) -> Option<PacketId> {
+        self.owned.then_some(PacketId(self.owner))
+    }
+
+    #[inline]
+    fn set_owner(&mut self, owner: Option<PacketId>) {
+        self.owned = owner.is_some();
+        self.owner = owner.map_or(0, |p| p.0);
+    }
+
+    fn stage(&self) -> VcStage {
+        let out_port = usize::from(self.route.out_port);
+        match self.tag {
+            StageTag::Idle => VcStage::Idle,
+            StageTag::Routed => VcStage::Routed { out_port, ready_at: self.ready_at },
+            StageTag::Active => VcStage::Active {
+                out_port,
+                out_vc: usize::from(self.route.out_vc),
+                ready_at: self.ready_at,
+            },
+        }
+    }
+}
+
 /// All input VCs of one switch, flattened into contiguous storage.
 ///
 /// Indexing is by *flat VC id* (`port * vcs + vc`, see
 /// [`VcFabric::flat`]); every accessor is O(1) slab arithmetic.
 #[derive(Debug, Clone)]
 pub struct VcFabric {
-    vcs: usize,
-    capacity: usize,
-    /// Ring head position per flat VC.
-    head: Vec<u32>,
-    /// Buffered flits per flat VC.
-    len: Vec<u32>,
-    /// Pipeline stage per flat VC.
-    stage: Vec<VcStage>,
-    /// The packet currently owning each VC's wormhole reservation (set
-    /// by its head flit entering the FIFO, cleared when its tail is
-    /// pushed).
-    owner: Vec<Option<PacketId>>,
+    /// Book-keeping record per flat VC.
+    meta: Box<[VcMeta]>,
     /// Flit slab (slot = flat * capacity + ring position).
-    slots: Vec<Slot>,
+    slots: Box<[Slot]>,
+    capacity: usize,
+    vcs: usize,
 }
 
 impl VcFabric {
@@ -122,19 +182,35 @@ impl VcFabric {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if a port index, a VC index
+    /// or `capacity` does not fit its packed field (256 ports, 256 VCs,
+    /// 65 535 flits; [`crate::NocConfig::validate`] and
+    /// [`crate::Network::new`] reject such configurations with an
+    /// error).
     pub fn new(ports: usize, vcs: usize, capacity: usize) -> Self {
         assert!(ports > 0 && vcs > 0 && capacity > 0, "VC buffers need capacity");
-        let n = ports * vcs;
-        VcFabric {
-            vcs,
-            capacity,
-            head: vec![0; n],
-            len: vec![0; n],
-            stage: vec![VcStage::Idle; n],
-            owner: vec![None; n],
-            slots: vec![Slot::EMPTY; n * capacity],
-        }
+        assert!(
+            ports <= 256 && vcs <= 256 && capacity <= MAX_CAPACITY,
+            "VC fabric dimensions exceed the packed record"
+        );
+        let meta = (0..ports * vcs)
+            .map(|flat| VcMeta {
+                ready_at: 0,
+                owner: 0,
+                head: 0,
+                len: 0,
+                tag: StageTag::Idle,
+                owned: false,
+                route: VcRoute {
+                    in_port: (flat / vcs) as u8,
+                    in_vc: (flat % vcs) as u8,
+                    out_port: 0,
+                    out_vc: 0,
+                },
+            })
+            .collect();
+        let slots = vec![Slot::EMPTY; ports * vcs * capacity].into_boxed_slice();
+        VcFabric { meta, slots, capacity, vcs }
     }
 
     /// Flat index of `(port, vc)` — the key every other accessor takes.
@@ -144,9 +220,15 @@ impl VcFabric {
         port * self.vcs + vc
     }
 
+    /// Virtual channels per port.
+    #[inline]
+    pub(crate) fn vcs(&self) -> usize {
+        self.vcs
+    }
+
     /// Number of virtual channels (across all ports).
     pub(crate) fn vc_total(&self) -> usize {
-        self.len.len()
+        self.meta.len()
     }
 
     /// Buffer capacity in flits (uniform across the fabric).
@@ -158,37 +240,61 @@ impl VcFabric {
     /// Buffered flits in VC `flat`.
     #[inline]
     pub fn len(&self, flat: usize) -> usize {
-        self.len[flat] as usize
+        usize::from(self.meta[flat].len)
     }
 
     /// `true` when VC `flat` buffers no flits.
     #[inline]
     pub fn is_empty(&self, flat: usize) -> bool {
-        self.len[flat] == 0
+        self.meta[flat].len == 0
     }
 
     /// Remaining buffer slots of VC `flat`.
     #[inline]
     pub fn free_space(&self, flat: usize) -> usize {
-        self.capacity - self.len[flat] as usize
+        self.capacity - self.len(flat)
     }
 
     /// Current pipeline stage of VC `flat`.
     #[inline]
     pub fn stage(&self, flat: usize) -> VcStage {
-        self.stage[flat]
+        self.meta[flat].stage()
     }
 
-    /// Sets the pipeline stage (used by the switch allocators).
-    #[inline]
+    /// Sets the pipeline stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stage's `out_port` or `out_vc` exceeds the byte
+    /// the record packs it into (a stage read from a snapshot passes
+    /// [`crate::switch::Switch::check_state`]'s range checks first).
     pub fn set_stage(&mut self, flat: usize, stage: VcStage) {
-        self.stage[flat] = stage;
+        let byte = |i: usize| u8::try_from(i).expect("stage index fits the packed record");
+        let m = &mut self.meta[flat];
+        match stage {
+            VcStage::Idle => m.tag = StageTag::Idle,
+            VcStage::Routed { out_port, ready_at } => {
+                (m.tag, m.route.out_port, m.ready_at) = (StageTag::Routed, byte(out_port), ready_at);
+            }
+            VcStage::Active { out_port, out_vc, ready_at } => {
+                m.route.out_port = byte(out_port);
+                m.route.out_vc = byte(out_vc);
+                (m.tag, m.ready_at) = (StageTag::Active, ready_at);
+            }
+        }
+    }
+
+    /// The byte-wide indices of VC `flat`'s record; the output side is
+    /// meaningful while the stage is Routed (`out_port`) or Active.
+    #[inline]
+    pub(crate) fn route(&self, flat: usize) -> VcRoute {
+        self.meta[flat].route
     }
 
     /// The packet that owns VC `flat`'s wormhole reservation, if any.
     #[inline]
     pub fn owner(&self, flat: usize) -> Option<PacketId> {
-        self.owner[flat]
+        self.meta[flat].owner()
     }
 
     /// Slab slot of the `i`-th buffered flit of VC `flat` (`i <= len`).
@@ -197,7 +303,7 @@ impl VcFabric {
     /// path.
     #[inline]
     fn slot(&self, flat: usize, i: usize) -> usize {
-        let at = self.head[flat] as usize + i;
+        let at = usize::from(self.meta[flat].head) + i;
         flat * self.capacity + if at >= self.capacity { at - self.capacity } else { at }
     }
 
@@ -209,7 +315,7 @@ impl VcFabric {
     /// Panics if the VC is empty.
     #[inline]
     pub fn front_kind(&self, flat: usize) -> FlitKind {
-        assert!(self.len[flat] > 0, "front of an empty VC");
+        assert!(!self.is_empty(flat), "front of an empty VC");
         self.slots[self.slot(flat, 0)].kind
     }
 
@@ -220,7 +326,7 @@ impl VcFabric {
     /// Panics if the VC is empty.
     #[inline]
     pub fn front_dest(&self, flat: usize) -> NodeId {
-        assert!(self.len[flat] > 0, "front of an empty VC");
+        assert!(!self.is_empty(flat), "front of an empty VC");
         NodeId(self.slots[self.slot(flat, 0)].dest as usize)
     }
 
@@ -231,22 +337,19 @@ impl VcFabric {
     /// Panics if the VC is empty.
     #[inline]
     pub fn front_packet(&self, flat: usize) -> PacketId {
-        assert!(self.len[flat] > 0, "front of an empty VC");
+        assert!(!self.is_empty(flat), "front of an empty VC");
         PacketId(self.slots[self.slot(flat, 0)].packet)
     }
 
     /// The flit at the FIFO front, if any.
     pub fn front(&self, flat: usize) -> Option<Flit> {
-        if self.len[flat] == 0 {
-            return None;
-        }
-        Some(self.slots[self.slot(flat, 0)].unpack())
+        self.get(flat, 0)
     }
 
     /// The `i`-th buffered flit of VC `flat` (0 = front), if present.
     /// Off the hot path (MAC view assembly walks short runs).
     pub fn get(&self, flat: usize, i: usize) -> Option<Flit> {
-        if i >= self.len[flat] as usize {
+        if i >= self.len(flat) {
             return None;
         }
         Some(self.slots[self.slot(flat, i)].unpack())
@@ -260,33 +363,27 @@ impl VcFabric {
     /// prevent that) or if a head flit arrives while another packet
     /// still owns the reservation.
     pub fn push(&mut self, flat: usize, flit: Flit) {
-        assert!(
-            (self.len[flat] as usize) < self.capacity,
-            "VC overflow: credit protocol violated"
-        );
+        let slot = self.slot(flat, self.len(flat));
+        let m = &mut self.meta[flat];
+        assert!(usize::from(m.len) < self.capacity, "VC overflow: credit protocol violated");
         if flit.kind.is_head() {
             assert!(
-                self.owner[flat].is_none(),
+                !m.owned,
                 "head flit of {} entered a VC owned by {:?}",
                 flit.packet,
-                self.owner[flat]
+                m.owner()
             );
-            self.owner[flat] = Some(flit.packet);
+            m.set_owner(Some(flit.packet));
         } else {
-            debug_assert_eq!(
-                self.owner[flat],
-                Some(flit.packet),
-                "body flit entered a foreign VC"
-            );
+            debug_assert_eq!(m.owner(), Some(flit.packet), "body flit entered a foreign VC");
         }
         if flit.kind.is_tail() {
             // Tail queued: reservation for *entry* purposes ends here;
             // the wormhole path itself is released when the tail leaves.
-            self.owner[flat] = None;
+            m.owned = false;
         }
-        let slot = self.slot(flat, self.len[flat] as usize);
+        m.len += 1;
         self.slots[slot] = Slot::pack(flit);
-        self.len[flat] += 1;
     }
 
     /// `true` if a flit of `packet` may enter VC `flat`: either the
@@ -295,7 +392,7 @@ impl VcFabric {
     /// separately.
     #[inline]
     pub fn may_accept(&self, flat: usize, packet: PacketId, is_head: bool) -> bool {
-        match self.owner[flat] {
+        match self.owner(flat) {
             Some(owner) => owner == packet && !is_head,
             None => is_head,
         }
@@ -306,7 +403,7 @@ impl VcFabric {
     /// wormhole owner.
     pub(crate) fn vc_state(&self, flat: usize) -> (Vec<FlitRun>, VcStage, Option<PacketId>) {
         let flits = (0..self.len(flat)).map(|i| self.slots[self.slot(flat, i)].unpack());
-        (FlitRun::encode(flits), self.stage[flat], self.owner[flat])
+        (FlitRun::encode(flits), self.stage(flat), self.owner(flat))
     }
 
     /// Restores one VC from a [`VcFabric::vc_state`] snapshot.
@@ -321,8 +418,9 @@ impl VcFabric {
     /// # Panics
     ///
     /// Panics when the snapshot holds more flits than the VC's
-    /// capacity ([`crate::switch::Switch::check_state`] rejects such
-    /// snapshots first, along with runs [`FlitRun::check`] refuses).
+    /// capacity or a stage [`VcFabric::set_stage`] cannot pack
+    /// ([`crate::switch::Switch::check_state`] rejects such snapshots
+    /// first, along with runs [`FlitRun::check`] refuses).
     pub(crate) fn restore_vc(
         &mut self,
         flat: usize,
@@ -337,22 +435,39 @@ impl VcFabric {
             self.slots[base + len] = Slot::pack(f);
             len += 1;
         }
-        self.head[flat] = 0;
-        self.len[flat] = len as u32;
-        self.stage[flat] = stage;
-        self.owner[flat] = owner;
+        self.set_stage(flat, stage);
+        let m = &mut self.meta[flat];
+        m.head = 0;
+        m.len = len as u16;
+        m.set_owner(owner);
     }
 
-    /// Dequeues the head flit of VC `flat`.
+    /// Dequeues the head flit of VC `flat`; a tail leaving releases the
+    /// wormhole path, so the stage falls back to [`VcStage::Idle`].
     pub fn pop(&mut self, flat: usize) -> Option<Flit> {
-        if self.len[flat] == 0 {
-            return None;
+        (!self.is_empty(flat)).then(|| self.pop_front(flat).0)
+    }
+
+    /// [`VcFabric::pop`] as ST uses it, on a VC known to hold a flit:
+    /// one visit to the record pops the front, reads where the stage
+    /// sends it and releases the stage behind a tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VC is empty.
+    #[inline]
+    pub(crate) fn pop_front(&mut self, flat: usize) -> (Flit, VcRoute) {
+        let capacity = self.capacity;
+        let m = &mut self.meta[flat];
+        assert!(m.len > 0, "pop from an empty VC");
+        let flit = self.slots[flat * capacity + usize::from(m.head)].unpack();
+        let next = m.head + 1;
+        m.head = if usize::from(next) == capacity { 0 } else { next };
+        m.len -= 1;
+        if flit.kind.is_tail() {
+            m.tag = StageTag::Idle;
         }
-        let flit = self.slots[flat * self.capacity + self.head[flat] as usize].unpack();
-        let next = self.head[flat] + 1;
-        self.head[flat] = if next as usize == self.capacity { 0 } else { next };
-        self.len[flat] -= 1;
-        Some(flit)
+        (flit, m.route)
     }
 }
 
@@ -472,6 +587,50 @@ mod tests {
         assert!(matches!(fab.stage(0), VcStage::Routed { out_port: 2, .. }));
         fab.set_stage(0, VcStage::Active { out_port: 2, out_vc: 5, ready_at: 11 });
         assert!(matches!(fab.stage(0), VcStage::Active { out_vc: 5, .. }));
+    }
+
+    /// `restore_vc` is crate-private, so its leg of the slab model
+    /// lives here: a wrapped ring caught mid-packet, under the widest
+    /// stage the record packs, comes back flit for flit with the head
+    /// normalised, and the fused pop releases it behind the tail.
+    #[test]
+    fn restore_vc_reinstates_what_vc_state_captured() {
+        let mut fab = VcFabric::new(2, 2, 4);
+        for seq in 0..3 {
+            fab.push(3, flit(9, seq, 5));
+        }
+        assert_eq!(fab.pop(3).unwrap().seq, 0);
+        fab.push(3, flit(9, 3, 5));
+        fab.push(3, flit(9, 4, 5)); // wraps; the tail clears the owner
+        fab.push(2, flit(4, 0, 2));
+        let widest = VcStage::Active { out_port: 255, out_vc: 255, ready_at: u64::MAX };
+        fab.set_stage(3, widest);
+        for stage in [widest, VcStage::Routed { out_port: 255, ready_at: u64::MAX }] {
+            let mut copy = VcFabric::new(2, 2, 4);
+            for flat in [2, 3] {
+                let (runs, _, owner) = fab.vc_state(flat);
+                copy.restore_vc(flat, &runs, stage, owner);
+                assert_eq!(copy.vc_state(flat), (runs, stage, owner));
+            }
+            assert_eq!(copy.owner(2), Some(PacketId(4)));
+            assert_eq!(copy.owner(3), None);
+            assert_eq!((1..5).map(|i| copy.get(3, i - 1).unwrap().seq).collect::<Vec<_>>(), [1, 2, 3, 4]);
+            for seq in 1..4 {
+                assert_eq!(copy.pop_front(3).0.seq, seq);
+                assert_eq!(copy.stage(3), stage, "a body flit leaves the stage alone");
+            }
+            let (tail, route) = copy.pop_front(3);
+            assert!(tail.kind.is_tail());
+            assert_eq!((route.in_port, route.in_vc, route.out_port), (1, 1, 255));
+            assert_eq!(copy.stage(3), VcStage::Idle);
+            assert_eq!(copy.stage(2), stage, "records do not interfere");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fits the packed record")]
+    fn a_stage_wider_than_the_record_is_refused() {
+        VcFabric::new(1, 1, 1).set_stage(0, VcStage::Routed { out_port: 256, ready_at: 0 });
     }
 
     #[test]

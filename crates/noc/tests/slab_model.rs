@@ -1,8 +1,9 @@
 //! Model-based tests of the slab VC fabric: random push/pop/stage/owner
-//! sequences checked against a reference `VecDeque<Flit>` model (the
-//! exact structure the fabric replaced), plus whole-switch invariant
-//! sweeps (`buffered` counter and ready masks vs the per-VC tables) under
-//! random end-to-end traffic.
+//! sequences checked against a reference `VecDeque<Flit>` + stage +
+//! owner model (the exact structure the fabric replaced; the fabric
+//! packs the last two into one record per VC), plus whole-switch
+//! invariant sweeps (`buffered` counter and ready masks vs the per-VC
+//! records) under random end-to-end traffic.
 
 use std::collections::VecDeque;
 
@@ -62,6 +63,29 @@ impl ModelVc {
         }
         self.fifo.push_back(flit);
     }
+
+    /// The pop ST performs, spelled out on the unpacked representation:
+    /// read the stage, pop the front, and let a tail release the stage.
+    fn pop(&mut self) -> Option<Flit> {
+        let flit = self.fifo.pop_front()?;
+        if flit.kind.is_tail() {
+            self.stage = VcStage::Idle;
+        }
+        Some(flit)
+    }
+}
+
+/// A stage drawn from everything the packed record must hold: any byte
+/// for the port and the VC, any `ready_at` — `u64::MAX` one time in four.
+fn stage_from(bits: u64) -> VcStage {
+    let out_port = (bits & 0xFF) as usize;
+    let out_vc = (bits >> 8 & 0xFF) as usize;
+    let ready_at = if bits >> 16 & 3 == 0 { u64::MAX } else { bits >> 18 };
+    match bits >> 62 {
+        0 => VcStage::Idle,
+        1 => VcStage::Routed { out_port, ready_at },
+        _ => VcStage::Active { out_port, out_vc, ready_at },
+    }
 }
 
 /// In-progress packet feeding one model VC (so generated flit sequences
@@ -88,14 +112,18 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Push/pop/stage sequences over several VCs behave exactly like
-    /// per-VC `VecDeque`s: same fronts, same pops, same owners, same
-    /// lengths — and slab slots of different VCs never interfere.
+    /// per-VC `VecDeque`s with a stage and an owner beside each: same
+    /// fronts, same pops, same owners, same stages, same lengths — and
+    /// neither slab slots nor records of different VCs interfere.
+    /// Every in-range [`VcStage`] reads back as written, and the fused
+    /// pop equals `stage` + `pop` + `set_stage(Idle)` behind a tail on
+    /// the reference.
     #[test]
     fn fabric_round_trips_against_the_vecdeque_model(
         ports in 1usize..4,
         vcs in 1usize..4,
         capacity in 1usize..6,
-        ops in prop::collection::vec((0u8..4, 0usize..16, 1u32..5), 1..200),
+        ops in prop::collection::vec((0u8..4, 0usize..16, 1u32..5, any::<u64>()), 1..200),
     ) {
         let mut fabric = VcFabric::new(ports, vcs, capacity);
         let n = ports * vcs;
@@ -105,7 +133,7 @@ proptest! {
         let mut incoming: Vec<Option<Incoming>> = vec![None; n];
         let mut next_packet = 1u64;
 
-        for (op, target, len) in ops {
+        for (op, target, len, bits) in ops {
             let flat = target % n;
             match op {
                 // Push the next legal flit (new head, or continuation).
@@ -134,24 +162,18 @@ proptest! {
                         Some(Incoming { next_seq: inc.next_seq + 1, ..inc })
                     };
                 }
-                // Pop and compare.
+                // Pop and compare (the stage is compared below, with
+                // everything else).
                 1 => {
                     let got = fabric.pop(flat);
-                    let want = model[flat].fifo.pop_front();
+                    let want = model[flat].pop();
                     prop_assert_eq!(got, want, "pop diverged on VC {}", flat);
                 }
-                // Stage write.
+                // Stage write, read back at once.
                 2 => {
-                    let stage = match len {
-                        1 => VcStage::Idle,
-                        2 => VcStage::Routed { out_port: target % 4, ready_at: len.into() },
-                        _ => VcStage::Active {
-                            out_port: target % 4,
-                            out_vc: target % 3,
-                            ready_at: len.into(),
-                        },
-                    };
+                    let stage = stage_from(bits);
                     fabric.set_stage(flat, stage);
+                    prop_assert_eq!(fabric.stage(flat), stage);
                     model[flat].stage = stage;
                 }
                 // Admission probe on an arbitrary packet id.

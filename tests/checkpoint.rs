@@ -927,10 +927,11 @@ fn restore_rejects_malformed_controller_state_before_mutating() {
 /// doctored through the serialized tree — the way a damaged file
 /// arrives — a duplicate, descending or out-of-range flat index, a run
 /// of length 0, runs summing past the buffer depth, a run whose flit
-/// numbers overflow, a credit above the one its port was built with and
-/// an output VC owned twice are each a `CoreError::Checkpoint` naming
-/// the switch, on an untouched system — never a panic, in debug or
-/// `--release`.
+/// numbers overflow, a credit above the one its port was built with,
+/// an output VC owned twice and a stage whose output port or VC only
+/// looks valid once narrowed to the byte the switch packs it into are
+/// each a `CoreError::Checkpoint` naming the switch, on an untouched
+/// system — never a panic, in debug or `--release`.
 #[test]
 fn restore_rejects_malformed_switch_tables_before_mutating() {
     use serde::{Deserialize, Serialize, Value};
@@ -1004,6 +1005,30 @@ fn restore_rejects_malformed_switch_tables_before_mutating() {
     rejected("output owner indices not strictly ascending", &|root| {
         rows(root, &["out_owner"], &|owners| owners.push(owners[0].clone()));
     });
+    // The switch packs a stage's port and VC into a byte each: 256 more
+    // than a valid index narrows back to it, so the range check has to
+    // come first and at full width.  The owned output VC is held by an
+    // Active input VC; that row's stage is `{"Active": {…}}`.
+    let Some(Value::Seq(listed)) = switches[at.parse::<usize>().unwrap()].get("vcs") else {
+        panic!("the input VC table is a sequence")
+    };
+    let holder = listed
+        .iter()
+        .position(|row| {
+            let Value::Seq(pair) = row else { panic!("a row is a pair") };
+            pair[1].get("stage").is_some_and(|stage| stage.get("Active").is_some())
+        })
+        .expect("an owned output VC has an Active holder")
+        .to_string();
+    for field in ["out_port", "out_vc"] {
+        rejected("active on an output VC out of range", &|root| {
+            let stage = ["vcs", &holder, "1", "stage", "Active", field];
+            let Value::UInt(index) = value_at(root, &[&sw[..], &stage[..]].concat()) else {
+                panic!("an index")
+            };
+            *index += 256;
+        });
+    }
 
     // The undoctored snapshot still restores.
     let snap = wimnet::core::Snapshot::from_value(&root).unwrap();
