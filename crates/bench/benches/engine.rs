@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the engine's ns-scale operations: one
 //! switch visit, one meter read-out, one drained memory-controller step,
-//! one media phase with nothing to do.  Each is too short for the
-//! benchmark package (`benchmark/`, see `BENCHMARK.json`) to time in
-//! isolation, so they are timed here in loops of 1 000.
+//! one media phase with nothing to do, one source that cannot inject
+//! (generation for a full core, phase 1 for a blocked endpoint).  Each
+//! is too short for the benchmark package (`benchmark/`, see
+//! `BENCHMARK.json`) to time in isolation, so they are timed here in
+//! loops of 1 000.
 //!
 //! Everything longer is the benchmark's, which reports it per layer with
 //! a run-to-run spread; the groups that used to time the same quantities
@@ -29,6 +31,7 @@ use wimnet_noc::switch::{OutPortSpec, RouteEntry, Switch};
 use wimnet_noc::{Flit, FlitKind, Network, NocConfig, PacketDesc, PacketId};
 use wimnet_routing::{Routes, RoutingPolicy};
 use wimnet_topology::{Architecture, MultichipConfig, MultichipLayout, NodeId};
+use wimnet_traffic::{InjectionProcess, UniformRandom, Workload};
 use wimnet_wireless::{ChannelConfig, TokenMac};
 
 fn build_layout(arch: Architecture) -> MultichipLayout {
@@ -106,6 +109,58 @@ fn bench_media_phase_unchanged(c: &mut Criterion) {
             }
         })
     });
+    g.finish();
+}
+
+fn bench_source_side(c: &mut Criterion) {
+    // What a source that cannot inject costs per cycle, at its two
+    // parties.  Both routines are 1 000 cycles over 64 cores, so the
+    // reported microseconds / 64 read as ns per core per cycle.
+    let mut g = c.benchmark_group("source_side");
+    // The paper's saturated workload with every source queue full: the
+    // driver's `generate_into` call passes over all 64 cores.  (With
+    // `&|_| false` the same call draws 64 destinations, which is what a
+    // saturated cycle cost before generation took the hint.)
+    let mut w = UniformRandom::paper(64, 4, InjectionProcess::Saturation, 7);
+    let mut events = Vec::with_capacity(64);
+    let mut now = 0u64;
+    g.bench_function("generate_saturated_all_full_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                now += 1;
+                w.generate_into(std::hint::black_box(now), &|_| true, &mut events);
+            }
+            events.len()
+        })
+    });
+    // A jammed 4C4M: wireless layout in medium mode with no MAC attached,
+    // every core holding 16 packets for a core on the next chip.  Nothing
+    // crosses a chip boundary, so the fabric fills and stops with all 64
+    // endpoints backlogged behind a full port-0 VC.  A step of it is
+    // phase 1 over those endpoints plus the blocked switches' no-move
+    // visits (the floor both sides of a phase-1 change share).
+    let layout = build_layout(Architecture::Wireless);
+    let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
+    let mut net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
+    let cores = layout.core_nodes();
+    for (i, &src) in cores.iter().enumerate() {
+        for _ in 0..16 {
+            net.inject(PacketDesc::new(src, cores[(i + 16) % 64], 64, 0));
+        }
+    }
+    for _ in 0..5_000 {
+        net.step();
+    }
+    let jammed = (net.flits_in_flight(), net.source_backlog());
+    assert!(cores.iter().all(|&c| net.source_backlog_at(c) > 0), "every source is backlogged");
+    g.bench_function("pump_injection_all_blocked_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                net.step();
+            }
+        })
+    });
+    assert_eq!((net.flits_in_flight(), net.source_backlog()), jammed, "nothing moved");
     g.finish();
 }
 
@@ -258,6 +313,7 @@ criterion_group!(
     bench_switch_visit,
     bench_meter_readout,
     bench_controller_step_drained,
-    bench_media_phase_unchanged
+    bench_media_phase_unchanged,
+    bench_source_side
 );
 criterion_main!(benches);

@@ -301,6 +301,7 @@ pub(crate) fn run_with_checkpoints(
     fp: &Fingerprint,
     kill_at: Option<u64>,
 ) -> Result<Option<RunOutcome>, CoreError> {
+    system.check_workload_shape(workload)?;
     let every = system.config().checkpoint_every;
     let total = system.run_total_cycles();
     let mut cycle = 0u64;

@@ -329,6 +329,9 @@ pub struct MultichipSystem {
     replies_injected: u64,
     /// Scratch for controller completions (no per-cycle allocation).
     completions_scratch: Vec<Completion>,
+    /// The cycle's workload events (`Workload::generate_into` fills it;
+    /// empty between iterations).
+    events_scratch: Vec<TrafficEvent>,
 }
 
 impl std::fmt::Debug for MultichipSystem {
@@ -450,6 +453,7 @@ impl MultichipSystem {
             pending_replies: BinaryHeap::new(),
             replies_injected: 0,
             completions_scratch: Vec::new(),
+            events_scratch: Vec::new(),
         })
     }
 
@@ -476,6 +480,12 @@ impl MultichipSystem {
         }
     }
 
+    /// The finite source queue's capacity in flits: a source holding
+    /// this much backlog refuses further packets.
+    fn source_queue_flits(&self) -> u64 {
+        self.config.source_queue_packets as u64 * u64::from(self.config.packet_flits)
+    }
+
     /// Injects one workload event, honouring the finite source queue.
     /// Returns `true` if the packet was accepted.
     fn inject_event(&mut self, e: &TrafficEvent) -> bool {
@@ -486,10 +496,7 @@ impl MultichipSystem {
         }
         // Finite source queue: drop generation when the source backlog
         // is full (open loop with finite sources).
-        let backlog_flits = self.net.source_backlog_at(src);
-        let cap =
-            self.config.source_queue_packets as u64 * u64::from(self.config.packet_flits);
-        if backlog_flits >= cap {
+        if self.net.source_backlog_at(src) >= self.source_queue_flits() {
             return false;
         }
         let id = self
@@ -759,11 +766,32 @@ impl MultichipSystem {
         mut cycle: u64,
         stop: u64,
     ) -> Result<u64, CoreError> {
+        self.check_workload_shape(workload)?;
         let stop = stop.min(self.run_total_cycles());
         while cycle < stop {
             cycle = self.run_iteration(workload, cycle)?;
         }
         Ok(cycle)
+    }
+
+    /// Refuses a workload built for a larger system than this one: its
+    /// events name cores and stacks by index, and an index past the
+    /// layout's tables must be an error here, not a panic in the run
+    /// loop.  A smaller shape fits (`Trace::default()` is `(0, 0)`).
+    pub(crate) fn check_workload_shape(&self, workload: &dyn Workload) -> Result<(), CoreError> {
+        let (cores, stacks) = workload.shape();
+        let (have_cores, have_stacks) =
+            (self.layout.total_cores(), self.config.multichip.num_stacks);
+        if cores > have_cores || stacks > have_stacks {
+            return Err(CoreError::InvalidParameter {
+                what: format!(
+                    "workload `{}` generates for {cores} cores and {stacks} stacks; \
+                     the system has {have_cores} cores and {have_stacks} stacks",
+                    workload.name()
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// The driver's end cycle: warmup plus measurement window.
@@ -787,9 +815,22 @@ impl MultichipSystem {
         if cycle == self.config.warmup_cycles {
             self.net.begin_measurement();
         }
-        for e in workload.generate(cycle) {
-            self.inject_event(&e);
+        // Generation is demand-driven: a core whose source queue is
+        // full is not drawn for at all (`inject_event` would refuse the
+        // packet, and still decides for every event that does arrive).
+        let mut events = std::mem::take(&mut self.events_scratch);
+        let (net, core_nodes, cap) =
+            (&self.net, self.layout.core_nodes(), self.source_queue_flits());
+        workload.generate_into(
+            cycle,
+            &|core| net.source_backlog_at(core_nodes[core]) >= cap,
+            &mut events,
+        );
+        for e in &events {
+            self.inject_event(e);
         }
+        events.clear();
+        self.events_scratch = events;
         self.step_cycle();
         if self.net.is_stalled(self.config.stall_threshold) {
             return Err(CoreError::Stalled { cycle });
@@ -1182,6 +1223,33 @@ mod tests {
             MultichipSystem::build(&cfg),
             Err(CoreError::InvalidParameter { .. })
         ));
+    }
+
+    #[test]
+    fn a_workload_built_for_a_larger_system_is_a_typed_error() {
+        // 4C4M has 64 cores and 4 stacks; events naming core 100 or
+        // stack 6 used to die on an index in `node_of`.
+        let cfg = quick(Architecture::Interposer);
+        let mut sys = MultichipSystem::build(&cfg).unwrap();
+        let untouched = format!("{:?}", sys.state());
+        for (cores, stacks) in [(128, 4), (64, 8)] {
+            let mut w =
+                UniformRandom::new(cores, stacks, 0.2, InjectionProcess::Saturation, 64, 1);
+            let err = sys.run(&mut w).expect_err("the shape does not fit");
+            let CoreError::InvalidParameter { what } = &err else { panic!("{err:?}") };
+            assert!(
+                what.contains(&format!("{cores} cores and {stacks} stacks"))
+                    && what.contains("64 cores and 4 stacks"),
+                "both shapes are named: {what}"
+            );
+        }
+        assert_eq!(format!("{:?}", sys.state()), untouched, "nothing ran");
+        // A smaller shape fits: half the cores, and a trace's (0, 0).
+        let mut half = UniformRandom::new(32, 2, 0.2, InjectionProcess::Saturation, 64, 1);
+        assert!(sys.run_until(&mut half, 0, 50).is_ok());
+        let trace = wimnet_traffic::Trace::default();
+        assert_eq!(trace.replay().shape(), (0, 0));
+        assert!(sys.run_until(&mut trace.replay(), 50, 60).is_ok());
     }
 
     #[test]

@@ -46,8 +46,15 @@ impl RoundRobin {
     /// winner.  Returns `None` when nobody requests.
     pub fn grant(&mut self, requesting: impl FnMut(usize) -> bool) -> Option<usize> {
         let winner = self.peek(requesting)?;
-        self.next = self.after(winner);
+        self.advance_past(winner);
         Some(winner)
+    }
+
+    /// Moves the rotation pointer past `winner`: the second half of
+    /// [`RoundRobin::grant`], for a caller that [`RoundRobin::peek`]ed.
+    #[inline]
+    pub(crate) fn advance_past(&mut self, winner: usize) {
+        self.next = self.after(winner);
     }
 
     /// Like [`RoundRobin::grant`] with the requesters given as a mask

@@ -420,6 +420,7 @@ struct SwitchVisit<'a> {
     links: &'a mut [Link],
     flight: &'a mut RingSlab<LinkDelivery>,
     links_mask: &'a mut [u64],
+    inj_mask: &'a mut [u64],
     radios: &'a mut [RadioTx],
     view_dirty: &'a mut [u64],
     credits: &'a mut Vec<(usize, usize, usize)>,
@@ -458,7 +459,10 @@ impl Crossbar for SwitchVisit<'_> {
             // A pop from the radio's receive port: the medium reads that
             // VC's occupancy and owner from the view.
             Upstream::Radio { radio } => set_bit(self.view_dirty, radio as usize),
-            Upstream::Local => {}
+            // A pop from the injection port is the one event that can
+            // let a sleeping injector's front flit in (phase 1 put it to
+            // sleep on a full port 0): wake it for next cycle's phase 1.
+            Upstream::Local => set_bit(self.inj_mask, self.si),
         }
         let out = &mut self.ports[self.pb + m.out_port];
         // Per-flit-hop energy is priced at read-out (`Network::meter`).
@@ -1043,7 +1047,9 @@ impl Network {
     /// # Panics
     ///
     /// Panics when any switch's `buffered` counter or ready masks
-    /// disagree with its per-VC tables.
+    /// disagree with its per-VC tables, when the radio backlog counter
+    /// has drifted, or when an endpoint with backlog is out of the
+    /// injector set although its front flit could enter.
     pub fn assert_switch_invariants(&self) {
         for sw in &self.switches {
             sw.assert_invariants();
@@ -1057,6 +1063,21 @@ impl Network {
             self.radios.iter().map(RadioTx::backlog).sum::<u64>(),
             "radio backlog counter out of sync"
         );
+        // The injector rule: an endpoint with backlog may be out of the
+        // active set only while its front flit cannot enter port 0 — a
+        // missed wake would strand its queue for the rest of the run.
+        for ni in 0..self.switches.len() {
+            if get_bit(&self.inj_mask, ni) {
+                continue;
+            }
+            if let Some(flit) = self.source_front(ni) {
+                assert_eq!(
+                    self.injection_vc(ni, flit),
+                    None,
+                    "endpoint {ni} sleeps on a flit that port 0 would take"
+                );
+            }
+        }
     }
 
     /// Flits generated but still waiting in source queues (O(1): the
@@ -1310,6 +1331,7 @@ impl Network {
             links: &mut self.links,
             flight: &mut self.flight,
             links_mask: &mut self.links_mask,
+            inj_mask: &mut self.inj_mask,
             radios: &mut self.radios,
             view_dirty: &mut self.view_dirty,
             credits: &mut self.scratch_credits,
@@ -1399,24 +1421,24 @@ impl Network {
     }
 
     /// Phase 1 of [`Network::step`]: injection over the endpoint bitset,
-    /// ascending; drained sources drop out at visit time.
+    /// ascending.  A source drops out at visit time when it has drained
+    /// or when its front flit cannot enter port 0 — a blocked injector
+    /// sleeps until [`SwitchVisit::traverse`] pops that port (nothing
+    /// else frees a slot there, and only the injector itself moves VC
+    /// ownership on it), or until [`Network::inject`] sets its bit again.
     fn pump_injection(&mut self) {
         for w in 0..self.inj_mask.len() {
             for ni in word_bits(w, self.inj_mask[w]) {
-                let Some(flit) = self.source_front(ni) else {
+                let entry = self
+                    .source_front(ni)
+                    .and_then(|flit| Some((flit, self.injection_vc(ni, flit)?)));
+                let Some((flit, vc)) = entry else {
                     clear_bit(&mut self.inj_mask, ni);
                     continue;
                 };
-                let vc = if flit.kind.is_head() {
-                    let sw = &self.switches[ni];
-                    self.inj_rr[ni].grant(|v| {
-                        sw.may_accept(0, v, flit.packet, true) && sw.input_space(0, v) > 0
-                    })
-                } else {
-                    let v = self.inj_active_vc[ni].expect("body flit has an active VC");
-                    (self.switches[ni].input_space(0, v) > 0).then_some(v)
-                };
-                let Some(vc) = vc else { continue };
+                if flit.kind.is_head() {
+                    self.inj_rr[ni].advance_past(vc);
+                }
                 self.pop_source_flit(ni);
                 self.switches[ni].deliver(0, vc, flit);
                 set_bit(&mut self.switch_mask, ni);
@@ -1424,6 +1446,24 @@ impl Network {
                 self.last_progress = self.now;
                 self.inj_active_vc[ni] = if flit.kind.is_tail() { None } else { Some(vc) };
             }
+        }
+    }
+
+    /// The port-0 VC that endpoint `ni`'s front flit `flit` can enter
+    /// now: for a head the next unowned VC with space in the endpoint's
+    /// round-robin order, for a body flit its packet's VC if that has
+    /// space.  `None` is what puts an injector to sleep, and what
+    /// [`Network::assert_switch_invariants`] holds a sleeping one to.
+    #[inline]
+    fn injection_vc(&self, ni: usize, flit: Flit) -> Option<usize> {
+        let sw = &self.switches[ni];
+        if flit.kind.is_head() {
+            self.inj_rr[ni].peek(|v| {
+                sw.may_accept(0, v, flit.packet, true) && sw.input_space(0, v) > 0
+            })
+        } else {
+            let v = self.inj_active_vc[ni].expect("body flit has an active VC");
+            (sw.input_space(0, v) > 0).then_some(v)
         }
     }
 

@@ -195,6 +195,39 @@ impl InjectionSampler {
         }
     }
 
+    /// `true` when every core fires at every cycle (saturation, a unit
+    /// rate).
+    pub(crate) fn every_core_fires(&self) -> bool {
+        match self.process {
+            InjectionProcess::Saturation => true,
+            InjectionProcess::Bernoulli { rate } => rate >= 1.0,
+        }
+    }
+
+    /// Calls `f` with every core firing at `cycle`, in increasing
+    /// order — the set [`InjectionSampler::fires_at_into`] would leave
+    /// in `scratch`, except that an every-core cycle (saturation, a
+    /// unit rate) is walked as a range and never written down.  One
+    /// loop with one call of `f`, so a workload's whole per-core body
+    /// inlines into it.
+    #[inline]
+    pub(crate) fn for_each_fire(
+        &self,
+        cycle: u64,
+        scratch: &mut Vec<usize>,
+        mut f: impl FnMut(usize),
+    ) {
+        let (all, listed): (_, &[usize]) = if self.every_core_fires() {
+            (0..self.cores, &[])
+        } else {
+            self.fires_at_into(cycle, scratch);
+            (0..0, scratch)
+        };
+        for core in all.chain(listed.iter().copied()) {
+            f(core);
+        }
+    }
+
     /// Inverts the Binomial(cores, rate) CDF at `u`; see
     /// [`binomial_inverse_cdf`].
     fn binomial_inverse_cdf(&self, u: f64) -> usize {

@@ -96,8 +96,39 @@ pub struct TrafficEvent {
 pub trait Workload {
     /// Packets to inject at cycle `now`.  Called once per cycle with
     /// strictly increasing `now` — except across a gap sanctioned by
-    /// [`Workload::next_event_at`], whose cycles may be skipped.
+    /// [`Workload::next_event_at`], whose cycles may be skipped.  The
+    /// simulation driver asks through [`Workload::generate_into`]
+    /// instead, once per cycle under the same rule.
     fn generate(&mut self, now: u64) -> Vec<TrafficEvent>;
+
+    /// [`Workload::generate`] for a caller that already knows some
+    /// sources cannot take a packet: fills `out` (cleared first) with
+    /// the events of cycle `now`, where an event whose source is
+    /// `Endpoint::Core(c)` with `full(c)` **may** be left out.  Nothing
+    /// else may change: every other event is the one `generate(now)`
+    /// returns, in the same order, and the workload ends in the state
+    /// `generate(now)` would leave it in — so a caller that refuses
+    /// full sources' events anyway (the driver's finite source queue)
+    /// sees the same run whether or not the hint is honoured.  `full`
+    /// is only asked about cores inside [`Workload::shape`].
+    ///
+    /// The default ignores the hint.  The counter-based generators
+    /// ([`UniformRandom`], [`patterns::PatternWorkload`]) honour it by
+    /// not drawing a full core's `(core, cycle)` stream at all, which
+    /// is what makes a saturated source cost nothing to generate for:
+    /// each draw is a pure function of `(seed, core, cycle)`, so a
+    /// skipped one shifts no other (`tests/demand.rs`; the contract is
+    /// in `docs/sweeps.md` beside the `next_event_at` one).
+    fn generate_into(
+        &mut self,
+        now: u64,
+        full: &dyn Fn(usize) -> bool,
+        out: &mut Vec<TrafficEvent>,
+    ) {
+        let _ = full;
+        out.clear();
+        out.extend(self.generate(now));
+    }
 
     /// Human-readable name for reports.
     fn name(&self) -> &str;

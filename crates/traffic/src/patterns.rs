@@ -154,14 +154,16 @@ impl PatternWorkload {
             name,
         }
     }
-}
 
-impl Workload for PatternWorkload {
-    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
+    /// The one generation body (see `UniformRandom::fill`): a core
+    /// `full` reports is passed over before it draws.
+    #[inline]
+    fn fill(&mut self, now: u64, full: impl Fn(usize) -> bool, out: &mut Vec<TrafficEvent>) {
         let mut fired = std::mem::take(&mut self.fired);
-        self.sampler.fires_at_into(now, &mut fired);
-        let mut events = Vec::with_capacity(fired.len());
-        for &core in &fired {
+        self.sampler.for_each_fire(now, &mut fired, |core| {
+            if full(core) {
+                return;
+            }
             // Each firing core draws destinations from its own
             // (core, cycle) stream.
             let mut rng = self.keys[core].rng(now);
@@ -173,20 +175,38 @@ impl Workload for PatternWorkload {
             } else {
                 let d = self.pattern.dest(core, self.cores, &mut rng);
                 if d == core {
-                    continue; // fixed points of the permutation stay local
+                    return; // fixed points of the permutation stay local
                 }
                 (Endpoint::Core(d), MessageKind::Oneway)
             };
-            events.push(TrafficEvent {
+            out.push(TrafficEvent {
                 cycle: now,
                 src: Endpoint::Core(core),
                 dest,
                 flits: self.packet_flits,
                 kind,
             });
-        }
+        });
         self.fired = fired;
+    }
+}
+
+impl Workload for PatternWorkload {
+    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
+        let every = if self.sampler.every_core_fires() { self.cores } else { 0 };
+        let mut events = Vec::with_capacity(every);
+        self.fill(now, |_| false, &mut events);
         events
+    }
+
+    fn generate_into(
+        &mut self,
+        now: u64,
+        full: &dyn Fn(usize) -> bool,
+        out: &mut Vec<TrafficEvent>,
+    ) {
+        out.clear();
+        self.fill(now, full, out);
     }
 
     fn name(&self) -> &str {

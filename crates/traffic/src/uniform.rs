@@ -143,7 +143,11 @@ impl UniformRandom {
     }
 
     /// Draws a destination for a packet from `src`, consuming further
-    /// draws of that `(core, cycle)` pair's counter stream.
+    /// draws of that `(core, cycle)` pair's counter stream.  Inlined by
+    /// force: `fill` is instantiated twice, and with two callers this is
+    /// otherwise a call per firing core (+20 % on a saturated
+    /// `generate`).
+    #[inline(always)]
     fn destination(&self, src: usize, rng: &mut CounterRng) -> (Endpoint, MessageKind) {
         if rng.gen::<f64>() < self.memory_fraction {
             let stack = match &self.home_stack {
@@ -167,17 +171,20 @@ impl UniformRandom {
             (Endpoint::Core(dest), MessageKind::Oneway)
         }
     }
-}
 
-impl Workload for UniformRandom {
-    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
+    /// The one generation body: the events of cycle `now` pushed onto
+    /// `out`, skipping — before any draw — the cores `full` reports.
+    #[inline]
+    fn fill(&mut self, now: u64, full: impl Fn(usize) -> bool, out: &mut Vec<TrafficEvent>) {
         // One cycle-major draw decides the firing set (a quiet cycle
         // costs a single mixer round); each firing core then draws its
-        // destination from its own (core, cycle) stream.
+        // destination from its own (core, cycle) stream, so a core that
+        // is passed over moves nobody else's draw.
         let mut fired = std::mem::take(&mut self.fired);
-        self.sampler.fires_at_into(now, &mut fired);
-        let mut events = Vec::with_capacity(fired.len());
-        for &core in &fired {
+        self.sampler.for_each_fire(now, &mut fired, |core| {
+            if full(core) {
+                return;
+            }
             let mut rng = self.keys[core].rng(now);
             let (dest, kind) = self.destination(core, &mut rng);
             let flits = if kind == MessageKind::MemoryRead {
@@ -185,16 +192,34 @@ impl Workload for UniformRandom {
             } else {
                 self.packet_flits
             };
-            events.push(TrafficEvent {
+            out.push(TrafficEvent {
                 cycle: now,
                 src: Endpoint::Core(core),
                 dest,
                 flits,
                 kind,
             });
-        }
+        });
         self.fired = fired;
+    }
+}
+
+impl Workload for UniformRandom {
+    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
+        let every = if self.sampler.every_core_fires() { self.cores } else { 0 };
+        let mut events = Vec::with_capacity(every);
+        self.fill(now, |_| false, &mut events);
         events
+    }
+
+    fn generate_into(
+        &mut self,
+        now: u64,
+        full: &dyn Fn(usize) -> bool,
+        out: &mut Vec<TrafficEvent>,
+    ) {
+        out.clear();
+        self.fill(now, full, out);
     }
 
     fn name(&self) -> &str {

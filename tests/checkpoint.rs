@@ -361,6 +361,64 @@ fn snapshots_inside_a_packet_injection_resume_exactly() {
     }
 }
 
+/// A sleeping injector is engine state a snapshot carries (its bit is
+/// clear in `inj_mask` although its lane holds flits), and an engine
+/// from before injectors slept wrote that bit set for every endpoint
+/// with backlog.  Both must restore to the same run: the stored mask
+/// only has to be a superset of the endpoints that can move, since the
+/// first phase 1 after the restore puts every blocked one back to
+/// sleep.  The snapshot is doctored through its serialised tree, at
+/// interposer saturation where most sources are blocked mid-packet.
+#[test]
+fn a_snapshot_with_every_injector_awake_resumes_exactly() {
+    use serde::{Deserialize, Serialize, Value};
+    let cfg = quick(Architecture::Interposer);
+    let make = || {
+        UniformRandom::new(
+            cfg.multichip.total_cores(),
+            cfg.multichip.num_stacks,
+            0.20,
+            InjectionProcess::Saturation,
+            cfg.packet_flits,
+            cfg.seed,
+        )
+    };
+    let mut reference = MultichipSystem::build(&cfg).unwrap();
+    let ref_outcome = reference.run(&mut make()).unwrap();
+
+    let stop = cfg.warmup_cycles + 400;
+    let mut first = MultichipSystem::build(&cfg).unwrap();
+    first.run_until(&mut make(), 0, stop).unwrap();
+    let mut root = first.snapshot().to_value();
+    let Value::Seq(switches) = value_at(&mut root, &["state", "net", "switches"]) else {
+        panic!("a sequence")
+    };
+    let endpoints = switches.len();
+    let Value::Seq(words) = value_at(&mut root, &["state", "net", "inj_mask"]) else {
+        panic!("a sequence")
+    };
+    let mut asleep = 0;
+    for (w, word) in words.iter_mut().enumerate() {
+        let valid = (w * 64..endpoints.min(w * 64 + 64)).fold(0u64, |m, i| m | 1 << (i % 64));
+        let Value::UInt(bits) = *word else { panic!("a mask word") };
+        asleep += (valid & !bits).count_ones();
+        *word = Value::UInt(valid);
+    }
+    assert!(asleep > 16, "only {asleep} injectors asleep at cycle {stop}: the case went untested");
+
+    let snapshot = wimnet::core::Snapshot::from_value(&root).expect("still parses");
+    let mut resumed = MultichipSystem::build(&cfg).unwrap();
+    resumed.restore(&snapshot).expect("restore succeeds");
+    let res_outcome = resumed.run_from(&mut make(), snapshot.cycle).unwrap();
+    assert_eq!(res_outcome, ref_outcome, "resumed RunOutcome diverged");
+    assert_eq!(
+        serde_json::to_string(&resumed.network().state()).unwrap(),
+        serde_json::to_string(&reference.network().state()).unwrap(),
+        "resumed engine state diverged"
+    );
+    resumed.network().assert_switch_invariants();
+}
+
 /// Snapshots are O(queued packets), not O(queued flits): a stack whose
 /// replies outrun its port keeps thousands of packets at the source,
 /// and every checkpoint mark serializes them.

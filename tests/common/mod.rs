@@ -154,14 +154,22 @@ pub fn run_fingerprint(config: &SystemConfig, load: InjectionProcess) -> Fingerp
 // ---------------------------------------------------------------------------
 
 /// Disables fast-forward on any workload by reporting "cannot predict".
-/// Generation is forwarded untouched, so the only difference between a
-/// wrapped and an unwrapped run is whether the driver skips idle
-/// cycles.
+/// Generation is forwarded untouched (the demand-driven form too), so
+/// the only difference between a wrapped and an unwrapped run is
+/// whether the driver skips idle cycles.
 pub struct NoFastForward<W>(pub W);
 
 impl<W: Workload> Workload for NoFastForward<W> {
     fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
         self.0.generate(now)
+    }
+    fn generate_into(
+        &mut self,
+        now: u64,
+        full: &dyn Fn(usize) -> bool,
+        out: &mut Vec<TrafficEvent>,
+    ) {
+        self.0.generate_into(now, full, out);
     }
     fn name(&self) -> &str {
         self.0.name()
@@ -171,6 +179,29 @@ impl<W: Workload> Workload for NoFastForward<W> {
     }
     fn next_event_at(&self, _now: u64) -> Option<u64> {
         None
+    }
+}
+
+/// Hides a workload's demand-driven generation: only `generate` is
+/// forwarded, so the driver's `generate_into` call lands on the trait's
+/// provided body, which ignores the full-source hint and hands over
+/// every event.  A wrapped run offers the driver everything and lets
+/// `inject_event` refuse; an unwrapped one never draws the refused
+/// events.  The two must be the same run.
+pub struct PlainGenerate<W>(pub W);
+
+impl<W: Workload> Workload for PlainGenerate<W> {
+    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
+        self.0.generate(now)
+    }
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn shape(&self) -> (usize, usize) {
+        self.0.shape()
+    }
+    fn next_event_at(&self, now: u64) -> Option<u64> {
+        self.0.next_event_at(now)
     }
 }
 

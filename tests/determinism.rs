@@ -12,11 +12,13 @@
 
 mod common;
 
-use common::{assert_ff_bit_identical, quick, run_fingerprint, NoFastForward};
+use common::{assert_ff_bit_identical, quick, run_fingerprint, NoFastForward, PlainGenerate};
 
 use wimnet::core::experiments::run_all;
 use wimnet::core::sweeps::{run_pool, ScenarioGrid};
-use wimnet::core::{Experiment, MultichipSystem, Scale, SystemConfig};
+use wimnet::core::{
+    Experiment, MacKind, MultichipSystem, Scale, SystemConfig, WirelessModel,
+};
 use wimnet::topology::Architecture;
 use wimnet::traffic::{InjectionProcess, UniformRandom};
 
@@ -494,4 +496,78 @@ fn idle_fast_forward_keeps_cycle_exact_leakage() {
         b.network().meter().total().picojoules().to_bits(),
         "leakage must be bit-identical regardless of fast-forward chunking"
     );
+}
+
+/// Demand-driven generation and sleeping injectors change what the
+/// simulator *visits*, never what it simulates.  The driver hands every
+/// workload the set of cores whose source queue is full, and
+/// `UniformRandom` answers by not drawing for them; hidden behind
+/// [`PlainGenerate`] the same workload offers every event and lets
+/// `inject_event` refuse.  Both runs must end in the same `RunOutcome`
+/// **and** the same serialised `Network::state()` — source queues,
+/// round-robin cursors and the injector bitset included — at the three
+/// saturation points, under the token MAC (where nearly every injector
+/// visit used to find its port full) and with closed-loop reads.
+///
+/// `Network::assert_switch_invariants` holds every sleeping injector
+/// to "its front flit cannot enter": debug builds sweep it every 1024
+/// driver cycles inside both runs, and it is called on the finished
+/// system here so `--release` checks it too.  Seeded mutation that rule
+/// was seen to catch: dropping the `Upstream::Local` wake in
+/// `SwitchVisit::traverse` (back to an empty arm).  The first blocked
+/// injector then never wakes; since both runs below share the engine
+/// they still agree with each other, and a source that never drains
+/// leaves nothing in flight for the stall watchdog, so the rule is what
+/// fails — at cycle 1024 here in debug, at the end of the run in
+/// release, and in seven of the eight `golden_step` chains (which call
+/// it explicitly) in both.
+#[test]
+fn demand_driven_generation_and_sleeping_injectors_are_invisible() {
+    let mut token = quick(Architecture::Wireless);
+    token.wireless = WirelessModel::SharedChannel { mac: MacKind::Token };
+    let saturated = InjectionProcess::Saturation;
+    let bernoulli = |rate| InjectionProcess::Bernoulli { rate };
+    // (name, system, memory share, injection, memory packets are reads)
+    let scenarios = [
+        ("wireless-p2p-saturation", quick(Architecture::Wireless), 0.20, saturated, false),
+        ("interposer-saturation", quick(Architecture::Interposer), 0.20, saturated, false),
+        ("substrate-saturation", quick(Architecture::Substrate), 0.20, saturated, false),
+        ("wireless-token-mac-0.002", token, 0.20, bernoulli(0.002), false),
+        ("memory-reads-0.016", quick(Architecture::Wireless), 0.90, bernoulli(0.016), true),
+    ];
+    for (what, cfg, memory, load, reads) in scenarios {
+        let workload = UniformRandom::new(
+            cfg.multichip.total_cores(),
+            cfg.multichip.num_stacks,
+            memory,
+            load,
+            cfg.packet_flits,
+            cfg.seed,
+        )
+        .with_memory_reads(if reads { 1.0 } else { 0.0 }, 8);
+        let mut hinted = MultichipSystem::build(&cfg).expect("system builds");
+        let hinted_outcome = hinted.run(&mut workload.clone()).expect("hinted run");
+        let mut plain = MultichipSystem::build(&cfg).expect("system builds");
+        let plain_outcome = plain.run(&mut PlainGenerate(workload)).expect("plain run");
+
+        assert_eq!(hinted_outcome, plain_outcome, "{what}: outcomes diverged");
+        assert_eq!(
+            serde_json::to_string(&hinted.network().state()).unwrap(),
+            serde_json::to_string(&plain.network().state()).unwrap(),
+            "{what}: engine state diverged"
+        );
+        assert!(hinted_outcome.total_packets > 0, "{what}: sanity — traffic flowed");
+        hinted.network().assert_switch_invariants();
+        if what.ends_with("saturation") {
+            // The hint was in force: sources end the run full.
+            let cap = cfg.source_queue_packets as u64 * u64::from(cfg.packet_flits);
+            let full = hinted
+                .layout()
+                .core_nodes()
+                .iter()
+                .filter(|&&n| hinted.network().source_backlog_at(n) >= cap)
+                .count();
+            assert!(full > 32, "{what}: only {full} of 64 sources ended full");
+        }
+    }
 }

@@ -16,6 +16,12 @@
 //! list.  Everything else a step touches is preallocated, the MACs'
 //! receive shadows and schedule tuples included.
 //!
+//! The driver's other per-cycle party is held to the same budget:
+//! `Workload::generate_into` into a reused buffer allocates nothing,
+//! whether every core is passed over as full (saturation, where it
+//! does not even write the firing set down) or a Bernoulli cycle draws
+//! for the few that fire.
+//!
 //! Integration tests are their own crate, which is why the allocator's
 //! `unsafe impl` can live here while every library keeps
 //! `#![forbid(unsafe_code)]`.
@@ -30,6 +36,8 @@ use wimnet::noc::network::WirelessMode;
 use wimnet::noc::{Network, NocConfig, PacketDesc, SharedMedium};
 use wimnet::routing::{Routes, RoutingPolicy};
 use wimnet::topology::{Architecture, MultichipConfig, MultichipLayout};
+use wimnet::traffic::patterns::PatternWorkload;
+use wimnet::traffic::{InjectionProcess, TrafficPattern, UniformRandom, Workload};
 use wimnet::wireless::{ChannelConfig, ControlPacketMac, ParallelMac, TokenMac};
 
 thread_local! {
@@ -179,4 +187,42 @@ fn parallel_mac_steps_do_not_allocate() {
         WirelessMode::Medium,
         Some(|c| Box::new(ParallelMac::new(c))),
     );
+}
+
+/// 1 000 cycles of demand-driven generation into one buffer sized for
+/// a cycle in which every core fires.
+fn generation_does_not_allocate(make: &dyn Fn(InjectionProcess) -> Box<dyn Workload>) {
+    let cases = [
+        ("saturation, every core full", InjectionProcess::Saturation, true),
+        ("Bernoulli 0.016, no core full", InjectionProcess::Bernoulli { rate: 0.016 }, false),
+    ];
+    for (what, injection, full) in cases {
+        let mut workload = make(injection);
+        let mut events = Vec::with_capacity(workload.shape().0);
+        let mut generated = 0;
+        let allocations = allocations_in(|| {
+            for cycle in 0..CHECKED {
+                workload.generate_into(cycle, &|_| full, &mut events);
+                generated += events.len();
+            }
+        });
+        assert_eq!(allocations, 0, "{}: {what}", workload.name());
+        // Both kinds of cycle were exercised, not skipped.
+        assert_eq!(generated == 0, full, "{}: {what}: {generated} events", workload.name());
+    }
+}
+
+#[test]
+fn uniform_random_generation_does_not_allocate() {
+    generation_does_not_allocate(&|injection| {
+        Box::new(UniformRandom::new(64, 4, 0.2, injection, PACKET_FLITS, 7))
+    });
+}
+
+#[test]
+fn pattern_generation_does_not_allocate() {
+    generation_does_not_allocate(&|injection| {
+        let pattern = TrafficPattern::Hotspot { spots: vec![5, 50], fraction: 0.3 };
+        Box::new(PatternWorkload::new(pattern, 64, 4, 0.2, injection, PACKET_FLITS, 7))
+    });
 }
