@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks of the engine's ns-scale operations: one
-//! switch visit, one meter read-out, one drained memory-controller step,
+//! switch visit (and one step of a package whose switches are all
+//! credit-blocked), one meter read-out, one drained memory-controller step,
 //! one media phase with nothing to do, one source that cannot inject
 //! (generation for a full core, phase 1 for a blocked endpoint).  Each
 //! is too short for the benchmark package (`benchmark/`, see
@@ -22,7 +23,7 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
 
 use wimnet_memory::{
     AccessKind, AddressMap, ControllerConfig, MemRequest, MemoryController, StackConfig,
@@ -133,35 +134,52 @@ fn bench_source_side(c: &mut Criterion) {
             events.len()
         })
     });
-    // A jammed 4C4M: wireless layout in medium mode with no MAC attached,
-    // every core holding 16 packets for a core on the next chip.  Nothing
-    // crosses a chip boundary, so the fabric fills and stops with all 64
-    // endpoints backlogged behind a full port-0 VC.  A step of it is
-    // phase 1 over those endpoints plus the blocked switches' no-move
-    // visits (the floor both sides of a phase-1 change share).
+    // A jammed 4C4M with every source still backlogged behind a full
+    // port-0 VC: a step of it is phase 1 over those endpoints plus the
+    // blocked switches (what `switch_visit`'s `step_all_switches_blocked`
+    // times alone).
+    let (mut net, layout) = jammed_4c4m(16, 64);
+    assert!(
+        layout.core_nodes().iter().all(|&c| net.source_backlog_at(c) > 0),
+        "every source is backlogged"
+    );
+    bench_stuck_steps(&mut g, "pump_injection_all_blocked_x1000", &mut net);
+    g.finish();
+}
+
+/// A wireless 4C4M in medium mode with no MAC attached, every core
+/// having offered `packets` packets of `flits` to a core on the next chip,
+/// 5 000 cycles in.  Nothing crosses a chip boundary, so the fabric
+/// fills and stops: every switch holding flits is out of credit toward
+/// its radio or a full neighbour.
+fn jammed_4c4m(packets: usize, flits: u32) -> (Network, MultichipLayout) {
     let layout = build_layout(Architecture::Wireless);
     let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
     let mut net = Network::new(&layout, routes, NocConfig::paper()).unwrap();
     let cores = layout.core_nodes();
     for (i, &src) in cores.iter().enumerate() {
-        for _ in 0..16 {
-            net.inject(PacketDesc::new(src, cores[(i + 16) % 64], 64, 0));
+        for _ in 0..packets {
+            net.inject(PacketDesc::new(src, cores[(i + 16) % 64], flits, 0));
         }
     }
     for _ in 0..5_000 {
         net.step();
     }
-    let jammed = (net.flits_in_flight(), net.source_backlog());
-    assert!(cores.iter().all(|&c| net.source_backlog_at(c) > 0), "every source is backlogged");
-    g.bench_function("pump_injection_all_blocked_x1000", |b| {
+    (net, layout)
+}
+
+/// Times 1 000 steps per sample of `net`, which must be stuck, as
+/// `name` in `g` (the microseconds read as ns per step).
+fn bench_stuck_steps(g: &mut BenchmarkGroup<'_>, name: &str, net: &mut Network) {
+    let stuck = (net.flits_in_flight(), net.source_backlog());
+    g.bench_function(name, |b| {
         b.iter(|| {
             for _ in 0..1_000 {
                 net.step();
             }
         })
     });
-    assert_eq!((net.flits_in_flight(), net.source_backlog()), jammed, "nothing moved");
-    g.finish();
+    assert_eq!((net.flits_in_flight(), net.source_backlog()), stuck, "nothing moved");
 }
 
 /// A 5-port × 8-VC switch (the mesh switch shape) whose port-0 input
@@ -305,6 +323,13 @@ fn bench_switch_visit(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // One step of a jammed 4C4M whose sources have all drained into the
+    // fabric (one 16-flit packet per core): every switch holding flits is
+    // credit-blocked and no injector has work, so the step is what the
+    // blocked switches cost.
+    let (mut net, _) = jammed_4c4m(1, 16);
+    assert_eq!(net.source_backlog(), 0, "every packet is in the fabric");
+    bench_stuck_steps(&mut g, "step_all_switches_blocked_x1000", &mut net);
     g.finish();
 }
 

@@ -292,7 +292,8 @@ pub struct NetworkState {
     /// set bit whose component has since quiesced is cleared at its
     /// next visit).
     pub(crate) links_mask: Vec<u64>,
-    /// Active-switch bitset.
+    /// Active-switch bitset: a clear bit is a switch no stage of which
+    /// can act ([`Switch::can_sleep`]); restore refuses any other.
     pub(crate) switch_mask: Vec<u64>,
     /// Active-injector bitset.
     pub(crate) inj_mask: Vec<u64>,
@@ -931,18 +932,33 @@ impl Network {
                 m.set_trace_enabled(true);
             }
         }
+        self.mark_sleeping_switches();
     }
 
-    /// The live telemetry sink, when enabled.
+    /// Tells the sink which switches sleep holding flits from this cycle
+    /// on — on enable and on restore, where the set changes under it.
+    fn mark_sleeping_switches(&mut self) {
+        let Some(t) = self.telemetry.as_deref_mut() else { return };
+        for (si, sw) in self.switches.iter().enumerate() {
+            let held = if get_bit(&self.switch_mask, si) { 0 } else { sw.buffered_flits() };
+            t.switch_sleeps(si, self.now, held as u64);
+        }
+    }
+
+    /// The live telemetry sink, when enabled.  The switch counters of a
+    /// switch asleep holding flits lag until its next visit or
+    /// [`Network::finish_telemetry`].
     pub fn telemetry(&self) -> Option<&NetworkTelemetry> {
         self.telemetry.as_deref()
     }
 
-    /// Flushes the open time-series bucket and drains MAC turn spans
-    /// into the trace buffer, then hands out the sink for export.
-    /// `None` when telemetry was never enabled.
+    /// Brings sleeping switches' counters up to now, flushes the open
+    /// time-series bucket and drains MAC turn spans into the trace
+    /// buffer, then hands out the sink for export.  `None` when
+    /// telemetry was never enabled.
     pub fn finish_telemetry(&mut self) -> Option<&NetworkTelemetry> {
         let t = self.telemetry.as_deref_mut()?;
+        t.settle_switches(self.now);
         t.series.finish();
         if let Some(tb) = &mut t.trace {
             for m in &mut self.media {
@@ -1047,12 +1063,19 @@ impl Network {
     /// # Panics
     ///
     /// Panics when any switch's `buffered` counter or ready masks
-    /// disagree with its per-VC tables, when the radio backlog counter
-    /// has drifted, or when an endpoint with backlog is out of the
-    /// injector set although its front flit could enter.
+    /// disagree with its per-VC tables, when a switch is out of the
+    /// switch set although a stage of it can act, when the radio
+    /// backlog counter has drifted, or when an endpoint with backlog is
+    /// out of the injector set although its front flit could enter.
     pub fn assert_switch_invariants(&self) {
-        for sw in &self.switches {
+        // The sleeping rule: a missed wake would strand the switch's
+        // flits for the rest of the run.
+        for (si, sw) in self.switches.iter().enumerate() {
             sw.assert_invariants();
+            assert!(
+                get_bit(&self.switch_mask, si) || sw.can_sleep(),
+                "switch {si} sleeps although a stage of it can act"
+            );
         }
         // The fast-forward precondition counter must track the radio
         // FIFOs exactly: a drifted counter would either pin `is_idle`
@@ -1253,10 +1276,19 @@ impl Network {
     ///
     /// The steady-state hot path is allocation-free and visits only
     /// *active* components: links carrying flits or unsaturated credit,
-    /// switches with buffered flits, endpoints with source backlog.
+    /// switches a stage of which can act, endpoints whose front flit can
+    /// enter.
     /// Quiescent components are skipped entirely — provably a no-op for
     /// each (see docs/engine.md).
     pub fn step(&mut self) {
+        self.step_observed(|_| {});
+    }
+
+    /// [`Network::step`], handing the network to `at_visits` where the
+    /// switch visits begin (after phases 0–1) — the instant telemetry's
+    /// switch counters describe, for the test that checks them.
+    #[inline(always)]
+    fn step_observed(&mut self, at_visits: impl FnOnce(&Self)) {
         let now = self.now;
 
         // Phase 0: active links accrue bandwidth and deliver due flits,
@@ -1295,15 +1327,17 @@ impl Network {
         // Phase 1: injection (one flit per endpoint per cycle).
         self.pump_injection();
 
+        at_visits(self);
         self.visit_switches(now);
         self.run_media_phase(now);
         self.land_credits();
         self.finish_cycle(now);
     }
 
-    /// Phases 2–4, one visit per switch with buffered flits: RC + VA,
+    /// Phases 2–4, one visit per switch in the active set: RC + VA,
     /// radio targets for the grants, then SA + ST with every winner
-    /// routed as it leaves.  Empty switches drop out of the bitset.
+    /// routed as it leaves.  A switch whose visit leaves no stage able
+    /// to act ([`Switch::can_sleep`]) drops out of the bitset.
     ///
     /// The shared wireless band has a global per-cycle flit budget in
     /// point-to-point mode; walking the bitset from `now % n` upward
@@ -1348,10 +1382,6 @@ impl Network {
         for (w, leg) in rotated_words(self.switch_mask.len(), offset) {
             for si in word_bits(w, self.switch_mask[w] & leg) {
                 let sw = &mut self.switches[si];
-                if sw.is_quiescent() {
-                    clear_bit(&mut self.switch_mask, si);
-                    continue;
-                }
                 let lut_row = &self.lut[si * n_switches..(si + 1) * n_switches];
                 sw.alloc_phase(now, lut_row, grants);
                 if let Some((rid, radio_port)) = self.radio_of_switch[si] {
@@ -1364,12 +1394,18 @@ impl Network {
                     }
                 }
                 if let Some(t) = &mut visit.telemetry {
-                    let sc = &mut t.switches[si];
-                    sc.active_cycles += 1;
-                    sc.occupancy_integral += sw.buffered_flits() as u64;
+                    t.switch_visited(si, now, sw.buffered_flits() as u64);
                 }
                 (visit.si, visit.pb) = (si, self.port_base[si]);
                 sw.st_visit(now, &mut band_budget, &mut visit);
+                // Nothing left able to act: out of the set until an
+                // arrival or an unblocking credit (`land_credits`).
+                if sw.can_sleep() {
+                    clear_bit(&mut self.switch_mask, si);
+                    if let Some(t) = &mut visit.telemetry {
+                        t.switch_sleeps(si, now + 1, sw.buffered_flits() as u64);
+                    }
+                }
             }
         }
         let SwitchVisit { moved, ejected, radio_queued, .. } = visit;
@@ -1401,11 +1437,15 @@ impl Network {
         self.view = view;
     }
 
-    /// Phase 6: credits land (one-cycle credit loop).
+    /// Phase 6: credits land (one-cycle credit loop).  A credit that
+    /// lets a loaded VC move again wakes its switch: apart from an
+    /// arrival, nothing else can give a sleeping switch work.
     fn land_credits(&mut self) {
         for i in 0..self.scratch_credits.len() {
             let (sw, port, vc) = self.scratch_credits[i];
-            self.switches[sw].return_credit(port, vc);
+            if self.switches[sw].return_credit(port, vc) {
+                set_bit(&mut self.switch_mask, sw);
+            }
         }
         self.scratch_credits.clear();
     }
@@ -1677,10 +1717,13 @@ impl Network {
     /// flits, a cursor at or past its packet's end, a foreign source or
     /// out-of-range destination; a partially injected entry behind a
     /// lane's front; an active VC that disagrees with the front entry's
-    /// cursor; a flit total other than `backlog_flits`), when a flit it
-    /// carries names an endpoint this network does not have, when a
-    /// switch rejects its tables ([`Switch::check_state`]), or when an
-    /// attached medium rejects its state value (MAC model mismatch).
+    /// cursor; a flit total other than `backlog_flits`), when an
+    /// active-set bitset has a bit past its component count, when a flit
+    /// it carries names an endpoint this network does not have, when a
+    /// switch rejects its tables ([`Switch::check_state`]) or is left
+    /// out of the switch set although, on its restored tables, a stage
+    /// of it can act, or when an attached medium rejects its state value
+    /// (MAC model mismatch).
     /// Shape rejection happens before any mutation, so a failed restore
     /// leaves the network untouched.
     pub fn restore_state(&mut self, s: &NetworkState) -> Result<(), serde::Error> {
@@ -1703,10 +1746,27 @@ impl Network {
         shape(self.switch_mask.len(), s.switch_mask.len(), "switch bitset width")?;
         shape(self.inj_mask.len(), s.inj_mask.len(), "injector bitset width")?;
         shape(self.inj_pending.len(), s.inj_lanes.len(), "source queue count")?;
+        for (words, n, what) in [
+            (&s.links_mask, self.links.len(), "link"),
+            (&s.switch_mask, self.switches.len(), "switch"),
+            (&s.inj_mask, self.switches.len(), "injector"),
+        ] {
+            if set_bits(words).any(|i| i >= n) {
+                return Err(serde::Error::msg(format!(
+                    "snapshot {what} bitset has a bit past its {n} components"
+                )));
+            }
+        }
         let inj_backlog = self.checked_source_backlog(s)?;
         self.check_flit_endpoints(s)?;
-        for (sw, st) in self.switches.iter().zip(&s.switches) {
+        for (si, (sw, st)) in self.switches.iter().zip(&s.switches).enumerate() {
             sw.check_state(st)?;
+            // Nothing wakes a switch that can act: it would be stranded.
+            if !get_bit(&s.switch_mask, si) && !sw.would_sleep(st) {
+                return Err(serde::Error::msg(format!(
+                    "snapshot leaves switch {si} asleep although a stage of it can act"
+                )));
+            }
         }
         // Media first: a MAC-model mismatch must fail before any part of
         // the network is mutated, so a failed restore leaves the freshly
@@ -1747,6 +1807,7 @@ impl Network {
         self.switch_mask.copy_from_slice(&s.switch_mask);
         self.inj_mask.copy_from_slice(&s.inj_mask);
         self.view_dirty = all_set(self.radios.len());
+        self.mark_sleeping_switches();
         Ok(())
     }
 
@@ -2329,6 +2390,77 @@ mod tests {
         }
     }
 
+    /// The active-set bitsets are snapshot bytes too.  A switch left
+    /// asleep although its restored tables let a stage act would never
+    /// be visited again, and a bit past a set's component count would be
+    /// walked as a component index: both are typed errors on an
+    /// untouched network.  A switch asleep on flits it cannot move is
+    /// what this engine writes and restores; every switch awake is what
+    /// an engine without sleeping switches wrote, and resumes to the
+    /// same run.
+    #[test]
+    fn restore_refuses_a_stranded_switch_and_stray_bitset_bits() {
+        let (layout, mut net) = build(Architecture::Substrate);
+        let cores = layout.core_nodes();
+        for k in 0..32 {
+            net.inject(PacketDesc::new(cores[k + 1], cores[0], 64, 0));
+        }
+        net.run_for(150);
+        let good = net.state();
+        let n = net.switches.len();
+        let can_act = (0..n)
+            .find(|&si| !net.switches[si].can_sleep())
+            .expect("a hot spot 150 cycles in has a switch that can act");
+        assert!(
+            (0..n).any(|si| !get_bit(&good.switch_mask, si) && net.switches[si].buffered_flits() > 0),
+            "no loaded switch asleep at the cut: the restore of a sleeper went untested"
+        );
+        // A bit in the last word's top position, past every count here.
+        fn stray(words: &mut [u64], n: usize) {
+            let bit = words.len() * 64 - 1;
+            assert!(bit >= n, "{n} components fill their words");
+            set_bit(words, bit);
+        }
+        type Doctor = fn(&mut NetworkState, usize);
+        let cases: [(&str, Doctor); 4] = [
+            ("leaves switch", |s, si| clear_bit(&mut s.switch_mask, si)),
+            ("switch bitset has a bit past its 68 components", |s, _| {
+                stray(&mut s.switch_mask, 68);
+            }),
+            ("injector bitset has a bit past its 68 components", |s, _| {
+                stray(&mut s.inj_mask, 68);
+            }),
+            ("link bitset has a bit past", |s, _| {
+                let links = s.link_credits.len();
+                stray(&mut s.links_mask, links);
+            }),
+        ];
+        let pristine = format!("{:?}", build(Architecture::Substrate).1.state());
+        for (reason, doctor) in cases {
+            let mut bad = good.clone();
+            doctor(&mut bad, can_act);
+            let (_, mut target) = build(Architecture::Substrate);
+            let err = target.restore_state(&bad).expect_err(reason);
+            assert!(err.0.contains(reason), "expected `{reason}`, got `{err}`");
+            assert_eq!(format!("{:?}", target.state()), pristine, "{reason}: state mutated");
+        }
+
+        // As written, and as an engine without sleeping switches wrote it.
+        for switch_mask in [good.switch_mask.clone(), all_set(n)] {
+            let (_, mut target) = build(Architecture::Substrate);
+            target.restore_state(&NetworkState { switch_mask, ..good.clone() }).expect("restores");
+            target.assert_switch_invariants();
+            let (_, mut reference) = build(Architecture::Substrate);
+            reference.restore_state(&good).unwrap();
+            for _ in 0..400 {
+                target.step();
+                reference.step();
+            }
+            assert_eq!(target.drain_arrivals(), reference.drain_arrivals());
+            assert_eq!(format!("{:?}", target.state()), format!("{:?}", reference.state()));
+        }
+    }
+
     /// `restore_state` starts from the built state: whatever the target
     /// held that the snapshot does not list is gone afterwards.
     #[test]
@@ -2338,6 +2470,100 @@ mod tests {
         loaded.restore_state(&fresh.state()).unwrap();
         assert_eq!(format!("{:?}", loaded.state()), format!("{:?}", fresh.state()));
         loaded.assert_switch_invariants();
+    }
+
+    /// A serialised channel passed by token, the shape of the shipped
+    /// token MAC (which this crate's unit tests cannot attach: it
+    /// implements the trait of the non-test build): the holder sends one
+    /// flit per cycle while its target admits one, else the token moves
+    /// on.
+    struct TokenRing(usize);
+
+    impl SharedMedium for TokenRing {
+        fn step(&mut self, _now: u64, view: &MediumView, actions: &mut MediumActions) {
+            let radio = &view.radios()[self.0];
+            for (tx_vc, tx) in radio.tx.iter().enumerate() {
+                let Some((flit, target)) = tx.front else { continue };
+                if let Some(rx_vc) = view.rx_admission(target, flit.packet, flit.kind.is_head()) {
+                    actions.transmit(radio.id, tx_vc, rx_vc);
+                    return;
+                }
+            }
+            self.0 = (self.0 + 1) % view.len();
+        }
+    }
+
+    /// Telemetry's switch counters against an independent count: every
+    /// switch's `buffered_flits()` sampled where the switch visits of
+    /// each cycle begin, summed over the run, at interposer saturation
+    /// and with the token ring backing the wireless band up.  Telemetry
+    /// joins each run loaded, with switches already asleep, and is read
+    /// out twice, mid-run and at the end; both read-outs equal the
+    /// samples exactly, switch by switch.
+    ///
+    /// Seeded mutation this was seen to catch: counting per visit only
+    /// (`switch_sleeps` a no-op, as a prototype of the sleeping switch
+    /// did silently) — both counters fall short on most switches.
+    #[test]
+    fn switch_counters_equal_the_occupancy_sampled_where_the_visits_begin() {
+        for arch in [Architecture::Interposer, Architecture::Wireless] {
+            let (layout, mut net) = build_with(arch, RoutingPolicy::shortest_path());
+            if arch == Architecture::Wireless {
+                net.attach_medium(Box::new(TokenRing(0)));
+            }
+            let endpoints: Vec<_> =
+                layout.core_nodes().iter().chain(layout.memory_nodes()).copied().collect();
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+            // Every core whose queue is short gets a packet: saturation.
+            let mut offer = |net: &mut Network| {
+                for &src in layout.core_nodes() {
+                    if net.source_backlog_at(src) < 16 {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        let dst = endpoints[(rng % endpoints.len() as u64) as usize];
+                        if dst != src {
+                            net.inject(PacketDesc::new(src, dst, 16, net.now()));
+                        }
+                    }
+                }
+            };
+            for _ in 0..300 {
+                offer(&mut net);
+                net.step();
+            }
+            net.enable_telemetry(1 << 20, false);
+            let mut sampled = vec![(0u64, 0u64); net.switches.len()];
+            let mut slept_loaded = 0u64;
+            let check = |net: &mut Network, sampled: &[(u64, u64)], when: &str| {
+                let t = net.finish_telemetry().expect("telemetry is on");
+                let read: Vec<_> =
+                    t.switches.iter().map(|c| (c.active_cycles, c.occupancy_integral)).collect();
+                assert_eq!(read, sampled, "{arch}, {when}");
+            };
+            for cycle in 0..1_500 {
+                offer(&mut net);
+                net.step_observed(|net| {
+                    for (si, sw) in net.switches.iter().enumerate() {
+                        let held = sw.buffered_flits() as u64;
+                        if held > 0 {
+                            sampled[si].0 += 1;
+                            sampled[si].1 += held;
+                            slept_loaded += u64::from(!get_bit(&net.switch_mask, si));
+                        }
+                    }
+                });
+                if cycle == 700 {
+                    check(&mut net, &sampled, "mid-run");
+                }
+            }
+            check(&mut net, &sampled, "at the end");
+            let loaded: u64 = sampled.iter().map(|s| s.0).sum();
+            assert!(
+                slept_loaded * 10 > loaded,
+                "{arch}: only {slept_loaded} of {loaded} loaded switch-cycles asleep"
+            );
+        }
     }
 
     #[test]

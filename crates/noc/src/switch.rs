@@ -265,8 +265,8 @@ pub struct Switch {
     masks: Masks,
     /// The `ready_at` of the VCs in `masks.fresh`.
     fresh_until: u64,
-    /// Total flits across all input VCs, maintained incrementally so the
-    /// engine's active-set check is O(1).
+    /// Total flits across all input VCs, maintained incrementally so
+    /// telemetry's occupancy reads it in O(1).
     buffered: usize,
     /// One record per output VC (`port * vcs + vc`; input and output
     /// VCs share the layout).
@@ -377,17 +377,24 @@ impl Switch {
     }
 
     /// Returns a credit to an output port VC (downstream freed a slot).
-    pub fn return_credit(&mut self, port: usize, vc: usize) {
+    /// `true` when the credit lets a VC that holds a flit move again
+    /// (0 → 1 cleared the `blocked` bit of a loaded holder): the one
+    /// event besides an arrival that can wake a sleeping switch (see
+    /// [`Switch::can_sleep`]).
+    pub fn return_credit(&mut self, port: usize, vc: usize) -> bool {
         let out = &mut self.out_vcs[port * self.inputs.vcs() + vc];
         if out.sink {
-            return;
+            return false;
         }
         out.credit += 1;
         if out.credit == 1 {
             if let Some(holder) = out.holder {
-                self.masks.blocked &= !(1u128 << holder);
+                let bit = 1u128 << holder;
+                self.masks.blocked &= !bit;
+                return self.masks.nonempty & bit != 0;
             }
         }
+        false
     }
 
     /// Remaining credit of an output VC.
@@ -408,12 +415,43 @@ impl Switch {
         self.buffered
     }
 
-    /// `true` when the switch has nothing to do this cycle: no buffered
-    /// flits means RC finds no fronts, VA sees no requests and SA moves
-    /// nothing, so `alloc_phase`/`st_phase` are provable no-ops (arbiters
-    /// included — failed arbitrations never advance their pointers).
-    pub fn is_quiescent(&self) -> bool {
-        self.buffered == 0
+    /// The sleep verdict: `true` when no stage of the switch can act
+    /// until a flit arrives or [`Switch::return_credit`] reports an
+    /// unblocked VC — no nonempty VC waits for RC, every Active VC
+    /// holding a flit is `blocked`, and no Routed VC's output port has a
+    /// free output VC.  Then a visit is a provable no-op: RC finds no
+    /// idle front, VA's loop never runs without a free output VC, SA's
+    /// ready set is empty, failed arbitrations never move a pointer, and
+    /// the one write left (VA resetting a `fresh` mask whose cycle has
+    /// passed) is one SA never reads.  An empty switch is the trivial
+    /// case.
+    pub fn can_sleep(&self) -> bool {
+        let m = &self.masks;
+        // `blocked` is a subset of `active`: this is the idle fronts and
+        // the Active VCs with a flit and credit.
+        if m.nonempty & !(m.routed | m.blocked) != 0 {
+            return false;
+        }
+        if m.routed == 0 {
+            return true;
+        }
+        let vcs = self.inputs.vcs();
+        let port_span = !0u128 >> (128 - vcs);
+        !self.ports.iter().enumerate().any(|(out_port, port)| {
+            m.routed & port.to_port != 0 && m.free_out & (port_span << (out_port * vcs)) != 0
+        })
+    }
+
+    /// [`Switch::can_sleep`] of the switch `s` restores to, judged on a
+    /// copy so this one is untouched; `s` must have passed
+    /// [`Switch::check_state`].
+    pub(crate) fn would_sleep(&self, s: &SwitchState) -> bool {
+        if s.vcs.is_empty() {
+            return true;
+        }
+        let mut probe = self.clone();
+        probe.apply_state(s);
+        probe.can_sleep()
     }
 
     /// Free space of an input VC — used by injection and radio admission.

@@ -9,8 +9,21 @@
 //! tables and demands equality with the incrementally kept copy.  The
 //! phases' own debug assertions check mask eligibility against
 //! `ready_at` on the way.
+//!
+//! After every operation the sleep verdict is held to its definition
+//! and to what the engine relies on it for:
+//!
+//! * **(a)** [`Switch::can_sleep`] equals the verdict read off the
+//!   serialised [`Switch::state`] tables alone (no idle VC with a flit,
+//!   no Active VC with a flit and credit, no Routed VC whose port has an
+//!   unowned output VC);
+//! * **(b)** a visit to a switch whose verdict is true is a no-op under
+//!   every link allowance, band flag and band budget tried: no grants,
+//!   no moves, the budget untouched and `state()` unchanged — so
+//!   skipping it is unobservable.
 
 use proptest::prelude::*;
+use serde::{Serialize, Value};
 
 use wimnet_noc::switch::{OutPortSpec, RouteEntry, Switch};
 use wimnet_noc::{Flit, PacketId};
@@ -38,6 +51,67 @@ fn fresh_switch() -> Switch {
 /// Destination `d` leaves through port `d`.
 fn lut() -> Vec<RouteEntry> {
     (0..PORTS).map(|d| RouteEntry { port: d, next: NodeId(d) }).collect()
+}
+
+/// The sleep verdict by brute force over the serialised snapshot
+/// tables: `true` unless some listed input VC could act next cycle.
+fn sleeps_by_the_tables(sw: &Switch) -> bool {
+    let tree = sw.state().to_value();
+    let uint = |v: Option<&Value>| match v {
+        Some(Value::UInt(u)) => *u as usize,
+        other => panic!("expected an unsigned integer, got {other:?}"),
+    };
+    let rows = |key: &str| -> Vec<(usize, &Value)> {
+        let Some(Value::Seq(rows)) = tree.get(key) else { panic!("`{key}` is a sequence") };
+        rows.iter()
+            .map(|row| match row {
+                Value::Seq(pair) => (uint(pair.first()), &pair[1]),
+                other => panic!("a row is a pair, got {other:?}"),
+            })
+            .collect()
+    };
+    let credits = rows("credits");
+    let owned: Vec<usize> = rows("out_owner").iter().map(|&(flat, _)| flat).collect();
+    let may_send = |port: usize, out_vc: usize| {
+        let out_flat = port * VCS + out_vc;
+        let built = specs()[port].credit as usize;
+        let credit =
+            credits.iter().find(|&&(f, _)| f == out_flat).map_or(built, |&(_, c)| uint(Some(c)));
+        specs()[port].is_sink || credit > 0
+    };
+    !rows("vcs").iter().any(|&(_, vc)| {
+        let loaded = !matches!(vc.get("runs"), Some(Value::Seq(runs)) if runs.is_empty());
+        let stage = vc.get("stage").expect("a VC has a stage");
+        if let Some(routed) = stage.get("Routed") {
+            let port = uint(routed.get("out_port"));
+            (0..VCS).any(|v| !owned.contains(&(port * VCS + v)))
+        } else if let Some(active) = stage.get("Active") {
+            loaded && may_send(uint(active.get("out_port")), uint(active.get("out_vc")))
+        } else {
+            assert_eq!(stage, &Value::Str("Idle".into()));
+            loaded
+        }
+    })
+}
+
+/// Panics unless a visit to `sw` in cycle `now` changes nothing, under
+/// every combination of link allowance, band flags and band budget.
+fn assert_visit_is_a_no_op(sw: &Switch, now: u64, lut: &[RouteEntry]) {
+    let before = sw.state();
+    let (mut grants, mut moves) = (Vec::new(), Vec::new());
+    for avail in [0, 1, u32::MAX] {
+        for on_band in [false, true] {
+            for budget in [0, 1, u32::MAX] {
+                let mut probe = sw.clone();
+                let mut left = budget;
+                probe.alloc_phase(now, lut, &mut grants);
+                probe.st_phase(now, |_| avail, &[on_band; PORTS], &mut left, &mut moves);
+                assert!(grants.is_empty() && moves.is_empty(), "a sleeping switch acted");
+                assert_eq!(left, budget, "a sleeping switch spent band budget");
+                assert_eq!(probe.state(), before, "a sleeping switch's visit changed its state");
+            }
+        }
+    }
 }
 
 /// The packet an input VC is in the middle of receiving.
@@ -130,7 +204,14 @@ proptest! {
                         continue;
                     }
                     owed[target] -= 1;
-                    sw.return_credit(port, vc);
+                    // The one wake a credit owes: exactly when it turns a
+                    // sleeping switch into one that can act.
+                    let slept = sw.can_sleep();
+                    let woke = sw.return_credit(port, vc);
+                    prop_assert!(!woke || !sw.can_sleep(), "a wake for a switch that still sleeps");
+                    if slept {
+                        prop_assert_eq!(woke, !sw.can_sleep(), "a credit woke the switch silently");
+                    }
                 }
                 // Snapshot round trip between cycles.
                 _ => {
@@ -140,6 +221,10 @@ proptest! {
                 }
             }
             sw.assert_invariants();
+            prop_assert_eq!(sw.can_sleep(), sleeps_by_the_tables(&sw));
+            if sw.can_sleep() {
+                assert_visit_is_a_no_op(&sw, now, &lut);
+            }
         }
     }
 }

@@ -33,7 +33,11 @@ pub struct LinkCounters {
 pub struct SwitchCounters {
     /// ST-stage grants won (one per flit movement).
     pub grants: u64,
-    /// Cycles the switch held at least one buffered flit.
+    /// Cycles the switch held at least one buffered flit when the switch
+    /// visits of the cycle began.  A switch the engine has put to sleep
+    /// holds the same flits until its next visit (every arrival wakes
+    /// it), so its skipped cycles are added in closed form then, and at
+    /// read-out ([`NetworkTelemetry::settle_switches`]).
     pub active_cycles: u64,
     /// Sum of buffered flits over active cycles — divide by
     /// `active_cycles` for mean VC occupancy while loaded.
@@ -122,6 +126,9 @@ pub struct NetworkTelemetry {
     pub series: TimeSeries,
     /// Hop/turn recording, when tracing was requested.
     pub trace: Option<TraceBuffer>,
+    /// Per switch asleep holding flits: the first cycle not yet counted
+    /// and the flits it holds, constant until its next visit.
+    asleep: Vec<Option<(u64, u64)>>,
 }
 
 impl NetworkTelemetry {
@@ -134,6 +141,48 @@ impl NetworkTelemetry {
             switches: vec![SwitchCounters::default(); switches],
             series: TimeSeries::new(interval),
             trace: trace.then(TraceBuffer::default),
+            asleep: vec![None; switches],
+        }
+    }
+
+    /// Counts switch `si`'s visit in cycle `now`, holding `buffered`
+    /// flits, after the cycles it slept through.
+    #[inline]
+    pub fn switch_visited(&mut self, si: usize, now: u64, buffered: u64) {
+        self.settle_switch(si, now);
+        if buffered > 0 {
+            let sc = &mut self.switches[si];
+            sc.active_cycles += 1;
+            sc.occupancy_integral += buffered;
+        }
+    }
+
+    /// Switch `si` is skipped from cycle `from` on, holding `buffered`
+    /// flits until its next visit.
+    #[inline]
+    pub fn switch_sleeps(&mut self, si: usize, from: u64, buffered: u64) {
+        self.asleep[si] = (buffered > 0).then_some((from, buffered));
+    }
+
+    /// Brings every sleeping switch's counters up to cycle `now`: the
+    /// read-out half of the closed form (idempotent).
+    pub fn settle_switches(&mut self, now: u64) {
+        for si in 0..self.asleep.len() {
+            if let Some((_, buffered)) = self.asleep[si] {
+                self.settle_switch(si, now);
+                self.asleep[si] = Some((now, buffered));
+            }
+        }
+    }
+
+    /// Adds the cycles switch `si` slept through before `now` and
+    /// forgets its mark.
+    #[inline]
+    fn settle_switch(&mut self, si: usize, now: u64) {
+        if let Some((from, buffered)) = self.asleep[si].take() {
+            let sc = &mut self.switches[si];
+            sc.active_cycles += now - from;
+            sc.occupancy_integral += (now - from) * buffered;
         }
     }
 
@@ -165,6 +214,25 @@ mod tests {
         assert_eq!(t.switches.len(), 5);
         assert!(t.trace.is_none());
         assert_eq!(t.series.interval(), 64);
+    }
+
+    #[test]
+    fn a_sleeping_switch_counts_its_skipped_cycles_in_closed_form() {
+        let mut t = NetworkTelemetry::new(0, 2, 64, false);
+        // Visited in cycle 10 with 3 flits, asleep from 11, read out at
+        // 15 (twice), visited again in 20 with 5.
+        t.switch_visited(0, 10, 3);
+        t.switch_sleeps(0, 11, 3);
+        t.switch_sleeps(1, 11, 0);
+        t.settle_switches(15);
+        t.settle_switches(15);
+        assert_eq!((t.switches[0].active_cycles, t.switches[0].occupancy_integral), (5, 15));
+        t.switch_visited(0, 20, 5);
+        assert_eq!((t.switches[0].active_cycles, t.switches[0].occupancy_integral), (11, 35));
+        // An empty switch asleep counts nothing.
+        t.settle_switches(30);
+        assert_eq!(t.switches[1], SwitchCounters::default());
+        assert_eq!(t.switches[0].active_cycles, 11);
     }
 
     #[test]
