@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the engine's ns-scale operations: one
 //! switch visit (and one step of a package whose switches are all
 //! credit-blocked), one meter read-out, one drained memory-controller step,
-//! one media phase with nothing to do, one source that cannot inject
+//! one media phase with nothing to do, one `ParallelMac` step with one
+//! radio of eight holding flits, one source that cannot inject
 //! (generation for a full core, phase 1 for a blocked endpoint).  Each
 //! is too short for the benchmark package (`benchmark/`, see
 //! `BENCHMARK.json`) to time in isolation, so they are timed here in
@@ -28,12 +29,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Crit
 use wimnet_memory::{
     AccessKind, AddressMap, ControllerConfig, MemRequest, MemoryController, StackConfig,
 };
+use wimnet_noc::radio::{MediumActions, MediumView, RadioId, RadioView, RxVcView, TxVcView};
 use wimnet_noc::switch::{OutPortSpec, RouteEntry, Switch};
-use wimnet_noc::{Flit, FlitKind, Network, NocConfig, PacketDesc, PacketId};
+use wimnet_noc::{Flit, FlitKind, Network, NocConfig, PacketDesc, PacketId, SharedMedium};
 use wimnet_routing::{Routes, RoutingPolicy};
 use wimnet_topology::{Architecture, MultichipConfig, MultichipLayout, NodeId};
 use wimnet_traffic::{InjectionProcess, UniformRandom, Workload};
-use wimnet_wireless::{ChannelConfig, TokenMac};
+use wimnet_wireless::{ChannelConfig, ParallelMac, TokenMac};
 
 fn build_layout(arch: Architecture) -> MultichipLayout {
     MultichipLayout::build(&MultichipConfig::xcym(4, 4, arch)).expect("layout")
@@ -91,8 +93,8 @@ fn bench_controller_step_drained(c: &mut Criterion) {
 fn bench_media_phase_unchanged(c: &mut Criterion) {
     // One `Network::step` of an empty wireless 4C4M with the token MAC
     // attached: links saturated, no switch or injector active, so the
-    // step is the media phase — bring the view up to date (no radio
-    // changed) and run a MAC cycle that passes the token.  This is the
+    // step is the media phase — a MAC cycle that reads the view as it
+    // stands (no radio changed) and passes the token.  This is the
     // stepped cycle a low-duty-cycle run pays between packets.
     let layout = build_layout(Architecture::Wireless);
     let routes = Routes::build(layout.graph(), RoutingPolicy::default()).unwrap();
@@ -110,6 +112,43 @@ fn bench_media_phase_unchanged(c: &mut Criterion) {
             }
         })
     });
+    g.finish();
+}
+
+fn bench_parallel_mac_step(c: &mut Criterion) {
+    // One `ParallelMac::step` over the eight radios of a wireless 4C4M
+    // (8 TX and 8 RX VCs each): radio 0 streams the body flits of a long
+    // packet to radio 1, which admits them, and the other seven hold
+    // nothing — the figures' medium on a lightly loaded cycle.  The view
+    // is fixed, so the stream never ends; each sample's 1 000 steps
+    // write into one fresh action list.
+    let idle = |id: usize| RadioView {
+        id: RadioId(id),
+        node: NodeId(id),
+        tx: vec![TxVcView { front: None, len: 0, front_run_len: 0, front_run_has_tail: false }; 8],
+        rx: vec![RxVcView { owner: None, len: 0, capacity: 16 }; 8],
+    };
+    let mut radios: Vec<_> = (0..8).map(idle).collect();
+    let body = Flit { kind: FlitKind::Body, ..stream_flit(0, 1) };
+    radios[0].tx[0] =
+        TxVcView { front: Some((body, RadioId(1))), len: 16, front_run_len: 16, front_run_has_tail: false };
+    radios[1].rx[0].owner = Some(body.packet);
+    let view = MediumView::new(radios);
+    let mut mac = ParallelMac::new(ChannelConfig::paper(8));
+    let mut now = 0u64;
+    let mut g = c.benchmark_group("parallel_mac_step");
+    // 1 000 steps per sample: µs per sample reads as ns per step.
+    g.bench_function("one_streaming_seven_idle_x1000", |b| {
+        b.iter(|| {
+            let mut actions = MediumActions::new();
+            for _ in 0..1_000 {
+                now += 1;
+                mac.step(now, std::hint::black_box(&view), &mut actions);
+            }
+            actions.len()
+        })
+    });
+    assert_eq!(mac.stats().data_flits, now, "one flit per step");
     g.finish();
 }
 
@@ -339,6 +378,7 @@ criterion_group!(
     bench_meter_readout,
     bench_controller_step_drained,
     bench_media_phase_unchanged,
+    bench_parallel_mac_step,
     bench_source_side
 );
 criterion_main!(benches);

@@ -363,8 +363,8 @@ fn main() {
             // network drains between reads, so the before block pays
             // per-cycle stepping through every DRAM service gap and
             // the after block jumps them.  On the parallel-links
-            // medium each skipped cycle also saves the per-cycle view
-            // refresh + MAC step (same regime as app_workload_ff); on
+            // medium each skipped cycle also saves the per-cycle MAC
+            // step (same regime as app_workload_ff); on
             // wired paths active-set stepping already made the gaps
             // near-free.
             let mut config = SystemConfig::xcym(4, 4, Architecture::Wireless);
@@ -409,7 +409,7 @@ fn main() {
         ("app_workload_ff", Box::new(|no_ff| {
             // Four seeds summed, on the parallel-links medium (the
             // §IV-adjacent wireless model, where every idle cycle
-            // otherwise pays view refresh + MAC stepping): the
+            // otherwise pays a MAC step): the
             // event-indexed AppWorkload schedule makes quiet compute
             // phases skip in O(events).
             let mut wall = 0.0;
@@ -609,7 +609,7 @@ fn main() {
          medium: AppWorkload's event-indexed phase/fire schedules (GeometricGaps per \
          phase segment) give an exact next_event_at, so the ~40-50% of cycles that \
          are compute-phase idle skip in O(events) — and each skipped cycle saves \
-         the per-cycle medium view refresh + MAC step; on the wired point-to-point \
+         the per-cycle MAC step; on the wired point-to-point \
          path (app_blackscholes) active-set stepping already made idle cycles \
          near-free, so the same skip is wall-clock neutral there\",\n",
     );
@@ -630,7 +630,7 @@ fn main() {
          machines, FR-FCFS) and answered with a data reply.  The network drains \
          between reads, so the before block steps through every DRAM service gap \
          while the after block jumps to the controllers' exact next_event_at \
-         (docs/memory.md), saving the per-cycle medium view refresh along the way\",\n",
+         (docs/memory.md), saving the per-cycle MAC step along the way\",\n",
     );
     json.push_str(
         "    \"telemetry_overhead\": \"before = telemetry off, after = per-component \

@@ -837,8 +837,8 @@ impl MultichipSystem {
         }
         // Debug builds periodically sweep the switches' slab
         // bookkeeping invariants (buffered counter and ready masks vs
-        // slab occupancy) and the media's incremental view, so a
-        // drifting counter or a missed dirty mark fails the nearest
+        // slab occupancy) and the media's written-through view, so a
+        // drifting counter or a missed view write fails the nearest
         // test instead of corrupting a long run silently.
         #[cfg(debug_assertions)]
         if cycle.is_multiple_of(1024) {

@@ -384,16 +384,13 @@ pub struct Network {
     // no heap allocations.
     scratch_grants: Vec<VaGrant>,
     scratch_credits: Vec<(usize, usize, usize)>,
-    /// What the shared media see of every radio, kept for the whole run
-    /// and refreshed only where it changed: `view_dirty` has a bit per
-    /// radio, set at the three sites that touch a radio's TX FIFOs or
-    /// RX VCs (the radio push and the radio-port pop in
-    /// `SwitchVisit::traverse`, `MediumAction::Transmit`) and on
-    /// restore, cleared by
-    /// `refresh_view`.  A radio whose bit is clear views exactly as a
-    /// rebuild would (`Network::assert_medium_view_invariant`).
+    /// What the shared media see of every radio, built whole on
+    /// construction and restore and written through at the four sites
+    /// that change a radio: the TX push and the radio-port pop in
+    /// `SwitchVisit::traverse`, the TX pop and the RX delivery of
+    /// `MediumAction::Transmit`.  Every radio views exactly as a rebuild
+    /// would (`Network::assert_medium_view_invariant`).
     view: MediumView,
-    view_dirty: Vec<u64>,
     /// Reusable MAC action list (cleared per medium per cycle).
     scratch_actions: MediumActions,
     /// Optional observability sink (`docs/observability.md`).  The
@@ -423,7 +420,7 @@ struct SwitchVisit<'a> {
     links_mask: &'a mut [u64],
     inj_mask: &'a mut [u64],
     radios: &'a mut [RadioTx],
-    view_dirty: &'a mut [u64],
+    view: &'a mut MediumView,
     credits: &'a mut Vec<(usize, usize, usize)>,
     reassembler: &'a mut Reassembler,
     stats: &'a mut NetworkStats,
@@ -458,8 +455,8 @@ impl Crossbar for SwitchVisit<'_> {
                 self.credits.push((switch as usize, port as usize, m.in_vc));
             }
             // A pop from the radio's receive port: the medium reads that
-            // VC's occupancy and owner from the view.
-            Upstream::Radio { radio } => set_bit(self.view_dirty, radio as usize),
+            // VC's occupancy from the view (a pop leaves the owner).
+            Upstream::Radio { radio } => self.view.rx_popped(radio as usize, m.in_vc),
             // A pop from the injection port is the one event that can
             // let a sleeping injector's front flit in (phase 1 put it to
             // sleep on a full port 0): wake it for next cycle's phase 1.
@@ -495,8 +492,7 @@ impl Crossbar for SwitchVisit<'_> {
                     tx.free_space(m.out_vc) > 0,
                     "radio TX overflow: credit protocol violated"
                 );
-                tx.fifo.push_back(m.out_vc, (m.flit, target));
-                set_bit(self.view_dirty, radio as usize);
+                tx.push(m.out_vc, (m.flit, target), self.view, radio as usize);
                 self.radio_queued += 1;
             }
             Downstream::Wired { link, .. } => {
@@ -846,24 +842,10 @@ impl Network {
         // warms up; they drop out once saturated.  Switches and
         // injectors start empty.
         let links_mask = all_set(links.len());
-        // The media's view starts as empty per-radio entries, all marked
-        // dirty: the first refresh fills them.
-        let view = MediumView::new(
-            radios
-                .iter()
-                .enumerate()
-                .map(|(i, radio)| RadioView {
-                    id: RadioId(i),
-                    node: radio.node,
-                    tx: Vec::with_capacity(radio.fifo.lanes()),
-                    rx: Vec::with_capacity(cfg.vcs),
-                })
-                .collect(),
-        );
         // An endpoint's ejection port holds at most one packet per
         // output VC between its head and its tail.
         let reassembler = Reassembler::with_capacity(n * cfg.vcs);
-        Ok(Network {
+        let mut net = Network {
             inj_pending: vec![VecDeque::new(); n],
             inj_backlog: vec![0; n],
             flight: RingSlab::with_capacities(&flight_caps, fill_delivery),
@@ -876,8 +858,7 @@ impl Network {
             inj_mask: vec![0u64; words_for(n)],
             scratch_grants: Vec::new(),
             scratch_credits: Vec::new(),
-            view,
-            view_dirty: all_set(radios.len()),
+            view: MediumView::default(),
             scratch_actions: MediumActions::new(),
             switches,
             lut: lut.into_boxed_slice(),
@@ -904,10 +885,16 @@ impl Network {
             ff_cycles: 0,
             last_progress: 0,
             telemetry: None,
-        })
+        };
+        net.view = net.build_view();
+        Ok(net)
     }
 
-    /// Attaches a shared medium (the wireless channel + MAC).
+    /// Attaches a shared medium (the wireless channel + MAC).  Media
+    /// step in attachment order within the media phase, and the view is
+    /// written through as each one's actions apply, so a later medium
+    /// sees the earlier ones' transmits of the same cycle (no shipped
+    /// configuration attaches more than one).
     pub fn attach_medium(&mut self, medium: Box<dyn SharedMedium>) {
         self.media.push(medium);
     }
@@ -1367,7 +1354,7 @@ impl Network {
             links_mask: &mut self.links_mask,
             inj_mask: &mut self.inj_mask,
             radios: &mut self.radios,
-            view_dirty: &mut self.view_dirty,
+            view: &mut self.view,
             credits: &mut self.scratch_credits,
             reassembler: &mut self.reassembler,
             stats: &mut self.stats,
@@ -1417,24 +1404,23 @@ impl Network {
     }
 
     /// Phase 5: shared media (wireless channel + MAC).  The view is
-    /// brought up to date where it changed since the last cycle; the
-    /// action list is per-run scratch, cleared in place.
+    /// already current — every change to a radio wrote through to it —
+    /// so the media read it as it stands; the action list is per-run
+    /// scratch, cleared in place.
     fn run_media_phase(&mut self, now: u64) {
         if self.media.is_empty() {
             return;
         }
-        let mut view = std::mem::take(&mut self.view);
-        self.refresh_view(&mut view);
+        debug_assert_eq!(self.stale_radio_view(), None, "medium view out of date");
         let mut media = std::mem::take(&mut self.media);
         let mut actions = std::mem::take(&mut self.scratch_actions);
         for medium in &mut media {
             actions.list.clear();
-            medium.step(now, &view, &mut actions);
+            medium.step(now, &self.view, &mut actions);
             self.apply_medium_actions(&actions);
         }
         self.media = media;
         self.scratch_actions = actions;
-        self.view = view;
     }
 
     /// Phase 6: credits land (one-cycle credit loop).  A credit that
@@ -1528,85 +1514,71 @@ impl Network {
         self.backlog_flits -= 1;
     }
 
-    /// Radio `ri` as the media must see it: its TX VCs and its RX VCs,
-    /// each read from the FIFO slab and the hosting switch's radio input
-    /// port.  The one definition of a view entry — `refresh_view` fills
-    /// dirty radios from it, the invariant compares clean ones with it.
+    /// Radio `ri` as the media must see it: its TX VCs walked from the
+    /// FIFO slab ([`RadioTx::walk`]) and its RX VCs read from the hosting
+    /// switch's radio input port.  The one definition of a view entry —
+    /// [`Network::build_view`] builds the view from it, the invariant
+    /// compares the written-through view with it.
     fn radio_view_entries(
         &self,
         ri: usize,
     ) -> (impl Iterator<Item = TxVcView> + '_, impl Iterator<Item = RxVcView> + '_) {
         let radio = &self.radios[ri];
-        let tx = (0..radio.fifo.lanes()).map(move |v| {
-            let front = radio.fifo.front(v);
-            let mut run = 0usize;
-            let mut has_tail = false;
-            if let Some((f, _)) = front {
-                for (g, _) in radio.fifo.iter(v) {
-                    if g.packet != f.packet {
-                        break;
-                    }
-                    run += 1;
-                    if g.kind.is_tail() {
-                        has_tail = true;
-                        break;
-                    }
-                }
-            }
-            TxVcView {
-                front,
-                len: radio.fifo.len(v),
-                front_run_len: run,
-                front_run_has_tail: has_tail,
-            }
-        });
+        let tx = (0..radio.fifo.lanes()).map(move |v| radio.walk(v));
         let si = radio.node.index();
         let (_, radio_port) = self.radio_of_switch[si].expect("radio switch");
-        let sw = &self.switches[si];
-        let rx = (0..self.cfg.vcs).map(move |v| RxVcView {
-            owner: sw.vc_owner(radio_port, v),
-            len: sw.vc_len(radio_port, v),
-            capacity: sw.vc_capacity(),
-        });
+        let rx = (0..self.cfg.vcs).map(move |v| self.rx_view_entry(si, radio_port, v));
         (tx, rx)
     }
 
-    /// Brings `view` (taken out of `self.view`) up to date: rebuilds the
-    /// radios marked dirty since the last refresh, in place — the entry
-    /// vectors are cleared and refilled with `Copy` snapshots, so this
-    /// allocates nothing after the first fill — and clears their marks.
-    fn refresh_view(&mut self, view: &mut MediumView) {
-        for w in 0..self.view_dirty.len() {
-            let word = std::mem::take(&mut self.view_dirty[w]);
-            for ri in word_bits(w, word) {
-                let (tx, rx) = self.radio_view_entries(ri);
-                let out = &mut view.radios_mut()[ri];
-                out.tx.clear();
-                out.tx.extend(tx);
-                out.rx.clear();
-                out.rx.extend(rx);
-            }
+    /// RX VC `vc` of the radio input port `port` of switch `si`.
+    fn rx_view_entry(&self, si: usize, port: usize, vc: usize) -> RxVcView {
+        let sw = &self.switches[si];
+        RxVcView {
+            owner: sw.vc_owner(port, vc),
+            len: sw.vc_len(port, vc),
+            capacity: sw.vc_capacity(),
         }
-        debug_assert_eq!(self.stale_radio_view(view), None, "medium view out of date");
     }
 
-    /// The first radio not marked dirty whose entry in `view` differs
+    /// Every radio's view built from scratch, on construction and
+    /// restore; from then on the four write sites keep it current.
+    fn build_view(&self) -> MediumView {
+        MediumView::new(
+            (0..self.radios.len())
+                .map(|ri| {
+                    let (tx, rx) = self.radio_view_entries(ri);
+                    RadioView {
+                        id: RadioId(ri),
+                        node: self.radios[ri].node,
+                        tx: tx.collect(),
+                        rx: rx.collect(),
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// The first radio whose entry or TX backlog in the view differs
     /// from what [`Network::radio_view_entries`] reads now.
-    fn stale_radio_view(&self, view: &MediumView) -> Option<usize> {
-        (0..self.radios.len()).filter(|&ri| !get_bit(&self.view_dirty, ri)).find(|&ri| {
+    fn stale_radio_view(&self) -> Option<usize> {
+        (0..self.radios.len()).find(|&ri| {
             let (tx, rx) = self.radio_view_entries(ri);
-            let seen = &view.radios()[ri];
-            !(seen.tx.iter().copied().eq(tx) && seen.rx.iter().copied().eq(rx))
+            let seen = self.view.radio(RadioId(ri));
+            !(seen.tx.iter().copied().eq(tx)
+                && seen.rx.iter().copied().eq(rx)
+                && self.view.tx_backlog(RadioId(ri)) as u64 == self.radios[ri].backlog())
         })
     }
 
-    /// Panics unless every radio not marked dirty views exactly as a
-    /// from-scratch rebuild would — the medium-view counterpart of
-    /// [`Network::assert_switch_invariants`], O(radios × VCs).  Test
-    /// support: `crates/noc/tests/medium_view.rs` calls it after every
-    /// cycle, debug runs of `MultichipSystem` every 1 024.
+    /// Panics unless every radio views exactly as a from-scratch rebuild
+    /// would — the medium-view counterpart of
+    /// [`Network::assert_switch_invariants`], O(radios × VCs × the front
+    /// runs).  Test support: `crates/noc/tests/medium_view.rs` calls it
+    /// after every cycle, debug runs of `MultichipSystem` every 1 024
+    /// (debug builds also check it at the start of every media phase).
     pub fn assert_medium_view_invariant(&self) {
-        if let Some(ri) = self.stale_radio_view(&self.view) {
+        if let Some(ri) = self.stale_radio_view() {
             panic!("medium view out of date at radio {ri}: {:?}", self.view.radios()[ri]);
         }
     }
@@ -1623,11 +1595,8 @@ impl Network {
                 MediumAction::Transmit { from, tx_vc, rx_vc } => {
                     let radio = &mut self.radios[from.index()];
                     let (flit, target) = radio
-                        .fifo
-                        .pop_front(tx_vc)
+                        .pop(tx_vc, &mut self.view, from.index())
                         .expect("MAC transmitted from an empty TX VC");
-                    set_bit(&mut self.view_dirty, from.index());
-                    set_bit(&mut self.view_dirty, target.index());
                     self.radio_backlog_flits -= 1;
                     // Free TX slot: credit back to the hosting switch's
                     // radio output port.
@@ -1649,6 +1618,8 @@ impl Network {
                         );
                     }
                     self.switches[ti].deliver(t_port, rx_vc, flit);
+                    let rx = self.rx_view_entry(ti, t_port, rx_vc);
+                    self.view.set_rx(target.index(), rx_vc, rx);
                     set_bit(&mut self.switch_mask, ti);
                     self.last_progress = self.now;
                 }
@@ -1806,7 +1777,7 @@ impl Network {
         self.links_mask.copy_from_slice(&s.links_mask);
         self.switch_mask.copy_from_slice(&s.switch_mask);
         self.inj_mask.copy_from_slice(&s.inj_mask);
-        self.view_dirty = all_set(self.radios.len());
+        self.view = self.build_view();
         self.mark_sleeping_switches();
         Ok(())
     }

@@ -19,6 +19,14 @@
 //! network validates and applies.  This command pattern keeps the MAC
 //! logic free of engine internals and makes it unit-testable in
 //! isolation.
+//!
+//! The engine's view is write-through: the crate-private `RadioTx::push`
+//! and `RadioTx::pop` update the TX entry and the radio's
+//! [`MediumView::tx_backlog`] together with the FIFO, in O(1) amortised
+//! (the front packet's run is rescanned only once it is used up), and
+//! the hosting switch's RX changes are written where they happen.
+//! `RadioTx::walk` is the from-scratch definition the maintained entries
+//! are checked against.
 
 use serde::{Deserialize, Serialize, Value};
 use wimnet_energy::{Energy, EnergyCategory};
@@ -49,8 +57,10 @@ impl std::fmt::Display for RadioId {
 ///
 /// The per-VC transmit FIFOs are one [`RingSlab`] (lane = TX VC): all of
 /// a radio's buffered flits sit in a single contiguous allocation
-/// instead of a `VecDeque` per VC, so the per-cycle view refresh and the
-/// MAC transmit pops walk dense memory.
+/// instead of a `VecDeque` per VC, so the front-run rescans and the MAC
+/// transmit pops walk dense memory.  The FIFOs change only through
+/// [`RadioTx::push`] and [`RadioTx::pop`], which keep the radio's
+/// [`MediumView`] entry current.
 #[derive(Debug, Clone)]
 pub(crate) struct RadioTx {
     /// The switch hosting this radio.
@@ -91,6 +101,79 @@ impl RadioTx {
     /// Total buffered flits across all TX VCs.
     pub(crate) fn backlog(&self) -> u64 {
         (0..self.fifo.lanes()).map(|v| self.fifo.len(v) as u64).sum()
+    }
+
+    /// TX VC `vc` as the media must see it, walked from the FIFO: the one
+    /// definition of a TX entry, which [`RadioTx::push`] and
+    /// [`RadioTx::pop`] maintain without the walk.
+    pub(crate) fn walk(&self, vc: usize) -> TxVcView {
+        let front = self.fifo.front(vc);
+        let mut run = 0usize;
+        let mut has_tail = false;
+        if let Some((f, _)) = front {
+            for (g, _) in self.fifo.iter(vc) {
+                if g.packet != f.packet {
+                    break;
+                }
+                run += 1;
+                if g.kind.is_tail() {
+                    has_tail = true;
+                    break;
+                }
+            }
+        }
+        TxVcView {
+            front,
+            len: self.fifo.len(vc),
+            front_run_len: run,
+            front_run_has_tail: has_tail,
+        }
+    }
+
+    /// Queues `entry` on TX VC `vc` and writes it through to radio `ri`'s
+    /// entry in `view`, O(1): the flit extends the front run only while
+    /// that run is the whole lane and still waits for its tail, and the
+    /// flit is the front packet's.
+    pub(crate) fn push(&mut self, vc: usize, entry: (Flit, RadioId), view: &mut MediumView, ri: usize) {
+        self.fifo.push_back(vc, entry);
+        view.tx_backlog[ri] += 1;
+        let e = &mut view.radios[ri].tx[vc];
+        let (flit, _) = entry;
+        match e.front {
+            None => {
+                *e = TxVcView {
+                    front: Some(entry),
+                    len: 1,
+                    front_run_len: 1,
+                    front_run_has_tail: flit.kind.is_tail(),
+                };
+            }
+            Some((front, _)) => {
+                if e.front_run_len == e.len && !e.front_run_has_tail && flit.packet == front.packet {
+                    e.front_run_len += 1;
+                    e.front_run_has_tail = flit.kind.is_tail();
+                }
+                e.len += 1;
+            }
+        }
+    }
+
+    /// Pops TX VC `vc`'s front and writes it through to radio `ri`'s
+    /// entry in `view`: the run shrinks by one, and once it is used up
+    /// the next packet's run is walked from the new front — each flit is
+    /// walked once as part of a front run, so a pop is O(1) amortised.
+    pub(crate) fn pop(&mut self, vc: usize, view: &mut MediumView, ri: usize) -> Option<(Flit, RadioId)> {
+        let entry = self.fifo.pop_front(vc)?;
+        view.tx_backlog[ri] -= 1;
+        let e = &mut view.radios[ri].tx[vc];
+        e.front_run_len -= 1;
+        if e.front_run_len == 0 {
+            *e = self.walk(vc);
+        } else {
+            e.len -= 1;
+            e.front = self.fifo.front(vc);
+        }
+        Some(entry)
     }
 }
 
@@ -147,28 +230,46 @@ pub struct RadioView {
 
 /// Per-cycle snapshot of every radio, offered to the [`SharedMedium`].
 ///
-/// The engine keeps **one** `MediumView` alive for the whole run and
-/// refreshes only the radios whose TX FIFOs or RX VCs changed since the
-/// last cycle (`Network` keeps a dirty bit per radio): their `tx`/`rx`
-/// vectors are cleared and refilled with `Copy` snapshots, so an
-/// unchanged radio costs nothing to view and after the first cycle a
-/// shared-channel MAC run allocates nothing on the view path.
+/// The engine builds **one** `MediumView` when the network is built or
+/// restored and writes it through at the sites that change a radio —
+/// the TX push and the receive-port pop in a switch visit, the TX pop
+/// and the RX delivery of a MAC transmit — each an O(1) (amortised)
+/// write of a `Copy` entry.  A media phase therefore pays nothing to
+/// view the radios, and the view path allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MediumView {
     radios: Vec<RadioView>,
+    /// Buffered TX flits per radio: the sum of its `tx` entries' `len`.
+    tx_backlog: Vec<usize>,
 }
 
 impl MediumView {
     /// Assembles a view from per-radio snapshots.  MAC unit tests
-    /// construct views directly; the engine reuses one, refreshing the
-    /// per-radio snapshots in place.
+    /// construct views directly; the engine builds one per network and
+    /// writes it through.
     pub fn new(radios: Vec<RadioView>) -> Self {
-        MediumView { radios }
+        let tx_backlog = radios.iter().map(|r| r.tx.iter().map(|vc| vc.len).sum()).collect();
+        MediumView { radios, tx_backlog }
     }
 
-    /// Mutable access for in-place refresh (engine internal).
-    pub(crate) fn radios_mut(&mut self) -> &mut [RadioView] {
-        &mut self.radios
+    /// A flit left RX VC `vc` of radio `ri` (its hosting switch popped
+    /// the radio input port).
+    #[inline]
+    pub(crate) fn rx_popped(&mut self, ri: usize, vc: usize) {
+        self.radios[ri].rx[vc].len -= 1;
+    }
+
+    /// RX VC `vc` of radio `ri` now reads `entry`.
+    #[inline]
+    pub(crate) fn set_rx(&mut self, ri: usize, vc: usize, entry: RxVcView) {
+        self.radios[ri].rx[vc] = entry;
+    }
+
+    /// Flits buffered across radio `radio`'s TX VCs: zero means no TX
+    /// entry has a front, so a MAC may skip the radio.
+    #[inline]
+    pub fn tx_backlog(&self, radio: RadioId) -> usize {
+        self.tx_backlog[radio.index()]
     }
 
     /// All radios in MAC sequence order.
@@ -480,6 +581,78 @@ mod tests {
             MediumAction::Transmit { from: RadioId(1), tx_vc: 3, rx_vc: 0 }
         ));
         assert!(matches!(a.actions()[1], MediumAction::Energy { .. }));
-        let _ = flit(0, FlitKind::Head); // silence helper warning
+    }
+
+    use proptest::prelude::*;
+
+    const KINDS: [FlitKind; 4] = [FlitKind::Head, FlitKind::Body, FlitKind::Tail, FlitKind::HeadTail];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The write-through TX entries equal the walk after every push
+        /// and pop.  Each lane of radio 1 (of two) takes well-formed
+        /// packets of 1–4 flits interleaved across lanes, stray flits of
+        /// any kind from a few low packet ids (a tail with no head, a head
+        /// inside another packet's run, a run cut by a foreign flit), and
+        /// pops, empty lanes included; four-slot lanes wrap.  Radio 1's
+        /// `tx_backlog` must equal its lane lengths' sum, and radio 0
+        /// must stay empty.
+        ///
+        /// Seeded mutation this was seen to catch: no rescan in
+        /// `RadioTx::pop` once the front run is used up (the front is
+        /// re-read, the run stays at zero) — the first pop of a tail with
+        /// flits behind it leaves `front_run_len` 0 against a walk of 1+.
+        #[test]
+        fn write_through_tx_entries_equal_the_walk(
+            ops in prop::collection::vec((0u8..8, 0usize..3, 0u64..4, 0usize..4), 1..160),
+        ) {
+            let (vcs, depth) = (3, 4);
+            let mut tx = RadioTx::new(NodeId(1), vcs, depth);
+            let blank = |id: usize| RadioView {
+                id: RadioId(id),
+                node: NodeId(id),
+                tx: vec![TxVcView { front: None, len: 0, front_run_len: 0, front_run_has_tail: false }; vcs],
+                rx: vec![],
+            };
+            let mut view = MediumView::new(vec![blank(0), blank(1)]);
+            // Per lane: the well-formed packet being pushed, (id, next seq, flits).
+            let mut streams = [(0u64, 0u32, 0u32); 3];
+            let mut next_id = 100u64;
+            for (op, lane, pick, kind) in ops {
+                match op {
+                    0..=3 if tx.free_space(lane) > 0 => {
+                        let f = if op == 3 {
+                            Flit { kind: KINDS[kind], ..flit(pick, FlitKind::Body) }
+                        } else {
+                            let s = &mut streams[lane];
+                            if s.1 == s.2 {
+                                *s = (next_id, 0, pick as u32 + 1);
+                                next_id += 1;
+                            }
+                            let f = Flit {
+                                kind: Flit::kind_for(s.1, s.2),
+                                seq: s.1,
+                                ..flit(s.0, FlitKind::Body)
+                            };
+                            s.1 += 1;
+                            f
+                        };
+                        tx.push(lane, (f, RadioId(0)), &mut view, 1);
+                    }
+                    0..=3 => {}
+                    _ => {
+                        let expect = tx.fifo.front(lane);
+                        prop_assert_eq!(tx.pop(lane, &mut view, 1), expect);
+                    }
+                }
+                for v in 0..vcs {
+                    prop_assert_eq!(view.radio(RadioId(1)).tx[v], tx.walk(v));
+                }
+                prop_assert_eq!(view.tx_backlog(RadioId(1)) as u64, tx.backlog());
+                prop_assert_eq!(view.radio(RadioId(0)), &blank(0));
+                prop_assert_eq!(view.tx_backlog(RadioId(0)), 0);
+            }
+        }
     }
 }

@@ -1,22 +1,24 @@
-//! The medium-view invariant: a radio not marked dirty views exactly as
-//! a from-scratch rebuild would.
+//! The medium-view invariant: every radio views exactly as a
+//! from-scratch rebuild would.
 //!
-//! [`Network`] keeps the `MediumView` its shared media read across
-//! cycles and rebuilds only the radios whose TX FIFOs or RX VCs changed
-//! (a dirty bit per radio, set at the radio push, the radio-port pop,
-//! `MediumAction::Transmit` and on restore).  A missed mark leaves a MAC
-//! scheduling against stale occupancy, so this test runs a loaded 4C4M
-//! under each shipped MAC and checks
-//! [`Network::assert_medium_view_invariant`] after every cycle, across
-//! one mid-run `state()` → `restore_state` round trip into a freshly
-//! built network.  Debug builds also assert the invariant inside every
-//! refresh; the explicit call is what a `--release` run of this test
-//! still checks.
+//! [`Network`] builds the `MediumView` its shared media read once, on
+//! construction and restore, and writes it through at the four sites
+//! that change a radio: the TX push and the radio-port pop in a switch
+//! visit, the TX pop and the RX delivery of a MAC transmit.  There are
+//! no dirty marks and no refresh, so a missed write leaves a MAC
+//! scheduling against stale occupancy for good.  This test runs a loaded
+//! 4C4M under each shipped MAC and compares every radio with a rebuild
+//! ([`Network::assert_medium_view_invariant`]) after every cycle, and
+//! across one mid-run `state()` → `restore_state` round trip into a
+//! freshly built network.  Debug builds also check it at the start of
+//! every media phase; the explicit call is what a `--release` run of
+//! this test still checks.
 //!
-//! Seeded mutation this was seen to catch: dropping the
-//! `Upstream::Radio` mark in `Network::apply_move` (the pop from a
-//! radio's receive port).  The RX `len` in the view then goes stale one
-//! cycle after the first radio-port pop, and all three cases fail there.
+//! Seeded mutation this was seen to catch: dropping the RX-pop write in
+//! `SwitchVisit::traverse` (the `Upstream::Radio` arm, a flit leaving a
+//! radio's receive port).  The RX `len` in the view then stays high
+//! after the first radio-port pop, and all three cases fail on the
+//! cycle of that pop.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -57,6 +57,9 @@ pub struct ParallelMac {
     /// Per-WI link bandwidth in flits per cycle (default 1.0: the
     /// single-cycle hop the paper's evaluation implies).
     flits_per_cycle: f64,
+    /// Probability a flit is corrupted, fixed by `cfg` (derived once,
+    /// not per step).
+    flit_err: f64,
     rng: SmallRng,
     tx_credit: Vec<f64>,
     rx_credit: Vec<f64>,
@@ -90,6 +93,7 @@ impl ParallelMac {
         ParallelMac {
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0x009a_11e1),
             flits_per_cycle,
+            flit_err: cfg.flit_error_probability(),
             tx_credit: vec![0.0; radios],
             rx_credit: vec![0.0; radios],
             tx_vc_rr: vec![0; radios],
@@ -115,6 +119,79 @@ impl ParallelMac {
     pub fn rate(&self) -> f64 {
         self.flits_per_cycle
     }
+
+    /// WI `wi`'s turn within a step: its TX VCs, each considered at most
+    /// once (the view's front is only valid for one pop), from its cursor
+    /// on while bandwidth and receiver space allow.  The rotation wraps
+    /// by compare; the one `%` normalises a restored cursor.
+    fn drain(&mut self, wi: usize, view: &MediumView, actions: &mut MediumActions) {
+        let n = self.cfg.radios;
+        let radio = view.radio(RadioId(wi));
+        let vcs = radio.tx.len();
+        let mut next_vc = self.tx_vc_rr[wi] % vcs;
+        for _ in 0..vcs {
+            if self.tx_credit[wi] < 1.0 {
+                break;
+            }
+            let tx_vc = next_vc;
+            next_vc += 1;
+            if next_vc == vcs {
+                next_vc = 0;
+            }
+            let Some((front, target)) = radio.tx[tx_vc].front else {
+                continue;
+            };
+            // Flits already scheduled from this VC this cycle would
+            // change the front; one flit per VC per cycle keeps the
+            // view honest.
+            if self.rx_credit[target.index()] < 1.0 {
+                continue;
+            }
+            let is_head = front.kind.is_head();
+            let Some((slot, rx_vc)) = self.shadow.admit(view, target, front.packet, is_head)
+            else {
+                continue;
+            };
+
+            // Charge the per-packet control broadcast when a head flit
+            // opens a transfer: header + one tuple, decoded by every WI.
+            let bits = u64::from(self.cfg.flit_bits);
+            if is_head {
+                let control_bits = u64::from(self.cfg.control_flits(1)) * bits;
+                actions.energy(
+                    EnergyCategory::WirelessControl,
+                    self.cfg.energy.wireless_tx(control_bits)
+                        + self.cfg.energy.wireless_rx(control_bits) * (n - 1) as f64,
+                );
+                self.stats.control_flits += u64::from(self.cfg.control_flits(1));
+                self.stats.turns += 1;
+            }
+
+            if self.rng.gen::<f64>() < self.flit_err {
+                // Corrupted flit: energy burned, slot kept, retry next
+                // cycle (order preserved because nothing pops).
+                actions.energy(EnergyCategory::WirelessTx, self.cfg.energy.wireless_tx(bits));
+                self.stats.retransmissions += 1;
+                self.tx_credit[wi] -= 1.0;
+                self.active[wi] = true;
+                break;
+            }
+
+            rx_vc.len += 1;
+            rx_vc.owner = if front.kind.is_tail() { None } else { Some(front.packet) };
+            actions.energy(EnergyCategory::WirelessTx, self.cfg.energy.wireless_tx(bits));
+            actions.energy(EnergyCategory::WirelessRx, self.cfg.energy.wireless_rx(bits));
+            actions.transmit(RadioId(wi), tx_vc, slot);
+            self.stats.data_flits += 1;
+            self.tx_credit[wi] -= 1.0;
+            self.rx_credit[target.index()] -= 1.0;
+            self.active[wi] = true;
+            self.active[target.index()] = true;
+            self.tx_vc_rr[wi] = next_vc;
+            // One flit per TX VC per cycle; try other VCs if budget
+            // remains.
+        }
+    }
 }
 
 impl SharedMedium for ParallelMac {
@@ -137,98 +214,26 @@ impl SharedMedium for ParallelMac {
 
         // This cycle's admissions start from the view's receive state.
         self.shadow.begin_round(view);
-        let flit_err = self.cfg.flit_error_probability();
 
         // Round-robin over WIs; each WI drains its TX VCs round-robin
-        // while bandwidth and receiver space allow.
-        for off in 0..n {
-            let wi = (self.wi_rr + off) % n;
-            let radio = view.radio(RadioId(wi));
-            let vcs = radio.tx.len();
-            if vcs == 0 {
-                continue;
+        // while bandwidth and receiver space allow.  A WI with no TX
+        // flit is skipped: its VC scan would find no front, so skipping
+        // draws no RNG and moves no cursor.  The rotation wraps by
+        // compare.
+        let mut wi = self.wi_rr;
+        for _ in 0..n {
+            if view.tx_backlog(RadioId(wi)) > 0 {
+                self.drain(wi, view, actions);
             }
-            // Snapshot the rotation base: each TX VC is considered at
-            // most once per cycle (the view's front is only valid for
-            // one pop).
-            let rr_base = self.tx_vc_rr[wi];
-            let mut spins = 0;
-            while self.tx_credit[wi] >= 1.0 && spins < vcs {
-                let tx_vc = (rr_base + spins) % vcs;
-                spins += 1;
-                let Some((front, target)) = radio.tx[tx_vc].front else {
-                    continue;
-                };
-                // Flits already scheduled from this VC this cycle would
-                // change the front; one flit per VC per cycle keeps the
-                // view honest.
-                if self.rx_credit[target.index()] < 1.0 {
-                    continue;
-                }
-                let is_head = front.kind.is_head();
-                let Some((slot, rx_vc)) =
-                    self.shadow.admit(view, target, front.packet, is_head)
-                else {
-                    continue;
-                };
-
-                // Charge the per-packet control broadcast when a head
-                // flit opens a transfer: header + one tuple, decoded by
-                // every WI.
-                let bits = u64::from(self.cfg.flit_bits);
-                if is_head {
-                    let control_bits =
-                        u64::from(self.cfg.control_flits(1)) * bits;
-                    actions.energy(
-                        EnergyCategory::WirelessControl,
-                        self.cfg.energy.wireless_tx(control_bits)
-                            + self.cfg.energy.wireless_rx(control_bits)
-                                * (n - 1) as f64,
-                    );
-                    self.stats.control_flits +=
-                        u64::from(self.cfg.control_flits(1));
-                    self.stats.turns += 1;
-                }
-
-                if self.rng.gen::<f64>() < flit_err {
-                    // Corrupted flit: energy burned, slot kept, retry
-                    // next cycle (order preserved because nothing pops).
-                    actions.energy(
-                        EnergyCategory::WirelessTx,
-                        self.cfg.energy.wireless_tx(bits),
-                    );
-                    self.stats.retransmissions += 1;
-                    self.tx_credit[wi] -= 1.0;
-                    self.active[wi] = true;
-                    break;
-                }
-
-                rx_vc.len += 1;
-                rx_vc.owner = if front.kind.is_tail() {
-                    None
-                } else {
-                    Some(front.packet)
-                };
-                actions.energy(
-                    EnergyCategory::WirelessTx,
-                    self.cfg.energy.wireless_tx(bits),
-                );
-                actions.energy(
-                    EnergyCategory::WirelessRx,
-                    self.cfg.energy.wireless_rx(bits),
-                );
-                actions.transmit(RadioId(wi), tx_vc, slot);
-                self.stats.data_flits += 1;
-                self.tx_credit[wi] -= 1.0;
-                self.rx_credit[target.index()] -= 1.0;
-                self.active[wi] = true;
-                self.active[target.index()] = true;
-                self.tx_vc_rr[wi] = (tx_vc + 1) % vcs;
-                // One flit per TX VC per cycle; try other VCs if budget
-                // remains.
+            wi += 1;
+            if wi == n {
+                wi = 0;
             }
         }
-        self.wi_rr = (self.wi_rr + 1) % n;
+        self.wi_rr += 1;
+        if self.wi_rr == n {
+            self.wi_rr = 0;
+        }
 
         // Per-cycle transceiver power: busy WIs listen/drive, the rest
         // sleep when sleepy receivers are enabled.
@@ -336,6 +341,15 @@ impl SharedMedium for ParallelMac {
                 "round-robin pointer {} out of range for {n} radios",
                 s.wi_rr
             )));
+        }
+        // A step keeps every credit in [0, cap]: it accrues up to the cap
+        // and spends only a whole credit it holds.  Anything else would
+        // silently shift the radio's transmits.
+        let cap = self.flits_per_cycle.max(1.0);
+        let mut credits =
+            s.tx_credit.iter().map(|c| ("tx", c)).chain(s.rx_credit.iter().map(|c| ("rx", c)));
+        if let Some((side, c)) = credits.find(|&(_, &c)| !(0.0..=cap).contains(&c)) {
+            return Err(serde::Error::msg(format!("{side} credit {c} outside [0, {cap}]")));
         }
         self.rng = SmallRng::from_state(s.rng);
         self.tx_credit = s.tx_credit;
@@ -525,6 +539,66 @@ mod tests {
             })
             .sum();
         assert!(sleep > 0.0, "radios 2 and 3 must sleep");
+    }
+
+    /// A snapshot credit no step can leave — below 0, above the cap, NaN
+    /// or infinite — is a typed error, and the MAC keeps its state.  A
+    /// negative credit used to restore and silently delay that WI's
+    /// first transmits.
+    #[test]
+    fn restore_refuses_a_credit_no_step_can_leave() {
+        let mut mac = ParallelMac::with_rate(ChannelConfig::paper(2), 0.2);
+        let view = MediumView::new(vec![loaded(0, 1, 1), radio(1, 2)]);
+        for now in 0..7 {
+            mac.step(now, &view, &mut MediumActions::new());
+        }
+        let good = ParallelMacState::from_value(&mac.state_value()).unwrap();
+        let before = format!("{mac:?}");
+        for (side, bad) in [("tx", -0.5), ("rx", 1.5), ("tx", f64::NAN), ("rx", f64::INFINITY)] {
+            let mut s = good.clone();
+            let credits = if side == "tx" { &mut s.tx_credit } else { &mut s.rx_credit };
+            credits[1] = bad;
+            let err = mac.restore_state_value(&s.to_value()).expect_err("a doctored credit");
+            assert!(err.0.contains(&format!("{side} credit")), "{side} {bad}: {err}");
+            assert_eq!(format!("{mac:?}"), before, "{side} {bad}: the MAC changed");
+        }
+        mac.restore_state_value(&good.to_value()).expect("the snapshot as taken restores");
+        assert_eq!(format!("{mac:?}"), before);
+    }
+
+    /// Skipping the WIs with no TX flit is exact: one WI streaming and
+    /// seven idle, against the same MAC stepping through a view whose
+    /// idle radios report a backlog (so it visits them and finds no
+    /// front), gives the same actions and state every cycle, with a
+    /// lossy channel so the RNG is in play.
+    #[test]
+    fn skipping_idle_wis_changes_nothing() {
+        let mut cfg = ChannelConfig::paper(8);
+        cfg.ber = 1e-2;
+        let mut skipping = ParallelMac::new(cfg.clone());
+        let mut visiting = ParallelMac::new(cfg);
+        let radios = || (0..8).map(|i| if i == 3 { loaded(3, 1, 6) } else { radio(i, 4) });
+        let lean = MediumView::new(radios().collect());
+        // Idle radios whose backlog counts flits no VC fronts.
+        let padded = MediumView::new(
+            radios()
+                .map(|mut r| {
+                    if r.tx[0].front.is_none() {
+                        r.tx[1].len = 1;
+                    }
+                    r
+                })
+                .collect(),
+        );
+        assert_eq!((lean.tx_backlog(RadioId(0)), padded.tx_backlog(RadioId(0))), (0, 1));
+        for now in 0..200 {
+            let (mut a, mut b) = (MediumActions::new(), MediumActions::new());
+            skipping.step(now, &lean, &mut a);
+            visiting.step(now, &padded, &mut b);
+            assert_eq!(a, b, "cycle {now}");
+        }
+        assert_eq!(format!("{skipping:?}"), format!("{visiting:?}"));
+        assert!(skipping.stats().retransmissions > 0, "the RNG must have been drawn");
     }
 
     #[test]
