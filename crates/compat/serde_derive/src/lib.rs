@@ -1,11 +1,17 @@
 //! Derive macros for the offline `serde` shim.
 //!
-//! `syn`/`quote` are unavailable in the no-network build container, so
-//! the item is parsed directly from the `proc_macro` token stream.  The
-//! supported shapes are exactly what the workspace derives on:
-//! non-generic structs (named, tuple, unit) and non-generic enums with
-//! unit / newtype / tuple / struct variants, plus the `#[serde(skip)]`
-//! and `#[serde(default)]` field attributes.
+//! The workspace builds offline, without `syn`/`quote`, so the item is
+//! parsed directly from the `proc_macro` token stream.  The supported
+//! shapes are exactly what the workspace derives on: non-generic
+//! structs (named, tuple, unit) and non-generic enums with unit /
+//! newtype / tuple / struct variants, plus the `#[serde(skip)]` and
+//! `#[serde(default)]` field attributes.
+//!
+//! Each derive emits one streaming method — `Serialize::serialize`
+//! writing tokens into a `serde::Serializer`, `Deserialize::deserialize`
+//! reading them from a `serde::Deserializer` — and nothing else: the
+//! `Value` tree adapters (`to_value` / `from_value`) are the traits'
+//! provided methods.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -17,7 +23,9 @@ struct FieldAttrs {
 
 #[derive(Debug, Clone)]
 struct Field {
-    name: String, // field name, or index for tuple fields
+    name: String,
+    /// The field's type, as source text.
+    ty: String,
     attrs: FieldAttrs,
 }
 
@@ -47,9 +55,11 @@ struct Item {
     body: Body,
 }
 
+type Tokens = std::iter::Peekable<proc_macro::token_stream::IntoIter>;
+
 /// Parses `#[serde(...)]` contents into field attrs; returns default
 /// attrs for every other attribute.
-fn parse_attr(tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>) -> FieldAttrs {
+fn parse_attr(tokens: &mut Tokens) -> FieldAttrs {
     // Caller consumed `#`; next must be the bracket group.
     let mut attrs = FieldAttrs::default();
     if let Some(TokenTree::Group(g)) = tokens.next() {
@@ -75,7 +85,7 @@ fn parse_attr(tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIte
 }
 
 /// Skips leading attributes, merging any `#[serde(...)]` flags.
-fn skip_attrs(tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>) -> FieldAttrs {
+fn skip_attrs(tokens: &mut Tokens) -> FieldAttrs {
     let mut attrs = FieldAttrs::default();
     while matches!(tokens.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
         tokens.next(); // '#'
@@ -87,7 +97,7 @@ fn skip_attrs(tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIte
 }
 
 /// Skips a visibility qualifier (`pub`, `pub(crate)`, …) if present.
-fn skip_visibility(tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>) {
+fn skip_visibility(tokens: &mut Tokens) {
     if matches!(tokens.peek(), Some(TokenTree::Ident(i)) if i.to_string() == "pub") {
         tokens.next();
         if matches!(tokens.peek(), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
@@ -98,32 +108,23 @@ fn skip_visibility(tokens: &mut std::iter::Peekable<proc_macro::token_stream::In
 }
 
 /// Consumes type tokens up to a top-level comma (tracking `<`/`>`
-/// nesting, which is not grouped in `proc_macro` streams).
-fn skip_type(tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>) {
+/// nesting, which is not grouped in `proc_macro` streams) and returns
+/// them as source text.
+fn take_type(tokens: &mut Tokens) -> String {
+    let mut ty = Vec::new();
     let mut angle_depth = 0i32;
     while let Some(tt) = tokens.peek() {
-        match tt {
-            TokenTree::Punct(p) => {
-                let c = p.as_char();
-                if c == ',' && angle_depth == 0 {
-                    return;
-                }
-                if c == '<' {
-                    angle_depth += 1;
-                }
-                if c == '>' {
-                    angle_depth -= 1;
-                    if angle_depth < 0 {
-                        angle_depth = 0;
-                    }
-                }
-                tokens.next();
-            }
-            _ => {
-                tokens.next();
+        if let TokenTree::Punct(p) = tt {
+            match p.as_char() {
+                ',' if angle_depth == 0 => break,
+                '<' => angle_depth += 1,
+                '>' => angle_depth = (angle_depth - 1).max(0),
+                _ => {}
             }
         }
+        ty.extend(tokens.next());
     }
+    ty.into_iter().collect::<TokenStream>().to_string()
 }
 
 /// Parses the fields of a brace-delimited (named) field list.
@@ -141,12 +142,12 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             _ => panic!("serde_derive shim: expected `:` after field `{name}`"),
         }
-        skip_type(&mut tokens);
+        let ty = take_type(&mut tokens);
         // Optional trailing comma.
         if matches!(tokens.peek(), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
             tokens.next();
         }
-        fields.push(Field { name: name.to_string(), attrs });
+        fields.push(Field { name: name.to_string(), ty, attrs });
     }
     fields
 }
@@ -161,7 +162,7 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
         if tokens.peek().is_none() {
             break;
         }
-        skip_type(&mut tokens);
+        take_type(&mut tokens);
         count += 1;
         if matches!(tokens.peek(), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
             tokens.next();
@@ -246,118 +247,143 @@ fn parse_item(input: TokenStream) -> Item {
     Item { name, body }
 }
 
+// --------------------------------------------------------------------
+// Serialize: tokens into `__s: &mut impl serde::Serializer`.
+// --------------------------------------------------------------------
+
+/// Writes the named fields as a map; `access` turns a field name into
+/// the expression of a reference to it.
+fn write_map(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut out = String::from("__s.begin_map();\n");
+    for f in fields.iter().filter(|f| !f.attrs.skip) {
+        out.push_str(&format!("__s.field(\"{}\", {});\n", f.name, access(&f.name)));
+    }
+    out.push_str("__s.end_map();\n");
+    out
+}
+
+/// Writes `items` (reference expressions) as a sequence.
+fn write_seq(items: impl Iterator<Item = String>) -> String {
+    let mut out = String::from("__s.begin_seq();\n");
+    for item in items {
+        out.push_str(&format!("__s.item({item});\n"));
+    }
+    out.push_str("__s.end_seq();\n");
+    out
+}
+
 /// Derives `serde::Serialize` (shim).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
     let body = match &item.body {
-        Body::NamedStruct(fields) => {
-            let mut pushes = String::new();
-            for f in fields {
-                if f.attrs.skip {
-                    continue;
-                }
-                pushes.push_str(&format!(
-                    "entries.push((\"{0}\".to_string(), ::serde::Serialize::to_value(&self.{0})));\n",
-                    f.name
-                ));
-            }
-            format!(
-                "let mut entries: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                 ::std::vec::Vec::new();\n{pushes}::serde::Value::Map(entries)"
-            )
-        }
-        Body::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Body::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-        }
-        Body::UnitStruct => "::serde::Value::Null".to_string(),
+        Body::NamedStruct(fields) => write_map(fields, |f| format!("&self.{f}")),
+        Body::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __s);".to_string(),
+        Body::TupleStruct(n) => write_seq((0..*n).map(|i| format!("&self.{i}"))),
+        Body::UnitStruct => "__s.null();".to_string(),
         Body::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vname = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::Value::Str(\"{vname}\".to_string()),\n"
-                    )),
-                    VariantKind::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vname}(f0) => ::serde::Value::Map(vec![(\"{vname}\".to_string(), \
-                         ::serde::Serialize::to_value(f0))]),\n"
-                    )),
+                // Data-carrying variants are `{"Variant": inner}`.
+                let tagged = |pattern: String, inner: String| {
+                    format!(
+                        "{name}::{vname}{pattern} => {{\n__s.begin_map();\n\
+                         __s.key(\"{vname}\");\n{inner}__s.end_map();\n}}\n"
+                    )
+                };
+                arms.push_str(&match &v.kind {
+                    VariantKind::Unit => format!("{name}::{vname} => __s.str(\"{vname}\"),\n"),
+                    VariantKind::Tuple(1) => tagged(
+                        "(f0)".to_string(),
+                        "::serde::Serialize::serialize(f0, __s);\n".to_string(),
+                    ),
                     VariantKind::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                        let vals: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Serialize::to_value(f{i})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vname}({}) => ::serde::Value::Map(vec![(\"{vname}\".to_string(), \
-                             ::serde::Value::Seq(vec![{}]))]),\n",
-                            binds.join(", "),
-                            vals.join(", ")
-                        ));
+                        tagged(format!("({})", binds.join(", ")), write_seq(binds.into_iter()))
                     }
                     VariantKind::Named(fields) => {
-                        let binds: Vec<String> =
-                            fields.iter().map(|f| f.name.clone()).collect();
-                        let pushes: Vec<String> = fields
+                        let binds: Vec<String> = fields
                             .iter()
-                            .filter(|f| !f.attrs.skip)
                             .map(|f| {
-                                format!(
-                                    "(\"{0}\".to_string(), ::serde::Serialize::to_value({0}))",
-                                    f.name
-                                )
+                                if f.attrs.skip {
+                                    format!("{}: _", f.name)
+                                } else {
+                                    f.name.clone()
+                                }
                             })
                             .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vname} {{ {} }} => ::serde::Value::Map(vec![(\"{vname}\".to_string(), \
-                             ::serde::Value::Map(vec![{}]))]),\n",
-                            binds.join(", "),
-                            pushes.join(", ")
-                        ));
+                        tagged(
+                            format!(" {{ {} }}", binds.join(", ")),
+                            write_map(fields, str::to_string),
+                        )
                     }
-                }
+                });
             }
             format!("match self {{\n{arms}}}")
         }
     };
     let out = format!(
         "impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         fn serialize<__S: ::serde::Serializer>(&self, __s: &mut __S) {{\n{body}\n}}\n}}\n"
     );
     out.parse().expect("serde_derive shim: generated invalid Serialize impl")
 }
 
-fn named_field_reads(fields: &[Field], source: &str, context: &str) -> String {
-    let mut out = String::new();
-    for f in fields {
+// --------------------------------------------------------------------
+// Deserialize: tokens from `__d: &mut impl serde::Deserializer`.
+// --------------------------------------------------------------------
+
+/// An expression reading a map into `ctor { fields }`: keys in any
+/// order, unknown keys skipped, the first of duplicate keys kept, a
+/// missing field an error unless it is `skip` or `default`.
+fn read_map(fields: &[Field], ctor: &str) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        let fname = &f.name;
         if f.attrs.skip {
-            out.push_str(&format!(
-                "{0}: ::std::default::Default::default(),\n",
-                f.name
-            ));
-        } else if f.attrs.default {
-            out.push_str(&format!(
-                "{0}: match {source}.get(\"{0}\") {{\n\
-                 Some(x) => ::serde::Deserialize::from_value(x)?,\n\
-                 None => ::std::default::Default::default(),\n}},\n",
-                f.name
-            ));
-        } else {
-            out.push_str(&format!(
-                "{0}: match {source}.get(\"{0}\") {{\n\
-                 Some(x) => ::serde::Deserialize::from_value(x)?,\n\
-                 None => return ::std::result::Result::Err(::serde::Error::msg(\
-                 \"missing field `{0}` in {context}\")),\n}},\n",
-                f.name
-            ));
+            inits.push_str(&format!("{fname}: ::std::default::Default::default(),\n"));
+            continue;
         }
+        slots.push_str(&format!(
+            "let mut __f{i}: ::std::option::Option<{}> = ::std::option::Option::None;\n",
+            f.ty
+        ));
+        arms.push_str(&format!(
+            "\"{fname}\" if __f{i}.is_none() => __f{i} = \
+             ::std::option::Option::Some(::serde::Deserialize::deserialize(__d)?),\n"
+        ));
+        inits.push_str(&if f.attrs.default {
+            format!("{fname}: __f{i}.unwrap_or_default(),\n")
+        } else {
+            format!(
+                "{fname}: match __f{i} {{\n\
+                 ::std::option::Option::Some(__v) => __v,\n\
+                 ::std::option::Option::None => return ::std::result::Result::Err(\
+                 ::serde::Error::msg(\"missing field `{fname}` in {ctor}\")),\n}},\n"
+            )
+        });
     }
-    out
+    format!(
+        "{{\n__d.begin_map()?;\n{slots}\
+         while let ::std::option::Option::Some(__k) = __d.next_key()? {{\n\
+         match &*__k {{\n{arms}_ => __d.skip()?,\n}}\n}}\n\
+         {ctor} {{\n{inits}}}\n}}"
+    )
+}
+
+/// An expression reading a sequence of exactly `n` elements into
+/// `ctor(..)`.
+fn read_seq(n: usize, ctor: &str) -> String {
+    let elements = vec!["__d.element()?"; n].join(", ");
+    format!("{{\n__d.begin_seq()?;\nlet __v = {ctor}({elements});\n__d.end_seq()?;\n__v\n}}")
+}
+
+fn error(message: &str) -> String {
+    format!("::std::result::Result::Err(::serde::Error::msg({message}))")
 }
 
 /// Derives `serde::Deserialize` (shim).
@@ -366,89 +392,61 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
     let body = match &item.body {
-        Body::NamedStruct(fields) => {
-            let reads = named_field_reads(fields, "v", name);
-            format!(
-                "match v {{\n\
-                 ::serde::Value::Map(_) => ::std::result::Result::Ok({name} {{\n{reads}}}),\n\
-                 _ => ::std::result::Result::Err(::serde::Error::msg(\"expected map for {name}\")),\n\
-                 }}"
-            )
-        }
+        Body::NamedStruct(fields) => format!("::std::result::Result::Ok({})", read_map(fields, name)),
         Body::TupleStruct(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__d)?))")
         }
-        Body::TupleStruct(n) => {
-            let reads: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                .collect();
-            format!(
-                "match v {{\n\
-                 ::serde::Value::Seq(items) if items.len() == {n} => \
-                 ::std::result::Result::Ok({name}({})),\n\
-                 _ => ::std::result::Result::Err(::serde::Error::msg(\
-                 \"expected {n}-element sequence for {name}\")),\n}}",
-                reads.join(", ")
-            )
-        }
-        Body::UnitStruct => format!("::std::result::Result::Ok({name})"),
+        Body::TupleStruct(n) => format!("::std::result::Result::Ok({})", read_seq(*n, name)),
+        Body::UnitStruct => format!("__d.skip()?;\n::std::result::Result::Ok({name})"),
         Body::Enum(variants) => {
+            let unknown = error(&format!("format!(\"unknown variant `{{__other}}` of {name}\")"));
+            let not_a_variant = error(&format!("\"expected variant of {name}\""));
             let mut unit_arms = String::new();
             let mut tagged_arms = String::new();
             for v in variants {
-                let vname = &v.name;
+                let (vname, ctor) = (&v.name, format!("{name}::{}", v.name));
                 match &v.kind {
-                    VariantKind::Unit => {
-                        unit_arms.push_str(&format!(
-                            "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}),\n"
-                        ));
-                    }
-                    VariantKind::Tuple(1) => {
-                        tagged_arms.push_str(&format!(
-                            "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}(\
-                             ::serde::Deserialize::from_value(inner)?)),\n"
-                        ));
-                    }
+                    VariantKind::Unit => unit_arms
+                        .push_str(&format!("\"{vname}\" => ::std::result::Result::Ok({ctor}),\n")),
+                    VariantKind::Tuple(1) => tagged_arms.push_str(&format!(
+                        "\"{vname}\" => {ctor}(::serde::Deserialize::deserialize(__d)?),\n"
+                    )),
                     VariantKind::Tuple(n) => {
-                        let reads: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                            .collect();
-                        tagged_arms.push_str(&format!(
-                            "\"{vname}\" => match inner {{\n\
-                             ::serde::Value::Seq(items) if items.len() == {n} => \
-                             ::std::result::Result::Ok({name}::{vname}({})),\n\
-                             _ => ::std::result::Result::Err(::serde::Error::msg(\
-                             \"expected {n}-element sequence for {name}::{vname}\")),\n}},\n",
-                            reads.join(", ")
-                        ));
+                        tagged_arms.push_str(&format!("\"{vname}\" => {},\n", read_seq(*n, &ctor)));
                     }
                     VariantKind::Named(fields) => {
-                        let reads = named_field_reads(fields, "inner", &format!("{name}::{vname}"));
-                        tagged_arms.push_str(&format!(
-                            "\"{vname}\" => ::std::result::Result::Ok({name}::{vname} {{\n{reads}}}),\n"
-                        ));
+                        tagged_arms.push_str(&format!("\"{vname}\" => {},\n", read_map(fields, &ctor)));
                     }
                 }
             }
+            // A unit variant is its name; any other is a one-entry map
+            // from its name to its data.
+            let tagged = if tagged_arms.is_empty() {
+                String::new()
+            } else {
+                format!(
+                    "::serde::de::Kind::Map => {{\n__d.begin_map()?;\n\
+                     let ::std::option::Option::Some(__tag) = __d.next_key()? else {{\n\
+                     return {not_a_variant};\n}};\n\
+                     let __v = match &*__tag {{\n{tagged_arms}\
+                     __other => return {unknown},\n}};\n\
+                     if __d.next_key()?.is_some() {{\nreturn {not_a_variant};\n}}\n\
+                     ::std::result::Result::Ok(__v)\n}}\n"
+                )
+            };
             format!(
-                "match v {{\n\
-                 ::serde::Value::Str(s) => match s.as_str() {{\n{unit_arms}\
-                 other => ::std::result::Result::Err(::serde::Error::msg(format!(\
-                 \"unknown variant `{{other}}` of {name}\"))),\n}},\n\
-                 ::serde::Value::Map(entries) if entries.len() == 1 => {{\n\
-                 let (tag, inner) = &entries[0];\n\
-                 match tag.as_str() {{\n{tagged_arms}\
-                 other => ::std::result::Result::Err(::serde::Error::msg(format!(\
-                 \"unknown variant `{{other}}` of {name}\"))),\n}}\n}},\n\
-                 _ => ::std::result::Result::Err(::serde::Error::msg(\"expected variant of {name}\")),\n\
-                 }}"
+                "match __d.peek()? {{\n\
+                 ::serde::de::Kind::Str => match &*__d.str()? {{\n{unit_arms}\
+                 __other => {unknown},\n}},\n\
+                 {tagged}\
+                 _ => {not_a_variant},\n}}"
             )
         }
     };
     let out = format!(
         "impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-         {body}\n}}\n}}\n"
+         fn deserialize<'de, __D: ::serde::Deserializer<'de>>(__d: &mut __D) \
+         -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n}}\n"
     );
     out.parse().expect("serde_derive shim: generated invalid Deserialize impl")
 }

@@ -1,21 +1,41 @@
-//! Offline shim of `serde_json` over the `serde` shim's [`Value`] model:
-//! `to_string`, `to_string_pretty` and `from_str`, with a small
-//! recursive-descent JSON parser.
+//! Offline shim of `serde_json`: one JSON text sink and one JSON text
+//! source for the `serde` shim's token stream.
+//!
+//! [`to_string`] / [`to_string_pretty`] stream a [`Serialize`] type's
+//! tokens straight into text, and [`from_str`] streams text straight
+//! into a [`Deserialize`] type: no [`Value`] tree is built on either
+//! side, and a parse allocates only what the target owns (an
+//! escape-free string or key is one slice of the input until the
+//! target copies it).  [`parse_value`] and [`value_to_string`] are
+//! [`Value`]'s own impls over the same parser and writer, for callers
+//! that speak trees.
+//!
+//! The parser is recursive descent, so nesting is capped at
+//! [`MAX_DEPTH`] open containers: a deeper document is an [`Error`],
+//! never a stack overflow, on any thread.
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 pub use serde::Error;
-use serde::{Deserialize, Serialize, Value};
+use serde::de::{Kind, Scalar};
+use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
+
+/// The deepest nesting of arrays and objects the parser accepts — ten
+/// times the deepest document this workspace writes (a checkpoint, 12
+/// levels).
+pub const MAX_DEPTH: usize = 128;
 
 /// Serializes `value` to compact JSON.
 ///
 /// # Errors
 ///
 /// Never fails in this shim (kept for API compatibility).
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    Ok(value_to_string(&value.to_value()))
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(write(value, false))
 }
 
 /// Serializes `value` to human-readable JSON.
@@ -23,130 +43,166 @@ pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
 /// # Errors
 ///
 /// Never fails in this shim (kept for API compatibility).
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    Ok(value_to_string_pretty(&value.to_value()))
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(write(value, true))
 }
 
-/// Renders a [`Value`] tree as compact JSON.  What [`to_string`] does
-/// after `to_value` — for a caller that already holds the tree, whose
-/// `to_value` would be a deep copy of it.
+/// Renders a [`Value`] tree as compact JSON: [`to_string`] without the
+/// `Result`.
 pub fn value_to_string(value: &Value) -> String {
-    let mut out = String::new();
-    write_value(&mut out, value, None, 0);
-    out
+    write(value, false)
 }
 
 /// Renders a [`Value`] tree as human-readable JSON (see
 /// [`value_to_string`]).
 pub fn value_to_string_pretty(value: &Value) -> String {
-    let mut out = String::new();
-    write_value(&mut out, value, Some(2), 0);
-    out
+    write(value, true)
 }
 
 /// Parses JSON text into a `T`.
 ///
 /// # Errors
 ///
-/// Malformed JSON or a shape mismatch with `T`.
+/// Malformed JSON, nesting deeper than [`MAX_DEPTH`], trailing
+/// characters, or a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    T::from_value(&value)
-}
-
-/// Parses JSON text into the raw [`Value`] tree.
-///
-/// # Errors
-///
-/// Malformed JSON.
-pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { text: s, bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
+    let mut p = Parser { text: s, bytes: s.as_bytes(), pos: 0, depth: 0, fresh: false };
+    let value = T::deserialize(&mut p)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(Error::msg("trailing characters after JSON value"));
     }
-    Ok(v)
+    Ok(value)
+}
+
+/// Parses JSON text into the raw [`Value`] tree: [`from_str`] for
+/// `Value`.
+///
+/// # Errors
+///
+/// Malformed JSON, nesting deeper than [`MAX_DEPTH`] or trailing
+/// characters.
+pub fn parse_value(s: &str) -> Result<Value, Error> {
+    from_str(s)
 }
 
 // --------------------------------------------------------------------
 // Writer.
 // --------------------------------------------------------------------
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            if *i < 0 {
-                out.push('-');
+fn write<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+    let mut w = Writer { out: String::with_capacity(128), pretty, level: 0, fresh: false };
+    value.serialize(&mut w);
+    w.out
+}
+
+/// The text sink.  `fresh` is "the last thing written opened a
+/// container": the next element needs no comma, and a container closed
+/// while fresh is empty and renders as `[]` / `{}`.
+struct Writer {
+    out: String,
+    pretty: bool,
+    /// Open containers.
+    level: usize,
+    fresh: bool,
+}
+
+impl Writer {
+    fn newline_indent(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..2 * self.level {
+                self.out.push(' ');
             }
-            write_u64(out, i.unsigned_abs());
         }
-        Value::UInt(u) => write_u64(out, *u),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // Rust's shortest round-trip float formatting, straight
-                // into the buffer; add `.0` so integral floats stay
-                // floats through a round trip.
-                let start = out.len();
-                let _ = write!(out, "{f}");
-                if !out[start..].contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                // JSON has no NaN/inf; serde_json writes null.
-                out.push_str("null");
-            }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.level += 1;
+        self.fresh = true;
+    }
+
+    fn next_entry(&mut self) {
+        if !std::mem::replace(&mut self.fresh, false) {
+            self.out.push(',');
         }
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_value(out, item, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push(']');
+        self.newline_indent();
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.level -= 1;
+        if !std::mem::replace(&mut self.fresh, false) {
+            self.newline_indent();
         }
-        Value::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push('}');
-        }
+        self.out.push(bracket);
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
+impl Serializer for Writer {
+    fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn int(&mut self, v: i64) {
+        if v < 0 {
+            self.out.push('-');
         }
+        write_u64(&mut self.out, v.unsigned_abs());
+    }
+
+    fn uint(&mut self, v: u64) {
+        write_u64(&mut self.out, v);
+    }
+
+    fn float(&mut self, v: f64) {
+        if v.is_finite() {
+            // Rust's shortest round-trip float formatting, straight
+            // into the buffer; add `.0` so integral floats stay floats
+            // through a round trip.
+            let start = self.out.len();
+            let _ = write!(self.out, "{v}");
+            if !self.out[start..].contains(['.', 'e', 'E']) {
+                self.out.push_str(".0");
+            }
+        } else {
+            // JSON has no NaN/inf; serde_json writes null.
+            self.out.push_str("null");
+        }
+    }
+
+    fn str(&mut self, v: &str) {
+        write_string(&mut self.out, v);
+    }
+
+    fn begin_seq(&mut self) {
+        self.open('[');
+    }
+
+    fn element(&mut self) {
+        self.next_entry();
+    }
+
+    fn end_seq(&mut self) {
+        self.close(']');
+    }
+
+    fn begin_map(&mut self) {
+        self.open('{');
+    }
+
+    fn key(&mut self, k: &str) {
+        self.next_entry();
+        write_string(&mut self.out, k);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+    }
+
+    fn end_map(&mut self) {
+        self.close('}');
     }
 }
 
@@ -198,14 +254,20 @@ fn write_string(out: &mut String, s: &str) {
 // Parser.
 // --------------------------------------------------------------------
 
-struct Parser<'a> {
+/// The text source.  The caller knows which container it is in, so the
+/// parser only tracks the nesting depth and `fresh`: "the last thing
+/// consumed opened a container", i.e. the next element needs no comma.
+struct Parser<'de> {
     /// The document, and the same bytes for indexing.
-    text: &'a str,
-    bytes: &'a [u8],
+    text: &'de str,
+    bytes: &'de [u8],
     pos: usize,
+    /// Open containers.
+    depth: usize,
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'de> Parser<'de> {
     fn skip_ws(&mut self) {
         while self.pos < self.bytes.len()
             && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
@@ -214,19 +276,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn peek_byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
+        if self.peek_byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(Error::msg(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
+            Err(Error::msg(format!("expected `{}` at byte {}", b as char, self.pos)))
         }
     }
 
@@ -239,207 +298,219 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(Error::msg(format!("unexpected character at byte {}", self.pos))),
+    fn unexpected(&self) -> Error {
+        if self.pos < self.bytes.len() {
+            Error::msg(format!("unexpected character at byte {}", self.pos))
+        } else {
+            Error::msg("unexpected end of JSON")
         }
     }
 
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
+    /// Consumes `bracket`, opening a container.
+    fn open(&mut self, bracket: u8) -> Result<(), Error> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(Vec::new()));
+        self.expect(bracket)?;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos - 1
+            )));
         }
-        // Most objects are structs of a handful of fields: start past
-        // the first two regrowths.
-        let mut entries = Vec::with_capacity(8);
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let v = self.value()?;
-            entries.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => return Err(Error::msg("expected `,` or `}` in object")),
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Before the next element of the open container: `true` when one
+    /// follows (after its comma, if it is not the first), `false` once
+    /// `close` is consumed.
+    fn next_entry(&mut self, close: u8) -> Result<bool, Error> {
+        let first = std::mem::replace(&mut self.fresh, false);
+        self.skip_ws();
+        match self.peek_byte() {
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
             }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(Vec::new()));
-        }
-        let mut items = Vec::with_capacity(4);
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => return Err(Error::msg("expected `,` or `]` in array")),
+            Some(b',') if !first => {
+                self.pos += 1;
+                Ok(true)
             }
+            Some(_) if first => Ok(true),
+            _ => Err(Error::msg(format!(
+                "expected `,` or `{}` at byte {}",
+                close as char, self.pos
+            ))),
         }
     }
 
-    fn string(&mut self) -> Result<String, Error> {
+    fn string(&mut self) -> Result<Cow<'de, str>, Error> {
         self.expect(b'"')?;
         // An escape-free string (every key, nearly every value) is one
-        // scan for the closing quote and one copy.  `"` and `\` are
-        // ASCII, so both cuts fall on character boundaries.
+        // scan for the closing quote and a slice of the input.  `"` and
+        // `\` are ASCII, so every cut falls on a character boundary.
         let start = self.pos;
-        let stop = self.bytes[start..]
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\')
-            .ok_or_else(|| Error::msg("unterminated string"))?;
-        self.pos = start + stop;
+        self.pos = start + self.unescaped_run()?;
+        if self.bytes[self.pos] == b'"' {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
         let mut out = String::from(&self.text[start..self.pos]);
         loop {
-            let Some(c) = self.peek() else {
-                return Err(Error::msg("unterminated string"));
+            // At a `"` or a `\`.
+            self.pos += 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(Cow::Owned(out));
+            }
+            let Some(esc) = self.peek_byte() else {
+                return Err(Error::msg("unterminated escape"));
             };
             self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(Error::msg("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::msg("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::msg("bad \\u escape"))?;
-                            // Surrogate pairs are not needed by this
-                            // workspace's identifiers; map lone
-                            // surrogates to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(Error::msg("unknown escape")),
-                    }
-                }
-                c if c < 0x80 => out.push(c as char),
-                _ => {
-                    // Multi-byte UTF-8: re-decode from the byte slice.
-                    let start = self.pos - 1;
-                    let width = utf8_width(c);
-                    let end = start + width;
-                    let chunk = self
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'u' => {
+                    let hex = self
                         .bytes
-                        .get(start..end)
-                        .ok_or_else(|| Error::msg("truncated UTF-8"))?;
-                    let s =
-                        std::str::from_utf8(chunk).map_err(|_| Error::msg("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| Error::msg("truncated \\u escape"))?;
+                    self.pos += 4;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| Error::msg("bad \\u escape"))?,
+                        16,
+                    )
+                    .map_err(|_| Error::msg("bad \\u escape"))?;
+                    // Surrogate pairs are not needed by this workspace's
+                    // identifiers; map lone surrogates to the
+                    // replacement character.
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                 }
+                _ => return Err(Error::msg("unknown escape")),
             }
+            let run = self.unescaped_run()?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
         }
     }
 
-    fn number(&mut self) -> Result<Value, Error> {
+    /// Bytes from `pos` to the next `"` or `\`.
+    fn unescaped_run(&self) -> Result<usize, Error> {
+        self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| Error::msg("unterminated string"))
+    }
+
+    fn number(&mut self) -> Result<Scalar<'de>, Error> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.peek_byte() == Some(b'-') {
             self.pos += 1;
         }
         // Accumulated alongside the scan: a plain non-negative integer
         // that fits is done when its last digit is.
         let mut plain = Some(0u64);
-        while let Some(c) = self.peek().filter(u8::is_ascii_digit) {
+        while let Some(c) = self.peek_byte().filter(u8::is_ascii_digit) {
             plain = plain
                 .and_then(|u| u.checked_mul(10))
                 .and_then(|u| u.checked_add(u64::from(c - b'0')));
             self.pos += 1;
         }
-        if let (Some(u), false) = (plain, matches!(self.peek(), Some(b'.' | b'e' | b'E'))) {
+        if let (Some(u), false) = (plain, matches!(self.peek_byte(), Some(b'.' | b'e' | b'E'))) {
             if self.bytes[start] != b'-' {
-                return Ok(Value::UInt(u));
+                return Ok(Scalar::UInt(u));
             }
         }
         let mut is_float = false;
-        if self.peek() == Some(b'.') {
+        if self.peek_byte() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            while matches!(self.peek_byte(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if matches!(self.peek_byte(), Some(b'e' | b'E')) {
             is_float = true;
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
+            if matches!(self.peek_byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            while matches!(self.peek_byte(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::msg("invalid float"))
+            text.parse::<f64>().map(Scalar::Float).map_err(|_| Error::msg("invalid float"))
         } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| Error::msg("invalid integer"))
+            text.parse::<i64>().map(Scalar::Int).map_err(|_| Error::msg("invalid integer"))
         } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| Error::msg("invalid integer"))
+            text.parse::<u64>().map(Scalar::UInt).map_err(|_| Error::msg("invalid integer"))
         }
     }
 }
 
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
+impl<'de> Deserializer<'de> for Parser<'de> {
+    fn peek(&mut self) -> Result<Kind, Error> {
+        self.skip_ws();
+        Ok(match self.peek_byte() {
+            Some(b'{') => Kind::Map,
+            Some(b'[') => Kind::Seq,
+            Some(b'"') => Kind::Str,
+            Some(b't' | b'f') => Kind::Bool,
+            Some(b'n') => Kind::Null,
+            Some(c) if c == b'-' || c.is_ascii_digit() => Kind::Number,
+            _ => return Err(self.unexpected()),
+        })
+    }
+
+    fn scalar(&mut self) -> Result<Scalar<'de>, Error> {
+        self.skip_ws();
+        self.fresh = false;
+        match self.peek_byte() {
+            Some(b'"') => self.string().map(Scalar::Str),
+            Some(b't') if self.eat_literal("true") => Ok(Scalar::Bool(true)),
+            Some(b'f') if self.eat_literal("false") => Ok(Scalar::Bool(false)),
+            Some(b'n') if self.eat_literal("null") => Ok(Scalar::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(self.unexpected()),
+        }
+    }
+
+    fn begin_seq(&mut self) -> Result<(), Error> {
+        self.open(b'[')
+    }
+
+    fn next_element(&mut self) -> Result<bool, Error> {
+        self.next_entry(b']')
+    }
+
+    fn begin_map(&mut self) -> Result<(), Error> {
+        self.open(b'{')
+    }
+
+    fn next_key(&mut self) -> Result<Option<Cow<'de, str>>, Error> {
+        if !self.next_entry(b'}')? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    fn spanned<T: Deserialize>(&mut self) -> Result<(T, Option<Range<usize>>), Error> {
+        self.skip_ws();
+        let start = self.pos;
+        let value = T::deserialize(self)?;
+        Ok((value, Some(start..self.pos)))
     }
 }
 
@@ -479,5 +550,38 @@ mod tests {
         let json = to_string(&pairs).unwrap();
         let back: Vec<(u64, Option<f64>)> = from_str(&json).unwrap();
         assert_eq!(pairs, back);
+    }
+
+    #[test]
+    fn empty_containers_and_layout() {
+        let v = Value::Seq(vec![Value::Seq(Vec::new()), Value::Map(Vec::new())]);
+        assert_eq!(value_to_string(&v), "[[],{}]");
+        assert_eq!(value_to_string_pretty(&v), "[\n  [],\n  {}\n]");
+    }
+
+    #[test]
+    fn malformed_separators_are_errors() {
+        for bad in ["[1 2]", "[1,]", "[,1]", "{,}", "{\"a\":1,}", "{\"a\":1 \"b\":2}", "{\"a\" 1}"] {
+            assert!(parse_value(bad).is_err(), "{bad}");
+        }
+        assert!(parse_value("[1] x").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_value(&at_cap).is_ok());
+        let past = format!("[{at_cap}]");
+        assert!(parse_value(&past).unwrap_err().0.contains("nesting deeper than 128"));
+        let keyed = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse_value(&keyed).is_err());
+    }
+
+    #[test]
+    fn escaped_strings_decode() {
+        let s: String = from_str(r#""a\"b\\c\u00e9\n""#).unwrap();
+        assert_eq!(s, "a\"b\\cé\n");
+        assert!(from_str::<String>("\"open").is_err());
+        assert!(from_str::<String>("\"bad \\q\"").is_err());
     }
 }

@@ -118,25 +118,38 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One hash lane: absorb the bytes as little-endian 64-bit words, a
-/// full finalizer round per word, length appended.  Platform-stable by
-/// construction (explicit little-endian, no usize arithmetic).
-/// Shared with `checkpoint` (content hashes use distinct seeds).
-pub(crate) fn lane(bytes: &[u8], seed: u64) -> u64 {
-    let mut h = mix(seed ^ 0x9e37_79b9_7f4a_7c15);
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = mix(h ^ u64::from_le_bytes(word)).wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// Two hash lanes, one per seed: each absorbs the bytes as
+/// little-endian 64-bit words (the last one zero-padded), a full
+/// finalizer round per word, length appended.  Platform-stable by
+/// construction (explicit little-endian, no usize arithmetic).  The
+/// lanes share nothing but the words, so one pass runs both finalizer
+/// chains side by side.  Shared with `checkpoint` (content hashes use
+/// distinct seeds).
+pub(crate) fn lanes(bytes: &[u8], seeds: [u64; 2]) -> [u64; 2] {
+    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = seeds.map(|seed| mix(seed ^ GAMMA));
+    let mut absorb = |word: [u8; 8]| {
+        let w = u64::from_le_bytes(word);
+        h = h.map(|h| mix(h ^ w).wrapping_add(GAMMA));
+    };
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        absorb(word.try_into().expect("an 8-byte chunk"));
     }
-    mix(h ^ bytes.len() as u64)
+    if !words.remainder().is_empty() {
+        let mut word = [0u8; 8];
+        word[..words.remainder().len()].copy_from_slice(words.remainder());
+        absorb(word);
+    }
+    h.map(|h| mix(h ^ bytes.len() as u64))
 }
 
 /// The canonical key material (module docs, "Key derivation").  Field
 /// order is the serialization order and therefore part of the format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// It streams straight to its bytes: nothing but those bytes is built.
+#[derive(Debug, Serialize)]
 struct KeyMaterial {
-    engine_version: String,
+    engine_version: &'static str,
     scale: Scale,
     read_share: f64,
     architecture: Architecture,
@@ -158,7 +171,7 @@ struct KeyMaterial {
 /// [`crate::sweeps::ScenarioGrid::point_fingerprint`] passes its own.
 pub fn fingerprint(point: &ScenarioPoint, scale: Scale, read_share: f64) -> Fingerprint {
     let material = KeyMaterial {
-        engine_version: ENGINE_VERSION.to_string(),
+        engine_version: ENGINE_VERSION,
         scale,
         read_share,
         architecture: point.architecture,
@@ -174,7 +187,7 @@ pub fn fingerprint(point: &ScenarioPoint, scale: Scale, read_share: f64) -> Fing
     let bytes = serde_json::to_string(&material)
         .expect("key material serialization is infallible")
         .into_bytes();
-    Fingerprint([lane(&bytes, 1), lane(&bytes, 2)])
+    Fingerprint(lanes(&bytes, [1, 2]))
 }
 
 /// One catalog file: a self-validating envelope around the outcome.
@@ -239,14 +252,17 @@ impl Catalog {
 
     /// Serves the memoized outcome for `fp`, or `None` on a miss.
     ///
-    /// A file that exists but cannot be served — unparseable JSON, an
-    /// envelope naming a different engine version, or a fingerprint
-    /// mismatch — is **quarantined** (moved aside into the catalog's
+    /// The file's text is parsed straight into a [`CatalogEntry`], with
+    /// no tree in between.  A file that exists but cannot be served —
+    /// bytes that are not UTF-8, text that is not a catalog entry (or is
+    /// nested past `serde_json::MAX_DEPTH`), an envelope naming a
+    /// different engine version, or a fingerprint mismatch — is
+    /// **quarantined** (moved aside into the catalog's
     /// quarantine subdirectory) and reported as a miss, so corruption
     /// costs a recompute, never a wrong answer and never an abort.
     pub fn lookup(&self, fp: &Fingerprint) -> Option<RunOutcome> {
-        self.files.read(fp, |envelope| {
-            let entry = CatalogEntry::from_value(envelope).ok()?;
+        self.files.read(fp, |text| {
+            let entry: CatalogEntry = serde_json::from_str(text).ok()?;
             (entry.engine_version == ENGINE_VERSION && entry.fingerprint == fp.hex())
                 .then_some(entry.outcome)
         })

@@ -35,17 +35,22 @@
 //! scenario fingerprint (`{hex}.ckpt.json`), written to a unique temp
 //! name and atomically renamed into place, validated on every read —
 //! engine version, claimed fingerprint, **and** a 128-bit content hash
-//! of the snapshot's canonical compact JSON (re-derived from the parsed
-//! tree, so a flipped bit anywhere in the state is caught) — with
-//! unserveable files quarantined and reported as a miss, never served
-//! and never fatal.  A corrupt checkpoint costs a cold start, not a
-//! wrong resume.
+//! of the snapshot's canonical compact JSON (taken over the very bytes
+//! the parser consumed for the snapshot, so a flipped bit anywhere in
+//! the state is caught) — with unserveable files quarantined and
+//! reported as a miss, never served and never fatal.  A corrupt
+//! checkpoint costs a cold start, not a wrong resume.
 //!
 //! A checkpoint costs what is in flight: the snapshot's switch tables
 //! are sparse and its buffered flits are runs (`wimnet_noc::SwitchState`),
-//! so its JSON grows with the packets in the network, and `store`
-//! serialises it exactly once — the bytes the content hash covers are
-//! the bytes the compact, machine-only envelope embeds.
+//! so its JSON grows with the packets in the network.  `store` streams
+//! the snapshot to text exactly once — the bytes the content hash
+//! covers are the bytes the compact, machine-only envelope embeds — and
+//! `lookup` streams the file's text straight into a [`Snapshot`] in one
+//! pass, hashing the span it read.  The hash is over bytes, not over a
+//! re-rendering, so a checkpoint that was re-indented (or had a float
+//! respelled) is quarantined even though it still parses to the same
+//! state: the store serves only the bytes it wrote.
 //!
 //! # Versioning rule
 //!
@@ -55,13 +60,14 @@
 //! wall-clock and disk traffic only, never an outcome, so it never
 //! moves the version.  See `docs/checkpoint.md`.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Deserializer, Serialize};
 
 use wimnet_traffic::Workload;
 
-use crate::catalog::{lane, Fingerprint, ENGINE_VERSION};
+use crate::catalog::{lanes, Fingerprint, ENGINE_VERSION};
 use crate::error::CoreError;
 use crate::metrics::RunOutcome;
 use crate::store::EnvelopeStore;
@@ -83,12 +89,11 @@ pub struct Snapshot {
 /// `engine_version` and `fingerprint` are checked against the lookup
 /// key on every read; `content` is the 128-bit hash of the snapshot's
 /// canonical compact JSON — the very bytes `snapshot` holds in the file
-/// as [`CheckpointStore::store`] writes it — recomputed at lookup by
-/// rendering the parsed `snapshot` subtree again (canonical
-/// serialization makes that byte-identical, which
-/// `tests/serde_roundtrip.rs` pins), so state corruption that still
-/// parses is quarantined too.  `cycle` duplicates the snapshot cursor
-/// for cheap `status`-style display.
+/// as [`CheckpointStore::store`] writes it — recomputed at lookup over
+/// the bytes the parser consumed for `snapshot`, so state corruption
+/// that still parses is quarantined too, and so is a file whose
+/// snapshot was re-rendered in another layout.  `cycle` duplicates the
+/// snapshot cursor for cheap `status`-style display.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CheckpointEntry {
     /// The [`ENGINE_VERSION`] the snapshot was taken under.
@@ -103,11 +108,39 @@ pub struct CheckpointEntry {
     pub snapshot: Snapshot,
 }
 
+/// What [`CheckpointStore::lookup`] reads of a store file: the three
+/// fields it checks and the snapshot with the text it was parsed from
+/// (`cycle` is skipped like any key the type does not name).
+#[derive(Deserialize)]
+struct StoredCheckpoint {
+    engine_version: String,
+    fingerprint: String,
+    content: String,
+    snapshot: SpannedSnapshot,
+}
+
+/// A snapshot and the byte range of the text it was parsed from.  Only
+/// a text source has one, so it cannot be read from a tree.
+struct SpannedSnapshot {
+    snapshot: Snapshot,
+    span: Range<usize>,
+}
+
+impl Deserialize for SpannedSnapshot {
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        match d.spanned()? {
+            (snapshot, Some(span)) => Ok(SpannedSnapshot { snapshot, span }),
+            (_, None) => Err(serde::Error::msg("a stored snapshot is read from its text")),
+        }
+    }
+}
+
 /// The 128-bit content hash of a snapshot's canonical JSON bytes:
 /// the catalog's two-lane SplitMix64 construction on fresh seeds (3
 /// and 4; the scenario fingerprint uses 1 and 2).
 fn content_hex(bytes: &[u8]) -> String {
-    format!("{:016x}{:016x}", lane(bytes, 3), lane(bytes, 4))
+    let [hi, lo] = lanes(bytes, [3, 4]);
+    format!("{hi:016x}{lo:016x}")
 }
 
 /// The compact [`CheckpointEntry`] JSON around `body`, a snapshot's
@@ -167,26 +200,26 @@ impl CheckpointStore {
 
     /// Serves the latest snapshot for `fp`, or `None` on a miss.
     ///
-    /// A file that exists but cannot be served — unparseable JSON, a
-    /// foreign engine version, a fingerprint mismatch, a content hash
-    /// that does not match the snapshot the file holds, or a snapshot
-    /// of another shape than this engine's — is **quarantined** (moved
+    /// The file's text is parsed in one pass, straight into the
+    /// snapshot, and the content hash is taken over the bytes that pass
+    /// consumed for it.  A file that exists but cannot be served —
+    /// bytes that are not UTF-8, text that is not a checkpoint (or is
+    /// nested past `serde_json::MAX_DEPTH`), a foreign engine version,
+    /// a fingerprint mismatch, snapshot bytes other than the ones the
+    /// content hash was taken over (a flipped digit, or the same state
+    /// re-indented), or a snapshot of another shape than this engine's
+    /// — is **quarantined** (moved
     /// aside into the store's quarantine subdirectory) and reported as
     /// a miss, so corruption costs a cold start, never a wrong resume
     /// and never an abort.
     pub fn lookup(&self, fp: &Fingerprint) -> Option<Snapshot> {
-        self.files.read(fp, |envelope| {
-            let field = |key| match envelope.get(key) {
-                Some(Value::Str(s)) => Some(s.as_str()),
-                _ => None,
-            };
-            let body = envelope.get("snapshot")?;
-            let content = || content_hex(serde_json::value_to_string(body).as_bytes());
-            (field("engine_version") == Some(ENGINE_VERSION)
-                && field("fingerprint") == Some(fp.hex().as_str())
-                && field("content") == Some(content().as_str()))
-            .then(|| Snapshot::from_value(body).ok())
-            .flatten()
+        self.files.read(fp, |text| {
+            let stored: StoredCheckpoint = serde_json::from_str(text).ok()?;
+            let SpannedSnapshot { snapshot, span } = stored.snapshot;
+            (stored.engine_version == ENGINE_VERSION
+                && stored.fingerprint == fp.hex()
+                && stored.content == content_hex(&text.as_bytes()[span]))
+            .then_some(snapshot)
         })
     }
 

@@ -3,8 +3,11 @@
 //!
 //! Both stores are flat directories of self-validating JSON envelopes,
 //! one per scenario [`Fingerprint`], and differ only in the envelope
-//! type, how it is rendered, the file suffix and what "serveable" means.
-//! Everything else lives here, once:
+//! type, how it is rendered and parsed, the file suffix and what
+//! "serveable" means.  The store moves text: it writes the owner's
+//! rendering and hands the owner a file's text to parse straight into
+//! its envelope type, with no tree in between.  Everything else lives
+//! here, once:
 //!
 //! * an entry is the file `{32 hex digits}{suffix}` and nothing else —
 //!   two stores with different suffixes can share a directory without
@@ -13,9 +16,10 @@
 //!   into place, so a reader sees the old complete entry or the new
 //!   complete entry, never a torn one, and a crashed writer leaves only
 //!   a temp that lookups never read;
-//! * a file that exists but cannot be served is moved into
-//!   `quarantine/` and reported as a miss — corruption costs a
-//!   recompute, never a wrong answer and never an abort.
+//! * a file that exists but cannot be served — not UTF-8, not JSON,
+//!   nested past the parser's depth cap, or refused by the owner — is
+//!   moved into `quarantine/` and reported as a miss: corruption costs
+//!   a recompute, never a wrong answer and never an abort.
 //!
 //! Every method takes `&self` and is safe to drive from many threads
 //! and many processes against one directory: temp names are unique,
@@ -26,8 +30,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use serde::Value;
 
 use crate::catalog::Fingerprint;
 use crate::error::CoreError;
@@ -96,18 +98,18 @@ impl EnvelopeStore {
         self.dir.join(self.entry_name(fp)).exists()
     }
 
-    /// Parses the entry for `fp` into a [`Value`] tree and hands it to
-    /// `serve`, which returns the payload or `None` when the envelope
-    /// must not be served.  An absent file is a plain miss; a file that
-    /// is not JSON or that `serve` refuses is quarantined first.
+    /// Hands the text of the entry for `fp` to `serve`, which parses it
+    /// and returns the payload, or `None` when the envelope must not be
+    /// served.  An absent file is a plain miss; a file that is not UTF-8
+    /// or that `serve` refuses is quarantined first.
     pub(crate) fn read<T>(
         &self,
         fp: &Fingerprint,
-        serve: impl FnOnce(&Value) -> Option<T>,
+        serve: impl FnOnce(&str) -> Option<T>,
     ) -> Option<T> {
         let name = self.entry_name(fp);
-        let text = fs::read_to_string(self.dir.join(&name)).ok()?;
-        let served = serde_json::parse_value(&text).ok().and_then(|envelope| serve(&envelope));
+        let bytes = fs::read(self.dir.join(&name)).ok()?;
+        let served = std::str::from_utf8(&bytes).ok().and_then(serve);
         if served.is_none() {
             self.quarantine(&name);
         }

@@ -259,6 +259,55 @@ fn concurrent_shards_share_a_catalog_without_torn_entries() {
     let _ = fs::remove_dir_all(&dir2);
 }
 
+/// An entry whose bytes are not UTF-8 is quarantined like any file
+/// that does not parse — counted, moved aside, no longer an entry —
+/// rather than missed while it stays in place.
+#[test]
+fn non_utf8_entries_are_quarantined_like_unparseable_ones() {
+    let dir = temp_catalog("non-utf8");
+    let catalog = Catalog::open(&dir).unwrap();
+    let fp = grid().point_fingerprint(&grid().points()[0]);
+    fs::write(dir.join(format!("{}.json", fp.hex())), common::NOT_UTF8).unwrap();
+    assert!(catalog.contains(&fp));
+    assert_eq!(catalog.len(), 1);
+
+    assert_eq!(catalog.lookup(&fp), None);
+    assert_eq!(catalog.quarantined(), 1);
+    assert!(!catalog.contains(&fp), "quarantine moved the file aside");
+    assert_eq!(catalog.len(), 0);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Entries nested far past the parser's depth cap are quarantined as
+/// unparseable — a typed parse error, not a stack overflow that aborts
+/// the process — on the test's thread and on a thread with a pool
+/// worker's 2 MB stack.
+#[test]
+fn deep_nests_are_quarantined_on_any_stack() {
+    let dir = temp_catalog("deep-nests");
+    let catalog = Catalog::open(&dir).unwrap();
+    let fp = grid().point_fingerprint(&grid().points()[0]);
+    let path = dir.join(format!("{}.json", fp.hex()));
+    let mut quarantined = 0;
+    for nest in common::deep_nests() {
+        for on_a_2mb_stack in [false, true] {
+            fs::write(&path, &nest).unwrap();
+            let served = if on_a_2mb_stack {
+                common::on_a_2mb_stack(|| catalog.lookup(&fp))
+            } else {
+                catalog.lookup(&fp)
+            };
+            assert_eq!(served, None);
+            quarantined += 1;
+            assert_eq!(catalog.quarantined(), quarantined);
+            assert!(!catalog.contains(&fp));
+        }
+    }
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The v9 engine bump (`wimnet-engine-v9`, rank-exact latency
 /// percentiles) invalidates every `wimnet-engine-v8` entry, through
 /// both layers of the versioning rule (`docs/sweeps.md` §4):

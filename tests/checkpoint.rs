@@ -596,8 +596,9 @@ fn snapshot_fixture(
 }
 
 /// Truncated snapshot files, doctored fingerprints, doctored state
-/// bytes, and foreign engine versions are all quarantined and reported
-/// as misses — never served, never fatal.
+/// bytes, foreign engine versions and an intact checkpoint re-indented
+/// are all quarantined and reported as misses — never served, never
+/// fatal.
 #[test]
 fn corrupt_checkpoints_are_quarantined_never_served() {
     let cfg = quick(Architecture::Wireless);
@@ -616,13 +617,20 @@ fn corrupt_checkpoints_are_quarantined_never_served() {
     assert_eq!(store.quarantined(), 1);
     assert!(!store.contains(&fp), "quarantine moved the file aside");
 
+    // The doctored envelopes below are written compact, as the store
+    // writes them: rewritten untouched, an intact entry keeps every
+    // byte, so each case is refused for its own doctoring alone.
+    store.store(&fp, &snap).unwrap();
+    let intact = fs::read_to_string(&path).unwrap();
+    let entry: CheckpointEntry = serde_json::from_str(&intact).unwrap();
+    assert!(serde_json::to_string(&entry).unwrap() == intact, "a compact rewrite moved bytes");
+
     // Corruption 2: a well-formed envelope whose fingerprint field was
     // doctored to a different scenario.
-    store.store(&fp, &snap).unwrap();
     let mut entry: CheckpointEntry =
         serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
     entry.fingerprint = format!("{:032x}", 0xbad);
-    fs::write(&path, serde_json::to_string_pretty(&entry).unwrap()).unwrap();
+    fs::write(&path, serde_json::to_string(&entry).unwrap()).unwrap();
     assert!(store.lookup(&fp).is_none(), "a foreign fingerprint must not serve");
     assert_eq!(store.quarantined(), 2);
 
@@ -634,7 +642,7 @@ fn corrupt_checkpoints_are_quarantined_never_served() {
         serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
     "wimnet-engine-v7".clone_into(&mut entry.engine_version);
     assert_ne!(entry.engine_version, ENGINE_VERSION);
-    fs::write(&path, serde_json::to_string_pretty(&entry).unwrap()).unwrap();
+    fs::write(&path, serde_json::to_string(&entry).unwrap()).unwrap();
     assert!(store.lookup(&fp).is_none(), "a foreign engine version must not serve");
     assert_eq!(store.quarantined(), 3);
 
@@ -645,21 +653,88 @@ fn corrupt_checkpoints_are_quarantined_never_served() {
     let mut entry: CheckpointEntry =
         serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
     entry.snapshot.cycle = entry.snapshot.cycle.wrapping_add(1);
-    fs::write(&path, serde_json::to_string_pretty(&entry).unwrap()).unwrap();
+    fs::write(&path, serde_json::to_string(&entry).unwrap()).unwrap();
     assert!(store.lookup(&fp).is_none(), "doctored state must fail the content hash");
     assert_eq!(store.quarantined(), 4);
 
-    // The quarantine directory preserved all four bodies for forensics.
+    // Corruption 5: nothing doctored, only re-indented.  The snapshot
+    // still parses to the very state stored, but the content hash is
+    // over the bytes the file holds, and these are not the bytes it
+    // was taken over.
+    store.store(&fp, &snap).unwrap();
+    let entry: CheckpointEntry =
+        serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
+    fs::write(&path, serde_json::to_string_pretty(&entry).unwrap()).unwrap();
+    assert!(store.lookup(&fp).is_none(), "a re-indented checkpoint must not serve");
+    assert_eq!(store.quarantined(), 5);
+
+    // The quarantine directory preserved all five bodies for forensics.
     let quarantine: Vec<_> = fs::read_dir(dir.join("quarantine"))
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
-    assert_eq!(quarantine.len(), 4);
+    assert_eq!(quarantine.len(), 5);
     assert!(quarantine.iter().all(|f| f.starts_with(&fp.hex())));
 
     // None of it was fatal: a fresh store stores and serves again.
     store.store(&fp, &snap).unwrap();
     assert_eq!(store.lookup(&fp).unwrap().cycle, snap.cycle);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The fingerprint of a one-point grid: a store key for the hostile
+/// files below, which need no snapshot behind them.
+fn some_fingerprint() -> wimnet::core::Fingerprint {
+    let grid = wimnet::core::ScenarioGrid::new("ckpt-harness").seeds(&[1]);
+    grid.point_fingerprint(&grid.points()[0])
+}
+
+/// A checkpoint whose bytes are not UTF-8 is quarantined like any file
+/// that does not parse — counted, moved aside, no longer an entry —
+/// rather than missed while it stays in place.
+#[test]
+fn non_utf8_checkpoints_are_quarantined_like_unparseable_ones() {
+    let dir = temp_store("non-utf8");
+    let store = CheckpointStore::open(&dir).unwrap();
+    let fp = some_fingerprint();
+    fs::write(dir.join(format!("{}.ckpt.json", fp.hex())), common::NOT_UTF8).unwrap();
+    assert!(store.contains(&fp));
+    assert_eq!(store.len(), 1);
+
+    assert!(store.lookup(&fp).is_none());
+    assert_eq!(store.quarantined(), 1);
+    assert!(!store.contains(&fp), "quarantine moved the file aside");
+    assert!(store.is_empty());
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Checkpoints nested far past the parser's depth cap are quarantined
+/// as unparseable — a typed parse error, not a stack overflow that
+/// aborts the process — on the test's thread and on a thread with a
+/// pool worker's 2 MB stack, where resumes run.
+#[test]
+fn deep_nests_are_quarantined_on_any_stack() {
+    let dir = temp_store("deep-nests");
+    let store = CheckpointStore::open(&dir).unwrap();
+    let fp = some_fingerprint();
+    let path = dir.join(format!("{}.ckpt.json", fp.hex()));
+    let mut quarantined = 0;
+    for nest in common::deep_nests() {
+        for on_a_2mb_stack in [false, true] {
+            fs::write(&path, &nest).unwrap();
+            let served = if on_a_2mb_stack {
+                common::on_a_2mb_stack(|| store.lookup(&fp).is_some())
+            } else {
+                store.lookup(&fp).is_some()
+            };
+            assert!(!served);
+            quarantined += 1;
+            assert_eq!(store.quarantined(), quarantined);
+            assert!(!store.contains(&fp));
+        }
+    }
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -61,6 +61,30 @@ pub fn temp_dir(prefix: &str, tag: &str) -> PathBuf {
     dir
 }
 
+/// An entry's bytes that are not UTF-8: a UTF-16 byte-order mark
+/// before `{}`.  A store must quarantine it like any unparseable file.
+pub const NOT_UTF8: &[u8] = &[0xff, 0xfe, 0x7b, 0x7d];
+
+/// Two 1 MB documents nested far past `serde_json::MAX_DEPTH`: a run
+/// of `[` and a run of `{"a":`.  A store must quarantine them, never
+/// overflow the stack on them.
+pub fn deep_nests() -> [String; 2] {
+    ["[".repeat(1 << 20), r#"{"a":"#.repeat((1 << 20) / 5)]
+}
+
+/// `f`'s result, computed on a fresh thread with a sweep pool
+/// worker's 2 MB stack.
+pub fn on_a_2mb_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, f)
+            .unwrap()
+            .join()
+            .unwrap()
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Bit-level comparators
 // ---------------------------------------------------------------------------

@@ -146,37 +146,36 @@ fn stream_from(idx: usize, a: u64, b: u64, frac_raw: u32) -> AddressStreamSpec {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+/// A strategy that draws with a closure over the test's rng, so one
+/// value strategy serves several properties.
+struct Draw<F>(F);
 
-    /// Random [`ScenarioPoint`]s over all nine axes round-trip through
-    /// JSON to equal values, and — the property the catalog actually
-    /// leans on — the round trip preserves the content fingerprint and
-    /// the serialized bytes exactly.
-    #[test]
-    fn scenario_points_round_trip_bit_exactly(
-        axis_picks in (0usize..3, 0usize..5, 0usize..4),
-        chips in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
-        stacks in prop_oneof![Just(2usize), Just(4), Just(8)],
-        wireless_raw in (1u32..512, any::<u32>(), 0u32..1_000_000),
-        stream_raw in (any::<u64>(), any::<u64>(), any::<u64>()),
-        toggles in (any::<bool>(), any::<bool>()),
-        seed in any::<u64>(),
-        index in 0usize..1_000_000,
-    ) {
-        let (arch_idx, wireless_idx, stream_idx) = axis_picks;
-        let (flits_raw, conc, rate_raw) = wireless_raw;
-        let (frac_bits, stream_a, stream_b) = stream_raw;
-        let (frfcfs, saturation) = toggles;
-        let memory_fraction = gnarly_f64(frac_bits).abs().fract();
-        let point = ScenarioPoint {
+impl<T: std::fmt::Debug, F: Fn(&mut TestRng) -> T> Strategy for Draw<F> {
+    type Value = T;
+
+    fn sample(&self, rng: &mut TestRng) -> T {
+        (self.0)(rng)
+    }
+}
+
+/// Random [`ScenarioPoint`]s over all nine axes.
+fn scenario_points() -> impl Strategy<Value = ScenarioPoint> {
+    Draw(|rng: &mut TestRng| {
+        let (arch_idx, wireless_idx, stream_idx) = (0usize..3, 0usize..5, 0usize..4).sample(rng);
+        let chips = prop_oneof![Just(1usize), Just(2), Just(4), Just(8)].sample(rng);
+        let stacks = prop_oneof![Just(2usize), Just(4), Just(8)].sample(rng);
+        let (flits_raw, conc, rate_raw) = (1u32..512, any::<u32>(), 0u32..1_000_000).sample(rng);
+        let (frac_bits, stream_a, stream_b) = (any::<u64>(), any::<u64>(), any::<u64>()).sample(rng);
+        let (frfcfs, saturation) = (any::<bool>(), any::<bool>()).sample(rng);
+        let (seed, index) = (any::<u64>(), 0usize..1_000_000).sample(rng);
+        ScenarioPoint {
             index,
             label: format!("prop point #{index} seed=0x{seed:x}"),
             architecture: arch_from(arch_idx),
             chips,
             stacks,
             wireless: wireless_from(wireless_idx, flits_raw, conc),
-            memory_fraction,
+            memory_fraction: gnarly_f64(frac_bits).abs().fract(),
             address_stream: stream_from(stream_idx, stream_a, stream_b, conc),
             scheduler: if frfcfs { SchedulerPolicy::FrFcfs } else { SchedulerPolicy::Fcfs },
             injection: if saturation {
@@ -185,45 +184,22 @@ proptest! {
                 InjectionProcess::Bernoulli { rate: f64::from(rate_raw) / 1e7 }
             },
             seed,
-        };
-
-        let json = serde_json::to_string_pretty(&point).unwrap();
-        let back: ScenarioPoint = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(&back, &point);
-        // Value equality is not enough for the catalog: the float axes
-        // must come back with the same bit pattern...
-        prop_assert_eq!(
-            back.memory_fraction.to_bits(),
-            point.memory_fraction.to_bits()
-        );
-        // ...so the fingerprint — and therefore the catalog key — is
-        // stable across a round trip, at either scale.
-        for scale in [Scale::Quick, Scale::Paper] {
-            prop_assert_eq!(
-                catalog::fingerprint(&back, scale, 0.7),
-                catalog::fingerprint(&point, scale, 0.7)
-            );
         }
-        // And re-serializing yields byte-identical JSON.
-        prop_assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
-    }
+    })
+}
 
-    /// Random [`RunOutcome`]s — with the optional latency/energy fields
-    /// populated or absent and the memory-stats table populated or
-    /// empty — round-trip through JSON to byte-identical documents.
-    #[test]
-    fn run_outcomes_round_trip_bit_exactly(
-        cores in 1usize..4096,
-        counters in (any::<u64>(), any::<u64>(), any::<u64>()),
-        float_bits in (any::<u64>(), any::<u64>(), any::<u64>()),
-        presence in (any::<bool>(), any::<bool>(), any::<bool>()),
-        fast_forwarded in any::<u64>(),
-        shape in (0usize..15, 1usize..5),
-    ) {
-        let (window_cycles, window_packets, total_packets) = counters;
-        let (bw_bits, energy_bits, stat_seed) = float_bits;
-        let (with_energy_stats, with_latency, with_memory) = presence;
-        let (n_categories, stacks) = shape;
+/// Random [`RunOutcome`]s, with the optional latency/energy fields
+/// populated or absent and the memory-stats table populated or empty.
+fn run_outcomes() -> impl Strategy<Value = RunOutcome> {
+    Draw(|rng: &mut TestRng| {
+        let cores = (1usize..4096).sample(rng);
+        let (window_cycles, window_packets, total_packets) =
+            (any::<u64>(), any::<u64>(), any::<u64>()).sample(rng);
+        let (bw_bits, energy_bits, stat_seed) = (any::<u64>(), any::<u64>(), any::<u64>()).sample(rng);
+        let (with_energy_stats, with_latency, with_memory) =
+            (any::<bool>(), any::<bool>(), any::<bool>()).sample(rng);
+        let fast_forwarded = any::<u64>().sample(rng);
+        let (n_categories, stacks) = (0usize..15, 1usize..5).sample(rng);
         let energy = EnergyBreakdown {
             entries: EnergyCategory::ALL
                 .into_iter()
@@ -255,7 +231,7 @@ proptest! {
         } else {
             Vec::new()
         };
-        let outcome = RunOutcome {
+        RunOutcome {
             label: format!("prop outcome cores={cores}"),
             workload: "property-generated".to_string(),
             cores,
@@ -263,10 +239,8 @@ proptest! {
             window_packets,
             total_packets,
             bandwidth_gbps_per_core: gnarly_f64(bw_bits).abs(),
-            avg_packet_energy_nj: with_energy_stats
-                .then(|| gnarly_f64(bw_bits.rotate_left(13)).abs()),
-            avg_latency_cycles: with_latency
-                .then(|| gnarly_f64(bw_bits.rotate_left(29)).abs()),
+            avg_packet_energy_nj: with_energy_stats.then(|| gnarly_f64(bw_bits.rotate_left(13)).abs()),
+            avg_latency_cycles: with_latency.then(|| gnarly_f64(bw_bits.rotate_left(29)).abs()),
             max_latency_cycles: with_latency.then_some(stat_seed % 1_000_000),
             p50_latency_cycles: with_latency.then_some(stat_seed % 100_000),
             p99_latency_cycles: with_latency.then_some(stat_seed % 500_000),
@@ -277,8 +251,93 @@ proptest! {
             energy,
             memory,
             telemetry: None,
-        };
+        }
+    })
+}
 
+/// A mid-run snapshot scenario: a 2C2M run of a random architecture,
+/// seed, load and read share, cut at a random fraction of its cycles.
+/// The strategy draws the scenario; [`SnapshotCase::take`] runs it.
+#[derive(Debug)]
+struct SnapshotCase {
+    arch_idx: usize,
+    seed: u64,
+    load: f64,
+    stop_frac: f64,
+    reads: bool,
+}
+
+fn snapshot_cases() -> impl Strategy<Value = SnapshotCase> {
+    Draw(|rng: &mut TestRng| {
+        let (arch_idx, seed, load, stop_frac) =
+            (0usize..3, 0u64..1_000, 0.001f64..0.006, 0.1f64..0.9).sample(rng);
+        SnapshotCase { arch_idx, seed, load, stop_frac, reads: any::<bool>().sample(rng) }
+    })
+}
+
+impl SnapshotCase {
+    /// The scenario's configuration and its snapshot at the cut.
+    fn take(&self) -> (SystemConfig, Snapshot) {
+        use wimnet::traffic::{UniformRandom, Workload};
+
+        let mut cfg = SystemConfig::xcym(2, 2, arch_from(self.arch_idx)).quick_test_profile();
+        cfg.seed = self.seed;
+        let mut sys = MultichipSystem::build(&cfg).unwrap();
+        let base = UniformRandom::new(
+            cfg.multichip.total_cores(),
+            cfg.multichip.num_stacks,
+            if self.reads { 0.9 } else { 0.20 },
+            InjectionProcess::Bernoulli { rate: self.load },
+            cfg.packet_flits,
+            cfg.seed,
+        );
+        let mut workload: Box<dyn Workload> = if self.reads {
+            Box::new(base.with_memory_reads(1.0, 8))
+        } else {
+            Box::new(base)
+        };
+        let total = cfg.warmup_cycles + cfg.measure_cycles;
+        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let stop = (total as f64 * self.stop_frac) as u64;
+        sys.run_until(workload.as_mut(), 0, stop).unwrap();
+        (cfg, sys.snapshot())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Random [`ScenarioPoint`]s over all nine axes round-trip through
+    /// JSON to equal values, and — the property the catalog actually
+    /// leans on — the round trip preserves the content fingerprint and
+    /// the serialized bytes exactly.
+    #[test]
+    fn scenario_points_round_trip_bit_exactly(point in scenario_points()) {
+        let json = serde_json::to_string_pretty(&point).unwrap();
+        let back: ScenarioPoint = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&back, &point);
+        // Value equality is not enough for the catalog: the float axes
+        // must come back with the same bit pattern...
+        prop_assert_eq!(
+            back.memory_fraction.to_bits(),
+            point.memory_fraction.to_bits()
+        );
+        // ...so the fingerprint — and therefore the catalog key — is
+        // stable across a round trip, at either scale.
+        for scale in [Scale::Quick, Scale::Paper] {
+            prop_assert_eq!(
+                catalog::fingerprint(&back, scale, 0.7),
+                catalog::fingerprint(&point, scale, 0.7)
+            );
+        }
+        // And re-serializing yields byte-identical JSON.
+        prop_assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
+    }
+
+    /// Random [`RunOutcome`]s round-trip through JSON to
+    /// byte-identical documents.
+    #[test]
+    fn run_outcomes_round_trip_bit_exactly(outcome in run_outcomes()) {
         let json = serde_json::to_string_pretty(&outcome).unwrap();
         let back: RunOutcome = serde_json::from_str(&json).unwrap();
         // `RunOutcome`'s PartialEq covers every field, floats included.
@@ -294,11 +353,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Full-engine snapshots (`wimnet::core::checkpoint`): the checkpoint
-// store validates entries by recomputing the content hash from a
-// *re-serialized parse*, so `bytes(parse(bytes(s))) == bytes(s)` is a
-// correctness requirement, not a nicety — a snapshot that drifted
-// through one round trip would quarantine itself on every lookup.
+// Full-engine snapshots (`wimnet::core::checkpoint`): `bytes(parse(bytes(s)))
+// == bytes(s)` is what makes a served snapshot re-store to the file it
+// came from, and what the content hash — taken over the bytes a file
+// holds — relies on when a store writes a snapshot it was served.
 // ---------------------------------------------------------------------------
 
 /// Replace every fractional number in a JSON document with a finite
@@ -336,39 +394,10 @@ proptest! {
     /// byte-exactly, both as captured and after every float in the
     /// document is doctored to a gnarly full-mantissa value.
     #[test]
-    fn snapshots_round_trip_bit_exactly(
-        arch_idx in 0usize..3,
-        seed in 0u64..1_000,
-        load in 0.001f64..0.006,
-        stop_frac in 0.1f64..0.9,
-        reads in any::<bool>(),
-        float_seed in any::<u64>(),
-    ) {
-        use wimnet::traffic::{InjectionProcess, UniformRandom, Workload};
-
-        let mut cfg = SystemConfig::xcym(2, 2, arch_from(arch_idx)).quick_test_profile();
-        cfg.seed = seed;
-        let mut sys = MultichipSystem::build(&cfg).unwrap();
-        let base = UniformRandom::new(
-            cfg.multichip.total_cores(),
-            cfg.multichip.num_stacks,
-            if reads { 0.9 } else { 0.20 },
-            InjectionProcess::Bernoulli { rate: load },
-            cfg.packet_flits,
-            cfg.seed,
-        );
-        let mut workload: Box<dyn Workload> = if reads {
-            Box::new(base.with_memory_reads(1.0, 8))
-        } else {
-            Box::new(base)
-        };
-        let total = cfg.warmup_cycles + cfg.measure_cycles;
-        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let stop = (total as f64 * stop_frac) as u64;
-        sys.run_until(workload.as_mut(), 0, stop).unwrap();
+    fn snapshots_round_trip_bit_exactly(case in snapshot_cases(), float_seed in any::<u64>()) {
+        let (cfg, snap) = case.take();
 
         // As captured: one round trip reproduces the exact bytes.
-        let snap = sys.snapshot();
         let json = serde_json::to_string_pretty(&snap).unwrap();
         let back: Snapshot = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(&serde_json::to_string_pretty(&back).unwrap(), &json);
@@ -390,6 +419,197 @@ proptest! {
         let mut fresh = MultichipSystem::build(&cfg).unwrap();
         fresh.restore(&back).unwrap();
         prop_assert_eq!(fresh.network().now(), snap.cycle);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Streaming ≡ tree.  A derived type reads straight from JSON text and
+// writes straight into it; `from_value` / `to_value` go through a
+// `serde::Value` tree instead.  The two paths share the parser, the
+// writer and the derived code, and differ in everything between them —
+// `Value`'s own impls, the tree-walking source, the tree-building sink
+// and how the parser is driven (a typed walk skips unknown keys, a tree
+// capture reads them).  So each path is the other's oracle.
+//
+// Seeded mutations these were seen to fail:
+// - `Value::deserialize` keeping the last of duplicate map keys (it
+//   overwrote the earlier entry): all three, on the duplicate-key
+//   documents whose duplicate came after the original;
+// - `[T]::serialize` announcing an element for an empty slice, which
+//   the pretty writer renders as `[\n  \n]`: the snapshot case, whose
+//   empty `VecDeque`s write `[]` streamed but go through `[Value]` — and
+//   the mutation — on the tree path (`the_writer_reproduces_…` below
+//   fails too);
+// - a bracket-counting `skip` in the parser (an unknown key's value
+//   passed over without being parsed): all three, on the unknown key
+//   whose value is the malformed `[1 2]` — accepted streamed, refused
+//   through the tree.
+// ---------------------------------------------------------------------------
+
+/// Index paths (through sequences and maps) of every non-empty map in
+/// `v`.
+fn map_paths(v: &serde::Value, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    use serde::Value;
+    let children: Box<dyn Iterator<Item = &Value>> = match v {
+        Value::Seq(items) => Box::new(items.iter()),
+        Value::Map(entries) => {
+            if !entries.is_empty() {
+                out.push(path.clone());
+            }
+            Box::new(entries.iter().map(|(_, item)| item))
+        }
+        _ => return,
+    };
+    for (i, child) in children.enumerate() {
+        path.push(i);
+        map_paths(child, path, out);
+        path.pop();
+    }
+}
+
+/// The entries of the map at `path` (one from [`map_paths`]).
+fn map_at<'a>(v: &'a mut serde::Value, path: &[usize]) -> &'a mut Vec<(String, serde::Value)> {
+    use serde::Value;
+    let node = path.iter().fold(v, |node, &i| match node {
+        Value::Seq(items) => &mut items[i],
+        Value::Map(entries) => &mut entries[i].1,
+        _ => unreachable!("a path runs through containers"),
+    });
+    let Value::Map(entries) = node else { unreachable!("a path ends at a map") };
+    entries
+}
+
+/// `text` and doctored variants of it, each named: keys reordered, an
+/// extra unknown key (well-formed, and malformed), a duplicate key with
+/// another value before or after the original, a value of the wrong
+/// type, a missing field, trailing garbage.  Each tree-level doctoring
+/// hits one non-empty map picked by `seed` and renders compact or
+/// pretty, also by `seed`.
+fn doctored_variants(text: &str, seed: u64) -> Vec<(&'static str, String)> {
+    use serde::Value;
+    let mut rng = seed;
+    let mut draw = |n: usize| (common::splitmix(&mut rng) % n as u64) as usize;
+    let tree = serde_json::parse_value(text).unwrap();
+    let mut paths = Vec::new();
+    map_paths(&tree, &mut Vec::new(), &mut paths);
+    let mut out = vec![
+        ("as rendered", text.to_string()),
+        ("trailing garbage", format!("{text} x")),
+        ("malformed unknown key", text.replacen('{', r#"{"zz_unknown":[1 2],"#, 1)),
+    ];
+    for what in ["reordered keys", "unknown key", "duplicate key", "wrong type", "missing field"] {
+        let mut doctored = tree.clone();
+        let entries = map_at(&mut doctored, &paths[draw(paths.len())]);
+        let at = draw(entries.len());
+        match what {
+            "reordered keys" => entries.reverse(),
+            "unknown key" => {
+                let extra = Value::Seq(vec![Value::Null, Value::Map(vec![("k".into(), Value::Float(1.5))])]);
+                entries.insert(draw(entries.len() + 1), ("zz_unknown".into(), extra));
+            }
+            "duplicate key" => {
+                let other = [Value::Null, Value::Str("dup".into()), entries[draw(entries.len())].1.clone()]
+                    [draw(3)]
+                .clone();
+                let key = entries[at].0.clone();
+                entries.insert(draw(entries.len() + 1), (key, other));
+            }
+            "wrong type" => {
+                entries[at].1 = match entries[at].1 {
+                    Value::Str(_) => Value::UInt(1),
+                    _ => Value::Str("wrong".into()),
+                };
+            }
+            _ => {
+                entries.remove(at);
+            }
+        }
+        let render = if draw(2) == 0 { serde_json::value_to_string } else { serde_json::value_to_string_pretty };
+        out.push((what, render(&doctored)));
+    }
+    out
+}
+
+/// `text` read as a `T` straight from the text and through the tree
+/// [`serde_json::parse_value`] builds: both fail, or both succeed with
+/// values that render to the same bytes.
+fn reads_agree<T: serde::Serialize + serde::Deserialize>(what: &str, text: &str) -> Result<(), TestCaseError> {
+    let streamed = serde_json::from_str::<T>(text);
+    let through_tree = serde_json::parse_value(text).and_then(|tree| T::from_value(&tree));
+    match (streamed, through_tree) {
+        (Err(_), Err(_)) => Ok(()),
+        (Ok(a), Ok(b)) if serde_json::to_string(&a).unwrap() == serde_json::to_string(&b).unwrap() => Ok(()),
+        (a, b) => Err(TestCaseError::fail(format!(
+            "{what}: streamed {}, through the tree {}",
+            a.map_or_else(|e| format!("{e}"), |a| serde_json::to_string(&a).unwrap()),
+            b.map_or_else(|e| format!("{e}"), |b| serde_json::to_string(&b).unwrap()),
+        ))),
+    }
+}
+
+/// `x` written straight to text and through its `Value` tree gives the
+/// same bytes, compact and pretty; and every doctored variant of its
+/// text reads the same both ways.
+fn paths_agree<T: serde::Serialize + serde::Deserialize>(x: &T, seed: u64) -> Result<(), TestCaseError> {
+    let tree = x.to_value();
+    prop_assert!(serde_json::to_string(x).unwrap() == serde_json::value_to_string(&tree), "compact");
+    let pretty = serde_json::to_string_pretty(x).unwrap();
+    prop_assert!(pretty == serde_json::value_to_string_pretty(&tree), "pretty");
+    for (what, text) in doctored_variants(&pretty, seed) {
+        reads_agree::<T>(what, &text)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Streaming ≡ tree for the catalog's two payload types.
+    #[test]
+    fn streaming_and_tree_paths_agree_on_points_and_outcomes(
+        point in scenario_points(),
+        outcome in run_outcomes(),
+        seed in any::<u64>(),
+    ) {
+        paths_agree(&point, seed)?;
+        paths_agree(&outcome, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+    /// Streaming ≡ tree for mid-run snapshots.
+    #[test]
+    fn streaming_and_tree_paths_agree_on_snapshots(case in snapshot_cases(), seed in any::<u64>()) {
+        paths_agree(&case.take().1, seed)?;
+    }
+}
+
+/// Streaming ≡ tree for the checked-in store files: the catalog entry
+/// and the served checkpoint read, the two retired checkpoint forms are
+/// refused, both ways alike, and so is every doctored variant.
+#[test]
+fn streaming_and_tree_paths_agree_on_the_fixtures() {
+    use wimnet::core::{CatalogEntry, CheckpointEntry};
+    let fixture = |name: &str| {
+        std::fs::read_to_string(format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))).unwrap()
+    };
+    let entry = fixture("v9_catalog_entry.json");
+    let checkpoints = ["v9_sparse_checkpoint.ckpt.json", "v9_checkpoint.ckpt.json", "pre_pr13_flit_queue.ckpt.json"]
+        .map(fixture);
+    assert!(serde_json::from_str::<CatalogEntry>(&entry).is_ok());
+    assert!(serde_json::from_str::<CheckpointEntry>(&checkpoints[0]).is_ok());
+    assert!(checkpoints[1..].iter().all(|text| serde_json::from_str::<CheckpointEntry>(text).is_err()));
+    for seed in 0..8 {
+        for (what, text) in doctored_variants(&entry, seed) {
+            reads_agree::<CatalogEntry>(what, &text).unwrap();
+        }
+        for checkpoint in &checkpoints {
+            for (what, text) in doctored_variants(checkpoint, seed) {
+                reads_agree::<CheckpointEntry>(what, &text).unwrap();
+            }
+        }
     }
 }
 
