@@ -44,6 +44,13 @@ pub enum CoreError {
         /// Description of the failing checkpoint operation.
         what: String,
     },
+    /// The simulation of one sweep point panicked.  The pool catches
+    /// the panic on the worker that ran the point and reports it as
+    /// that point's error, so its siblings' outcomes survive.
+    Panicked {
+        /// The panic message.
+        what: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -64,6 +71,7 @@ impl fmt::Display for CoreError {
             CoreError::Checkpoint { what } => {
                 write!(f, "checkpoint store: {what}")
             }
+            CoreError::Panicked { what } => write!(f, "simulation panicked: {what}"),
         }
     }
 }

@@ -150,6 +150,25 @@ impl Experiment {
         &mut self.config
     }
 
+    /// An upper bound on the flits this experiment's window can inject:
+    /// `(warmup + measure) × cores × min(offered flits per core per
+    /// cycle, 1)`.  Bernoulli and pattern loads offer `load ×
+    /// packet_flits`; saturation and application profiles count as 1.
+    ///
+    /// The sweep pool dispatches points in descending order of it
+    /// (`sweeps::dispatch_order`).  It ranks points, it does not predict
+    /// them, and it reaches no fingerprint, outcome or snapshot.
+    pub(crate) fn work_estimate(&self) -> f64 {
+        let offered = match &self.spec {
+            WorkloadSpec::UniformRandom { load, .. } | WorkloadSpec::Pattern { load, .. } => {
+                load * f64::from(self.config.packet_flits)
+            }
+            WorkloadSpec::Saturation { .. } | WorkloadSpec::App { .. } => 1.0,
+        };
+        let window = self.config.warmup_cycles as f64 + self.config.measure_cycles as f64;
+        window * self.config.multichip.total_cores() as f64 * offered.min(1.0)
+    }
+
     /// Core→home-stack mapping for NUMA-affine memory traffic.
     fn home_stacks(&self) -> Vec<usize> {
         wimnet_topology::MultichipLayout::build(&self.config.multichip)

@@ -10,9 +10,11 @@
 //!   (row-major over the axes, last axis fastest);
 //! * [`run_pool`] — a work-stealing executor over `std::thread`:
 //!   workers pull chunks of experiment indices from a shared atomic
-//!   queue, so grids much larger than the core count saturate the
-//!   machine even when per-point runtimes differ wildly (a saturated
-//!   point can cost 50× a fast-forwarded low-load point).
+//!   cursor over a heaviest-first dispatch order, so grids much larger
+//!   than the core count saturate the machine even when per-point
+//!   runtimes differ wildly (a saturated point can cost 50× a
+//!   fast-forwarded low-load point), and the heaviest points start
+//!   first instead of last.
 //!
 //! Results are written into per-index slots, so the output order equals
 //! the input order and — because each simulation is single-threaded and
@@ -20,6 +22,7 @@
 //! thread count and chunk size** (guarded by `tests/determinism.rs`).
 
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -38,16 +41,27 @@ use wimnet_traffic::{AddressStreamSpec, InjectionProcess};
 
 /// Default work chunk: one experiment per steal.  Simulations are
 /// coarse (milliseconds to seconds), so per-steal overhead is already
-/// negligible at chunk 1 and finer chunks balance better.
+/// negligible at chunk 1, and finer chunks balance better: the last
+/// steals of the heaviest-first dispatch order hold the lightest points,
+/// and one point is the smallest tail a worker can be left with.
 const DEFAULT_CHUNK: usize = 1;
 
 /// Runs `experiments` on a work-stealing pool of `threads` OS threads,
-/// handing out `chunk` consecutive experiments per steal.
+/// handing out the next `chunk` experiments of the dispatch order per
+/// steal.
+///
+/// The dispatch order is heaviest first: the indices sorted by a
+/// deterministic work estimate (the flits a point's window can inject
+/// at most — `(warmup + measure) × cores × min(offered flits per core
+/// per cycle, 1)`), descending, ties in index order.  The longest points
+/// start first and the last steals hold the shortest, so no worker is
+/// left alone with a heavy point at the end; a sweep ends when its work
+/// does.
 ///
 /// Outcomes are returned in input order and are bit-identical for every
 /// `(threads, chunk)` choice: each experiment is an independent,
 /// seed-deterministic, single-threaded simulation, and the pool only
-/// decides *which thread* runs it, never *what* it computes.
+/// decides *which thread* runs it and *when*, never *what* it computes.
 ///
 /// The worker count is clamped to `threads.clamp(1, n.div_ceil(chunk))`
 /// — the number of chunks the list actually splits into — so an
@@ -59,7 +73,9 @@ const DEFAULT_CHUNK: usize = 1;
 /// # Errors
 ///
 /// Returns the error of the lowest-indexed failing experiment (also
-/// independent of the pool shape).
+/// independent of the pool shape and of the dispatch order).  A
+/// simulation that panics is a [`CoreError::Panicked`] for its index,
+/// not a torn-down pool.
 pub fn run_pool(
     experiments: &[Experiment],
     threads: usize,
@@ -71,13 +87,15 @@ pub fn run_pool(
 /// [`run_pool`] without the fold into one `Result`: every experiment's
 /// own result, in input order, so a caller can report a failed point
 /// next to its finished siblings (the `figures` tables print such a
-/// point as a cell).  Same pool, same shape-independence.
+/// point as a cell).  A point that panicked is its own
+/// [`CoreError::Panicked`] here, beside its siblings' outcomes.  Same
+/// pool, same heaviest-first dispatch order, same shape-independence.
 pub fn run_pool_each(
     experiments: &[Experiment],
     threads: usize,
     chunk: usize,
 ) -> Vec<Result<RunOutcome, CoreError>> {
-    run_pool_generic(experiments.len(), threads, chunk, |i| experiments[i].run())
+    run_pool_generic(&dispatch_order(experiments), threads, chunk, |i| experiments[i].run())
 }
 
 /// One-line forwarder to [`run_pool`], kept only because
@@ -93,27 +111,60 @@ pub fn run_pool_batched(
     run_pool(experiments, threads, chunk)
 }
 
-/// The pool skeleton: an atomic chunk queue drained by scoped workers,
-/// per-index result slots, input-order collection.  `run_one(i)`
-/// produces the result for index `i` on whichever worker stole it.
-/// Generic over the per-index result type, for drivers whose work items
-/// can legitimately *not* produce an outcome (checkpointed runs killed
-/// mid-point yield `Option<RunOutcome>`).  Every index runs whatever
-/// its siblings returned; a caller that wants one `Result` collects,
-/// which keeps the lowest-indexed error.
+/// The pool's dispatch order: `0..experiments.len()` sorted by
+/// [`Experiment::work_estimate`], descending, ties in index order (the
+/// sort is stable).
+fn dispatch_order(experiments: &[Experiment]) -> Vec<usize> {
+    let estimates: Vec<f64> = experiments.iter().map(Experiment::work_estimate).collect();
+    let mut order: Vec<usize> = (0..experiments.len()).collect();
+    order.sort_by(|&a, &b| estimates[b].total_cmp(&estimates[a]));
+    order
+}
+
+/// Runs one pool index, turning a panic into that index's
+/// [`CoreError::Panicked`] carrying the panic message.
+///
+/// `AssertUnwindSafe` holds because nothing a worker shares outlives a
+/// panic half-done: the experiments are read-only, and a store write
+/// cut short leaves at most a temp file, which the store's rename
+/// discipline never serves.
+fn catch_panic<T>(run: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreError> {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a panic without a message".to_string());
+        Err(CoreError::Panicked { what })
+    })
+}
+
+/// The pool skeleton: an atomic cursor over `order` drained by scoped
+/// workers, `chunk` entries of it per steal, per-index result slots,
+/// input-order collection.  `order` is a permutation of `0..n`
+/// ([`dispatch_order`]); `run_one(i)` produces the result for index `i`
+/// on whichever worker stole it.  Generic over the per-index outcome
+/// type, for drivers whose work items can legitimately *not* produce an
+/// outcome (checkpointed runs killed mid-point yield
+/// `Option<RunOutcome>`).  A panic in `run_one(i)` is caught on its
+/// worker and becomes index `i`'s [`CoreError::Panicked`]; the worker
+/// goes on stealing.  Every index runs whatever its siblings returned; a
+/// caller that wants one `Result` collects, which keeps the
+/// lowest-indexed error.
 fn run_pool_generic<T: Send + Sync>(
-    n: usize,
+    order: &[usize],
     threads: usize,
     chunk: usize,
-    run_one: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
+    run_one: impl Fn(usize) -> Result<T, CoreError> + Sync,
+) -> Vec<Result<T, CoreError>> {
+    let n = order.len();
     if n == 0 {
         return Vec::new();
     }
     let chunk = chunk.max(1);
     let threads = threads.clamp(1, n.div_ceil(chunk));
     let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let slots: Vec<OnceLock<Result<T, CoreError>>> = (0..n).map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -121,8 +172,8 @@ fn run_pool_generic<T: Send + Sync>(
                 if start >= n {
                     break;
                 }
-                for (i, slot) in slots.iter().enumerate().skip(start).take(chunk) {
-                    let filled = slot.set(run_one(i)).is_ok();
+                for &i in order[start..].iter().take(chunk) {
+                    let filled = slots[i].set(catch_panic(|| run_one(i))).is_ok();
                     debug_assert!(filled, "each index is stolen exactly once");
                 }
             });
@@ -549,9 +600,10 @@ impl ScenarioGrid {
 
     /// Runs the points of shard `opts.shard` through the result
     /// `catalog`: cache hits are served from disk at memcpy speed, only
-    /// misses simulate (on the [`run_pool`] skeleton), and **each fresh
-    /// outcome is memoized by the worker that produced it, the moment
-    /// it exists** — a sibling point's error or a killed process loses
+    /// misses simulate (on the [`run_pool`] skeleton, heaviest first),
+    /// and **each fresh outcome is memoized by the worker that produced
+    /// it, the moment it exists** — a sibling point's error or a killed
+    /// process loses
     /// nothing that had finished.  Outcomes are bit-identical to an
     /// uncached [`ScenarioGrid::run`] — simulations are deterministic
     /// and the JSON layer round-trips every finite f64 exactly — so a
@@ -573,7 +625,8 @@ impl ScenarioGrid {
     ///
     /// The two simulated crashes leave [`CachedSweep::pending`] > 0 and
     /// no outcome vector: `opts.miss_budget` simulates only the first
-    /// `k` misses in point order; `opts.kill_at` stops each miss before
+    /// `k` misses in point order (the budget is taken before the
+    /// dispatch order is); `opts.kill_at` stops each miss before
     /// its first iteration at cursor ≥ `k`, its latest checkpoint left
     /// on disk for a later call to finish from.
     ///
@@ -581,7 +634,7 @@ impl ScenarioGrid {
     ///
     /// [`CoreError::InvalidParameter`] for a shard outside
     /// `0 <= i < n`; otherwise the lowest-indexed failing point's error
-    /// — a simulation failure, or a [`CoreError::Catalog`] /
+    /// — a simulation failure or panic, or a [`CoreError::Catalog`] /
     /// [`CoreError::Checkpoint`] when either store cannot be written.
     pub fn run_cached_with(
         &self,
@@ -604,11 +657,14 @@ impl ScenarioGrid {
         let mut to_run: Vec<usize> =
             (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
         let hits = points.len() - to_run.len();
+        // Budget first, order second: the budget is the first `k` misses
+        // in point order, whichever of them the pool then starts first.
         to_run.truncate(opts.miss_budget.unwrap_or(usize::MAX));
+        let experiments: Vec<Experiment> =
+            to_run.iter().map(|&i| self.experiment(&points[i])).collect();
 
-        let fresh = run_pool_generic(to_run.len(), opts.threads, opts.chunk, |k| {
-            let i = to_run[k];
-            let experiment = self.experiment(&points[i]);
+        let fresh = run_pool_generic(&dispatch_order(&experiments), opts.threads, opts.chunk, |k| {
+            let (i, experiment) = (to_run[k], &experiments[k]);
             let outcome = match opts.checkpoints {
                 Some(store) => {
                     experiment.run_checkpointed(store, &fingerprints[i], opts.kill_at)?
@@ -645,7 +701,8 @@ impl ScenarioGrid {
 pub struct SweepOptions<'a> {
     /// Pool worker threads (clamped to the number of steals).
     pub threads: usize,
-    /// Points per steal.
+    /// Points per steal: each steal takes the next `chunk` misses of
+    /// the heaviest-first dispatch order ([`run_pool`]).
     pub chunk: usize,
     /// `(i, n)`: run only the points of shard `i` of `n`
     /// ([`ScenarioGrid::shard_range`]).
@@ -846,7 +903,7 @@ mod tests {
             .scale(Scale::Quick)
             .loads(&[0.001, 0.004, 0.016]);
         let exps = grid.experiments();
-        let a = run_pool(&exps, 1, 1).unwrap();
+        let a: Vec<RunOutcome> = exps.iter().map(|e| e.run().unwrap()).collect();
         let b = run_pool(&exps, 8, 2).unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
@@ -983,5 +1040,136 @@ mod tests {
         assert_eq!(solo[2], exps[2].run());
         assert_ne!(solo[0], solo[2], "each slot holds its own experiment's outcome");
         assert_eq!(run_pool_each(&exps, 4, 2), solo, "whatever the pool shape");
+    }
+
+    /// A panicking index is that index's `Panicked` error, next to its
+    /// siblings' results, and the worker that caught it keeps stealing.
+    /// Seeded mutation seen to fail it: `slots[i].set(run_one(i))` in
+    /// `run_pool_generic`, without `catch_panic` — the panic then
+    /// propagates out of the thread scope and takes the test with it.
+    #[test]
+    fn a_panicking_point_is_its_own_error_beside_its_siblings() {
+        let run_one = |i: usize| -> Result<usize, CoreError> {
+            match i {
+                1 => panic!("point {i} blew up"),
+                3 => panic!("a static message"),
+                _ => Ok(10 * i),
+            }
+        };
+        fn panicked<T>(what: &str) -> Result<T, CoreError> {
+            Err(CoreError::Panicked { what: what.to_string() })
+        }
+        let expected =
+            vec![Ok(0), panicked("point 1 blew up"), Ok(20), panicked("a static message"), Ok(40)];
+        // One worker draining the whole order in one steal: the panic
+        // at index 3 (dispatched first) must not cost the rest of it.
+        for (threads, chunk) in [(1, 5), (2, 1), (4, 2)] {
+            let got = run_pool_generic(&[3, 4, 1, 0, 2], threads, chunk, run_one);
+            assert_eq!(got, expected, "({threads} threads, chunk {chunk})");
+            let folded: Result<Vec<usize>, CoreError> = got.into_iter().collect();
+            assert_eq!(folded, panicked("point 1 blew up"), "the lowest index wins");
+        }
+    }
+
+    /// Uniform random at `load` on a quick-scale 4C4M wireless system.
+    fn quick_load(load: f64) -> Experiment {
+        let cfg = SystemConfig::xcym(4, 4, Architecture::Wireless).quick_test_profile();
+        Experiment::uniform_random(&cfg, load)
+    }
+
+    /// [`quick_load`] with twice the cores per chip.
+    fn twice_the_cores(load: f64) -> Experiment {
+        let mut exp = quick_load(load);
+        exp.config_mut().multichip.cores_per_chip *= 2;
+        exp
+    }
+
+    #[test]
+    fn the_estimate_grows_with_window_cores_and_load_and_caps_at_saturation() {
+        let base = quick_load(0.004);
+        let mut longer = base.clone();
+        longer.config_mut().measure_cycles += 1000;
+        assert!(longer.work_estimate() > base.work_estimate(), "window");
+        assert!(twice_the_cores(0.004).work_estimate() > base.work_estimate(), "cores");
+        assert!(quick_load(0.008).work_estimate() > base.work_estimate(), "load");
+        // 64-flit packets: any load past 1/64 offers more than a flit
+        // per core per cycle, which is what saturation counts.
+        let cfg = base.config();
+        let saturation = Experiment::saturation(cfg, 0.2).work_estimate();
+        let cores = cfg.multichip.total_cores() as f64;
+        let window = (cfg.warmup_cycles + cfg.measure_cycles) as f64;
+        assert_eq!(saturation, window * cores);
+        assert_eq!(quick_load(0.5).work_estimate(), saturation);
+        assert_eq!(quick_load(1.0 / 64.0).work_estimate(), saturation);
+        assert!(quick_load(0.015).work_estimate() < saturation);
+    }
+
+    #[test]
+    fn dispatch_order_is_descending_in_the_estimate_with_ties_in_index_order() {
+        let cfg = SystemConfig::xcym(4, 4, Architecture::Substrate).quick_test_profile();
+        let exps = vec![
+            quick_load(0.001),                 // 0
+            Experiment::saturation(&cfg, 0.2), // 1: capped
+            quick_load(0.008),                 // 2
+            twice_the_cores(0.001),            // 3
+            quick_load(0.25),                  // 4: capped, ties 1
+            quick_load(0.008),                 // 5: ties 2
+            quick_load(0.002),                 // 6: ties 3
+        ];
+        let order = dispatch_order(&exps);
+        assert_eq!(order, [1, 4, 2, 5, 3, 6, 0]);
+        for pair in order.windows(2) {
+            let (a, b) = (exps[pair[0]].work_estimate(), exps[pair[1]].work_estimate());
+            assert!(a > b || (a == b && pair[0] < pair[1]), "{order:?}");
+        }
+        assert!(dispatch_order(&[]).is_empty());
+    }
+
+    /// The makespan of the pool replayed on known per-point costs: each
+    /// steal of `chunk` entries of `order` goes to the worker that frees
+    /// first (the lowest-numbered one on a tie), as the atomic cursor
+    /// hands them out.
+    fn replay(order: &[usize], costs: &[u64], threads: usize, chunk: usize) -> u64 {
+        let mut free = vec![0u64; threads.clamp(1, order.len().div_ceil(chunk))];
+        for steal in order.chunks(chunk) {
+            let worker = (0..free.len()).min_by_key(|&w| free[w]).unwrap();
+            free[worker] += steal.iter().map(|&i| costs[i]).sum::<u64>();
+        }
+        free.into_iter().max().unwrap_or(0)
+    }
+
+    /// The estimate ranks the work the pool really does, checked without
+    /// a clock: on the benchmark's 18-point figure grid at quick scale,
+    /// each point's cost is its `meter_charges` (deterministic; it
+    /// tracks flit hops plus metered cycles), and the pool is replayed
+    /// on those costs.  Heaviest-first must never end later than index
+    /// order, and at 2 threads it must come within 8 % of the bound no
+    /// schedule beats, `max(max cost, Σ / threads)`.
+    #[test]
+    fn heaviest_first_replays_no_later_than_index_order_and_near_the_bound() {
+        let grid = ScenarioGrid::new("sweep_batched")
+            .scale(Scale::Quick)
+            .architectures(&Architecture::ALL)
+            .loads(&[0.001, 0.002, 0.004, 0.008, 0.016, 0.032]);
+        let exps = grid.experiments();
+        let costs: Vec<u64> = run_pool(&exps, default_threads(), 1)
+            .unwrap()
+            .iter()
+            .map(|o| o.meter_charges)
+            .collect();
+        let heaviest = dispatch_order(&exps);
+        let index: Vec<usize> = (0..exps.len()).collect();
+        for threads in [2, 4] {
+            for chunk in [1, 3, 4] {
+                let (ours, theirs) =
+                    (replay(&heaviest, &costs, threads, chunk), replay(&index, &costs, threads, chunk));
+                assert!(ours <= theirs, "{threads}x{chunk}: {ours} > index order's {theirs}");            }
+        }
+        let total: u64 = costs.iter().sum();
+        let bound = (*costs.iter().max().unwrap() as f64).max(total as f64 / 2.0);
+        for chunk in [1, 3] {
+            let ratio = replay(&heaviest, &costs, 2, chunk) as f64 / bound;
+            assert!(ratio <= 1.08, "2x{chunk}: makespan {ratio:.3} of the bound");
+        }
     }
 }

@@ -120,6 +120,39 @@ fn crash_damaged_catalog_resumes_to_the_uncached_result() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `miss_budget: Some(k)` simulates the first `k` misses in *point*
+/// order, not the first `k` the pool dispatches.  The grid's loads
+/// ascend, so the heaviest-first dispatch order starts from its last
+/// point; after every budget the catalog must still hold exactly the
+/// fingerprints of points `0..k`.  Seeded mutation seen to fail it:
+/// sorting `to_run` into the dispatch order before truncating it in
+/// `ScenarioGrid::run_cached_with`.
+#[test]
+fn miss_budget_takes_the_first_misses_in_point_order() {
+    let g = ScenarioGrid::new("budget-order")
+        .scale(Scale::Quick)
+        .architectures(&[Architecture::Substrate])
+        .chips(&[2])
+        .stacks(&[2])
+        .loads(&[0.001, 0.002, 0.004, 0.008]);
+    let points = g.points();
+    for k in 1..points.len() {
+        let dir = temp_catalog(&format!("budget-order-{k}"));
+        let catalog = Catalog::open(&dir).unwrap();
+        let budget = SweepOptions { miss_budget: Some(k), ..pool_2x2() };
+        let run = g.run_cached_with(&catalog, &budget).unwrap();
+        assert_eq!((run.misses, run.pending), (k, points.len() - k));
+        for (i, point) in points.iter().enumerate() {
+            assert_eq!(
+                catalog.contains(&g.point_fingerprint(point)),
+                i < k,
+                "budget {k}: point {i}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 /// Poisoned entries — a well-formed envelope from a different engine
 /// version carrying a doctored outcome, and an entry overwritten with
 /// garbage — are quarantined and recomputed, never served and never

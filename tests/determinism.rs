@@ -268,8 +268,11 @@ fn memory_read_fast_forward_is_bit_identical_to_full_stepping() {
 /// The work-stealing pool decides only *where* an experiment runs,
 /// never *what* it computes: every (threads, chunk) shape must produce
 /// bit-identical outcomes in the same order.  The shapes cover
-/// one-point steals, partial tail chunks, chunks spanning an
-/// architecture boundary and a single chunk holding the whole list.
+/// one-point steals, partial tail chunks, chunks mixing architectures
+/// and a single chunk holding the whole list.
+/// The reference is each experiment run on its own, in list order, not
+/// a one-thread pool: every pool shape walks the same heaviest-first
+/// dispatch order, so a pool reference would share any fault of it.
 #[test]
 fn pool_shape_is_invisible_in_the_results() {
     let grid = ScenarioGrid::new("pool-shape")
@@ -277,8 +280,10 @@ fn pool_shape_is_invisible_in_the_results() {
         .architectures(&[Architecture::Wireless, Architecture::Interposer])
         .loads(&[0.001, 0.004, 0.016]);
     let exps = grid.experiments();
-    let reference = run_pool(&exps, 1, 1).expect("serial");
+    let reference: Vec<_> =
+        exps.iter().map(Experiment::run).collect::<Result<_, _>>().expect("serial");
     for (threads, chunk) in [
+        (1, 1),
         (2, 1),
         (4, 1),
         (16, 1),
