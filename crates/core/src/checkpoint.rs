@@ -5,8 +5,8 @@
 //! finished outcome never needs recomputing).  This module pushes the
 //! same idea inside a run: a [`Snapshot`] captures the complete mutable
 //! state of a [`MultichipSystem`] at an iteration boundary — VC slabs,
-//! ring lanes, credits and grant owners, the active-set bitsets,
-//! radio backlog, all three MAC media, the memory controllers' queues,
+//! ring lanes, credits and grant owners, radio FIFOs, all three MAC
+//! media, the memory controllers' queues,
 //! bank state machines and in-flight completions, the workload cursors
 //! (per-stack stream ordinals, staged requests, the outstanding-read
 //! map), the reply heap, the energy meter's superaccumulator limbs and
@@ -26,7 +26,9 @@
 //! the store's scenario fingerprint enforces exactly that.  Workload
 //! objects are likewise excluded: resumption requires counter-based
 //! workloads (generation a pure function of the queried cycle), which
-//! every workload in this repository satisfies by design.
+//! every workload in this repository satisfies by design.  Nor does a
+//! snapshot carry what restore derives from the state it holds: the
+//! active sets, the flit counters and the lane capacities.
 //!
 //! # The on-disk store
 //!

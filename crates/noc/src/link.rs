@@ -136,8 +136,10 @@ impl Link {
         self.credit = (self.credit + self.rate).min(self.credit_cap());
     }
 
+    /// The most credit the link can hold: every credit a run reaches is
+    /// in `[0, credit_cap]`.
     #[inline]
-    fn credit_cap(&self) -> f64 {
+    pub(crate) fn credit_cap(&self) -> f64 {
         self.rate.max(1.0) + self.rate
     }
 
@@ -159,7 +161,8 @@ impl Link {
         self.credit
     }
 
-    /// Restores the bandwidth credit from a [`Link::credit`] snapshot.
+    /// Restores the bandwidth credit from a [`Link::credit`] snapshot
+    /// (the network checks it is in `[0, credit_cap]` first).
     pub(crate) fn set_credit(&mut self, credit: f64) {
         self.credit = credit;
     }

@@ -52,10 +52,10 @@ fn words_for(n: usize) -> usize {
     n.div_ceil(64)
 }
 
-/// An `n`-bit bitset with every bit set.
-fn all_set(n: usize) -> Vec<u64> {
+/// An `n`-bit bitset with bit `i` set iff `member(i)`.
+fn bitset(n: usize, member: impl Fn(usize) -> bool) -> Vec<u64> {
     let mut words = vec![0u64; words_for(n)];
-    for i in 0..n {
+    for i in (0..n).filter(|&i| member(i)) {
         set_bit(&mut words, i);
     }
     words
@@ -225,11 +225,9 @@ const _: () = assert!(std::mem::size_of::<Port>() == 32);
 /// (see [`NetworkState`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct RadioTxState {
-    /// Per-VC FIFO contents, front to back.
+    /// Per-VC FIFO contents, front to back (each at most the built
+    /// `radio_tx_depth`).
     pub lanes: Vec<Vec<(Flit, RadioId)>>,
-    /// Per-VC FIFO capacities (fixed at construction, stored for the
-    /// restore-time shape check).
-    pub capacities: Vec<usize>,
     /// Sticky per-VC wormhole target (head locks it, tail clears it).
     pub target_by_vc: Vec<Option<RadioId>>,
 }
@@ -239,9 +237,11 @@ pub(crate) struct RadioTxState {
 /// snapshot only carries what a run mutates).
 ///
 /// Captured between cycles — per-cycle scratch is empty at that point
-/// and deliberately excluded.  Restoring into a freshly built network
-/// for the same layout/routes/config resumes the run bit-for-bit (see
-/// `wimnet_core::checkpoint`).
+/// and deliberately excluded.  So is every schedule the tables define:
+/// the active-set bitsets, the flit counters and the lane capacities,
+/// which [`Network::restore_state`] derives.  Restoring into a freshly
+/// built network for the same layout/routes/config resumes the run
+/// bit-for-bit (see `wimnet_core::checkpoint`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkState {
     /// Completed cycles.
@@ -252,8 +252,6 @@ pub struct NetworkState {
     pub(crate) link_credits: Vec<f64>,
     /// In-flight wire pipelines, one lane per link.
     pub(crate) flight_lanes: Vec<Vec<LinkDelivery>>,
-    /// In-flight lane capacities.
-    pub(crate) flight_caps: Vec<usize>,
     /// Radio TX FIFOs and wormhole targets, in [`RadioId`] order.
     pub(crate) radios: Vec<RadioTxState>,
     /// Per-medium MAC state as a schema-free serde value (each MAC
@@ -278,25 +276,10 @@ pub struct NetworkState {
     /// Energy meter as [`Network::meter`] read it out at capture time
     /// (exact integer limbs — restores bit-for-bit).
     pub(crate) meter: EnergyMeter,
-    /// Flits accepted and not yet delivered.
-    pub(crate) flits_in_network: u64,
-    /// Flits queued at sources.
-    pub(crate) backlog_flits: u64,
-    /// Flits buffered in radio TX FIFOs.
-    pub(crate) radio_backlog_flits: u64,
     /// Cycles skipped by fast-forward.
     pub(crate) ff_cycles: u64,
     /// Last cycle any flit moved.
     pub(crate) last_progress: u64,
-    /// Active-link bitset (captured verbatim, like the two below: a
-    /// set bit whose component has since quiesced is cleared at its
-    /// next visit).
-    pub(crate) links_mask: Vec<u64>,
-    /// Active-switch bitset: a clear bit is a switch no stage of which
-    /// can act ([`Switch::can_sleep`]); restore refuses any other.
-    pub(crate) switch_mask: Vec<u64>,
-    /// Active-injector bitset.
-    pub(crate) inj_mask: Vec<u64>,
 }
 
 /// The assembled multichip network.
@@ -841,7 +824,7 @@ impl Network {
         // Links start active (bitset full) so their bandwidth credit
         // warms up; they drop out once saturated.  Switches and
         // injectors start empty.
-        let links_mask = all_set(links.len());
+        let links_mask = bitset(links.len(), |_| true);
         // An endpoint's ejection port holds at most one packet per
         // output VC between its head and its tail.
         let reassembler = Reassembler::with_capacity(n * cfg.vcs);
@@ -1044,50 +1027,57 @@ impl Network {
     }
 
     /// Exhaustively checks every switch's slab bookkeeping invariants
-    /// (see [`Switch::assert_invariants`]); test support, O(switches ×
-    /// ports × vcs).
+    /// (see [`Switch::assert_invariants`]), the active sets and flit
+    /// conservation; test support, O(switches × ports × vcs + links +
+    /// radios × vcs).
+    ///
+    /// Seeded mutation flit conservation was seen to catch: dropping
+    /// `self.flits_in_network -= ejected` from `visit_switches` — seven
+    /// of the eight `golden_step` chains fail it (the eighth fails its
+    /// idle check), and the debug driver's sweep fails
+    /// `tests/checkpoint.rs`.
     ///
     /// # Panics
     ///
     /// Panics when any switch's `buffered` counter or ready masks
     /// disagree with its per-VC tables, when a switch is out of the
-    /// switch set although a stage of it can act, when the radio
-    /// backlog counter has drifted, or when an endpoint with backlog is
-    /// out of the injector set although its front flit could enter.
+    /// switch set although a stage of it can act, when an endpoint is
+    /// out of the injector set although its front flit could enter, or
+    /// when a flit counter differs from the flits the tables hold
+    /// (`counted_flits`).
     pub fn assert_switch_invariants(&self) {
-        // The sleeping rule: a missed wake would strand the switch's
-        // flits for the rest of the run.
-        for (si, sw) in self.switches.iter().enumerate() {
+        // The sleeping rules: a missed wake would strand a switch's
+        // flits or an endpoint's queue for the rest of the run.
+        for (i, sw) in self.switches.iter().enumerate() {
             sw.assert_invariants();
             assert!(
-                get_bit(&self.switch_mask, si) || sw.can_sleep(),
-                "switch {si} sleeps although a stage of it can act"
+                get_bit(&self.switch_mask, i) || sw.can_sleep(),
+                "switch {i} sleeps although a stage of it can act"
+            );
+            assert!(
+                get_bit(&self.inj_mask, i) || !self.can_inject(i),
+                "endpoint {i} sleeps on a flit that port 0 would take"
             );
         }
-        // The fast-forward precondition counter must track the radio
-        // FIFOs exactly: a drifted counter would either pin `is_idle`
-        // false forever (silently killing fast-forward) or skip cycles
-        // with flits still buffered.
+        // Flit conservation: the O(1) counters gate fast-forward,
+        // draining and the stall watchdog, so a drifted one either pins
+        // `is_idle` false forever or skips cycles with flits still held.
         assert_eq!(
-            self.radio_backlog_flits,
-            self.radios.iter().map(RadioTx::backlog).sum::<u64>(),
-            "radio backlog counter out of sync"
+            (self.flits_in_network, self.backlog_flits, self.radio_backlog_flits),
+            self.counted_flits(),
+            "flit counters (in the network, at sources, in radio FIFOs) out of sync"
         );
-        // The injector rule: an endpoint with backlog may be out of the
-        // active set only while its front flit cannot enter port 0 — a
-        // missed wake would strand its queue for the rest of the run.
-        for ni in 0..self.switches.len() {
-            if get_bit(&self.inj_mask, ni) {
-                continue;
-            }
-            if let Some(flit) = self.source_front(ni) {
-                assert_eq!(
-                    self.injection_vc(ni, flit),
-                    None,
-                    "endpoint {ni} sleeps on a flit that port 0 would take"
-                );
-            }
-        }
+    }
+
+    /// The flits the tables hold, as the three O(1) counters count them:
+    /// in the network (switch buffers, wires, radio FIFOs), at sources,
+    /// in radio FIFOs.  The definition the invariant above holds the
+    /// counters to, and what restore sets them to.
+    fn counted_flits(&self) -> (u64, u64, u64) {
+        let buffered: usize = self.switches.iter().map(Switch::buffered_flits).sum();
+        let wired: usize = (0..self.links.len()).map(|li| self.flight.len(li)).sum();
+        let radio: u64 = self.radios.iter().map(RadioTx::backlog).sum();
+        ((buffered + wired) as u64 + radio, self.inj_backlog.iter().sum(), radio)
     }
 
     /// Flits generated but still waiting in source queues (O(1): the
@@ -1493,6 +1483,12 @@ impl Network {
         }
     }
 
+    /// `true` when endpoint `ni`'s front flit can enter port 0 now: what
+    /// keeps an injector in the active set.
+    fn can_inject(&self, ni: usize) -> bool {
+        self.source_front(ni).is_some_and(|flit| self.injection_vc(ni, flit).is_some())
+    }
+
     /// The flit endpoint `ni` offers its injection port next: the front
     /// packet's flit at the injection cursor, materialised on demand.
     #[inline]
@@ -1635,23 +1631,17 @@ impl Network {
     /// [`Network::meter`] read-out, so the hop and cycle counters are
     /// not part of the state: a restored network starts them at zero.
     pub fn state(&self) -> NetworkState {
-        let (flight_lanes, flight_caps) = self.flight.state();
         NetworkState {
             now: self.now,
             switches: self.switches.iter().map(Switch::state).collect(),
             link_credits: self.links.iter().map(Link::credit).collect(),
-            flight_lanes,
-            flight_caps,
+            flight_lanes: self.flight.state(),
             radios: self
                 .radios
                 .iter()
-                .map(|r| {
-                    let (lanes, capacities) = r.fifo.state();
-                    RadioTxState {
-                        lanes,
-                        capacities,
-                        target_by_vc: r.target_by_vc.clone(),
-                    }
+                .map(|r| RadioTxState {
+                    lanes: r.fifo.state(),
+                    target_by_vc: r.target_by_vc.clone(),
                 })
                 .collect(),
             media: self.media.iter().map(|m| m.state_value()).collect(),
@@ -1663,14 +1653,8 @@ impl Network {
             arrivals: self.arrivals.clone(),
             stats: self.stats.clone(),
             meter: self.meter(),
-            flits_in_network: self.flits_in_network,
-            backlog_flits: self.backlog_flits,
-            radio_backlog_flits: self.radio_backlog_flits,
             ff_cycles: self.ff_cycles,
             last_progress: self.last_progress,
-            links_mask: self.links_mask.clone(),
-            switch_mask: self.switch_mask.clone(),
-            inj_mask: self.inj_mask.clone(),
         }
     }
 
@@ -1679,24 +1663,25 @@ impl Network {
     /// snapshot was taken from; the subsequent run is then bit-identical
     /// to the uninterrupted one.
     ///
+    /// The schedule is derived from the restored tables, never read:
+    /// every link active (phase 0 prunes the quiescent ones), a switch
+    /// iff [`Switch::can_sleep`] is false, an endpoint iff its front flit
+    /// can enter port 0, the flit counters from `counted_flits`.  A set
+    /// smaller than the source's leaves out only no-op visits.
+    ///
     /// # Errors
     ///
     /// [`serde::Error`] when the snapshot's shape disagrees with this
-    /// network's topology (counts of switches, links, radios, media or
-    /// endpoints — e.g. a snapshot from a different scale or wireless
-    /// model), when its source queues are malformed (an entry with no
-    /// flits, a cursor at or past its packet's end, a foreign source or
-    /// out-of-range destination; a partially injected entry behind a
-    /// lane's front; an active VC that disagrees with the front entry's
-    /// cursor; a flit total other than `backlog_flits`), when an
-    /// active-set bitset has a bit past its component count, when a flit
-    /// it carries names an endpoint this network does not have, when a
-    /// switch rejects its tables ([`Switch::check_state`]) or is left
-    /// out of the switch set although, on its restored tables, a stage
-    /// of it can act, or when an attached medium rejects its state value
-    /// (MAC model mismatch).
-    /// Shape rejection happens before any mutation, so a failed restore
-    /// leaves the network untouched.
+    /// network's topology (counts of switches, links, flight lanes,
+    /// radios, media or endpoints — e.g. a snapshot from a different
+    /// scale or wireless model), when a table restore reads or the next
+    /// step indexes is malformed (a source queue, an injection VC or
+    /// cursor, a flit's endpoints, an in-flight delivery's VC, a radio's
+    /// FIFOs or targets, a link credit outside `[0, cap]`, a switch's
+    /// tables per [`Switch::check_state`]), or when an attached medium
+    /// rejects its state value (MAC model mismatch).  Rejection happens
+    /// before any mutation, so a failed restore leaves the network
+    /// untouched.
     pub fn restore_state(&mut self, s: &NetworkState) -> Result<(), serde::Error> {
         let shape = |ours: usize, theirs: usize, what: &str| {
             if ours == theirs {
@@ -1709,36 +1694,19 @@ impl Network {
         };
         shape(self.switches.len(), s.switches.len(), "switch count")?;
         shape(self.links.len(), s.link_credits.len(), "link count")?;
+        shape(self.links.len(), s.flight_lanes.len(), "flight lane count")?;
         shape(self.radios.len(), s.radios.len(), "radio count")?;
         shape(self.media.len(), s.media.len(), "medium count")?;
         shape(self.inj_active_vc.len(), s.inj_active_vc.len(), "endpoint count")?;
         shape(self.inj_rr.len(), s.inj_cursors.len(), "endpoint cursor count")?;
-        shape(self.links_mask.len(), s.links_mask.len(), "link bitset width")?;
-        shape(self.switch_mask.len(), s.switch_mask.len(), "switch bitset width")?;
-        shape(self.inj_mask.len(), s.inj_mask.len(), "injector bitset width")?;
         shape(self.inj_pending.len(), s.inj_lanes.len(), "source queue count")?;
-        for (words, n, what) in [
-            (&s.links_mask, self.links.len(), "link"),
-            (&s.switch_mask, self.switches.len(), "switch"),
-            (&s.inj_mask, self.switches.len(), "injector"),
-        ] {
-            if set_bits(words).any(|i| i >= n) {
-                return Err(serde::Error::msg(format!(
-                    "snapshot {what} bitset has a bit past its {n} components"
-                )));
-            }
+        self.check_source_queues(s)?;
+        self.check_flits(s)?;
+        let credit_ok = |(link, c): (&Link, &f64)| (0.0..=link.credit_cap()).contains(c);
+        if let Some(li) = self.links.iter().zip(&s.link_credits).position(|lc| !credit_ok(lc)) {
+            return Err(serde::Error::msg(format!("snapshot link {li} credit out of range")));
         }
-        let inj_backlog = self.checked_source_backlog(s)?;
-        self.check_flit_endpoints(s)?;
-        for (si, (sw, st)) in self.switches.iter().zip(&s.switches).enumerate() {
-            sw.check_state(st)?;
-            // Nothing wakes a switch that can act: it would be stranded.
-            if !get_bit(&s.switch_mask, si) && !sw.would_sleep(st) {
-                return Err(serde::Error::msg(format!(
-                    "snapshot leaves switch {si} asleep although a stage of it can act"
-                )));
-            }
-        }
+        self.switches.iter().zip(&s.switches).try_for_each(|(sw, st)| sw.check_state(st))?;
         // Media first: a MAC-model mismatch must fail before any part of
         // the network is mutated, so a failed restore leaves the freshly
         // built network untouched.
@@ -1752,13 +1720,17 @@ impl Network {
         for (link, &c) in self.links.iter_mut().zip(&s.link_credits) {
             link.set_credit(c);
         }
-        self.flight.restore(&s.flight_lanes, &s.flight_caps);
+        self.flight.restore(&s.flight_lanes);
         for (r, rs) in self.radios.iter_mut().zip(&s.radios) {
-            r.fifo.restore(&rs.lanes, &rs.capacities);
+            r.fifo.restore(&rs.lanes);
             r.target_by_vc.clone_from(&rs.target_by_vc);
         }
         self.inj_pending.clone_from(&s.inj_lanes);
-        self.inj_backlog = inj_backlog;
+        self.inj_backlog = self
+            .inj_pending
+            .iter()
+            .map(|lane| lane.iter().map(|e| u64::from(e.remaining())).sum())
+            .collect();
         self.inj_active_vc.clone_from(&s.inj_active_vc);
         for (rr, &c) in self.inj_rr.iter_mut().zip(&s.inj_cursors) {
             rr.set_cursor(c);
@@ -1769,14 +1741,13 @@ impl Network {
         self.stats = s.stats.clone();
         self.charged = s.meter.clone();
         self.clear_energy_counters();
-        self.flits_in_network = s.flits_in_network;
-        self.backlog_flits = s.backlog_flits;
-        self.radio_backlog_flits = s.radio_backlog_flits;
         self.ff_cycles = s.ff_cycles;
         self.last_progress = s.last_progress;
-        self.links_mask.copy_from_slice(&s.links_mask);
-        self.switch_mask.copy_from_slice(&s.switch_mask);
-        self.inj_mask.copy_from_slice(&s.inj_mask);
+        (self.flits_in_network, self.backlog_flits, self.radio_backlog_flits) =
+            self.counted_flits();
+        self.links_mask = bitset(self.links.len(), |_| true);
+        self.switch_mask = bitset(self.switches.len(), |si| !self.switches[si].can_sleep());
+        self.inj_mask = bitset(self.switches.len(), |ni| self.can_inject(ni));
         self.view = self.build_view();
         self.mark_sleeping_switches();
         Ok(())
@@ -1784,9 +1755,11 @@ impl Network {
 
     /// Every flit a snapshot carries (buffered, on a wire, in a radio
     /// FIFO) must name endpoints of this network: RC indexes the LUT by
-    /// `dest`, and the flit slab narrows both indices to `u32`.
-    fn check_flit_endpoints(&self, s: &NetworkState) -> Result<(), serde::Error> {
-        let n = self.switches.len();
+    /// `dest`, and the flit slab narrows both indices to `u32`.  Phase 0,
+    /// the MACs and the media phase index by a delivery's VC and by a
+    /// radio's VCs and targets; a FIFO past its depth breaks the credits.
+    fn check_flits(&self, s: &NetworkState) -> Result<(), serde::Error> {
+        let (n, vcs) = (self.switches.len(), self.cfg.vcs);
         // A run's flits all carry its first flit's endpoints.
         let buffered = s
             .switches
@@ -1800,25 +1773,39 @@ impl Network {
         if !buffered.chain(wired).chain(radio).all(known) {
             return Err(serde::Error::msg("snapshot flit endpoint out of range"));
         }
+        if s.flight_lanes.iter().flatten().any(|d| d.vc >= vcs) {
+            return Err(serde::Error::msg("snapshot in-flight delivery on a VC out of range"));
+        }
+        for (ri, r) in s.radios.iter().enumerate() {
+            let queued = r.lanes.iter().flatten().map(|&(_, target)| target);
+            let mut targets = queued.chain(r.target_by_vc.iter().flatten().copied());
+            let why = if r.lanes.len() != vcs || r.target_by_vc.len() != vcs {
+                "not one FIFO and one target per VC"
+            } else if r.lanes.iter().any(|lane| lane.len() > self.cfg.radio_tx_depth) {
+                "a FIFO deeper than its buffer"
+            } else if targets.any(|t| t.index() >= s.radios.len()) {
+                "target radio out of range"
+            } else {
+                continue;
+            };
+            return Err(serde::Error::msg(format!("snapshot radio {ri} malformed: {why}")));
+        }
         Ok(())
     }
 
-    /// Validates a snapshot's source queues against this network and
-    /// returns the per-endpoint flit counts they imply.  Snapshot bytes
-    /// come from disk, and phase 1 trusts every condition checked here:
-    /// a zero-flit or overrun entry never reaches its tail (the queue
-    /// wedges), a foreign `src` or out-of-range `dest` indexes past the
-    /// tables, a mid-packet front without its VC panics, and a
-    /// mismatched flit total breaks the idle/drain accounting.
-    fn checked_source_backlog(&self, s: &NetworkState) -> Result<Vec<u64>, serde::Error> {
+    /// Validates a snapshot's source queues against this network.
+    /// Snapshot bytes come from disk, and phase 1 trusts every condition
+    /// checked here: a zero-flit or overrun entry never reaches its tail
+    /// (the queue wedges), a foreign `src` or out-of-range `dest` indexes
+    /// past the tables, and a mid-packet front without its VC, or a VC or
+    /// round-robin cursor past the VC count, panics.
+    fn check_source_queues(&self, s: &NetworkState) -> Result<(), serde::Error> {
         let bad = |ni: usize, what: &str| {
             Err(serde::Error::msg(format!(
                 "snapshot source queue {ni} malformed: {what}"
             )))
         };
-        let mut per_lane = Vec::with_capacity(s.inj_lanes.len());
         for (ni, lane) in s.inj_lanes.iter().enumerate() {
-            let mut flits = 0u64;
             for (k, e) in lane.iter().enumerate() {
                 if e.desc.flits == 0 || e.next_seq >= e.desc.flits {
                     return bad(ni, "entry cursor outside its packet");
@@ -1832,24 +1819,17 @@ impl Network {
                 if k > 0 && e.next_seq > 0 {
                     return bad(ni, "partially injected entry behind the front");
                 }
-                flits += u64::from(e.remaining());
             }
             let mid_packet = lane.front().is_some_and(|e| e.next_seq > 0);
             let vc = s.inj_active_vc[ni];
-            if vc.is_some_and(|v| v >= self.cfg.vcs) {
-                return bad(ni, "active VC out of range");
+            if vc.into_iter().chain([s.inj_cursors[ni]]).any(|v| v >= self.cfg.vcs) {
+                return bad(ni, "active VC or cursor out of range");
             }
             if vc.is_some() != mid_packet {
                 return bad(ni, "active VC disagrees with the front entry's cursor");
             }
-            per_lane.push(flits);
         }
-        if per_lane.iter().sum::<u64>() != s.backlog_flits {
-            return Err(serde::Error::msg(
-                "snapshot source queues disagree with backlog_flits",
-            ));
-        }
-        Ok(per_lane)
+        Ok(())
     }
 }
 
@@ -2205,7 +2185,7 @@ mod tests {
         let other = (src + 1) % good.inj_lanes.len();
         // Each doctored snapshot with the reason its rejection must give.
         type Doctor = fn(&mut NetworkState, usize, usize);
-        let cases: [(&str, Doctor); 9] = [
+        let cases: [(&str, Doctor); 8] = [
             ("source queue count", |s, _, _| {
                 s.inj_lanes.pop();
             }),
@@ -2220,8 +2200,7 @@ mod tests {
             }),
             ("behind the front", |s, src, _| s.inj_lanes[src][1].next_seq = 1),
             ("active VC disagrees", |s, src, _| s.inj_active_vc[src] = None),
-            ("active VC out of range", |s, src, _| s.inj_active_vc[src] = Some(8)),
-            ("disagree with backlog_flits", |s, _, _| s.backlog_flits += 1),
+            ("active VC or cursor out of range", |s, src, _| s.inj_active_vc[src] = Some(8)),
         ];
         let pristine = format!("{:?}", build(Architecture::Substrate).1.state());
         for (reason, doctor) in cases {
@@ -2361,75 +2340,73 @@ mod tests {
         }
     }
 
-    /// The active-set bitsets are snapshot bytes too.  A switch left
-    /// asleep although its restored tables let a stage act would never
-    /// be visited again, and a bit past a set's component count would be
-    /// walked as a component index: both are typed errors on an
-    /// untouched network.  A switch asleep on flits it cannot move is
-    /// what this engine writes and restores; every switch awake is what
-    /// an engine without sleeping switches wrote, and resumes to the
-    /// same run.
+    /// The lanes, link credits and injection cursors a snapshot carries
+    /// are checked like its queues and switch tables: a flight lane per
+    /// link, deliveries on a VC the switch has, one FIFO and one target
+    /// per VC at every radio, no FIFO past its built depth, targets that
+    /// are radios here, credits a link can hold, cursors below the VC
+    /// count.  Each is a typed error on an untouched network; before
+    /// restore checked them, each panicked mid-restore or was taken in
+    /// and indexed, or waited on, by a later step.
     #[test]
-    fn restore_refuses_a_stranded_switch_and_stray_bitset_bits() {
-        let (layout, mut net) = build(Architecture::Substrate);
-        let cores = layout.core_nodes();
-        for k in 0..32 {
-            net.inject(PacketDesc::new(cores[k + 1], cores[0], 64, 0));
-        }
-        net.run_for(150);
+    fn restore_rejects_malformed_lanes_credits_and_cursors_before_mutating() {
+        let (layout, mut net) = build_with(Architecture::Wireless, RoutingPolicy::shortest_path());
+        // An inter-chip packet backs up into its radio: with no medium
+        // attached, nothing drains the FIFO.
+        net.inject(PacketDesc::new(layout.core_nodes()[0], layout.core_nodes()[63], 64, 0));
+        net.run_for(60);
         let good = net.state();
-        let n = net.switches.len();
-        let can_act = (0..n)
-            .find(|&si| !net.switches[si].can_sleep())
-            .expect("a hot spot 150 cycles in has a switch that can act");
-        assert!(
-            (0..n).any(|si| !get_bit(&good.switch_mask, si) && net.switches[si].buffered_flits() > 0),
-            "no loaded switch asleep at the cut: the restore of a sleeper went untested"
-        );
-        // A bit in the last word's top position, past every count here.
-        fn stray(words: &mut [u64], n: usize) {
-            let bit = words.len() * 64 - 1;
-            assert!(bit >= n, "{n} components fill their words");
-            set_bit(words, bit);
+        let held = good.radios.iter().flat_map(|r| &r.lanes).any(|lane| !lane.is_empty());
+        assert!(held, "the radio FIFO holds the stranded packet");
+        let radios = good.radios.len();
+        fn flit() -> Flit {
+            let node = wimnet_topology::NodeId(1);
+            let kind = FlitKind::HeadTail;
+            Flit { packet: PacketId(0), kind, seq: 0, src: node, dest: node, created_at: 0 }
         }
         type Doctor = fn(&mut NetworkState, usize);
-        let cases: [(&str, Doctor); 4] = [
-            ("leaves switch", |s, si| clear_bit(&mut s.switch_mask, si)),
-            ("switch bitset has a bit past its 68 components", |s, _| {
-                stray(&mut s.switch_mask, 68);
+        let cases: [(&str, Doctor); 12] = [
+            ("flight lane count", |s, _| {
+                s.flight_lanes.pop();
             }),
-            ("injector bitset has a bit past its 68 components", |s, _| {
-                stray(&mut s.inj_mask, 68);
+            ("delivery on a VC out of range", |s, _| {
+                let arrives_at = s.now + 1;
+                s.flight_lanes[0].push(LinkDelivery { flit: flit(), vc: 8, arrives_at });
             }),
-            ("link bitset has a bit past", |s, _| {
-                let links = s.link_credits.len();
-                stray(&mut s.links_mask, links);
+            ("not one FIFO and one target per VC", |s, _| {
+                s.radios[0].lanes.pop();
             }),
+            ("not one FIFO and one target per VC", |s, _| {
+                s.radios[0].target_by_vc.pop();
+            }),
+            ("a FIFO deeper than its buffer", |s, _| {
+                s.radios[0].lanes[0] = vec![(flit(), RadioId(0)); 17];
+            }),
+            ("target radio out of range", |s, radios| {
+                s.radios[0].target_by_vc[0] = Some(RadioId(radios));
+            }),
+            ("target radio out of range", |s, radios| {
+                s.radios[0].lanes[0] = vec![(flit(), RadioId(radios))];
+            }),
+            ("link 0 credit out of range", |s, _| s.link_credits[0] = -0.5),
+            ("link 0 credit out of range", |s, _| s.link_credits[0] = f64::NAN),
+            ("link 0 credit out of range", |s, _| s.link_credits[0] = f64::INFINITY),
+            ("link 0 credit out of range", |s, _| s.link_credits[0] = 100.0),
+            ("active VC or cursor out of range", |s, _| s.inj_cursors[0] = 8),
         ];
-        let pristine = format!("{:?}", build(Architecture::Substrate).1.state());
+        let build_target = || build_with(Architecture::Wireless, RoutingPolicy::shortest_path()).1;
+        let pristine = format!("{:?}", build_target().state());
         for (reason, doctor) in cases {
             let mut bad = good.clone();
-            doctor(&mut bad, can_act);
-            let (_, mut target) = build(Architecture::Substrate);
+            doctor(&mut bad, radios);
+            let mut target = build_target();
             let err = target.restore_state(&bad).expect_err(reason);
             assert!(err.0.contains(reason), "expected `{reason}`, got `{err}`");
             assert_eq!(format!("{:?}", target.state()), pristine, "{reason}: state mutated");
         }
-
-        // As written, and as an engine without sleeping switches wrote it.
-        for switch_mask in [good.switch_mask.clone(), all_set(n)] {
-            let (_, mut target) = build(Architecture::Substrate);
-            target.restore_state(&NetworkState { switch_mask, ..good.clone() }).expect("restores");
-            target.assert_switch_invariants();
-            let (_, mut reference) = build(Architecture::Substrate);
-            reference.restore_state(&good).unwrap();
-            for _ in 0..400 {
-                target.step();
-                reference.step();
-            }
-            assert_eq!(target.drain_arrivals(), reference.drain_arrivals());
-            assert_eq!(format!("{:?}", target.state()), format!("{:?}", reference.state()));
-        }
+        let mut target = build_target();
+        target.restore_state(&good).expect("the snapshot as taken restores");
+        target.assert_switch_invariants();
     }
 
     /// `restore_state` starts from the built state: whatever the target

@@ -16,8 +16,9 @@
 //! Semantics are exactly those of a `VecDeque<T>` per lane (same fronts,
 //! same pops, same iteration order — pinned by the model proptest in
 //! `tests/slab_model.rs`), with two differences: capacity is fixed per
-//! lane unless the caller opts into [`RingSlab::push_back_growing`], and
-//! storage never reallocates on the per-cycle path.
+//! lane unless the caller opts into [`RingSlab::push_back_growing`] (as
+//! [`RingSlab::restore`] does), and storage never reallocates on the
+//! per-cycle path.
 
 /// Many fixed-capacity FIFO lanes in one contiguous slot array.
 ///
@@ -165,34 +166,25 @@ impl<T: Copy> RingSlab<T> {
     }
 
     /// The slab's complete dynamic state for checkpointing: per-lane
-    /// contents (front to back) and per-lane capacities (capacities are
-    /// state too — [`RingSlab::push_back_growing`] may have grown a
-    /// lane beyond its constructed size).
-    pub fn state(&self) -> (Vec<Vec<T>>, Vec<usize>) {
-        let contents = (0..self.lanes()).map(|l| self.iter(l).collect()).collect();
-        let caps = (0..self.lanes()).map(|l| self.capacity(l)).collect();
-        (contents, caps)
+    /// contents, front to back.  Capacities are not state: a lane's
+    /// capacity is invisible through the FIFO interface.
+    pub fn state(&self) -> Vec<Vec<T>> {
+        (0..self.lanes()).map(|l| self.iter(l).collect()).collect()
     }
 
-    /// Rebuilds the slab from a [`RingSlab::state`] snapshot — the same
-    /// rebuild [`RingSlab::push_back_growing`] performs on growth, so
-    /// heads normalise to zero, which is invisible through the FIFO
-    /// interface.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lane count differs or a lane's contents exceed
-    /// its capacity.
-    pub fn restore(&mut self, contents: &[Vec<T>], capacities: &[usize]) {
-        assert_eq!(contents.len(), self.lanes(), "ring slab lane count changed");
-        assert_eq!(capacities.len(), self.lanes(), "ring slab lane count changed");
-        let mut next = RingSlab::with_capacities(capacities, self.fill);
+    /// Empties every lane and refills lane `l` with `contents[l]` (the
+    /// caller gives at most one entry per lane).  Each lane keeps its
+    /// capacity and, like [`RingSlab::push_back_growing`], grows only
+    /// when its contents exceed it; heads normalise to zero, which is
+    /// invisible through the FIFO interface.
+    pub fn restore(&mut self, contents: &[Vec<T>]) {
+        self.head.fill(0);
+        self.len.fill(0);
         for (l, lane) in contents.iter().enumerate() {
             for &v in lane {
-                next.push_back(l, v);
+                self.push_back_growing(l, v);
             }
         }
-        *self = next;
     }
 
     /// Doubles `lane`'s capacity by rebuilding the slab (contents and

@@ -442,18 +442,6 @@ impl Switch {
         })
     }
 
-    /// [`Switch::can_sleep`] of the switch `s` restores to, judged on a
-    /// copy so this one is untouched; `s` must have passed
-    /// [`Switch::check_state`].
-    pub(crate) fn would_sleep(&self, s: &SwitchState) -> bool {
-        if s.vcs.is_empty() {
-            return true;
-        }
-        let mut probe = self.clone();
-        probe.apply_state(s);
-        probe.can_sleep()
-    }
-
     /// Free space of an input VC — used by injection and radio admission.
     pub fn input_space(&self, port: usize, vc: usize) -> usize {
         self.inputs.free_space(self.inputs.flat(port, vc))

@@ -17,8 +17,8 @@ use std::path::PathBuf;
 use common::{splitmix, temp_dir, vector_bytes};
 
 use wimnet::core::{
-    Catalog, CatalogEntry, CheckpointStore, Scale, ScenarioGrid, SweepOptions,
-    ENGINE_VERSION,
+    Catalog, CatalogEntry, CheckpointStore, Fingerprint, Scale, ScenarioGrid, ScenarioPoint,
+    SweepOptions, ENGINE_VERSION,
 };
 use wimnet::topology::Architecture;
 
@@ -431,32 +431,12 @@ fn pre_bump_v8_entries_are_never_served_and_resume_recomputes() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The on-disk formats, pinned on both sides, for the one-point grid
-/// below.  `v9_catalog_entry.json` was written by the `sweep` binary of
-/// the commit before the stores were merged onto one implementation
-/// (PR 14): `checkpoint --every 100 --kill-at 250`, then `resume`.
-/// `v9_sparse_checkpoint.ckpt.json` is the snapshot at cycle 200 that the
-/// same `checkpoint --every 100 --kill-at 250` leaves since snapshots
-/// went sparse and the envelope compact (PR 18; the engine version did
-/// not move).  Each must be served by `lookup`, and `store` of the
-/// served payload into a fresh directory must reproduce the file byte
-/// for byte — field order, layout, the content hash.  The dense-form
-/// checkpoint PR 14 wrote (`v9_checkpoint.ckpt.json`) stays in the tree
-/// as a file that must now be quarantined:
-/// `tests/checkpoint.rs::a_dense_form_checkpoint_is_quarantined_and_the_point_cold_starts`.
-///
-/// The resumed outcome is compared with `meter_ops` normalised: it is
-/// the only `RunOutcome` field that counts the simulator's work rather
-/// than the simulated system's, and the entry was written when every
-/// flit hop and leakage quantum was its own meter operation (62 432 of
-/// them; today hops and cycles are counted and priced at read-out).
-/// `meter_charges`, the energy breakdown and every other field must
-/// still equal what that engine recorded.
-#[test]
-fn parent_written_fixtures_are_served_and_restored_byte_for_byte() {
-    // sweep --name format-fixture --quick --archs substrate --chips 1
-    //       --stacks 2 --mem-fractions 0.5 --loads 0.001 --seeds 11
-    //       --read-share 0.5
+/// The one-point grid of the on-disk format fixtures:
+/// `sweep --name format-fixture --quick --archs substrate --chips 1
+/// --stacks 2 --mem-fractions 0.5 --loads 0.001 --seeds 11
+/// --read-share 0.5`, with `checkpoint --every 100 --kill-at 250` for
+/// the checkpoints, its point and the point's fingerprint.
+fn format_fixture_grid() -> (ScenarioGrid, ScenarioPoint, Fingerprint) {
     let g = ScenarioGrid::new("format-fixture")
         .scale(Scale::Quick)
         .architectures(&[Architecture::Substrate])
@@ -466,14 +446,44 @@ fn parent_written_fixtures_are_served_and_restored_byte_for_byte() {
         .loads(&[0.001])
         .seeds(&[11])
         .read_share(0.5);
-    let point = &g.points()[0];
-    let fp = g.point_fingerprint(point);
-    let fixture = |name: &str| {
-        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-        fs::read_to_string(path).unwrap()
-    };
+    let point = g.points()[0].clone();
+    let fp = g.point_fingerprint(&point);
+    (g, point, fp)
+}
+
+/// A checked-in file under `tests/fixtures/`.
+fn fixture(name: &str) -> String {
+    fs::read_to_string(format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))).unwrap()
+}
+
+/// Files written by earlier engines that this one must still serve.
+/// `v9_catalog_entry.json` was written by the `sweep` binary of the
+/// commit before the stores were merged onto one implementation
+/// (PR 14): `checkpoint --every 100 --kill-at 250`, then `resume`;
+/// `store` of the served outcome must reproduce it byte for byte —
+/// field order, layout, the content hash.
+/// `v9_sparse_checkpoint.ckpt.json` is the snapshot at cycle 200 the
+/// same `checkpoint` left from PR 18, when snapshots went sparse and
+/// the envelope compact, until snapshots stopped carrying the active
+/// sets, flit counters and lane capacities; this engine skips those
+/// keys, derives them on restore, and must serve the file with nothing
+/// quarantined.  The dense-form checkpoint PR 14 wrote
+/// (`v9_checkpoint.ckpt.json`) stays in the tree as a file that must
+/// be quarantined:
+/// `tests/checkpoint.rs::a_dense_form_checkpoint_is_quarantined_and_the_point_cold_starts`.
+///
+/// The point resumes from the served snapshot to the outcome the entry
+/// records, compared with `meter_ops` normalised: it is the only
+/// `RunOutcome` field that counts the simulator's work rather than the
+/// simulated system's, and the entry was written when every flit hop
+/// and leakage quantum was its own meter operation (62 432 of them;
+/// today hops and cycles are counted and priced at read-out).
+/// `meter_charges`, the energy breakdown and every other field must
+/// still equal what that engine recorded.
+#[test]
+fn parent_written_fixtures_are_served_and_resume_to_the_recorded_outcome() {
+    let (g, point, fp) = format_fixture_grid();
     let entry = fixture("v9_catalog_entry.json");
-    let checkpoint = fixture("v9_sparse_checkpoint.ckpt.json");
 
     // Stores quarantine what they cannot serve, so they only ever see
     // copies of the checked-in files.
@@ -481,20 +491,19 @@ fn parent_written_fixtures_are_served_and_restored_byte_for_byte() {
     let catalog = Catalog::open(&served_dir).unwrap();
     let checkpoints = CheckpointStore::open(&served_dir).unwrap();
     let entry_name = format!("{}.json", fp.hex());
-    let checkpoint_name = format!("{}.ckpt.json", fp.hex());
     fs::write(served_dir.join(&entry_name), &entry).unwrap();
-    fs::write(served_dir.join(&checkpoint_name), &checkpoint).unwrap();
+    fs::write(
+        served_dir.join(format!("{}.ckpt.json", fp.hex())),
+        fixture("v9_sparse_checkpoint.ckpt.json"),
+    )
+    .unwrap();
     let outcome = catalog.lookup(&fp).expect("the v9 catalog entry must be served");
-    let snapshot = checkpoints.lookup(&fp).expect("the sparse v9 checkpoint must be served");
-    assert_eq!(snapshot.cycle, 200);
+    assert_eq!(checkpoints.lookup(&fp).map(|s| s.cycle), Some(200), "the sparse v9 checkpoint");
     assert_eq!(catalog.quarantined() + checkpoints.quarantined(), 0);
 
     let stored_dir = temp_catalog("fixtures-stored");
-    Catalog::open(&stored_dir).unwrap().store(&fp, point, &outcome).unwrap();
-    CheckpointStore::open(&stored_dir).unwrap().store(&fp, &snapshot).unwrap();
-    let stored = |name: &str| fs::read_to_string(stored_dir.join(name)).unwrap();
-    assert!(stored(&entry_name) == entry, "catalog entry bytes moved");
-    assert!(stored(&checkpoint_name) == checkpoint, "checkpoint bytes moved");
+    Catalog::open(&stored_dir).unwrap().store(&fp, &point, &outcome).unwrap();
+    assert!(fs::read_to_string(stored_dir.join(&entry_name)).unwrap() == entry, "entry bytes moved");
 
     // And the snapshot is live state, not just bytes: the point
     // resumes from it to the outcome the entry records.
@@ -515,6 +524,34 @@ fn parent_written_fixtures_are_served_and_restored_byte_for_byte() {
 
     let _ = fs::remove_dir_all(&served_dir);
     let _ = fs::remove_dir_all(&stored_dir);
+}
+
+/// The checkpoint this engine writes, pinned byte for byte:
+/// `v9_state_only_checkpoint.ckpt.json` is what the `checkpoint` run of
+/// [`format_fixture_grid`] leaves.  Storing the snapshot served from
+/// the parent-written `v9_sparse_checkpoint.ckpt.json` must reproduce
+/// it — the same state, without the keys restore now derives — and
+/// so must serving it and storing it again.
+#[test]
+fn a_stored_checkpoint_reproduces_the_checked_in_fixture_byte_for_byte() {
+    let (_, _, fp) = format_fixture_grid();
+    let name = format!("{}.ckpt.json", fp.hex());
+    let pinned = fixture("v9_state_only_checkpoint.ckpt.json");
+    for source in ["v9_sparse_checkpoint.ckpt.json", "v9_state_only_checkpoint.ckpt.json"] {
+        let served_dir = temp_catalog("fixture-served");
+        let served = CheckpointStore::open(&served_dir).unwrap();
+        fs::write(served_dir.join(&name), fixture(source)).unwrap();
+        let snapshot = served.lookup(&fp).unwrap_or_else(|| panic!("{source} must be served"));
+        assert_eq!(served.quarantined(), 0, "{source}");
+
+        let stored_dir = temp_catalog("fixture-stored");
+        CheckpointStore::open(&stored_dir).unwrap().store(&fp, &snapshot).unwrap();
+        let stored = fs::read_to_string(stored_dir.join(&name)).unwrap();
+        assert!(stored == pinned, "{source}: stored checkpoint bytes differ from the fixture");
+        for d in [&served_dir, &stored_dir] {
+            let _ = fs::remove_dir_all(d);
+        }
+    }
 }
 
 /// The headline acceptance check: a second `run_cached` of the same

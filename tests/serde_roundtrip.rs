@@ -587,8 +587,8 @@ proptest! {
 }
 
 /// Streaming ≡ tree for the checked-in store files: the catalog entry
-/// and the served checkpoint read, the two retired checkpoint forms are
-/// refused, both ways alike, and so is every doctored variant.
+/// and the two served checkpoints read, the two retired checkpoint forms
+/// are refused, both ways alike, and so is every doctored variant.
 #[test]
 fn streaming_and_tree_paths_agree_on_the_fixtures() {
     use wimnet::core::{CatalogEntry, CheckpointEntry};
@@ -596,11 +596,16 @@ fn streaming_and_tree_paths_agree_on_the_fixtures() {
         std::fs::read_to_string(format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))).unwrap()
     };
     let entry = fixture("v9_catalog_entry.json");
-    let checkpoints = ["v9_sparse_checkpoint.ckpt.json", "v9_checkpoint.ckpt.json", "pre_pr13_flit_queue.ckpt.json"]
-        .map(fixture);
+    let checkpoints = [
+        "v9_sparse_checkpoint.ckpt.json",
+        "v9_state_only_checkpoint.ckpt.json",
+        "v9_checkpoint.ckpt.json",
+        "pre_pr13_flit_queue.ckpt.json",
+    ]
+    .map(fixture);
+    let reads = |text: &String| serde_json::from_str::<CheckpointEntry>(text).is_ok();
     assert!(serde_json::from_str::<CatalogEntry>(&entry).is_ok());
-    assert!(serde_json::from_str::<CheckpointEntry>(&checkpoints[0]).is_ok());
-    assert!(checkpoints[1..].iter().all(|text| serde_json::from_str::<CheckpointEntry>(text).is_err()));
+    assert!(checkpoints[..2].iter().all(reads) && !checkpoints[2..].iter().any(reads));
     for seed in 0..8 {
         for (what, text) in doctored_variants(&entry, seed) {
             reads_agree::<CatalogEntry>(what, &text).unwrap();
