@@ -77,8 +77,8 @@
 
 use std::time::Instant;
 
-use wimnet_core::sweeps::{run_pool, ScenarioGrid};
-use wimnet_core::{latency_curve, MacKind, MultichipSystem, SystemConfig, WirelessModel};
+use wimnet_core::sweeps::{default_threads, run_pool, ScenarioGrid};
+use wimnet_core::{Experiment, MacKind, MultichipSystem, SystemConfig, WirelessModel};
 use wimnet_noc::{Network, NocConfig};
 use wimnet_routing::{Routes, RoutingPolicy};
 use wimnet_topology::{Architecture, MultichipConfig, MultichipLayout};
@@ -277,8 +277,10 @@ fn main() {
             let mut config = SystemConfig::xcym(4, 4, Architecture::Wireless);
             config.disable_fast_forward = no_ff;
             let loads = [0.001, 0.002, 0.004, 0.008, 0.016, 0.032];
+            let points: Vec<Experiment> =
+                loads.iter().map(|&load| Experiment::uniform_random(&config, load)).collect();
             let start = Instant::now();
-            let curve = latency_curve(&config, &loads).expect("sweep completes");
+            let curve = run_pool(&points, default_threads(), 1).expect("sweep completes");
             let wall = start.elapsed().as_secs_f64() * 1e3;
             assert_eq!(curve.len(), loads.len());
             let cycles =

@@ -5,11 +5,13 @@
 //! ablations and extended studies beyond it — is one [`Figure`] row of
 //! [`FIGURES`]: its name (the `figures` subcommand and the CSV stem),
 //! title, column headers, the "paper shape / reading" note, and one
-//! function from a [`Scale`] to formatted rows that hands its whole
-//! experiment list to the work-stealing pool in a single call.  The
-//! `figures` binary prints a row and writes `results/<name>.csv`; the
-//! `figures` criterion bench and `tests/figures_golden.rs` walk the same
-//! table, so a new figure is a new row and nothing else.
+//! function from a [`Scale`] to formatted rows.  All thirteen rows are
+//! built alike: the function hands its whole experiment list to the
+//! work-stealing pool in a single call and formats the outcomes in
+//! place, so the table is the only layer between a run and its output.
+//! The `figures` binary prints a row and writes `results/<name>.csv`;
+//! the `figures` criterion bench and `tests/figures_golden.rs` walk the
+//! same table, so a new figure is a new row and nothing else.
 
 #![forbid(unsafe_code)]
 

@@ -2,23 +2,24 @@
 //! extended studies beyond the paper (`docs/experiments.md` has one
 //! section per row).
 //!
-//! Every row function builds its full experiment list and runs it on
-//! the pool once: a [`ScenarioGrid`] where the sweep is over grid axes,
-//! an explicit `Vec<Experiment>` where it is not (application profiles,
+//! Every row function builds its full experiment list, runs it on the
+//! pool once and formats the outcomes in place: a [`ScenarioGrid`] where
+//! the sweep is over grid axes (Figs 2–5, `scaling_study`), an explicit
+//! `Vec<Experiment>` where it is not (Fig 6's application profiles,
 //! permutation patterns, BER, packet size, routing policy, WI density,
 //! MAC).  `saturation_points` is the exception — an adaptive bisection
-//! cannot list its points up front.
+//! cannot list its points up front.  This module is the one place a
+//! figure's outcomes become output.
 
-use wimnet_core::experiments::{self, run_all};
 use wimnet_core::report::fmt_opt;
-use wimnet_core::sweeps::{default_threads, run_pool_each};
+use wimnet_core::sweeps::{default_threads, run_pool, run_pool_each};
 use wimnet_core::{
     find_saturation_load, CoreError, Experiment, MacKind, RunOutcome, Scale, ScenarioGrid,
     SystemConfig, WirelessModel,
 };
 use wimnet_routing::{deadlock, Routes, RoutingPolicy};
 use wimnet_topology::{Architecture, MultichipLayout};
-use wimnet_traffic::TrafficPattern;
+use wimnet_traffic::{profiles, TrafficPattern};
 use wimnet_wireless::{flit_error_probability, TransceiverSpec};
 
 use crate::{Figure, Table};
@@ -219,9 +220,35 @@ pub static FIGURES: [Figure; 13] = [
     },
 ];
 
-/// The interposer baseline, then wireless: the column order of every
-/// two-fabric table below.
+/// The interposer baseline, then wireless: the column order of the
+/// two-fabric ablation and extended tables.
 const IP_THEN_WL: [Architecture; 2] = [Architecture::Interposer, Architecture::Wireless];
+
+/// The two fabrics Figs 4–6 compare, wireless first.
+const WL_THEN_IP: [Architecture; 2] = [Architecture::Wireless, Architecture::Interposer];
+
+/// Percentage gain of `candidate` over `baseline` for a
+/// higher-is-better metric: `(candidate − baseline) / baseline × 100`.
+///
+/// # Panics
+///
+/// Panics if `baseline` is not a positive finite number.
+fn percentage_gain(baseline: f64, candidate: f64) -> f64 {
+    assert!(baseline > 0.0 && baseline.is_finite(), "baseline must be positive, got {baseline}");
+    (candidate - baseline) / baseline * 100.0
+}
+
+/// Percentage *reduction* of `candidate` under `baseline` for a
+/// lower-is-better metric (energy, latency): the paper's "% gain in
+/// packet energy/latency".
+///
+/// # Panics
+///
+/// Panics if `baseline` is not a positive finite number.
+fn percentage_reduction(baseline: f64, candidate: f64) -> f64 {
+    assert!(baseline > 0.0 && baseline.is_finite(), "baseline must be positive, got {baseline}");
+    (baseline - candidate) / baseline * 100.0
+}
 
 /// One pooled run that keeps each experiment's own result, for the
 /// tables that print a failed point as a cell.
@@ -230,78 +257,151 @@ fn run_each(experiments: &[Experiment]) -> Vec<Result<RunOutcome, CoreError>> {
 }
 
 fn fig2(scale: Scale) -> Result<Table, CoreError> {
-    Ok(experiments::fig2(scale)?
-        .into_iter()
-        .map(|r| {
+    let grid = ScenarioGrid::new("fig2").scale(scale).architectures(&Architecture::ALL);
+    Ok(grid
+        .run()?
+        .iter()
+        .map(|o| {
             vec![
-                r.label,
-                format!("{:.2}", r.peak_bandwidth_gbps_per_core),
-                format!("{:.2}", r.avg_packet_energy_nj),
+                o.label.clone(),
+                format!("{:.2}", o.bandwidth_gbps_per_core),
+                format!("{:.2}", o.packet_energy_nj()),
             ]
         })
         .collect())
 }
 
 fn fig3(scale: Scale) -> Result<Table, CoreError> {
-    let series = experiments::fig3(scale)?;
-    let series_headers = series.iter().map(|s| format!("{} (cycles)", s.label)).collect();
-    let rows = experiments::fig3_loads(scale)
+    // The paper's log-spaced injection loads (packets/core/cycle).
+    let loads: &[f64] = match scale {
+        Scale::Paper => &[0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.125],
+        Scale::Quick => &[0.001, 0.008, 0.064],
+    };
+    let grid =
+        ScenarioGrid::new("fig3").scale(scale).architectures(&Architecture::ALL).loads(loads);
+    let outcomes = grid.run()?;
+    // Architecture is the slow axis: one `loads.len()` chunk per curve.
+    let curves: Vec<&[RunOutcome]> = outcomes.chunks(loads.len()).collect();
+    let series_headers = curves.iter().map(|c| format!("{} (cycles)", c[0].label)).collect();
+    let rows = loads
         .iter()
         .enumerate()
-        .map(|(i, &load)| {
+        .map(|(i, load)| {
             let mut row = vec![format!("{load:.3}")];
-            row.extend(series.iter().map(|s| fmt_opt(s.points[i].1, 1)));
+            row.extend(curves.iter().map(|c| fmt_opt(c[i].avg_latency_cycles, 1)));
             row
         })
         .collect();
     Ok(Table { rows, series_headers, trailer: None })
 }
 
+/// Runs `grid` — one swept axis — on both fabrics in one pooled run and
+/// returns, per axis value, the `(bandwidth gain, packet-energy
+/// reduction)` of wireless over interposer in percent: the two bars of
+/// Figs 4 and 5.
+fn gains_over(grid: ScenarioGrid) -> Result<Vec<(f64, f64)>, CoreError> {
+    let outcomes = grid.architectures(&WL_THEN_IP).run()?;
+    // Architecture is the grid's slowest axis: every wireless point,
+    // then every interposer one.
+    let (wireless, interposer) = outcomes.split_at(outcomes.len() / 2);
+    Ok(wireless
+        .iter()
+        .zip(interposer)
+        .map(|(w, i)| {
+            (
+                percentage_gain(i.bandwidth_gbps_per_core, w.bandwidth_gbps_per_core),
+                percentage_reduction(i.packet_energy_nj(), w.packet_energy_nj()),
+            )
+        })
+        .collect())
+}
+
 fn fig4(scale: Scale) -> Result<Table, CoreError> {
-    Ok(experiments::fig4(scale)?
-        .into_iter()
-        .map(|r| {
+    let chips = [1usize, 4, 8];
+    let gains = gains_over(ScenarioGrid::new("fig4").scale(scale).chips(&chips))?;
+    Ok(chips
+        .iter()
+        .zip(gains)
+        .map(|(&chips, (bandwidth, energy))| {
+            // The expected off-chip share of an `XC4M` system at 20 %
+            // memory traffic: every memory packet, plus the core packets
+            // addressed to one of the 64 − 64/X cores off the source chip.
+            let cores = 64.0;
+            let other = cores - cores / chips as f64;
+            let off = (0.20 + 0.80 * (other / (cores - 1.0))) * 100.0;
             vec![
-                r.label,
-                format!("{:.1}", r.off_chip_traffic_pct),
-                format!("{:+.1}", r.bandwidth_gain_pct),
-                format!("{:+.1}", r.energy_gain_pct),
+                format!("{:.0}% ({}C4M)", off.round(), chips),
+                format!("{off:.1}"),
+                format!("{bandwidth:+.1}"),
+                format!("{energy:+.1}"),
             ]
         })
         .collect())
 }
 
 fn fig5(scale: Scale) -> Result<Table, CoreError> {
-    Ok(experiments::fig5(scale)?
+    let fractions: &[f64] = match scale {
+        Scale::Paper => &[0.20, 0.40, 0.60, 0.80],
+        Scale::Quick => &[0.20, 0.80],
+    };
+    let gains = gains_over(ScenarioGrid::new("fig5").scale(scale).memory_fractions(fractions))?;
+    Ok(fractions
         .iter()
-        .map(|r| {
+        .zip(gains)
+        .map(|(mem, (bandwidth, energy))| {
             vec![
-                format!("{:.0}%", r.memory_access_pct),
-                format!("{:+.1}", r.bandwidth_gain_pct),
-                format!("{:+.1}", r.energy_gain_pct),
+                format!("{:.0}%", mem * 100.0),
+                format!("{bandwidth:+.1}"),
+                format!("{energy:+.1}"),
             ]
         })
         .collect())
 }
 
 fn fig6(scale: Scale) -> Result<Table, CoreError> {
-    let apps = experiments::fig6(scale)?;
-    let mean = |gain: fn(&experiments::Fig6Row) -> f64| {
-        apps.iter().map(gain).sum::<f64>() / apps.len() as f64
+    let apps = match scale {
+        Scale::Paper => profiles::all(),
+        Scale::Quick => {
+            vec![profiles::blackscholes(), profiles::canneal(), profiles::fft(), profiles::radix()]
+        }
+    };
+    // Application profiles are not a grid axis: the list is explicit,
+    // one (wireless, interposer) pair per application.
+    let experiments: Vec<Experiment> = apps
+        .iter()
+        .flat_map(|profile| {
+            WL_THEN_IP.map(|arch| {
+                Experiment::app(&scale.apply(SystemConfig::xcym(4, 4, arch)), profile.clone())
+            })
+        })
+        .collect();
+    let gains: Vec<(f64, f64)> = run_pool(&experiments, default_threads(), 1)?
+        .chunks(2)
+        .map(|pair| {
+            let (w, i) = (&pair[0], &pair[1]);
+            (
+                percentage_reduction(i.latency_cycles(), w.latency_cycles()),
+                percentage_reduction(i.packet_energy_nj(), w.packet_energy_nj()),
+            )
+        })
+        .collect();
+    let mean = |gain: fn(&(f64, f64)) -> f64| {
+        gains.iter().map(gain).sum::<f64>() / gains.len() as f64
     };
     let trailer = format!(
         "average gains: latency {:+.1}%, energy {:+.1}%",
-        mean(|r| r.latency_gain_pct),
-        mean(|r| r.energy_gain_pct)
+        mean(|g| g.0),
+        mean(|g| g.1)
     );
     let rows = apps
-        .into_iter()
-        .map(|r| {
+        .iter()
+        .zip(&gains)
+        .map(|(profile, (latency, energy))| {
             vec![
-                r.app,
-                r.suite,
-                format!("{:+.1}", r.latency_gain_pct),
-                format!("{:+.1}", r.energy_gain_pct),
+                profile.name.to_string(),
+                profile.suite.to_string(),
+                format!("{latency:+.1}"),
+                format!("{energy:+.1}"),
             ]
         })
         .collect();
@@ -439,7 +539,7 @@ fn ablation_packet_size(scale: Scale) -> Result<Table, CoreError> {
         .collect();
     Ok(sizes
         .iter()
-        .zip(run_all(&experiments)?.chunks(2))
+        .zip(run_pool(&experiments, default_threads(), 1)?.chunks(2))
         .map(|(flits, pair)| {
             let mut row = vec![format!("{flits} flits")];
             for o in pair {
@@ -518,7 +618,7 @@ fn ablation_wi_density(scale: Scale) -> Result<Table, CoreError> {
     let spec = TransceiverSpec::paper();
     Ok(experiments
         .iter()
-        .zip(run_all(&experiments)?)
+        .zip(run_pool(&experiments, default_threads(), 1)?)
         .map(|(experiment, o)| {
             let chip = &experiment.config().multichip;
             let wis = 64 / chip.cores_per_wi + chip.num_stacks;
@@ -557,7 +657,7 @@ fn extended_patterns(scale: Scale) -> Result<Table, CoreError> {
         .collect();
     Ok(patterns
         .iter()
-        .zip(run_all(&experiments)?.chunks(2))
+        .zip(run_pool(&experiments, default_threads(), 1)?.chunks(2))
         .map(|(pattern, pair)| {
             let (ip, wl) = (&pair[0], &pair[1]);
             let mut row = vec![pattern.label().to_string()];
@@ -625,4 +725,33 @@ fn scaling_study(scale: Scale) -> Result<Table, CoreError> {
             row
         })
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gain_arithmetic() {
+        assert!((percentage_gain(10.0, 11.0) - 10.0).abs() < 1e-12);
+        assert!((percentage_gain(10.0, 9.0) + 10.0).abs() < 1e-12);
+        assert!((percentage_reduction(10.0, 6.0) - 40.0).abs() < 1e-12);
+        assert!((percentage_reduction(10.0, 12.0) + 20.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_baseline_panics() {
+        percentage_gain(0.0, 1.0);
+    }
+
+    #[test]
+    fn paper_gain_example() {
+        // §IV.C: "around 11% gain in bandwidth and 37% gain in energy
+        // efficiency" — the formulas reproduce those from raw numbers.
+        let bw = percentage_gain(9.0, 9.99);
+        assert!((bw - 11.0).abs() < 0.01);
+        let e = percentage_reduction(100.0, 63.0);
+        assert!((e - 37.0).abs() < 1e-9);
+    }
 }

@@ -1,31 +1,9 @@
 //! Higher-level measurement drivers built on [`Experiment`]:
-//! latency curves and saturation-point search.
+//! saturation-point search.
 
 use crate::error::CoreError;
-use crate::experiments::{run_all, Experiment};
+use crate::experiments::Experiment;
 use crate::system::SystemConfig;
-
-/// Measures the latency-vs-load curve for one configuration (one point
-/// per load, all runs in parallel).
-///
-/// # Errors
-///
-/// Propagates experiment failures.
-pub fn latency_curve(
-    config: &SystemConfig,
-    loads: &[f64],
-) -> Result<Vec<(f64, Option<f64>)>, CoreError> {
-    let experiments: Vec<Experiment> = loads
-        .iter()
-        .map(|&l| Experiment::uniform_random(config, l))
-        .collect();
-    let outcomes = run_all(&experiments)?;
-    Ok(loads
-        .iter()
-        .copied()
-        .zip(outcomes.into_iter().map(|o| o.avg_latency_cycles))
-        .collect())
-}
 
 /// Finds the saturation injection load by bisection: the smallest load
 /// (within `tolerance`, in packets/core/cycle) at which mean latency
@@ -84,15 +62,6 @@ mod tests {
 
     fn quick(arch: Architecture) -> SystemConfig {
         SystemConfig::xcym(4, 4, arch).quick_test_profile()
-    }
-
-    #[test]
-    fn latency_curve_is_ordered_by_load() {
-        let curve = latency_curve(&quick(Architecture::Wireless), &[0.001, 0.02]).unwrap();
-        assert_eq!(curve.len(), 2);
-        let low = curve[0].1.unwrap();
-        let high = curve[1].1.unwrap();
-        assert!(high > low, "latency must rise toward saturation: {low} vs {high}");
     }
 
     #[test]

@@ -3,17 +3,17 @@
 //! This crate is the paper's primary contribution assembled from the
 //! `wimnet` substrates: it builds complete multichip systems
 //! ([`MultichipSystem`]) for the three compared architectures, drives
-//! them with workloads, and regenerates every figure of the paper's
-//! evaluation (§IV).
+//! them with workloads, and runs the experiments and sweeps behind the
+//! paper's evaluation (§IV).
 //!
 //! * [`system`] — [`SystemConfig`] (every §IV parameter in one place)
 //!   and [`MultichipSystem`] (topology + routing + engine + wireless
 //!   medium + memory stacks, with request/reply service).
 //! * [`metrics`] — [`RunOutcome`]: peak bandwidth per core, average
-//!   packet energy, average packet latency, energy breakdowns, and the
-//!   percentage-gain arithmetic behind Figs 4–6.
-//! * [`experiments`] — one function per figure (`fig2` … `fig6`) plus
-//!   the [`Experiment`] runner they share.
+//!   packet energy, average packet latency and energy breakdowns.
+//! * [`experiments`] — the [`Experiment`] runner (a configuration plus
+//!   a workload) and the [`Scale`] it runs at; the figures themselves
+//!   are rows of the `wimnet-bench` figure table.
 //! * [`sweeps`] — declarative [`ScenarioGrid`] cartesian products, the
 //!   work-stealing pool ([`run_pool`]) that executes grids larger than
 //!   the core count, and the three ways to run a grid: `run` (uncached),
@@ -61,7 +61,7 @@ pub mod system;
 
 pub use catalog::{Catalog, CatalogEntry, Fingerprint, ENGINE_VERSION};
 pub use checkpoint::{CheckpointEntry, CheckpointStore, Snapshot};
-pub use driver::{find_saturation_load, latency_curve};
+pub use driver::find_saturation_load;
 pub use error::CoreError;
 pub use experiments::{Experiment, Scale};
 pub use metrics::RunOutcome;

@@ -166,61 +166,3 @@ impl RunOutcome {
             .expect("no packets measured for latency")
     }
 }
-
-/// Percentage gain of `candidate` over `baseline` for a
-/// higher-is-better metric: `(candidate − baseline) / baseline × 100`.
-///
-/// # Panics
-///
-/// Panics if `baseline` is not a positive finite number.
-pub(crate) fn percentage_gain(baseline: f64, candidate: f64) -> f64 {
-    assert!(
-        baseline > 0.0 && baseline.is_finite(),
-        "baseline must be positive, got {baseline}"
-    );
-    (candidate - baseline) / baseline * 100.0
-}
-
-/// Percentage *reduction* of `candidate` under `baseline` for a
-/// lower-is-better metric (energy, latency): the paper's "% gain in
-/// packet energy/latency".
-///
-/// # Panics
-///
-/// Panics if `baseline` is not a positive finite number.
-pub(crate) fn percentage_reduction(baseline: f64, candidate: f64) -> f64 {
-    assert!(
-        baseline > 0.0 && baseline.is_finite(),
-        "baseline must be positive, got {baseline}"
-    );
-    (baseline - candidate) / baseline * 100.0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gain_arithmetic() {
-        assert!((percentage_gain(10.0, 11.0) - 10.0).abs() < 1e-12);
-        assert!((percentage_gain(10.0, 9.0) + 10.0).abs() < 1e-12);
-        assert!((percentage_reduction(10.0, 6.0) - 40.0).abs() < 1e-12);
-        assert!((percentage_reduction(10.0, 12.0) + 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_baseline_panics() {
-        percentage_gain(0.0, 1.0);
-    }
-
-    #[test]
-    fn paper_gain_example() {
-        // §IV.C: "around 11% gain in bandwidth and 37% gain in energy
-        // efficiency" — the formulas reproduce those from raw numbers.
-        let bw = percentage_gain(9.0, 9.99);
-        assert!((bw - 11.0).abs() < 0.01);
-        let e = percentage_reduction(100.0, 63.0);
-        assert!((e - 37.0).abs() < 1e-9);
-    }
-}

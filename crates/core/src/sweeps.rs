@@ -185,8 +185,8 @@ fn run_pool_generic<T: Send + Sync>(
         .collect()
 }
 
-/// The number of worker threads [`ScenarioGrid::run`] and the default
-/// `run_all` use: every available core.
+/// The number of worker threads [`ScenarioGrid::run`] uses: every
+/// available core.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }

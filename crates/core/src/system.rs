@@ -1095,17 +1095,21 @@ mod tests {
         /// One read per cycle from core 0 to stack 0 for a while.
         struct Reads(u64);
         impl Workload for Reads {
-            fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
+            fn generate_into(
+                &mut self,
+                now: u64,
+                _full: &dyn Fn(usize) -> bool,
+                out: &mut Vec<TrafficEvent>,
+            ) {
+                out.clear();
                 if now < self.0 && now.is_multiple_of(50) {
-                    vec![TrafficEvent {
+                    out.push(TrafficEvent {
                         cycle: now,
                         src: Endpoint::Core(0),
                         dest: Endpoint::Memory(0),
                         flits: 4,
                         kind: MessageKind::MemoryRead,
-                    }]
-                } else {
-                    Vec::new()
+                    });
                 }
             }
             fn name(&self) -> &str {

@@ -323,14 +323,14 @@ impl AppWorkload {
         }
     }
 
-    /// The events of the fire at cycle `now`: conditional Binomial core
-    /// set, then one destination stream per `(core, cycle)` pair.
-    fn fire_events(&mut self, now: u64) -> Vec<TrafficEvent> {
+    /// Appends the events of the fire at cycle `now` to `out`:
+    /// conditional Binomial core set, then one destination stream per
+    /// `(core, cycle)` pair.
+    fn fire_events(&mut self, now: u64, out: &mut Vec<TrafficEvent>) {
         let phase = self.profile.phases[self.phase].clone();
         let mut fired = std::mem::take(&mut self.fired);
         let mut rng = self.cycle_key.rng(now);
         conditional_fires(self.total_cores(), phase.injection_rate, &mut rng, &mut fired);
-        let mut events = Vec::with_capacity(fired.len());
         for &core in &fired {
             let mut rng = self.core_keys[core].rng(now);
             let event = if rng.gen::<f64>() < phase.memory_fraction {
@@ -373,10 +373,9 @@ impl AppWorkload {
                     }
                 }
             };
-            events.push(event);
+            out.push(event);
         }
         self.fired = fired;
-        events
     }
 }
 
@@ -412,14 +411,20 @@ fn transition_target(row: &[f64], mut u: f64) -> usize {
 }
 
 impl Workload for AppWorkload {
-    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
+    /// Ignores `full`: every fire draws all its events, so the schedule
+    /// and every stream stay those of the unhinted walk.
+    fn generate_into(
+        &mut self,
+        now: u64,
+        _full: &dyn Fn(usize) -> bool,
+        out: &mut Vec<TrafficEvent>,
+    ) {
+        out.clear();
         self.advance_phase_to(now);
-        if self.pending_fire != Some(now) {
-            return Vec::new();
+        if self.pending_fire == Some(now) {
+            self.fire_events(now, out);
+            self.refill_pending_fire();
         }
-        let events = self.fire_events(now);
-        self.refill_pending_fire();
-        events
     }
 
     fn name(&self) -> &str {
@@ -433,7 +438,7 @@ impl Workload for AppWorkload {
     fn next_event_at(&self, now: u64) -> Option<u64> {
         // Exact within the current segment: the pending fire is the
         // next event, and the segment boundary is where the schedule
-        // must be advanced (`generate` runs there; usually no event
+        // must be advanced (generation runs there; usually no event
         // fires on the boundary itself, and the driver simply asks
         // again).  Quiet phases therefore skip in O(schedule events).
         let fire = self.pending_fire.unwrap_or(u64::MAX);

@@ -94,40 +94,43 @@ pub struct TrafficEvent {
 
 /// A workload: a deterministic stream of traffic events.
 pub trait Workload {
-    /// Packets to inject at cycle `now`.  Called once per cycle with
-    /// strictly increasing `now` — except across a gap sanctioned by
-    /// [`Workload::next_event_at`], whose cycles may be skipped.  The
-    /// simulation driver asks through [`Workload::generate_into`]
-    /// instead, once per cycle under the same rule.
-    fn generate(&mut self, now: u64) -> Vec<TrafficEvent>;
-
-    /// [`Workload::generate`] for a caller that already knows some
-    /// sources cannot take a packet: fills `out` (cleared first) with
-    /// the events of cycle `now`, where an event whose source is
-    /// `Endpoint::Core(c)` with `full(c)` **may** be left out.  Nothing
-    /// else may change: every other event is the one `generate(now)`
-    /// returns, in the same order, and the workload ends in the state
-    /// `generate(now)` would leave it in — so a caller that refuses
-    /// full sources' events anyway (the driver's finite source queue)
-    /// sees the same run whether or not the hint is honoured.  `full`
-    /// is only asked about cores inside [`Workload::shape`].
+    /// Fills `out` (cleared first) with the packets to inject at cycle
+    /// `now`.  Called once per cycle with strictly increasing `now` —
+    /// except across a gap sanctioned by [`Workload::next_event_at`],
+    /// whose cycles may be skipped.
     ///
-    /// The default ignores the hint.  The counter-based generators
-    /// ([`UniformRandom`], [`patterns::PatternWorkload`]) honour it by
-    /// not drawing a full core's `(core, cycle)` stream at all, which
-    /// is what makes a saturated source cost nothing to generate for:
-    /// each draw is a pure function of `(seed, core, cycle)`, so a
-    /// skipped one shifts no other (`tests/demand.rs`; the contract is
-    /// in `docs/sweeps.md` beside the `next_event_at` one).
+    /// `full` names the cores whose source queue cannot take a packet:
+    /// an event whose source is `Endpoint::Core(c)` with `full(c)`
+    /// **may** be left out.  Nothing else may change: every other event
+    /// is the one an all-`false` hint yields, in the same order, and the
+    /// workload ends in the state that call would leave it in — so a
+    /// caller that refuses full sources' events anyway (the driver's
+    /// finite source queue) sees the same run whether or not the hint is
+    /// honoured.  `full` is only asked about cores inside
+    /// [`Workload::shape`].
+    ///
+    /// The counter-based generators ([`UniformRandom`],
+    /// [`patterns::PatternWorkload`]) honour the hint by not drawing a
+    /// full core's `(core, cycle)` stream at all, which is what makes a
+    /// saturated source cost nothing to generate for: each draw is a
+    /// pure function of `(seed, core, cycle)`, so a skipped one shifts
+    /// no other (`tests/demand.rs`; the contract is in `docs/sweeps.md`
+    /// beside the `next_event_at` one).  [`AppWorkload`] and trace
+    /// replay ignore it.
     fn generate_into(
         &mut self,
         now: u64,
         full: &dyn Fn(usize) -> bool,
         out: &mut Vec<TrafficEvent>,
-    ) {
-        let _ = full;
-        out.clear();
-        out.extend(self.generate(now));
+    );
+
+    /// The packets of cycle `now`, every source taken to have room:
+    /// [`Workload::generate_into`] under a hint that names no core, into
+    /// a fresh `Vec`.
+    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
+        let mut events = Vec::new();
+        self.generate_into(now, &|_| false, &mut events);
+        events
     }
 
     /// Human-readable name for reports.
@@ -136,11 +139,11 @@ pub trait Workload {
     /// The system shape this workload generates for: `(cores, stacks)`.
     fn shape(&self) -> (usize, usize);
 
-    /// The earliest cycle `>= now` at which [`Workload::generate`] may
-    /// return events, or `None` when the workload cannot predict it
+    /// The earliest cycle `>= now` at which [`Workload::generate_into`]
+    /// may yield events, or `None` when the workload cannot predict it
     /// (e.g. a generator walking a sequential RNG whose state must
     /// advance every cycle).  Returning `Some(c)` is a promise that
-    /// skipping the `generate` calls for cycles in `[now, c)` leaves
+    /// skipping the calls for cycles in `[now, c)` leaves
     /// the workload's output unchanged — the idle fast-forward contract
     /// the simulation driver relies on to jump over dead air (the full
     /// contract lives in `docs/fast_forward.md`).  Every shipped

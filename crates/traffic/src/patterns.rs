@@ -192,13 +192,6 @@ impl PatternWorkload {
 }
 
 impl Workload for PatternWorkload {
-    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
-        let every = if self.sampler.every_core_fires() { self.cores } else { 0 };
-        let mut events = Vec::with_capacity(every);
-        self.fill(now, |_| false, &mut events);
-        events
-    }
-
     fn generate_into(
         &mut self,
         now: u64,

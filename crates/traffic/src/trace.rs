@@ -67,15 +67,20 @@ pub struct TraceReplay<'a> {
 }
 
 impl Workload for TraceReplay<'_> {
-    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
-        let mut out = Vec::new();
+    /// Ignores `full`: a replay hands over what was recorded.
+    fn generate_into(
+        &mut self,
+        now: u64,
+        _full: &dyn Fn(usize) -> bool,
+        out: &mut Vec<TrafficEvent>,
+    ) {
+        out.clear();
         while self.pos < self.trace.events.len()
             && self.trace.events[self.pos].cycle <= now
         {
             out.push(self.trace.events[self.pos]);
             self.pos += 1;
         }
-        out
     }
 
     fn name(&self) -> &str {

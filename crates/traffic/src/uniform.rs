@@ -144,9 +144,8 @@ impl UniformRandom {
 
     /// Draws a destination for a packet from `src`, consuming further
     /// draws of that `(core, cycle)` pair's counter stream.  Inlined by
-    /// force: `fill` is instantiated twice, and with two callers this is
-    /// otherwise a call per firing core (+20 % on a saturated
-    /// `generate`).
+    /// force: left to the compiler it can become a call per firing core
+    /// (+20 % on a saturated cycle).
     #[inline(always)]
     fn destination(&self, src: usize, rng: &mut CounterRng) -> (Endpoint, MessageKind) {
         if rng.gen::<f64>() < self.memory_fraction {
@@ -205,13 +204,6 @@ impl UniformRandom {
 }
 
 impl Workload for UniformRandom {
-    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
-        let every = if self.sampler.every_core_fires() { self.cores } else { 0 };
-        let mut events = Vec::with_capacity(every);
-        self.fill(now, |_| false, &mut events);
-        events
-    }
-
     fn generate_into(
         &mut self,
         now: u64,

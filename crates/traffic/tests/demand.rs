@@ -140,16 +140,22 @@ proptest! {
     }
 }
 
-/// The provided method: a workload that only implements `generate`
-/// answers `generate_into` with all of it, whatever the hint says (the
-/// contract allows omission, it never requires it), into a cleared
-/// buffer.
+/// The reference that ignores the hint: a workload that drops `full`
+/// and asks with a hint naming no core answers with all of the cycle,
+/// whatever the hint says (the contract allows omission, it never
+/// requires it), into a cleared buffer — what the provided `generate`
+/// returns.
 #[test]
 fn the_default_ignores_the_hint_and_clears_the_buffer() {
     struct Plain(UniformRandom);
     impl Workload for Plain {
-        fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
-            self.0.generate(now)
+        fn generate_into(
+            &mut self,
+            now: u64,
+            _full: &dyn Fn(usize) -> bool,
+            out: &mut Vec<TrafficEvent>,
+        ) {
+            self.0.generate_into(now, &|_| false, out);
         }
         fn name(&self) -> &str {
             "plain"

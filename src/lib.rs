@@ -24,7 +24,7 @@
 //!   time series, mergeable latency histograms and Chrome-trace export
 //!   (`docs/observability.md`).
 //! * [`core`] — the paper's framework: architecture presets, full-system
-//!   assembly, metrics and the Fig 2–6 experiment suite.
+//!   assembly, metrics, experiments and scenario sweeps.
 //!
 //! # Quickstart
 //!

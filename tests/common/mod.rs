@@ -184,9 +184,6 @@ pub fn run_fingerprint(config: &SystemConfig, load: InjectionProcess) -> Fingerp
 pub struct NoFastForward<W>(pub W);
 
 impl<W: Workload> Workload for NoFastForward<W> {
-    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
-        self.0.generate(now)
-    }
     fn generate_into(
         &mut self,
         now: u64,
@@ -206,17 +203,21 @@ impl<W: Workload> Workload for NoFastForward<W> {
     }
 }
 
-/// Hides a workload's demand-driven generation: only `generate` is
-/// forwarded, so the driver's `generate_into` call lands on the trait's
-/// provided body, which ignores the full-source hint and hands over
-/// every event.  A wrapped run offers the driver everything and lets
-/// `inject_event` refuse; an unwrapped one never draws the refused
-/// events.  The two must be the same run.
+/// Hides a workload's demand-driven generation: the full-source hint is
+/// dropped and the wrapped workload asked with one that names no core,
+/// so it hands over every event.  A wrapped run offers the driver
+/// everything and lets `inject_event` refuse; an unwrapped one never
+/// draws the refused events.  The two must be the same run.
 pub struct PlainGenerate<W>(pub W);
 
 impl<W: Workload> Workload for PlainGenerate<W> {
-    fn generate(&mut self, now: u64) -> Vec<TrafficEvent> {
-        self.0.generate(now)
+    fn generate_into(
+        &mut self,
+        now: u64,
+        _full: &dyn Fn(usize) -> bool,
+        out: &mut Vec<TrafficEvent>,
+    ) {
+        self.0.generate_into(now, &|_| false, out);
     }
     fn name(&self) -> &str {
         self.0.name()

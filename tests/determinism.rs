@@ -14,8 +14,7 @@ mod common;
 
 use common::{assert_ff_bit_identical, quick, run_fingerprint, NoFastForward, PlainGenerate};
 
-use wimnet::core::experiments::run_all;
-use wimnet::core::sweeps::{run_pool, ScenarioGrid};
+use wimnet::core::sweeps::{default_threads, run_pool, ScenarioGrid};
 use wimnet::core::{
     Experiment, MacKind, MultichipSystem, Scale, SystemConfig, WirelessModel,
 };
@@ -42,17 +41,18 @@ fn saturation_runs_are_bit_identical() {
     assert_eq!(a, b);
 }
 
-/// `run_all` executes experiments on one OS thread each; results must
-/// not depend on how many run concurrently (1 vs 4 here) or on
-/// scheduling order.
+/// The pool at its default shape runs experiments on one OS thread
+/// each; results must not depend on how many run concurrently (1 vs 4
+/// here) or on scheduling order.
 #[test]
 fn thread_count_does_not_change_outcomes() {
     let cfg = quick(Architecture::Wireless);
     let exp = Experiment::uniform_random(&cfg, 0.004);
 
-    let solo = run_all(std::slice::from_ref(&exp)).expect("solo run");
+    let pooled = |exps: &[Experiment]| run_pool(exps, default_threads(), 1);
+    let solo = pooled(std::slice::from_ref(&exp)).expect("solo run");
     let batch =
-        run_all(&[exp.clone(), exp.clone(), exp.clone(), exp.clone()]).expect("batch run");
+        pooled(&[exp.clone(), exp.clone(), exp.clone(), exp.clone()]).expect("batch run");
 
     let key = |o: &wimnet::core::RunOutcome| {
         (

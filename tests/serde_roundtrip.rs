@@ -85,17 +85,6 @@ fn system_config_round_trips_through_json() {
     assert!(outcome.packets_delivered() > 0);
 }
 
-#[test]
-fn figure_rows_serialize_for_the_harness() {
-    use wimnet::core::experiments::{fig2, Scale};
-    let rows = fig2(Scale::Quick).unwrap();
-    let json = serde_json::to_string(&rows).unwrap();
-    assert!(json.contains("Substrate"));
-    let back: Vec<wimnet::core::experiments::Fig2Row> =
-        serde_json::from_str(&json).unwrap();
-    assert_eq!(back.len(), rows.len());
-}
-
 // ---------------------------------------------------------------------------
 // Property tests: the catalog payload types (`ScenarioPoint`,
 // `RunOutcome`) must survive JSON **bit-exactly** for arbitrary values,

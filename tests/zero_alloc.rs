@@ -20,7 +20,8 @@
 //! `Workload::generate_into` into a reused buffer allocates nothing,
 //! whether every core is passed over as full (saturation, where it
 //! does not even write the firing set down) or a Bernoulli cycle draws
-//! for the few that fire.
+//! for the few that fire, and an application model's fire cycles write
+//! into that buffer too.
 //!
 //! Integration tests are their own crate, which is why the allocator's
 //! `unsafe impl` can live here while every library keeps
@@ -37,7 +38,9 @@ use wimnet::noc::{Network, NocConfig, PacketDesc, SharedMedium};
 use wimnet::routing::{Routes, RoutingPolicy};
 use wimnet::topology::{Architecture, MultichipConfig, MultichipLayout};
 use wimnet::traffic::patterns::PatternWorkload;
-use wimnet::traffic::{InjectionProcess, TrafficPattern, UniformRandom, Workload};
+use wimnet::traffic::{
+    profiles, AppWorkload, InjectionProcess, TrafficPattern, UniformRandom, Workload,
+};
 use wimnet::wireless::{ChannelConfig, ControlPacketMac, ParallelMac, TokenMac};
 
 thread_local! {
@@ -225,4 +228,25 @@ fn pattern_generation_does_not_allocate() {
         let pattern = TrafficPattern::Hotspot { spots: vec![5, 50], fraction: 0.3 };
         Box::new(PatternWorkload::new(pattern, 64, 4, 0.2, injection, PACKET_FLITS, 7))
     });
+}
+
+/// Application traffic ignores the hint, but its fire cycles fill the
+/// caller's buffer all the same: 1 000 cycles of a busy profile, once
+/// its firing set has reached working size, allocate nothing.
+#[test]
+fn app_generation_does_not_allocate() {
+    let mut workload = AppWorkload::new(profiles::canneal(), 4, 16, 4, 7);
+    let mut events = Vec::with_capacity(workload.shape().0);
+    for cycle in 0..WARMUP {
+        workload.generate_into(cycle, &|_| false, &mut events);
+    }
+    let mut generated = 0;
+    let allocations = allocations_in(|| {
+        for cycle in WARMUP..WARMUP + CHECKED {
+            workload.generate_into(cycle, &|_| false, &mut events);
+            generated += events.len();
+        }
+    });
+    assert_eq!(allocations, 0, "{}", workload.name());
+    assert!(generated > 0, "{}: the checked cycles fired nothing", workload.name());
 }
