@@ -80,23 +80,28 @@ fn simulated_kill_exits_3_then_fetch_exits_2_until_resubmitted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A wireless rate or band, or a workload load or share, that the
+/// engine rejects is exit 2 with its message, never a panic.
 #[test]
 fn a_wireless_rate_the_engine_rejects_is_a_message_not_a_panic() {
     let dir = scratch("rate");
-    for (verb, model) in [
-        ("trace", "p2p:0/16"),
-        ("trace", "parallel:0"),
-        ("trace", "p2p:nan/16"),
-        ("submit", "parallel:nan"),
+    let rate = "wireless flits_per_cycle must be finite and positive";
+    for (verb, extra, complaint) in [
+        ("trace", &["--wireless", "p2p:0/16"][..], rate),
+        ("trace", &["--wireless", "parallel:0"][..], rate),
+        ("trace", &["--wireless", "p2p:nan/16"][..], rate),
+        ("submit", &["--wireless", "parallel:nan"][..], rate),
+        ("submit", &["--wireless", "p2p:1/0"][..], "wireless max_concurrent must be positive"),
+        ("submit", &["--loads", "1.5"][..], "load 1.5 outside [0, 1]"),
+        ("submit", &["--loads", "nan"][..], "load NaN outside [0, 1]"),
+        ("submit", &["--loads", "-0.1"][..], "load -0.1 outside [0, 1]"),
+        ("submit", &["--mem-fractions", "2"][..], "memory_fraction 2 outside [0, 1]"),
     ] {
-        let out = sweep(&dir, verb, &["--wireless", model]);
+        let out = sweep(&dir, verb, extra);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{verb} {model}: {stderr}");
-        assert!(
-            stderr.contains("wireless flits_per_cycle must be finite and positive"),
-            "{verb} {model}: {stderr}"
-        );
-        assert!(!stderr.contains("panicked"), "{verb} {model}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{verb} {extra:?}: {stderr}");
+        assert!(stderr.contains(complaint), "{verb} {extra:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{verb} {extra:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -76,6 +76,30 @@ pub(crate) enum WorkloadSpec {
     },
 }
 
+impl WorkloadSpec {
+    /// Checks every field a workload constructor would assert on, for a
+    /// system of `cores` cores, describing the first problem found.
+    fn check(&self, cores: usize) -> Result<(), String> {
+        let shares = match self {
+            WorkloadSpec::UniformRandom { load, memory_fraction: mf, read_share: rs } => {
+                vec![("load", load), ("memory_fraction", mf), ("read_share", rs)]
+            }
+            WorkloadSpec::Saturation { memory_fraction: mf, read_share: rs } => {
+                vec![("memory_fraction", mf), ("read_share", rs)]
+            }
+            WorkloadSpec::App { .. } => Vec::new(),
+            WorkloadSpec::Pattern { pattern, load, memory_fraction: mf } => {
+                pattern.check(cores)?;
+                vec![("load", load), ("memory_fraction", mf)]
+            }
+        };
+        match shares.into_iter().find(|(_, x)| !(0.0..=1.0).contains(*x)) {
+            Some((what, x)) => Err(format!("{what} {x} outside [0, 1]")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// One runnable simulation: a system configuration plus a workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Experiment {
@@ -138,10 +162,12 @@ impl Experiment {
         &self.config
     }
 
-    /// Mutable access to the configuration — for sweep drivers that
-    /// post-process grid-built experiments (e.g. `bench_engine`
-    /// toggling [`SystemConfig::disable_fast_forward`] for its
-    /// full-stepping baseline block).
+    /// Mutable access to the configuration — for drivers that
+    /// post-process grid-built experiments (e.g. the `figures` and
+    /// `sweep` binaries attaching [`TelemetryConfig::tracing`] to the
+    /// point they trace).
+    ///
+    /// [`TelemetryConfig::tracing`]: crate::TelemetryConfig::tracing
     pub fn config_mut(&mut self) -> &mut SystemConfig {
         &mut self.config
     }
@@ -239,14 +265,24 @@ impl Experiment {
         }
     }
 
+    /// The setup every `run*` path shares: a spec out of range (a load
+    /// or share outside `[0, 1]`, a pattern undefined on the core count)
+    /// is [`CoreError::InvalidParameter`] before anything is built; then
+    /// the system and the workload.
+    fn build(&self) -> Result<(MultichipSystem, Box<dyn Workload + Send>), CoreError> {
+        self.spec
+            .check(self.config.multichip.total_cores())
+            .map_err(|what| CoreError::InvalidParameter { what })?;
+        Ok((MultichipSystem::build(&self.config)?, self.build_workload()))
+    }
+
     /// Builds the system, runs the workload, returns the outcome.
     ///
     /// # Errors
     ///
-    /// Propagates construction failures and stalls.
+    /// Propagates spec and construction failures and stalls.
     pub fn run(&self) -> Result<RunOutcome, CoreError> {
-        let mut system = MultichipSystem::build(&self.config)?;
-        let mut workload = self.build_workload();
+        let (mut system, mut workload) = self.build()?;
         system.run(workload.as_mut())
     }
 
@@ -259,13 +295,11 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates construction failures and stalls.
+    /// Propagates spec and construction failures and stalls.
     pub fn run_traced(&self) -> Result<(RunOutcome, Option<String>), CoreError> {
-        let mut system = MultichipSystem::build(&self.config)?;
-        let mut workload = self.build_workload();
+        let (mut system, mut workload) = self.build()?;
         let outcome = system.run(workload.as_mut())?;
-        let trace = system.export_chrome_trace();
-        Ok((outcome, trace))
+        Ok((outcome, system.export_chrome_trace()))
     }
 
     /// Runs with checkpointing against `store` under the scenario key
@@ -277,15 +311,14 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates build, run and checkpoint-store failures.
+    /// Propagates spec, build, run and checkpoint-store failures.
     pub fn run_checkpointed(
         &self,
         store: &CheckpointStore,
         fp: &Fingerprint,
         kill_at: Option<u64>,
     ) -> Result<Option<RunOutcome>, CoreError> {
-        let mut system = MultichipSystem::build(&self.config)?;
-        let mut workload = self.build_workload();
+        let (mut system, mut workload) = self.build()?;
         run_with_checkpoints(&mut system, workload.as_mut(), store, fp, kill_at)
     }
 }
@@ -308,5 +341,32 @@ mod tests {
         .unwrap();
         assert!(outcome.packets_delivered() > 0);
         assert!(outcome.workload.contains("transpose"));
+    }
+
+    /// A spec the workload constructors would assert on is a typed
+    /// error from every `run*` path, before anything is simulated.
+    #[test]
+    fn out_of_range_specs_are_typed_errors() {
+        let cfg = SystemConfig::xcym(4, 4, Architecture::Wireless).quick_test_profile();
+        let three_chips = SystemConfig::xcym(3, 4, Architecture::Wireless).quick_test_profile();
+        let pattern = |cfg, p| Experiment::pattern(cfg, p, 0.002);
+        for (exp, complaint) in [
+            (Experiment::uniform_random(&cfg, f64::NAN), "load NaN outside [0, 1]"),
+            (Experiment::uniform_random(&cfg, 1.5), "load 1.5 outside [0, 1]"),
+            (Experiment::memory_reads(&cfg, 0.01, -0.1), "memory_fraction -0.1 outside"),
+            (Experiment::saturation(&cfg, 2.0), "memory_fraction 2 outside"),
+            (
+                pattern(&three_chips, wimnet_traffic::TrafficPattern::BitComplement),
+                "bit-complement is not defined on",
+            ),
+        ] {
+            let Err(CoreError::InvalidParameter { what }) = exp.run() else {
+                panic!("{exp:?} must be rejected");
+            };
+            assert!(what.contains(complaint), "{what}");
+            assert!(matches!(exp.run_traced(), Err(CoreError::InvalidParameter { .. })));
+        }
+        // The same pattern on a power-of-two core count runs.
+        assert!(pattern(&cfg, wimnet_traffic::TrafficPattern::BitComplement).run().is_ok());
     }
 }

@@ -115,8 +115,8 @@ pub struct SystemConfig {
     /// Disable the driver's idle fast-forward and step every cycle.
     /// Behavior-neutral by the fast-forward contract
     /// (`docs/fast_forward.md`): outcomes are bit-identical either way,
-    /// which the determinism suite asserts and `bench_engine` exploits
-    /// for interleaved full-stepping vs fast-forwarded A/B timing.
+    /// which the determinism and checkpoint suites assert with this
+    /// full-stepping run as their reference path.
     #[serde(skip, default)]
     pub disable_fast_forward: bool,
     /// Snapshot cadence in cycles for checkpointed runs: `0` (the
@@ -1075,6 +1075,13 @@ mod tests {
                 assert!(MultichipSystem::build(&cfg).is_err(), "{wireless:?} must not build");
             }
         }
+        // A zero band is the engine's to reject (`NocConfig::validate`).
+        let mut cfg = quick(Architecture::Wireless);
+        cfg.wireless = WirelessModel::PointToPoint { flits_per_cycle: 1.0, max_concurrent: 0 };
+        assert!(matches!(
+            MultichipSystem::build(&cfg),
+            Err(CoreError::Noc(wimnet_noc::NocError::InvalidConfig { .. }))
+        ));
     }
 
     #[test]

@@ -174,6 +174,11 @@ impl NocConfig {
                 what: "radio_tx_depth must be positive",
             });
         }
+        if let WirelessMode::PointToPoint { max_concurrent: 0, .. } = self.wireless_mode {
+            return Err(NocError::InvalidConfig {
+                what: "wireless max_concurrent must be positive",
+            });
+        }
         Ok(())
     }
 }
@@ -1861,6 +1866,17 @@ mod tests {
         let mut c = NocConfig::paper();
         c.buf_depth = 0;
         assert!(c.validate().is_err());
+        // A zero wireless band carries no flit, and a window shorter
+        // than the stall watchdog ends before anything notices.
+        let p2p = |max_concurrent| NocConfig {
+            wireless_mode: WirelessMode::PointToPoint { rate: 1.0, latency: 1, max_concurrent },
+            ..NocConfig::paper()
+        };
+        assert!(p2p(1).validate().is_ok());
+        assert_eq!(
+            p2p(0).validate(),
+            Err(NocError::InvalidConfig { what: "wireless max_concurrent must be positive" })
+        );
         // A VC's ring cursors are 16 bits wide: the deepest buffer that
         // fits validates, one flit more is a typed error, not a
         // truncation.

@@ -242,11 +242,6 @@ impl AppWorkload {
         w
     }
 
-    /// The current phase index.
-    pub fn phase(&self) -> usize {
-        self.phase
-    }
-
     /// The profile driving this workload.
     pub fn profile(&self) -> &AppProfile {
         &self.profile
@@ -485,7 +480,7 @@ mod tests {
         let mut seen = [false; 2];
         for now in 0..5_000 {
             w.generate(now);
-            seen[w.phase()] = true;
+            seen[w.phase] = true;
         }
         assert!(seen[0] && seen[1], "both phases must be visited");
     }

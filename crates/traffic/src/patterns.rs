@@ -41,37 +41,27 @@ impl TrafficPattern {
         usize::BITS - (cores - 1).leading_zeros()
     }
 
-    /// Destination core for `src` in a `cores`-core system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is not a power of two for the bit-permutation
-    /// patterns, or if a hotspot index is out of range.
+    /// Destination core for `src` in a `cores`-core system.  On a core
+    /// count that [`TrafficPattern::check`] rejects, and
+    /// [`PatternWorkload::new`] therefore refuses, the result is not the
+    /// pattern's.
     pub fn dest<R: Rng>(&self, src: usize, cores: usize, rng: &mut R) -> usize {
-        let pow2 = cores.is_power_of_two();
         let d = match self {
-            TrafficPattern::BitComplement => {
-                assert!(pow2, "bit-complement needs a power-of-two core count");
-                !src & (cores - 1)
-            }
+            TrafficPattern::BitComplement => !src & (cores - 1),
             TrafficPattern::BitReverse => {
-                assert!(pow2, "bit-reverse needs a power-of-two core count");
                 let b = Self::bits(cores);
                 (src.reverse_bits() >> (usize::BITS - b)) & (cores - 1)
             }
             TrafficPattern::Transpose => {
                 let side = (cores as f64).sqrt() as usize;
-                assert_eq!(side * side, cores, "transpose needs a square core count");
                 let (x, y) = (src % side, src / side);
                 x * side + y
             }
             TrafficPattern::Shuffle => {
-                assert!(pow2, "shuffle needs a power-of-two core count");
                 let b = Self::bits(cores);
                 ((src << 1) | (src >> (b - 1))) & (cores - 1)
             }
             TrafficPattern::Hotspot { spots, fraction } => {
-                assert!(spots.iter().all(|&s| s < cores), "hotspot out of range");
                 if rng.gen::<f64>() < *fraction {
                     spots[rng.gen_range(0..spots.len())]
                 } else {
@@ -85,6 +75,27 @@ impl TrafficPattern {
             TrafficPattern::Neighbor => (src + 1) % cores,
         };
         d.min(cores - 1)
+    }
+
+    /// Checks that the pattern is defined on `cores` cores.
+    ///
+    /// # Errors
+    ///
+    /// A bit permutation on a core count that is not a power of two, a
+    /// transpose on one that is not square, or a hotspot out of range.
+    pub fn check(&self, cores: usize) -> Result<(), String> {
+        let side = (cores as f64).sqrt() as usize;
+        let defined = match self {
+            TrafficPattern::BitComplement
+            | TrafficPattern::BitReverse
+            | TrafficPattern::Shuffle => cores.is_power_of_two(),
+            TrafficPattern::Transpose => side * side == cores,
+            TrafficPattern::Hotspot { spots, .. } => spots.iter().all(|&s| s < cores),
+            TrafficPattern::Neighbor => true,
+        };
+        defined
+            .then_some(())
+            .ok_or_else(|| format!("{} is not defined on {cores} cores", self.label()))
     }
 
     /// Short label for reports.
@@ -127,7 +138,7 @@ impl PatternWorkload {
     ///
     /// # Panics
     ///
-    /// Panics on invalid parameters (see [`TrafficPattern::dest`] and
+    /// Panics on invalid parameters (see [`TrafficPattern::check`] and
     /// [`InjectionProcess::validate`]).
     pub fn new(
         pattern: TrafficPattern,
@@ -140,6 +151,7 @@ impl PatternWorkload {
     ) -> Self {
         assert!(cores >= 2 && stacks > 0 && packet_flits > 0);
         assert!((0.0..=1.0).contains(&memory_fraction));
+        pattern.check(cores).unwrap_or_else(|e| panic!("{e}"));
         injection.validate();
         let name = format!("{} ({:.0}% memory)", pattern.label(), memory_fraction * 100.0);
         PatternWorkload {
@@ -306,8 +318,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "transpose is not defined on 48 cores")]
     fn transpose_rejects_non_square() {
-        TrafficPattern::Transpose.dest(0, 48, &mut rng());
+        assert!(TrafficPattern::Transpose.check(64).is_ok());
+        let saturation = InjectionProcess::Saturation;
+        PatternWorkload::new(TrafficPattern::Transpose, 48, 4, 0.2, saturation, 64, 1);
     }
 }

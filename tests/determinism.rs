@@ -168,10 +168,14 @@ fn bernoulli_fast_forward_is_bit_identical_to_full_stepping() {
 #[test]
 fn app_workload_fast_forward_is_bit_identical_to_full_stepping() {
     use wimnet::traffic::AppWorkload;
-    for arch in [Architecture::Wireless, Architecture::Interposer] {
-        let cfg = quick(arch);
+    let parallel = {
+        let mut c = quick(Architecture::Wireless);
+        c.wireless = WirelessModel::ParallelLinks { flits_per_cycle: 1.0 };
+        c
+    };
+    for cfg in [quick(Architecture::Wireless), quick(Architecture::Interposer), parallel] {
         assert_ff_bit_identical(
-            &format!("app/{arch}"),
+            &format!("app/{}/{:?}", cfg.label(), cfg.wireless),
             &cfg,
             &|| {
                 Box::new(AppWorkload::new(
@@ -222,19 +226,28 @@ fn shared_channel_mac_fast_forward_is_bit_identical_to_full_stepping() {
 fn memory_read_fast_forward_is_bit_identical_to_full_stepping() {
     use wimnet::memory::SchedulerPolicy;
     use wimnet::traffic::AddressStreamSpec;
-    for (arch, stream, scheduler) in [
+    for (arch, wireless, stream, scheduler) in [
         (
             Architecture::Wireless,
+            WirelessModel::default(),
+            AddressStreamSpec::Sequential,
+            SchedulerPolicy::FrFcfs,
+        ),
+        (
+            Architecture::Wireless,
+            WirelessModel::ParallelLinks { flits_per_cycle: 1.0 },
             AddressStreamSpec::Sequential,
             SchedulerPolicy::FrFcfs,
         ),
         (
             Architecture::Substrate,
+            WirelessModel::default(),
             AddressStreamSpec::Uniform { region_blocks: 1 << 22 },
             SchedulerPolicy::Fcfs,
         ),
         (
             Architecture::Interposer,
+            WirelessModel::default(),
             AddressStreamSpec::HotRow {
                 region_blocks: 1 << 20,
                 hot_blocks: 16,
@@ -244,6 +257,7 @@ fn memory_read_fast_forward_is_bit_identical_to_full_stepping() {
         ),
     ] {
         let mut cfg = quick(arch);
+        cfg.wireless = wireless;
         cfg.address_stream = stream;
         cfg.mem_controller.scheduler = scheduler;
         // Sparse enough that the network drains between reads, so the
@@ -253,7 +267,7 @@ fn memory_read_fast_forward_is_bit_identical_to_full_stepping() {
         let stacks = cfg.multichip.num_stacks;
         let (flits, seed) = (cfg.packet_flits, cfg.seed);
         assert_ff_bit_identical(
-            &format!("memory-read/{arch}"),
+            &format!("memory-read/{arch}/{wireless:?}"),
             &cfg,
             &|| {
                 Box::new(
@@ -332,7 +346,14 @@ fn fast_forwarded_idle_accounting_is_o1_in_skipped_cycles() {
     use wimnet::core::{MacKind, WirelessModel};
     let scenarios: Vec<(&str, SystemConfig)> = vec![
         ("substrate", quick(Architecture::Substrate)),
-        ("wireless/parallel", quick(Architecture::Wireless)),
+        (
+            "wireless/parallel",
+            {
+                let mut c = quick(Architecture::Wireless);
+                c.wireless = WirelessModel::ParallelLinks { flits_per_cycle: 0.2 };
+                c
+            },
+        ),
         (
             "wireless/token",
             {

@@ -160,3 +160,96 @@ fn link_scanner_sees_targets_and_skips_fences() {
     assert!(!is_intra_repo("https://x.y"));
     assert!(!is_intra_repo("#top"));
 }
+
+/// `(flag, name)` for each `--bin`, `--example`, `--bench` or `--test`
+/// followed by a name in `text`, in order; backticks and punctuation
+/// around either word are ignored.
+fn target_mentions(text: &str) -> Vec<(&str, &str)> {
+    let words: Vec<&str> = text
+        .split_whitespace()
+        .map(|w| w.trim_matches(|c: char| !(c.is_ascii_alphanumeric() || "_-".contains(c))))
+        .collect();
+    words
+        .windows(2)
+        .filter(|w| ["--bin", "--example", "--bench", "--test"].contains(&w[0]))
+        .map(|w| (w[0], w[1]))
+        .collect()
+}
+
+/// The mentions in `text` that name no target of this repository:
+/// `--bin NAME` is `crates/bench/src/bin/NAME.rs`, `--example NAME` is
+/// `examples/NAME.rs`, `--bench NAME` a `benches/NAME.rs` and
+/// `--test NAME` a `tests/NAME.rs`, at the root or in any crate.
+fn unresolved_targets(repo: &Path, text: &str) -> Vec<String> {
+    let in_any_crate = |dir: &str, file: &str| {
+        repo.join(dir).join(file).exists()
+            || std::fs::read_dir(repo.join("crates"))
+                .expect("crates/ exists")
+                .any(|c| c.expect("readable dir entry").path().join(dir).join(file).exists())
+    };
+    target_mentions(text)
+        .into_iter()
+        .filter(|&(flag, name)| {
+            let file = format!("{name}.rs");
+            !match flag {
+                "--bin" => repo.join("crates/bench/src/bin").join(&file).exists(),
+                "--example" => repo.join("examples").join(&file).exists(),
+                "--bench" => in_any_crate("benches", &file),
+                _ => in_any_crate("tests", &file),
+            }
+        })
+        .map(|(flag, name)| format!("{flag} {name}"))
+        .collect()
+}
+
+/// The command lines the docs, the verify skill and CI hand a reader
+/// name targets that exist, so deleting a binary, example, bench or
+/// test without its mentions fails here.  Checked against a doctored
+/// copy of the tree whose README still told the reader to run a
+/// `--bin` target after its source file was deleted: the test failed,
+/// naming that README line's target.
+#[test]
+fn cargo_targets_named_in_docs_exist() {
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut docs = vec![
+        repo.join("README.md"),
+        repo.join(".claude/skills/verify/SKILL.md"),
+        repo.join(".github/workflows/ci.yml"),
+    ];
+    for entry in std::fs::read_dir(repo.join("docs")).expect("docs/ exists") {
+        let path = entry.expect("readable dir entry").path();
+        if path.extension().is_some_and(|e| e == "md") {
+            docs.push(path);
+        }
+    }
+    let (mut mentions, mut missing) = (0, Vec::new());
+    for doc in &docs {
+        let text = std::fs::read_to_string(doc)
+            .unwrap_or_else(|e| panic!("{} must be readable: {e}", doc.display()));
+        mentions += target_mentions(&text).len();
+        for target in unresolved_targets(&repo, &text) {
+            let name = doc.strip_prefix(&repo).unwrap_or(doc).display();
+            missing.push(format!("{name}: `{target}`"));
+        }
+    }
+    assert!(mentions >= 20, "the scan found the docs' command lines: {mentions}");
+    assert!(missing.is_empty(), "docs name targets that do not exist:\n{}", missing.join("\n"));
+}
+
+#[test]
+fn target_scanner_reads_flags_and_resolves_names() {
+    let text = "run `cargo run --bin figures -- fig2`, --example quickstart, \
+                `--test public_surface` and --bench engine; not --bin retired_tracker or --tests";
+    assert_eq!(
+        target_mentions(text),
+        vec![
+            ("--bin", "figures"),
+            ("--example", "quickstart"),
+            ("--test", "public_surface"),
+            ("--bench", "engine"),
+            ("--bin", "retired_tracker"),
+        ]
+    );
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    assert_eq!(unresolved_targets(&repo, text), vec!["--bin retired_tracker"]);
+}
