@@ -161,7 +161,7 @@ fn bench_source_side(c: &mut Criterion) {
     // driver's `generate_into` call passes over all 64 cores.  (With
     // `&|_| false` the same call draws 64 destinations, which is what a
     // saturated cycle cost before generation took the hint.)
-    let mut w = UniformRandom::paper(64, 4, InjectionProcess::Saturation, 7);
+    let mut w = UniformRandom::new(64, 4, 0.20, InjectionProcess::Saturation, 64, 7);
     let mut events = Vec::with_capacity(64);
     let mut now = 0u64;
     g.bench_function("generate_saturated_all_full_x1000", |b| {

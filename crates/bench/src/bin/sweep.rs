@@ -83,7 +83,7 @@ fn usage() -> String {
      catalog / run options:\n\
        --catalog DIR          catalog directory (default: results/catalog)\n\
        --threads N            pool threads (default: all cores)\n\
-       --chunk N              points per pool steal, heaviest first (default: 4)\n\
+       --chunk N              points per pool steal, heaviest first (default: 1)\n\
        --shard I/N            run only shard I of N (default 0/1)\n\
        --abort-after-misses K simulate a crash after K fresh points (exit 3)\n\
        --json                 status: machine-readable per-shard counts\n\
@@ -250,7 +250,7 @@ fn parse_cli() -> Result<Cli, String> {
     let mut catalog_dir: Option<PathBuf> = None;
     let mut checkpoints_dir: Option<PathBuf> = None;
     let mut every = 500u64;
-    let mut options = SweepOptions { chunk: 4, ..SweepOptions::default() };
+    let mut options = SweepOptions::default();
     let mut json = false;
     let mut out: Option<PathBuf> = None;
 

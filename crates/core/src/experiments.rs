@@ -9,7 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use wimnet_traffic::{AppProfile, AppWorkload, InjectionProcess, UniformRandom, Workload};
+use wimnet_traffic::{
+    AppProfile, AppWorkload, InjectionProcess, TrafficPattern, UniformRandom, Workload,
+};
 
 use crate::catalog::Fingerprint;
 use crate::checkpoint::{run_with_checkpoints, CheckpointStore};
@@ -41,38 +43,28 @@ impl Scale {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub(crate) enum WorkloadSpec {
-    /// Uniform random with a Bernoulli injection rate (Fig 3 points).
-    UniformRandom {
-        /// Packets per core per cycle.
-        load: f64,
+    /// Synthetic traffic from the one counter-based generator: the
+    /// paper's uniform random (Figs 2–5) or, with a pattern, a classic
+    /// permutation (extended evaluation beyond the paper).
+    Synthetic {
+        /// A Bernoulli load in packets per core per cycle (Fig 3
+        /// points) or saturation (Figs 2, 4, 5).
+        injection: InjectionProcess,
         /// Memory-access share of generated packets.
         memory_fraction: f64,
         /// Share of the memory packets that are read *requests*
         /// (closed-loop traffic through the stack controllers; 0 keeps
         /// the paper's fire-and-forget stores).
         read_share: f64,
-    },
-    /// Uniform random at maximum load (Figs 2, 4, 5).
-    Saturation {
-        /// Memory-access share of generated packets.
-        memory_fraction: f64,
-        /// Share of the memory packets that are read requests.
-        read_share: f64,
+        /// Core destinations from a permutation pattern (transpose,
+        /// bit-complement, hotspot …) instead of uniform over all
+        /// other cores.
+        pattern: Option<TrafficPattern>,
     },
     /// A SynFull-substitute application model (Fig 6).
     App {
         /// The application profile.
         profile: AppProfile,
-    },
-    /// A classic permutation pattern (extended evaluation beyond the
-    /// paper: transpose, bit-complement, hotspot …).
-    Pattern {
-        /// The destination pattern.
-        pattern: wimnet_traffic::TrafficPattern,
-        /// Packets per core per cycle.
-        load: f64,
-        /// Memory-access share of generated packets.
-        memory_fraction: f64,
     },
 }
 
@@ -80,23 +72,32 @@ impl WorkloadSpec {
     /// Checks every field a workload constructor would assert on, for a
     /// system of `cores` cores, describing the first problem found.
     fn check(&self, cores: usize) -> Result<(), String> {
-        let shares = match self {
-            WorkloadSpec::UniformRandom { load, memory_fraction: mf, read_share: rs } => {
-                vec![("load", load), ("memory_fraction", mf), ("read_share", rs)]
-            }
-            WorkloadSpec::Saturation { memory_fraction: mf, read_share: rs } => {
-                vec![("memory_fraction", mf), ("read_share", rs)]
-            }
-            WorkloadSpec::App { .. } => Vec::new(),
-            WorkloadSpec::Pattern { pattern, load, memory_fraction: mf } => {
-                pattern.check(cores)?;
-                vec![("load", load), ("memory_fraction", mf)]
-            }
+        let WorkloadSpec::Synthetic { injection, memory_fraction, read_share, pattern } = self
+        else {
+            return Ok(());
         };
-        match shares.into_iter().find(|(_, x)| !(0.0..=1.0).contains(*x)) {
+        if let Some(pattern) = pattern {
+            pattern.check(cores)?;
+        }
+        let load = match *injection {
+            InjectionProcess::Bernoulli { rate } => rate,
+            InjectionProcess::Saturation => 1.0,
+        };
+        let shares =
+            [("load", load), ("memory_fraction", *memory_fraction), ("read_share", *read_share)];
+        match shares.into_iter().find(|(_, x)| !(0.0..=1.0).contains(x)) {
             Some((what, x)) => Err(format!("{what} {x} outside [0, 1]")),
             None => Ok(()),
         }
+    }
+
+    /// Uniform random traffic under `injection` (no pattern).
+    pub(crate) fn uniform(
+        injection: InjectionProcess,
+        memory_fraction: f64,
+        read_share: f64,
+    ) -> Self {
+        WorkloadSpec::Synthetic { injection, memory_fraction, read_share, pattern: None }
     }
 }
 
@@ -116,28 +117,23 @@ impl Experiment {
     /// Uniform random traffic at `load` packets/core/cycle with the
     /// paper's 20 % memory-access share.
     pub fn uniform_random(config: &SystemConfig, load: f64) -> Self {
-        Experiment::new(
-            config.clone(),
-            WorkloadSpec::UniformRandom { load, memory_fraction: 0.20, read_share: 0.0 },
-        )
+        let spec = WorkloadSpec::uniform(InjectionProcess::Bernoulli { rate: load }, 0.20, 0.0);
+        Experiment::new(config.clone(), spec)
     }
 
     /// Memory-bound closed-loop traffic: uniform random at `load` with
     /// `memory_fraction` memory packets, all of them read requests that
     /// exercise the stack controllers and pull data replies back.
     pub fn memory_reads(config: &SystemConfig, load: f64, memory_fraction: f64) -> Self {
-        Experiment::new(
-            config.clone(),
-            WorkloadSpec::UniformRandom { load, memory_fraction, read_share: 1.0 },
-        )
+        let injection = InjectionProcess::Bernoulli { rate: load };
+        let spec = WorkloadSpec::uniform(injection, memory_fraction, 1.0);
+        Experiment::new(config.clone(), spec)
     }
 
     /// Saturation (maximum load) with `memory_fraction` memory traffic.
     pub fn saturation(config: &SystemConfig, memory_fraction: f64) -> Self {
-        Experiment::new(
-            config.clone(),
-            WorkloadSpec::Saturation { memory_fraction, read_share: 0.0 },
-        )
+        let spec = WorkloadSpec::uniform(InjectionProcess::Saturation, memory_fraction, 0.0);
+        Experiment::new(config.clone(), spec)
     }
 
     /// An application workload.
@@ -146,15 +142,14 @@ impl Experiment {
     }
 
     /// A permutation-pattern workload with the paper's 20 % memory share.
-    pub fn pattern(
-        config: &SystemConfig,
-        pattern: wimnet_traffic::TrafficPattern,
-        load: f64,
-    ) -> Self {
-        Experiment::new(
-            config.clone(),
-            WorkloadSpec::Pattern { pattern, load, memory_fraction: 0.20 },
-        )
+    pub fn pattern(config: &SystemConfig, pattern: TrafficPattern, load: f64) -> Self {
+        let spec = WorkloadSpec::Synthetic {
+            injection: InjectionProcess::Bernoulli { rate: load },
+            memory_fraction: 0.20,
+            read_share: 0.0,
+            pattern: Some(pattern),
+        };
+        Experiment::new(config.clone(), spec)
     }
 
     /// The system configuration.
@@ -174,18 +169,19 @@ impl Experiment {
 
     /// An upper bound on the flits this experiment's window can inject:
     /// `(warmup + measure) × cores × min(offered flits per core per
-    /// cycle, 1)`.  Bernoulli and pattern loads offer `load ×
-    /// packet_flits`; saturation and application profiles count as 1.
+    /// cycle, 1)`.  A Bernoulli load offers `load × packet_flits`,
+    /// whatever the destinations; saturation and application profiles
+    /// count as 1.
     ///
     /// The sweep pool dispatches points in descending order of it
     /// (`sweeps::dispatch_order`).  It ranks points, it does not predict
     /// them, and it reaches no fingerprint, outcome or snapshot.
     pub(crate) fn work_estimate(&self) -> f64 {
         let offered = match &self.spec {
-            WorkloadSpec::UniformRandom { load, .. } | WorkloadSpec::Pattern { load, .. } => {
-                load * f64::from(self.config.packet_flits)
+            WorkloadSpec::Synthetic { injection: InjectionProcess::Bernoulli { rate }, .. } => {
+                rate * f64::from(self.config.packet_flits)
             }
-            WorkloadSpec::Saturation { .. } | WorkloadSpec::App { .. } => 1.0,
+            _ => 1.0,
         };
         let window = self.config.warmup_cycles as f64 + self.config.measure_cycles as f64;
         window * self.config.multichip.total_cores() as f64 * offered.min(1.0)
@@ -199,51 +195,35 @@ impl Experiment {
     }
 
     fn build_workload(&self) -> Box<dyn Workload + Send> {
-        let cores = self.config.multichip.total_cores();
         let stacks = self.config.multichip.num_stacks;
-        let affine = |w: UniformRandom| -> UniformRandom {
-            if self.config.memory_affinity_bias > 0.0 {
-                w.with_memory_affinity(self.config.memory_affinity_bias, self.home_stacks())
-            } else {
-                w
-            }
-        };
-        // Read requests carry the address, not the data: an eighth of
-        // a data packet (8 flits at the paper's 64-flit packets), with
-        // the full-size reply injected by the stack on completion.
-        let request_flits = (self.config.packet_flits / 8).max(1);
-        let reads = |w: UniformRandom, share: f64| -> UniformRandom {
-            if share > 0.0 {
-                w.with_memory_reads(share, request_flits)
-            } else {
-                w
-            }
-        };
         match &self.spec {
-            WorkloadSpec::UniformRandom { load, memory_fraction, read_share } => {
-                Box::new(reads(
-                    affine(UniformRandom::new(
-                        cores,
-                        stacks,
-                        *memory_fraction,
-                        InjectionProcess::Bernoulli { rate: *load },
-                        self.config.packet_flits,
-                        self.config.seed,
-                    )),
-                    *read_share,
-                ))
-            }
-            WorkloadSpec::Saturation { memory_fraction, read_share } => Box::new(reads(
-                affine(UniformRandom::new(
-                    cores,
+            WorkloadSpec::Synthetic { injection, memory_fraction, read_share, pattern } => {
+                let mut w = UniformRandom::new(
+                    self.config.multichip.total_cores(),
                     stacks,
                     *memory_fraction,
-                    InjectionProcess::Saturation,
+                    *injection,
                     self.config.packet_flits,
                     self.config.seed,
-                )),
-                *read_share,
-            )),
+                );
+                let bias = self.config.memory_affinity_bias;
+                w = match pattern {
+                    // A pattern keeps the uniform memory placement it
+                    // has always had: NUMA affinity is uniform-only.
+                    Some(pattern) => w.with_pattern(pattern.clone()),
+                    None if bias > 0.0 => w.with_memory_affinity(bias, self.home_stacks()),
+                    None => w,
+                };
+                if *read_share > 0.0 {
+                    // Read requests carry the address, not the data: an
+                    // eighth of a data packet (8 flits at the paper's
+                    // 64-flit packets), with the full-size reply
+                    // injected by the stack on completion.
+                    let request_flits = (self.config.packet_flits / 8).max(1);
+                    w = w.with_memory_reads(*read_share, request_flits);
+                }
+                Box::new(w)
+            }
             WorkloadSpec::App { profile } => Box::new(AppWorkload::new(
                 profile.clone(),
                 self.config.multichip.num_chips,
@@ -251,17 +231,6 @@ impl Experiment {
                 stacks,
                 self.config.seed,
             )),
-            WorkloadSpec::Pattern { pattern, load, memory_fraction } => {
-                Box::new(wimnet_traffic::patterns::PatternWorkload::new(
-                    pattern.clone(),
-                    cores,
-                    stacks,
-                    *memory_fraction,
-                    InjectionProcess::Bernoulli { rate: *load },
-                    self.config.packet_flits,
-                    self.config.seed,
-                ))
-            }
         }
     }
 

@@ -525,17 +525,7 @@ impl ScenarioGrid {
         config.address_stream = point.address_stream;
         config.mem_controller.scheduler = point.scheduler;
         config.checkpoint_every = self.checkpoint_every;
-        let spec = match point.injection {
-            InjectionProcess::Bernoulli { rate } => WorkloadSpec::UniformRandom {
-                load: rate,
-                memory_fraction: point.memory_fraction,
-                read_share: self.read_share,
-            },
-            InjectionProcess::Saturation => WorkloadSpec::Saturation {
-                memory_fraction: point.memory_fraction,
-                read_share: self.read_share,
-            },
-        };
+        let spec = WorkloadSpec::uniform(point.injection, point.memory_fraction, self.read_share);
         Experiment::new(config, spec)
     }
 

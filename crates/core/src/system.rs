@@ -673,7 +673,9 @@ impl MultichipSystem {
     ///
     /// [`CoreError::Checkpoint`] when the state's shape does not match
     /// this system (different scale, architecture or wireless medium),
-    /// or when the network or a memory controller rejects its tables
+    /// when a read request, staged request or pending reply names a
+    /// stack or switch out of range (or a reply has no flits), or when
+    /// the network or a memory controller rejects its tables
     /// (`Network::restore_state`, `MemoryController::check_state`); the
     /// system is untouched then.
     pub fn restore_state(&mut self, s: &SystemState) -> Result<(), CoreError> {
@@ -686,6 +688,38 @@ impl MultichipSystem {
         }
         if s.staged.len() != self.staged.len() {
             return Err(shape("snapshot staged-queue count differs from system"));
+        }
+        // The memory-side tables name stacks and switches the run loop
+        // indexes by, and a staged request is offered to the controller
+        // of the queue it waits in: an entry out of range is refused
+        // here, not met as a panic by the resumed run.
+        let (stacks, switches) = (self.controllers.len(), self.layout.graph().node_count());
+        for &(id, (stack, requester)) in &s.read_requests {
+            if stack >= stacks || requester.index() >= switches {
+                return Err(shape(&format!(
+                    "snapshot read request {} names stack {stack} or node {} out of range",
+                    id.0, requester.0
+                )));
+            }
+        }
+        for (stack, queue) in s.staged.iter().enumerate() {
+            for r in queue {
+                if self.addr_map.decode(r.addr).stack != stack || r.tag >= switches as u64 {
+                    return Err(shape(&format!(
+                        "snapshot staged request at stack {stack} (address {:#x}, node {}) \
+                         is another stack's or names a node out of range",
+                        r.addr, r.tag
+                    )));
+                }
+            }
+        }
+        for r in &s.pending_replies {
+            if r.stack >= stacks || r.requester.index() >= switches || r.flits == 0 {
+                return Err(shape(&format!(
+                    "snapshot pending reply from stack {} to node {} of {} flits is malformed",
+                    r.stack, r.requester.0, r.flits
+                )));
+            }
         }
         // Controllers are validated before anything is restored, and the
         // network restores its media first, so a doctored controller or
@@ -1277,6 +1311,60 @@ mod tests {
         // …but leakage accrues every cycle.
         assert!(meter.category(EnergyCategory::SwitchStatic).joules() > 0.0);
         assert!(meter.category(EnergyCategory::SerialIoStatic).joules() > 0.0);
+    }
+
+    /// The memory-side tables a snapshot carries are checked like the
+    /// network's: a read request or pending reply naming a stack or a
+    /// switch out of range, a staged request queued at a stack its
+    /// address does not decode to or naming a switch out of range, a
+    /// reply of no flits.  Each is a typed error on an untouched system.
+    /// Each case was seen, before restore checked them, to restore `Ok`
+    /// and then panic the resumed run: indexing the stacks (a stack of
+    /// 99), in `MemoryController::enqueue` (another stack's address), in
+    /// `Network::inject` (a switch out of range) or in `PacketDesc::new`
+    /// (no flits).
+    #[test]
+    fn restore_rejects_out_of_range_memory_tables_before_mutating() {
+        let cfg = quick(Architecture::Substrate);
+        let reads = || uniform(&cfg, 0.01).with_memory_reads(1.0, 8);
+        let build = || MultichipSystem::build(&cfg).unwrap();
+        let mut sys = build();
+        let at = sys.run_until(&mut reads(), 0, 400).unwrap();
+        let good = sys.state();
+        assert!(!good.read_requests.is_empty(), "reads are in flight");
+        let switches = sys.layout.graph().node_count();
+        fn request(addr: u64, tag: usize) -> MemRequest {
+            MemRequest { addr, bytes: 64, kind: AccessKind::Read, tag: tag as u64 }
+        }
+        fn reply(stack: usize, requester: usize, flits: u32) -> PendingReply {
+            PendingReply { ready_at: 0, stack, requester: NodeId(requester), flits }
+        }
+        type Doctor = fn(&mut SystemState, usize);
+        let cases: [(&str, Doctor); 7] = [
+            ("read request", |s, _| s.read_requests.iter_mut().for_each(|r| r.1 .0 = 99)),
+            ("read request", |s, n| s.read_requests.iter_mut().for_each(|r| r.1 .1 = NodeId(n))),
+            // Block 1 interleaves onto stack 1.
+            ("staged request", |s, _| s.staged[0].push_back(request(64, 0))),
+            ("staged request", |s, n| s.staged[0].push_back(request(0, n))),
+            ("pending reply", |s, _| s.pending_replies.push(reply(99, 0, 64))),
+            ("pending reply", |s, n| s.pending_replies.push(reply(0, n, 64))),
+            ("pending reply", |s, _| s.pending_replies.push(reply(0, 0, 0))),
+        ];
+        let pristine = format!("{:?}", build().state());
+        for (reason, doctor) in cases {
+            let mut bad = good.clone();
+            doctor(&mut bad, switches);
+            let mut target = build();
+            let Err(CoreError::Checkpoint { what }) = target.restore_state(&bad) else {
+                panic!("{reason}: restore must refuse");
+            };
+            assert!(what.contains(reason), "expected `{reason}`, got `{what}`");
+            assert_eq!(format!("{:?}", target.state()), pristine, "{reason}: state mutated");
+        }
+        let mut target = build();
+        target.restore_state(&good).expect("the snapshot as taken restores");
+        let resumed = target.run_from(&mut reads(), at).unwrap();
+        assert_eq!(resumed, sys.run_from(&mut reads(), at).unwrap());
     }
 
     #[test]

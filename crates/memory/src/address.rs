@@ -94,7 +94,7 @@ impl AddressMap {
     }
 
     /// Decodes a physical byte address.
-    pub(crate) fn decode(&self, addr: u64) -> Location {
+    pub fn decode(&self, addr: u64) -> Location {
         let block = addr / self.block_bytes;
         let stack = (block % self.stacks as u64) as usize;
         let block = block / self.stacks as u64;

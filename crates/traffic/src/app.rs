@@ -242,11 +242,6 @@ impl AppWorkload {
         w
     }
 
-    /// The profile driving this workload.
-    pub fn profile(&self) -> &AppProfile {
-        &self.profile
-    }
-
     fn total_cores(&self) -> usize {
         self.chips * self.cores_per_chip
     }

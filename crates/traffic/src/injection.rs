@@ -125,13 +125,8 @@ impl InjectionSampler {
     }
 
     /// The compiled process.
-    pub fn process(&self) -> InjectionProcess {
+    pub(crate) fn process(&self) -> InjectionProcess {
         self.process
-    }
-
-    /// The core count the sampler draws for.
-    pub fn cores(&self) -> usize {
-        self.cores
     }
 
     /// `true` if any core fires at `cycle` — one mixer draw.  In the

@@ -7,9 +7,10 @@
 //!   probability of being a memory access while the rest of the traffic
 //!   is addressed to all other cores in the entire system with equal
 //!   probability", swept over injection loads and memory-access
-//!   fractions.  [`UniformRandom`] implements exactly that; the classic
-//!   permutation patterns (transpose, bit-complement, hotspot …) are in
-//!   [`patterns`] for wider coverage.
+//!   fractions.  [`UniformRandom`] implements exactly that; for wider
+//!   coverage it also draws core destinations from the classic
+//!   permutation patterns in [`patterns`] (transpose, bit-complement,
+//!   hotspot …).
 //! * **Application-specific traffic** (§IV.D): PARSEC and SPLASH-2
 //!   behaviours extracted with SynFull (their ref \[20\]).  SynFull model
 //!   files are not redistributable, so [`app`] provides the documented
@@ -109,12 +110,12 @@ pub trait Workload {
     /// honoured.  `full` is only asked about cores inside
     /// [`Workload::shape`].
     ///
-    /// The counter-based generators ([`UniformRandom`],
-    /// [`patterns::PatternWorkload`]) honour the hint by not drawing a
-    /// full core's `(core, cycle)` stream at all, which is what makes a
-    /// saturated source cost nothing to generate for: each draw is a
-    /// pure function of `(seed, core, cycle)`, so a skipped one shifts
-    /// no other (`tests/demand.rs`; the contract is in `docs/sweeps.md`
+    /// The counter-based generator ([`UniformRandom`], patterns
+    /// included) honours the hint by not drawing a full core's
+    /// `(core, cycle)` stream at all, which is what makes a saturated
+    /// source cost nothing to generate for: each draw is a pure
+    /// function of `(seed, core, cycle)`, so a skipped one shifts no
+    /// other (`tests/demand.rs`; the contract is in `docs/sweeps.md`
     /// beside the `next_event_at` one).  [`AppWorkload`] and trace
     /// replay ignore it.
     fn generate_into(
@@ -148,8 +149,8 @@ pub trait Workload {
     /// the simulation driver relies on to jump over dead air (the full
     /// contract lives in `docs/fast_forward.md`).  Every shipped
     /// workload satisfies it with counter-based draws: the Bernoulli
-    /// generators ([`UniformRandom`], [`patterns::PatternWorkload`])
-    /// make generation a pure function of `(seed, core, cycle)` so the
+    /// generator ([`UniformRandom`], patterns included) makes
+    /// generation a pure function of `(seed, core, cycle)` so the
     /// next firing cycle is computable without consuming state (see
     /// `docs/sweeps.md`), and [`AppWorkload`] precomputes event-indexed
     /// phase/fire schedules so quiet application phases skip in

@@ -2,14 +2,12 @@
 //!
 //! Beyond the paper's uniform random workload, the NoC literature
 //! exercises interconnects with adversarial permutations.  They are
-//! included for the extended evaluation and the ablation benches.
+//! included for the extended evaluation and the ablation benches, as a
+//! destination rule of the one synthetic generator
+//! ([`crate::UniformRandom::with_pattern`]).
 
-use rand::counter::StreamKey;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::injection::{InjectionProcess, InjectionSampler};
-use crate::{Endpoint, MessageKind, TrafficEvent, Workload};
 
 /// A destination function over core indices.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,8 +41,8 @@ impl TrafficPattern {
 
     /// Destination core for `src` in a `cores`-core system.  On a core
     /// count that [`TrafficPattern::check`] rejects, and
-    /// [`PatternWorkload::new`] therefore refuses, the result is not the
-    /// pattern's.
+    /// [`crate::UniformRandom::with_pattern`] therefore refuses, the
+    /// result is not the pattern's.
     pub fn dest<R: Rng>(&self, src: usize, cores: usize, rng: &mut R) -> usize {
         let d = match self {
             TrafficPattern::BitComplement => !src & (cores - 1),
@@ -111,129 +109,10 @@ impl TrafficPattern {
     }
 }
 
-/// A [`Workload`] that drives a [`TrafficPattern`] with an injection
-/// process and a memory-access fraction (memory picks stacks uniformly,
-/// as in the paper's workload).
-///
-/// Like [`crate::UniformRandom`], generation is counter-based per
-/// `(core, cycle)`, so the workload supports exact
-/// [`Workload::next_event_at`] answers and idle fast-forward.
-#[derive(Debug, Clone)]
-pub struct PatternWorkload {
-    pattern: TrafficPattern,
-    cores: usize,
-    stacks: usize,
-    memory_fraction: f64,
-    sampler: InjectionSampler,
-    packet_flits: u32,
-    /// Per-core destination stream keys (see [`crate::UniformRandom`]).
-    keys: Vec<StreamKey>,
-    /// Reusable fire-set buffer.
-    fired: Vec<usize>,
-    name: String,
-}
-
-impl PatternWorkload {
-    /// Creates a pattern-driven workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid parameters (see [`TrafficPattern::check`] and
-    /// [`InjectionProcess::validate`]).
-    pub fn new(
-        pattern: TrafficPattern,
-        cores: usize,
-        stacks: usize,
-        memory_fraction: f64,
-        injection: InjectionProcess,
-        packet_flits: u32,
-        seed: u64,
-    ) -> Self {
-        assert!(cores >= 2 && stacks > 0 && packet_flits > 0);
-        assert!((0.0..=1.0).contains(&memory_fraction));
-        pattern.check(cores).unwrap_or_else(|e| panic!("{e}"));
-        injection.validate();
-        let name = format!("{} ({:.0}% memory)", pattern.label(), memory_fraction * 100.0);
-        PatternWorkload {
-            pattern,
-            cores,
-            stacks,
-            memory_fraction,
-            sampler: InjectionSampler::new(injection, cores, seed),
-            packet_flits,
-            keys: (0..cores as u64).map(|c| StreamKey::new(seed, c)).collect(),
-            fired: Vec::with_capacity(cores),
-            name,
-        }
-    }
-
-    /// The one generation body (see `UniformRandom::fill`): a core
-    /// `full` reports is passed over before it draws.
-    #[inline]
-    fn fill(&mut self, now: u64, full: impl Fn(usize) -> bool, out: &mut Vec<TrafficEvent>) {
-        let mut fired = std::mem::take(&mut self.fired);
-        self.sampler.for_each_fire(now, &mut fired, |core| {
-            if full(core) {
-                return;
-            }
-            // Each firing core draws destinations from its own
-            // (core, cycle) stream.
-            let mut rng = self.keys[core].rng(now);
-            let (dest, kind) = if rng.gen::<f64>() < self.memory_fraction {
-                (
-                    Endpoint::Memory(rng.gen_range(0..self.stacks)),
-                    MessageKind::Oneway,
-                )
-            } else {
-                let d = self.pattern.dest(core, self.cores, &mut rng);
-                if d == core {
-                    return; // fixed points of the permutation stay local
-                }
-                (Endpoint::Core(d), MessageKind::Oneway)
-            };
-            out.push(TrafficEvent {
-                cycle: now,
-                src: Endpoint::Core(core),
-                dest,
-                flits: self.packet_flits,
-                kind,
-            });
-        });
-        self.fired = fired;
-    }
-}
-
-impl Workload for PatternWorkload {
-    fn generate_into(
-        &mut self,
-        now: u64,
-        full: &dyn Fn(usize) -> bool,
-        out: &mut Vec<TrafficEvent>,
-    ) {
-        out.clear();
-        self.fill(now, full, out);
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn shape(&self) -> (usize, usize) {
-        (self.cores, self.stacks)
-    }
-
-    fn next_event_at(&self, now: u64) -> Option<u64> {
-        // Sound even though permutation fixed points may drop a firing
-        // core's event: next_fire_at returns the first cycle any core
-        // *fires*, which can only be earlier than (or equal to) the
-        // first cycle any event survives the fixed-point filter.
-        Some(self.sampler.next_fire_at(now))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Endpoint, InjectionProcess, UniformRandom, Workload};
 
     fn rng() -> rand::rngs::SmallRng {
         use rand::SeedableRng;
@@ -294,15 +173,9 @@ mod tests {
 
     #[test]
     fn pattern_workload_generates_valid_events() {
-        let mut w = PatternWorkload::new(
-            TrafficPattern::Transpose,
-            64,
-            4,
-            0.2,
-            InjectionProcess::Bernoulli { rate: 0.5 },
-            64,
-            11,
-        );
+        let rate = InjectionProcess::Bernoulli { rate: 0.5 };
+        let mut w =
+            UniformRandom::new(64, 4, 0.2, rate, 64, 11).with_pattern(TrafficPattern::Transpose);
         let mut any = false;
         for now in 0..50 {
             for e in w.generate(now) {
@@ -322,6 +195,6 @@ mod tests {
     fn transpose_rejects_non_square() {
         assert!(TrafficPattern::Transpose.check(64).is_ok());
         let saturation = InjectionProcess::Saturation;
-        PatternWorkload::new(TrafficPattern::Transpose, 48, 4, 0.2, saturation, 64, 1);
+        UniformRandom::new(48, 4, 0.2, saturation, 64, 1).with_pattern(TrafficPattern::Transpose);
     }
 }

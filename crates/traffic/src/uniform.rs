@@ -13,14 +13,23 @@
 //! desynchronise anything, which lets [`Workload::next_event_at`] return
 //! the true next firing cycle for Bernoulli injection and unlock idle
 //! fast-forward on the paper's Fig 3 low-load sweeps.
+//!
+//! The permutation patterns of the extended evaluation (transpose,
+//! bit-complement, hotspot …) are a destination rule of this one
+//! generator, not a generator of their own:
+//! [`UniformRandom::with_pattern`] sends each core-to-core packet where
+//! a [`TrafficPattern`] says, and everything else — the firing set, the
+//! stream keys, the memory draw — stays as above.
 
 use rand::counter::{CounterRng, StreamKey};
 use rand::Rng;
 
 use crate::injection::{InjectionProcess, InjectionSampler};
-use crate::{Endpoint, MessageKind, TrafficEvent, Workload};
+use crate::{Endpoint, MessageKind, TrafficEvent, TrafficPattern, Workload};
 
-/// Uniform-random traffic over all cores with a memory-access share.
+/// Uniform-random traffic over all cores with a memory-access share,
+/// or, [`UniformRandom::with_pattern`], traffic whose core destinations
+/// follow a permutation pattern.
 #[derive(Debug, Clone)]
 pub struct UniformRandom {
     cores: usize,
@@ -28,6 +37,9 @@ pub struct UniformRandom {
     memory_fraction: f64,
     sampler: InjectionSampler,
     packet_flits: u32,
+    /// Where core-to-core packets go: `None` is uniform over all other
+    /// cores (the paper's workload), `Some` the pattern's destination.
+    pattern: Option<TrafficPattern>,
     /// Probability that a memory access targets the core's home stack
     /// (NUMA affinity); the rest go to a uniformly random stack.
     local_memory_bias: f64,
@@ -73,23 +85,38 @@ impl UniformRandom {
             "memory fraction {memory_fraction} outside [0, 1]"
         );
         injection.validate();
-        UniformRandom {
+        let mut w = UniformRandom {
             cores,
             stacks,
             memory_fraction,
             sampler: InjectionSampler::new(injection, cores, seed),
             packet_flits,
+            pattern: None,
             local_memory_bias: 0.0,
             home_stack: None,
             read_share: 0.0,
             read_request_flits: packet_flits,
             keys: (0..cores as u64).map(|c| StreamKey::new(seed, c)).collect(),
             fired: Vec::with_capacity(cores),
-            name: format!(
-                "uniform-random ({:.0}% memory, load {})",
-                memory_fraction * 100.0,
-                injection.offered_load()
-            ),
+            name: String::new(),
+        };
+        w.rename();
+        w
+    }
+
+    /// Names the workload for reports from its destination rule, memory
+    /// share, load (uniform only) and read share (when positive).
+    fn rename(&mut self) {
+        let memory = self.memory_fraction * 100.0;
+        self.name = match &self.pattern {
+            None => {
+                let load = self.sampler.process().offered_load();
+                format!("uniform-random ({memory:.0}% memory, load {load})")
+            }
+            Some(pattern) => format!("{} ({memory:.0}% memory)", pattern.label()),
+        };
+        if self.read_share > 0.0 {
+            self.name = format!("{} ({:.0}% reads)", self.name, self.read_share * 100.0);
         }
     }
 
@@ -126,28 +153,33 @@ impl UniformRandom {
         assert!(request_flits > 0, "read requests need at least one flit");
         self.read_share = share;
         self.read_request_flits = request_flits;
-        if share > 0.0 {
-            self.name = format!("{} ({:.0}% reads)", self.name, share * 100.0);
-        }
+        self.rename();
         self
     }
 
-    /// The paper's default: 20 % memory accesses, 64-flit packets.
-    pub fn paper(cores: usize, stacks: usize, injection: InjectionProcess, seed: u64) -> Self {
-        UniformRandom::new(cores, stacks, 0.20, injection, 64, seed)
-    }
-
-    /// The configured memory-access fraction.
-    pub fn memory_fraction(&self) -> f64 {
-        self.memory_fraction
+    /// Sends core-to-core packets where `pattern` says instead of to a
+    /// uniformly random other core.  A core the pattern maps onto
+    /// itself sends nothing in a cycle its draw goes to a core.  The
+    /// name leads with the pattern's label instead of `uniform-random`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern is not defined on this core count (see
+    /// [`TrafficPattern::check`]).
+    pub fn with_pattern(mut self, pattern: TrafficPattern) -> Self {
+        pattern.check(self.cores).unwrap_or_else(|e| panic!("{e}"));
+        self.pattern = Some(pattern);
+        self.rename();
+        self
     }
 
     /// Draws a destination for a packet from `src`, consuming further
-    /// draws of that `(core, cycle)` pair's counter stream.  Inlined by
-    /// force: left to the compiler it can become a call per firing core
-    /// (+20 % on a saturated cycle).
+    /// draws of that `(core, cycle)` pair's counter stream; `None` when
+    /// the pattern keeps the packet at its source.  Inlined by force:
+    /// left to the compiler it can become a call per firing core (+20 %
+    /// on a saturated cycle).
     #[inline(always)]
-    fn destination(&self, src: usize, rng: &mut CounterRng) -> (Endpoint, MessageKind) {
+    fn destination(&self, src: usize, rng: &mut CounterRng) -> Option<(Endpoint, MessageKind)> {
         if rng.gen::<f64>() < self.memory_fraction {
             let stack = match &self.home_stack {
                 Some(home) if rng.gen::<f64>() < self.local_memory_bias => home[src],
@@ -160,14 +192,24 @@ impl UniformRandom {
             } else {
                 MessageKind::Oneway
             };
-            (Endpoint::Memory(stack), kind)
+            Some((Endpoint::Memory(stack), kind))
         } else {
-            // Uniform over all *other* cores.
-            let mut dest = rng.gen_range(0..self.cores - 1);
-            if dest >= src {
-                dest += 1;
-            }
-            (Endpoint::Core(dest), MessageKind::Oneway)
+            let dest = match &self.pattern {
+                // Uniform over all *other* cores.
+                None => {
+                    let mut d = rng.gen_range(0..self.cores - 1);
+                    if d >= src {
+                        d += 1;
+                    }
+                    d
+                }
+                // Fixed points of the permutation stay local.
+                Some(pattern) => match pattern.dest(src, self.cores, rng) {
+                    d if d == src => return None,
+                    d => d,
+                },
+            };
+            Some((Endpoint::Core(dest), MessageKind::Oneway))
         }
     }
 
@@ -185,7 +227,9 @@ impl UniformRandom {
                 return;
             }
             let mut rng = self.keys[core].rng(now);
-            let (dest, kind) = self.destination(core, &mut rng);
+            let Some((dest, kind)) = self.destination(core, &mut rng) else {
+                return;
+            };
             let flits = if kind == MessageKind::MemoryRead {
                 self.read_request_flits
             } else {
@@ -229,7 +273,9 @@ impl Workload for UniformRandom {
         // consuming or desynchronising anything — at one mixer draw per
         // scanned cycle.  next_fire_at may also return a sound
         // conservative bound at its scan horizon; either way no event
-        // exists before the returned cycle.
+        // exists before the returned cycle.  A pattern's fixed points
+        // only ever drop a firing core's event, so the first firing
+        // cycle stays a sound answer with one.
         Some(self.sampler.next_fire_at(now))
     }
 }
@@ -389,6 +435,16 @@ mod tests {
         for now in 0..300 {
             assert_eq!(plain.generate(now), gated.generate(now));
         }
+    }
+
+    #[test]
+    fn the_name_follows_the_builders_in_either_order() {
+        let pattern = || TrafficPattern::Transpose;
+        let a = workload(0.2, 0.5).with_pattern(pattern()).with_memory_reads(0.5, 8);
+        let b = workload(0.2, 0.5).with_memory_reads(0.5, 8).with_pattern(pattern());
+        assert_eq!(a.name(), "transpose (20% memory) (50% reads)");
+        assert_eq!(b.name(), a.name());
+        assert_eq!(workload(0.2, 0.5).name(), "uniform-random (20% memory, load 0.5)");
     }
 
     #[test]

@@ -20,7 +20,6 @@
 
 use proptest::prelude::*;
 
-use wimnet_traffic::patterns::PatternWorkload;
 use wimnet_traffic::{
     Endpoint, InjectionProcess, MessageKind, TrafficEvent, TrafficPattern, UniformRandom, Workload,
 };
@@ -35,8 +34,9 @@ const SHAPES: usize = 10;
 
 fn workload(shape: usize, injection: InjectionProcess, seed: u64) -> Box<dyn Workload> {
     let uniform = || UniformRandom::new(CORES, STACKS, 0.3, injection, 8, seed);
-    let pattern =
-        |p: TrafficPattern| Box::new(PatternWorkload::new(p, CORES, STACKS, 0.2, injection, 8, seed));
+    let pattern = |p: TrafficPattern| {
+        Box::new(UniformRandom::new(CORES, STACKS, 0.2, injection, 8, seed).with_pattern(p))
+    };
     match shape {
         0 => Box::new(uniform()),
         1 => Box::new(uniform().with_memory_affinity(0.6, (0..CORES).map(|c| c % STACKS).collect())),

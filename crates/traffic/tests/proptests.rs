@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use wimnet_traffic::patterns::PatternWorkload;
 use wimnet_traffic::{
     Endpoint, InjectionProcess, Trace, TrafficPattern, UniformRandom, Workload,
 };
@@ -116,15 +115,15 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cores = side * side;
-        let mut w = PatternWorkload::new(
-            TrafficPattern::Transpose,
+        let mut w = UniformRandom::new(
             cores,
             4,
             memory,
             InjectionProcess::Bernoulli { rate: 0.5 },
             16,
             seed,
-        );
+        )
+        .with_pattern(TrafficPattern::Transpose);
         for now in 0..30 {
             for e in w.generate(now) {
                 let Endpoint::Core(s) = e.src else { unreachable!() };

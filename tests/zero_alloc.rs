@@ -37,7 +37,6 @@ use wimnet::noc::network::WirelessMode;
 use wimnet::noc::{Network, NocConfig, PacketDesc, SharedMedium};
 use wimnet::routing::{Routes, RoutingPolicy};
 use wimnet::topology::{Architecture, MultichipConfig, MultichipLayout};
-use wimnet::traffic::patterns::PatternWorkload;
 use wimnet::traffic::{
     profiles, AppWorkload, InjectionProcess, TrafficPattern, UniformRandom, Workload,
 };
@@ -226,7 +225,7 @@ fn uniform_random_generation_does_not_allocate() {
 fn pattern_generation_does_not_allocate() {
     generation_does_not_allocate(&|injection| {
         let pattern = TrafficPattern::Hotspot { spots: vec![5, 50], fraction: 0.3 };
-        Box::new(PatternWorkload::new(pattern, 64, 4, 0.2, injection, PACKET_FLITS, 7))
+        Box::new(UniformRandom::new(64, 4, 0.2, injection, PACKET_FLITS, 7).with_pattern(pattern))
     });
 }
 
